@@ -13,16 +13,8 @@ from typing import List, Sequence, Tuple
 Matrix = Tuple[Tuple, ...]
 
 
-def mat_from_rows(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(r) for r in rows)
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n))
-
-
-def zeros(n: int, m: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -45,7 +37,7 @@ def mat_vec(a: Matrix, x: Sequence) -> Tuple:
     out = []
     for row in a:
         s = None
-        for rv, xv in zip(row, x):
+        for rv, xv in zip(row, x, strict=True):
             term = rv * xv
             s = term if s is None else s + term
         out.append(s if s is not None else Fraction(0))
@@ -58,7 +50,7 @@ def transpose(a: Matrix) -> Matrix:
 
 def dot(x: Sequence, y: Sequence):
     s = None
-    for a, b in zip(x, y):
+    for a, b in zip(x, y, strict=True):
         term = a * b
         s = term if s is None else s + term
     return s if s is not None else Fraction(0)

@@ -131,11 +131,15 @@ def _add_param_flags(sp, symbolic_ok: bool = True) -> None:
 
 
 def _vec(data) -> List[Fraction]:
+    if not isinstance(data, list):
+        raise ValueError(f"expected a list of rationals, got {data!r}")
     return [parse_rational(str(x)) for x in data]
 
 
 def _mat(data) -> List[List[Fraction]]:
-    return [[parse_rational(str(x)) for x in row] for row in data]
+    if not isinstance(data, list):
+        raise ValueError(f"expected a list of rows, got {data!r}")
+    return [_vec(row) for row in data]
 
 
 # -- subcommand handlers -----------------------------------------------------------

@@ -34,7 +34,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _linalg
@@ -42,6 +41,7 @@ from .scalars import DeformationParams, Poly, ResourceLimitError
 
 Word = Tuple[int, ...]
 WordPair = Tuple[Word, Word]
+ColumnMemo = Dict[Word, Dict[Word, object]]
 
 DEFAULT_WORD_CAP = 12
 
@@ -150,6 +150,14 @@ def _metric_image(vec: Sequence, g: Optional[_linalg.Matrix]) -> Tuple:
     return _linalg.mat_vec(g, vec)
 
 
+def _front_weight(i: int, n: int, wa, wb):
+    """wa^(i-1) wb^(n-i): the weight of moving position i of n to the front.
+
+    This is the factor R_n shared by annihilation, gauge and the symmetrizer.
+    """
+    return (wa ** (i - 1)) * (wb ** (n - i))
+
+
 def _annihilate_terms(word: Word, paired: Sequence, wa, wb) -> List[Tuple[Word, object]]:
     """Single-row annihilation: sum_i wa^(i-1) wb^(n-i) <vec, e_{word_i}> drop i.
 
@@ -162,9 +170,8 @@ def _annihilate_terms(word: Word, paired: Sequence, wa, wb) -> List[Tuple[Word, 
         coeff = paired[word[i - 1]]
         if coeff == 0:
             continue
-        weight = (wa ** (i - 1)) * (wb ** (n - i))
         rest = word[: i - 1] + word[i:]
-        out.append((rest, weight * coeff))
+        out.append((rest, _front_weight(i, n, wa, wb) * coeff))
     return out
 
 
@@ -173,7 +180,7 @@ def _gauge_terms(word: Word, mat: Tuple[Tuple[Fraction, ...], ...], wa, wb) -> L
     n = len(word)
     out = []
     for i in range(1, n + 1):
-        weight = (wa ** (i - 1)) * (wb ** (n - i))
+        weight = _front_weight(i, n, wa, wb)
         rest = word[: i - 1] + word[i:]
         col = word[i - 1]
         for a in range(len(mat)):
@@ -299,55 +306,67 @@ def vacuum_expectation(
 # -- deformed inner product ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _perm_inversions(n: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    out = []
-    for sigma in itertools.permutations(range(n)):
-        inv = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if sigma[i] > sigma[j]
-        )
-        out.append((sigma, inv))
-    return tuple(out)
+def _sym_column(x: Word, a, b, memo: ColumnMemo) -> Dict[Word, object]:
+    """The column P^(n)_{a,b} e_x as a sparse dict {word: coeff}.
+
+    Uses the factorisation P_n = (1 (x) P_(n-1)) R_n:
+
+        P_n e_x = sum_k a^(k-1) b^(n-k) e_(x_k) (x) P_(n-1) e_(x without k),
+
+    so the work grows with the distinct rearrangements of x, not with n!.
+    ``memo`` maps each word already expanded to its column; callers create
+    it per public call, so nothing is cached across calls.
+    """
+    col = memo.get(x)
+    if col is not None:
+        return col
+    n = len(x)
+    if n == 0:
+        col = {(): Fraction(1)}
+    else:
+        acc: Dict[Word, object] = {}
+        for k in range(1, n + 1):
+            weight = _front_weight(k, n, a, b)
+            head = (x[k - 1],)
+            for word, c in _sym_column(x[: k - 1] + x[k:], a, b, memo).items():
+                key = head + word
+                prev = acc.get(key)
+                acc[key] = weight * c if prev is None else prev + weight * c
+        col = {word: c for word, c in acc.items() if c != 0}
+    memo[x] = col
+    return col
+
+
+def _sym_inner(u: Word, x: Word, a, b, g: Optional[_linalg.Matrix], memo: ColumnMemo):
+    """<e_u, P^(n)_{a,b} e_x>, pairing letters through the metric g if given."""
+    if len(u) != len(x):
+        return Fraction(0)
+    col = _sym_column(tuple(x), a, b, memo)
+    if g is None:
+        return col.get(tuple(u), Fraction(0))
+    total = Fraction(0)
+    for word, c in col.items():
+        for ui, yi in zip(u, word):
+            c = c * g[ui][yi]
+        total = total + c
+    return total
 
 
 def sym_inner_words(u: Word, x: Word, a, b, g: Optional[_linalg.Matrix] = None):
     """<e_u, P^(n)_{a,b} e_x> where P = sum_sigma a^inv(sigma) b^(binom-inv) U(sigma)."""
-    n = len(u)
-    if n != len(x):
-        return Fraction(0)
-    if n == 0:
-        return Fraction(1)
-    total_pairs = n * (n - 1) // 2
-    acc = None
-    for sigma, inv in _perm_inversions(n):
-        prod = Fraction(1)
-        ok = True
-        for i in range(n):
-            ui = u[i]
-            xi = x[sigma[i]]
-            if g is None:
-                if ui != xi:
-                    ok = False
-                    break
-            else:
-                entry = g[ui][xi]
-                if entry == 0:
-                    ok = False
-                    break
-                prod = prod * entry
-        if not ok:
-            continue
-        term = (a ** inv) * (b ** (total_pairs - inv)) * prod
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else Fraction(0)
+    return _sym_inner(u, x, a, b, g, {})
 
 
 def deformed_inner(f: FockVector, h: FockVector, params: DeformationParams, metric: Metric = None):
     """The four-parameter inner product: levels pair off, and within a level the
     top rows pair through P_{q,t} while the bar rows pair through P_{v,w}."""
+    return _deformed_inner(f, h, params, metric, {}, {})
+
+
+def _deformed_inner(
+    f: FockVector, h: FockVector, params: DeformationParams, metric: Metric, top_memo: ColumnMemo, bar_memo: ColumnMemo
+):
+    """deformed_inner with the column memos of the top and bar rows passed in."""
     g_top = metric[0] if metric else None
     g_bar = metric[1] if metric else None
     total = Fraction(0)
@@ -363,10 +382,10 @@ def deformed_inner(f: FockVector, h: FockVector, params: DeformationParams, metr
             continue
         for (ftop, fbar), fc in fterms:
             for (htop, hbar), hc in hterms:
-                top_part = sym_inner_words(ftop, htop, params.q, params.t, g_top)
+                top_part = _sym_inner(ftop, htop, params.q, params.t, g_top, top_memo)
                 if top_part == 0:
                     continue
-                bar_part = sym_inner_words(fbar, hbar, params.v, params.w, g_bar)
+                bar_part = _sym_inner(fbar, hbar, params.v, params.w, g_bar, bar_memo)
                 if bar_part == 0:
                     continue
                 total = total + fc * hc * top_part * bar_part
@@ -378,16 +397,14 @@ def symmetrizer_matrix(n: int, a, b, d: int):
     if d ** n > 800:
         raise ResourceLimitError("symmetrizer matrix would exceed the size guard")
     words = list(itertools.product(range(d), repeat=n))
-    index = {wd: i for i, wd in enumerate(words)}
-    total_pairs = n * (n - 1) // 2
-    size = len(words)
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for sigma, inv in _perm_inversions(n):
-        weight = (a ** inv) * (b ** (total_pairs - inv))
-        for col, wd in enumerate(words):
-            permuted = tuple(wd[sigma[i]] for i in range(n))
-            rows[index[permuted]][col] += weight
-    return tuple(tuple(r) for r in rows)
+    memo: ColumnMemo = {}
+    zero = Fraction(0)
+    # P is symmetric (inv(sigma) = inv(sigma^-1)), so each column serves as a row
+    rows = []
+    for x in words:
+        col = _sym_column(x, a, b, memo)
+        rows.append(tuple(col.get(u, zero) for u in words))
+    return tuple(rows)
 
 
 def positivity_check(n: int, a: Fraction, b: Fraction, d: int) -> Tuple[str, int]:
@@ -438,7 +455,7 @@ def check_commutation_single(xi1, xi2, a, b, d: int, maxlevel: int = 3) -> bool:
     """
     xi1 = tuple(Fraction(x) for x in xi1)
     xi2 = tuple(Fraction(x) for x in xi2)
-    inner = sum(p * r for p, r in zip(xi1, xi2))
+    inner = _linalg.dot(xi1, xi2)
     for n in range(0, maxlevel + 1):
         for word in itertools.product(range(d), repeat=n):
             f = {tuple(word): Fraction(1)}
@@ -472,8 +489,8 @@ def check_commutation_tensor(
     if params.t != 1 or params.w != 1:
         raise ValueError("the doubled commutation relation needs t = w = 1")
     q, v = params.q, params.v
-    inner_top = sum(p * r for p, r in zip(x1.xi, x2.xi))
-    inner_bar = sum(p * r for p, r in zip(x1.eta, x2.eta))
+    inner_top = _linalg.dot(x1.xi, x2.xi)
+    inner_bar = _linalg.dot(x1.eta, x2.eta)
     for n in range(0, maxlevel + 1):
         for top in itertools.product(range(d), repeat=n):
             for bar in itertools.product(range(dbar), repeat=n):
@@ -505,6 +522,7 @@ def gauge_adjoint_check(
     """<p f, h> = <f, p' h> in the deformed inner product, p' built from the
     transposed matrices.  Swept exactly over all basis word pairs."""
     g_adj = GaugePair(_linalg.transpose(g.top), _linalg.transpose(g.bar))
+    memos: Tuple[ColumnMemo, ColumnMemo] = ({}, {})  # shared by every inner product of the sweep
     for n in range(1, maxlevel + 1):
         basis = [
             FockVector({(top, bar): Fraction(1)})
@@ -515,8 +533,8 @@ def gauge_adjoint_check(
         images_adj = [gauge_apply(g_adj, f, params) for f in basis]
         for i, f in enumerate(basis):
             for j, h in enumerate(basis):
-                left = deformed_inner(images[i], h, params)
-                right = deformed_inner(f, images_adj[j], params)
+                left = _deformed_inner(images[i], h, params, None, *memos)
+                right = _deformed_inner(f, images_adj[j], params, None, *memos)
                 if left != right:
                     return False
     return True

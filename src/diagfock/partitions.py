@@ -71,12 +71,6 @@ class SetPartition:
     def block_sizes(self) -> Tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
 
-    def block_of(self, x: int) -> Block:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
-
     def singletons(self) -> Tuple[int, ...]:
         return tuple(b[0] for b in self.blocks if len(b) == 1)
 
@@ -183,9 +177,6 @@ class SetPartition:
             if (a < c and d < b) or (c < a and b < d):
                 count += 1
         return count
-
-    def is_noncrossing(self) -> bool:
-        return self.restricted_crossings() == 0
 
 
 def kernel_partition(values: Sequence) -> SetPartition:
@@ -363,12 +354,6 @@ class DiagonalPartition:
 
     def __str__(self):
         return f"{render_partition(self.top)} || {render_partition(self.bar)}"
-
-
-def parse_diagonal(text: str, n: int | None = None) -> DiagonalPartition:
-    top_text, bar_text = text.split("||")
-    top = parse_partition(top_text, n)
-    return DiagonalPartition(top, parse_partition(bar_text, top.n))
 
 
 def satisfies_diagonal_conditions(top: SetPartition, bar: SetPartition) -> bool:

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple, Union
 
-Rational = Fraction
-
 Exponent = Tuple[int, int, int, int]
 
 VAR_NAMES = ("q", "t", "v", "w")
@@ -111,11 +109,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(exp) for exp in self._terms)
-
     def constant_term(self) -> Fraction:
         return self._terms.get(_ZERO4, Fraction(0))
 
@@ -201,6 +194,10 @@ class Poly:
         return self._terms == o._terms
 
     def __hash__(self):
+        # a constant hashes like the Fraction it equals, so it finds the same
+        # dict and set entries (the zero polynomial hashes like 0)
+        if self._terms.keys() <= {_ZERO4}:
+            return hash(self.constant_term())
         return hash(frozenset(self._terms.items()))
 
     # -- evaluation and printing -------------------------------------------
@@ -252,10 +249,6 @@ W = Poly.variable("w")
 Scalar = Union[Fraction, int, Poly]
 
 
-def as_scalar_zero():
-    return Fraction(0)
-
-
 def qt_number(n: int, a: Scalar, b: Scalar):
     """Deformed integer [n]_{a,b} = sum_{i=1..n} a^(i-1) b^(n-i).
 
@@ -271,9 +264,6 @@ def qt_number(n: int, a: Scalar, b: Scalar):
     if total is None:
         return Fraction(0)
     return total
-
-
-SYMBOLIC = "symbolic"
 
 
 @dataclass(frozen=True)
@@ -317,19 +307,6 @@ class DeformationParams:
     def monomial(self, a: int, b: int, c: int, d: int):
         """q^a t^b v^c w^d with the 0**0 = 1 convention."""
         return (self.q ** a) * (self.t ** b) * (self.v ** c) * (self.w ** d)
-
-    def weight_top(self, i: int, n: int):
-        """Annihilation/gauge weight q^(i-1) t^(n-i) for position i of n."""
-        return (self.q ** (i - 1)) * (self.t ** (n - i))
-
-    def weight_bar(self, j: int, n: int):
-        return (self.v ** (j - 1)) * (self.w ** (n - j))
-
-    def qt_pair(self):
-        return (self.q, self.t)
-
-    def vw_pair(self):
-        return (self.v, self.w)
 
 
 def scalar_eq(x, y) -> bool:

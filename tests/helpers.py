@@ -48,6 +48,32 @@ def apply_mat(m: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Tuple[F
     return tuple(sum(m[i][j] * x[j] for j in range(len(x))) for i in range(len(m)))
 
 
+# -- slow, library-independent symmetrizer ---------------------------------------------
+
+
+def sym_inner_brute(u: Sequence[int], x: Sequence[int], a, b, g=None):
+    """<e_u, P^(n)_{a,b} e_x> from the definition as a sum over all n! permutations:
+
+        sum_sigma a^inv(sigma) b^(C(n,2) - inv(sigma)) prod_i g[u_i][x_sigma(i)],
+
+    with g = None meaning the standard inner product (g[i][j] = [i == j]).
+    """
+    n = len(u)
+    if n != len(x):
+        return Fraction(0)
+    total = Fraction(0)
+    for sigma in itertools.permutations(range(n)):
+        pairing = Fraction(1)
+        for i in range(n):
+            ui, xi = u[i], x[sigma[i]]
+            pairing *= Fraction(int(ui == xi)) if g is None else g[ui][xi]
+        if pairing == 0:
+            continue
+        inv = sum(1 for i, j in itertools.combinations(range(n), 2) if sigma[i] > sigma[j])
+        total = total + (a**inv) * (b ** (n * (n - 1) // 2 - inv)) * pairing
+    return total
+
+
 # -- slow, library-independent partition machinery -----------------------------------
 
 

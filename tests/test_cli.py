@@ -86,6 +86,38 @@ def test_wick_word_kind(tmp_path, capsys):
     assert len(data["formula"]) > 0
 
 
+def test_wick_rejects_mixed_dimensions(tmp_path, capsys):
+    payload = {"kind": "gaussian", "vectors": [{"xi": ["1", "1"], "eta": ["1"]}, {"xi": ["1"], "eta": ["1"]}]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code = main(["wick", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and not captured.out
+
+
+@pytest.mark.parametrize("xi", [5, "12", {"0": 1}])
+def test_wick_rejects_vector_that_is_not_a_list(tmp_path, capsys, xi):
+    payload = {"kind": "gaussian", "vectors": [{"xi": xi, "eta": ["1"]}, {"xi": ["1"], "eta": ["1"]}]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code = main(["wick", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and not captured.out
+
+
+@pytest.mark.parametrize("gauge", [3, ["12", "34"]])
+def test_wick_rejects_matrix_that_is_not_a_list_of_lists(tmp_path, capsys, gauge):
+    op = {"xi": ["1"], "eta": ["1"], "T": gauge, "Tbar": [["1"]]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"kind": "full", "operators": [op, op]}))
+    code = main(["wick", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and not captured.out
+
+
 def test_levy_command_matches_library(tmp_path, capsys):
     from diagfock.levy import LevySpec, levy_moment
     from diagfock.scalars import DeformationParams

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from diagfock.fock import (
     gauge_adjoint_check,
     gauge_apply,
     positivity_check,
+    sym_inner_words,
     symmetrizer_matrix,
     vacuum_expectation,
 )
@@ -216,6 +218,49 @@ def test_symmetrizer_matrix_level_two():
     assert mat[1][1] == Fraction(1) and mat[1][2] == Fraction(1, 2)
     with pytest.raises(ResourceLimitError):
         symmetrizer_matrix(12, Fraction(1, 2), Fraction(1), 3)
+
+
+# a = -1, b = 1 is the alternating symmetrizer: entries cancel to 0 on repeated letters
+SYM_POINTS = [(Fraction(-1), Fraction(1)), (Fraction(-1, 2), Fraction(2, 3)), (Fraction(1, 3), Fraction(1, 2))]
+
+
+def test_sym_inner_words_matches_permutation_sum():
+    r = helpers.rng(13)
+    zeros = 0
+    for n in range(7):
+        for d in (1, 2, 3):
+            g = [list(row) for row in helpers.rand_mat(r, d)]
+            if d > 1:
+                g[0][1] = g[1][0] + 1  # a non-symmetric metric
+            for _ in range(3):
+                u = tuple(r.randrange(d) for _ in range(n))
+                x = tuple(r.sample(u, n))  # a rearrangement, so the entry is not trivially 0
+                y = tuple(r.randrange(d) for _ in range(n))
+                for a, b in SYM_POINTS:
+                    for metric in (None, g):
+                        for target in (x, y):
+                            expect = helpers.sym_inner_brute(u, target, a, b, metric)
+                            assert sym_inner_words(u, target, a, b, metric) == expect
+                            zeros += expect == 0 and metric is None and target == x and n >= 2
+                if n <= 5 or d == 1:
+                    for metric in (None, g):
+                        assert sym_inner_words(u, x, SYM.q, SYM.t, metric) == helpers.sym_inner_brute(
+                            u, x, SYM.q, SYM.t, metric
+                        )
+    assert zeros > 0
+    assert sym_inner_words((0, 1), (0,), Fraction(1, 2), Fraction(1)) == 0
+
+
+def test_symmetrizer_matrix_matches_permutation_sum():
+    for n, d in [(0, 2), (1, 3), (2, 3), (3, 3), (4, 2), (5, 2)]:
+        words = list(itertools.product(range(d), repeat=n))
+        # the n = 5 oracle costs 120 terms per entry: one point with a < 0 there
+        for a, b in SYM_POINTS if n < 5 else SYM_POINTS[1:2]:
+            mat = symmetrizer_matrix(n, a, b, d)
+            assert mat == tuple(zip(*mat))
+            for i, u in enumerate(words):
+                for j, x in enumerate(words):
+                    assert mat[i][j] == helpers.sym_inner_brute(u, x, a, b)
 
 
 def test_positivity_verdicts():

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 import helpers
 from diagfock import _linalg
 
@@ -76,3 +78,11 @@ def test_mat_pow_entries_matches_naive():
         naive.append(cur[0][0])
         cur = _linalg.mat_mul(cur, a)
     assert got == naive
+
+
+def test_dimension_mismatch_raises():
+    assert _linalg.dot([1, 2], [3, 4]) == 11
+    with pytest.raises(ValueError):
+        _linalg.dot([1, 2], [3])
+    with pytest.raises(ValueError):
+        _linalg.mat_vec(((1, 0), (0, 1)), [1])

@@ -114,9 +114,9 @@ def test_params_admissibility():
 def test_params_weights_match_qt_terms():
     p = DeformationParams.from_rationals(Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(1))
     n = 4
-    assert sum(p.weight_top(i, n) for i in range(1, n + 1)) == qt_number(n, p.q, p.t)
+    assert sum(p.monomial(i - 1, n - i, 0, 0) for i in range(1, n + 1)) == qt_number(n, p.q, p.t)
     ps = DeformationParams.symbolic()
-    assert sum(ps.weight_bar(j, 3) for j in range(1, 4)) == qt_number(3, V, W)
+    assert sum(ps.monomial(0, 0, j - 1, 3 - j) for j in range(1, 4)) == qt_number(3, V, W)
 
 
 def test_symbolic_monomial_and_scalar_eq():
@@ -132,4 +132,16 @@ def test_zero_power_zero_convention():
     # 0^0 = 1 keeps specialized weights well defined at q = 0
     p = DeformationParams.from_rationals(Fraction(0), Fraction(1), Fraction(0), Fraction(1))
     assert p.monomial(0, 0, 0, 0) == 1
-    assert p.weight_top(1, 1) == 1
+    assert qt_number(1, p.q, p.t) == 1
+
+
+def test_constant_poly_hashes_like_its_fraction():
+    assert hash(Poly.const(1)) == hash(Fraction(1)) == hash(1)
+    assert hash(Poly.zero()) == hash(0)
+    assert {Poly.const(1): "one"}.get(Fraction(1)) == "one"
+    assert {Fraction(-1, 2): "half"}.get(Poly.const(Fraction(-1, 2))) == "half"
+    assert {0: "zero"}.get(Poly.zero()) == "zero"
+    assert len({Poly.const(3), Fraction(3), 3}) == 1
+    assert Poly.zero() in {Fraction(0)} and Fraction(2) in {Poly.const(2)}
+    # nonconstant polynomials still hash by their terms
+    assert {Q + T: 1}.get(T + Q) == 1 and Poly.const(1) not in {Q}
