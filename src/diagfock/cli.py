@@ -36,6 +36,7 @@ from .partitions import (
     render_partition,
 )
 from .fock import (
+    GaugePair,
     VectorPair,
     check_commutation_tensor,
     creation_norm_check,
@@ -108,9 +109,9 @@ def _emit(payload, path: Optional[str]) -> None:
 
 def _read_input(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
+        return _check(json.load(sys.stdin), dict, "a JSON object")
     with open(path) as fh:
-        return json.load(fh)
+        return _check(json.load(fh), dict, "a JSON object")
 
 
 def _params_from(args) -> DeformationParams:
@@ -130,16 +131,33 @@ def _add_param_flags(sp, symbolic_ok: bool = True) -> None:
         sp.add_argument("--symbolic", action="store_true", help="use polynomial coefficients instead of numbers")
 
 
+def _check(data, kind: type, what: str):
+    if not isinstance(data, kind):
+        raise ValueError(f"expected {what}, got {data!r}")
+    return data
+
+
 def _vec(data) -> List[Fraction]:
-    if not isinstance(data, list):
-        raise ValueError(f"expected a list of rationals, got {data!r}")
-    return [parse_rational(str(x)) for x in data]
+    return [parse_rational(str(x)) for x in _check(data, list, "a list of rationals")]
 
 
 def _mat(data) -> List[List[Fraction]]:
-    if not isinstance(data, list):
-        raise ValueError(f"expected a list of rows, got {data!r}")
-    return [_vec(row) for row in data]
+    return [_vec(row) for row in _check(data, list, "a list of rows")]
+
+
+def _entries(data, key: str) -> List[dict]:
+    """The list data[key] of JSON objects."""
+    entries = _check(data[key], list, f"{key} to be a list")
+    return [_check(e, dict, f"{key} entries to be objects") for e in entries]
+
+
+def _same_dims(pairs: List[VectorPair], key: str) -> None:
+    """Name the first entry whose xi (or eta) dimension differs from entry 0's."""
+    for i, x in enumerate(pairs):
+        for side in ("xi", "eta"):
+            dim, first = len(getattr(x, side)), len(getattr(pairs[0], side))
+            if dim != first:
+                raise ValueError(f"{key}[{i}]: {side} has dimension {dim}, but {key}[0] has {first}")
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -259,14 +277,16 @@ def cmd_wick(args) -> int:
     params = _params_from(args)
     kind = data.get("kind", "gaussian")
     if kind == "gaussian":
-        xs = [VectorPair.of(_vec(e["xi"]), _vec(e["eta"])) for e in data["vectors"]]
+        xs = [VectorPair.of(_vec(e["xi"]), _vec(e["eta"])) for e in _entries(data, "vectors")]
+        _same_dims(xs, "vectors")
         lhs = gaussian_wick(xs, params)
         rhs = gaussian_fock_oracle(xs, params)
         match = lhs == rhs
         _emit({"kind": kind, "formula": lhs, "oracle": rhs, "match": match}, args.output)
         return 0 if match else 1
     if kind == "word":
-        tokens = [(e["kind"], VectorPair.of(_vec(e["xi"]), _vec(e["eta"]))) for e in data["tokens"]]
+        tokens = [(e["kind"], VectorPair.of(_vec(e["xi"]), _vec(e["eta"]))) for e in _entries(data, "tokens")]
+        _same_dims([x for _, x in tokens], "tokens")
         lhs = word_vacuum_formula(tokens, params)
         rhs = word_fock_oracle(tokens, params)
         match = lhs == rhs
@@ -277,16 +297,15 @@ def cmd_wick(args) -> int:
         return 0 if match else 1
     if kind == "full":
         ops = []
-        for e in data["operators"]:
+        for e in _entries(data, "operators"):
             vec = VectorPair.of(_vec(e["xi"]), _vec(e["eta"]))
             gauge = None
             if "T" in e and e["T"] is not None:
-                from .fock import GaugePair
-
                 gauge = GaugePair.of(_mat(e["T"]), _mat(e["Tbar"]))
             lam = parse_rational(str(e.get("lam", "0")))
             lambar = parse_rational(str(e.get("lambar", "1")))
             ops.append(QuadrabasicOp(vec, gauge, lam, lambar))
+        _same_dims([op.vector for op in ops], "operators")
         lhs = full_wick(ops, params)
         rhs = full_fock_oracle(ops, params)
         match = lhs == rhs
@@ -297,8 +316,8 @@ def cmd_wick(args) -> int:
 
 def _spec_from_json(data: dict) -> LevySpec:
     return LevySpec.of(
-        [_vec(v) for v in data["xi"]],
-        [_mat(m) for m in data["T"]],
+        _mat(data["xi"]),
+        [_mat(m) for m in _check(data["T"], list, "a list of matrices")],
         _vec(data["lam"]),
         gram=_mat(data["gram"]) if data.get("gram") else None,
     )
@@ -307,8 +326,8 @@ def _spec_from_json(data: dict) -> LevySpec:
 def cmd_levy(args) -> int:
     data = _read_input(args.input)
     params = _params_from(args)
-    spec = _spec_from_json(data["spec"])
-    word = tuple(int(u) for u in data["word"])
+    spec = _spec_from_json(_check(data["spec"], dict, "spec to be an object"))
+    word = tuple(int(u) for u in _check(data["word"], list, "word to be a list of coordinates"))
     s = parse_rational(str(data.get("s", "1")))
     payload = {
         "word": list(word),
@@ -324,8 +343,8 @@ def cmd_levy(args) -> int:
 def cmd_convolve(args) -> int:
     data = _read_input(args.input)
     params = _params_from(args)
-    a = GeneratorPair.of(data["a"]["lam"], [parse_rational(str(x)) for x in data["a"]["tau"]])
-    b = GeneratorPair.of(data["b"]["lam"], [parse_rational(str(x)) for x in data["b"]["tau"]])
+    pairs = [_check(data[key], dict, f"{key} to be an object") for key in ("a", "b")]
+    a, b = (GeneratorPair.of(parse_rational(str(p["lam"])), _vec(p["tau"])) for p in pairs)
     c = convolve_pairs(a, b)
     nmax = int(data.get("nmax", 6))
     payload = {
@@ -350,7 +369,8 @@ def cmd_gns(args) -> int:
     data = _read_input(args.input)
     k = int(data["k"])
     maxlen = int(data["maxlen"])
-    psi = {_parse_word_key(kk): parse_rational(str(vv)) for kk, vv in data["psi"].items()}
+    psi_json = _check(data["psi"], dict, "psi to be an object")
+    psi = {_parse_word_key(kk): parse_rational(str(vv)) for kk, vv in psi_json.items()}
     spec, info = gns_reconstruct(psi, k, maxlen)
     ok = True
     checked = 0

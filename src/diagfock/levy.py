@@ -11,9 +11,12 @@ orthonormal frame).  The time-s cumulant of a word u_1 ... u_n is
     R(u, s) = s * <xi_{u_1}, T_{u_2} ... T_{u_{n-1}} xi_{u_n}>   (n >= 2)
 
 and moments come from the diagonal-partition sum with q^rc t^rnest v^rc
-w^rnest weights, one factor of s per block.  The operator model realizes the
-same numbers on the doubled Fock space over step functions; tests compare
-the two routes exactly, with interval lengths as rational metric weights.
+w^rnest weights, one factor of s per block.  Every such sum here goes through
+the role-class kernel of :mod:`diagfock.partitions` (its docstring states the
+factorisation), with the cumulants on the top row and weights only on the
+bar row.  The operator model realizes the same numbers on the doubled Fock
+space over step functions; tests compare the two routes exactly, with
+interval lengths as rational metric weights.
 """
 
 from __future__ import annotations
@@ -25,7 +28,16 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .partitions import DiagonalPartition, SetPartition, diagonal_partitions
+from .partitions import (
+    ROLE_OPENER,
+    ROLE_SINGLETON,
+    DiagonalPartition,
+    SetPartition,
+    class_sums,
+    diagonal_partitions,
+    diagonal_sum,
+    row_sums,
+)
 from .scalars import DeformationParams, ResourceLimitError
 from .fock import FockVector, GaugePair, VectorPair, quadrabasic_apply
 
@@ -84,6 +96,7 @@ def levy_cumulant(spec: LevySpec, word: Word, s: Fraction = Fraction(1)) -> Frac
     return s * spec.pair(spec.xi[word[0]], chain)
 
 
+# no sum reads this cache; perfbench/tracer.py reads and clears it by name
 @lru_cache(maxsize=None)
 def _diag_partitions_list(n: int) -> Tuple[DiagonalPartition, ...]:
     return tuple(diagonal_partitions(n))
@@ -101,22 +114,16 @@ def levy_moment(spec: LevySpec, word: Word, params: DeformationParams, s: Fracti
     if n > MAX_LEVY_WORD:
         raise ResourceLimitError(f"moment words guarded at length <= {MAX_LEVY_WORD}")
     s = Fraction(s)
-    total = Fraction(0)
-    for dp in _diag_partitions_list(n):
-        prod = params.monomial(*dp.weight_exponents())
-        for block in dp.top.blocks:
-            prod = prod * levy_cumulant(spec, _subword(word, block), s)
-            if prod == 0:
-                break
-        total = total + prod
-    return total
+    return diagonal_sum(n, params, lambda block: levy_cumulant(spec, _subword(word, block), s))
 
 
 def levy_moment_s_poly(spec: LevySpec, word: Word, params: DeformationParams) -> Dict[int, Fraction]:
     """The moment as a polynomial in the time s: degree (= block count) -> coefficient.
 
-    The linear coefficient is the single-block cumulant at s = 1, which is the
-    generator of the convolution semigroup on this word.
+    A role class fixes the block count (its openers and singletons), so the
+    class sums at s = 1 are grouped by it.  The linear coefficient is the
+    single-block cumulant at s = 1, which is the generator of the convolution
+    semigroup on this word.
     """
     n = len(word)
     if n == 0:
@@ -124,16 +131,10 @@ def levy_moment_s_poly(spec: LevySpec, word: Word, params: DeformationParams) ->
     if n > MAX_LEVY_WORD:
         raise ResourceLimitError(f"moment words guarded at length <= {MAX_LEVY_WORD}")
     out: Dict[int, Fraction] = {}
-    for dp in _diag_partitions_list(n):
-        prod = params.monomial(*dp.weight_exponents())
-        for block in dp.top.blocks:
-            prod = prod * levy_cumulant(spec, _subword(word, block), Fraction(1))
-            if prod == 0:
-                break
-        if prod == 0:
-            continue
-        deg = len(dp.top.blocks)
-        out[deg] = out.get(deg, Fraction(0)) + prod
+    sums = class_sums(n, params, lambda block: levy_cumulant(spec, _subword(word, block), Fraction(1)))
+    for roles, val in sums.items():
+        deg = roles.count(ROLE_OPENER) + roles.count(ROLE_SINGLETON)
+        out[deg] = out.get(deg, Fraction(0)) + val
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -267,21 +268,16 @@ def stochastic_limit(
     spec: LevySpec, word: Word, pi: SetPartition, s: Fraction, params: DeformationParams
 ) -> Fraction:
     """Refinement limit of :func:`stochastic_measure`: the sum over diagonal
-    partitions whose top row equals pi of weight times cumulant products."""
+    partitions whose top row equals pi of weight times cumulant products: the
+    top weight of pi times its cumulants times the bar row sum of its class."""
     n = len(word)
     if pi.n != n:
         raise ValueError("partition size must match the word length")
     s = Fraction(s)
-    total = Fraction(0)
-    for dp in _diag_partitions_list(n):
-        if dp.top != pi:
-            continue
-        prod = params.monomial(*dp.weight_exponents())
-        for block in dp.top.blocks:
-            prod = prod * levy_cumulant(spec, _subword(word, block), s)
-            if prod == 0:
-                break
-        total = total + prod
+    bar = row_sums(n, None, params.v, params.w)[pi.roles()]
+    total = (params.q ** pi.restricted_crossings()) * (params.t ** pi.restricted_nestings()) * bar
+    for block in pi.blocks:
+        total = total * levy_cumulant(spec, _subword(word, block), s)
     return total
 
 
@@ -303,22 +299,16 @@ def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxl
     """Invert the moment formula word by word:
 
         Psi(u) = Phi(u) - sum over non-maximal diagonal partitions of
-                 weight * product of Psi on the top-row subwords.
+                 weight * product of Psi on the top-row subwords,
+
+    the forward sum with the one-block value set to 0 (that block is alone in
+    its role class, with weight 1).
     """
     psi: Functional = {}
     for n in range(1, maxlen + 1):
         for word in itertools.product(range(k), repeat=n):
-            acc = Fraction(0)
-            for dp in _diag_partitions_list(n):
-                if len(dp.top.blocks) == 1:
-                    continue
-                prod = params.monomial(*dp.weight_exponents())
-                for block in dp.top.blocks:
-                    prod = prod * psi[_subword(word, block)]
-                    if prod == 0:
-                        break
-                acc = acc + prod
-            psi[word] = phi[word] - acc
+            lower = diagonal_sum(n, params, lambda b: Fraction(0) if len(b) == n else psi[_subword(word, b)])
+            psi[word] = phi[word] - lower
     return psi
 
 
@@ -327,15 +317,7 @@ def moment_functional(psi: Functional, k: int, params: DeformationParams, maxlen
     phi: Functional = {(): Fraction(1)}
     for n in range(1, maxlen + 1):
         for word in itertools.product(range(k), repeat=n):
-            total = Fraction(0)
-            for dp in _diag_partitions_list(n):
-                prod = params.monomial(*dp.weight_exponents())
-                for block in dp.top.blocks:
-                    prod = prod * psi[_subword(word, block)]
-                    if prod == 0:
-                        break
-                total = total + prod
-            phi[word] = total
+            phi[word] = diagonal_sum(n, params, lambda block: psi[_subword(word, block)])
     return phi
 
 

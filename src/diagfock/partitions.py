@@ -15,16 +15,33 @@ Statistics follow the arc picture.  An *arc* of a block {b1 < b2 < ... < bk}
 is a consecutive pair (b_i, b_{i+1}).  For partitions into pairs and
 singletons the classical crossing/nesting counts apply; for general
 partitions the *restricted* counts compare arcs across distinct blocks.
+
+Every diagonal sum in this package,
+
+    sum over diagonal (top, bar) of q^rc t^rn v^rc' w^rn'
+        * prod of top_value over top blocks * prod of bar_value over bar blocks
+
+with (rc, rn) and (rc', rn') the restricted counts of the two rows,
+factorises over role classes: weight and block product split into a top and
+a bar part, and (top, bar) is diagonal exactly when both rows have the same
+role vector R.  So it equals the sum over R of T(R) * B(R), where T(R) sums
+q^rc t^rn * prod top_value over the single rows with role vector R and B(R)
+likewise with v, w and bar_value.  :func:`row_sums` computes T or B over
+:func:`row_table` (the Bell(n) set partitions of [n]); :func:`class_sums`
+multiplies them.  The pairs themselves (:func:`diagonal_partitions`) are
+enumerated only for display and as a test oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .scalars import ResourceLimitError
+from .scalars import DeformationParams, ResourceLimitError
 
 Block = Tuple[int, ...]
 
@@ -115,24 +132,15 @@ class SetPartition:
             raise ValueError(f"{what} is defined for partitions into pairs and singletons")
 
     def crossings(self) -> int:
-        """Number of unordered crossing pairs of pair blocks."""
+        """Number of unordered crossing pairs of pair blocks (the restricted
+        count: each pair block is one arc, singletons have none)."""
         self._require_ps("crossings")
-        pairs = self.pair_blocks()
-        count = 0
-        for (a, b), (c, d) in itertools.combinations(pairs, 2):
-            if a < c < b < d or c < a < d < b:
-                count += 1
-        return count
+        return self.restricted_crossings()
 
     def nestings(self) -> int:
         """Number of unordered pairs of pair blocks where one sits inside the other."""
         self._require_ps("nestings")
-        pairs = self.pair_blocks()
-        count = 0
-        for (a, b), (c, d) in itertools.combinations(pairs, 2):
-            if (a < c and d < b) or (c < a and b < d):
-                count += 1
-        return count
+        return self.restricted_nestings()
 
     def covered_singletons(self) -> int:
         """Number of (singleton s, pair (a, b)) incidences with a < s < b."""
@@ -156,27 +164,19 @@ class SetPartition:
 
     # -- restricted statistics on arbitrary partitions --------------------------
 
+    def _arc_pairs(self) -> Iterator[Tuple[int, int, int, int]]:
+        """Arcs (a, b) and (c, d) of distinct blocks, each pair once."""
+        for (a, b, i), (c, d, j) in itertools.combinations(self.arcs(), 2):
+            if i != j:
+                yield a, b, c, d
+
     def restricted_crossings(self) -> int:
         """Crossing arc pairs taken from distinct blocks, each pair counted once."""
-        arcs = self.arcs()
-        count = 0
-        for (a, b, i), (c, d, j) in itertools.combinations(arcs, 2):
-            if i == j:
-                continue
-            if a < c < b < d or c < a < d < b:
-                count += 1
-        return count
+        return sum(1 for a, b, c, d in self._arc_pairs() if a < c < b < d or c < a < d < b)
 
     def restricted_nestings(self) -> int:
         """Nested arc pairs from distinct blocks (either orientation), counted once."""
-        arcs = self.arcs()
-        count = 0
-        for (a, b, i), (c, d, j) in itertools.combinations(arcs, 2):
-            if i == j:
-                continue
-            if (a < c and d < b) or (c < a and b < d):
-                count += 1
-        return count
+        return sum(1 for a, b, c, d in self._arc_pairs() if (a < c and d < b) or (c < a and b < d))
 
 
 def kernel_partition(values: Sequence) -> SetPartition:
@@ -375,17 +375,26 @@ def satisfies_diagonal_conditions(top: SetPartition, bar: SetPartition) -> bool:
     return tuple(sorted(top.singletons())) == tuple(sorted(bar.singletons()))
 
 
-def diagonal_partitions(n: int, min_block_size: int = 1) -> Iterator[DiagonalPartition]:
-    """All diagonal partitions of [n] + [n-bar]: pairs with equal role vectors."""
+def _check_diagonal_n(n: int) -> None:
     if n < 0 or n > MAX_DIAGONAL_N:
         raise ResourceLimitError(f"diagonal enumeration guarded at n <= {MAX_DIAGONAL_N}")
-    classes: Dict[Tuple[str, ...], List[SetPartition]] = {}
-    for p in set_partitions(n, min_block_size):
-        classes.setdefault(p.roles(), []).append(p)
+
+
+def _paired(rows: Iterator[SetPartition], key: Callable[[SetPartition], tuple], make) -> Iterator:
+    """make(top, bar) for every two rows with equal keys, classes in key order."""
+    classes: Dict[tuple, List[SetPartition]] = {}
+    for p in rows:
+        classes.setdefault(key(p), []).append(p)
     for _, members in sorted(classes.items()):
         for top in members:
             for bar in members:
-                yield DiagonalPartition(top, bar)
+                yield make(top, bar)
+
+
+def diagonal_partitions(n: int, min_block_size: int = 1) -> Iterator[DiagonalPartition]:
+    """All diagonal partitions of [n] + [n-bar]: pairs with equal role vectors."""
+    _check_diagonal_n(n)
+    yield from _paired(set_partitions(n, min_block_size), lambda p: p.roles(), DiagonalPartition)
 
 
 def diagonal_pair_partitions(n: int) -> Iterator[DiagonalPartition]:
@@ -393,15 +402,8 @@ def diagonal_pair_partitions(n: int) -> Iterator[DiagonalPartition]:
 
     Compatibility for matchings reduces to equal opener sets.
     """
-    if n < 0 or n > MAX_DIAGONAL_N:
-        raise ResourceLimitError(f"diagonal enumeration guarded at n <= {MAX_DIAGONAL_N}")
-    classes: Dict[Tuple[int, ...], List[SetPartition]] = {}
-    for p in pair_partitions(n):
-        classes.setdefault(p.openers(), []).append(p)
-    for _, members in sorted(classes.items()):
-        for top in members:
-            for bar in members:
-                yield DiagonalPartition(top, bar)
+    _check_diagonal_n(n)
+    yield from _paired(pair_partitions(n), lambda p: p.openers(), DiagonalPartition)
 
 
 def count_diagonal_pair_partitions(n: int) -> int:
@@ -410,13 +412,7 @@ def count_diagonal_pair_partitions(n: int) -> int:
     Computed as the sum of squared opener-class sizes over matchings of [n];
     avoids materializing the pairs, so n = 10 stays fast.
     """
-    if n % 2:
-        return 0
-    sizes: Dict[Tuple[int, ...], int] = {}
-    for p in pair_partitions(n):
-        key = p.openers()
-        sizes[key] = sizes.get(key, 0) + 1
-    return sum(c * c for c in sizes.values())
+    return sum(c * c for c in Counter(p.openers() for p in pair_partitions(n)).values())
 
 
 def ps12_diagonal_partitions(n: int) -> Iterator[DiagonalPartition]:
@@ -427,16 +423,8 @@ def ps12_diagonal_partitions(n: int) -> Iterator[DiagonalPartition]:
     DiagonalPartition instances in the strict role sense, so plain tuples of
     (top, bar) are yielded wrapped in a lightweight holder.
     """
-    if n < 0 or n > MAX_DIAGONAL_N:
-        raise ResourceLimitError(f"diagonal enumeration guarded at n <= {MAX_DIAGONAL_N}")
-    classes: Dict[Tuple[int, ...], List[SetPartition]] = {}
-    for p in pairs_and_singletons_partitions(n):
-        key = tuple(sorted(b[0] for b in p.pair_blocks()))
-        classes.setdefault(key, []).append(p)
-    for _, members in sorted(classes.items()):
-        for top in members:
-            for bar in members:
-                yield PSDiagonal(top, bar)
+    _check_diagonal_n(n)
+    yield from _paired(pairs_and_singletons_partitions(n), lambda p: p.openers(), PSDiagonal)
 
 
 @dataclass(frozen=True)
@@ -462,17 +450,83 @@ class PSDiagonal:
 
 @lru_cache(maxsize=None)
 def diagonal_partition_profiles(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, int, int, int]], ...]:
-    """Cached (top block sizes, weight exponents) over all diagonal partitions.
+    """(top block sizes, weight exponents) of every diagonal partition.
 
-    Block sizes are listed in order of block least elements.  This is the only
-    data the one-variable moment/cumulant transforms need, so the partitions
-    themselves are not kept.
+    No sum in the package reads it; perfbench/tracer.py reads and clears its
+    cache by name.
     """
-    out = []
-    for dp in diagonal_partitions(n):
-        sizes = tuple(len(b) for b in dp.top.blocks)
-        out.append((sizes, dp.weight_exponents()))
-    return tuple(out)
+    return tuple((tuple(len(b) for b in dp.top.blocks), dp.weight_exponents()) for dp in diagonal_partitions(n))
+
+
+# -- the diagonal-sum kernel -------------------------------------------------------
+
+
+Roles = Tuple[str, ...]
+BlockValue = Callable[[Block], object]
+
+_ONE = Fraction(1)
+_UNSEEN = object()
+
+
+@lru_cache(maxsize=MAX_DIAGONAL_N + 1)
+def row_table(n: int) -> Tuple[Tuple[Roles, int, int, Tuple[Block, ...]], ...]:
+    """(roles, restricted crossings, restricted nestings, blocks) of each of
+    the Bell(n) set partitions of [n]; equal role vectors and blocks are
+    stored once.  Guarded like the enumeration, so the cache holds at most
+    one table per admissible n."""
+    _check_diagonal_n(n)
+    shared: Dict[tuple, tuple] = {}
+    rows = []
+    for p in set_partitions(n):
+        roles = p.roles()
+        blocks = tuple(shared.setdefault(b, b) for b in p.blocks)
+        rows.append((shared.setdefault(roles, roles), p.restricted_crossings(), p.restricted_nestings(), blocks))
+    return tuple(rows)
+
+
+def row_sums(n: int, value: Optional[BlockValue], a, b) -> Dict[Roles, object]:
+    """{R: sum of a^rc b^rn * prod value(block) over the rows of [n] with role
+    vector R}.  ``value`` (None for the constant 1) is called once per block;
+    a row is weighted only when its product is nonzero, and a class with no
+    such row is left out."""
+    values: Dict[Block, object] = {}
+    weights: Dict[Tuple[int, int], object] = {}
+    out: Dict[Roles, object] = {}
+    for roles, rc, rn, blocks in row_table(n):
+        prod = v = _ONE
+        if value is not None:
+            for block in blocks:
+                v = values.get(block, _UNSEEN)
+                if v is _UNSEEN:
+                    v = value(block)
+                    v = values[block] = None if v == 0 else v
+                if v is None:
+                    break
+                prod = v if prod is _ONE else prod * v
+            if v is None:
+                continue
+        weight = weights.get((rc, rn))
+        if weight is None:
+            weight = weights[rc, rn] = (a ** rc) * (b ** rn)
+        term = weight if prod is _ONE else weight * prod
+        acc = out.get(roles)
+        out[roles] = term if acc is None else acc + term
+    return out
+
+
+def class_sums(
+    n: int, params: DeformationParams, top_value: BlockValue, bar_value: Optional[BlockValue] = None
+) -> Dict[Roles, object]:
+    """{R: T(R) * B(R)}: ``top_value`` summed on the top row at (q, t), times
+    ``bar_value`` (default 1) on the bar row at (v, w)."""
+    top = row_sums(n, top_value, params.q, params.t)
+    bar = row_sums(n, bar_value, params.v, params.w)
+    return {roles: t * bar[roles] for roles, t in top.items() if roles in bar}
+
+
+def diagonal_sum(n: int, params: DeformationParams, top_value: BlockValue, bar_value: Optional[BlockValue] = None):
+    """The whole diagonal sum: the total of :func:`class_sums`."""
+    return sum(class_sums(n, params, top_value, bar_value).values(), Fraction(0))
 
 
 def noncrossing_partitions(n: int) -> Iterator[SetPartition]:

@@ -15,8 +15,12 @@ Three layers, all exact:
     and nesting weights and matrix-chain block factors.
 
 The same partition weights drive the scalar moment/cumulant transforms.
-Every formula here has an operator-side counterpart in :mod:`diagfock.fock`;
-tests hold the two routes against each other.
+The Gaussian, general and transform sums go through the role-class kernel
+of :mod:`diagfock.partitions` (its docstring states the factorisation);
+the word expansion factorises the same way, into a top-row expansion tensored
+with a bar-row expansion.  Every formula here has an operator-side
+counterpart in :mod:`diagfock.fock`; tests hold the two routes against each
+other.
 """
 
 from __future__ import annotations
@@ -24,17 +28,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .partitions import (
-    DiagonalPartition,
-    SetPartition,
-    diagonal_partition_profiles,
-    diagonal_partitions,
-    diagonal_pair_partitions,
-)
+from .partitions import Block, SetPartition, diagonal_sum
 from .scalars import DeformationParams, ResourceLimitError
 from .fock import (
     ANNIHILATE,
@@ -60,13 +57,15 @@ class QuadrabasicOp:
     lam: Fraction = Fraction(0)
     lambar: Fraction = Fraction(0)
 
+    def __post_init__(self):
+        g, x = self.gauge, self.vector
+        for name, mat, d in () if g is None else (("T", g.top, len(x.xi)), ("Tbar", g.bar, len(x.eta))):
+            if len(mat) != d or any(len(row) != d for row in mat):
+                raise ValueError(f"gauge {name} must be {d} x {d} to act on a {d}-dimensional vector")
+
     @property
     def scalar(self) -> Fraction:
         return self.lam * self.lambar
-
-
-def _dot(x: Sequence, y: Sequence):
-    return _linalg.dot(x, y)
 
 
 def gaussian_wick(xs: Sequence[VectorPair], params: DeformationParams):
@@ -74,31 +73,19 @@ def gaussian_wick(xs: Sequence[VectorPair], params: DeformationParams):
 
     Sum over diagonal pair partitions: the top row pairs (l, r) contribute
     <xi_l, xi_r>, the bar row pairs <eta_l, eta_r>, and the partition weight
-    is q^cr t^nest (top) times v^cr w^nest (bar).  Odd n gives 0.
+    is q^cr t^nest (top) times v^cr w^nest (bar).  Odd n gives 0.  This is
+    :func:`full_wick` with no gauge and zero scalars, where only pair blocks
+    have a nonzero value.
     """
     n = len(xs)
     if n > MAX_WICK_N:
         raise ResourceLimitError(f"wick sum guarded at n <= {MAX_WICK_N}")
     if n % 2:
         return Fraction(0)
-    total = Fraction(0)
-    for dp in diagonal_pair_partitions(n):
-        prod = Fraction(1)
-        for l, r in dp.top.blocks:
-            prod = prod * _dot(xs[l - 1].xi, xs[r - 1].xi)
-            if prod == 0:
-                break
-        if prod == 0:
-            continue
-        for l, r in dp.bar.blocks:
-            prod = prod * _dot(xs[l - 1].eta, xs[r - 1].eta)
-            if prod == 0:
-                break
-        if prod == 0:
-            continue
-        crt, nst, crb, nsb = dp.weight_exponents()
-        total = total + params.monomial(crt, nst, crb, nsb) * prod
-    return total
+    no_gauge, zeros = [None] * n, [Fraction(0)] * n
+    top = _chain_value([x.xi for x in xs], no_gauge, zeros)
+    bar = _chain_value([x.eta for x in xs], no_gauge, zeros)
+    return diagonal_sum(n, params, top, bar)
 
 
 def gaussian_fock_oracle(xs: Sequence[VectorPair], params: DeformationParams):
@@ -144,6 +131,10 @@ def word_vacuum_formula(tokens: Sequence[Tuple[str, VectorPair]], params: Deform
     (v, w for the bar), each pair (i, j) contributes the inner product of the
     annihilator vector at i with the creator vector at j, and the surviving
     creator vectors form the residual tensor, in position order.
+
+    Every row pairs each annihilator with a later creator, so all rows share
+    one opener set and the sum is the top-row expansion tensored with the
+    bar-row expansion.
     """
     n = len(tokens)
     if n > MAX_WICK_N:
@@ -152,49 +143,38 @@ def word_vacuum_formula(tokens: Sequence[Tuple[str, VectorPair]], params: Deform
         raise ValueError("word_vacuum_formula tokens must be create/annihilate only")
     anns = tuple(i for i, (kind, _) in enumerate(tokens, start=1) if kind == ANNIHILATE)
     creators = tuple(i for i, (kind, _) in enumerate(tokens, start=1) if kind == CREATE)
+    rows = [(_row_partition(n, m, creators), m) for m in _matchings_into_creators(anns, creators)]
+    top = _word_row([x.xi for _, x in tokens], rows, params.q, params.t)
+    bar = _word_row([x.eta for _, x in tokens], rows, params.v, params.w)
     out = FockVector()
-    top_rows = [(_row_partition(n, m, creators), m) for m in _matchings_into_creators(anns, creators)]
-    for top, top_match in top_rows:
-        top_scalar = Fraction(1)
-        for i, j in top_match.items():
-            top_scalar = top_scalar * _dot(tokens[i - 1][1].xi, tokens[j - 1][1].xi)
-        if top_scalar == 0:
-            continue
-        top_weight = (params.q ** (top.crossings() + top.covered_singletons())) * (
-            params.t ** (top.nestings() + top.singletons_after_pairs())
-        )
-        top_sing = top.singletons()
-        for bar, bar_match in top_rows:
-            bar_scalar = Fraction(1)
-            for i, j in bar_match.items():
-                bar_scalar = bar_scalar * _dot(tokens[i - 1][1].eta, tokens[j - 1][1].eta)
-            if bar_scalar == 0:
-                continue
-            bar_weight = (params.v ** (bar.crossings() + bar.covered_singletons())) * (
-                params.w ** (bar.nestings() + bar.singletons_after_pairs())
-            )
-            bar_sing = bar.singletons()
-            coeff = top_weight * bar_weight * top_scalar * bar_scalar
-            _accumulate_residual(out, coeff, [tokens[s - 1][1].xi for s in top_sing],
-                                 [tokens[s - 1][1].eta for s in bar_sing])
+    for top_word, top_coeff in top.items():
+        for bar_word, bar_coeff in bar.items():
+            out.add_term((top_word, bar_word), top_coeff * bar_coeff)
     return out
 
 
-def _accumulate_residual(out: FockVector, coeff, top_vecs: List[Sequence], bar_vecs: List[Sequence]) -> None:
-    """Add coeff * (tensor of top_vecs) (x) (tensor of bar_vecs), expanded in basis words."""
-    top_expansions = [[(a, xa) for a, xa in enumerate(vec) if xa != 0] for vec in top_vecs]
-    bar_expansions = [[(b, yb) for b, yb in enumerate(vec) if yb != 0] for vec in bar_vecs]
-    for top_choice in itertools.product(*top_expansions):
-        top_word = tuple(a for a, _ in top_choice)
-        top_coeff = coeff
-        for _, xa in top_choice:
-            top_coeff = top_coeff * xa
-        for bar_choice in itertools.product(*bar_expansions):
-            bar_word = tuple(b for b, _ in bar_choice)
-            val = top_coeff
-            for _, yb in bar_choice:
-                val = val * yb
-            out.add_term((top_word, bar_word), val)
+def _word_row(vectors: Sequence[Sequence], rows, a, b) -> Dict[Tuple[int, ...], object]:
+    """One row of the word expansion as {residual word: coefficient}: each row
+    partition's weight times the inner products of its pairs times the tensor
+    of its singletons' vectors, expanded in basis words."""
+    out: Dict[Tuple[int, ...], object] = {}
+    for row, match in rows:
+        scalar = Fraction(1)
+        for i, j in match.items():
+            scalar = scalar * _linalg.dot(vectors[i - 1], vectors[j - 1])
+        if scalar == 0:
+            continue
+        coeff = (a ** (row.crossings() + row.covered_singletons())) * (
+            b ** (row.nestings() + row.singletons_after_pairs())
+        ) * scalar
+        expansions = [[(c, x) for c, x in enumerate(vectors[s - 1]) if x != 0] for s in row.singletons()]
+        for choice in itertools.product(*expansions):
+            val = coeff
+            for _, x in choice:
+                val = val * x
+            word = tuple(c for c, _ in choice)
+            out[word] = out.get(word, 0) + val
+    return out
 
 
 def word_fock_oracle(tokens: Sequence[Tuple[str, VectorPair]], params: DeformationParams) -> FockVector:
@@ -213,61 +193,43 @@ def word_fock_oracle(tokens: Sequence[Tuple[str, VectorPair]], params: Deformati
 # -- general Wick formula ------------------------------------------------------------
 
 
-def _block_factor(ops: Sequence[QuadrabasicOp], top_block, bar_block):
-    """Cumulant factor of one conjugate block pair.
+def _chain_value(vectors: Sequence[Sequence], gauges: Sequence[Optional[_linalg.Matrix]], scalars: Sequence):
+    """Block value on one row of the general Wick formula: scalars[i] for a
+    singleton {i}; otherwise the vector of the least element paired with the
+    gauges of the middle positions applied to the vector of the greatest
+    (0 when a middle position has no gauge)."""
 
-    Singleton blocks give lam * lambar of that position; larger blocks give a
-    matrix-chain inner product on each row: the middle positions act by their
-    gauge matrices on the vector of the greatest element, paired against the
-    vector of the least element.
-    """
-    if len(top_block) == 1:
-        op = ops[top_block[0] - 1]
-        return op.lam * ops[bar_block[0] - 1].lambar
-    chain = list(ops[top_block[-1] - 1].vector.xi)
-    for idx in reversed(top_block[1:-1]):
-        g = ops[idx - 1].gauge
-        mat = g.top if g is not None else None
-        if mat is None:
-            return Fraction(0)
-        chain = list(_linalg.mat_vec(mat, chain))
-    top_part = _dot(ops[top_block[0] - 1].vector.xi, chain)
-    if top_part == 0:
-        return Fraction(0)
-    chain = list(ops[bar_block[-1] - 1].vector.eta)
-    for idx in reversed(bar_block[1:-1]):
-        g = ops[idx - 1].gauge
-        mat = g.bar if g is not None else None
-        if mat is None:
-            return Fraction(0)
-        chain = list(_linalg.mat_vec(mat, chain))
-    bar_part = _dot(ops[bar_block[0] - 1].vector.eta, chain)
-    return top_part * bar_part
+    def value(block: Block):
+        if len(block) == 1:
+            return scalars[block[0] - 1]
+        chain = vectors[block[-1] - 1]
+        for idx in reversed(block[1:-1]):
+            mat = gauges[idx - 1]
+            if mat is None:
+                return Fraction(0)
+            chain = _linalg.mat_vec(mat, chain)
+        return _linalg.dot(vectors[block[0] - 1], chain)
+
+    return value
 
 
 def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):
     """Vacuum moment of general operators as a diagonal-partition sum.
 
     Weight: q^rc t^rnest over the top row arcs, v^rc w^rnest over the bar row,
-    with restricted (cross-block) crossing/nesting counts; block factors as in
-    :func:`_block_factor`.
+    with restricted (cross-block) crossing/nesting counts.  A top block's
+    value is the chain of :func:`_chain_value` over (xi, T, lam), a bar
+    block's over (eta, T-bar, lam-bar).
     """
     n = len(ops)
     if n > MAX_WICK_N:
         raise ResourceLimitError(f"wick sum guarded at n <= {MAX_WICK_N}")
     if n == 0:
         return Fraction(1)
-    total = Fraction(0)
-    for dp in diagonal_partitions(n):
-        prod = Fraction(1)
-        for top_block, bar_block in dp.conjugate_blocks():
-            prod = prod * _block_factor(ops, top_block, bar_block)
-            if prod == 0:
-                break
-        if prod == 0:
-            continue
-        total = total + params.monomial(*dp.weight_exponents()) * prod
-    return total
+    gauges = [op.gauge for op in ops]
+    top = _chain_value([op.vector.xi for op in ops], [g and g.top for g in gauges], [op.lam for op in ops])
+    bar = _chain_value([op.vector.eta for op in ops], [g and g.bar for g in gauges], [op.lambar for op in ops])
+    return diagonal_sum(n, params, top, bar)
 
 
 def full_fock_oracle(ops: Sequence[QuadrabasicOp], params: DeformationParams):
@@ -287,38 +249,18 @@ def cumulants_to_moments(r: Sequence, params: DeformationParams) -> List:
     ``r`` lists r_1..r_N; returns m_1..m_N.  Only the top-row block sizes
     enter the product; the bar row contributes through the weight.
     """
-    out = []
-    for n in range(1, len(r) + 1):
-        total = Fraction(0)
-        for sizes, expo in diagonal_partition_profiles(n):
-            prod = params.monomial(*expo)
-            for s in sizes:
-                prod = prod * r[s - 1]
-                if prod == 0:
-                    break
-            total = total + prod
-        out.append(total)
-    return out
+    return [diagonal_sum(n, params, lambda block: r[len(block) - 1]) for n in range(1, len(r) + 1)]
 
 
 def moments_to_cumulants(m: Sequence, params: DeformationParams) -> List:
     """Triangular inversion of :func:`cumulants_to_moments`.
 
-    r_n = m_n - sum over non-maximal diagonal partitions of weight * products
-    of lower cumulants; the maximal partition (one block per row) carries
-    weight 1, which makes the recursion exact.
+    r_n = m_n - (the forward sum with the one-block value set to 0): the
+    maximal partition (one block per row) is alone in its role class and
+    carries weight 1, which makes the recursion exact.
     """
     r: List = []
     for n in range(1, len(m) + 1):
-        acc = Fraction(0)
-        for sizes, expo in diagonal_partition_profiles(n):
-            if sizes == (n,):
-                continue
-            prod = params.monomial(*expo)
-            for s in sizes:
-                prod = prod * r[s - 1]
-                if prod == 0:
-                    break
-            acc = acc + prod
-        r.append(m[n - 1] - acc)
+        lower = diagonal_sum(n, params, lambda block: Fraction(0) if len(block) == n else r[len(block) - 1])
+        r.append(m[n - 1] - lower)
     return r

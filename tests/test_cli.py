@@ -107,6 +107,61 @@ def test_wick_rejects_vector_that_is_not_a_list(tmp_path, capsys, xi):
     assert captured.err.startswith("error:") and not captured.out
 
 
+SPEC_1D = {"xi": [["1"]], "T": [[["1"]]], "lam": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("levy", {"spec": {**SPEC_1D, "xi": 5}, "word": [0]}),
+        ("levy", {"spec": SPEC_1D, "word": 5}),
+        ("convolve", {"a": {"lam": "0", "tau": 5}, "b": {"lam": "1", "tau": ["1"]}}),
+        ("gns", {"k": 1, "maxlen": 1, "psi": []}),
+        ("wick", {"kind": "gaussian", "vectors": 5}),
+    ],
+    ids=["levy-xi", "levy-word", "convolve-tau", "gns-psi", "wick-vectors"],
+)
+def test_malformed_json_exits_2(tmp_path, capsys, command, payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code = main([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and not captured.out
+
+
+@pytest.mark.parametrize(
+    "kind, key, entries, message",
+    [
+        ("gaussian", "vectors", [{"xi": ["1"], "eta": ["1"]}, {"xi": ["1"], "eta": ["1", "2"]}],
+         "vectors[1]: eta has dimension 2, but vectors[0] has 1"),
+        ("word", "tokens", [{"kind": "annihilate", "xi": ["1", "0"], "eta": ["1"]},
+                            {"kind": "create", "xi": ["1", "0"], "eta": ["1"]},
+                            {"kind": "create", "xi": ["1"], "eta": ["1"]}],
+         "tokens[2]: xi has dimension 1, but tokens[0] has 2"),
+        ("full", "operators", [{"xi": ["1"], "eta": ["1"]}, {"xi": ["1", "1"], "eta": ["1"]}],
+         "operators[1]: xi has dimension 2, but operators[0] has 1"),
+    ],
+)
+def test_wick_names_first_entry_of_another_dimension(tmp_path, capsys, kind, key, entries, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"kind": kind, key: entries}))
+    code = main(["wick", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n" and not captured.out
+
+
+def test_wick_rejects_gauge_of_another_dimension(tmp_path, capsys):
+    op = {"xi": ["1", "2"], "eta": ["1"], "T": [["1"]], "Tbar": [["1"]]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"kind": "full", "operators": [op, op]}))
+    code = main(["wick", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: gauge T must be 2 x 2") and not captured.out
+
+
 @pytest.mark.parametrize("gauge", [3, ["12", "34"]])
 def test_wick_rejects_matrix_that_is_not_a_list_of_lists(tmp_path, capsys, gauge):
     op = {"xi": ["1"], "eta": ["1"], "T": gauge, "Tbar": [["1"]]}

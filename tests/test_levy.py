@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from diagfock.scalars import DeformationParams, ResourceLimitError
-from diagfock.partitions import SetPartition
+from diagfock.partitions import SetPartition, diagonal_partitions, set_partitions
 from diagfock.levy import (
     MAX_LEVY_WORD,
     GeneratorPair,
@@ -152,6 +152,30 @@ def test_stochastic_measures_sum_to_moment():
                     for pi in set_partitions(n)
                 )
                 assert total == levy_moment(spec, word, params, s)
+
+
+def test_stochastic_limit_matches_filtered_enumeration():
+    r = helpers.rng(69)
+    spec = rand_spec(r, k=2, d=2)
+    s = Fraction(3, 2)
+    checked = 0
+    for params in (GEN, DeformationParams.from_rationals(Fraction(-1, 2), 1, Fraction(1, 3), Fraction(1, 2)),
+                   DeformationParams.symbolic()):
+        for n in range(1, 6):
+            word = tuple(r.randrange(2) for _ in range(n))
+            diagonal = list(diagonal_partitions(n))
+            for pi in set_partitions(n):
+                expect = Fraction(0)
+                for dp in diagonal:
+                    if dp.top != pi:
+                        continue
+                    term = params.monomial(*dp.weight_exponents())
+                    for block in pi.blocks:
+                        term = term * levy_cumulant(spec, tuple(word[i - 1] for i in block), s)
+                    expect = expect + term
+                assert stochastic_limit(spec, word, pi, s, params) == expect
+                checked += 1
+    assert checked == 225
 
 
 def test_stochastic_refinement_error_shrinks():

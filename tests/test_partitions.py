@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,12 +7,15 @@ from hypothesis import strategies as st
 
 import helpers
 from diagfock.partitions import (
+    MAX_DIAGONAL_N,
     DiagonalPartition,
     SetPartition,
+    class_sums,
     count_diagonal_pair_partitions,
     diagonal_pair_partitions,
     diagonal_partition_profiles,
     diagonal_partitions,
+    diagonal_sum,
     kernel_partition,
     noncrossing_partitions,
     pair_partitions,
@@ -19,10 +23,11 @@ from diagfock.partitions import (
     parse_partition,
     ps12_diagonal_partitions,
     render_partition,
+    row_table,
     satisfies_diagonal_conditions,
     set_partitions,
 )
-from diagfock.scalars import ResourceLimitError
+from diagfock.scalars import DeformationParams, ResourceLimitError
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 NO_SINGLETON = [1, 0, 1, 1, 4, 11, 41, 162]
@@ -256,6 +261,59 @@ def test_profiles_cache_consistency():
         for (sizes, exps), dp in zip(profiles, listed):
             assert sizes == tuple(len(b) for b in dp.top.blocks)
             assert exps == dp.weight_exponents()
+
+
+KERNEL_POINTS = [
+    DeformationParams.from_rationals(Fraction(1, 2), Fraction(2, 3), Fraction(1, 3), Fraction(3, 4)),
+    DeformationParams.from_rationals(Fraction(-1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(1)),
+    DeformationParams.symbolic(),
+]
+
+
+def brute_class_sums(n, params, top, bar):
+    """The literal diagonal sum, grouped by role class: every (top, bar) pair
+    weighted by its monomial times top * bar values over conjugate blocks."""
+    out = {}
+    for dp in diagonal_partitions(n):
+        term = params.monomial(*dp.weight_exponents())
+        for top_block, bar_block in dp.conjugate_blocks():
+            term = term * top(top_block) * bar(bar_block)
+        roles = dp.top.roles()
+        out[roles] = out.get(roles, Fraction(0)) + term
+    return out
+
+
+def rand_block_values(r, n):
+    """A rational for every block of [n]; about a third of them are 0."""
+    blocks = (b for size in range(1, n + 1) for b in itertools.combinations(range(1, n + 1), size))
+    return {b: Fraction(0) if r.random() < 0.25 else helpers.rand_frac(r) for b in blocks}
+
+
+@pytest.mark.parametrize("params", KERNEL_POINTS, ids=["rational-a", "rational-b", "symbolic"])
+def test_kernel_matches_diagonal_enumeration(params):
+    r = helpers.rng(31)
+    for n in range(7):
+        top, bar = rand_block_values(r, n), rand_block_values(r, n)
+        for bar_value, bar_oracle in ((bar.__getitem__, bar.__getitem__), (None, lambda block: 1)):
+            expect = brute_class_sums(n, params, top.__getitem__, bar_oracle)
+            got = class_sums(n, params, top.__getitem__, bar_value)
+            for roles in set(expect) | set(got):
+                assert got.get(roles, 0) == expect.get(roles, 0), (n, roles)
+            assert diagonal_sum(n, params, top.__getitem__, bar_value) == sum(expect.values(), Fraction(0))
+
+
+def test_row_table_holds_each_set_partition_once():
+    for n in range(7):
+        table = row_table(n)
+        assert len(table) == BELL[n]
+        listed = {p.blocks: p for p in set_partitions(n)}
+        assert {blocks for _, _, _, blocks in table} == set(listed)
+        for roles, rc, rn, blocks in table:
+            p = listed[blocks]
+            assert (roles, rc, rn) == (p.roles(), p.restricted_crossings(), p.restricted_nestings())
+    assert row_table.cache_info().maxsize == MAX_DIAGONAL_N + 1
+    with pytest.raises(ResourceLimitError):
+        row_table(MAX_DIAGONAL_N + 1)
 
 
 def test_resource_guards():

@@ -183,6 +183,15 @@ def test_full_wick_single_operator_moments_by_hand():
     assert full_fock_oracle([op, op, op], SYM) == m3
 
 
+def test_quadrabasic_op_rejects_gauge_of_another_dimension():
+    x = VectorPair.of([1, 2], [1])
+    with pytest.raises(ValueError, match="gauge T must be 2 x 2"):
+        QuadrabasicOp(x, GaugePair.of([[1]], [[1]]))
+    with pytest.raises(ValueError, match="gauge Tbar must be 1 x 1"):
+        QuadrabasicOp(x, GaugePair.of([[1, 0], [0, 1]], [[1, 0], [0, 1]]))
+    assert QuadrabasicOp(x, GaugePair.of([[1, 0], [0, 1]], [[2]])).gauge.bar == ((2,),)
+
+
 def test_full_wick_matches_operator_model():
     r = helpers.rng(40)
     for params in PARAM_POINTS:
