@@ -137,6 +137,13 @@ def _check(data, kind: type, what: str):
     return data
 
 
+def _int(data, what: str) -> int:
+    """A JSON integer; bools, floats and lists are refused, naming the field."""
+    if isinstance(data, bool) or not isinstance(data, int):
+        raise ValueError(f"expected {what} to be an integer, got {data!r}")
+    return data
+
+
 def _vec(data) -> List[Fraction]:
     return [parse_rational(str(x)) for x in _check(data, list, "a list of rationals")]
 
@@ -327,7 +334,8 @@ def cmd_levy(args) -> int:
     data = _read_input(args.input)
     params = _params_from(args)
     spec = _spec_from_json(_check(data["spec"], dict, "spec to be an object"))
-    word = tuple(int(u) for u in _check(data["word"], list, "word to be a list of coordinates"))
+    letters = _check(data["word"], list, "word to be a list of coordinates")
+    word = tuple(_int(u, f"word[{i}]") for i, u in enumerate(letters))
     s = parse_rational(str(data.get("s", "1")))
     payload = {
         "word": list(word),
@@ -346,7 +354,7 @@ def cmd_convolve(args) -> int:
     pairs = [_check(data[key], dict, f"{key} to be an object") for key in ("a", "b")]
     a, b = (GeneratorPair.of(parse_rational(str(p["lam"])), _vec(p["tau"])) for p in pairs)
     c = convolve_pairs(a, b)
-    nmax = int(data.get("nmax", 6))
+    nmax = _int(data.get("nmax", 6), "nmax")
     payload = {
         "a_moments": pair_to_moments(a, params, nmax),
         "b_moments": pair_to_moments(b, params, nmax),
@@ -367,8 +375,8 @@ def _parse_word_key(key: str):
 
 def cmd_gns(args) -> int:
     data = _read_input(args.input)
-    k = int(data["k"])
-    maxlen = int(data["maxlen"])
+    k = _int(data["k"], "k")
+    maxlen = _int(data["maxlen"], "maxlen")
     psi_json = _check(data["psi"], dict, "psi to be an object")
     psi = {_parse_word_key(kk): parse_rational(str(vv)) for kk, vv in psi_json.items()}
     spec, info = gns_reconstruct(psi, k, maxlen)

@@ -16,6 +16,26 @@ is a consecutive pair (b_i, b_{i+1}).  For partitions into pairs and
 singletons the classical crossing/nesting counts apply; for general
 partitions the *restricted* counts compare arcs across distinct blocks.
 
+Every family is enumerated by one open-arc walk (:func:`_walk`, the path
+picture of Flajolet's continued fractions).  It places the points 1..n from
+left to right and keeps the open arcs, one per unfinished block, in the order
+they were opened.  Point p is a Singleton, Opens an arc, or ends the j-th of
+the k open arcs and then Closes its block or, as a Middle, reopens it at p
+(the new arc is the latest opened).  The k - j arcs opened after arc j start
+inside it and end beyond p, so they cross it; the j - 1 opened before it
+enclose it.  Ending arc j therefore adds
+
+    k - j restricted crossings and j - 1 restricted nestings,
+
+each pair of arcs being counted when the first of them ends; summed over j
+the step weight q^(k-j) t^(j-1) is [k]_{q,t}.  Each point may be limited to
+some of the roles: O, C, M and S give all set partitions and the kernel's
+:func:`row_table`, O and C the matchings, O, C and S the pairs and singletons,
+and O at annihilators with C or S at creators the rows of the word expansion
+in :mod:`diagfock.wick`.  :meth:`SetPartition.restricted_crossings` and
+:meth:`SetPartition.restricted_nestings` count the same statistics pair by
+pair and serve as the tests' oracle for the walk.
+
 Every diagonal sum in this package,
 
     sum over diagonal (top, bar) of q^rc t^rn v^rc' w^rn'
@@ -35,15 +55,16 @@ enumerated only for display and as a test oracle.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .orthopoly import jacobi_sech, moments_from_jacobi
 from .scalars import DeformationParams, ResourceLimitError
 
 Block = Tuple[int, ...]
+Roles = Tuple[str, ...]
 
 MAX_SET_PARTITION_N = 14
 MAX_DIAGONAL_N = 10
@@ -214,103 +235,63 @@ def parse_partition(text: str, n: int | None = None) -> SetPartition:
 # -- enumeration ---------------------------------------------------------------
 
 
+def _walk(n: int, letters: Sequence[str]) -> Iterator[Tuple[Roles, int, int, Tuple[Block, ...]]]:
+    """(roles, restricted crossings, restricted nestings, blocks) of every set
+    partition of [n] whose point p has a role in ``letters[p - 1]``, by the
+    open-arc walk of the module docstring.  Blocks come sorted and ordered by
+    least element.  This is the one enumeration guard: n <= MAX_SET_PARTITION_N."""
+    if n < 0:
+        raise ValueError(f"partitions of [n] need n >= 0, got {n}")
+    if n > MAX_SET_PARTITION_N:
+        raise ResourceLimitError(f"set partition enumeration guarded at n <= {MAX_SET_PARTITION_N}")
+    # state: next point, open blocks in arc-opening order, closed blocks, roles so far, rc, rn
+    stack = [(1, (), (), (), 0, 0)]
+    while stack:
+        p, open_, closed, roles, rc, rn = stack.pop()
+        if p > n:
+            if not open_:
+                yield roles, rc, rn, tuple(sorted(closed))
+            continue
+        # a child may leave open no more arcs than there are points after p
+        k, room = len(open_), n - p
+        children = []
+        for role in letters[p - 1]:
+            if role == ROLE_SINGLETON and k <= room:
+                children.append((p + 1, open_, closed + ((p,),), roles + (role,), rc, rn))
+            elif role == ROLE_OPENER and k < room:
+                children.append((p + 1, open_ + ((p,),), closed, roles + (role,), rc, rn))
+            elif role == ROLE_CLOSER or (role == ROLE_MIDDLE and k <= room):
+                for j in range(k):
+                    # arcs opened after arc j cross its new end, those before nest it
+                    block, rest = open_[j] + (p,), open_[:j] + open_[j + 1:]
+                    if role == ROLE_CLOSER:
+                        child = (p + 1, rest, closed + (block,))
+                    else:
+                        child = (p + 1, rest + (block,), closed)
+                    children.append(child + (roles + (role,), rc + k - 1 - j, rn + j))
+        stack.extend(reversed(children))
+
+
 def set_partitions(n: int, min_block_size: int = 1) -> Iterator[SetPartition]:
     """All partitions of [n] with every block of size >= min_block_size.
 
-    Enumeration follows restricted-growth strings, so the order is
-    deterministic.  Guarded at n <= 14.
+    The order is deterministic (that of the open-arc walk).  Guarded at n <= 14.
     """
-    if n < 0 or n > MAX_SET_PARTITION_N:
-        raise ResourceLimitError(f"set partition enumeration guarded at n <= {MAX_SET_PARTITION_N}")
-    if n == 0:
-        yield SetPartition(0, [])
-        return
-    if min_block_size > 1:
-        yield from _partitions_min_size(n, min_block_size)
-        return
-    # restricted-growth strings: s[0] = 0, s[i] <= max(s[:i]) + 1
-    s = [0] * n
-    while True:
-        blocks: Dict[int, List[int]] = {}
-        for pos, label in enumerate(s, start=1):
-            blocks.setdefault(label, []).append(pos)
-        yield SetPartition(n, list(blocks.values()))
-        i = n - 1
-        while i > 0:
-            if s[i] <= max(s[:i]):
-                s[i] += 1
-                for j in range(i + 1, n):
-                    s[j] = 0
-                break
-            i -= 1
-        else:
-            return
-
-
-def _partitions_min_size(n: int, min_size: int) -> Iterator[SetPartition]:
-    """Partitions with all blocks >= min_size, built block-by-block from the
-    least remaining element (avoids the full Bell-number sweep)."""
-
-    def rec(remaining: Tuple[int, ...]) -> Iterator[List[Block]]:
-        if not remaining:
-            yield []
-            return
-        head, rest = remaining[0], remaining[1:]
-        for k in range(min_size - 1, len(rest) + 1):
-            for comb in itertools.combinations(rest, k):
-                block = (head,) + comb
-                left = tuple(x for x in rest if x not in comb)
-                for tail in rec(left):
-                    yield [block] + tail
-
-    for blocks in rec(tuple(range(1, n + 1))):
-        yield SetPartition(n, blocks)
+    letters = "OCM" if min_block_size >= 2 else "OCMS"
+    for _, _, _, blocks in _walk(n, (letters,) * n):
+        if min_block_size <= 2 or all(len(b) >= min_block_size for b in blocks):
+            yield SetPartition(n, blocks)
 
 
 def pair_partitions(n: int) -> Iterator[SetPartition]:
-    """Perfect matchings of [n] (empty for odd n), least-element-first order."""
-    if n < 0 or n > MAX_SET_PARTITION_N:
-        raise ResourceLimitError(f"pair partition enumeration guarded at n <= {MAX_SET_PARTITION_N}")
-    if n % 2:
-        return
-    if n == 0:
-        yield SetPartition(0, [])
-        return
-
-    def rec(remaining: Tuple[int, ...]) -> Iterator[List[Block]]:
-        if not remaining:
-            yield []
-            return
-        head = remaining[0]
-        for idx in range(1, len(remaining)):
-            partner = remaining[idx]
-            left = remaining[1:idx] + remaining[idx + 1:]
-            for tail in rec(left):
-                yield [(head, partner)] + tail
-
-    for blocks in rec(tuple(range(1, n + 1))):
+    """Perfect matchings of [n] (empty for odd n).  Guarded at n <= 14."""
+    for _, _, _, blocks in _walk(n, ("OC",) * n):
         yield SetPartition(n, blocks)
 
 
 def pairs_and_singletons_partitions(n: int) -> Iterator[SetPartition]:
     """Partitions of [n] with all blocks of size <= 2 (involution shapes)."""
-    if n < 0 or n > MAX_SET_PARTITION_N:
-        raise ResourceLimitError(f"enumeration guarded at n <= {MAX_SET_PARTITION_N}")
-
-    def rec(remaining: Tuple[int, ...]) -> Iterator[List[Block]]:
-        if not remaining:
-            yield []
-            return
-        head, rest = remaining[0], remaining[1:]
-        for tail in rec(rest):
-            yield [(head,)] + tail
-        for idx in range(len(rest)):
-            partner = rest[idx]
-            left = rest[:idx] + rest[idx + 1:]
-            for tail in rec(left):
-                yield [(head, partner)] + tail
-
-    for blocks in rec(tuple(range(1, n + 1))):
+    for _, _, _, blocks in _walk(n, ("OCS",) * n):
         yield SetPartition(n, blocks)
 
 
@@ -376,7 +357,9 @@ def satisfies_diagonal_conditions(top: SetPartition, bar: SetPartition) -> bool:
 
 
 def _check_diagonal_n(n: int) -> None:
-    if n < 0 or n > MAX_DIAGONAL_N:
+    if n < 0:
+        raise ValueError(f"diagonal partitions of [n] need n >= 0, got {n}")
+    if n > MAX_DIAGONAL_N:
         raise ResourceLimitError(f"diagonal enumeration guarded at n <= {MAX_DIAGONAL_N}")
 
 
@@ -407,12 +390,21 @@ def diagonal_pair_partitions(n: int) -> Iterator[DiagonalPartition]:
 
 
 def count_diagonal_pair_partitions(n: int) -> int:
-    """Number of diagonal pair partitions of [n] + [n-bar].
+    """Number of diagonal pair partitions of [n] + [n-bar]: the Euler number,
+    read as the n-th moment of the hyperbolic-secant law.
 
-    Computed as the sum of squared opener-class sizes over matchings of [n];
-    avoids materializing the pairs, so n = 10 stays fast.
+    An opener class of matchings is a Dyck path, and its matchings number
+    the product of k over the closers (k open arcs before each); the two rows
+    make that k^2, and the sum over Dyck paths of prod k^2 is the n-th moment
+    of the Jacobi data gamma_k = k^2.  Guarded at n <= 14 like the enumeration.
     """
-    return sum(c * c for c in Counter(p.openers() for p in pair_partitions(n)).values())
+    if n < 0:
+        raise ValueError(f"diagonal pair partitions of [n] need n >= 0, got {n}")
+    if n > MAX_SET_PARTITION_N:
+        raise ResourceLimitError(f"diagonal pair partition count guarded at n <= {MAX_SET_PARTITION_N}")
+    if n == 0:
+        return 1
+    return int(moments_from_jacobi(jacobi_sech(n // 2 + 1), n)[-1])
 
 
 def ps12_diagonal_partitions(n: int) -> Iterator[DiagonalPartition]:
@@ -461,7 +453,6 @@ def diagonal_partition_profiles(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[in
 # -- the diagonal-sum kernel -------------------------------------------------------
 
 
-Roles = Tuple[str, ...]
 BlockValue = Callable[[Block], object]
 
 _ONE = Fraction(1)
@@ -476,12 +467,10 @@ def row_table(n: int) -> Tuple[Tuple[Roles, int, int, Tuple[Block, ...]], ...]:
     one table per admissible n."""
     _check_diagonal_n(n)
     shared: Dict[tuple, tuple] = {}
-    rows = []
-    for p in set_partitions(n):
-        roles = p.roles()
-        blocks = tuple(shared.setdefault(b, b) for b in p.blocks)
-        rows.append((shared.setdefault(roles, roles), p.restricted_crossings(), p.restricted_nestings(), blocks))
-    return tuple(rows)
+    return tuple(
+        (shared.setdefault(roles, roles), rc, rn, tuple(shared.setdefault(b, b) for b in blocks))
+        for roles, rc, rn, blocks in _walk(n, ("OCMS",) * n)
+    )
 
 
 def row_sums(n: int, value: Optional[BlockValue], a, b) -> Dict[Roles, object]:
@@ -530,7 +519,7 @@ def diagonal_sum(n: int, params: DeformationParams, top_value: BlockValue, bar_v
 
 
 def noncrossing_partitions(n: int) -> Iterator[SetPartition]:
-    """Noncrossing partitions of [n], by filtering the restricted crossing count."""
-    for p in set_partitions(n):
-        if p.restricted_crossings() == 0:
-            yield p
+    """Noncrossing partitions of [n]: the walk's rows without a restricted crossing."""
+    for _, rc, _, blocks in _walk(n, ("OCMS",) * n):
+        if rc == 0:
+            yield SetPartition(n, blocks)

@@ -28,10 +28,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .partitions import Block, SetPartition, diagonal_sum
+from .partitions import Block, SetPartition, _walk, diagonal_sum
 from .scalars import DeformationParams, ResourceLimitError
 from .fock import (
     ANNIHILATE,
@@ -99,28 +99,6 @@ def gaussian_fock_oracle(xs: Sequence[VectorPair], params: DeformationParams):
 # -- creation/annihilation word expansion ------------------------------------------
 
 
-def _matchings_into_creators(anns: Tuple[int, ...], creators: Tuple[int, ...]) -> Iterator[Dict[int, int]]:
-    """All injective maps sending each annihilator position to a later creator."""
-    if not anns:
-        yield {}
-        return
-    head, rest = anns[0], anns[1:]
-    for j in creators:
-        if j > head:
-            remaining = tuple(c for c in creators if c != j)
-            for tail in _matchings_into_creators(rest, remaining):
-                tail = dict(tail)
-                tail[head] = j
-                yield tail
-
-
-def _row_partition(n: int, matching: Dict[int, int], creators: Tuple[int, ...]) -> SetPartition:
-    used = set(matching.values())
-    blocks: List[Tuple[int, ...]] = [(i, j) for i, j in matching.items()]
-    blocks.extend((c,) for c in creators if c not in used)
-    return SetPartition(n, blocks)
-
-
 def word_vacuum_formula(tokens: Sequence[Tuple[str, VectorPair]], params: DeformationParams) -> FockVector:
     """The vector (token_1 ... token_n) vacuum as a combinatorial sum.
 
@@ -134,16 +112,16 @@ def word_vacuum_formula(tokens: Sequence[Tuple[str, VectorPair]], params: Deform
 
     Every row pairs each annihilator with a later creator, so all rows share
     one opener set and the sum is the top-row expansion tensored with the
-    bar-row expansion.
+    bar-row expansion.  The rows are the open-arc walk with annihilators
+    opening arcs and creators closing one or standing alone.
     """
     n = len(tokens)
     if n > MAX_WICK_N:
         raise ResourceLimitError(f"word expansion guarded at n <= {MAX_WICK_N}")
     if any(kind not in (CREATE, ANNIHILATE) for kind, _ in tokens):
         raise ValueError("word_vacuum_formula tokens must be create/annihilate only")
-    anns = tuple(i for i, (kind, _) in enumerate(tokens, start=1) if kind == ANNIHILATE)
-    creators = tuple(i for i, (kind, _) in enumerate(tokens, start=1) if kind == CREATE)
-    rows = [(_row_partition(n, m, creators), m) for m in _matchings_into_creators(anns, creators)]
+    letters = ["O" if kind == ANNIHILATE else "CS" for kind, _ in tokens]
+    rows = [(SetPartition(n, blocks), rc, rn) for _, rc, rn, blocks in _walk(n, letters)]
     top = _word_row([x.xi for _, x in tokens], rows, params.q, params.t)
     bar = _word_row([x.eta for _, x in tokens], rows, params.v, params.w)
     out = FockVector()
@@ -156,17 +134,16 @@ def word_vacuum_formula(tokens: Sequence[Tuple[str, VectorPair]], params: Deform
 def _word_row(vectors: Sequence[Sequence], rows, a, b) -> Dict[Tuple[int, ...], object]:
     """One row of the word expansion as {residual word: coefficient}: each row
     partition's weight times the inner products of its pairs times the tensor
-    of its singletons' vectors, expanded in basis words."""
+    of its singletons' vectors, expanded in basis words.  ``rows`` holds
+    (partition, crossings, nestings) triples."""
     out: Dict[Tuple[int, ...], object] = {}
-    for row, match in rows:
+    for row, rc, rn in rows:
         scalar = Fraction(1)
-        for i, j in match.items():
+        for i, j in row.pair_blocks():
             scalar = scalar * _linalg.dot(vectors[i - 1], vectors[j - 1])
         if scalar == 0:
             continue
-        coeff = (a ** (row.crossings() + row.covered_singletons())) * (
-            b ** (row.nestings() + row.singletons_after_pairs())
-        ) * scalar
+        coeff = (a ** (rc + row.covered_singletons())) * (b ** (rn + row.singletons_after_pairs())) * scalar
         expansions = [[(c, x) for c, x in enumerate(vectors[s - 1]) if x != 0] for s in row.singletons()]
         for choice in itertools.product(*expansions):
             val = coeff

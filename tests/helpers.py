@@ -149,6 +149,31 @@ def nestings_pairs(pairs: Sequence[Tuple[int, int]]) -> int:
     return c
 
 
+def word_rows_brute(kinds: Sequence[str]) -> List[Tuple[Tuple[int, ...], ...]]:
+    """Rows of the word expansion for a word of 'a' (annihilator) and 'c'
+    (creator) letters: every injective map sending each annihilator to a later
+    creator, as min-sorted blocks (the pairs plus the unmatched creators)."""
+    anns = [i for i, k in enumerate(kinds, start=1) if k == "a"]
+    creators = [i for i, k in enumerate(kinds, start=1) if k == "c"]
+
+    def rec(rest: Sequence[int], free: Tuple[int, ...]):
+        if not rest:
+            yield ()
+            return
+        head = rest[0]
+        for j in free:
+            if j > head:
+                for tail in rec(rest[1:], tuple(c for c in free if c != j)):
+                    yield ((head, j),) + tail
+
+    out = []
+    for pairs in rec(anns, tuple(creators)):
+        used = {j for _, j in pairs}
+        blocks = list(pairs) + [(c,) for c in creators if c not in used]
+        out.append(tuple(sorted(blocks)))
+    return out
+
+
 def noncrossing_partitions_brute(n: int) -> List[Tuple[Tuple[int, ...], ...]]:
     """Noncrossing set partitions: no block separates part of another block."""
     return _nc_filter(n)

@@ -51,6 +51,13 @@ def test_partitions_resource_guard(capsys):
     assert code == 3
 
 
+def test_partitions_negative_size_is_bad_input(capsys):
+    code = main(["partitions", "--n", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and not captured.out
+
+
 def test_wick_gaussian_roundtrip(tmp_path, capsys):
     payload = {
         "kind": "gaussian",
@@ -108,26 +115,37 @@ def test_wick_rejects_vector_that_is_not_a_list(tmp_path, capsys, xi):
 
 
 SPEC_1D = {"xi": [["1"]], "T": [[["1"]]], "lam": ["1"]}
+CONVOLVE_PAIRS = {"a": {"lam": "0", "tau": ["1"]}, "b": {"lam": "1", "tau": ["1"]}}
 
 
 @pytest.mark.parametrize(
-    "command, payload",
+    "command, payload, field",
     [
-        ("levy", {"spec": {**SPEC_1D, "xi": 5}, "word": [0]}),
-        ("levy", {"spec": SPEC_1D, "word": 5}),
-        ("convolve", {"a": {"lam": "0", "tau": 5}, "b": {"lam": "1", "tau": ["1"]}}),
-        ("gns", {"k": 1, "maxlen": 1, "psi": []}),
-        ("wick", {"kind": "gaussian", "vectors": 5}),
+        ("levy", {"spec": {**SPEC_1D, "xi": 5}, "word": [0]}, ""),
+        ("levy", {"spec": SPEC_1D, "word": 5}, "word"),
+        ("convolve", {"a": {"lam": "0", "tau": 5}, "b": {"lam": "1", "tau": ["1"]}}, ""),
+        ("gns", {"k": 1, "maxlen": 1, "psi": []}, "psi"),
+        ("wick", {"kind": "gaussian", "vectors": 5}, "vectors"),
+        ("gns", {"k": [1], "maxlen": 1, "psi": {}}, "k"),
+        ("gns", {"k": 1, "maxlen": True, "psi": {}}, "maxlen"),
+        ("convolve", {**CONVOLVE_PAIRS, "nmax": [3]}, "nmax"),
+        ("convolve", {**CONVOLVE_PAIRS, "nmax": 6.9}, "nmax"),
+        ("levy", {"spec": SPEC_1D, "word": [0.7]}, "word[0]"),
+        ("levy", {"spec": SPEC_1D, "word": [0, "0"]}, "word[1]"),
     ],
-    ids=["levy-xi", "levy-word", "convolve-tau", "gns-psi", "wick-vectors"],
+    ids=[
+        "levy-xi", "levy-word", "convolve-tau", "gns-psi", "wick-vectors",
+        "gns-k-list", "gns-maxlen-bool", "convolve-nmax-list", "convolve-nmax-float",
+        "levy-word-float", "levy-word-text",
+    ],
 )
-def test_malformed_json_exits_2(tmp_path, capsys, command, payload):
+def test_malformed_json_exits_2(tmp_path, capsys, command, payload, field):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(payload))
     code = main([command, "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error:") and not captured.out
+    assert captured.err.startswith(f"error: expected {field}") and not captured.out
 
 
 @pytest.mark.parametrize(

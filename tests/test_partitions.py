@@ -26,6 +26,7 @@ from diagfock.partitions import (
     row_table,
     satisfies_diagonal_conditions,
     set_partitions,
+    _walk,
 )
 from diagfock.scalars import DeformationParams, ResourceLimitError
 
@@ -40,12 +41,11 @@ def canon(p: SetPartition):
 
 
 def test_set_partition_counts_and_enumeration():
-    for n in range(7):
+    for n in range(8):
         got = [canon(p) for p in set_partitions(n)]
         assert len(got) == BELL[n]
         assert len(set(got)) == BELL[n]
-        if n <= 5:
-            assert set(got) == set(helpers.all_partitions_brute(n))
+        assert set(got) == set(helpers.all_partitions_brute(n))
 
 
 def test_min_block_size_two_counts():
@@ -53,6 +53,15 @@ def test_min_block_size_two_counts():
         got = list(set_partitions(n, min_block_size=2))
         assert len(got) == NO_SINGLETON[n]
         assert all(min(p.block_sizes()) >= 2 for p in got if p.blocks)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_min_block_size_matches_brute_filter(m):
+    for n in range(9):
+        got = [canon(p) for p in set_partitions(n, min_block_size=m)]
+        brute = [p for p in helpers.all_partitions_brute(n) if all(len(b) >= m for b in p)]
+        assert len(got) == len(set(got)) == len(brute)
+        assert set(got) == set(brute)
 
 
 def test_pair_partition_counts_match_brute():
@@ -163,9 +172,11 @@ def test_diagonal_partition_counts():
 
 
 def test_diagonal_pair_counts_are_euler_numbers():
-    euler = {2: 1, 4: 5, 6: 61, 8: 1385, 10: 50521}
+    euler = {0: 1, 2: 1, 4: 5, 6: 61, 8: 1385, 10: 50521, 12: 2702765, 14: 199360981}
     for n, expect in euler.items():
-        assert count_diagonal_pair_partitions(n) == expect
+        count = count_diagonal_pair_partitions(n)
+        assert count == expect and type(count) is int
+    assert all(count_diagonal_pair_partitions(n) == 0 for n in (1, 3, 5, 13))
     for n in (2, 4, 6, 8):
         listed = list(diagonal_pair_partitions(n))
         assert len(listed) == euler[n]
@@ -303,17 +314,38 @@ def test_kernel_matches_diagonal_enumeration(params):
 
 
 def test_row_table_holds_each_set_partition_once():
-    for n in range(7):
+    for n in range(8):
         table = row_table(n)
         assert len(table) == BELL[n]
-        listed = {p.blocks: p for p in set_partitions(n)}
-        assert {blocks for _, _, _, blocks in table} == set(listed)
-        for roles, rc, rn, blocks in table:
-            p = listed[blocks]
-            assert (roles, rc, rn) == (p.roles(), p.restricted_crossings(), p.restricted_nestings())
+        assert {blocks for _, _, _, blocks in table} == set(helpers.all_partitions_brute(n))
+        for roles, _, _, blocks in table:
+            assert roles == helpers.roles_brute(blocks, n)
     assert row_table.cache_info().maxsize == MAX_DIAGONAL_N + 1
     with pytest.raises(ResourceLimitError):
         row_table(MAX_DIAGONAL_N + 1)
+
+
+def test_row_table_counts_match_pairwise_arc_counts():
+    # the walk's per-step crossing and nesting increments against the
+    # pairwise arc comparison of SetPartition
+    for n in range(9):
+        for _, rc, rn, blocks in row_table(n):
+            p = SetPartition(n, blocks)
+            assert (rc, rn) == (p.restricted_crossings(), p.restricted_nestings()), blocks
+
+
+def test_word_rows_match_injections():
+    # annihilators open an arc, creators close one or stand alone
+    for n in range(8):
+        for kinds in itertools.product("ac", repeat=n):
+            letters = ["O" if k == "a" else "CS" for k in kinds]
+            rows = list(_walk(n, letters))
+            brute = helpers.word_rows_brute(kinds)
+            assert sorted(blocks for _, _, _, blocks in rows) == sorted(brute), kinds
+            for roles, rc, rn, blocks in rows:
+                pairs = [b for b in blocks if len(b) == 2]
+                assert (rc, rn) == (helpers.crossings_pairs(pairs), helpers.nestings_pairs(pairs))
+                assert roles == helpers.roles_brute(blocks, n)
 
 
 def test_resource_guards():
@@ -321,6 +353,27 @@ def test_resource_guards():
         list(set_partitions(99))
     with pytest.raises(ResourceLimitError):
         list(diagonal_partitions(99))
+    with pytest.raises(ResourceLimitError):
+        count_diagonal_pair_partitions(16)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: list(set_partitions(-1)),
+        lambda: list(pair_partitions(-2)),
+        lambda: list(pairs_and_singletons_partitions(-1)),
+        lambda: list(noncrossing_partitions(-1)),
+        lambda: list(diagonal_partitions(-1)),
+        lambda: list(diagonal_pair_partitions(-2)),
+        lambda: list(ps12_diagonal_partitions(-1)),
+        lambda: row_table(-1),
+        lambda: count_diagonal_pair_partitions(-2),
+    ],
+)
+def test_negative_sizes_are_bad_input(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=8))
