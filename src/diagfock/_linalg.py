@@ -56,16 +56,6 @@ def dot(x: Sequence, y: Sequence):
     return s if s is not None else Fraction(0)
 
 
-def mat_pow_entries(a: Matrix, kmax: int, i: int = 0, j: int = 0) -> List:
-    """Entries (A^k)[i][j] for k = 1..kmax, computed by repeated multiplication."""
-    out = []
-    power = a
-    for _ in range(kmax):
-        out.append(power[i][j])
-        power = mat_mul(power, a)
-    return out
-
-
 def is_symmetric(a: Matrix) -> bool:
     n = len(a)
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))

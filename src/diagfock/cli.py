@@ -137,10 +137,13 @@ def _check(data, kind: type, what: str):
     return data
 
 
-def _int(data, what: str) -> int:
-    """A JSON integer; bools, floats and lists are refused, naming the field."""
+def _int(data, what: str, least: Optional[int] = None) -> int:
+    """A JSON integer, at least `least` when given; bools, floats and lists
+    are refused, naming the field."""
     if isinstance(data, bool) or not isinstance(data, int):
         raise ValueError(f"expected {what} to be an integer, got {data!r}")
+    if least is not None and data < least:
+        raise ValueError(f"expected {what} to be an integer >= {least}, got {data!r}")
     return data
 
 
@@ -354,7 +357,7 @@ def cmd_convolve(args) -> int:
     pairs = [_check(data[key], dict, f"{key} to be an object") for key in ("a", "b")]
     a, b = (GeneratorPair.of(parse_rational(str(p["lam"])), _vec(p["tau"])) for p in pairs)
     c = convolve_pairs(a, b)
-    nmax = _int(data.get("nmax", 6), "nmax")
+    nmax = _int(data.get("nmax", 6), "nmax", least=1)
     payload = {
         "a_moments": pair_to_moments(a, params, nmax),
         "b_moments": pair_to_moments(b, params, nmax),
@@ -375,8 +378,8 @@ def _parse_word_key(key: str):
 
 def cmd_gns(args) -> int:
     data = _read_input(args.input)
-    k = _int(data["k"], "k")
-    maxlen = _int(data["maxlen"], "maxlen")
+    k = _int(data["k"], "k", least=1)
+    maxlen = _int(data["maxlen"], "maxlen", least=0)
     psi_json = _check(data["psi"], dict, "psi to be an object")
     psi = {_parse_word_key(kk): parse_rational(str(vv)) for kk, vv in psi_json.items()}
     spec, info = gns_reconstruct(psi, k, maxlen)

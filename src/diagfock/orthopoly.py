@@ -5,8 +5,17 @@ Everything is driven by monic three-term recurrence data
     x P_n = P_{n+1} + beta_n P_n + gamma_{n-1} P_{n-1},
 
 packed in :class:`JacobiData`.  Exact entries (Fraction, or Poly in the four
-deformation variables) feed the moment transfer matrix and the recurrence;
-float paths (Cauchy transform, quadrature, densities) convert on entry.
+deformation variables) feed the moments and the recurrence; float paths
+(Cauchy transform, quadrature, densities) convert on entry.
+
+The moment m_k is the weighted Motzkin-path sum over walks of length k from
+level 0 back to 0 (up steps 1, flat steps beta_l, down steps gamma_{l-1}),
+i.e. the top-left entry of J^k for the tridiagonal Jacobi matrix J; it is
+read off the row vector e_0^T J^k, carried one step at a time.  The families'
+Jacobi data come from the running recurrence [n+1]_{a,b} = a [n]_{a,b} + b^n
+in one pass.  numpy and scipy are imported only inside the float functions
+that use them (quadrature, orthogonality residual, quadrature moments, root
+bounds), so the exact paths and a plain ``import diagfock`` never load them.
 
 Families:
 
@@ -33,14 +42,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from itertools import accumulate, repeat
+from operator import mul
+from typing import Iterator, List, Sequence, Tuple
 
-import numpy as np
-from scipy import integrate
-from scipy.linalg import eigh_tridiagonal
-
-from . import _linalg
-from .scalars import DeformationParams, qt_number
+from .scalars import DeformationParams, Scalar
 
 
 @dataclass(frozen=True)
@@ -62,26 +68,42 @@ class JacobiData:
         return [float(b) for b in self.beta], [float(g) for g in self.gamma]
 
 
+def _qt_numbers(a: Scalar, b: Scalar, count: int) -> Iterator:
+    """[1]_{a,b} .. [count]_{a,b} by [n+1] = a [n] + b^n; entrywise equal to
+    ``scalars.qt_number``, and of the same type."""
+    cur = a**0 * b**0
+    b_pow = b**0
+    for _ in range(count):
+        yield cur
+        b_pow = b_pow * b
+        cur = a * cur + b_pow
+
+
+def _hermite_gammas(params: DeformationParams, depth: int) -> Tuple:
+    """gamma_{n-1} = [n]_{q,t} [n]_{v,w} for n = 1..depth-1."""
+    top = _qt_numbers(params.q, params.t, depth - 1)
+    bar = _qt_numbers(params.v, params.w, depth - 1)
+    return tuple(x * y for x, y in zip(top, bar))
+
+
 def jacobi_hermite(params: DeformationParams, depth: int) -> JacobiData:
-    gam = tuple(
-        qt_number(n, params.q, params.t) * qt_number(n, params.v, params.w) for n in range(1, depth)
-    )
-    return JacobiData(tuple(Fraction(0) for _ in range(depth)), gam)
+    return JacobiData(tuple(Fraction(0) for _ in range(depth)), _hermite_gammas(params, depth))
 
 
 def jacobi_poisson(params: DeformationParams, depth: int) -> JacobiData:
-    def nn(n):
-        return qt_number(n, params.q, params.t) * qt_number(n, params.v, params.w)
+    gam = _hermite_gammas(params, depth)
+    return JacobiData((Fraction(0),) + gam, gam)
 
-    beta = (Fraction(0),) + tuple(nn(n) for n in range(1, depth))
-    gam = tuple(nn(n) for n in range(1, depth))
-    return JacobiData(beta, gam)
+
+def _q_ladder(q: Fraction, depth: int) -> Iterator[Tuple[Fraction, Fraction]]:
+    """([n]_q, q^(n-1)) for n = 1..depth-1."""
+    q_pows = accumulate(repeat(q, depth - 2), mul, initial=Fraction(1))
+    return zip(_qt_numbers(q, Fraction(1), depth - 1), q_pows)
 
 
 def jacobi_qmp(q: Fraction, alpha: Fraction, depth: int) -> JacobiData:
-    q = Fraction(q)
     alpha = Fraction(alpha)
-    gam = tuple(qt_number(n, q, Fraction(1)) * (1 + alpha * q ** (n - 1)) for n in range(1, depth))
+    gam = tuple(qn * (1 + alpha * q_pow) for qn, q_pow in _q_ladder(Fraction(q), depth))
     return JacobiData(tuple(Fraction(0) for _ in range(depth)), gam)
 
 
@@ -91,8 +113,7 @@ def jacobi_sech(depth: int) -> JacobiData:
 
 
 def jacobi_discrete_qhermite(q: Fraction, depth: int) -> JacobiData:
-    q = Fraction(q)
-    gam = tuple(qt_number(n, q, Fraction(1)) * q ** (n - 1) for n in range(1, depth))
+    gam = tuple(qn * q_pow for qn, q_pow in _q_ladder(Fraction(q), depth))
     return JacobiData(tuple(Fraction(0) for _ in range(depth)), gam)
 
 
@@ -100,22 +121,37 @@ def jacobi_discrete_qhermite(q: Fraction, depth: int) -> JacobiData:
 
 
 def moments_from_jacobi(j: JacobiData, nmax: int) -> List:
-    """Moments m_1..m_nmax as top-left entries of transfer-matrix powers.
+    """Moments m_1..m_nmax as weighted Motzkin-path sums (Flajolet 1980).
 
-    A walk of length k on the ladder reaches level floor(k/2) at most, so a
-    (floor(nmax/2)+1)-square truncation is exact.
+    The row vector r_k = e_0^T J^k, with J the tridiagonal Jacobi matrix
+    (beta_l on the diagonal, gamma_l above it, 1 below), holds the walks of
+    length k from level 0, ended at each level; m_k = r_k[0] and
+
+        r_{k+1}[l] = r_k[l-1] gamma_{l-1} + r_k[l] beta_l + r_k[l+1].
+
+    A level above k is unreachable, and one above nmax - k cannot get back
+    to 0 in time, so each row is cut there: the walk never rises above
+    floor(nmax/2), which bounds the depth needed.
     """
     size = nmax // 2 + 1
     if j.depth < size:
         raise ValueError(f"need recurrence depth >= {size} for {nmax} moments")
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        rows[i][i] = j.beta[i]
-        if i + 1 < size:
-            rows[i][i + 1] = j.gamma[i]
-            rows[i + 1][i] = Fraction(1)
-    mat = tuple(tuple(r) for r in rows)
-    return _linalg.mat_pow_entries(mat, nmax)
+    beta, gamma = j.beta, j.gamma
+    out: List = []
+    row = [beta[0], gamma[0]] if nmax >= 2 else [beta[0]]  # e_0^T J, cut
+    for k in range(1, nmax + 1):
+        out.append(row[0])
+        nxt = []
+        for lvl in range(min(len(row) + 1, nmax - k)):
+            s = row[lvl - 1] * gamma[lvl - 1] if lvl else None
+            if lvl < len(row):
+                term = row[lvl] * beta[lvl]
+                s = term if s is None else s + term
+            if lvl + 1 < len(row):
+                s = s + row[lvl + 1]
+            nxt.append(s)
+        row = nxt
+    return out
 
 
 def polys_from_jacobi(j: JacobiData, nmax: int) -> List[List]:
@@ -173,8 +209,12 @@ def cauchy_transform(j: JacobiData, z: complex, depth: int) -> complex:
     return val
 
 
-def quadrature_rule(j: JacobiData, size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes/weights from the symmetrized truncated recurrence matrix."""
+def quadrature_rule(j: JacobiData, size: int) -> Tuple:
+    """Gauss nodes/weights (numpy arrays) from the symmetrized truncated
+    recurrence matrix."""
+    import numpy as np
+    from scipy.linalg import eigh_tridiagonal
+
     beta, gamma = j.as_floats()
     if j.depth < size:
         raise ValueError("not enough recurrence data for the requested rule")
@@ -194,6 +234,8 @@ def _poly_eval(coeffs: Sequence, x: float) -> float:
 
 def orthogonality_residual(j: JacobiData, max_degree: int, rule_size: int | None = None) -> float:
     """Largest |<P_a, P_b>| for a < b <= max_degree under the Gauss rule."""
+    import numpy as np
+
     size = rule_size or (max_degree + 2)
     nodes, weights = quadrature_rule(j, size)
     polys = polys_from_jacobi(j, max_degree)
@@ -220,6 +262,8 @@ def sech_moment_quad(k: int, cutoff: float = 60.0) -> float:
     """
     if k % 2:
         return 0.0
+    from scipy import integrate
+
     f = lambda x: x ** k * sech_density(x)
     val, _ = integrate.quad(f, 0.0, cutoff, limit=400)
     return 2.0 * val
@@ -292,6 +336,8 @@ def mp_density(x: float, q: float, alpha: float, variant: str = "corrected") -> 
 def mp_moment_quad(n: int, q: float, alpha: float, variant: str = "corrected") -> float:
     """n-th moment of the density by quadrature (trig substitution kills the
     endpoint square-root singularity)."""
+    from scipy import integrate
+
     lo, hi = mp_support(q)
     r = hi
 
@@ -322,6 +368,8 @@ def support_interval(q: Fraction, v: Fraction) -> Tuple[float, float]:
 
 def max_abs_root(coeffs: Sequence) -> float:
     """Largest |root| of a polynomial given by ascending coefficients."""
+    import numpy as np
+
     arr = np.array([float(c) for c in coeffs], dtype=float)
     nz = np.nonzero(arr)[0]
     if len(nz) == 0 or nz[-1] == 0:

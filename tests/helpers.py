@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Dict, List, Sequence, Tuple
 
 
@@ -217,3 +219,34 @@ def free_cumulants_to_moments(r: Sequence[Fraction], nmax: int) -> List[Fraction
 def moments_of_atoms(atoms: Sequence[Tuple[Fraction, Fraction]], nmax: int) -> List[Fraction]:
     """[m_0..m_nmax] of a finite atomic measure given as (weight, position)."""
     return [sum(w * x**n for w, x in atoms) for n in range(nmax + 1)]
+
+
+# -- dense Jacobi-matrix powers -------------------------------------------------------
+
+
+def moments_by_matrix_powers(beta: Sequence, gamma: Sequence, nmax: int) -> List:
+    """[m_1..m_nmax] as the top-left entries (A^k)[0][0] of the dense
+    (floor(nmax/2)+1)-square Jacobi matrix A: beta on the diagonal, gamma
+    above it, 1 below it, 0 elsewhere.
+
+    Row 0 of A^k is row 0 of A^(k-1) times A, which is how a full matrix
+    product computes it, so only that row is carried.  Every product of the
+    row with a column is summed in full, zero entries included, starting
+    from the first term, so each entry's type is the one the dense product
+    gives (a Fraction stays a Fraction; anything added to a Poly is a Poly).
+    """
+    if nmax < 1:
+        return []
+    size = nmax // 2 + 1
+    a = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        a[i][i] = beta[i]
+        if i + 1 < size:
+            a[i][i + 1] = gamma[i]
+            a[i + 1][i] = Fraction(1)
+    row = list(a[0])
+    out = []
+    for _ in range(nmax):
+        out.append(row[0])
+        row = [reduce(add, (row[m] * a[m][j] for m in range(size))) for j in range(size)]
+    return out

@@ -132,11 +132,16 @@ CONVOLVE_PAIRS = {"a": {"lam": "0", "tau": ["1"]}, "b": {"lam": "1", "tau": ["1"
         ("convolve", {**CONVOLVE_PAIRS, "nmax": 6.9}, "nmax"),
         ("levy", {"spec": SPEC_1D, "word": [0.7]}, "word[0]"),
         ("levy", {"spec": SPEC_1D, "word": [0, "0"]}, "word[1]"),
+        ("convolve", {**CONVOLVE_PAIRS, "nmax": -3}, "nmax"),
+        ("convolve", {**CONVOLVE_PAIRS, "nmax": 0}, "nmax"),
+        ("gns", {"k": 1, "maxlen": -2, "psi": {}}, "maxlen"),
+        ("gns", {"k": -1, "maxlen": 1, "psi": {}}, "k"),
     ],
     ids=[
         "levy-xi", "levy-word", "convolve-tau", "gns-psi", "wick-vectors",
         "gns-k-list", "gns-maxlen-bool", "convolve-nmax-list", "convolve-nmax-float",
-        "levy-word-float", "levy-word-text",
+        "levy-word-float", "levy-word-text", "convolve-nmax-negative", "convolve-nmax-zero",
+        "gns-maxlen-negative", "gns-k-negative",
     ],
 )
 def test_malformed_json_exits_2(tmp_path, capsys, command, payload, field):

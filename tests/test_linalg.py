@@ -68,18 +68,6 @@ def test_independent_subset_with_planted_dependencies():
     assert _linalg.independent_subset(gram) == [0, 2, 4]
 
 
-def test_mat_pow_entries_matches_naive():
-    r = helpers.rng(23)
-    a = tuple(tuple(helpers.rand_frac(r, 2, 2) for _ in range(3)) for _ in range(3))
-    got = _linalg.mat_pow_entries(a, 5)
-    cur = a
-    naive = []
-    for _ in range(5):
-        naive.append(cur[0][0])
-        cur = _linalg.mat_mul(cur, a)
-    assert got == naive
-
-
 def test_dimension_mismatch_raises():
     assert _linalg.dot([1, 2], [3, 4]) == 11
     with pytest.raises(ValueError):

@@ -1,14 +1,20 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import diagfock
 import helpers
-from diagfock.scalars import DeformationParams, Poly
+from diagfock.scalars import DeformationParams, Poly, Q, T, W, qt_number
 from diagfock.fock import GaugePair, VectorPair
 from diagfock.wick import QuadrabasicOp, full_wick, gaussian_wick
 from diagfock.orthopoly import (
     JacobiData,
+    _qt_numbers,
     carleman_sums,
     cauchy_transform,
     jacobi_discrete_qhermite,
@@ -63,6 +69,99 @@ def test_transfer_moments_match_walk_oracle():
         jac = JacobiData(tuple(beta), tuple(gamma))
         got = moments_from_jacobi(jac, 8)
         assert got == [motzkin_moment(beta, gamma, n) for n in range(1, 9)]
+
+
+def typed(xs):
+    return [(type(x), x) for x in xs]
+
+
+def test_moments_from_jacobi_matches_matrix_powers():
+    r = helpers.rng(52)
+    for depth in range(1, 9):
+        for _ in range(6):
+            beta = tuple(r.choice([Fraction(0), helpers.rand_frac(r)]) for _ in range(depth))
+            gamma = tuple(r.choice([Fraction(0), helpers.rand_frac(r)]) for _ in range(depth - 1))
+            jac = JacobiData(beta, gamma)
+            for nmax in range(2 * depth):
+                got = moments_from_jacobi(jac, nmax)
+                assert typed(got) == typed(helpers.moments_by_matrix_powers(beta, gamma, nmax))
+
+
+FAMILY_POINTS = [
+    (params_rat(Fraction(1, 2), 1, Fraction(-1, 3), Fraction(2, 3)), Fraction(1, 3), Fraction(-1, 4)),
+    (params_rat(Fraction(-2, 5), Fraction(3, 4), 0, 1), Fraction(-3, 5), Fraction(5, 2)),
+]
+
+
+@pytest.mark.parametrize("params, q, alpha", FAMILY_POINTS)
+def test_family_moments_match_matrix_powers(params, q, alpha):
+    depth = 8
+    families = [
+        jacobi_hermite(params, depth),
+        jacobi_poisson(params, depth),
+        jacobi_qmp(q, alpha, depth),
+        jacobi_sech(depth),
+        jacobi_discrete_qhermite(q, depth),
+    ]
+    for jac in families:
+        for nmax in range(2 * depth - 1):
+            want = helpers.moments_by_matrix_powers(jac.beta, jac.gamma, nmax)
+            assert typed(moments_from_jacobi(jac, nmax)) == typed(want)
+
+
+@pytest.mark.parametrize("family", [jacobi_hermite, jacobi_poisson])
+def test_symbolic_family_moments_match_matrix_powers(family):
+    jac = family(SYM, 5)
+    got = moments_from_jacobi(jac, 8)
+    want = helpers.moments_by_matrix_powers(jac.beta, jac.gamma, 8)
+    assert typed(got) == typed(want)
+    assert [str(x) for x in got] == [str(x) for x in want]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (Fraction(1, 2), Fraction(-2, 3)),
+        (Fraction(0), Fraction(0)),
+        (Fraction(3), 1),
+        (Q, Fraction(1, 3)),
+        (Fraction(-1, 2), W),
+        (Q, T),
+    ],
+)
+def test_qt_numbers_match_definition(a, b):
+    got = list(_qt_numbers(a, b, 9))
+    assert typed(got) == typed([qt_number(n, a, b) for n in range(1, 10)])
+
+
+COLD_IMPORT = """
+import json, sys
+import diagfock, diagfock.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+from diagfock.orthopoly import jacobi_hermite, quadrature_rule
+from diagfock.scalars import DeformationParams
+nodes, weights = quadrature_rule(jacobi_hermite(DeformationParams.from_rationals(0, 1, 0, 1), 6), 5)
+print(json.dumps({
+    "loaded_cold": loaded,
+    "loaded_after": sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}),
+    "nodes": [float(x) for x in nodes],
+    "weights": [float(x) for x in weights],
+}))
+"""
+
+
+def test_cold_import_loads_no_numpy_or_scipy():
+    src = os.path.dirname(os.path.dirname(diagfock.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, capture_output=True, text=True, check=True)
+    out = json.loads(run.stdout)
+    assert out["loaded_cold"] == []
+    assert out["loaded_after"] == ["numpy", "scipy"]
+    # gamma = 1 (the semicircle): the Gauss nodes are the zeros 2 cos(k pi / 6)
+    # of U_5, with weights (1/3) sin^2(k pi / 6)
+    angles = [k * math.pi / 6 for k in range(5, 0, -1)]
+    assert out["nodes"] == pytest.approx([2 * math.cos(x) for x in angles], abs=1e-12)
+    assert out["weights"] == pytest.approx([math.sin(x) ** 2 / 3 for x in angles], abs=1e-12)
 
 
 def test_hermite_family_reproduces_pair_partition_moments():
