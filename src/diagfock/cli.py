@@ -33,6 +33,7 @@ from .partitions import (
     count_diagonal_pair_partitions,
     diagonal_pair_partitions,
     diagonal_partitions,
+    diagonal_sum,
     render_partition,
 )
 from .fock import (
@@ -76,9 +77,10 @@ from .levy import (
 )
 
 
-# caps for the open-ended numeric knobs; enumeration commands rely on the
-# library guards instead
+# caps for the open-ended numeric knobs and the partitions listing; the other
+# enumeration commands rely on the library guards
 MAX_FAMILY_NMAX = 64
+MAX_PARTITION_ITEMS = 100_000
 MAX_CF_DEPTH = 1024
 
 
@@ -184,9 +186,16 @@ def cmd_partitions(args) -> int:
     if args.pairs:
         if args.n % 2:
             raise ValueError("pair partitions need an even number of points")
-        items = list(diagonal_pair_partitions(args.n))
+        count, items = count_diagonal_pair_partitions(args.n), diagonal_pair_partitions(args.n)
     else:
-        items = list(diagonal_partitions(args.n, min_block_size=args.min_block_size))
+        def kept(block):
+            return 1 if len(block) >= args.min_block_size else 0
+
+        # the listing's length: the diagonal sum at q = t = v = w = 1 with block value `kept` on both rows
+        count = int(diagonal_sum(args.n, DeformationParams.from_rationals(1, 1, 1, 1), kept, kept))
+        items = diagonal_partitions(args.n, min_block_size=args.min_block_size)
+    if count > MAX_PARTITION_ITEMS:
+        raise ResourceLimitError(f"partition listing guarded at {MAX_PARTITION_ITEMS} items; n = {args.n} gives {count}")
     rows = []
     for dp in items:
         a, b, c, d = dp.weight_exponents()

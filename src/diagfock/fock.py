@@ -17,6 +17,13 @@ Operator actions (x = xi (x) eta a pair of one-particle vectors):
                 v/w sum over the bar word;
   scalar        multiplies by lambda * lambda-bar.
 
+Each action is a tensor product of a (q, t) row operator on the top word and
+a (v, w) one on the bar word; a row operator maps one basis word to its
+(word, coefficient) terms.  Creation prefixes a letter; annihilation and
+gauge share the front move R_n and differ only in the letter each position
+turns into.  Field and general operators are sums of such top (x) bar parts,
+applied to a vector in one pass over its terms.
+
 Annihilation kills the vacuum.  With t = w = 1 these reduce to the familiar
 twisted ladder operators; the t^N-type commutation relation is exercised in
 tests level by level (the relation sends level n to level n, so no truncation
@@ -34,7 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _linalg
 from .scalars import DeformationParams, Poly, ResourceLimitError
@@ -111,17 +118,11 @@ class FockVector:
 
     def __add__(self, other: "FockVector") -> "FockVector":
         out = FockVector()
-        out.terms = dict(self.terms)
-        for key, val in other.terms.items():
-            out.add_term(key, val)
+        out.terms = _collect(itertools.chain(self.terms.items(), other.terms.items()))
         return out
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        out = FockVector()
-        out.terms = dict(self.terms)
-        for key, val in other.terms.items():
-            out.add_term(key, -val)
-        return out
+        return self + other.scale(-1)
 
     def scale(self, c) -> "FockVector":
         if c == 0:
@@ -143,13 +144,6 @@ class FockVector:
         return f"FockVector({self.terms!r})"
 
 
-def _metric_image(vec: Sequence, g: Optional[_linalg.Matrix]) -> Tuple:
-    """Vector of pairings <vec, e_j>: plain coordinates, or G @ vec under a metric."""
-    if g is None:
-        return tuple(vec)
-    return _linalg.mat_vec(g, vec)
-
-
 def _front_weight(i: int, n: int, wa, wb):
     """wa^(i-1) wb^(n-i): the weight of moving position i of n to the front.
 
@@ -158,86 +152,110 @@ def _front_weight(i: int, n: int, wa, wb):
     return (wa ** (i - 1)) * (wb ** (n - i))
 
 
-def _annihilate_terms(word: Word, paired: Sequence, wa, wb) -> List[Tuple[Word, object]]:
-    """Single-row annihilation: sum_i wa^(i-1) wb^(n-i) <vec, e_{word_i}> drop i.
+# -- row operators ---------------------------------------------------------------
 
-    ``paired`` is the precomputed pairing vector <vec, e_.>, and wa/wb the two
-    deformation letters for this row.
+RowOp = Callable[[Word], List[Tuple[Word, object]]]  # basis word -> its (word, coeff) terms
+RowPart = Tuple[RowOp, RowOp]  # top (x) bar: the top factor at (q, t), the bar one at (v, w)
+
+
+def _row_create(vec: Sequence) -> RowOp:
+    """Creation: sum_a vec_a e_a prefixed to the word."""
+    letters = [(a, x) for a, x in enumerate(vec) if x != 0]
+    return lambda word: [((a,) + word, x) for a, x in letters]
+
+
+def _row_front(heads: Sequence[Sequence[Tuple[Word, object]]], wa, wb) -> RowOp:
+    """The R_n front move: sum_i wa^(i-1) wb^(n-i) h e_(word without i) over
+    the terms (h, c) of heads[word_i], each with coefficient c.
+
+    Annihilation takes heads[l] = ((), <vec, e_l>), gauge heads[l] = ((a,), T[a][l]).
     """
-    n = len(word)
-    out = []
-    for i in range(1, n + 1):
-        coeff = paired[word[i - 1]]
-        if coeff == 0:
-            continue
-        rest = word[: i - 1] + word[i:]
-        out.append((rest, _front_weight(i, n, wa, wb) * coeff))
+    weights: Dict[int, Tuple] = {}
+
+    def op(word: Word) -> List[Tuple[Word, object]]:
+        n = len(word)
+        ws = weights.get(n)
+        if ws is None:
+            ws = weights[n] = tuple(_front_weight(i, n, wa, wb) for i in range(1, n + 1))
+        return [
+            (head + word[:i] + word[i + 1 :], ws[i] * c)
+            for i, letter in enumerate(word)
+            for head, c in heads[letter]
+        ]
+
+    return op
+
+
+def _row_annihilate(vec: Sequence, wa, wb, g: Optional[_linalg.Matrix] = None) -> RowOp:
+    """Annihilation: pair each letter l with vec, <vec, e_l> (through the metric g if given)."""
+    paired = vec if g is None else _linalg.mat_vec(g, vec)
+    return _row_front([[((), c)] if c != 0 else [] for c in paired], wa, wb)
+
+
+def _row_gauge(mat: Sequence[Sequence], wa, wb) -> RowOp:
+    """Gauge: replace each letter l by the column T e_l moved to the front."""
+    return _row_front([[((a,), row[l]) for a, row in enumerate(mat) if row[l] != 0] for l in range(len(mat))], wa, wb)
+
+
+def _collect(terms: Iterable[Tuple[object, object]]) -> Dict:
+    """Sum (key, value) terms into one dict, pruning zeros once at the end."""
+    acc: Dict = {}
+    for key, val in terms:
+        prev = acc.get(key)
+        acc[key] = val if prev is None else prev + val
+    return {key: val for key, val in acc.items() if val != 0}
+
+
+def _row_apply(op: RowOp, f: Dict[Word, object]) -> Dict[Word, object]:
+    """A row operator applied to a single-row vector {word: coeff}."""
+    return _collect((word, c * cw) for w, c in f.items() for word, cw in op(w))
+
+
+def _apply_parts(parts: Sequence[RowPart], f: FockVector) -> FockVector:
+    """(sum over parts of top (x) bar) applied to f in one pass over its terms."""
+
+    def terms():
+        for (top, bar), c in f.terms.items():
+            for top_op, bar_op in parts:
+                top_terms = top_op(top)
+                if not top_terms:
+                    continue
+                bar_terms = bar_op(bar)
+                for wt, ct in top_terms:
+                    cc = c * ct
+                    for wb, cb in bar_terms:
+                        yield (wt, wb), cc * cb
+
+    out = FockVector()
+    out.terms = _collect(terms())
     return out
 
 
-def _gauge_terms(word: Word, mat: Tuple[Tuple[Fraction, ...], ...], wa, wb) -> List[Tuple[Word, object]]:
-    """Single-row gauge: sum_i wa^(i-1) wb^(n-i) T(e_{word_i}) moved to front."""
-    n = len(word)
-    out = []
-    for i in range(1, n + 1):
-        weight = _front_weight(i, n, wa, wb)
-        rest = word[: i - 1] + word[i:]
-        col = word[i - 1]
-        for a in range(len(mat)):
-            entry = mat[a][col]
-            if entry == 0:
-                continue
-            out.append(((a,) + rest, weight * entry))
-    return out
+def _creation_part(x: VectorPair) -> RowPart:
+    return _row_create(x.xi), _row_create(x.eta)
+
+
+def _annihilation_part(x: VectorPair, params: DeformationParams, metric: Metric) -> RowPart:
+    g_top, g_bar = metric if metric else (None, None)
+    return _row_annihilate(x.xi, params.q, params.t, g_top), _row_annihilate(x.eta, params.v, params.w, g_bar)
+
+
+def _gauge_part(g: GaugePair, params: DeformationParams) -> RowPart:
+    return _row_gauge(g.top, params.q, params.t), _row_gauge(g.bar, params.v, params.w)
 
 
 def creation_apply(x: VectorPair, f: FockVector) -> FockVector:
-    out = FockVector()
-    for (top, bar), c in f.terms.items():
-        for a, xa in enumerate(x.xi):
-            if xa == 0:
-                continue
-            for b, yb in enumerate(x.eta):
-                if yb == 0:
-                    continue
-                out.add_term(((a,) + top, (b,) + bar), xa * yb * c)
-    return out
+    return _apply_parts([_creation_part(x)], f)
 
 
 def annihilation_apply(
     x: VectorPair, f: FockVector, params: DeformationParams, metric: Metric = None
 ) -> FockVector:
-    g_top = metric[0] if metric else None
-    g_bar = metric[1] if metric else None
-    paired_top = _metric_image(x.xi, g_top)
-    paired_bar = _metric_image(x.eta, g_bar)
-    out = FockVector()
-    for (top, bar), c in f.terms.items():
-        if not top:
-            continue
-        top_terms = _annihilate_terms(top, paired_top, params.q, params.t)
-        if not top_terms:
-            continue
-        bar_terms = _annihilate_terms(bar, paired_bar, params.v, params.w)
-        for wt, ct in top_terms:
-            for wb, cb in bar_terms:
-                out.add_term((wt, wb), c * ct * cb)
-    return out
+    return _apply_parts([_annihilation_part(x, params, metric)], f)
 
 
 def gauge_apply(g: GaugePair, f: FockVector, params: DeformationParams) -> FockVector:
-    out = FockVector()
-    for (top, bar), c in f.terms.items():
-        if not top:
-            continue
-        top_terms = _gauge_terms(top, g.top, params.q, params.t)
-        if not top_terms:
-            continue
-        bar_terms = _gauge_terms(bar, g.bar, params.v, params.w)
-        for wt, ct in top_terms:
-            for wb, cb in bar_terms:
-                out.add_term((wt, wb), c * ct * cb)
-    return out
+    return _apply_parts([_gauge_part(g, params)], f)
 
 
 # -- operator words ------------------------------------------------------------
@@ -263,7 +281,7 @@ def apply_token(token, f: FockVector, params: DeformationParams, metric: Metric 
 
 def field_apply(x: VectorPair, f: FockVector, params: DeformationParams, metric: Metric = None) -> FockVector:
     """(creation + annihilation) applied to f."""
-    return creation_apply(x, f) + annihilation_apply(x, f, params, metric)
+    return _apply_parts([_creation_part(x), _annihilation_part(x, params, metric)], f)
 
 
 def quadrabasic_apply(
@@ -276,12 +294,12 @@ def quadrabasic_apply(
 ) -> FockVector:
     """(creation + annihilation + gauge + lam) applied to f; lam is the
     combined scalar (lambda * lambda-bar)."""
-    out = creation_apply(x, f) + annihilation_apply(x, f, params, metric)
+    parts = [_creation_part(x), _annihilation_part(x, params, metric)]
     if g is not None:
-        out = out + gauge_apply(g, f, params)
+        parts.append(_gauge_part(g, params))
     if lam != 0:
-        out = out + f.scale(lam)
-    return out
+        parts.append((lambda word: [(word, lam)], lambda word: [(word, Fraction(1))]))
+    return _apply_parts(parts, f)
 
 
 def apply_word(
@@ -294,12 +312,10 @@ def apply_word(
     return f
 
 
-def vacuum_expectation(
-    tokens: Sequence, params: DeformationParams, metric: Metric = None, cap: int = DEFAULT_WORD_CAP
-):
+def vacuum_expectation(tokens: Sequence, params: DeformationParams, metric: Metric = None):
     """<vacuum, tokens vacuum>: the empty-word coefficient after application."""
-    if len(tokens) > cap:
-        raise ResourceLimitError(f"operator word longer than cap {cap}")
+    if len(tokens) > DEFAULT_WORD_CAP:
+        raise ResourceLimitError(f"operator word longer than cap {DEFAULT_WORD_CAP}")
     return apply_word(tokens, params, metric).vacuum_coefficient()
 
 
@@ -413,35 +429,7 @@ def positivity_check(n: int, a: Fraction, b: Fraction, d: int) -> Tuple[str, int
     return _linalg.ldlt_classify(mat)
 
 
-# -- single-row operators (used by commutation checks and factorization tests) ---
-
-
-def single_create(vec: Sequence, f: Dict[Word, object]) -> Dict[Word, object]:
-    out: Dict[Word, object] = {}
-    for word, c in f.items():
-        for a, xa in enumerate(vec):
-            if xa == 0:
-                continue
-            key = (a,) + word
-            s = out.get(key, 0) + Fraction(xa) * c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
-
-
-def single_annihilate(vec: Sequence, f: Dict[Word, object], a, b, g=None) -> Dict[Word, object]:
-    paired = _metric_image([Fraction(x) for x in vec], g)
-    out: Dict[Word, object] = {}
-    for word, c in f.items():
-        for rest, coeff in _annihilate_terms(word, paired, a, b):
-            s = out.get(rest, 0) + coeff * c
-            if s == 0:
-                out.pop(rest, None)
-            else:
-                out[rest] = s
-    return out
+# -- commutation checks ----------------------------------------------------------
 
 
 def check_commutation_single(xi1, xi2, a, b, d: int, maxlevel: int = 3) -> bool:
@@ -456,23 +444,14 @@ def check_commutation_single(xi1, xi2, a, b, d: int, maxlevel: int = 3) -> bool:
     xi1 = tuple(Fraction(x) for x in xi1)
     xi2 = tuple(Fraction(x) for x in xi2)
     inner = _linalg.dot(xi1, xi2)
+    create, annihilate = _row_create(xi2), _row_annihilate(xi1, a, b)
     for n in range(0, maxlevel + 1):
         for word in itertools.product(range(d), repeat=n):
-            f = {tuple(word): Fraction(1)}
-            lhs_terms = single_annihilate(xi1, single_create(xi2, f), a, b)
-            rhs_twist = single_create(xi2, single_annihilate(xi1, f, a, b))
-            lhs = dict(lhs_terms)
-            for key, val in rhs_twist.items():
-                s = lhs.get(key, 0) - a * val
-                if s == 0:
-                    lhs.pop(key, None)
-                else:
-                    lhs[key] = s
-            expected = {}
-            coeff = inner * (b ** n)
-            if coeff != 0:
-                expected[tuple(word)] = coeff
-            if lhs != expected:
+            f = {word: Fraction(1)}
+            lhs = _row_apply(annihilate, _row_apply(create, f))
+            twist = _row_apply(create, _row_apply(annihilate, f))
+            terms = itertools.chain(lhs.items(), ((w, -a * c) for w, c in twist.items()), [(word, -inner * b ** n)])
+            if _collect(terms):
                 return False
     return True
 
@@ -491,27 +470,23 @@ def check_commutation_tensor(
     q, v = params.q, params.v
     inner_top = _linalg.dot(x1.xi, x2.xi)
     inner_bar = _linalg.dot(x1.eta, x2.eta)
+    one = Fraction(1)
+    create_top, annihilate_top = _row_create(x2.xi), _row_annihilate(x1.xi, q, one)
+    create_bar, annihilate_bar = _row_create(x2.eta), _row_annihilate(x1.eta, v, one)
     for n in range(0, maxlevel + 1):
         for top in itertools.product(range(d), repeat=n):
+            moved_top = _row_apply(create_top, _row_apply(annihilate_top, {top: one}))
             for bar in itertools.product(range(dbar), repeat=n):
-                f = FockVector({(top, bar): Fraction(1)})
+                f = FockVector({(top, bar): one})
                 lhs = annihilation_apply(x1, creation_apply(x2, f), params)
                 lhs = lhs - creation_apply(x2, annihilation_apply(x1, f, params)).scale(q * v)
-                # top remainder: q <eta1,eta2> a*(xi2) a(xi1) acting on the top row only
-                rhs = FockVector()
-                if inner_bar != 0:
-                    ftop = {top: Fraction(1)}
-                    moved = single_create(x2.xi, single_annihilate(x1.xi, ftop, q, Fraction(1)))
-                    for wtop, c in moved.items():
-                        rhs.add_term((wtop, bar), q * inner_bar * c)
-                if inner_top != 0:
-                    fbar = {bar: Fraction(1)}
-                    moved = single_create(x2.eta, single_annihilate(x1.eta, fbar, v, Fraction(1)))
-                    for wbar, c in moved.items():
-                        rhs.add_term((top, wbar), v * inner_top * c)
-                if inner_top * inner_bar != 0:
-                    rhs.add_term((top, bar), inner_top * inner_bar)
-                if lhs != rhs:
+                moved_bar = _row_apply(create_bar, _row_apply(annihilate_bar, {bar: one}))
+                rhs = itertools.chain(
+                    (((w, bar), q * inner_bar * c) for w, c in moved_top.items()),
+                    (((top, w), v * inner_top * c) for w, c in moved_bar.items()),
+                    [((top, bar), inner_top * inner_bar)],
+                )
+                if lhs.terms != _collect(rhs):
                     return False
     return True
 

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _linalg
 from .partitions import (
@@ -421,11 +421,9 @@ def hankel_psd_check(tau_moments: Sequence) -> Tuple[str, int]:
 # -- conditional positivity and reconstruction -----------------------------------------
 
 
-def _words_upto(k: int, maxlen: int) -> List[Word]:
-    out: List[Word] = []
-    for n in range(1, maxlen + 1):
-        out.extend(itertools.product(range(k), repeat=n))
-    return out
+def _iter_words(k: int, maxlen: int) -> Iterator[Word]:
+    """Words over 0..k-1 of length 1..maxlen, shortest first, lazily."""
+    return itertools.chain.from_iterable(itertools.product(range(k), repeat=n) for n in range(1, maxlen + 1))
 
 
 def _psi_value(psi: Functional, word: Word) -> Fraction:
@@ -438,7 +436,7 @@ def conditional_positivity_check(psi: Functional, k: int, maxlen: int) -> Tuple[
     """Definiteness of the kernel <u, v> = psi(reverse(u) v) on words of
     length 1..maxlen (the constant-free sector).  Needs psi on words up to
     length 2 * maxlen."""
-    words = _words_upto(k, maxlen)
+    words = list(_iter_words(k, maxlen))
     rows = tuple(
         tuple(_psi_value(psi, tuple(reversed(u)) + v) for v in words) for u in words
     )
@@ -458,11 +456,21 @@ def gns_reconstruct(psi: Functional, k: int, maxlen: int) -> Tuple[LevySpec, Dic
     The round trip (single-block cumulants of the result) reproduces psi on
     all words of length <= maxlen + 1; longer words see the compression.
     """
-    for word in _words_upto(k, 2 * maxlen + 2):
-        if word in psi and tuple(reversed(word)) in psi:
-            if psi[word] != psi[tuple(reversed(word))]:
-                raise ValueError("functional is not reversal-symmetric")
-    words = _words_upto(k, maxlen)
+    letters = range(k)
+    keys = [w for w in psi if isinstance(w, tuple) and 1 <= len(w) <= 2 * maxlen + 2 and all(a in letters for a in w)]
+    if any(psi[w] != psi[tuple(reversed(w))] for w in keys if tuple(reversed(w)) in psi):
+        raise ValueError("functional is not reversal-symmetric")
+    # every psi is read on each coordinate and each word of length 2..2*maxlen: count
+    # that window only as far as len(psi), so a short psi fails before a word list is built
+    longest = max(1, 2 * maxlen)
+    size = n = 0
+    while n < longest and size <= len(psi):
+        n += 1
+        size += k ** n
+    if sum(len(w) <= longest for w in keys) < size:
+        for word in _iter_words(k, longest):
+            _psi_value(psi, word)  # raises at a missing word, within len(psi) + 1 words
+    words = list(_iter_words(k, maxlen))
     gram_full = [[_psi_value(psi, tuple(reversed(u)) + v) for v in words] for u in words]
     verdict, _ = _linalg.ldlt_classify(tuple(tuple(r) for r in gram_full))
     if verdict not in ("positive_definite", "positive_semidefinite", "zero"):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from diagfock import cli
 from diagfock.cli import main
 
 
@@ -49,6 +50,29 @@ def test_partitions_resource_guard(capsys):
     code = main(["partitions", "--n", "99"])
     capsys.readouterr()
     assert code == 3
+
+
+def test_partitions_item_cap(capsys):
+    code = main(["partitions", "--n", "9"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("resource guard:") and not captured.out
+    code, data = run_json(capsys, "partitions", "--n", "8")
+    assert code == 0
+    assert data["count"] == len(data["items"]) == 31134
+
+
+@pytest.mark.parametrize("flags", [[], ["--min-block-size", "2"], ["--min-block-size", "3"], ["--pairs"]])
+def test_partitions_item_count_is_predicted_exactly(monkeypatch, capsys, flags):
+    # the cap admits a listing exactly when its predicted length is within it
+    for n in range(0, 7, 2 if "--pairs" in flags else 1):
+        code, data = run_json(capsys, "partitions", "--n", str(n), *flags)
+        assert code == 0
+        monkeypatch.setattr(cli, "MAX_PARTITION_ITEMS", data["count"])
+        assert run(capsys, "partitions", "--n", str(n), *flags)[0] == 0
+        monkeypatch.setattr(cli, "MAX_PARTITION_ITEMS", data["count"] - 1)
+        assert run(capsys, "partitions", "--n", str(n), *flags)[0] == 3
+        monkeypatch.undo()
 
 
 def test_partitions_negative_size_is_bad_input(capsys):
@@ -245,6 +269,15 @@ def test_gns_command(tmp_path, capsys):
     assert code == 0
     assert data["roundtrip_ok"] is True
     assert data["dim"] == 1
+
+
+def test_gns_short_functional_exits_2_at_once(tmp_path, capsys):
+    path = tmp_path / "gns.json"
+    path.write_text(json.dumps({"k": 2, "maxlen": 30, "psi": {"0": "1"}}))
+    code = main(["gns", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: functional not defined on word (1,)\n" and not captured.out
 
 
 def test_density_variants(capsys):

@@ -25,6 +25,7 @@ from diagfock.fock import (
     gauge_adjoint_check,
     gauge_apply,
     positivity_check,
+    quadrabasic_apply,
     sym_inner_words,
     symmetrizer_matrix,
     vacuum_expectation,
@@ -130,6 +131,34 @@ def test_field_vacuum_moments_symbolic():
     assert powers[1].vacuum_coefficient() == Poly.zero()
     assert powers[3].vacuum_coefficient() == Poly.zero()
     assert powers[5].vacuum_coefficient() == Poly.zero()
+
+
+def test_one_pass_sums_equal_separate_actions():
+    # field and quadrabasic apply all their parts in one pass over f; each must
+    # equal the sum of the separate actions, on a vector spread over levels 0-3
+    r = helpers.rng(17)
+    d, dbar = 2, 2
+    f = FockVector(
+        {
+            (tuple(r.randrange(d) for _ in range(n)), tuple(r.randrange(dbar) for _ in range(n))): helpers.rand_frac(r)
+            for n in range(4)
+            for _ in range(3)
+        }
+    )
+    assert f.levels() == (0, 1, 2, 3)
+    metric = (helpers.rand_sym_mat(r, d), helpers.rand_sym_mat(r, dbar))
+    x = VectorPair.of(helpers.rand_vec(r, d), helpers.rand_vec(r, dbar))
+    g = GaugePair.of(helpers.rand_mat(r, d), helpers.rand_mat(r, dbar))
+    rational = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4))
+    for params, met in ((rational, metric), (SYM, None)):
+        field = creation_apply(x, f) + annihilation_apply(x, f, params, met)
+        assert field_apply(x, f, params, met) == field
+        for gauge in (None, g):
+            for lam in (Fraction(0), Fraction(-5, 3)):
+                expect = field + f.scale(lam)
+                if gauge is not None:
+                    expect = expect + gauge_apply(gauge, f, params)
+                assert quadrabasic_apply(x, gauge, lam, f, params, met) == expect
 
 
 def test_apply_word_token_kinds():

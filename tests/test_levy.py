@@ -349,6 +349,31 @@ def test_gns_rejects_asymmetric_functional():
         gns_reconstruct(bad, 2, 0)
 
 
+def test_gns_window_is_bounded_by_psi():
+    # a one-key psi at maxlen 30 is refused before any of the 2^61 window
+    # words is listed
+    with pytest.raises(ValueError, match=r"not defined on word \(1,\)"):
+        gns_reconstruct({(0,): Fraction(1)}, 2, 30)
+    # keys outside the window (a letter >= k, a word longer than 2 * maxlen)
+    # do not stand in for the missing coordinate (1,), which is named before
+    # the indefinite kernel on the words of length 2 is classified
+    psi = {(0,): 1, (0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): -1, (2,): 1, (0, 0, 0): 1}
+    with pytest.raises(ValueError, match=r"not defined on word \(1,\)"):
+        gns_reconstruct({w: Fraction(c) for w, c in psi.items()}, 2, 1)
+    # reversal symmetry is checked on words up to length 2 * maxlen + 2 over
+    # the k letters only: asymmetric keys beyond either are ignored
+    r = helpers.rng(76)
+    spec = rand_spec(r, k=2, d=2)
+    psi = {w: levy_cumulant(spec, w) for n in range(1, 5) for w in itertools.product(range(2), repeat=n)}
+    psi.update({(0, 2): Fraction(1), (2, 0): Fraction(2), (0,) * 4 + (1,): Fraction(1), (1,) + (0,) * 4: Fraction(2)})
+    rec, _ = gns_reconstruct(psi, 2, 1)
+    for w in itertools.product(range(2), repeat=2):
+        assert levy_cumulant(rec, w) == psi[w]
+    psi[(0,) * 3 + (1,)] += 1
+    with pytest.raises(ValueError, match="reversal-symmetric"):
+        gns_reconstruct(psi, 2, 1)
+
+
 def test_word_guard():
     r = helpers.rng(74)
     spec = rand_spec(r, k=1, d=1)
