@@ -72,6 +72,10 @@ class LevySpec:
         g = None
         if gram is not None:
             g = tuple(tuple(Fraction(x) for x in row) for row in gram)
+            if len(g) != d or any(len(row) != d for row in g):
+                raise ValueError(f"gram must be {d} x {d}, the dimension of xi")
+            if not _linalg.is_symmetric(g):
+                raise ValueError("gram must be symmetric")
         return cls(len(xi_t), d, xi_t, T_t, lam_t, g)
 
     def pair(self, x: Sequence, y: Sequence) -> Fraction:

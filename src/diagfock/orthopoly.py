@@ -13,9 +13,19 @@ level 0 back to 0 (up steps 1, flat steps beta_l, down steps gamma_{l-1}),
 i.e. the top-left entry of J^k for the tridiagonal Jacobi matrix J; it is
 read off the row vector e_0^T J^k, carried one step at a time.  The families'
 Jacobi data come from the running recurrence [n+1]_{a,b} = a [n]_{a,b} + b^n
-in one pass.  numpy and scipy are imported only inside the float functions
-that use them (quadrature, orthogonality residual, quadrature moments, root
-bounds), so the exact paths and a plain ``import diagfock`` never load them.
+in one pass.
+
+The float paths use the standard library only:
+
+  * Gauss rules by Golub-Welsch (1969): the eigenvalues of the symmetrized
+    Jacobi matrix and the squared first components of its eigenvectors, from
+    one implicit-QL solver with Wilkinson shifts that carries only the first
+    eigenvector row;
+  * integrals (hyperbolic-secant and Meixner-Pollaczek moments) by adaptive
+    bisection with the 20-point Gauss-Legendre rule, itself built by that
+    solver from the Legendre recurrence;
+  * the largest |root| of a polynomial by the Durand-Kerner iteration
+    (Kerner 1966).
 
 Families:
 
@@ -40,13 +50,21 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .scalars import DeformationParams, Scalar
+
+_QL_MAX_SWEEPS = 30  # implicit-QL sweeps per eigenvalue before giving up
+_GL_POINTS = 20  # Gauss-Legendre points per panel of the adaptive quadrature
+_QUAD_TOL = 1e-13  # panel acceptance, relative to the integral of |f|
+_QUAD_MAX_DEPTH = 30  # bisection levels before a panel is kept as it is
+_DK_MAX_ITER = 500  # Durand-Kerner sweeps before the roots are taken as they are
 
 
 @dataclass(frozen=True)
@@ -209,20 +227,117 @@ def cauchy_transform(j: JacobiData, z: complex, depth: int) -> complex:
     return val
 
 
-def quadrature_rule(j: JacobiData, size: int) -> Tuple:
-    """Gauss nodes/weights (numpy arrays) from the symmetrized truncated
-    recurrence matrix."""
-    import numpy as np
-    from scipy.linalg import eigh_tridiagonal
+def _tridiag_eigen(diag: Sequence[float], off: Sequence[float]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """Eigenvalues of the symmetric tridiagonal matrix with the given diagonal
+    and off-diagonal, in ascending order, and the first component of each
+    unit eigenvector.
 
-    beta, gamma = j.as_floats()
+    Implicit QL with Wilkinson shifts (the tql2 scheme).  Each Givens rotation
+    of a sweep is applied to the first eigenvector row only: that row is all a
+    Gauss rule needs (Golub-Welsch 1969).
+    """
+    n = len(diag)
+    d = [float(x) for x in diag]
+    e = [float(x) for x in off] + [0.0]
+    z = [1.0] + [0.0] * (n - 1)
+    for l in range(n):
+        for _ in range(_QL_MAX_SWEEPS):
+            m = l
+            while m < n - 1:
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) + dd == dd:
+                    break
+                m += 1
+            if m == l:
+                break
+            # shift by the eigenvalue of the leading 2x2 block nearer d[l]
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # the matrix splits here: restart the sweep
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                z[i], z[i + 1] = c * z[i] - s * z[i + 1], s * z[i] + c * z[i + 1]
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+        else:
+            raise ArithmeticError("tridiagonal QL iteration did not converge")
+    pairs = sorted(zip(d, z))
+    return tuple(x for x, _ in pairs), tuple(v for _, v in pairs)
+
+
+def quadrature_rule(j: JacobiData, size: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """Gauss nodes (ascending) and weights, as tuples of floats, from the
+    symmetrized truncated recurrence matrix (Golub-Welsch)."""
     if j.depth < size:
         raise ValueError("not enough recurrence data for the requested rule")
-    d = np.array(beta[:size])
-    e = np.sqrt(np.array(gamma[: size - 1]))
-    vals, vecs = eigh_tridiagonal(d, e)
-    weights = vecs[0, :] ** 2
-    return vals, weights
+    beta, gamma = j.as_floats()
+    nodes, first = _tridiag_eigen(beta[:size], [math.sqrt(g) for g in gamma[: size - 1]])
+    return nodes, tuple(v * v for v in first)
+
+
+@lru_cache(maxsize=4)
+def _legendre_rule(size: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """Gauss-Legendre nodes and weights on [-1, 1], from the Legendre Jacobi
+    data beta = 0, gamma_n = n^2 / (4 n^2 - 1) and the mass 2."""
+    nodes, first = _tridiag_eigen([0.0] * size, [n / math.sqrt(4.0 * n * n - 1.0) for n in range(1, size)])
+    return nodes, tuple(2.0 * v * v for v in first)
+
+
+def _integrate(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integral of f over [a, b] by adaptive bisection with the
+    _GL_POINTS-point Gauss-Legendre rule.
+
+    A panel is kept when its two halves sum to its own value within
+    _QUAD_TOL times the integral of |f| estimated on [a, b]; otherwise each
+    half is bisected in turn, its value serving as the estimate one level
+    down.  A panel _QUAD_MAX_DEPTH levels down is kept as it is, with a
+    warning.
+    """
+    nodes, weights = _legendre_rule(_GL_POINTS)
+
+    def terms(lo: float, hi: float) -> List[float]:
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        return [w * half * f(mid + half * x) for x, w in zip(nodes, weights)]
+
+    top = terms(a, b)
+    tol = _QUAD_TOL * math.fsum(map(abs, top))
+    pieces: List[float] = []
+    capped = False
+    stack = [(a, b, math.fsum(top), 1)]
+    while stack:
+        lo, hi, whole, depth = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left, right = sum(terms(lo, mid)), sum(terms(mid, hi))
+        if abs(left + right - whole) <= tol:
+            pieces += (left, right)
+        elif depth == _QUAD_MAX_DEPTH:
+            capped = True
+            pieces += (left, right)
+        else:
+            stack += ((mid, hi, right, depth + 1), (lo, mid, left, depth + 1))
+    if capped:
+        warnings.warn(
+            f"adaptive quadrature reached its depth cap of {_QUAD_MAX_DEPTH} on [{a}, {b}]; "
+            "the result may be inaccurate",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return math.fsum(pieces)
 
 
 def _poly_eval(coeffs: Sequence, x: float) -> float:
@@ -234,16 +349,14 @@ def _poly_eval(coeffs: Sequence, x: float) -> float:
 
 def orthogonality_residual(j: JacobiData, max_degree: int, rule_size: int | None = None) -> float:
     """Largest |<P_a, P_b>| for a < b <= max_degree under the Gauss rule."""
-    import numpy as np
-
     size = rule_size or (max_degree + 2)
     nodes, weights = quadrature_rule(j, size)
-    polys = polys_from_jacobi(j, max_degree)
-    values = [np.array([_poly_eval(p, x) for x in nodes]) for p in polys]
+    values = [[_poly_eval(p, x) for x in nodes] for p in polys_from_jacobi(j, max_degree)]
     worst = 0.0
     for a in range(max_degree + 1):
         for b in range(a + 1, max_degree + 1):
-            worst = max(worst, abs(float(np.sum(weights * values[a] * values[b]))))
+            inner = math.fsum(w * u * v for w, u, v in zip(weights, values[a], values[b]))
+            worst = max(worst, abs(inner))
     return worst
 
 
@@ -262,11 +375,7 @@ def sech_moment_quad(k: int, cutoff: float = 60.0) -> float:
     """
     if k % 2:
         return 0.0
-    from scipy import integrate
-
-    f = lambda x: x ** k * sech_density(x)
-    val, _ = integrate.quad(f, 0.0, cutoff, limit=400)
-    return 2.0 * val
+    return 2.0 * _integrate(lambda x: x**k * sech_density(x), 0.0, cutoff)
 
 
 # -- Meixner-Pollaczek-type density ---------------------------------------------------
@@ -284,69 +393,55 @@ def qpochhammer(a: float, q: float, tol: float = 1e-16) -> float:
     return prod
 
 
-def _g_product(x: float, b: complex, q: float, variant: str) -> complex:
-    if variant == "printed":
-        coeff = 4.0 / math.sqrt(1.0 - q)
-    elif variant == "corrected":
-        coeff = math.sqrt(1.0 - q)
-    else:
-        raise ValueError("variant must be 'printed' or 'corrected'")
-    prod = complex(1.0)
-    qk = 1.0
-    while True:
-        prod *= 1.0 - coeff * b * x * qk + b * b * qk * qk
-        qk *= q
-        if qk < 1e-20:
-            break
-    return prod
-
-
-def mp_support(q: float) -> Tuple[float, float]:
-    r = 2.0 / math.sqrt(1.0 - q)
-    return (-r, r)
+def _mp_radius(q: float, alpha: float) -> float:
+    """Support radius 2 / sqrt(1 - q) of the density at (q, alpha), refusing
+    a point outside its domain 0 < q < 1, alpha > -1."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"the Meixner-Pollaczek density needs 0 < q < 1, got q = {q}")
+    if not alpha > -1.0:
+        raise ValueError(f"the Meixner-Pollaczek density needs alpha > -1, got alpha = {alpha}")
+    return 2.0 / math.sqrt(1.0 - q)
 
 
 def mp_density(x: float, q: float, alpha: float, variant: str = "corrected") -> float:
-    """Density of the one-parameter Meixner-Pollaczek-type law on its support.
+    """Density of the one-parameter Meixner-Pollaczek-type law on its support
+    (-2/sqrt(1-q), 2/sqrt(1-q)).  Requires 0 < q < 1 and -1 < alpha.
 
-    alpha <= 0 uses beta = sqrt(-alpha); alpha >= 0 uses beta = i sqrt(alpha).
-    In both cases beta^2 = -alpha, and the conjugate factor pair keeps the
-    value real.  Requires 0 < q < 1 and -1 < alpha.
+    The source formula is a ratio of products over k >= 0 of factors
+    1 - c b x q^k + b^2 q^(2k), for b = +-1 and +-sqrt(q) above and
+    b = +-i sqrt(-alpha) below (b^2 = alpha).  Each +- pair multiplies out to
+    the real quadratic (1 + b^2 q^(2k))^2 - c^2 x^2 b^2 q^(2k), so the density
+    is one real product.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError("density needs 0 < q < 1")
-    lo, hi = mp_support(q)
-    if not lo < x < hi:
+    r = _mp_radius(q, alpha)
+    if variant == "printed":
+        c2 = 16.0 / (1.0 - q)
+    elif variant == "corrected":
+        c2 = 1.0 - q
+    else:
+        raise ValueError("variant must be 'printed' or 'corrected'")
+    if not -r < x < r:
         return 0.0
-    beta = cmath.sqrt(complex(-alpha, 0.0))
-    pref = qpochhammer(q, q) * qpochhammer(-alpha, q) / (
-        2.0 * math.pi * math.sqrt((hi - x) * (x - lo))
-    )
-    num = (
-        _g_product(x, 1.0, q, variant)
-        * _g_product(x, -1.0, q, variant)
-        * _g_product(x, math.sqrt(q), q, variant)
-        * _g_product(x, -math.sqrt(q), q, variant)
-    )
-    den = _g_product(x, 1j * beta, q, variant) * _g_product(x, -1j * beta, q, variant)
-    val = pref * (num / den)
-    return val.real
+    cx2 = c2 * x * x
+    val = qpochhammer(q, q) * qpochhammer(-alpha, q) / (2.0 * math.pi * math.sqrt((r - x) * (x + r)))
+    qk = 1.0  # q^(2k)
+    while qk >= 1e-20:
+        even, odd, dual = qk, q * qk, alpha * qk
+        val *= ((1.0 + even) ** 2 - cx2 * even) * ((1.0 + odd) ** 2 - cx2 * odd) / ((1.0 + dual) ** 2 - cx2 * dual)
+        qk *= q * q
+    return val
 
 
 def mp_moment_quad(n: int, q: float, alpha: float, variant: str = "corrected") -> float:
     """n-th moment of the density by quadrature (trig substitution kills the
     endpoint square-root singularity)."""
-    from scipy import integrate
-
-    lo, hi = mp_support(q)
-    r = hi
+    r = _mp_radius(q, alpha)
 
     def f(u: float) -> float:
         x = r * math.sin(u)
-        return (x ** n) * mp_density(x, q, alpha, variant) * r * math.cos(u)
+        return (x**n) * mp_density(x, q, alpha, variant) * r * math.cos(u)
 
-    val, _ = integrate.quad(f, -math.pi / 2.0, math.pi / 2.0, limit=300)
-    return val
+    return _integrate(f, -math.pi / 2.0, math.pi / 2.0)
 
 
 def mp_normalization(q: float, alpha: float, variant: str = "corrected") -> float:
@@ -367,16 +462,39 @@ def support_interval(q: Fraction, v: Fraction) -> Tuple[float, float]:
 
 
 def max_abs_root(coeffs: Sequence) -> float:
-    """Largest |root| of a polynomial given by ascending coefficients."""
-    import numpy as np
+    """Largest |root| of a polynomial given by ascending coefficients.
 
-    arr = np.array([float(c) for c in coeffs], dtype=float)
-    nz = np.nonzero(arr)[0]
-    if len(nz) == 0 or nz[-1] == 0:
+    Zero coefficients are trimmed at both ends (leading ones only add roots
+    at 0), then the roots of the monic polynomial are found together by the
+    Durand-Kerner iteration (Kerner 1966), started on a circle of the Cauchy
+    root bound.
+    """
+    a = [float(c) for c in coeffs]
+    while a and a[-1] == 0.0:
+        a.pop()
+    low = next((i for i, c in enumerate(a) if c != 0.0), len(a))
+    monic = [c / a[-1] for c in a[low:]] if a else []
+    n = len(monic) - 1
+    if n < 1:
         return 0.0
-    arr = arr[: nz[-1] + 1]
-    roots = np.roots(arr[::-1])
-    return float(max(abs(r) for r in roots))
+    radius = 1.0 + max(abs(c) for c in monic[:-1])
+    z = [radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4)) for k in range(n)]
+    for _ in range(_DK_MAX_ITER):
+        done = True
+        for k, zk in enumerate(z):
+            value = 0j
+            for c in reversed(monic):
+                value = value * zk + c
+            den = 1.0
+            for i, zi in enumerate(z):
+                if i != k:
+                    den *= zk - zi
+            step = value / den
+            z[k] = zk - step
+            done = done and abs(step) <= 1e-15 * abs(z[k])
+        if done:
+            break
+    return max(abs(v) for v in z)
 
 
 def carleman_sums(j: JacobiData, nmax: int) -> Tuple[float, float]:

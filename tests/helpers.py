@@ -7,7 +7,9 @@ routes to the same numbers.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -250,3 +252,43 @@ def moments_by_matrix_powers(beta: Sequence, gamma: Sequence, nmax: int) -> List
         out.append(row[0])
         row = [reduce(add, (row[m] * a[m][j] for m in range(size))) for j in range(size)]
     return out
+
+
+# -- Meixner-Pollaczek density as printed: six complex products ------------------------
+
+
+def mp_density_products(x: float, q: float, alpha: float, variant: str = "corrected") -> float:
+    """The Meixner-Pollaczek-type density in the form of the source formula:
+
+        (q; q)_inf (-alpha; q)_inf / (2 pi sqrt(r^2 - x^2))
+        * g(1) g(-1) g(sqrt q) g(-sqrt q) / (g(i beta) g(-i beta)),
+
+    with g(b) = prod_k (1 - c b x q^k + b^2 q^(2k)), beta = sqrt(-alpha)
+    taken in the complex plane, r = 2 / sqrt(1 - q), and c = sqrt(1 - q)
+    ('corrected') or 4 / sqrt(1 - q) ('printed').  Each g is multiplied
+    out factor by factor in complex arithmetic until q^k < 1e-20.
+    """
+    coeff = math.sqrt(1.0 - q) if variant == "corrected" else 4.0 / math.sqrt(1.0 - q)
+    r = 2.0 / math.sqrt(1.0 - q)
+    if not -r < x < r:
+        return 0.0
+
+    def poch(a: float) -> float:
+        prod, ak = 1.0, a
+        while abs(ak) > 1e-16:
+            prod *= 1.0 - ak
+            ak *= q
+        return prod
+
+    def g(b: complex) -> complex:
+        prod, qk = complex(1.0), 1.0
+        while True:
+            prod *= 1.0 - coeff * b * x * qk + b * b * qk * qk
+            qk *= q
+            if qk < 1e-20:
+                return prod
+
+    beta = cmath.sqrt(complex(-alpha, 0.0))
+    pref = poch(q) * poch(-alpha) / (2.0 * math.pi * math.sqrt((r - x) * (x + r)))
+    num = g(1.0) * g(-1.0) * g(math.sqrt(q)) * g(-math.sqrt(q))
+    return (pref * num / (g(1j * beta) * g(-1j * beta))).real

@@ -302,6 +302,32 @@ def test_density_variants(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "q, alpha, bound",
+    [("1/2", "-1", "alpha > -1"), ("1", "0", "0 < q < 1"), ("1/2", "-2", "alpha > -1")],
+)
+def test_density_outside_its_domain_exits_2(capsys, q, alpha, bound):
+    code = main(["density", "--kind", "qmp", f"--q={q}", f"--alpha={alpha}", "--mass"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and bound in captured.err and not captured.out
+
+
+@pytest.mark.parametrize(
+    "gram, message",
+    [([["1", "2"], ["0", "1"]], "gram must be symmetric"), ([["1", "0"]], "gram must be 2 x 2")],
+    ids=["asymmetric", "not-d-by-d"],
+)
+def test_levy_refuses_bad_gram(tmp_path, capsys, gram, message):
+    spec = {"xi": [["1", "0"]], "T": [[["1", "0"], ["0", "1"]]], "lam": ["1"], "gram": gram}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"spec": spec, "word": [0, 0]}))
+    code = main(["levy", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {message}") and not captured.out
+
+
 def test_moments_and_cauchy_guards(capsys):
     for argv in (
         ["moments", "--family", "hermite", "--nmax", "99999"],

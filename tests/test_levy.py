@@ -50,6 +50,21 @@ def rand_spec(r, k=2, d=2, with_gram=False) -> LevySpec:
     return LevySpec.of(xi, T, lam, gram)
 
 
+@pytest.mark.parametrize(
+    "gram, message",
+    [
+        ([[1, 2], [0, 1]], "gram must be symmetric"),
+        ([[1, 0]], "gram must be 2 x 2"),
+        ([[1, 0], [0]], "gram must be 2 x 2"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "gram must be 2 x 2"),
+    ],
+)
+def test_spec_refuses_bad_gram(gram, message):
+    with pytest.raises(ValueError, match=message):
+        LevySpec.of([[1, 0]], [[[1, 0], [0, 1]]], [1], gram)
+    assert LevySpec.of([[1, 0]], [[[1, 0], [0, 1]]], [1], [[2, 1], [1, 2]]).gram == ((2, 1), (1, 2))
+
+
 def test_cumulant_values_by_hand():
     spec = LevySpec.of(
         xi=[[1, 0], [1, 1]],

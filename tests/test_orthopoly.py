@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from diagfock.fock import GaugePair, VectorPair
 from diagfock.wick import QuadrabasicOp, full_wick, gaussian_wick
 from diagfock.orthopoly import (
     JacobiData,
+    _integrate,
+    _legendre_rule,
     _qt_numbers,
     carleman_sums,
     cauchy_transform,
@@ -24,6 +27,7 @@ from diagfock.orthopoly import (
     jacobi_sech,
     max_abs_root,
     moments_from_jacobi,
+    mp_density,
     mp_moment_quad,
     mp_normalization,
     norm_squares_from_jacobi,
@@ -138,9 +142,16 @@ COLD_IMPORT = """
 import json, sys
 import diagfock, diagfock.cli
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
-from diagfock.orthopoly import jacobi_hermite, quadrature_rule
+from diagfock.orthopoly import (
+    jacobi_hermite, max_abs_root, mp_normalization, orthogonality_residual, quadrature_rule, sech_moment_quad,
+)
 from diagfock.scalars import DeformationParams
-nodes, weights = quadrature_rule(jacobi_hermite(DeformationParams.from_rationals(0, 1, 0, 1), 6), 5)
+jac = jacobi_hermite(DeformationParams.from_rationals(0, 1, 0, 1), 6)
+nodes, weights = quadrature_rule(jac, 5)
+orthogonality_residual(jac, 3)
+sech_moment_quad(2)
+mp_normalization(0.5, -0.25)
+max_abs_root([-1, 0, 1])
 print(json.dumps({
     "loaded_cold": loaded,
     "loaded_after": sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}),
@@ -151,12 +162,13 @@ print(json.dumps({
 
 
 def test_cold_import_loads_no_numpy_or_scipy():
+    # neither a plain import nor any float path loads numpy or scipy
     src = os.path.dirname(os.path.dirname(diagfock.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, capture_output=True, text=True, check=True)
     out = json.loads(run.stdout)
     assert out["loaded_cold"] == []
-    assert out["loaded_after"] == ["numpy", "scipy"]
+    assert out["loaded_after"] == []
     # gamma = 1 (the semicircle): the Gauss nodes are the zeros 2 cos(k pi / 6)
     # of U_5, with weights (1/3) sin^2(k pi / 6)
     angles = [k * math.pi / 6 for k in range(5, 0, -1)]
@@ -320,6 +332,82 @@ def test_mp_density_printed_variant_mass_is_off():
     # the printed prefactor does not normalize; the corrected one does
     mass = mp_normalization(0.5, -0.25, variant="printed")
     assert abs(mass - 1.0) > 0.5
+
+
+def mp_condition(x, q, alpha, variant):
+    """Largest (1 + s)^2 / |(1 + s)^2 - c^2 x^2 s| over the real factors of the
+    density (s = q^j, alpha q^2k): about 1 away from a zero or pole of a
+    factor, and the factor by which any float evaluation loses digits near
+    one."""
+    c2 = 1.0 - q if variant == "corrected" else 16.0 / (1.0 - q)
+    worst, qk = 1.0, 1.0
+    while qk >= 1e-20:
+        for s in (qk, q * qk, alpha * qk):
+            worst = max(worst, (1.0 + s) ** 2 / abs((1.0 + s) ** 2 - c2 * x * x * s))
+        qk *= q * q
+    return worst
+
+
+@pytest.mark.parametrize("variant", ["corrected", "printed"])
+def test_mp_density_real_pairs_match_complex_products(variant):
+    r = helpers.rng(29)
+    for i in range(1000):
+        q = r.uniform(0.1, 0.9)
+        alpha = (-1) ** i * r.uniform(0.0, 0.9)
+        edge = 2.0 / math.sqrt(1.0 - q)
+        x = r.uniform(-edge, edge)
+        ref = helpers.mp_density_products(x, q, alpha, variant)
+        got = mp_density(x, q, alpha, variant)
+        assert abs(got - ref) <= 1e-11 * mp_condition(x, q, alpha, variant) * abs(ref), (x, q, alpha)
+    assert mp_density(3.0, 0.5, 0.25) == helpers.mp_density_products(3.0, 0.5, 0.25) == 0.0
+
+
+@pytest.mark.parametrize("q, alpha", [(0.5, -1.0), (1.0, 0.0), (0.5, -2.0), (0.0, 0.25)])
+def test_mp_density_refuses_points_outside_its_domain(q, alpha):
+    with pytest.raises(ValueError, match="Meixner-Pollaczek density needs"):
+        mp_density(0.1, q, alpha)
+    with pytest.raises(ValueError, match="Meixner-Pollaczek density needs"):
+        mp_normalization(q, alpha)
+
+
+def test_legendre_rule_integrates_monomials():
+    nodes, weights = _legendre_rule(20)
+    assert list(nodes) == sorted(nodes) and len(nodes) == 20
+    for k in range(40):
+        got = math.fsum(w * x**k for x, w in zip(nodes, weights))
+        assert got == pytest.approx(0.0 if k % 2 else 2.0 / (k + 1), abs=1e-14), k
+
+
+def test_integrate_converges_quietly_and_warns_at_its_depth_cap():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _integrate(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
+    # a jump is never resolved to the tolerance: the panel holding it is cut off
+    with pytest.warns(RuntimeWarning, match="depth cap"):
+        got = _integrate(lambda x: 1.0 if x > 1.0 / 3.0 else 0.0, 0.0, 1.0)
+    assert got == pytest.approx(2.0 / 3.0, abs=1e-8)
+
+
+def chebyshev_t(n):
+    """Ascending integer coefficients of T_n, by T_(k+1) = 2x T_k - T_(k-1)."""
+    prev, cur = [1], [0, 1]
+    for _ in range(n - 1):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur if n else prev
+
+
+def test_max_abs_root_closed_forms():
+    for n in range(1, 13):
+        top = math.cos(math.pi / (2 * n))  # the largest zero of T_n
+        assert max_abs_root(chebyshev_t(n)) == pytest.approx(top, abs=1e-12), n
+        # zero coefficients at either end change nothing
+        assert max_abs_root([0, 0] + chebyshev_t(n) + [0, 0]) == pytest.approx(top, abs=1e-12), n
+    assert max_abs_root([5]) == 0.0
+    assert max_abs_root([0, 0, 0, 1]) == 0.0
+    assert max_abs_root([0, 0]) == 0.0
 
 
 def test_discrete_qhermite_classical_limit():
