@@ -439,7 +439,7 @@ def mp_moment_quad(n: int, q: float, alpha: float, variant: str = "corrected") -
 
     def f(u: float) -> float:
         x = r * math.sin(u)
-        return (x**n) * mp_density(x, q, alpha, variant) * r * math.cos(u)
+        return (x ** n) * mp_density(x, q, alpha, variant) * r * math.cos(u)
 
     return _integrate(f, -math.pi / 2.0, math.pi / 2.0)
 
@@ -464,10 +464,10 @@ def support_interval(q: Fraction, v: Fraction) -> Tuple[float, float]:
 def max_abs_root(coeffs: Sequence) -> float:
     """Largest |root| of a polynomial given by ascending coefficients.
 
-    Zero coefficients are trimmed at both ends (leading ones only add roots
-    at 0), then the roots of the monic polynomial are found together by the
-    Durand-Kerner iteration (Kerner 1966), started on a circle of the Cauchy
-    root bound.
+    Zero coefficients are trimmed at both ends (zero low-order ones only
+    add roots at 0), then the roots of the monic polynomial are found
+    together by the Durand-Kerner iteration (Kerner 1966), started on a
+    circle of the Cauchy root bound.
     """
     a = [float(c) for c in coeffs]
     while a and a[-1] == 0.0:

@@ -382,7 +382,7 @@ def test_integrate_converges_quietly_and_warns_at_its_depth_cap():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _integrate(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
-    # a jump is never resolved to the tolerance: the panel holding it is cut off
+    # a panel holding a jump never meets the tolerance: bisection stops at the cap
     with pytest.warns(RuntimeWarning, match="depth cap"):
         got = _integrate(lambda x: 1.0 if x > 1.0 / 3.0 else 0.0, 0.0, 1.0)
     assert got == pytest.approx(2.0 / 3.0, abs=1e-8)
@@ -396,7 +396,7 @@ def chebyshev_t(n):
         for i, c in enumerate(prev):
             nxt[i] -= c
         prev, cur = cur, nxt
-    return cur if n else prev
+    return cur
 
 
 def test_max_abs_root_closed_forms():
