@@ -11,12 +11,15 @@ orthonormal frame).  The time-s cumulant of a word u_1 ... u_n is
     R(u, s) = s * <xi_{u_1}, T_{u_2} ... T_{u_{n-1}} xi_{u_n}>   (n >= 2)
 
 and moments come from the diagonal-partition sum with q^rc t^rnest v^rc
-w^rnest weights, one factor of s per block.  Every such sum here goes through
-the role-class kernel of :mod:`diagfock.partitions` (its docstring states the
-factorisation), with the cumulants on the top row and weights only on the
-bar row.  The operator model realizes the same numbers on the doubled Fock
-space over step functions; tests compare the two routes exactly, with
-interval lengths as rational metric weights.
+w^rnest weights, one factor of s per block.  The cumulants sit on the top
+row and the bar row has value 1, so every such sum here runs on the
+open-arc state DP :func:`diagfock.partitions.arc_sums`: for word moments a
+chain is the row vector xi_{u1}^T G T_{u2} ... of an open block, for the
+functional transforms its open subword.  The stochastic limit's bar factor
+is the DP's product of deformed integers along the roles of pi.  The
+operator model realizes the same numbers on the doubled Fock space over
+step functions; tests compare the two routes exactly, with interval lengths
+as rational metric weights.
 """
 
 from __future__ import annotations
@@ -25,20 +28,20 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _linalg
 from .partitions import (
+    MAX_DIAGONAL_N,
+    ROLE_CLOSER,
+    ROLE_MIDDLE,
     ROLE_OPENER,
-    ROLE_SINGLETON,
     DiagonalPartition,
     SetPartition,
-    class_sums,
+    arc_sums,
     diagonal_partitions,
-    diagonal_sum,
-    row_sums,
 )
-from .scalars import DeformationParams, ResourceLimitError
+from .scalars import DeformationParams, ResourceLimitError, qt_number
 from .fock import FockVector, GaugePair, VectorPair, quadrabasic_apply
 
 Word = Tuple[int, ...]
@@ -110,36 +113,58 @@ def _subword(word: Word, block: Sequence[int]) -> Word:
     return tuple(word[i - 1] for i in block)
 
 
+def _word_sums(spec: LevySpec, word: Word, params: DeformationParams, s: Fraction, graded: bool = False):
+    """The moment of a word (by block count when graded) by the open-arc DP
+    with the cumulants of ``spec`` at time s: a chain is the row vector
+    s xi_{u1}^T G T_{u2} ... T_{uk} of its open block (G the gram, if any),
+    and closing at u takes its dot product with xi_u."""
+    gram_t = None if spec.gram is None else _linalg.transpose(spec.gram)
+    starts = [tuple(s * x for x in (xi if gram_t is None else _linalg.mat_vec(gram_t, xi))) for xi in spec.xi]
+    cols = [_linalg.transpose(m) for m in spec.T]
+
+    def extend(row: Tuple[Fraction, ...], p: int) -> Optional[Tuple[Fraction, ...]]:
+        row = _linalg.mat_vec(cols[word[p - 1]], row)
+        return row if any(row) else None
+
+    *_, total = arc_sums(
+        len(word),
+        params,
+        lambda p: s * spec.lam[word[p - 1]],
+        lambda p: starts[word[p - 1]],
+        lambda row, p: _linalg.dot(row, spec.xi[word[p - 1]]),
+        extend,
+        graded,
+    )
+    return total
+
+
+def _check_word(spec: LevySpec, word: Word) -> None:
+    if len(word) > MAX_LEVY_WORD:
+        raise ResourceLimitError(f"moment words guarded at length <= {MAX_LEVY_WORD}")
+    if any(not 0 <= u < spec.k for u in word):
+        raise ValueError("word uses an unknown coordinate")
+
+
 def levy_moment(spec: LevySpec, word: Word, params: DeformationParams, s: Fraction = Fraction(1)):
     """Moment of a word at time s: diagonal-partition sum of cumulant products."""
-    n = len(word)
-    if n == 0:
+    if not word:
         return Fraction(1)
-    if n > MAX_LEVY_WORD:
-        raise ResourceLimitError(f"moment words guarded at length <= {MAX_LEVY_WORD}")
-    s = Fraction(s)
-    return diagonal_sum(n, params, lambda block: levy_cumulant(spec, _subword(word, block), s))
+    _check_word(spec, word)
+    return _word_sums(spec, word, params, Fraction(s))
 
 
 def levy_moment_s_poly(spec: LevySpec, word: Word, params: DeformationParams) -> Dict[int, Fraction]:
     """The moment as a polynomial in the time s: degree (= block count) -> coefficient.
 
-    A role class fixes the block count (its openers and singletons), so the
-    class sums at s = 1 are grouped by it.  The linear coefficient is the
-    single-block cumulant at s = 1, which is the generator of the convolution
-    semigroup on this word.
+    Each block carries one factor of s, so the DP at s = 1 keeps the block
+    count in its state.  The linear coefficient is the single-block cumulant
+    at s = 1, which is the generator of the convolution semigroup on this word.
     """
-    n = len(word)
-    if n == 0:
+    if not word:
         return {0: Fraction(1)}
-    if n > MAX_LEVY_WORD:
-        raise ResourceLimitError(f"moment words guarded at length <= {MAX_LEVY_WORD}")
-    out: Dict[int, Fraction] = {}
-    sums = class_sums(n, params, lambda block: levy_cumulant(spec, _subword(word, block), Fraction(1)))
-    for roles, val in sums.items():
-        deg = roles.count(ROLE_OPENER) + roles.count(ROLE_SINGLETON)
-        out[deg] = out.get(deg, Fraction(0)) + val
-    return {k: v for k, v in out.items() if v != 0}
+    _check_word(spec, word)
+    by_blocks = _word_sums(spec, word, params, Fraction(1), graded=True)
+    return {k: v for k, v in sorted(by_blocks.items()) if v != 0}
 
 
 def diagonal_measure_spec(spec: LevySpec, u: int, n: int) -> LevySpec:
@@ -273,12 +298,21 @@ def stochastic_limit(
 ) -> Fraction:
     """Refinement limit of :func:`stochastic_measure`: the sum over diagonal
     partitions whose top row equals pi of weight times cumulant products: the
-    top weight of pi times its cumulants times the bar row sum of its class."""
+    top weight of pi times its cumulants times the bar row sum of its class,
+    which is a product of deformed integers along pi's roles."""
     n = len(word)
     if pi.n != n:
         raise ValueError("partition size must match the word length")
     s = Fraction(s)
-    bar = row_sums(n, None, params.v, params.w)[pi.roles()]
+    # the bar rows of pi's class: [k]_{v,w} at each step that ends one of k open arcs
+    bar, k = Fraction(1), 0
+    for role in pi.roles():
+        if role in (ROLE_CLOSER, ROLE_MIDDLE):
+            bar = bar * qt_number(k, params.v, params.w)
+        if role == ROLE_OPENER:
+            k += 1
+        elif role == ROLE_CLOSER:
+            k -= 1
     total = (params.q ** pi.restricted_crossings()) * (params.t ** pi.restricted_nestings()) * bar
     for block in pi.blocks:
         total = total * levy_cumulant(spec, _subword(word, block), s)
@@ -299,6 +333,24 @@ def functional_from_spec(spec: LevySpec, params: DeformationParams, maxlen: int,
     return out
 
 
+def _functional_sums(value: Callable[[Word], Fraction], word: Word, params: DeformationParams):
+    """The open-arc DP over a word with block values ``value`` on its
+    subwords, a chain being the open subword.  The last yield is the sum."""
+    return arc_sums(
+        len(word),
+        params,
+        lambda p: value(word[p - 1:p]),
+        lambda p: word[p - 1:p],
+        lambda sub, p: value(sub + word[p - 1:p]),
+        lambda sub, p: sub + word[p - 1:p],
+    )
+
+
+def _check_functional_len(maxlen: int) -> None:
+    if maxlen > MAX_DIAGONAL_N:
+        raise ResourceLimitError(f"moment functionals guarded at word length <= {MAX_DIAGONAL_N}")
+
+
 def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
     """Invert the moment formula word by word:
 
@@ -308,20 +360,21 @@ def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxl
     the forward sum with the one-block value set to 0 (that block is alone in
     its role class, with weight 1).
     """
+    _check_functional_len(maxlen)
     psi: Functional = {}
-    for n in range(1, maxlen + 1):
-        for word in itertools.product(range(k), repeat=n):
-            lower = diagonal_sum(n, params, lambda b: Fraction(0) if len(b) == n else psi[_subword(word, b)])
-            psi[word] = phi[word] - lower
+    for word in _iter_words(k, maxlen):
+        n = len(word)
+        *_, lower = _functional_sums(lambda sub: psi[sub] if len(sub) < n else Fraction(0), word, params)
+        psi[word] = phi[word] - lower
     return psi
 
 
 def moment_functional(psi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
     """Expand cumulants back into moments over all diagonal partitions."""
+    _check_functional_len(maxlen)
     phi: Functional = {(): Fraction(1)}
-    for n in range(1, maxlen + 1):
-        for word in itertools.product(range(k), repeat=n):
-            phi[word] = diagonal_sum(n, params, lambda block: psi[_subword(word, block)])
+    for word in _iter_words(k, maxlen):
+        *_, phi[word] = _functional_sums(psi.__getitem__, word, params)
     return phi
 
 

@@ -395,17 +395,21 @@ def qpochhammer(a: float, q: float, tol: float = 1e-16) -> float:
 
 def _mp_radius(q: float, alpha: float) -> float:
     """Support radius 2 / sqrt(1 - q) of the density at (q, alpha), refusing
-    a point outside its domain 0 < q < 1, alpha > -1."""
+    a point outside its domain 0 < q < 1, -1 < alpha <= 1.  Above alpha = 1
+    the density alone is not the law: its mass falls below 1 (0.96 at
+    q = 0.1, alpha = 1.05; 0.68 at q = 1/2, alpha = 5)."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"the Meixner-Pollaczek density needs 0 < q < 1, got q = {q}")
     if not alpha > -1.0:
         raise ValueError(f"the Meixner-Pollaczek density needs alpha > -1, got alpha = {alpha}")
+    if not alpha <= 1.0:
+        raise ValueError(f"the Meixner-Pollaczek density is the law only for alpha <= 1, got alpha = {alpha}")
     return 2.0 / math.sqrt(1.0 - q)
 
 
 def mp_density(x: float, q: float, alpha: float, variant: str = "corrected") -> float:
     """Density of the one-parameter Meixner-Pollaczek-type law on its support
-    (-2/sqrt(1-q), 2/sqrt(1-q)).  Requires 0 < q < 1 and -1 < alpha.
+    (-2/sqrt(1-q), 2/sqrt(1-q)).  Requires 0 < q < 1 and -1 < alpha <= 1.
 
     The source formula is a ratio of products over k >= 0 of factors
     1 - c b x q^k + b^2 q^(2k), for b = +-1 and +-sqrt(q) above and
@@ -434,7 +438,7 @@ def mp_density(x: float, q: float, alpha: float, variant: str = "corrected") -> 
 
 def mp_moment_quad(n: int, q: float, alpha: float, variant: str = "corrected") -> float:
     """n-th moment of the density by quadrature (trig substitution kills the
-    endpoint square-root singularity)."""
+    endpoint square-root singularity).  Requires 0 < q < 1, -1 < alpha <= 1."""
     r = _mp_radius(q, alpha)
 
     def f(u: float) -> float:
@@ -445,6 +449,7 @@ def mp_moment_quad(n: int, q: float, alpha: float, variant: str = "corrected") -
 
 
 def mp_normalization(q: float, alpha: float, variant: str = "corrected") -> float:
+    """Total mass of the density (1 for 'corrected'); 0 < q < 1, -1 < alpha <= 1."""
     return mp_moment_quad(0, q, alpha, variant)
 
 

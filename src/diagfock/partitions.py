@@ -46,7 +46,21 @@ factorises over role classes: weight and block product split into a top and
 a bar part, and (top, bar) is diagonal exactly when both rows have the same
 role vector R.  So it equals the sum over R of T(R) * B(R), where T(R) sums
 q^rc t^rn * prod top_value over the single rows with role vector R and B(R)
-likewise with v, w and bar_value.  :func:`row_sums` computes T or B over
+likewise with v, w and bar_value.
+
+When bar_value is 1, B(R) is a product over the steps of R that end one of
+k open arcs of [k]_{v,w} (the bar row's choices of which arc to end), so no
+bar row need be listed; and the top weight and block product accumulate
+step by step.  :func:`arc_sums` is that open-arc state DP: walks that reach
+the same tuple of open chains are merged, and one pass gives the sums over
+[1], ..., [n].  Its cost is the number of states, not Bell(n).  The
+moment/cumulant transforms, the Levy word moments and their s-polynomial,
+and both functional transforms run on it; the stochastic limit takes its
+bar factor from the same product.
+
+The Gaussian and general Wick sums have bar values other than 1, so a state
+would pair a top and a bar chain tuple of equal length; that is unmeasured,
+and they stay on the row expansion: :func:`row_sums` computes T or B over
 :func:`row_table` (the Bell(n) set partitions of [n]); :func:`class_sums`
 multiplies them.  The pairs themselves (:func:`diagonal_partitions`) are
 enumerated only for display and as a test oracle.
@@ -61,7 +75,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .orthopoly import jacobi_sech, moments_from_jacobi
-from .scalars import DeformationParams, ResourceLimitError
+from .scalars import DeformationParams, ResourceLimitError, qt_number
 
 Block = Tuple[int, ...]
 Roles = Tuple[str, ...]
@@ -91,6 +105,15 @@ class SetPartition:
             raise ValueError(f"blocks {blocks!r} do not partition [1..{n}]")
         self.n = n
         self.blocks = canon
+
+    @classmethod
+    def _canonical(cls, n: int, blocks: Tuple[Block, ...]) -> "SetPartition":
+        """A row already in canonical form (each block ascending, blocks by
+        least element), as the walk yields them: no re-sort, no re-check."""
+        self = object.__new__(cls)
+        self.n = n
+        self.blocks = blocks
+        return self
 
     def __eq__(self, other):
         return isinstance(other, SetPartition) and self.n == other.n and self.blocks == other.blocks
@@ -280,19 +303,19 @@ def set_partitions(n: int, min_block_size: int = 1) -> Iterator[SetPartition]:
     letters = "OCM" if min_block_size >= 2 else "OCMS"
     for _, _, _, blocks in _walk(n, (letters,) * n):
         if min_block_size <= 2 or all(len(b) >= min_block_size for b in blocks):
-            yield SetPartition(n, blocks)
+            yield SetPartition._canonical(n, blocks)
 
 
 def pair_partitions(n: int) -> Iterator[SetPartition]:
     """Perfect matchings of [n] (empty for odd n).  Guarded at n <= 14."""
     for _, _, _, blocks in _walk(n, ("OC",) * n):
-        yield SetPartition(n, blocks)
+        yield SetPartition._canonical(n, blocks)
 
 
 def pairs_and_singletons_partitions(n: int) -> Iterator[SetPartition]:
     """Partitions of [n] with all blocks of size <= 2 (involution shapes)."""
     for _, _, _, blocks in _walk(n, ("OCS",) * n):
-        yield SetPartition(n, blocks)
+        yield SetPartition._canonical(n, blocks)
 
 
 # -- diagonal pairing ------------------------------------------------------------
@@ -518,8 +541,114 @@ def diagonal_sum(n: int, params: DeformationParams, top_value: BlockValue, bar_v
     return sum(class_sums(n, params, top_value, bar_value).values(), Fraction(0))
 
 
+@lru_cache(maxsize=64)
+def _arc_weights(params: DeformationParams, k: int) -> Tuple:
+    """q^(k-1-j) t^j [k]_{v,w} for j = 0..k-1, None where it is 0: the weight
+    of ending the j-th of k open arcs, the bar row summed over its k choices."""
+    bar = qt_number(k, params.v, params.w)
+    row = ((params.q ** (k - 1 - j)) * (params.t ** j) * bar for j in range(k))
+    return tuple(None if x == 0 else x for x in row)
+
+
+def arc_sums(
+    n: int,
+    params: DeformationParams,
+    single: Callable[[int], object],
+    open_: Callable[[int], object],
+    close: Callable[[object, int], object],
+    extend: Callable[[object, int], object],
+    graded: bool = False,
+) -> Iterator:
+    """The diagonal sums S_1, ..., S_n with bar value 1, by one open-arc state DP.
+
+    The points 1..n are placed as in :func:`_walk`, but walks that reach the
+    same open state are merged.  A state is the tuple of open *chains*, in
+    arc-opening order; a chain is whatever the caller needs to value a block
+    once it closes.  Point p is a Singleton (times ``single(p)``), Opens a
+    chain ``open_(p)``, or ends the j-th (from 0) of the k open arcs, with
+    weight q^(k-1-j) t^j [k]_{v,w}: the top row's crossings and nestings, and
+    the bar row summed over its rows with the same role vector, which is
+    [k]_{v,w} at each such step.  A Closer then multiplies by
+    ``close(chain, p)``; a Middle re-appends ``extend(chain, p)``.  Zero
+    values and weights are dropped, ``open_`` or ``extend`` may return None
+    for a chain that can no longer close to a nonzero value, and states with
+    more open arcs than points left are dropped.
+
+    Yields S_m, the empty state after step m, for m = 1..n; with ``graded``,
+    S_m is {block count: sum}.  Each distinct chain is valued once per step.
+    Callers cap n; the state count, not Bell(n), sets the cost.
+    """
+    if n < 0:
+        raise ValueError(f"diagonal sums over [n] need n >= 0, got {n}")
+    # at most n // 2 arcs are open at once; rows[k - 1][j] weighs ending arc j of k
+    rows = [_arc_weights(params, k) for k in range(1, n // 2 + 1)]
+    one = (params.q ** 0) * (params.t ** 0) * (params.v ** 0) * (params.w ** 0)  # 1 in the ring of the weights
+    chains: List[object] = []  # the chain of each id; states hold ids
+    ids: Dict[object, int] = {}
+    grade = 1 if graded else 0
+    states: Dict[Tuple[int, Tuple[int, ...]], object] = {(0, ()): one}
+
+    def intern(chain) -> int:
+        i = ids.setdefault(chain, len(chains))
+        if i == len(chains):
+            chains.append(chain)
+        return i
+
+    for p in range(1, n + 1):
+        room = n - p  # a state may keep open at most as many arcs as points remain
+        s_val = single(p)
+        s_val = None if s_val == 0 else s_val
+        o_chain = open_(p)
+        o_id = None if o_chain is None else intern(o_chain)
+        closed: Dict[int, object] = {}
+        extended: Dict[int, Optional[int]] = {}
+        nxt: Dict[Tuple[int, Tuple[int, ...]], object] = {}
+        get = nxt.get
+        for (blocks, open_ids), val in states.items():
+            k = len(open_ids)
+            if s_val is not None and k <= room:
+                key, term = (blocks + grade, open_ids), val * s_val
+                acc = get(key)
+                nxt[key] = term if acc is None else acc + term
+            if o_id is not None and k < room:
+                key = (blocks + grade, open_ids + (o_id,))
+                acc = get(key)
+                nxt[key] = val if acc is None else acc + val
+            for j, weight in enumerate(rows[k - 1] if k else ()):
+                if weight is None:
+                    continue
+                cid = open_ids[j]
+                x = closed.get(cid, _UNSEEN)
+                if x is _UNSEEN:
+                    x = close(chains[cid], p)
+                    x = closed[cid] = None if x == 0 else x
+                e = None
+                if k <= room:
+                    e = extended.get(cid, _UNSEEN)
+                    if e is _UNSEEN:
+                        e = extend(chains[cid], p)
+                        e = extended[cid] = None if e is None else intern(e)
+                if x is None and e is None:
+                    continue
+                rest = open_ids[:j] + open_ids[j + 1:]
+                term = val * weight
+                if x is not None:
+                    key, closing = (blocks, rest), term * x
+                    acc = get(key)
+                    nxt[key] = closing if acc is None else acc + closing
+                if e is not None:
+                    key = (blocks, rest + (e,))
+                    acc = get(key)
+                    nxt[key] = term if acc is None else acc + term
+        states = nxt
+        if graded:
+            yield {blocks: val for (blocks, open_ids), val in states.items() if not open_ids}
+        else:
+            yield states.get((0, ()), Fraction(0))
+
+
 def noncrossing_partitions(n: int) -> Iterator[SetPartition]:
     """Noncrossing partitions of [n]: the walk's rows without a restricted crossing."""
     for _, rc, _, blocks in _walk(n, ("OCMS",) * n):
         if rc == 0:
-            yield SetPartition(n, blocks)
+            yield SetPartition._canonical(n, blocks)

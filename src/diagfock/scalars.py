@@ -128,11 +128,12 @@ class Poly:
             return NotImplemented
         out = dict(self._terms)
         for exp, c in o._terms.items():
-            s = out.get(exp, Fraction(0)) + c
+            s = out.get(exp)
+            s = c if s is None else s + c
             if s:
                 out[exp] = s
             else:
-                out.pop(exp, None)
+                del out[exp]
         res = Poly.__new__(Poly)
         res._terms = out
         return res
@@ -164,11 +165,12 @@ class Poly:
         for e1, c1 in self._terms.items():
             for e2, c2 in o._terms.items():
                 exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                s = out.get(exp, Fraction(0)) + c1 * c2
+                s = out.get(exp)
+                s = c1 * c2 if s is None else s + c1 * c2
                 if s:
                     out[exp] = s
                 else:
-                    out.pop(exp, None)
+                    del out[exp]
         res = Poly.__new__(Poly)
         res._terms = out
         return res

@@ -15,9 +15,12 @@ Three layers, all exact:
     and nesting weights and matrix-chain block factors.
 
 The same partition weights drive the scalar moment/cumulant transforms.
-The Gaussian, general and transform sums go through the role-class kernel
-of :mod:`diagfock.partitions` (its docstring states the factorisation);
-the word expansion factorises the same way, into a top-row expansion tensored
+The Gaussian and general sums go through the role-class kernel of
+:mod:`diagfock.partitions` (its docstring states the factorisation): both
+rows carry block values, so they sum T(R) * B(R) over the Bell(n) rows.  The
+transforms have bar value 1 and run on the open-arc state DP
+:func:`diagfock.partitions.arc_sums`, a chain being the size of its open
+block.  The word expansion factorises into a top-row expansion tensored
 with a bar-row expansion.  Every formula here has an operator-side
 counterpart in :mod:`diagfock.fock`; tests hold the two routes against each
 other.
@@ -31,7 +34,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .partitions import Block, SetPartition, _walk, diagonal_sum
+from .partitions import MAX_DIAGONAL_N, Block, SetPartition, _walk, arc_sums, diagonal_sum
 from .scalars import DeformationParams, ResourceLimitError
 from .fock import (
     ANNIHILATE,
@@ -121,7 +124,7 @@ def word_vacuum_formula(tokens: Sequence[Tuple[str, VectorPair]], params: Deform
     if any(kind not in (CREATE, ANNIHILATE) for kind, _ in tokens):
         raise ValueError("word_vacuum_formula tokens must be create/annihilate only")
     letters = ["O" if kind == ANNIHILATE else "CS" for kind, _ in tokens]
-    rows = [(SetPartition(n, blocks), rc, rn) for _, rc, rn, blocks in _walk(n, letters)]
+    rows = [(SetPartition._canonical(n, blocks), rc, rn) for _, rc, rn, blocks in _walk(n, letters)]
     top = _word_row([x.xi for _, x in tokens], rows, params.q, params.t)
     bar = _word_row([x.eta for _, x in tokens], rows, params.v, params.w)
     out = FockVector()
@@ -220,13 +223,40 @@ def full_fock_oracle(ops: Sequence[QuadrabasicOp], params: DeformationParams):
 # -- scalar moment/cumulant transforms -------------------------------------------------
 
 
+def _transform_sums(r: Sequence, params: DeformationParams, n: int):
+    """The sums S_1..S_n of weight * product of r_{top block size} by the
+    open-arc DP, a chain being the size of its open block.  r_j past the end
+    of r counts as 0, so with r_1..r_(n-1) the one-block partition of [n]
+    gets the value 0."""
+
+    def value(size: int):
+        return r[size - 1] if size <= len(r) else Fraction(0)
+
+    # a chain of size s can still close only to a size whose r is nonzero
+    longest = max((j for j in range(2, min(n, len(r)) + 1) if r[j - 1] != 0), default=0)
+
+    def grow(size: int, p: int) -> Optional[int]:
+        return size + 1 if size + 1 < longest else None
+
+    return arc_sums(
+        n, params, lambda p: value(1), lambda p: 1 if longest else None, lambda size, p: value(size + 1), grow
+    )
+
+
+def _check_transform_n(n: int) -> None:
+    if n > MAX_DIAGONAL_N:
+        raise ResourceLimitError(f"moment/cumulant transforms guarded at n <= {MAX_DIAGONAL_N}")
+
+
 def cumulants_to_moments(r: Sequence, params: DeformationParams) -> List:
     """m_n = sum over diagonal partitions of weight * product of r_{block size}.
 
     ``r`` lists r_1..r_N; returns m_1..m_N.  Only the top-row block sizes
-    enter the product; the bar row contributes through the weight.
+    enter the product; the bar row contributes through the weight, so one
+    pass of the open-arc DP gives every m_n.
     """
-    return [diagonal_sum(n, params, lambda block: r[len(block) - 1]) for n in range(1, len(r) + 1)]
+    _check_transform_n(len(r))
+    return list(_transform_sums(r, params, len(r)))
 
 
 def moments_to_cumulants(m: Sequence, params: DeformationParams) -> List:
@@ -234,10 +264,12 @@ def moments_to_cumulants(m: Sequence, params: DeformationParams) -> List:
 
     r_n = m_n - (the forward sum with the one-block value set to 0): the
     maximal partition (one block per row) is alone in its role class and
-    carries weight 1, which makes the recursion exact.
+    carries weight 1, which makes the recursion exact.  The forward sum of
+    [n] runs on r_1..r_(n-1), one DP pass per n.
     """
+    _check_transform_n(len(m))
     r: List = []
     for n in range(1, len(m) + 1):
-        lower = diagonal_sum(n, params, lambda block: Fraction(0) if len(block) == n else r[len(block) - 1])
+        *_, lower = _transform_sums(r, params, n)
         r.append(m[n - 1] - lower)
     return r

@@ -304,13 +304,31 @@ def test_density_variants(capsys):
 
 @pytest.mark.parametrize(
     "q, alpha, bound",
-    [("1/2", "-1", "alpha > -1"), ("1", "0", "0 < q < 1"), ("1/2", "-2", "alpha > -1")],
+    [
+        ("1/2", "-1", "alpha > -1"),
+        ("1", "0", "0 < q < 1"),
+        ("1/2", "-2", "alpha > -1"),
+        ("1/2", "3/2", "alpha <= 1"),
+        ("1/2", "5", "alpha <= 1"),
+    ],
 )
 def test_density_outside_its_domain_exits_2(capsys, q, alpha, bound):
     code = main(["density", "--kind", "qmp", f"--q={q}", f"--alpha={alpha}", "--mass"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and bound in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("alpha", ["1", "-1/4"])
+def test_density_at_the_ends_of_its_alpha_domain_has_mass_one(capsys, alpha):
+    code, data = run_json(capsys, "density", "--kind", "qmp", "--q=1/2", f"--alpha={alpha}", "--mass")
+    assert code == 0 and abs(data["mass"] - 1.0) < 1e-9
+
+
+def test_qmp_jacobi_data_accept_any_alpha(capsys):
+    for command in (["moments", "--nmax", "4"], ["cauchy", "--re", "0", "--im", "2", "--depth", "6"]):
+        code, _ = run_json(capsys, *command, "--family", "qmp", "--q=1/2", "--alpha=5")
+        assert code == 0
 
 
 @pytest.mark.parametrize(
@@ -338,6 +356,18 @@ def test_moments_and_cauchy_guards(capsys):
         code = main(argv)
         capsys.readouterr()
         assert code == 3, argv
+
+
+def test_convolve_order_guard(tmp_path, capsys):
+    # the transforms stay capped at MAX_DIAGONAL_N = 10 moments
+    tau = ["1"] * 12
+    for nmax, expect in ((10, 0), (11, 3)):
+        path = tmp_path / "conv.json"
+        path.write_text(json.dumps({"a": {"lam": "0", "tau": tau}, "b": {"lam": "1", "tau": tau}, "nmax": nmax}))
+        code = main(["convolve", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == expect, nmax
+        assert (captured.err.startswith("resource guard: ") and not captured.out) if expect else not captured.err
 
 
 def test_cauchy_structure(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from diagfock.scalars import DeformationParams, ResourceLimitError
-from diagfock.partitions import SetPartition, diagonal_partitions, set_partitions
+from diagfock.partitions import MAX_DIAGONAL_N, SetPartition, diagonal_partitions, diagonal_sum, set_partitions
 from diagfock.levy import (
     MAX_LEVY_WORD,
     GeneratorPair,
@@ -394,6 +394,70 @@ def test_word_guard():
     spec = rand_spec(r, k=1, d=1)
     with pytest.raises(ResourceLimitError):
         levy_moment(spec, (0,) * (MAX_LEVY_WORD + 1), GEN)
+
+
+def test_functional_guards():
+    phi = {(0,) * n: Fraction(1) for n in range(MAX_DIAGONAL_N + 2)}
+    assert len(cumulant_functional(phi, 1, GEN, MAX_DIAGONAL_N)) == MAX_DIAGONAL_N
+    with pytest.raises(ResourceLimitError):
+        cumulant_functional(phi, 1, GEN, MAX_DIAGONAL_N + 1)
+    with pytest.raises(ResourceLimitError):
+        moment_functional(phi, 1, GEN, MAX_DIAGONAL_N + 1)
+
+
+def test_moment_with_gram_and_zero_cumulants_matches_operator_model():
+    # a non-identity gram, and coordinates whose cumulants vanish: lam = 0,
+    # a zero T (every block with it in the middle is 0) and xi = 0
+    r = helpers.rng(76)
+    gram = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3)))
+    zero = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
+    spec = LevySpec.of(
+        [helpers.rand_vec(r, 2), helpers.rand_vec(r, 2), (0, 0)],
+        [helpers.rand_sym_mat(r, 2), zero, helpers.rand_sym_mat(r, 2)],
+        [helpers.rand_frac(r), 0, helpers.rand_frac(r)],
+        gram,
+    )
+    s = Fraction(2, 3)
+    for params in (FREE, GEN, DeformationParams.from_rationals(Fraction(-1, 2), 1, Fraction(1, 3), Fraction(1, 2))):
+        for n in range(1, 6):
+            for word in itertools.product(range(3), repeat=n) if n <= 4 else [(0, 1, 2, 1, 0), (1, 0, 0, 1, 0)]:
+                got = levy_moment(spec, word, params, s)
+                assert got == fock_levy_oracle(spec, [(u, 0) for u in word], [s], params), word
+                if n <= 3:
+                    value = lambda block: levy_cumulant(spec, tuple(word[i - 1] for i in block), s)
+                    assert got == diagonal_sum(n, params, value)
+
+
+def test_moment_with_asymmetric_T_matches_the_row_table_route():
+    # the DP multiplies row vectors from the left; the cumulant applies T
+    # from the right: they agree for any T, symmetric or not
+    r = helpers.rng(78)
+    gram = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3)))
+    spec = LevySpec.of(
+        [helpers.rand_vec(r, 2) for _ in range(2)], [helpers.rand_mat(r, 2) for _ in range(2)], [1, 2], gram
+    )
+    assert any(m[0][1] != m[1][0] for m in spec.T)
+    for n in range(1, 6):
+        for word in itertools.product(range(2), repeat=n):
+            value = lambda block: levy_cumulant(spec, tuple(word[i - 1] for i in block), Fraction(1, 2))
+            assert levy_moment(spec, word, GEN, Fraction(1, 2)) == diagonal_sum(n, GEN, value), word
+
+
+def test_s_polynomial_by_block_count_at_the_symbolic_point():
+    # the block count of the DP state against the role classes of the row table
+    r = helpers.rng(77)
+    spec = rand_spec(r, k=2, d=2, with_gram=True)
+    sym = DeformationParams.symbolic()
+    for word in [(0,), (1, 0), (0, 1, 1), (1, 0, 0, 1), (0, 1, 0, 1, 1)]:
+        n = len(word)
+        expect = {}
+        for dp in diagonal_partitions(n):
+            term = sym.monomial(*dp.weight_exponents())
+            for block in dp.top.blocks:
+                term = term * levy_cumulant(spec, tuple(word[i - 1] for i in block), 1)
+            k = len(dp.top.blocks)
+            expect[k] = expect.get(k, 0) + term
+        assert levy_moment_s_poly(spec, word, sym) == {k: v for k, v in expect.items() if v != 0}
 
 
 def test_combined_spec_mixed_cumulants():

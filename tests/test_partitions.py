@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 import helpers
 from diagfock.partitions import (
     MAX_DIAGONAL_N,
+    ROLE_OPENER,
+    ROLE_SINGLETON,
     DiagonalPartition,
     SetPartition,
+    arc_sums,
     class_sums,
     count_diagonal_pair_partitions,
     diagonal_pair_partitions,
@@ -28,6 +31,7 @@ from diagfock.partitions import (
     set_partitions,
     _walk,
 )
+from diagfock.orthopoly import jacobi_hermite, jacobi_sech, moments_from_jacobi
 from diagfock.scalars import DeformationParams, ResourceLimitError
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
@@ -311,6 +315,112 @@ def test_kernel_matches_diagonal_enumeration(params):
             for roles in set(expect) | set(got):
                 assert got.get(roles, 0) == expect.get(roles, 0), (n, roles)
             assert diagonal_sum(n, params, top.__getitem__, bar_value) == sum(expect.values(), Fraction(0))
+
+
+def block_arc_sums(n, params, value, graded=False):
+    """The open-arc DP with each open block as its own chain: every diagonal
+    sum of [1], ..., [n] with top value ``value`` and bar value 1."""
+    return list(
+        arc_sums(
+            n,
+            params,
+            lambda p: value((p,)),
+            lambda p: (p,),
+            lambda block, p: value(block + (p,)),
+            lambda block, p: block + (p,),
+            graded,
+        )
+    )
+
+
+def brute_row_sums(n, params, value):
+    """The same sum without the walk: brute set partitions of [n] with
+    pairwise arc counts, T(R) over top rows times B(R) over bar rows, and
+    T(R) also split by block count."""
+    top, bar, graded = {}, {}, {}
+    for blocks in helpers.all_partitions_brute(n):
+        row = SetPartition(n, blocks)
+        roles = helpers.roles_brute(blocks, n)
+        rc, rn = row.restricted_crossings(), row.restricted_nestings()
+        term = params.q**rc * params.t**rn
+        for block in blocks:
+            term = term * value(block)
+        top[roles] = top.get(roles, 0) + term
+        bar[roles] = bar.get(roles, 0) + params.v**rc * params.w**rn
+    for roles, t in top.items():
+        count = roles.count(ROLE_OPENER) + roles.count(ROLE_SINGLETON)
+        graded[count] = graded.get(count, 0) + t * bar[roles]
+    return sum(graded.values(), Fraction(0)), graded
+
+
+def rand_points(r, count):
+    return [DeformationParams.from_rationals(*(helpers.rand_frac(r) for _ in range(4))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("symbolic", [False, True], ids=["rational", "symbolic"])
+def test_arc_sums_match_enumeration_and_row_table(symbolic):
+    r = helpers.rng(37)
+    points, nmax = ([DeformationParams.symbolic()], 6) if symbolic else (rand_points(r, 5), 8)
+    for params in points:
+        value = rand_block_values(r, nmax).__getitem__
+        sums = block_arc_sums(nmax, params, value)
+        by_blocks = block_arc_sums(nmax, params, value, graded=True)
+        assert len(sums) == len(by_blocks) == nmax
+        for n in range(1, nmax + 1):
+            expect, expect_graded = brute_row_sums(n, params, value)
+            assert sums[n - 1] == expect == diagonal_sum(n, params, value), n
+            assert {k: v for k, v in by_blocks[n - 1].items() if v != 0} == {
+                k: v for k, v in expect_graded.items() if v != 0
+            }
+            if n <= 6:
+                assert expect == sum(brute_class_sums(n, params, value, lambda block: 1).values(), Fraction(0))
+
+
+def pair_arc_sums(n, params):
+    """The DP with pair blocks only (r_2 = 1, every other r = 0): a chain is
+    an open pair, which may close but not grow."""
+    return list(arc_sums(n, params, lambda p: 0, lambda p: 1, lambda chain, p: 1, lambda chain, p: None))
+
+
+def test_arc_sums_of_pairs_are_the_hermite_moments_to_twenty():
+    params = DeformationParams.from_rationals(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4))
+    assert pair_arc_sums(20, params) == moments_from_jacobi(jacobi_hermite(params, 11), 20)
+
+
+def test_arc_sums_of_pairs_at_one_are_the_sech_moments_to_twenty():
+    got = pair_arc_sums(20, DeformationParams.from_rationals(1, 1, 1, 1))
+    assert got == moments_from_jacobi(jacobi_sech(11), 20)
+    assert got[1:8:2] == [1, 5, 61, 1385] and not any(got[0::2])
+
+
+def test_arc_sums_at_the_free_point_run_over_noncrossing_partitions():
+    r = helpers.rng(38)
+    free = DeformationParams.from_rationals(0, 1, 0, 1)
+    value = rand_block_values(r, 8).__getitem__
+    sums = block_arc_sums(8, free, value)
+    for n in range(1, 9):
+        expect = Fraction(0)
+        for row in noncrossing_partitions(n):
+            term = Fraction(1)
+            for block in row.blocks:
+                term *= value(block)
+            expect += term
+        assert sums[n - 1] == expect, n
+
+
+def test_arc_sums_of_no_points_and_bad_sizes():
+    params = DeformationParams.from_rationals(Fraction(1, 2), Fraction(2, 3), Fraction(1, 3), Fraction(3, 4))
+    assert pair_arc_sums(0, params) == []
+    with pytest.raises(ValueError):
+        pair_arc_sums(-1, params)
+
+
+def test_walk_rows_equal_checked_partitions():
+    for n in range(9):
+        families = [set_partitions(n), pair_partitions(n), pairs_and_singletons_partitions(n), noncrossing_partitions(n)]
+        for row in itertools.chain(*families):
+            checked = SetPartition(n, [list(reversed(b)) for b in reversed(row.blocks)])
+            assert row == checked and hash(row) == hash(checked) and row.blocks == checked.blocks
 
 
 def test_row_table_holds_each_set_partition_once():

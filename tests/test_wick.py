@@ -12,7 +12,7 @@ from diagfock.fock import (
     VectorPair,
     field_apply,
 )
-from diagfock.partitions import set_partitions
+from diagfock.partitions import MAX_DIAGONAL_N, diagonal_sum, set_partitions
 from diagfock.wick import (
     MAX_WICK_N,
     QuadrabasicOp,
@@ -270,3 +270,24 @@ def test_wick_guard():
     x = VectorPair.of([1], [1])
     with pytest.raises(ResourceLimitError):
         gaussian_wick([x] * (MAX_WICK_N + 2), SYM)
+
+
+def test_transform_guards():
+    # one state DP makes these sizes cheap; the cap stays where it was
+    r = [Fraction(1)] * (MAX_DIAGONAL_N + 1)
+    assert len(cumulants_to_moments(r[:-1], params_rat(1, 2, 1, 3))) == MAX_DIAGONAL_N
+    with pytest.raises(ResourceLimitError):
+        cumulants_to_moments(r, params_rat(1, 1, 1, 1))
+    with pytest.raises(ResourceLimitError):
+        moments_to_cumulants(r, params_rat(1, 1, 1, 1))
+
+
+def test_transforms_match_the_row_table_route():
+    # the DP against the Bell(n) row expansion of the kernel, with zero cumulants
+    r = helpers.rng(45)
+    for params in PARAM_POINTS + [SYM]:
+        n = 6 if params is SYM else 8
+        cums = [Fraction(0) if r.random() < 0.3 else helpers.rand_frac(r) for _ in range(n)]
+        expect = [diagonal_sum(k, params, lambda block: cums[len(block) - 1]) for k in range(1, n + 1)]
+        assert cumulants_to_moments(cums, params) == expect
+        assert moments_to_cumulants(expect, params) == cums
