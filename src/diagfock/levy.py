@@ -16,7 +16,8 @@ row and the bar row has value 1, so every such sum here runs on the
 open-arc state DP :func:`diagfock.partitions.arc_sums`: for word moments a
 chain is the row vector xi_{u1}^T G T_{u2} ... of an open block, for the
 functional transforms its open subword.  The stochastic limit's bar factor
-is the DP's product of deformed integers along the roles of pi.  The
+is the same product of deformed integers along the roles of pi,
+:func:`diagfock.partitions.unit_bar_sum`.  The
 operator model realizes the same numbers on the doubled Fock space over
 step functions; tests compare the two routes exactly, with interval lengths
 as rational metric weights.
@@ -33,15 +34,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from . import _linalg
 from .partitions import (
     MAX_DIAGONAL_N,
-    ROLE_CLOSER,
-    ROLE_MIDDLE,
-    ROLE_OPENER,
     DiagonalPartition,
     SetPartition,
     arc_sums,
     diagonal_partitions,
+    unit_bar_sum,
 )
-from .scalars import DeformationParams, ResourceLimitError, qt_number
+from .scalars import DeformationParams, ResourceLimitError
 from .fock import FockVector, GaugePair, VectorPair, quadrabasic_apply
 
 Word = Tuple[int, ...]
@@ -122,17 +121,13 @@ def _word_sums(spec: LevySpec, word: Word, params: DeformationParams, s: Fractio
     starts = [tuple(s * x for x in (xi if gram_t is None else _linalg.mat_vec(gram_t, xi))) for xi in spec.xi]
     cols = [_linalg.transpose(m) for m in spec.T]
 
-    def extend(row: Tuple[Fraction, ...], p: int) -> Optional[Tuple[Fraction, ...]]:
-        row = _linalg.mat_vec(cols[word[p - 1]], row)
-        return row if any(row) else None
-
     *_, total = arc_sums(
         len(word),
         params,
         lambda p: s * spec.lam[word[p - 1]],
         lambda p: starts[word[p - 1]],
         lambda row, p: _linalg.dot(row, spec.xi[word[p - 1]]),
-        extend,
+        lambda row, p: _linalg.mat_vec(cols[word[p - 1]], row),
         graded,
     )
     return total
@@ -304,15 +299,7 @@ def stochastic_limit(
     if pi.n != n:
         raise ValueError("partition size must match the word length")
     s = Fraction(s)
-    # the bar rows of pi's class: [k]_{v,w} at each step that ends one of k open arcs
-    bar, k = Fraction(1), 0
-    for role in pi.roles():
-        if role in (ROLE_CLOSER, ROLE_MIDDLE):
-            bar = bar * qt_number(k, params.v, params.w)
-        if role == ROLE_OPENER:
-            k += 1
-        elif role == ROLE_CLOSER:
-            k -= 1
+    bar = unit_bar_sum(pi.roles(), params.v, params.w)
     total = (params.q ** pi.restricted_crossings()) * (params.t ** pi.restricted_nestings()) * bar
     for block in pi.blocks:
         total = total * levy_cumulant(spec, _subword(word, block), s)

@@ -56,7 +56,7 @@ the same tuple of open chains are merged, and one pass gives the sums over
 [1], ..., [n].  Its cost is the number of states, not Bell(n).  The
 moment/cumulant transforms, the Levy word moments and their s-polynomial,
 and both functional transforms run on it; the stochastic limit takes its
-bar factor from the same product.
+bar factor from the same product, :func:`unit_bar_sum`.
 
 The Gaussian and general Wick sums have bar values other than 1, so a state
 would pair a top and a bar chain tuple of equal length; that is unmeasured,
@@ -72,7 +72,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .orthopoly import jacobi_sech, moments_from_jacobi
 from .scalars import DeformationParams, ResourceLimitError, qt_number
@@ -496,27 +496,25 @@ def row_table(n: int) -> Tuple[Tuple[Roles, int, int, Tuple[Block, ...]], ...]:
     )
 
 
-def row_sums(n: int, value: Optional[BlockValue], a, b) -> Dict[Roles, object]:
+def row_sums(n: int, value: BlockValue, a, b) -> Dict[Roles, object]:
     """{R: sum of a^rc b^rn * prod value(block) over the rows of [n] with role
-    vector R}.  ``value`` (None for the constant 1) is called once per block;
-    a row is weighted only when its product is nonzero, and a class with no
-    such row is left out."""
+    vector R}.  ``value`` is called once per block; a row is weighted only
+    when its product is nonzero, and a class with no such row is left out."""
     values: Dict[Block, object] = {}
     weights: Dict[Tuple[int, int], object] = {}
     out: Dict[Roles, object] = {}
     for roles, rc, rn, blocks in row_table(n):
         prod = v = _ONE
-        if value is not None:
-            for block in blocks:
-                v = values.get(block, _UNSEEN)
-                if v is _UNSEEN:
-                    v = value(block)
-                    v = values[block] = None if v == 0 else v
-                if v is None:
-                    break
-                prod = v if prod is _ONE else prod * v
+        for block in blocks:
+            v = values.get(block, _UNSEEN)
+            if v is _UNSEEN:
+                v = value(block)
+                v = values[block] = None if v == 0 else v
             if v is None:
-                continue
+                break
+            prod = v if prod is _ONE else prod * v
+        if v is None:
+            continue
         weight = weights.get((rc, rn))
         if weight is None:
             weight = weights[rc, rn] = (a ** rc) * (b ** rn)
@@ -526,25 +524,41 @@ def row_sums(n: int, value: Optional[BlockValue], a, b) -> Dict[Roles, object]:
     return out
 
 
-def class_sums(
-    n: int, params: DeformationParams, top_value: BlockValue, bar_value: Optional[BlockValue] = None
-) -> Dict[Roles, object]:
+def class_sums(n: int, params: DeformationParams, top_value: BlockValue, bar_value: BlockValue) -> Dict[Roles, object]:
     """{R: T(R) * B(R)}: ``top_value`` summed on the top row at (q, t), times
-    ``bar_value`` (default 1) on the bar row at (v, w)."""
+    ``bar_value`` on the bar row at (v, w)."""
     top = row_sums(n, top_value, params.q, params.t)
     bar = row_sums(n, bar_value, params.v, params.w)
     return {roles: t * bar[roles] for roles, t in top.items() if roles in bar}
 
 
-def diagonal_sum(n: int, params: DeformationParams, top_value: BlockValue, bar_value: Optional[BlockValue] = None):
+def diagonal_sum(n: int, params: DeformationParams, top_value: BlockValue, bar_value: BlockValue):
     """The whole diagonal sum: the total of :func:`class_sums`."""
     return sum(class_sums(n, params, top_value, bar_value).values(), Fraction(0))
+
+
+def unit_bar_sum(roles: Roles, v, w):
+    """B(R) with bar value 1: the sum of v^rc w^rn over the rows with role
+    vector R.  The bar row chooses freely which of the k open arcs each
+    Closer or Middle step ends, so B(R) is the product of [k]_{v,w} over
+    those steps.  Guarded like :func:`row_table`."""
+    _check_diagonal_n(len(roles))
+    bar, k = _ONE, 0
+    for role in roles:
+        if role == ROLE_OPENER:
+            k += 1
+        elif role != ROLE_SINGLETON:
+            bar = bar * qt_number(k, v, w)
+            if role == ROLE_CLOSER:
+                k -= 1
+    return bar
 
 
 @lru_cache(maxsize=64)
 def _arc_weights(params: DeformationParams, k: int) -> Tuple:
     """q^(k-1-j) t^j [k]_{v,w} for j = 0..k-1, None where it is 0: the weight
-    of ending the j-th of k open arcs, the bar row summed over its k choices."""
+    of ending the j-th of k open arcs, the top row's counts times the bar
+    row's step factor of :func:`unit_bar_sum`."""
     bar = qt_number(k, params.v, params.w)
     row = ((params.q ** (k - 1 - j)) * (params.t ** j) * bar for j in range(k))
     return tuple(None if x == 0 else x for x in row)
@@ -570,9 +584,8 @@ def arc_sums(
     the bar row summed over its rows with the same role vector, which is
     [k]_{v,w} at each such step.  A Closer then multiplies by
     ``close(chain, p)``; a Middle re-appends ``extend(chain, p)``.  Zero
-    values and weights are dropped, ``open_`` or ``extend`` may return None
-    for a chain that can no longer close to a nonzero value, and states with
-    more open arcs than points left are dropped.
+    values and weights are dropped, and so are states with more open arcs
+    than points left.
 
     Yields S_m, the empty state after step m, for m = 1..n; with ``graded``,
     S_m is {block count: sum}.  Each distinct chain is valued once per step.
@@ -598,10 +611,9 @@ def arc_sums(
         room = n - p  # a state may keep open at most as many arcs as points remain
         s_val = single(p)
         s_val = None if s_val == 0 else s_val
-        o_chain = open_(p)
-        o_id = None if o_chain is None else intern(o_chain)
+        o_id = intern(open_(p)) if room else None
         closed: Dict[int, object] = {}
-        extended: Dict[int, Optional[int]] = {}
+        extended: Dict[int, int] = {}
         nxt: Dict[Tuple[int, Tuple[int, ...]], object] = {}
         get = nxt.get
         for (blocks, open_ids), val in states.items():
@@ -610,7 +622,7 @@ def arc_sums(
                 key, term = (blocks + grade, open_ids), val * s_val
                 acc = get(key)
                 nxt[key] = term if acc is None else acc + term
-            if o_id is not None and k < room:
+            if k < room:
                 key = (blocks + grade, open_ids + (o_id,))
                 acc = get(key)
                 nxt[key] = val if acc is None else acc + val
@@ -618,25 +630,20 @@ def arc_sums(
                 if weight is None:
                     continue
                 cid = open_ids[j]
+                rest = open_ids[:j] + open_ids[j + 1:]
+                term = val * weight
                 x = closed.get(cid, _UNSEEN)
                 if x is _UNSEEN:
                     x = close(chains[cid], p)
                     x = closed[cid] = None if x == 0 else x
-                e = None
-                if k <= room:
-                    e = extended.get(cid, _UNSEEN)
-                    if e is _UNSEEN:
-                        e = extend(chains[cid], p)
-                        e = extended[cid] = None if e is None else intern(e)
-                if x is None and e is None:
-                    continue
-                rest = open_ids[:j] + open_ids[j + 1:]
-                term = val * weight
                 if x is not None:
                     key, closing = (blocks, rest), term * x
                     acc = get(key)
                     nxt[key] = closing if acc is None else acc + closing
-                if e is not None:
+                if k <= room:
+                    e = extended.get(cid)
+                    if e is None:
+                        e = extended[cid] = intern(extend(chains[cid], p))
                     key = (blocks, rest + (e,))
                     acc = get(key)
                     nxt[key] = term if acc is None else acc + term

@@ -232,14 +232,8 @@ def _transform_sums(r: Sequence, params: DeformationParams, n: int):
     def value(size: int):
         return r[size - 1] if size <= len(r) else Fraction(0)
 
-    # a chain of size s can still close only to a size whose r is nonzero
-    longest = max((j for j in range(2, min(n, len(r)) + 1) if r[j - 1] != 0), default=0)
-
-    def grow(size: int, p: int) -> Optional[int]:
-        return size + 1 if size + 1 < longest else None
-
     return arc_sums(
-        n, params, lambda p: value(1), lambda p: 1 if longest else None, lambda size, p: value(size + 1), grow
+        n, params, lambda p: value(1), lambda p: 1, lambda size, p: value(size + 1), lambda size, p: size + 1
     )
 
 

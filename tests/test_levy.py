@@ -193,6 +193,18 @@ def test_stochastic_limit_matches_filtered_enumeration():
     assert checked == 225
 
 
+def test_stochastic_limit_is_guarded_at_the_diagonal_cap():
+    spec = rand_spec(helpers.rng(70), k=1, d=2)
+    for n in (MAX_DIAGONAL_N, MAX_DIAGONAL_N + 1):
+        pi = SetPartition(n, [(1, n)] + [(i,) for i in range(2, n)])
+        if n <= MAX_DIAGONAL_N:
+            expect = levy_cumulant(spec, (0, 0)) * spec.lam[0] ** (n - 2)
+            assert stochastic_limit(spec, (0,) * n, pi, Fraction(1), GEN) == expect
+        else:
+            with pytest.raises(ResourceLimitError):
+                stochastic_limit(spec, (0,) * n, pi, Fraction(1), GEN)
+
+
 def test_stochastic_refinement_error_shrinks():
     r = helpers.rng(67)
     spec = rand_spec(r, k=1, d=2)
@@ -425,7 +437,7 @@ def test_moment_with_gram_and_zero_cumulants_matches_operator_model():
                 assert got == fock_levy_oracle(spec, [(u, 0) for u in word], [s], params), word
                 if n <= 3:
                     value = lambda block: levy_cumulant(spec, tuple(word[i - 1] for i in block), s)
-                    assert got == diagonal_sum(n, params, value)
+                    assert got == diagonal_sum(n, params, value, lambda block: 1)
 
 
 def test_moment_with_asymmetric_T_matches_the_row_table_route():
@@ -440,7 +452,7 @@ def test_moment_with_asymmetric_T_matches_the_row_table_route():
     for n in range(1, 6):
         for word in itertools.product(range(2), repeat=n):
             value = lambda block: levy_cumulant(spec, tuple(word[i - 1] for i in block), Fraction(1, 2))
-            assert levy_moment(spec, word, GEN, Fraction(1, 2)) == diagonal_sum(n, GEN, value), word
+            assert levy_moment(spec, word, GEN, Fraction(1, 2)) == diagonal_sum(n, GEN, value, lambda block: 1), word
 
 
 def test_s_polynomial_by_block_count_at_the_symbolic_point():

@@ -26,9 +26,11 @@ from diagfock.partitions import (
     parse_partition,
     ps12_diagonal_partitions,
     render_partition,
+    row_sums,
     row_table,
     satisfies_diagonal_conditions,
     set_partitions,
+    unit_bar_sum,
     _walk,
 )
 from diagfock.orthopoly import jacobi_hermite, jacobi_sech, moments_from_jacobi
@@ -309,12 +311,22 @@ def test_kernel_matches_diagonal_enumeration(params):
     r = helpers.rng(31)
     for n in range(7):
         top, bar = rand_block_values(r, n), rand_block_values(r, n)
-        for bar_value, bar_oracle in ((bar.__getitem__, bar.__getitem__), (None, lambda block: 1)):
-            expect = brute_class_sums(n, params, top.__getitem__, bar_oracle)
+        for bar_value in (bar.__getitem__, lambda block: 1):
+            expect = brute_class_sums(n, params, top.__getitem__, bar_value)
             got = class_sums(n, params, top.__getitem__, bar_value)
             for roles in set(expect) | set(got):
                 assert got.get(roles, 0) == expect.get(roles, 0), (n, roles)
             assert diagonal_sum(n, params, top.__getitem__, bar_value) == sum(expect.values(), Fraction(0))
+
+
+@pytest.mark.parametrize("params", KERNEL_POINTS, ids=["rational-a", "rational-b", "symbolic"])
+def test_unit_bar_sum_is_the_bar_class_sum(params):
+    for n in range(8):
+        bar = row_sums(n, lambda block: 1, params.v, params.w)
+        for roles, expect in bar.items():
+            assert unit_bar_sum(roles, params.v, params.w) == expect, roles
+    with pytest.raises(ResourceLimitError):
+        unit_bar_sum(("S",) * (MAX_DIAGONAL_N + 1), params.v, params.w)
 
 
 def block_arc_sums(n, params, value, graded=False):
@@ -368,7 +380,7 @@ def test_arc_sums_match_enumeration_and_row_table(symbolic):
         assert len(sums) == len(by_blocks) == nmax
         for n in range(1, nmax + 1):
             expect, expect_graded = brute_row_sums(n, params, value)
-            assert sums[n - 1] == expect == diagonal_sum(n, params, value), n
+            assert sums[n - 1] == expect == diagonal_sum(n, params, value, lambda block: 1), n
             assert {k: v for k, v in by_blocks[n - 1].items() if v != 0} == {
                 k: v for k, v in expect_graded.items() if v != 0
             }
@@ -377,9 +389,10 @@ def test_arc_sums_match_enumeration_and_row_table(symbolic):
 
 
 def pair_arc_sums(n, params):
-    """The DP with pair blocks only (r_2 = 1, every other r = 0): a chain is
-    an open pair, which may close but not grow."""
-    return list(arc_sums(n, params, lambda p: 0, lambda p: 1, lambda chain, p: 1, lambda chain, p: None))
+    """The DP with pair blocks only (r_2 = 1, every other r = 0): chain 1 is
+    an open pair, which closes to 1; chain 2 a block grown past a pair,
+    which closes to 0."""
+    return list(arc_sums(n, params, lambda p: 0, lambda p: 1, lambda chain, p: int(chain == 1), lambda chain, p: 2))
 
 
 def test_arc_sums_of_pairs_are_the_hermite_moments_to_twenty():

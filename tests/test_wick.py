@@ -288,6 +288,6 @@ def test_transforms_match_the_row_table_route():
     for params in PARAM_POINTS + [SYM]:
         n = 6 if params is SYM else 8
         cums = [Fraction(0) if r.random() < 0.3 else helpers.rand_frac(r) for _ in range(n)]
-        expect = [diagonal_sum(k, params, lambda block: cums[len(block) - 1]) for k in range(1, n + 1)]
+        expect = [diagonal_sum(k, params, lambda block: cums[len(block) - 1], lambda block: 1) for k in range(1, n + 1)]
         assert cumulants_to_moments(cums, params) == expect
         assert moments_to_cumulants(expect, params) == cums
