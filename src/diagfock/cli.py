@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from . import _linalg
 from .scalars import DeformationParams, Poly, ResourceLimitError, parse_rational, render_rational
 from .partitions import (
-    SetPartition,
     count_diagonal_pair_partitions,
     diagonal_pair_partitions,
     diagonal_partitions,
@@ -149,6 +148,13 @@ def _int(data, what: str, least: Optional[int] = None) -> int:
     return data
 
 
+def _finite(x: float, what: str) -> float:
+    """A float flag that is a number: nan and inf are refused, naming the flag."""
+    if not math.isfinite(x):
+        raise ValueError(f"expected {what} to be a finite number, got {x!r}")
+    return x
+
+
 def _vec(data) -> List[Fraction]:
     return [parse_rational(str(x)) for x in _check(data, list, "a list of rationals")]
 
@@ -177,7 +183,8 @@ def _same_dims(pairs: List[VectorPair], key: str) -> None:
 
 def cmd_euler(args) -> int:
     t0 = time.monotonic()
-    counts = {n: count_diagonal_pair_partitions(2 * n) for n in range(1, args.nmax + 1)}
+    nmax = _int(args.nmax, "--nmax", least=1)
+    counts = {n: count_diagonal_pair_partitions(2 * n) for n in range(1, nmax + 1)}
     _emit({"pairs_on_2n": counts, "seconds": time.monotonic() - t0}, args.output)
     return 0
 
@@ -226,8 +233,8 @@ def _family(args, depth: int) -> JacobiData:
 
 
 def cmd_moments(args) -> int:
-    if not 1 <= args.nmax <= MAX_FAMILY_NMAX:
-        raise ResourceLimitError(f"moment order guarded at 1 <= nmax <= {MAX_FAMILY_NMAX}")
+    if _int(args.nmax, "--nmax", least=1) > MAX_FAMILY_NMAX:
+        raise ResourceLimitError(f"moment order guarded at nmax <= {MAX_FAMILY_NMAX}")
     depth = args.nmax // 2 + 1
     jac = _family(args, depth)
     moments = [Fraction(1)] + moments_from_jacobi(jac, args.nmax)
@@ -238,8 +245,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_polys(args) -> int:
-    if not 1 <= args.nmax <= MAX_FAMILY_NMAX:
-        raise ResourceLimitError(f"polynomial degree guarded at 1 <= nmax <= {MAX_FAMILY_NMAX}")
+    if _int(args.nmax, "--nmax", least=1) > MAX_FAMILY_NMAX:
+        raise ResourceLimitError(f"polynomial degree guarded at nmax <= {MAX_FAMILY_NMAX}")
     jac = _family(args, args.nmax)
     polys = polys_from_jacobi(jac, args.nmax)
     _emit(
@@ -255,10 +262,10 @@ def cmd_polys(args) -> int:
 
 
 def cmd_cauchy(args) -> int:
-    if not 1 <= args.depth <= MAX_CF_DEPTH:
-        raise ResourceLimitError(f"continued fraction depth guarded at 1 <= depth <= {MAX_CF_DEPTH}")
+    if _int(args.depth, "--depth", least=1) > MAX_CF_DEPTH:
+        raise ResourceLimitError(f"continued fraction depth guarded at depth <= {MAX_CF_DEPTH}")
+    z = complex(_finite(args.re, "--re"), _finite(args.im, "--im"))
     jac = _family(args, args.depth)
-    z = complex(args.re, args.im)
     val = cauchy_transform(jac, z, args.depth)
     _emit({"family": args.family, "z": z, "value": val}, args.output)
     return 0
@@ -268,6 +275,7 @@ def cmd_density(args) -> int:
     if args.kind == "sech":
         if args.x is None:
             raise ValueError("sech density needs --x")
+        _finite(args.x, "--x")
         _emit({"kind": "sech", "x": args.x, "value": sech_density(args.x)}, args.output)
         return 0
     if args.x is None and not args.mass:
@@ -276,7 +284,7 @@ def cmd_density(args) -> int:
     alpha = float(parse_rational(args.alpha))
     payload = {"kind": "qmp", "variant": args.variant}
     if args.x is not None:
-        payload["x"] = args.x
+        payload["x"] = _finite(args.x, "--x")
         payload["value"] = mp_density(args.x, q, alpha, variant=args.variant)
     if args.mass:
         payload["mass"] = mp_normalization(q, alpha, variant=args.variant)

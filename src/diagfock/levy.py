@@ -13,10 +13,12 @@ orthonormal frame).  The time-s cumulant of a word u_1 ... u_n is
 and moments come from the diagonal-partition sum with q^rc t^rnest v^rc
 w^rnest weights, one factor of s per block.  The cumulants sit on the top
 row and the bar row has value 1, so every such sum here runs on the
-open-arc state DP :func:`diagfock.partitions.arc_sums`: for word moments a
-chain is the row vector xi_{u1}^T G T_{u2} ... of an open block, for the
-functional transforms its open subword.  The stochastic limit's bar factor
-is the same product of deformed integers along the roles of pi,
+open-arc state DP :func:`diagfock.partitions.arc_sums`, one pass over the
+trie of the words: for word moments a chain is the row vector
+xi_{u1}^T G T_{u2} ... of an open block, for the functional transforms its
+open subword, and the inverse fills in each word's cumulant right after its
+step.  The stochastic limit's bar factor is the same product of deformed
+integers along the roles of pi,
 :func:`diagfock.partitions.unit_bar_sum`.  The
 operator model realizes the same numbers on the doubled Fock space over
 step functions; tests compare the two routes exactly, with interval lengths
@@ -26,7 +28,7 @@ as rational metric weights.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -112,40 +114,34 @@ def _subword(word: Word, block: Sequence[int]) -> Word:
     return tuple(word[i - 1] for i in block)
 
 
-def _word_sums(spec: LevySpec, word: Word, params: DeformationParams, s: Fraction, graded: bool = False):
-    """The moment of a word (by block count when graded) by the open-arc DP
-    with the cumulants of ``spec`` at time s: a chain is the row vector
-    s xi_{u1}^T G T_{u2} ... T_{uk} of its open block (G the gram, if any),
-    and closing at u takes its dot product with xi_u."""
+def _spec_sums(spec: LevySpec, letters: Sequence[Sequence[int]], params: DeformationParams, s: Fraction, graded=False):
+    """The moments of the words over ``letters`` (by block count when
+    graded) by one open-arc DP with the cumulants of ``spec`` at time s: a
+    chain is the row vector s xi_{u1}^T G T_{u2} ... T_{uk} of its open block
+    (G the gram, if any), and closing at u takes its dot product with xi_u."""
+    if len(letters) > MAX_LEVY_WORD:
+        raise ResourceLimitError(f"moment words guarded at length <= {MAX_LEVY_WORD}")
+    if any(not 0 <= u < spec.k for alphabet in letters for u in alphabet):
+        raise ValueError("word uses an unknown coordinate")
     gram_t = None if spec.gram is None else _linalg.transpose(spec.gram)
     starts = [tuple(s * x for x in (xi if gram_t is None else _linalg.mat_vec(gram_t, xi))) for xi in spec.xi]
     cols = [_linalg.transpose(m) for m in spec.T]
-
-    *_, total = arc_sums(
-        len(word),
+    return arc_sums(
+        letters,
         params,
-        lambda p: s * spec.lam[word[p - 1]],
-        lambda p: starts[word[p - 1]],
-        lambda row, p: _linalg.dot(row, spec.xi[word[p - 1]]),
-        lambda row, p: _linalg.mat_vec(cols[word[p - 1]], row),
-        graded,
+        lambda u: s * spec.lam[u],
+        starts.__getitem__,
+        lambda row, u: _linalg.dot(row, spec.xi[u]),
+        lambda row, u: _linalg.mat_vec(cols[u], row),
+        graded=graded,
     )
-    return total
-
-
-def _check_word(spec: LevySpec, word: Word) -> None:
-    if len(word) > MAX_LEVY_WORD:
-        raise ResourceLimitError(f"moment words guarded at length <= {MAX_LEVY_WORD}")
-    if any(not 0 <= u < spec.k for u in word):
-        raise ValueError("word uses an unknown coordinate")
 
 
 def levy_moment(spec: LevySpec, word: Word, params: DeformationParams, s: Fraction = Fraction(1)):
     """Moment of a word at time s: diagonal-partition sum of cumulant products."""
     if not word:
         return Fraction(1)
-    _check_word(spec, word)
-    return _word_sums(spec, word, params, Fraction(s))
+    return _spec_sums(spec, [(u,) for u in word], params, Fraction(s))[tuple(word)]
 
 
 def levy_moment_s_poly(spec: LevySpec, word: Word, params: DeformationParams) -> Dict[int, Fraction]:
@@ -157,8 +153,7 @@ def levy_moment_s_poly(spec: LevySpec, word: Word, params: DeformationParams) ->
     """
     if not word:
         return {0: Fraction(1)}
-    _check_word(spec, word)
-    by_blocks = _word_sums(spec, word, params, Fraction(1), graded=True)
+    by_blocks = _spec_sums(spec, [(u,) for u in word], params, Fraction(1), graded=True)[tuple(word)]
     return {k: v for k, v in sorted(by_blocks.items()) if v != 0}
 
 
@@ -312,30 +307,28 @@ Functional = Dict[Word, Fraction]
 
 
 def functional_from_spec(spec: LevySpec, params: DeformationParams, maxlen: int, s: Fraction = Fraction(1)) -> Functional:
-    """Moment functional of a spec on all words up to maxlen."""
-    out: Functional = {(): Fraction(1)}
-    for n in range(1, maxlen + 1):
-        for word in itertools.product(range(spec.k), repeat=n):
-            out[word] = levy_moment(spec, word, params, s)
-    return out
+    """Moment functional of a spec on all words up to maxlen, by one DP pass
+    over the trie of the words."""
+    return {(): Fraction(1), **_spec_sums(spec, [range(spec.k)] * maxlen, params, Fraction(s))}
 
 
-def _functional_sums(value: Callable[[Word], Fraction], word: Word, params: DeformationParams):
-    """The open-arc DP over a word with block values ``value`` on its
-    subwords, a chain being the open subword.  The last yield is the sum."""
-    return arc_sums(
-        len(word),
-        params,
-        lambda p: value(word[p - 1:p]),
-        lambda p: word[p - 1:p],
-        lambda sub, p: value(sub + word[p - 1:p]),
-        lambda sub, p: sub + word[p - 1:p],
-    )
-
-
-def _check_functional_len(maxlen: int) -> None:
+def _functional_sums(value: Callable[[Word], Fraction], k: int, params: DeformationParams, maxlen: int, fill=None):
+    """The open-arc DP over every word of length 1..maxlen on k letters with
+    block values ``value`` on subwords, a chain being the open subword.  The
+    one guard of the functionals and of the one-variable transforms."""
+    if maxlen < 0:
+        raise ValueError(f"functionals need a word length >= 0, got {maxlen}")
     if maxlen > MAX_DIAGONAL_N:
         raise ResourceLimitError(f"moment functionals guarded at word length <= {MAX_DIAGONAL_N}")
+    return arc_sums(
+        [range(k)] * maxlen,
+        params,
+        lambda u: value((u,)),
+        lambda u: (u,),
+        lambda sub, u: value(sub + (u,)),
+        lambda sub, u: sub + (u,),
+        fill,
+    )
 
 
 def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
@@ -344,25 +337,18 @@ def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxl
         Psi(u) = Phi(u) - sum over non-maximal diagonal partitions of
                  weight * product of Psi on the top-row subwords,
 
-    the forward sum with the one-block value set to 0 (that block is alone in
-    its role class, with weight 1).
+    the forward sum with the one-block value still 0 (that block is alone in
+    its role class, with weight 1).  Psi(u) is filled in right after the step
+    of u, in the same pass that then carries it to the longer words.
     """
-    _check_functional_len(maxlen)
     psi: Functional = {}
-    for word in _iter_words(k, maxlen):
-        n = len(word)
-        *_, lower = _functional_sums(lambda sub: psi[sub] if len(sub) < n else Fraction(0), word, params)
-        psi[word] = phi[word] - lower
+    _functional_sums(lambda sub: psi.get(sub, 0), k, params, maxlen, lambda u, lower: psi.setdefault(u, phi[u] - lower))
     return psi
 
 
 def moment_functional(psi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
     """Expand cumulants back into moments over all diagonal partitions."""
-    _check_functional_len(maxlen)
-    phi: Functional = {(): Fraction(1)}
-    for word in _iter_words(k, maxlen):
-        *_, phi[word] = _functional_sums(psi.__getitem__, word, params)
-    return phi
+    return {(): Fraction(1), **_functional_sums(psi.__getitem__, k, params, maxlen)}
 
 
 def product_functional(

@@ -213,7 +213,8 @@ def cauchy_transform(j: JacobiData, z: complex, depth: int) -> complex:
 
         G(z) = 1 / (z - beta_0 - gamma_0 / (z - beta_1 - ...))
 
-    truncated at the given depth.  Needs Im z != 0 for a safe denominator.
+    truncated at the given depth.  Needs Im z != 0 for a safe denominator;
+    a real z where a denominator vanishes is refused with ValueError.
     """
     beta, gamma = j.as_floats()
     if depth > j.depth:
@@ -222,7 +223,7 @@ def cauchy_transform(j: JacobiData, z: complex, depth: int) -> complex:
     for k in range(depth - 1, -1, -1):
         den = z - beta[k] - (gamma[k] * val if k < len(gamma) else 0.0)
         if abs(den) < 1e-290:
-            raise ZeroDivisionError("continued fraction denominator vanished")
+            raise ValueError(f"continued fraction denominator vanished at z = {z} (level {k})")
         val = 1.0 / den
     return val
 

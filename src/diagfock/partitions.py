@@ -51,12 +51,16 @@ likewise with v, w and bar_value.
 When bar_value is 1, B(R) is a product over the steps of R that end one of
 k open arcs of [k]_{v,w} (the bar row's choices of which arc to end), so no
 bar row need be listed; and the top weight and block product accumulate
-step by step.  :func:`arc_sums` is that open-arc state DP: walks that reach
-the same tuple of open chains are merged, and one pass gives the sums over
-[1], ..., [n].  Its cost is the number of states, not Bell(n).  The
-moment/cumulant transforms, the Levy word moments and their s-polynomial,
-and both functional transforms run on it; the stochastic limit takes its
-bar factor from the same product, :func:`unit_bar_sum`.
+step by step.  :func:`arc_sums` is that open-arc state DP over the trie of
+a set of words, one letter per point: walks that reach the same tuple of
+open chains are merged, words that share a prefix share its steps, and one
+pass gives the sum of every word.  Its cost is the number of states, not
+Bell(n).  Filling in the value of the block that covers a whole word right
+after its step inverts the sum in the same pass.  Both functional
+transforms run on it (the one-variable moment/cumulant transforms are their
+one-letter case), and so do the Levy word moments, their s-polynomial and
+the moment functional of a spec; the stochastic limit takes its bar factor
+from the same product, :func:`unit_bar_sum`.
 
 The Gaussian and general Wick sums have bar values other than 1, so a state
 would pair a top and a bar chain tuple of equal length; that is unmeasured,
@@ -72,7 +76,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .orthopoly import jacobi_sech, moments_from_jacobi
 from .scalars import DeformationParams, ResourceLimitError, qt_number
@@ -565,41 +569,51 @@ def _arc_weights(params: DeformationParams, k: int) -> Tuple:
 
 
 def arc_sums(
-    n: int,
+    letters: Sequence[Sequence],
     params: DeformationParams,
-    single: Callable[[int], object],
-    open_: Callable[[int], object],
-    close: Callable[[object, int], object],
-    extend: Callable[[object, int], object],
+    single: Callable[[object], object],
+    open_: Callable[[object], object],
+    close: Callable[[object, object], object],
+    extend: Callable[[object, object], object],
+    fill: Optional[Callable[[tuple, object], object]] = None,
     graded: bool = False,
-) -> Iterator:
-    """The diagonal sums S_1, ..., S_n with bar value 1, by one open-arc state DP.
+) -> Dict[tuple, object]:
+    """The diagonal sums with bar value 1 of every word a_1 ... a_m with a_p
+    in ``letters[p - 1]``, m = 1..n, by one open-arc state DP over the trie
+    of the words.
 
     The points 1..n are placed as in :func:`_walk`, but walks that reach the
-    same open state are merged.  A state is the tuple of open *chains*, in
-    arc-opening order; a chain is whatever the caller needs to value a block
-    once it closes.  Point p is a Singleton (times ``single(p)``), Opens a
-    chain ``open_(p)``, or ends the j-th (from 0) of the k open arcs, with
-    weight q^(k-1-j) t^j [k]_{v,w}: the top row's crossings and nestings, and
-    the bar row summed over its rows with the same role vector, which is
-    [k]_{v,w} at each such step.  A Closer then multiplies by
-    ``close(chain, p)``; a Middle re-appends ``extend(chain, p)``.  Zero
-    values and weights are dropped, and so are states with more open arcs
-    than points left.
+    same open state are merged, and a state belongs to a word's prefix, so
+    words sharing a prefix share every step up to it.  A state is the tuple
+    of open *chains*, in arc-opening order; a chain is whatever the caller
+    needs to value a block once it closes.  Point p with letter a is a
+    Singleton (times ``single(a)``), Opens a chain ``open_(a)``, or ends the
+    j-th (from 0) of the k open arcs, with weight q^(k-1-j) t^j [k]_{v,w}:
+    the top row's crossings and nestings, and the bar row summed over its
+    rows with the same role vector, which is [k]_{v,w} at each such step.  A
+    Closer then multiplies by ``close(chain, a)``; a Middle re-appends
+    ``extend(chain, a)``.  Zero values and weights are dropped, and so are
+    states with more open arcs than points left.
 
-    Yields S_m, the empty state after step m, for m = 1..n; with ``graded``,
-    S_m is {block count: sum}.  Each distinct chain is valued once per step.
-    Callers cap n; the state count, not Bell(n), sets the cost.
+    Returns {w: S(w)} for every word, shortest first: the empty state after
+    the step of w, with ``graded`` {block count: sum}.  With ``fill``,
+    fill(w, S(w)) values the one block covering w, which the step of w left
+    out (``close`` read it as 0); it is added to S(w), so longer words see
+    it.  Each chain is valued once per step and letter.  Callers cap n; the
+    state count, not Bell(n), sets the cost.
     """
-    if n < 0:
-        raise ValueError(f"diagonal sums over [n] need n >= 0, got {n}")
+    if fill is not None and graded:
+        raise ValueError("fill adds one block to the ungraded sums only")
+    n = len(letters)
     # at most n // 2 arcs are open at once; rows[k - 1][j] weighs ending arc j of k
     rows = [_arc_weights(params, k) for k in range(1, n // 2 + 1)]
     one = (params.q ** 0) * (params.t ** 0) * (params.v ** 0) * (params.w ** 0)  # 1 in the ring of the weights
     chains: List[object] = []  # the chain of each id; states hold ids
     ids: Dict[object, int] = {}
+    extended: Dict[Tuple[int, object], int] = {}
     grade = 1 if graded else 0
-    states: Dict[Tuple[int, Tuple[int, ...]], object] = {(0, ()): one}
+    level: Dict[tuple, Dict[Tuple[int, Tuple[int, ...]], object]] = {(): {(0, ()): one}}
+    sums: Dict[tuple, object] = {}
 
     def intern(chain) -> int:
         i = ids.setdefault(chain, len(chains))
@@ -609,49 +623,59 @@ def arc_sums(
 
     for p in range(1, n + 1):
         room = n - p  # a state may keep open at most as many arcs as points remain
-        s_val = single(p)
-        s_val = None if s_val == 0 else s_val
-        o_id = intern(open_(p)) if room else None
-        closed: Dict[int, object] = {}
-        extended: Dict[int, int] = {}
-        nxt: Dict[Tuple[int, Tuple[int, ...]], object] = {}
-        get = nxt.get
-        for (blocks, open_ids), val in states.items():
-            k = len(open_ids)
-            if s_val is not None and k <= room:
-                key, term = (blocks + grade, open_ids), val * s_val
-                acc = get(key)
-                nxt[key] = term if acc is None else acc + term
-            if k < room:
-                key = (blocks + grade, open_ids + (o_id,))
-                acc = get(key)
-                nxt[key] = val if acc is None else acc + val
-            for j, weight in enumerate(rows[k - 1] if k else ()):
-                if weight is None:
-                    continue
-                cid = open_ids[j]
-                rest = open_ids[:j] + open_ids[j + 1:]
-                term = val * weight
-                x = closed.get(cid, _UNSEEN)
-                if x is _UNSEEN:
-                    x = close(chains[cid], p)
-                    x = closed[cid] = None if x == 0 else x
-                if x is not None:
-                    key, closing = (blocks, rest), term * x
-                    acc = get(key)
-                    nxt[key] = closing if acc is None else acc + closing
-                if k <= room:
-                    e = extended.get(cid)
-                    if e is None:
-                        e = extended[cid] = intern(extend(chains[cid], p))
-                    key = (blocks, rest + (e,))
-                    acc = get(key)
-                    nxt[key] = term if acc is None else acc + term
-        states = nxt
-        if graded:
-            yield {blocks: val for (blocks, open_ids), val in states.items() if not open_ids}
-        else:
-            yield states.get((0, ()), Fraction(0))
+        steps = []
+        for a in letters[p - 1]:
+            s_val = single(a)
+            steps.append((a, None if s_val == 0 else s_val, intern(open_(a)) if room else None))
+        closed: Dict[Tuple[int, object], object] = {}  # per step: ``fill`` sets values between steps
+        nodes: Dict[tuple, Dict[Tuple[int, Tuple[int, ...]], object]] = {}
+        for word, states in level.items():
+            for a, s_val, o_id in steps:
+                nxt: Dict[Tuple[int, Tuple[int, ...]], object] = {}
+                get = nxt.get
+                for (blocks, open_ids), val in states.items():
+                    k = len(open_ids)
+                    if s_val is not None and k <= room:
+                        key, term = (blocks + grade, open_ids), val * s_val
+                        acc = get(key)
+                        nxt[key] = term if acc is None else acc + term
+                    if k < room:
+                        key = (blocks + grade, open_ids + (o_id,))
+                        acc = get(key)
+                        nxt[key] = val if acc is None else acc + val
+                    for j, weight in enumerate(rows[k - 1] if k else ()):
+                        if weight is None:
+                            continue
+                        cid = open_ids[j]
+                        rest = open_ids[:j] + open_ids[j + 1:]
+                        term = val * weight
+                        x = closed.get((cid, a), _UNSEEN)
+                        if x is _UNSEEN:
+                            x = close(chains[cid], a)
+                            x = closed[cid, a] = None if x == 0 else x
+                        if x is not None:
+                            key, closing = (blocks, rest), term * x
+                            acc = get(key)
+                            nxt[key] = closing if acc is None else acc + closing
+                        if k <= room:
+                            e = extended.get((cid, a))
+                            if e is None:
+                                e = extended[cid, a] = intern(extend(chains[cid], a))
+                            key = (blocks, rest + (e,))
+                            acc = get(key)
+                            nxt[key] = term if acc is None else acc + term
+                nodes[word + (a,)] = nxt
+        level = nodes
+        for word, states in level.items():
+            if graded:
+                sums[word] = {blocks: val for (blocks, open_ids), val in states.items() if not open_ids}
+                continue
+            total = states.get((0, ()), Fraction(0))
+            x = 0 if fill is None else fill(word, total)
+            if x != 0:  # the one-block term as a step adds one: nonzero, in the ring of the weights
+                total = states[0, ()] = total + one * x
+            sums[word] = total
+    return sums
 
 
 def noncrossing_partitions(n: int) -> Iterator[SetPartition]:

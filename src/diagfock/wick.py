@@ -14,14 +14,13 @@ Three layers, all exact:
     scalar) as a sum over all diagonal partitions, with restricted crossing
     and nesting weights and matrix-chain block factors.
 
-The same partition weights drive the scalar moment/cumulant transforms.
-The Gaussian and general sums go through the role-class kernel of
-:mod:`diagfock.partitions` (its docstring states the factorisation): both
-rows carry block values, so they sum T(R) * B(R) over the Bell(n) rows.  The
-transforms have bar value 1 and run on the open-arc state DP
-:func:`diagfock.partitions.arc_sums`, a chain being the size of its open
-block.  The word expansion factorises into a top-row expansion tensored
-with a bar-row expansion.  Every formula here has an operator-side
+The same partition weights drive the scalar moment/cumulant transforms,
+which are the word functionals of :mod:`diagfock.levy` on one letter: r_n is
+the cumulant of the word 0^n.  The Gaussian and general sums go through the
+role-class kernel of :mod:`diagfock.partitions` (its docstring states the
+factorisation): both rows carry block values, so they sum T(R) * B(R) over
+the Bell(n) rows.  The word expansion factorises into a top-row expansion
+tensored with a bar-row expansion.  Every formula here has an operator-side
 counterpart in :mod:`diagfock.fock`; tests hold the two routes against each
 other.
 """
@@ -34,7 +33,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .partitions import MAX_DIAGONAL_N, Block, SetPartition, _walk, arc_sums, diagonal_sum
+from .levy import cumulant_functional, moment_functional
+from .partitions import Block, SetPartition, _walk, diagonal_sum
 from .scalars import DeformationParams, ResourceLimitError
 from .fock import (
     ANNIHILATE,
@@ -223,47 +223,22 @@ def full_fock_oracle(ops: Sequence[QuadrabasicOp], params: DeformationParams):
 # -- scalar moment/cumulant transforms -------------------------------------------------
 
 
-def _transform_sums(r: Sequence, params: DeformationParams, n: int):
-    """The sums S_1..S_n of weight * product of r_{top block size} by the
-    open-arc DP, a chain being the size of its open block.  r_j past the end
-    of r counts as 0, so with r_1..r_(n-1) the one-block partition of [n]
-    gets the value 0."""
-
-    def value(size: int):
-        return r[size - 1] if size <= len(r) else Fraction(0)
-
-    return arc_sums(
-        n, params, lambda p: value(1), lambda p: 1, lambda size, p: value(size + 1), lambda size, p: size + 1
-    )
-
-
-def _check_transform_n(n: int) -> None:
-    if n > MAX_DIAGONAL_N:
-        raise ResourceLimitError(f"moment/cumulant transforms guarded at n <= {MAX_DIAGONAL_N}")
-
-
 def cumulants_to_moments(r: Sequence, params: DeformationParams) -> List:
     """m_n = sum over diagonal partitions of weight * product of r_{block size}.
 
-    ``r`` lists r_1..r_N; returns m_1..m_N.  Only the top-row block sizes
-    enter the product; the bar row contributes through the weight, so one
-    pass of the open-arc DP gives every m_n.
+    ``r`` lists r_1..r_N; returns m_1..m_N.  This is :func:`moment_functional`
+    on one coordinate, r_n being the cumulant of the word 0^n: one pass of
+    the open-arc DP gives every m_n.
     """
-    _check_transform_n(len(r))
-    return list(_transform_sums(r, params, len(r)))
+    words = [(0,) * n for n in range(1, len(r) + 1)]
+    phi = moment_functional(dict(zip(words, r)), 1, params, len(r))
+    return [phi[w] for w in words]
 
 
 def moments_to_cumulants(m: Sequence, params: DeformationParams) -> List:
-    """Triangular inversion of :func:`cumulants_to_moments`.
-
-    r_n = m_n - (the forward sum with the one-block value set to 0): the
-    maximal partition (one block per row) is alone in its role class and
-    carries weight 1, which makes the recursion exact.  The forward sum of
-    [n] runs on r_1..r_(n-1), one DP pass per n.
-    """
-    _check_transform_n(len(m))
-    r: List = []
-    for n in range(1, len(m) + 1):
-        *_, lower = _transform_sums(r, params, n)
-        r.append(m[n - 1] - lower)
-    return r
+    """Triangular inversion of :func:`cumulants_to_moments`: the
+    :func:`cumulant_functional` of one coordinate, which fills each r_n in
+    during the same pass."""
+    words = [(0,) * n for n in range(1, len(m) + 1)]
+    psi = cumulant_functional(dict(zip(words, m)), 1, params, len(m))
+    return [psi[w] for w in words]

@@ -401,3 +401,29 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     code = main(["moments", "--family", "hermite", "--nmax", "4", "--q", "oops"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["euler", "--nmax", "0"], "--nmax"),
+        (["euler", "--nmax", "-3"], "--nmax"),
+        (["moments", "--family", "hermite", "--nmax", "0"], "--nmax"),
+        (["polys", "--family", "hermite", "--nmax", "0"], "--nmax"),
+        (["cauchy", "--family", "hermite", "--depth", "0"], "--depth"),
+        (["cauchy", "--family", "sech", "--re", "0", "--im", "0"], "continued fraction denominator vanished"),
+        (["cauchy", "--family", "sech", "--re", "nan"], "--re"),
+        (["cauchy", "--family", "sech", "--im", "inf"], "--im"),
+        (["density", "--kind", "sech", "--x", "nan"], "--x"),
+        (["density", "--kind", "qmp", "--q=1/2", "--x=-inf"], "--x"),
+    ],
+    ids=[
+        "euler-nmax-zero", "euler-nmax-negative", "moments-nmax-zero", "polys-nmax-zero", "cauchy-depth-zero",
+        "cauchy-pole", "cauchy-re-nan", "cauchy-im-inf", "density-sech-x-nan", "density-qmp-x-inf",
+    ],
+)
+def test_sizes_below_range_and_non_finite_points_exit_2(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and message in captured.err and not captured.out

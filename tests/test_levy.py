@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from diagfock.scalars import DeformationParams, ResourceLimitError
+from diagfock.scalars import DeformationParams, Poly, ResourceLimitError
 from diagfock.partitions import MAX_DIAGONAL_N, SetPartition, diagonal_partitions, diagonal_sum, set_partitions
 from diagfock.levy import (
     MAX_LEVY_WORD,
@@ -244,6 +244,29 @@ def test_moment_functional_roundtrip_on_random_data():
             psi[word] = helpers.rand_frac(r)
     phi = moment_functional(psi, 2, GEN, 4)
     assert cumulant_functional(phi, 2, GEN, 4) == psi
+
+
+def test_moment_functional_roundtrip_at_the_symbolic_point():
+    r = helpers.rng(75)
+    psi = {w: helpers.rand_frac(r) for n in range(1, 5) for w in itertools.product(range(2), repeat=n)}
+    phi = moment_functional(psi, 2, DeformationParams.symbolic(), 4)
+    assert cumulant_functional(phi, 2, DeformationParams.symbolic(), 4) == psi
+    at_gen = moment_functional(psi, 2, GEN, 4)
+    for word in psi:
+        value = Poly.const(phi[word]) if isinstance(phi[word], Fraction) else phi[word]
+        assert value.evaluate(GEN.q, GEN.t, GEN.v, GEN.w) == at_gen[word], word
+
+
+def test_functional_from_spec_is_the_moment_of_each_word():
+    r = helpers.rng(76)
+    spec = rand_spec(r, k=2, d=2, with_gram=True)
+    s = Fraction(2, 3)
+    phi = functional_from_spec(spec, GEN, 5, s)
+    assert list(phi) == [()] + [w for n in range(1, 6) for w in itertools.product(range(2), repeat=n)]
+    for word, value in phi.items():
+        assert value == levy_moment(spec, word, GEN, s), word
+    with pytest.raises(ResourceLimitError):
+        functional_from_spec(spec, GEN, MAX_LEVY_WORD + 1)
 
 
 def test_product_functional_marginals_and_mixed_cumulants():

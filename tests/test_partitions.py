@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from diagfock.partitions import (
     unit_bar_sum,
     _walk,
 )
+from diagfock.levy import cumulant_functional, moment_functional
 from diagfock.orthopoly import jacobi_hermite, jacobi_sech, moments_from_jacobi
 from diagfock.scalars import DeformationParams, ResourceLimitError
 
@@ -330,18 +332,19 @@ def test_unit_bar_sum_is_the_bar_class_sum(params):
 
 
 def block_arc_sums(n, params, value, graded=False):
-    """The open-arc DP with each open block as its own chain: every diagonal
-    sum of [1], ..., [n] with top value ``value`` and bar value 1."""
+    """The open-arc DP over the one word 1 2 ... n, each open block its own
+    chain: every diagonal sum of [1], ..., [n] with top value ``value`` and
+    bar value 1."""
     return list(
         arc_sums(
-            n,
+            [(p,) for p in range(1, n + 1)],
             params,
             lambda p: value((p,)),
             lambda p: (p,),
             lambda block, p: value(block + (p,)),
             lambda block, p: block + (p,),
-            graded,
-        )
+            graded=graded,
+        ).values()
     )
 
 
@@ -392,7 +395,8 @@ def pair_arc_sums(n, params):
     """The DP with pair blocks only (r_2 = 1, every other r = 0): chain 1 is
     an open pair, which closes to 1; chain 2 a block grown past a pair,
     which closes to 0."""
-    return list(arc_sums(n, params, lambda p: 0, lambda p: 1, lambda chain, p: int(chain == 1), lambda chain, p: 2))
+    sums = arc_sums([(0,)] * n, params, lambda a: 0, lambda a: 1, lambda chain, a: int(chain == 1), lambda chain, a: 2)
+    return list(sums.values())
 
 
 def test_arc_sums_of_pairs_are_the_hermite_moments_to_twenty():
@@ -424,8 +428,63 @@ def test_arc_sums_at_the_free_point_run_over_noncrossing_partitions():
 def test_arc_sums_of_no_points_and_bad_sizes():
     params = DeformationParams.from_rationals(Fraction(1, 2), Fraction(2, 3), Fraction(1, 3), Fraction(3, 4))
     assert pair_arc_sums(0, params) == []
+    # a list of alphabets has no negative length: the functionals' guard refuses one
+    for functional in (moment_functional, cumulant_functional):
+        with pytest.raises(ValueError):
+            functional({}, 1, params, -1)
     with pytest.raises(ValueError):
-        pair_arc_sums(-1, params)
+        arc_sums([(0,)], params, lambda a: 1, lambda a: 1, lambda c, a: 1, lambda c, a: 1, lambda w, s: 0, graded=True)
+
+
+@functools.lru_cache(maxsize=None)
+def brute_weights(n, params):
+    """(blocks, q^rc t^rn times the bar sum of its role class) of every brute
+    set partition of [n], with pairwise arc counts."""
+    rows, bar = [], {}
+    for blocks in helpers.all_partitions_brute(n):
+        row, roles = SetPartition(n, blocks), helpers.roles_brute(blocks, n)
+        rc, rn = row.restricted_crossings(), row.restricted_nestings()
+        rows.append((blocks, params.q**rc * params.t**rn, roles))
+        bar[roles] = bar.get(roles, 0) + params.v**rc * params.w**rn
+    return [(blocks, weight * bar[roles]) for blocks, weight, roles in rows]
+
+
+def brute_word_sum(word, params, value):
+    """The diagonal sum over the positions of ``word`` with bar value 1 and
+    top value ``value`` of each block's subword, by brute set partitions."""
+    total = Fraction(0)
+    for blocks, term in brute_weights(len(word), params):
+        for block in blocks:
+            term = term * value(tuple(word[i - 1] for i in block))
+        total = total + term
+    return total
+
+
+def word_arc_sums(letters, params, value):
+    """The DP over the words of ``letters``, a chain being the open subword."""
+    return arc_sums(
+        letters,
+        params,
+        lambda a: value((a,)),
+        lambda a: (a,),
+        lambda sub, a: value(sub + (a,)),
+        lambda sub, a: sub + (a,),
+    )
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_trie_pass_equals_single_word_passes_and_enumeration(k):
+    r = helpers.rng(39 + k)
+    words = [w for n in range(1, 7) for w in itertools.product(range(k), repeat=n)]
+    points = rand_points(r, 2 if k == 2 else 1)
+    for params in points:
+        psi = {w: Fraction(0) if r.random() < 0.25 else helpers.rand_frac(r) for w in words}
+        trie = word_arc_sums([range(k)] * 6, params, psi.__getitem__)
+        assert list(trie) == words
+        for word in words:
+            single = word_arc_sums([(u,) for u in word], params, psi.__getitem__)
+            assert list(single) == [word[:m] for m in range(1, len(word) + 1)]
+            assert trie[word] == single[word] == brute_word_sum(word, params, psi.__getitem__), word
 
 
 def test_walk_rows_equal_checked_partitions():
