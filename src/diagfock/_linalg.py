@@ -1,14 +1,17 @@
 """Small exact linear algebra helpers over Fraction (and generic scalars).
 
-Matrices are tuples of tuples (rows).  Nothing here is performance-critical:
-sizes stay in the tens-to-hundreds, so plain Gaussian elimination over exact
-rationals is the right tool.
+Matrices are tuples of tuples (rows).  Sizes stay in the tens-to-hundreds,
+so plain Gaussian elimination over exact rationals serves the solves and
+ranks.  :func:`ldlt_classify` is on the hot path of the symmetrizer
+positivity checks (one call per letter-content block), so it eliminates
+fraction-free over integers instead.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 Matrix = Tuple[Tuple, ...]
 
@@ -86,47 +89,52 @@ def ldlt_classify(a: Matrix) -> Tuple[str, int]:
     'positive_definite', 'positive_semidefinite', 'indefinite',
     'negative_semidefinite', 'negative_definite', 'zero'.
 
-    At each step the largest-|value| nonzero diagonal entry is the pivot.  If
-    the remaining diagonal is all zero but an off-diagonal entry survives, the
-    matrix is indefinite (a symmetric matrix with zero diagonal and a nonzero
-    entry has eigenvalues of both signs).
+    At each step the largest-|value| nonzero diagonal entry of the Schur
+    complement is the pivot.  If the remaining diagonal is all zero but an
+    off-diagonal entry survives, the matrix is indefinite (a symmetric matrix
+    with zero diagonal and a nonzero entry has eigenvalues of both signs),
+    and the kernel is that of the remaining block.
+
+    The elimination is fraction-free (Bareiss): the denominators are cleared
+    once, and after k pivots every active entry is an integer bordered minor
+    M, whose Schur complement entry is M / M_k for the k-th pivot minor M_k.
+    Dividing every diagonal entry by the same |M_k| keeps their order by
+    absolute value, so the largest-|diagonal| rule picks the same pivots as
+    an elimination over Fraction, and pivot k has the sign of M_k * M_(k-1).
     """
     n = len(a)
     if n == 0:
         return ("zero", 0)
     if not is_symmetric(a):
         raise ValueError("ldlt_classify needs a symmetric matrix")
-    m = [list(row) for row in a]
-    active = list(range(n))
+    rows = [[Fraction(x) for x in row] for row in a]
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    # the active block, rows and columns in their original order
+    m = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    prev = 1
     pos = neg = 0
-    while active:
-        pivot_idx = None
-        pivot_val = Fraction(0)
-        for i in active:
-            val = m[i][i]
-            if val != 0 and (pivot_idx is None or abs(val) > abs(pivot_val)):
-                pivot_idx = i
-                pivot_val = val
-        if pivot_idx is None:
-            if any(m[i][j] != 0 for i in active for j in active if i != j):
-                return ("indefinite", 0)
+    while m:
+        k = max(range(len(m)), key=lambda i: abs(m[i][i]))
+        piv = m[k][k]
+        if piv == 0:
+            if any(map(any, m)):
+                rank = _rank([[Fraction(x) for x in row] for row in m])
+                return ("indefinite", len(m) - rank)
             break
-        if pivot_val > 0:
+        if (piv > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        active.remove(pivot_idx)
-        pivot_row = {j: m[pivot_idx][j] for j in active}
-        for i in active:
-            f = m[i][pivot_idx] / pivot_val
-            if f == 0:
-                continue
-            for j in active:
-                m[i][j] -= f * pivot_row[j]
-        for i in active:
-            m[i][pivot_idx] = Fraction(0)
-            m[pivot_idx][i] = Fraction(0)
-    kernel = n - pos - neg
+        pivot_row = m.pop(k)
+        del pivot_row[k]
+        col = [row.pop(k) for row in m]
+        m = [[(x * piv - f * y) // prev for x, y in zip(row, pivot_row)] for row, f in zip(m, col)]
+        prev = piv
+    return _verdict(pos > 0, neg > 0, n - pos - neg)
+
+
+def _verdict(pos: bool, neg: bool, kernel: int) -> Tuple[str, int]:
+    """The verdict of a matrix with positive and/or negative pivots and a kernel."""
     if pos and neg:
         return ("indefinite", kernel)
     if pos:
@@ -134,6 +142,21 @@ def ldlt_classify(a: Matrix) -> Tuple[str, int]:
     if neg:
         return ("negative_definite" if kernel == 0 else "negative_semidefinite", kernel)
     return ("zero", kernel)
+
+
+def block_diagonal_classify(blocks: Iterable[Tuple[Tuple[str, int], int]]) -> Tuple[str, int]:
+    """Classify a block-diagonal matrix from ((verdict, kernel), count) of
+    each distinct block, count being how many times that block occurs (up to
+    congruence).  Inertia adds over blocks: the matrix is indefinite when a
+    block is, or when one block has a positive pivot and another a negative
+    one, and the kernels add with their counts."""
+    pos = neg = False
+    kernel = 0
+    for (verdict, k), count in blocks:
+        pos = pos or verdict in ("positive_definite", "positive_semidefinite", "indefinite")
+        neg = neg or verdict in ("negative_definite", "negative_semidefinite", "indefinite")
+        kernel += k * count
+    return _verdict(pos, neg, kernel)
 
 
 def independent_subset(gram: Matrix) -> List[int]:

@@ -190,6 +190,7 @@ def cmd_euler(args) -> int:
 
 
 def cmd_partitions(args) -> int:
+    _int(args.min_block_size, "--min-block-size", least=1)
     if args.pairs:
         if args.n % 2:
             raise ValueError("pair partitions need an even number of points")

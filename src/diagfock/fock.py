@@ -408,10 +408,14 @@ def _deformed_inner(
     return total
 
 
-def symmetrizer_matrix(n: int, a, b, d: int):
-    """Matrix of P^(n)_{a,b} on words of length n over a d-letter basis (lex order)."""
+def _check_symmetrizer_size(n: int, d: int) -> None:
     if d ** n > 800:
         raise ResourceLimitError("symmetrizer matrix would exceed the size guard")
+
+
+def symmetrizer_matrix(n: int, a, b, d: int):
+    """Matrix of P^(n)_{a,b} on words of length n over a d-letter basis (lex order)."""
+    _check_symmetrizer_size(n, d)
     words = list(itertools.product(range(d), repeat=n))
     memo: ColumnMemo = {}
     zero = Fraction(0)
@@ -423,10 +427,45 @@ def symmetrizer_matrix(n: int, a, b, d: int):
     return tuple(rows)
 
 
+def _letter_contents(n: int, parts: int, largest: int) -> Iterable[Tuple[int, ...]]:
+    """Partitions of n into at most ``parts`` parts of size <= largest, largest first."""
+    if n == 0:
+        yield ()
+        return
+    if parts <= 0:
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _letter_contents(n - first, parts - 1, first):
+            yield (first,) + rest
+
+
 def positivity_check(n: int, a: Fraction, b: Fraction, d: int) -> Tuple[str, int]:
-    """Exact definiteness verdict for the level-n symmetrizer on a d-dim space."""
-    mat = symmetrizer_matrix(n, Fraction(a), Fraction(b), d)
-    return _linalg.ldlt_classify(mat)
+    """Exact definiteness verdict for the level-n symmetrizer on a d-dim space.
+
+    P_n only permutes positions, so it maps the span of the rearrangements of
+    a word (its letter-content block) to itself, and the matrix of
+    :func:`symmetrizer_matrix` is block diagonal up to the order of the words.
+    Relabelling the letters maps a block onto the block of the relabelled
+    content with the same matrix, so one block per sorted content (a
+    partition of n into at most d parts) is classified, counted as many times
+    as its content has distinct rearrangements over the d letters.
+    """
+    _check_symmetrizer_size(n, d)
+    a, b = Fraction(a), Fraction(b)
+    memo: ColumnMemo = {}  # shared by all blocks: a subword's column serves every block holding it
+    zero = Fraction(0)
+    blocks = []
+    for content in _letter_contents(n, d, n):
+        head = tuple(letter for letter, size in enumerate(content) for _ in range(size))
+        # its rearrangements in lex order, from at most d^n words
+        words = [x for x in itertools.product(range(len(content)), repeat=n) if tuple(sorted(x)) == head]
+        block = tuple(tuple(_sym_column(x, a, b, memo).get(u, zero) for u in words) for x in words)
+        padded = content + (0,) * (d - len(content))
+        count = math.factorial(len(padded))
+        for size in set(padded):
+            count //= math.factorial(padded.count(size))
+        blocks.append((_linalg.ldlt_classify(block), count))
+    return _linalg.block_diagonal_classify(blocks)
 
 
 # -- commutation checks ----------------------------------------------------------

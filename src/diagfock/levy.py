@@ -28,6 +28,7 @@ as rational metric weights.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -264,23 +265,25 @@ def stochastic_measure(
     sum over interval assignments with kernel pi of the operator moments of
     the corresponding increment products ([0, s) split into n_intervals equal
     parts; blocks of pi take pairwise distinct intervals).
+
+    The intervals have equal lengths, so relabelling them leaves each
+    moment unchanged, and an interval no block uses plays no part in it.
+    Every one of the (n_intervals)_(|pi|) assignments therefore has the
+    moment of block i on interval i of |pi| intervals: one operator-model
+    call times the falling factorial.
     """
     n = len(word)
     if pi.n != n:
         raise ValueError("partition size must match the word length")
+    if n_intervals < 1:
+        raise ValueError(f"stochastic measures need n_intervals >= 1, got {n_intervals}")
     s = Fraction(s)
-    piece = s / n_intervals
-    lengths = [piece] * n_intervals
-    blocks = pi.blocks
-    total = Fraction(0)
-    for assignment in itertools.permutations(range(n_intervals), len(blocks)):
-        interval_of = {}
-        for block, iv in zip(blocks, assignment):
-            for pos in block:
-                interval_of[pos] = iv
-        tokens = [(word[pos - 1], interval_of[pos]) for pos in range(1, n + 1)]
-        total += fock_levy_oracle(spec, tokens, lengths, params)
-    return total
+    assignments = math.perm(n_intervals, len(pi.blocks))
+    if assignments == 0:
+        return Fraction(0)
+    interval_of = {pos: i for i, block in enumerate(pi.blocks) for pos in block}
+    tokens = [(word[pos - 1], interval_of[pos]) for pos in range(1, n + 1)]
+    return assignments * fock_levy_oracle(spec, tokens, [s / n_intervals] * len(pi.blocks), params)
 
 
 def stochastic_limit(
@@ -528,6 +531,6 @@ def gns_reconstruct(psi: Functional, k: int, maxlen: int) -> Tuple[LevySpec, Dic
     for mat in spec.T:
         gm = _linalg.mat_mul(gram, mat) if dim else ()
         if dim and not _linalg.is_symmetric(gm):
-            raise AssertionError("reconstructed multiplication is not Gram-symmetric")
+            raise ValueError("reconstructed multiplication is not Gram-symmetric")
     info = {"dim": dim, "basis": basis}
     return spec, info

@@ -78,6 +78,74 @@ def sym_inner_brute(u: Sequence[int], x: Sequence[int], a, b, g=None):
     return total
 
 
+# -- reference elimination and stochastic measure ---------------------------------------
+
+
+def rank_brute(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank by Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] / m[rank][col]
+            m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def ldlt_classify_fraction(a: Sequence[Sequence[Fraction]]) -> Tuple[str, int]:
+    """(verdict, kernel) of a symmetric rational matrix by LDL^T over Fraction:
+    the pivot is the first largest-|value| nonzero diagonal entry of the Schur
+    complement; a zero diagonal with a nonzero entry left is indefinite, with
+    the kernel of that remaining block."""
+    m = [[Fraction(x) for x in row] for row in a]
+    active = list(range(len(m)))
+    pos = neg = 0
+    kernel = None
+    while active:
+        p = None
+        for i in active:
+            if m[i][i] != 0 and (p is None or abs(m[i][i]) > abs(m[p][p])):
+                p = i
+        if p is None:
+            if any(m[i][j] != 0 for i in active for j in active):
+                pos = neg = 1
+                kernel = len(active) - rank_brute([[m[i][j] for j in active] for i in active])
+            break
+        pos, neg = (pos + 1, neg) if m[p][p] > 0 else (pos, neg + 1)
+        active.remove(p)
+        for i in active:
+            f = m[i][p] / m[p][p]
+            for j in active:
+                m[i][j] -= f * m[p][j]
+    if kernel is None:
+        kernel = len(m) - pos - neg
+    if pos and neg:
+        return ("indefinite", kernel)
+    if pos:
+        return ("positive_definite" if kernel == 0 else "positive_semidefinite", kernel)
+    if neg:
+        return ("negative_definite" if kernel == 0 else "negative_semidefinite", kernel)
+    return ("zero", kernel)
+
+
+def stochastic_measure_brute(moment, word: Sequence[int], blocks: Sequence[Sequence[int]], s, n_intervals: int):
+    """The stochastic measure from its definition: [0, s) cut into n_intervals
+    equal pieces, the sum over every injective assignment of the blocks
+    (1-based positions) to pieces of moment(tokens, lengths), where tokens
+    lists (letter, piece) position by position."""
+    lengths = [Fraction(s) / n_intervals] * n_intervals
+    total = Fraction(0)
+    for assignment in itertools.permutations(range(n_intervals), len(blocks)):
+        piece = {pos: iv for block, iv in zip(blocks, assignment) for pos in block}
+        total += moment([(word[pos - 1], piece[pos]) for pos in range(1, len(word) + 1)], lengths)
+    return total
+
+
 # -- slow, library-independent partition machinery -----------------------------------
 
 

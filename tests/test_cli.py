@@ -416,10 +416,13 @@ def test_bad_input_exit_codes(tmp_path, capsys):
         (["cauchy", "--family", "sech", "--im", "inf"], "--im"),
         (["density", "--kind", "sech", "--x", "nan"], "--x"),
         (["density", "--kind", "qmp", "--q=1/2", "--x=-inf"], "--x"),
+        (["partitions", "--n", "3", "--min-block-size", "0"], "--min-block-size"),
+        (["partitions", "--n", "3", "--min-block-size", "-2"], "--min-block-size"),
     ],
     ids=[
         "euler-nmax-zero", "euler-nmax-negative", "moments-nmax-zero", "polys-nmax-zero", "cauchy-depth-zero",
         "cauchy-pole", "cauchy-re-nan", "cauchy-im-inf", "density-sech-x-nan", "density-qmp-x-inf",
+        "partitions-min-block-size-zero", "partitions-min-block-size-negative",
     ],
 )
 def test_sizes_below_range_and_non_finite_points_exit_2(capsys, argv, message):

@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from diagfock.scalars import DeformationParams, Poly, Q, T, V, W, ResourceLimitError, qt_number
+from diagfock import _linalg
 from diagfock.fock import (
     ANNIHILATE,
     CREATE,
@@ -302,6 +303,35 @@ def test_positivity_verdicts():
     assert verdict == "positive_semidefinite" and kernel == 3  # symmetric part
     # |q| > t breaks positivity
     assert positivity_check(2, Fraction(2), Fraction(1), 2)[0] == "indefinite"
+
+
+# q = t, q = -t, q = t = 1, t = 0, q > t, q < -t, and two admissible points
+POSITIVITY_POINTS = [
+    (Fraction(2, 3), Fraction(2, 3)), (Fraction(-1, 2), Fraction(1, 2)), (Fraction(1), Fraction(1)),
+    (Fraction(1, 2), Fraction(0)), (Fraction(2), Fraction(1)), (Fraction(-3, 2), Fraction(1)),
+    (Fraction(1, 2), Fraction(2, 3)), (Fraction(-1, 3), Fraction(1, 2)),
+]
+
+
+def test_positivity_by_blocks_matches_the_whole_symmetrizer():
+    sizes = [(n, d) for d in range(6) for n in range(8) if d ** n <= 243]
+    verdicts = set()
+    for n, d in sizes:
+        # over 125 words, the whole matrix takes 1-6 s per point off the
+        # boundary, so the two largest sizes run at the four boundary points
+        for a, b in POSITIVITY_POINTS if d ** n <= 125 else POSITIVITY_POINTS[:4]:
+            got = positivity_check(n, a, b, d)
+            assert got == _linalg.ldlt_classify(symmetrizer_matrix(n, a, b, d)), (n, d, a, b)
+            verdicts.add(got[0])
+    assert verdicts == {"positive_definite", "positive_semidefinite", "negative_definite", "indefinite", "zero"}
+    with pytest.raises(ResourceLimitError):
+        positivity_check(7, Fraction(1, 2), Fraction(2, 3), 3)
+
+
+def test_positivity_at_level_six_over_three_letters():
+    assert positivity_check(6, Fraction(2, 7), Fraction(5, 7), 3) == ("positive_definite", 0)
+    # one letter: a single word, whatever n
+    assert positivity_check(40, Fraction(2, 7), Fraction(5, 7), 1) == ("positive_definite", 0)
 
 
 def test_commutation_single_parameter_sweep():

@@ -222,6 +222,33 @@ def test_stochastic_refinement_error_shrinks():
         assert errs[1] * 2 <= errs[0] + errs[0] / 4
 
 
+def test_stochastic_measure_matches_the_sum_over_assignments():
+    r = helpers.rng(71)
+    spec = rand_spec(r, k=2, d=2)
+    s = Fraction(3, 4)
+    checked = 0
+    for params in (FREE, GEN):
+        def moment(tokens, lengths, params=params):
+            return fock_levy_oracle(spec, tokens, lengths, params)
+
+        for n in range(4):
+            word = tuple(r.randrange(2) for _ in range(n))
+            for pi in set_partitions(n):
+                for n_int in range(1, 5):
+                    got = stochastic_measure(spec, word, pi, s, n_int, params)
+                    expect = helpers.stochastic_measure_brute(moment, word, pi.blocks, s, n_int)
+                    assert got == expect and type(got) is Fraction, (word, pi, n_int)
+                    checked += len(pi.blocks) > n_int
+    assert checked > 0  # more blocks than intervals: no assignment, measure 0
+
+
+def test_stochastic_measure_needs_an_interval():
+    spec = rand_spec(helpers.rng(72), k=1, d=2)
+    for n_int in (0, -1):
+        with pytest.raises(ValueError, match="n_intervals"):
+            stochastic_measure(spec, (0,), SetPartition(1, [(1,)]), Fraction(1), n_int, GEN)
+
+
 def test_cumulant_functional_inverts_moments():
     r = helpers.rng(68)
     spec = rand_spec(r, k=2, d=2)

@@ -45,6 +45,44 @@ def test_ldlt_inertia_by_congruence():
 def test_zero_diagonal_nonzero_offdiag_is_indefinite():
     m = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
     assert _linalg.ldlt_classify(m)[0] == "indefinite"
+    # the kernel is that of the zero-diagonal block left when the pivots run out
+    f = Fraction
+    assert _linalg.ldlt_classify(((f(0), f(1), f(0)), (f(1), f(0), f(0)), (f(0), f(0), f(0)))) == ("indefinite", 1)
+    m = ((f(1), f(1), f(1)), (f(1), f(1), f(2)), (f(1), f(2), f(1)))  # one pivot, then [[0, 1], [1, 0]]
+    assert _linalg.ldlt_classify(m) == ("indefinite", 0)
+
+
+def random_symmetric(r, n):
+    """A symmetric rational matrix that is singular, has a zero diagonal,
+    is negative (semi)definite or is generic, each about equally often."""
+    kind = r.randrange(4)
+    if kind == 0:  # B^T D B with zeros in D: singular of planted rank
+        b = [[helpers.rand_frac(r, 2, 3) for _ in range(n)] for _ in range(n)]
+        d = [r.choice((-1, 0, 0, 1)) * (1 + abs(helpers.rand_frac(r))) for _ in range(n)]
+        return congruence(tuple(map(tuple, b)), d)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = helpers.rand_frac(r, 2, 3) if r.random() < 0.7 else Fraction(0)
+    if kind == 1:
+        for i in range(n):
+            m[i][i] = Fraction(0)
+    if kind == 2:  # -(B^T B): negative semidefinite
+        return congruence(tuple(map(tuple, m)), [Fraction(-1)] * n)
+    return tuple(map(tuple, m))
+
+
+def test_fraction_free_ldlt_matches_fraction_elimination():
+    r = helpers.rng(23)
+    seen = set()
+    for _ in range(400):
+        m = random_symmetric(r, r.randint(1, 7))
+        got = _linalg.ldlt_classify(m)
+        assert got == helpers.ldlt_classify_fraction(m), m
+        seen.add(got[0])
+    assert seen == {
+        "positive_definite", "positive_semidefinite", "indefinite", "negative_semidefinite", "negative_definite", "zero"
+    }
 
 
 def test_solve_linear_roundtrip():
