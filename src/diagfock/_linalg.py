@@ -89,6 +89,47 @@ def ldlt_classify(a: Matrix) -> Tuple[str, int]:
     'positive_definite', 'positive_semidefinite', 'indefinite',
     'negative_semidefinite', 'negative_definite', 'zero'.
 
+    The matrix is block diagonal up to order over the connected components
+    of its nonzero pattern (i ~ j when a[i][j] != 0).  Each component is
+    eliminated on its own and the verdicts combine by
+    :func:`block_diagonal_classify`, so the elimination of one block never
+    carries the pivots of another.
+    """
+    n = len(a)
+    if n == 0:
+        return ("zero", 0)
+    if not is_symmetric(a):
+        raise ValueError("ldlt_classify needs a symmetric matrix")
+    return block_diagonal_classify(
+        (_classify_block([[a[i][j] for j in comp] for i in comp]), 1) for comp in _components(a)
+    )
+
+
+def _components(a: Matrix) -> List[List[int]]:
+    """The connected components of the nonzero pattern of a symmetric matrix,
+    each as its sorted indices."""
+    n = len(a)
+    seen = [False] * n
+    comps = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp, stack = [], [root]
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j, x in enumerate(a[i]):
+                if x != 0 and not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _classify_block(a: Sequence[Sequence]) -> Tuple[str, int]:
+    """:func:`ldlt_classify` on one nonempty symmetric block.
+
     At each step the largest-|value| nonzero diagonal entry of the Schur
     complement is the pivot.  If the remaining diagonal is all zero but an
     off-diagonal entry survives, the matrix is indefinite (a symmetric matrix
@@ -103,10 +144,6 @@ def ldlt_classify(a: Matrix) -> Tuple[str, int]:
     an elimination over Fraction, and pivot k has the sign of M_k * M_(k-1).
     """
     n = len(a)
-    if n == 0:
-        return ("zero", 0)
-    if not is_symmetric(a):
-        raise ValueError("ldlt_classify needs a symmetric matrix")
     rows = [[Fraction(x) for x in row] for row in a]
     scale = math.lcm(*(x.denominator for row in rows for x in row))
     # the active block, rows and columns in their original order

@@ -169,15 +169,6 @@ def _entries(data, key: str) -> List[dict]:
     return [_check(e, dict, f"{key} entries to be objects") for e in entries]
 
 
-def _same_dims(pairs: List[VectorPair], key: str) -> None:
-    """Name the first entry whose xi (or eta) dimension differs from entry 0's."""
-    for i, x in enumerate(pairs):
-        for side in ("xi", "eta"):
-            dim, first = len(getattr(x, side)), len(getattr(pairs[0], side))
-            if dim != first:
-                raise ValueError(f"{key}[{i}]: {side} has dimension {dim}, but {key}[0] has {first}")
-
-
 # -- subcommand handlers -----------------------------------------------------------
 
 
@@ -306,7 +297,6 @@ def cmd_wick(args) -> int:
     kind = data.get("kind", "gaussian")
     if kind == "gaussian":
         xs = [VectorPair.of(_vec(e["xi"]), _vec(e["eta"])) for e in _entries(data, "vectors")]
-        _same_dims(xs, "vectors")
         lhs = gaussian_wick(xs, params)
         rhs = gaussian_fock_oracle(xs, params)
         match = lhs == rhs
@@ -314,7 +304,6 @@ def cmd_wick(args) -> int:
         return 0 if match else 1
     if kind == "word":
         tokens = [(e["kind"], VectorPair.of(_vec(e["xi"]), _vec(e["eta"]))) for e in _entries(data, "tokens")]
-        _same_dims([x for _, x in tokens], "tokens")
         lhs = word_vacuum_formula(tokens, params)
         rhs = word_fock_oracle(tokens, params)
         match = lhs == rhs
@@ -333,7 +322,6 @@ def cmd_wick(args) -> int:
             lam = parse_rational(str(e.get("lam", "0")))
             lambar = parse_rational(str(e.get("lambar", "1")))
             ops.append(QuadrabasicOp(vec, gauge, lam, lambar))
-        _same_dims([op.vector for op in ops], "operators")
         lhs = full_wick(ops, params)
         rhs = full_fock_oracle(ops, params)
         match = lhs == rhs

@@ -24,6 +24,14 @@ gauge share the front move R_n and differ only in the letter each position
 turns into.  Field and general operators are sums of such top (x) bar parts,
 applied to a vector in one pass over its terms.
 
+A vacuum moment is a path from level 0 back to level 0, and no operator
+lowers the level by more than one, so a term at level l with r operators
+still to apply can return only if l <= r.  :func:`vacuum_expectation` and
+the vacuum-moment oracles of :mod:`diagfock.wick` and :mod:`diagfock.levy`
+keep only such terms (one private driver, ``_vacuum_moment``).
+:func:`apply_word`, ``wick.word_fock_oracle`` and the public ``*_apply``
+functions return whole, unpruned vectors.
+
 Annihilation kills the vacuum.  With t = w = 1 these reduce to the familiar
 twisted ladder operators; the t^N-type commutation relation is exercised in
 tests level by level (the relation sends level n to level n, so no truncation
@@ -211,14 +219,17 @@ def _row_apply(op: RowOp, f: Dict[Word, object]) -> Dict[Word, object]:
     return _collect((word, c * cw) for w, c in f.items() for word, cw in op(w))
 
 
-def _apply_parts(parts: Sequence[RowPart], f: FockVector) -> FockVector:
-    """(sum over parts of top (x) bar) applied to f in one pass over its terms."""
+def _apply_parts(parts: Sequence[RowPart], f: FockVector, room: float = math.inf) -> FockVector:
+    """(sum over parts of top (x) bar) applied to f in one pass over its terms.
+
+    A part's image of one term lies on one level; images above level ``room``
+    are skipped before their bar factor is expanded."""
 
     def terms():
         for (top, bar), c in f.terms.items():
             for top_op, bar_op in parts:
                 top_terms = top_op(top)
-                if not top_terms:
+                if not top_terms or len(top_terms[0][0]) > room:
                     continue
                 bar_terms = bar_op(bar)
                 for wt, ct in top_terms:
@@ -244,6 +255,40 @@ def _gauge_part(g: GaugePair, params: DeformationParams) -> RowPart:
     return _row_gauge(g.top, params.q, params.t), _row_gauge(g.bar, params.v, params.w)
 
 
+def _scalar_part(lam) -> RowPart:
+    return (lambda word: [(word, lam)]), (lambda word: [(word, Fraction(1))])
+
+
+def _quadrabasic_parts(
+    x: VectorPair, g: Optional[GaugePair], lam, params: DeformationParams, metric: Metric
+) -> List[RowPart]:
+    """The parts of creation + annihilation + gauge + lam (no gauge part for
+    g = None, no scalar part for lam = 0); the field operator is g = None, lam = 0."""
+    parts = [_creation_part(x), _annihilation_part(x, params, metric)]
+    if g is not None:
+        parts.append(_gauge_part(g, params))
+    if lam != 0:
+        parts.append(_scalar_part(lam))
+    return parts
+
+
+def _vacuum_moment(steps: Sequence[Sequence[RowPart]]):
+    """<vacuum, (product of steps) vacuum>, each step the parts of one
+    operator, the rightmost step acting first.
+
+    No part lowers the level by more than one, so a term at level l with r
+    steps still to apply can reach the vacuum only if l <= r: each step
+    keeps only the terms within that room (the room bound of the open-arc
+    DP, on the operator side).  Every term kept gets its inputs from kept
+    terms only, so it has the value, and the vacuum coefficient the sum, of
+    the unpruned application.
+    """
+    f = FockVector.vacuum()
+    for left, parts in zip(range(len(steps) - 1, -1, -1), reversed(steps)):
+        f = _apply_parts(parts, f, room=left)
+    return f.vacuum_coefficient()
+
+
 def creation_apply(x: VectorPair, f: FockVector) -> FockVector:
     return _apply_parts([_creation_part(x)], f)
 
@@ -266,22 +311,27 @@ GAUGE = "gauge"
 SCALAR = "scalar"
 
 
-def apply_token(token, f: FockVector, params: DeformationParams, metric: Metric = None) -> FockVector:
+def _token_parts(token, params: DeformationParams, metric: Metric) -> List[RowPart]:
+    """The parts of one (kind, payload) token."""
     kind, payload = token
     if kind == CREATE:
-        return creation_apply(payload, f)
+        return [_creation_part(payload)]
     if kind == ANNIHILATE:
-        return annihilation_apply(payload, f, params, metric)
+        return [_annihilation_part(payload, params, metric)]
     if kind == GAUGE:
-        return gauge_apply(payload, f, params)
+        return [_gauge_part(payload, params)]
     if kind == SCALAR:
-        return f.scale(payload)
+        return [_scalar_part(payload)]
     raise ValueError(f"unknown token kind {kind!r}")
+
+
+def apply_token(token, f: FockVector, params: DeformationParams, metric: Metric = None) -> FockVector:
+    return _apply_parts(_token_parts(token, params, metric), f)
 
 
 def field_apply(x: VectorPair, f: FockVector, params: DeformationParams, metric: Metric = None) -> FockVector:
     """(creation + annihilation) applied to f."""
-    return _apply_parts([_creation_part(x), _annihilation_part(x, params, metric)], f)
+    return _apply_parts(_quadrabasic_parts(x, None, 0, params, metric), f)
 
 
 def quadrabasic_apply(
@@ -294,18 +344,16 @@ def quadrabasic_apply(
 ) -> FockVector:
     """(creation + annihilation + gauge + lam) applied to f; lam is the
     combined scalar (lambda * lambda-bar)."""
-    parts = [_creation_part(x), _annihilation_part(x, params, metric)]
-    if g is not None:
-        parts.append(_gauge_part(g, params))
-    if lam != 0:
-        parts.append((lambda word: [(word, lam)], lambda word: [(word, Fraction(1))]))
-    return _apply_parts(parts, f)
+    return _apply_parts(_quadrabasic_parts(x, g, lam, params, metric), f)
 
 
 def apply_word(
     tokens: Sequence, params: DeformationParams, metric: Metric = None, start: Optional[FockVector] = None
 ) -> FockVector:
-    """Apply a product of tokens to a vector (rightmost token acts first)."""
+    """Apply a product of tokens to a vector (rightmost token acts first).
+
+    The whole vector is kept at every step: this is the unpruned route that
+    :func:`vacuum_expectation` is tested against."""
     f = FockVector.vacuum() if start is None else start
     for token in reversed(tokens):
         f = apply_token(token, f, params, metric)
@@ -313,10 +361,11 @@ def apply_word(
 
 
 def vacuum_expectation(tokens: Sequence, params: DeformationParams, metric: Metric = None):
-    """<vacuum, tokens vacuum>: the empty-word coefficient after application."""
+    """<vacuum, tokens vacuum>, keeping after each token only the terms that
+    can still return to the vacuum."""
     if len(tokens) > DEFAULT_WORD_CAP:
         raise ResourceLimitError(f"operator word longer than cap {DEFAULT_WORD_CAP}")
-    return apply_word(tokens, params, metric).vacuum_coefficient()
+    return _vacuum_moment([_token_parts(token, params, metric) for token in tokens])
 
 
 # -- deformed inner product ------------------------------------------------------

@@ -44,7 +44,7 @@ from .partitions import (
     unit_bar_sum,
 )
 from .scalars import DeformationParams, ResourceLimitError
-from .fock import FockVector, GaugePair, VectorPair, quadrabasic_apply
+from .fock import GaugePair, VectorPair, _quadrabasic_parts, _vacuum_moment
 
 Word = Tuple[int, ...]
 
@@ -242,14 +242,13 @@ def fock_levy_oracle(
                 rows[i * d + a][i * d + b] = spec.T[u][a][b]
         return GaugePair(tuple(tuple(r) for r in rows), ((Fraction(1),),))
 
-    f = FockVector.vacuum()
-    for u, i in reversed(list(tokens)):
-        if not 0 <= i < n_int:
-            raise ValueError("interval index out of range")
-        f = quadrabasic_apply(
-            embed_vector(u, i), embed_gauge(u, i), spec.lam[u] * lengths[i], f, params, metric
-        )
-    return f.vacuum_coefficient()
+    if any(not 0 <= i < n_int for _, i in tokens):
+        raise ValueError("interval index out of range")
+    steps = [
+        _quadrabasic_parts(embed_vector(u, i), embed_gauge(u, i), spec.lam[u] * lengths[i], params, metric)
+        for u, i in tokens
+    ]
+    return _vacuum_moment(steps)
 
 
 def stochastic_measure(

@@ -22,7 +22,9 @@ factorisation): both rows carry block values, so they sum T(R) * B(R) over
 the Bell(n) rows.  The word expansion factorises into a top-row expansion
 tensored with a bar-row expansion.  Every formula here has an operator-side
 counterpart in :mod:`diagfock.fock`; tests hold the two routes against each
-other.
+other.  The two moment oracles keep only the terms that can still return to
+the vacuum; the word oracle returns the whole vector.  Every function here
+refuses entries whose xi or eta dimension differs from entry 0's.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ from .fock import (
     FockVector,
     GaugePair,
     VectorPair,
+    _quadrabasic_parts,
+    _vacuum_moment,
     annihilation_apply,
     creation_apply,
-    field_apply,
-    quadrabasic_apply,
 )
 
 MAX_WICK_N = 10
@@ -71,6 +73,15 @@ class QuadrabasicOp:
         return self.lam * self.lambar
 
 
+def _same_dims(pairs: Sequence[VectorPair], key: str) -> None:
+    """Name the first entry whose xi (or eta) dimension differs from entry 0's."""
+    for i, x in enumerate(pairs):
+        for side in ("xi", "eta"):
+            dim, first = len(getattr(x, side)), len(getattr(pairs[0], side))
+            if dim != first:
+                raise ValueError(f"{key}[{i}]: {side} has dimension {dim}, but {key}[0] has {first}")
+
+
 def gaussian_wick(xs: Sequence[VectorPair], params: DeformationParams):
     """Vacuum moment of field operators G(x_1) ... G(x_n).
 
@@ -80,6 +91,7 @@ def gaussian_wick(xs: Sequence[VectorPair], params: DeformationParams):
     :func:`full_wick` with no gauge and zero scalars, where only pair blocks
     have a nonzero value.
     """
+    _same_dims(xs, "vectors")
     n = len(xs)
     if n > MAX_WICK_N:
         raise ResourceLimitError(f"wick sum guarded at n <= {MAX_WICK_N}")
@@ -93,10 +105,8 @@ def gaussian_wick(xs: Sequence[VectorPair], params: DeformationParams):
 
 def gaussian_fock_oracle(xs: Sequence[VectorPair], params: DeformationParams):
     """The same moment by applying the operators to the vacuum (independent route)."""
-    f = FockVector.vacuum()
-    for x in reversed(xs):
-        f = field_apply(x, f, params)
-    return f.vacuum_coefficient()
+    _same_dims(xs, "vectors")
+    return _vacuum_moment([_quadrabasic_parts(x, None, 0, params, None) for x in xs])
 
 
 # -- creation/annihilation word expansion ------------------------------------------
@@ -118,6 +128,7 @@ def word_vacuum_formula(tokens: Sequence[Tuple[str, VectorPair]], params: Deform
     bar-row expansion.  The rows are the open-arc walk with annihilators
     opening arcs and creators closing one or standing alone.
     """
+    _same_dims([x for _, x in tokens], "tokens")
     n = len(tokens)
     if n > MAX_WICK_N:
         raise ResourceLimitError(f"word expansion guarded at n <= {MAX_WICK_N}")
@@ -158,7 +169,8 @@ def _word_row(vectors: Sequence[Sequence], rows, a, b) -> Dict[Tuple[int, ...], 
 
 
 def word_fock_oracle(tokens: Sequence[Tuple[str, VectorPair]], params: DeformationParams) -> FockVector:
-    """The same vector by direct operator application."""
+    """The same vector by direct operator application, kept whole."""
+    _same_dims([x for _, x in tokens], "tokens")
     f = FockVector.vacuum()
     for kind, x in reversed(tokens):
         if kind == CREATE:
@@ -201,6 +213,7 @@ def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):
     value is the chain of :func:`_chain_value` over (xi, T, lam), a bar
     block's over (eta, T-bar, lam-bar).
     """
+    _same_dims([op.vector for op in ops], "operators")
     n = len(ops)
     if n > MAX_WICK_N:
         raise ResourceLimitError(f"wick sum guarded at n <= {MAX_WICK_N}")
@@ -214,10 +227,8 @@ def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):
 
 def full_fock_oracle(ops: Sequence[QuadrabasicOp], params: DeformationParams):
     """The same moment by operator application (independent route)."""
-    f = FockVector.vacuum()
-    for op in reversed(ops):
-        f = quadrabasic_apply(op.vector, op.gauge, op.scalar, f, params)
-    return f.vacuum_coefficient()
+    _same_dims([op.vector for op in ops], "operators")
+    return _vacuum_moment([_quadrabasic_parts(op.vector, op.gauge, op.scalar, params, None) for op in ops])
 
 
 # -- scalar moment/cumulant transforms -------------------------------------------------

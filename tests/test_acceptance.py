@@ -23,6 +23,7 @@ from diagfock.fock import (
 )
 from diagfock.partitions import SetPartition, count_diagonal_pair_partitions
 from diagfock.wick import (
+    MAX_WICK_N,
     QuadrabasicOp,
     cumulants_to_moments,
     full_fock_oracle,
@@ -83,10 +84,13 @@ def test_c02_gaussian_formula_equals_operator_model():
     draws = 0
     while draws < 50:
         params = params_list[draws % 2]
-        for n in (2, 4, 6):
+        for n in (2, 4, 6, 8):
             xs = [rand_pair(r) for _ in range(n)]
             assert gaussian_wick(xs, params) == gaussian_fock_oracle(xs, params)
         draws += 1
+    # one draw at the guard size, d = 2 on both rows; most of its time is the formula's
+    xs = [rand_pair(r) for _ in range(MAX_WICK_N)]
+    assert gaussian_wick(xs, GEN) == gaussian_fock_oracle(xs, GEN)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
 
@@ -110,7 +114,7 @@ def test_c03_full_moment_formula_equals_operator_model():
     t0 = time.monotonic()
     for draw in range(25):
         params = (GEN, FREE, params_rat(1, 1, 1, 1))[draw % 3]
-        n = 2 + draw % 4  # word lengths 2..5
+        n = 2 + draw % 6  # word lengths 2..7
         ops = []
         for _ in range(n):
             gauge = GaugePair.of(_nonzero_sym_mat(r, 2), _nonzero_sym_mat(r, 2))

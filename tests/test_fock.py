@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from diagfock.scalars import DeformationParams, Poly, Q, T, V, W, ResourceLimitError, qt_number
-from diagfock import _linalg
+from diagfock import _linalg, levy
 from diagfock.fock import (
     ANNIHILATE,
     CREATE,
@@ -174,6 +174,63 @@ def test_apply_word_token_kinds():
         vacuum_expectation([(CREATE, x)] * 20, SYM)
 
 
+def _returnable_kinds(r, n):
+    """n token kinds that can take the vacuum back to itself: read from the
+    right, no kind leaves more levels than operators left to come down, and
+    gauges act only above the vacuum, which they kill."""
+    shift = {CREATE: 1, ANNIHILATE: -1, GAUGE: 0, SCALAR: 0}
+    kinds, level = [], 0
+    for left in range(n - 1, -1, -1):
+        options = [k for k, s in shift.items() if 0 <= level + s <= left and (k != GAUGE or level > 0)]
+        kinds.append(r.choice(options))
+        level += shift[kinds[-1]]
+    return kinds[::-1]
+
+
+def _random_token(r, kind, d, dbar):
+    if kind in (CREATE, ANNIHILATE):
+        return kind, VectorPair.of(helpers.rand_vec(r, d), helpers.rand_vec(r, dbar))
+    if kind == GAUGE:
+        return kind, GaugePair.of(helpers.rand_mat(r, d), helpers.rand_mat(r, dbar))
+    return kind, helpers.rand_frac(r) or Fraction(1, 2)
+
+
+def test_vacuum_expectation_matches_the_whole_vector():
+    # the room-pruned route against apply_word, which keeps every term: every
+    # word over the four kinds up to length 3, and sampled words up to 6 (most
+    # of them able to return to the vacuum), with and without the interval
+    # metric of the Levy oracle (two intervals of one letter each, so d = 2)
+    r = helpers.rng(31)
+    kinds = (CREATE, ANNIHILATE, GAUGE, SCALAR)
+    interval = levy._interval_metric([Fraction(1, 2), Fraction(5, 3)], ((Fraction(3, 2),),), 1)
+    points = (params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4)),
+              params_rat(Fraction(-2, 5), 1, Fraction(1, 3), Fraction(1, 7)), SYM)
+    words = [w for n in range(4) for w in itertools.product(kinds, repeat=n)]
+    words += [tuple(r.choice(kinds) for _ in range(n)) for n in range(4, 7) for _ in range(4)]
+    returnable = [tuple(_returnable_kinds(r, n)) for n in range(1, 7) for _ in range(6)]
+    words += returnable
+    for params in points:
+        for metric in (None, (interval, None)):
+            nonzero = 0
+            for word in words:
+                tokens = [_random_token(r, kind, 2, 2) for kind in word]
+                got = vacuum_expectation(tokens, params, metric)
+                want = apply_word(tokens, params, metric).vacuum_coefficient()
+                assert got == want and type(got) is type(want), (word, params, metric)
+                nonzero += got != 0
+            assert nonzero > 3 * len(returnable) // 4  # most words that can return do
+
+
+def test_vacuum_moment_needs_a_term_at_level_equal_to_the_room():
+    # after the two creators of a a c c the only term sits at level 2 with two
+    # operators left: the bound l <= r is tight
+    x = VectorPair.of([1], [1])
+    word = [(ANNIHILATE, x), (ANNIHILATE, x), (CREATE, x), (CREATE, x)]
+    assert vacuum_expectation(word, SYM) == (Q + T) * (V + W)
+    params = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(1, 3), Fraction(3, 4))
+    assert vacuum_expectation(word, params) == Fraction(91, 72)
+
+
 def test_creation_annihilation_adjoint_via_inner():
     # <C(x) f, h> = <f, A(x) h> under the deformed pairing, symbolic parameters
     r = helpers.rng(7)
@@ -317,9 +374,7 @@ def test_positivity_by_blocks_matches_the_whole_symmetrizer():
     sizes = [(n, d) for d in range(6) for n in range(8) if d ** n <= 243]
     verdicts = set()
     for n, d in sizes:
-        # over 125 words, the whole matrix takes 1-6 s per point off the
-        # boundary, so the two largest sizes run at the four boundary points
-        for a, b in POSITIVITY_POINTS if d ** n <= 125 else POSITIVITY_POINTS[:4]:
+        for a, b in POSITIVITY_POINTS:
             got = positivity_check(n, a, b, d)
             assert got == _linalg.ldlt_classify(symmetrizer_matrix(n, a, b, d)), (n, d, a, b)
             verdicts.add(got[0])

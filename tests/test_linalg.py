@@ -85,6 +85,40 @@ def test_fraction_free_ldlt_matches_fraction_elimination():
     }
 
 
+def test_components_classified_apart_match_fraction_elimination():
+    # block diagonal under a random permutation: ldlt_classify eliminates each
+    # connected component alone; singular, zero-diagonal, negative and
+    # indefinite blocks all occur, and planted-sign blocks give every verdict
+    r = helpers.rng(24)
+    seen = set()
+    for _ in range(150):
+        signs = r.choice(((1,), (1, 0), (-1,), (-1, 0), (0,), (1, -1)))
+        blocks = []
+        for _ in range(r.randint(2, 4)):
+            n = r.randint(1, 4)
+            if r.random() < 0.5:
+                blocks.append(random_symmetric(r, n))
+            else:
+                d = [r.choice(signs) * (1 + abs(helpers.rand_frac(r))) for _ in range(n)]
+                blocks.append(congruence(random_invertible(r, n), d))
+        n = sum(map(len, blocks))
+        m = [[Fraction(0)] * n for _ in range(n)]
+        at = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                m[at + i][at : at + len(b)] = row
+            at += len(b)
+        perm = r.sample(range(n), n)
+        m = tuple(tuple(m[i][j] for j in perm) for i in perm)
+        got = _linalg.ldlt_classify(m)
+        assert got == helpers.ldlt_classify_fraction(m), m
+        assert got == _linalg.block_diagonal_classify((helpers.ldlt_classify_fraction(b), 1) for b in blocks)
+        seen.add(got[0])
+    assert seen == {
+        "positive_definite", "positive_semidefinite", "indefinite", "negative_semidefinite", "negative_definite", "zero"
+    }
+
+
 def test_solve_linear_roundtrip():
     r = helpers.rng(22)
     for _ in range(6):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from diagfock.fock import (
     GaugePair,
     VectorPair,
     field_apply,
+    quadrabasic_apply,
 )
 from diagfock.partitions import MAX_DIAGONAL_N, diagonal_sum, set_partitions
 from diagfock.wick import (
@@ -206,6 +208,50 @@ def test_full_wick_matches_operator_model():
                         QuadrabasicOp(rand_pair(r), gauge, helpers.rand_frac(r), helpers.rand_frac(r))
                     )
                 assert full_wick(ops, params) == full_fock_oracle(ops, params)
+
+
+def test_operator_oracles_match_the_whole_vector():
+    # the room-pruned oracles against applying each operator to the whole vector
+    r = helpers.rng(43)
+    for params in (PARAM_POINTS[0], PARAM_POINTS[1], SYM):
+        for n in range(7 if params is not SYM else 6):
+            xs = [rand_pair(r) for _ in range(n)]
+            ops = [
+                QuadrabasicOp(rand_pair(r), GaugePair.of(helpers.rand_mat(r, 2), helpers.rand_mat(r, 2))
+                              if r.random() < 0.7 else None, helpers.rand_frac(r), helpers.rand_frac(r))
+                for _ in range(n)
+            ]
+            field, general = FockVector.vacuum(), FockVector.vacuum()
+            for x, op in zip(reversed(xs), reversed(ops)):
+                field = field_apply(x, field, params)
+                general = quadrabasic_apply(op.vector, op.gauge, op.scalar, general, params)
+            for got, want in ((gaussian_fock_oracle(xs, params), field), (full_fock_oracle(ops, params), general)):
+                want = want.vacuum_coefficient()
+                assert got == want and type(got) is type(want), (n, params)
+
+
+MIXED = [VectorPair.of([1, 2], [1]), VectorPair.of([1], [1])]
+MIXED_ENTRIES = {
+    "vectors": MIXED,
+    "tokens": [(ANNIHILATE, MIXED[0]), (CREATE, MIXED[1])],
+    "operators": [QuadrabasicOp(x, None) for x in MIXED],
+}
+
+
+@pytest.mark.parametrize(
+    "fn, key",
+    [
+        (gaussian_wick, "vectors"), (gaussian_fock_oracle, "vectors"), (word_vacuum_formula, "tokens"),
+        (word_fock_oracle, "tokens"), (full_wick, "operators"), (full_fock_oracle, "operators"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_entries_of_another_dimension_are_refused(fn, key):
+    # the oracles used to contract the mismatched letters silently (the
+    # Gaussian one returned 1 here) and the formulas to fail inside zip
+    message = f"{key}[1]: xi has dimension 1, but {key}[0] has 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(MIXED_ENTRIES[key], PARAM_POINTS[0])
 
 
 def test_full_wick_mixed_operators_symbolic():
