@@ -95,9 +95,6 @@ def ldlt_classify(a: Matrix) -> Tuple[str, int]:
     :func:`block_diagonal_classify`, so the elimination of one block never
     carries the pivots of another.
     """
-    n = len(a)
-    if n == 0:
-        return ("zero", 0)
     if not is_symmetric(a):
         raise ValueError("ldlt_classify needs a symmetric matrix")
     return block_diagonal_classify(
@@ -128,7 +125,7 @@ def _components(a: Matrix) -> List[List[int]]:
 
 
 def _classify_block(a: Sequence[Sequence]) -> Tuple[str, int]:
-    """:func:`ldlt_classify` on one nonempty symmetric block.
+    """:func:`ldlt_classify` on one symmetric block.
 
     At each step the largest-|value| nonzero diagonal entry of the Schur
     complement is the pivot.  If the remaining diagonal is all zero but an
