@@ -30,9 +30,9 @@ from typing import List, Optional
 from .scalars import DeformationParams, Poly, ResourceLimitError, parse_rational, render_rational
 from .partitions import (
     count_diagonal_pair_partitions,
+    count_diagonal_partitions,
     diagonal_pair_partitions,
     diagonal_partitions,
-    diagonal_sum,
     render_partition,
 )
 from .fock import (
@@ -175,6 +175,8 @@ def _entries(data, key: str) -> List[dict]:
 def cmd_euler(args) -> int:
     t0 = time.monotonic()
     nmax = _int(args.nmax, "--nmax", least=1)
+    if 2 * nmax > MAX_FAMILY_NMAX:
+        raise ResourceLimitError(f"Euler counts guarded at 2 nmax <= {MAX_FAMILY_NMAX}, the sech moment order")
     counts = {n: count_diagonal_pair_partitions(2 * n) for n in range(1, nmax + 1)}
     _emit({"pairs_on_2n": counts, "seconds": time.monotonic() - t0}, args.output)
     return 0
@@ -185,13 +187,11 @@ def cmd_partitions(args) -> int:
     if args.pairs:
         if args.n % 2:
             raise ValueError("pair partitions need an even number of points")
+        if args.n > MAX_FAMILY_NMAX:
+            raise ResourceLimitError(f"pair partition count guarded at n <= {MAX_FAMILY_NMAX}, the sech moment order")
         count, items = count_diagonal_pair_partitions(args.n), diagonal_pair_partitions(args.n)
     else:
-        def kept(block):
-            return 1 if len(block) >= args.min_block_size else 0
-
-        # the listing's length: the diagonal sum at q = t = v = w = 1 with block value `kept` on both rows
-        count = int(diagonal_sum(args.n, DeformationParams.from_rationals(1, 1, 1, 1), kept, kept))
+        count = count_diagonal_partitions(args.n, args.min_block_size)
         items = diagonal_partitions(args.n, min_block_size=args.min_block_size)
     if count > MAX_PARTITION_ITEMS:
         raise ResourceLimitError(f"partition listing guarded at {MAX_PARTITION_ITEMS} items; n = {args.n} gives {count}")

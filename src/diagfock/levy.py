@@ -42,6 +42,7 @@ from .partitions import (
     arc_sums,
     diagonal_partitions,
     unit_bar_sum,
+    _unit_bar_weights,
 )
 from .scalars import DeformationParams, ResourceLimitError
 from .fock import GaugePair, VectorPair, _quadrabasic_parts, _vacuum_moment
@@ -89,14 +90,18 @@ class LevySpec:
         return _linalg.dot(x, _linalg.mat_vec(self.gram, y))
 
 
+def _check_coordinates(spec: LevySpec, coordinates) -> None:
+    if any(not 0 <= u < spec.k for u in coordinates):
+        raise ValueError("word uses an unknown coordinate")
+
+
 def levy_cumulant(spec: LevySpec, word: Word, s: Fraction = Fraction(1)) -> Fraction:
     """Single-block cumulant of a word at time s."""
     s = Fraction(s)
     n = len(word)
     if n == 0:
         raise ValueError("cumulant of the empty word is undefined")
-    if any(not 0 <= u < spec.k for u in word):
-        raise ValueError("word uses an unknown coordinate")
+    _check_coordinates(spec, word)
     if n == 1:
         return s * spec.lam[word[0]]
     chain = spec.xi[word[-1]]
@@ -122,14 +127,13 @@ def _spec_sums(spec: LevySpec, letters: Sequence[Sequence[int]], params: Deforma
     (G the gram, if any), and closing at u takes its dot product with xi_u."""
     if len(letters) > MAX_LEVY_WORD:
         raise ResourceLimitError(f"moment words guarded at length <= {MAX_LEVY_WORD}")
-    if any(not 0 <= u < spec.k for alphabet in letters for u in alphabet):
-        raise ValueError("word uses an unknown coordinate")
+    _check_coordinates(spec, (u for alphabet in letters for u in alphabet))
     gram_t = None if spec.gram is None else _linalg.transpose(spec.gram)
     starts = [tuple(s * x for x in (xi if gram_t is None else _linalg.mat_vec(gram_t, xi))) for xi in spec.xi]
     cols = [_linalg.transpose(m) for m in spec.T]
     return arc_sums(
         letters,
-        params,
+        _unit_bar_weights(params),
         lambda u: s * spec.lam[u],
         starts.__getitem__,
         lambda row, u: _linalg.dot(row, spec.xi[u]),
@@ -242,6 +246,7 @@ def fock_levy_oracle(
                 rows[i * d + a][i * d + b] = spec.T[u][a][b]
         return GaugePair(tuple(tuple(r) for r in rows), ((Fraction(1),),))
 
+    _check_coordinates(spec, (u for u, _ in tokens))
     if any(not 0 <= i < n_int for _, i in tokens):
         raise ValueError("interval index out of range")
     steps = [
@@ -274,6 +279,7 @@ def stochastic_measure(
     n = len(word)
     if pi.n != n:
         raise ValueError("partition size must match the word length")
+    _check_coordinates(spec, word)
     if n_intervals < 1:
         raise ValueError(f"stochastic measures need n_intervals >= 1, got {n_intervals}")
     s = Fraction(s)
@@ -324,7 +330,7 @@ def _functional_sums(value: Callable[[Word], Fraction], k: int, params: Deformat
         raise ResourceLimitError(f"moment functionals guarded at word length <= {MAX_DIAGONAL_N}")
     return arc_sums(
         [range(k)] * maxlen,
-        params,
+        _unit_bar_weights(params),
         lambda u: value((u,)),
         lambda u: (u,),
         lambda sub, u: value(sub + (u,)),

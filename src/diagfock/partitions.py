@@ -29,10 +29,10 @@ enclose it.  Ending arc j therefore adds
 
 each pair of arcs being counted when the first of them ends; summed over j
 the step weight q^(k-j) t^(j-1) is [k]_{q,t}.  Each point may be limited to
-some of the roles: O, C, M and S give all set partitions and the kernel's
-:func:`row_table`, O and C the matchings, O, C and S the pairs and singletons,
-and O at annihilators with C or S at creators the rows of the word expansion
-in :mod:`diagfock.wick`.  :meth:`SetPartition.restricted_crossings` and
+some of the roles: O, C, M and S give all set partitions, O and C the
+matchings, O, C and S the pairs and singletons, and O at annihilators with C
+or S at creators the rows of the word expansion in :mod:`diagfock.wick`.
+:meth:`SetPartition.restricted_crossings` and
 :meth:`SetPartition.restricted_nestings` count the same statistics pair by
 pair and serve as the tests' oracle for the walk.
 
@@ -48,25 +48,19 @@ role vector R.  So it equals the sum over R of T(R) * B(R), where T(R) sums
 q^rc t^rn * prod top_value over the single rows with role vector R and B(R)
 likewise with v, w and bar_value.
 
-When bar_value is 1, B(R) is a product over the steps of R that end one of
-k open arcs of [k]_{v,w} (the bar row's choices of which arc to end), so no
-bar row need be listed; and the top weight and block product accumulate
-step by step.  :func:`arc_sums` is that open-arc state DP over the trie of
-a set of words, one letter per point: walks that reach the same tuple of
-open chains are merged, words that share a prefix share its steps, and one
-pass gives the sum of every word.  Its cost is the number of states, not
-Bell(n).  Filling in the value of the block that covers a whole word right
-after its step inverts the sum in the same pass.  Both functional
-transforms run on it (the one-variable moment/cumulant transforms are their
-one-letter case), and so do the Levy word moments, their s-polynomial and
-the moment functional of a spec; the stochastic limit takes its bar factor
-from the same product, :func:`unit_bar_sum`.
-
-The Gaussian and general Wick sums have bar values other than 1, so a state
-would pair a top and a bar chain tuple of equal length; that is unmeasured,
-and they stay on the row expansion: :func:`row_sums` computes T or B over
-:func:`row_table` (the Bell(n) set partitions of [n]); :func:`class_sums`
-multiplies them.  The pairs themselves (:func:`diagonal_partitions`) are
+One kernel computes them all: :func:`arc_sums`, the open-arc state DP over
+the trie of a set of words, one letter per point.  Walks that reach the same
+tuple of open chains are merged, words that share a prefix share its steps,
+and one pass gives the sum of every word at the cost of its states, not
+Bell(n).  Its step weights are an argument.  When bar_value is 1, B(R) is
+the product of [k]_{v,w} over the steps of R that end one of k open arcs
+(:func:`unit_bar_sum`), so the step weight is the top row's times that
+factor; so run the functionals (the one-variable transforms are their
+one-letter case, and a fill-in inverts the sum in the same pass) and the
+Levy word moments.  When both rows carry block values (the Wick sums),
+:func:`role_sums` gives T(R) or B(R) for every R by one pass per row over
+the trie of the role words; :func:`count_diagonal_partitions` is that pass
+at weight 1.  The pairs themselves (:func:`diagonal_partitions`) are
 enumerated only for display and as a test oracle.
 """
 
@@ -423,12 +417,11 @@ def count_diagonal_pair_partitions(n: int) -> int:
     An opener class of matchings is a Dyck path, and its matchings number
     the product of k over the closers (k open arcs before each); the two rows
     make that k^2, and the sum over Dyck paths of prod k^2 is the n-th moment
-    of the Jacobi data gamma_k = k^2.  Guarded at n <= 14 like the enumeration.
+    of the Jacobi data gamma_k = k^2, at the cost of a continued fraction of
+    depth n // 2 + 1, not of an enumeration.
     """
     if n < 0:
         raise ValueError(f"diagonal pair partitions of [n] need n >= 0, got {n}")
-    if n > MAX_SET_PARTITION_N:
-        raise ResourceLimitError(f"diagonal pair partition count guarded at n <= {MAX_SET_PARTITION_N}")
     if n == 0:
         return 1
     return int(moments_from_jacobi(jacobi_sech(n // 2 + 1), n)[-1])
@@ -480,74 +473,17 @@ def diagonal_partition_profiles(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[in
 # -- the diagonal-sum kernel -------------------------------------------------------
 
 
-BlockValue = Callable[[Block], object]
-
-_ONE = Fraction(1)
 _UNSEEN = object()
-
-
-@lru_cache(maxsize=MAX_DIAGONAL_N + 1)
-def row_table(n: int) -> Tuple[Tuple[Roles, int, int, Tuple[Block, ...]], ...]:
-    """(roles, restricted crossings, restricted nestings, blocks) of each of
-    the Bell(n) set partitions of [n]; equal role vectors and blocks are
-    stored once.  Guarded like the enumeration, so the cache holds at most
-    one table per admissible n."""
-    _check_diagonal_n(n)
-    shared: Dict[tuple, tuple] = {}
-    return tuple(
-        (shared.setdefault(roles, roles), rc, rn, tuple(shared.setdefault(b, b) for b in blocks))
-        for roles, rc, rn, blocks in _walk(n, ("OCMS",) * n)
-    )
-
-
-def row_sums(n: int, value: BlockValue, a, b) -> Dict[Roles, object]:
-    """{R: sum of a^rc b^rn * prod value(block) over the rows of [n] with role
-    vector R}.  ``value`` is called once per block; a row is weighted only
-    when its product is nonzero, and a class with no such row is left out."""
-    values: Dict[Block, object] = {}
-    weights: Dict[Tuple[int, int], object] = {}
-    out: Dict[Roles, object] = {}
-    for roles, rc, rn, blocks in row_table(n):
-        prod = v = _ONE
-        for block in blocks:
-            v = values.get(block, _UNSEEN)
-            if v is _UNSEEN:
-                v = value(block)
-                v = values[block] = None if v == 0 else v
-            if v is None:
-                break
-            prod = v if prod is _ONE else prod * v
-        if v is None:
-            continue
-        weight = weights.get((rc, rn))
-        if weight is None:
-            weight = weights[rc, rn] = (a ** rc) * (b ** rn)
-        term = weight if prod is _ONE else weight * prod
-        acc = out.get(roles)
-        out[roles] = term if acc is None else acc + term
-    return out
-
-
-def class_sums(n: int, params: DeformationParams, top_value: BlockValue, bar_value: BlockValue) -> Dict[Roles, object]:
-    """{R: T(R) * B(R)}: ``top_value`` summed on the top row at (q, t), times
-    ``bar_value`` on the bar row at (v, w)."""
-    top = row_sums(n, top_value, params.q, params.t)
-    bar = row_sums(n, bar_value, params.v, params.w)
-    return {roles: t * bar[roles] for roles, t in top.items() if roles in bar}
-
-
-def diagonal_sum(n: int, params: DeformationParams, top_value: BlockValue, bar_value: BlockValue):
-    """The whole diagonal sum: the total of :func:`class_sums`."""
-    return sum(class_sums(n, params, top_value, bar_value).values(), Fraction(0))
+_ZERO = Fraction(0)
 
 
 def unit_bar_sum(roles: Roles, v, w):
     """B(R) with bar value 1: the sum of v^rc w^rn over the rows with role
     vector R.  The bar row chooses freely which of the k open arcs each
     Closer or Middle step ends, so B(R) is the product of [k]_{v,w} over
-    those steps.  Guarded like :func:`row_table`."""
+    those steps.  Guarded like the diagonal enumeration."""
     _check_diagonal_n(len(roles))
-    bar, k = _ONE, 0
+    bar, k = Fraction(1), 0
     for role in roles:
         if role == ROLE_OPENER:
             k += 1
@@ -558,29 +494,35 @@ def unit_bar_sum(roles: Roles, v, w):
     return bar
 
 
-@lru_cache(maxsize=64)
-def _arc_weights(params: DeformationParams, k: int) -> Tuple:
-    """q^(k-1-j) t^j [k]_{v,w} for j = 0..k-1, None where it is 0: the weight
-    of ending the j-th of k open arcs, the top row's counts times the bar
-    row's step factor of :func:`unit_bar_sum`."""
-    bar = qt_number(k, params.v, params.w)
-    row = ((params.q ** (k - 1 - j)) * (params.t ** j) * bar for j in range(k))
+@lru_cache(maxsize=256)
+def _row_weights(a, b, k: int, bar=1) -> Tuple:
+    """a^(k-1-j) b^j * bar for j = 0..k-1, None where it is 0: the weight of
+    ending the j-th of k open arcs on one row, its crossings counted by a
+    and its nestings by b."""
+    row = ((a ** (k - 1 - j)) * (b ** j) * bar for j in range(k))
     return tuple(None if x == 0 else x for x in row)
+
+
+def _unit_bar_weights(params: DeformationParams) -> Callable[[int], Tuple]:
+    """The step weights of the sums with bar value 1: the top row's times
+    the bar row's factor [k]_{v,w} of :func:`unit_bar_sum`."""
+    return lambda k: _row_weights(params.q, params.t, k, qt_number(k, params.v, params.w))
 
 
 def arc_sums(
     letters: Sequence[Sequence],
-    params: DeformationParams,
+    weights: Callable[[int], Tuple],
     single: Callable[[object], object],
     open_: Callable[[object], object],
     close: Callable[[object, object], object],
     extend: Callable[[object, object], object],
     fill: Optional[Callable[[tuple, object], object]] = None,
     graded: bool = False,
+    ends: Optional[Callable[[object], bool]] = None,
 ) -> Dict[tuple, object]:
-    """The diagonal sums with bar value 1 of every word a_1 ... a_m with a_p
-    in ``letters[p - 1]``, m = 1..n, by one open-arc state DP over the trie
-    of the words.
+    """The diagonal sums of every word a_1 ... a_m with a_p in
+    ``letters[p - 1]``, m = 1..n, by one open-arc state DP over the trie of
+    the words.
 
     The points 1..n are placed as in :func:`_walk`, but walks that reach the
     same open state are merged, and a state belongs to a word's prefix, so
@@ -588,29 +530,32 @@ def arc_sums(
     of open *chains*, in arc-opening order; a chain is whatever the caller
     needs to value a block once it closes.  Point p with letter a is a
     Singleton (times ``single(a)``), Opens a chain ``open_(a)``, or ends the
-    j-th (from 0) of the k open arcs, with weight q^(k-1-j) t^j [k]_{v,w}:
-    the top row's crossings and nestings, and the bar row summed over its
-    rows with the same role vector, which is [k]_{v,w} at each such step.  A
-    Closer then multiplies by ``close(chain, a)``; a Middle re-appends
-    ``extend(chain, a)``.  Zero values and weights are dropped, and so are
-    states with more open arcs than points left.
+    j-th (from 0) of the k open arcs with weight ``weights(k)[j]`` (None for
+    0; weights(1) is (1,) in their ring).  A Closer then multiplies by
+    ``close(chain, a)``; a Middle re-appends ``extend(chain, a)``.  A letter
+    may take fewer roles: ``open_`` and ``extend`` return None and
+    ``single`` and ``close`` 0 for a role it cannot take, and ``ends(a)`` is
+    false if it can end no arc.  Zero values and weights are dropped, and so
+    are states with more open arcs than points left and, before the last
+    point, words with no state.
 
-    Returns {w: S(w)} for every word, shortest first: the empty state after
-    the step of w, with ``graded`` {block count: sum}.  With ``fill``,
-    fill(w, S(w)) values the one block covering w, which the step of w left
-    out (``close`` read it as 0); it is added to S(w), so longer words see
-    it.  Each chain is valued once per step and letter.  Callers cap n; the
-    state count, not Bell(n), sets the cost.
+    Returns {w: S(w)} for every word kept, shortest first (a word left out
+    has sum 0): the empty state after the step of w, with ``graded`` {block
+    count: sum}.  With ``fill``, every word is kept and fill(w, S(w)) values
+    the one block covering w, which the step of w left out (``close`` read
+    it as 0); it is added to S(w), so longer words see it.  Each chain is
+    valued once per step and letter.  Callers cap n; the state count, not
+    Bell(n), sets the cost.
     """
     if fill is not None and graded:
         raise ValueError("fill adds one block to the ungraded sums only")
     n = len(letters)
     # at most n // 2 arcs are open at once; rows[k - 1][j] weighs ending arc j of k
-    rows = [_arc_weights(params, k) for k in range(1, n // 2 + 1)]
-    one = (params.q ** 0) * (params.t ** 0) * (params.v ** 0) * (params.w ** 0)  # 1 in the ring of the weights
+    rows = [weights(k) for k in range(1, n // 2 + 1)]
+    one = weights(1)[0]
     chains: List[object] = []  # the chain of each id; states hold ids
     ids: Dict[object, int] = {}
-    extended: Dict[Tuple[int, object], int] = {}
+    extended: Dict[Tuple[int, object], Optional[int]] = {}
     grade = 1 if graded else 0
     level: Dict[tuple, Dict[Tuple[int, Tuple[int, ...]], object]] = {(): {(0, ()): one}}
     sums: Dict[tuple, object] = {}
@@ -625,12 +570,17 @@ def arc_sums(
         room = n - p  # a state may keep open at most as many arcs as points remain
         steps = []
         for a in letters[p - 1]:
-            s_val = single(a)
-            steps.append((a, None if s_val == 0 else s_val, intern(open_(a)) if room else None))
-        closed: Dict[Tuple[int, object], object] = {}  # per step: ``fill`` sets values between steps
+            s_val, chain, can_end = single(a), open_(a) if room else None, ends is None or ends(a)
+            steps.append((a, None if s_val == 0 else s_val, None if chain is None else intern(chain), can_end))
+        # per step, as ``fill`` sets values between steps: close(chain, a) by
+        # (chain, a) and its product with the weight by (k, j, chain, a)
+        closed: Dict[Tuple[int, object], object] = {}
+        closing: Dict[tuple, object] = {}
         nodes: Dict[tuple, Dict[Tuple[int, Tuple[int, ...]], object]] = {}
         for word, states in level.items():
-            for a, s_val, o_id in steps:
+            for a, s_val, o_id, can_end in steps:
+                if s_val is None and o_id is None and not can_end:
+                    continue
                 nxt: Dict[Tuple[int, Tuple[int, ...]], object] = {}
                 get = nxt.get
                 for (blocks, open_ids), val in states.items():
@@ -639,43 +589,86 @@ def arc_sums(
                         key, term = (blocks + grade, open_ids), val * s_val
                         acc = get(key)
                         nxt[key] = term if acc is None else acc + term
-                    if k < room:
+                    if o_id is not None and k < room:
                         key = (blocks + grade, open_ids + (o_id,))
                         acc = get(key)
                         nxt[key] = val if acc is None else acc + val
-                    for j, weight in enumerate(rows[k - 1] if k else ()):
+                    if not (can_end and k):
+                        continue
+                    for j, weight in enumerate(rows[k - 1]):
                         if weight is None:
                             continue
                         cid = open_ids[j]
                         rest = open_ids[:j] + open_ids[j + 1:]
-                        term = val * weight
-                        x = closed.get((cid, a), _UNSEEN)
-                        if x is _UNSEEN:
-                            x = close(chains[cid], a)
-                            x = closed[cid, a] = None if x == 0 else x
-                        if x is not None:
-                            key, closing = (blocks, rest), term * x
-                            acc = get(key)
-                            nxt[key] = closing if acc is None else acc + closing
-                        if k <= room:
-                            e = extended.get((cid, a))
-                            if e is None:
-                                e = extended[cid, a] = intern(extend(chains[cid], a))
-                            key = (blocks, rest + (e,))
+                        wx = closing.get((k, j, cid, a), _UNSEEN)
+                        if wx is _UNSEEN:
+                            x = closed.get((cid, a), _UNSEEN)
+                            if x is _UNSEEN:
+                                x = closed[cid, a] = close(chains[cid], a)
+                            wx = closing[k, j, cid, a] = None if x == 0 else x if weight is one else weight * x
+                        if wx is not None:
+                            key, term = (blocks, rest), val * wx
                             acc = get(key)
                             nxt[key] = term if acc is None else acc + term
-                nodes[word + (a,)] = nxt
-        level = nodes
-        for word, states in level.items():
+                        if k <= room:
+                            e = extended.get((cid, a), _UNSEEN)
+                            if e is _UNSEEN:
+                                chain = extend(chains[cid], a)
+                                e = extended[cid, a] = None if chain is None else intern(chain)
+                            if e is not None:
+                                key, term = (blocks, rest + (e,)), val if weight is one else val * weight
+                                acc = get(key)
+                                nxt[key] = term if acc is None else acc + term
+                if nxt or fill is not None or room == 0:
+                    nodes[word + (a,)] = nxt
+        for word, states in nodes.items():
             if graded:
                 sums[word] = {blocks: val for (blocks, open_ids), val in states.items() if not open_ids}
                 continue
-            total = states.get((0, ()), Fraction(0))
+            total = states.get((0, ()), _ZERO)
             x = 0 if fill is None else fill(word, total)
             if x != 0:  # the one-block term as a step adds one: nonzero, in the ring of the weights
                 total = states[0, ()] = total + one * x
             sums[word] = total
+        level = nodes
     return sums
+
+
+def role_sums(roles_at: Sequence[str], a, b, single, open_, close, extend) -> Dict[tuple, object]:
+    """{R: T(R)} for every R with R_p in roles_at[p - 1] and T(R) nonzero,
+    T(R) the sum of a^rc b^rn * prod of block values over the rows of [n]
+    with role vector R, by one :func:`arc_sums` pass over the trie of the
+    role words.  The letter of point p in role r is (r, p - 1), and the
+    callbacks value point i in that role: ``single(i)``, ``open_(i)``,
+    ``close(chain, i)``, ``extend(chain, i)``."""
+    n = len(roles_at)
+    if n == 0:
+        return {(): (a ** 0) * (b ** 0)}  # the one row of [0], in the ring of the weights
+    # the first point opens or stands alone, the last closes or stands alone
+    first, last = (ROLE_OPENER, ROLE_SINGLETON), (ROLE_CLOSER, ROLE_SINGLETON)
+    sums = arc_sums(
+        [[(r, i) for r in roles if (i or r in first) and (i < n - 1 or r in last)] for i, roles in enumerate(roles_at)],
+        lambda k: _row_weights(a, b, k),
+        lambda x: single(x[1]) if x[0] == ROLE_SINGLETON else 0,
+        lambda x: open_(x[1]) if x[0] == ROLE_OPENER else None,
+        lambda chain, x: close(chain, x[1]) if x[0] == ROLE_CLOSER else 0,
+        lambda chain, x: extend(chain, x[1]) if x[0] == ROLE_MIDDLE else None,
+        ends=lambda x: x[0] in (ROLE_CLOSER, ROLE_MIDDLE),
+    )
+    return {word: total for word, total in sums.items() if len(word) == n and total != 0}
+
+
+def count_diagonal_partitions(n: int, min_block_size: int = 1) -> int:
+    """Number of diagonal partitions of [n] + [n-bar] with every block of at
+    least m = min_block_size points: the sum over R of T(R)^2, T(R) counting
+    such rows by :func:`role_sums` at weight 1, with the block size capped
+    at m as the chain.  Guarded like the enumeration it counts."""
+    _check_diagonal_n(n)
+    m = min_block_size
+    one = Fraction(1)
+    rows = role_sums(["OCMS" if m <= 1 else "OCM"] * n, one, one, lambda i: 1, lambda i: 1,
+                     lambda size, i: int(size + 1 >= m), lambda size, i: min(size + 1, m))
+    return int(sum(t * t for t in rows.values()))
 
 
 def noncrossing_partitions(n: int) -> Iterator[SetPartition]:

@@ -16,11 +16,11 @@ Three layers, all exact:
 
 The same partition weights drive the scalar moment/cumulant transforms,
 which are the word functionals of :mod:`diagfock.levy` on one letter: r_n is
-the cumulant of the word 0^n.  The Gaussian and general sums go through the
-role-class kernel of :mod:`diagfock.partitions` (its docstring states the
-factorisation): both rows carry block values, so they sum T(R) * B(R) over
-the Bell(n) rows.  The word expansion factorises into a top-row expansion
-tensored with a bar-row expansion.  Every formula here has an operator-side
+the cumulant of the word 0^n.  The Gaussian and general sums are sums over
+role vectors R of T(R) * B(R) (see :mod:`diagfock.partitions`): both rows
+carry block values, so each row is one pass of the same open-arc DP over the
+role words the data allow.  The word expansion factorises into a top-row
+expansion tensored with a bar-row expansion.  Every formula has an operator
 counterpart in :mod:`diagfock.fock`; tests hold the two routes against each
 other.  The two moment oracles keep only the terms that can still return to
 the vacuum; the word oracle returns the whole vector.  Every function here
@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
 from .levy import cumulant_functional, moment_functional
-from .partitions import Block, SetPartition, _walk, diagonal_sum
+from .partitions import SetPartition, _walk, role_sums
 from .scalars import DeformationParams, ResourceLimitError
 from .fock import (
     ANNIHILATE,
@@ -97,10 +97,8 @@ def gaussian_wick(xs: Sequence[VectorPair], params: DeformationParams):
         raise ResourceLimitError(f"wick sum guarded at n <= {MAX_WICK_N}")
     if n % 2:
         return Fraction(0)
-    no_gauge, zeros = [None] * n, [Fraction(0)] * n
-    top = _chain_value([x.xi for x in xs], no_gauge, zeros)
-    bar = _chain_value([x.eta for x in xs], no_gauge, zeros)
-    return diagonal_sum(n, params, top, bar)
+    # pairs only: no point is a Middle or a Singleton, so no gauge or scalar is read
+    return _wick_sum(["OC"] * n, params, _row([x.xi for x in xs], (), ()), _row([x.eta for x in xs], (), ()))
 
 
 def gaussian_fock_oracle(xs: Sequence[VectorPair], params: DeformationParams):
@@ -185,24 +183,22 @@ def word_fock_oracle(tokens: Sequence[Tuple[str, VectorPair]], params: Deformati
 # -- general Wick formula ------------------------------------------------------------
 
 
-def _chain_value(vectors: Sequence[Sequence], gauges: Sequence[Optional[_linalg.Matrix]], scalars: Sequence):
-    """Block value on one row of the general Wick formula: scalars[i] for a
-    singleton {i}; otherwise the vector of the least element paired with the
-    gauges of the middle positions applied to the vector of the greatest
-    (0 when a middle position has no gauge)."""
+def _row(vectors: Sequence[Sequence], gauges: Sequence[Optional[_linalg.Matrix]], scalars: Sequence):
+    """The callbacks of :func:`diagfock.partitions.role_sums` for one row of
+    the general Wick formula: scalars[i] for a singleton {i}; a block's chain
+    is the row vector x_{b1}^T G_{b2} ... of its points so far, and closing
+    at i takes its dot product with x_i.  The alphabet admits a Middle only
+    at a gauge."""
+    cols = [None if g is None else _linalg.transpose(g) for g in gauges]
+    return (scalars.__getitem__, vectors.__getitem__,
+            lambda row, i: _linalg.dot(row, vectors[i]), lambda row, i: _linalg.mat_vec(cols[i], row))
 
-    def value(block: Block):
-        if len(block) == 1:
-            return scalars[block[0] - 1]
-        chain = vectors[block[-1] - 1]
-        for idx in reversed(block[1:-1]):
-            mat = gauges[idx - 1]
-            if mat is None:
-                return Fraction(0)
-            chain = _linalg.mat_vec(mat, chain)
-        return _linalg.dot(vectors[block[0] - 1], chain)
 
-    return value
+def _wick_sum(roles_at: Sequence[str], params: DeformationParams, top, bar):
+    """The sum over role vectors R of T(R) * B(R): :func:`_row` callbacks
+    ``top`` on the top row at (q, t), ``bar`` on the bar row at (v, w)."""
+    top_sums, bar_sums = role_sums(roles_at, params.q, params.t, *top), role_sums(roles_at, params.v, params.w, *bar)
+    return sum((t * bar_sums[roles] for roles, t in top_sums.items() if roles in bar_sums), Fraction(0))
 
 
 def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):
@@ -210,8 +206,9 @@ def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):
 
     Weight: q^rc t^rnest over the top row arcs, v^rc w^rnest over the bar row,
     with restricted (cross-block) crossing/nesting counts.  A top block's
-    value is the chain of :func:`_chain_value` over (xi, T, lam), a bar
-    block's over (eta, T-bar, lam-bar).
+    value is the chain of :func:`_row` over (xi, T, lam), a bar block's over
+    (eta, T-bar, lam-bar).  A point is a Middle only at a gauge and a
+    Singleton only where both scalars are nonzero; other blocks have value 0.
     """
     _same_dims([op.vector for op in ops], "operators")
     n = len(ops)
@@ -220,9 +217,10 @@ def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):
     if n == 0:
         return Fraction(1)
     gauges = [op.gauge for op in ops]
-    top = _chain_value([op.vector.xi for op in ops], [g and g.top for g in gauges], [op.lam for op in ops])
-    bar = _chain_value([op.vector.eta for op in ops], [g and g.bar for g in gauges], [op.lambar for op in ops])
-    return diagonal_sum(n, params, top, bar)
+    top = _row([op.vector.xi for op in ops], [g and g.top for g in gauges], [op.lam for op in ops])
+    bar = _row([op.vector.eta for op in ops], [g and g.bar for g in gauges], [op.lambar for op in ops])
+    roles_at = ["OC" + "M" * (op.gauge is not None) + "S" * (op.lam * op.lambar != 0) for op in ops]
+    return _wick_sum(roles_at, params, top, bar)
 
 
 def full_fock_oracle(ops: Sequence[QuadrabasicOp], params: DeformationParams):

@@ -178,6 +178,38 @@ def roles_brute(blocks: Sequence[Sequence[int]], n: int) -> Tuple[str, ...]:
     return tuple(role[1:])
 
 
+def restricted_counts_brute(blocks: Sequence[Sequence[int]]) -> Tuple[int, int]:
+    """(crossings, nestings) of the arcs (consecutive points of a block) of
+    distinct blocks, each pair of arcs compared once."""
+    arcs = [(b[i], b[i + 1], bi) for bi, b in enumerate(blocks) for i in range(len(b) - 1)]
+    rc = rn = 0
+    for (a, b, i), (c, d, j) in itertools.combinations(arcs, 2):
+        if i == j:
+            continue
+        if a < c < b < d or c < a < d < b:
+            rc += 1
+        elif (a < c and d < b) or (c < a and b < d):
+            rn += 1
+    return rc, rn
+
+
+def brute_class_sums(n: int, params, top, bar) -> Dict[Tuple[str, ...], object]:
+    """The diagonal sum grouped by role class: over every pair (top row, bar
+    row) of brute set partitions of [n] with equal role vectors, q^rc t^rn
+    v^rc' w^rn' (pairwise arc counts) times ``top`` of each top block times
+    ``bar`` of each bar block.  The rows of a class pair freely, so its sum
+    is the top rows' sum times the bar rows' sum."""
+    out: Dict[Tuple[str, ...], list] = {}
+    for blocks in all_partitions_brute(n):
+        rc, rn = restricted_counts_brute(blocks)
+        top_term, bar_term = params.q**rc * params.t**rn, params.v**rc * params.w**rn
+        for block in blocks:
+            top_term, bar_term = top_term * top(block), bar_term * bar(block)
+        sums = out.setdefault(roles_brute(blocks, n), [Fraction(0), Fraction(0)])
+        sums[0], sums[1] = sums[0] + top_term, sums[1] + bar_term
+    return {roles: t * b for roles, (t, b) in out.items()}
+
+
 def pair_partitions_brute(n: int) -> List[Tuple[Tuple[int, int], ...]]:
     if n % 2:
         return []

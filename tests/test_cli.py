@@ -75,6 +75,28 @@ def test_partitions_item_count_is_predicted_exactly(monkeypatch, capsys, flags):
         monkeypatch.undo()
 
 
+def test_partitions_count_refuses_n_ten_without_listing(monkeypatch, capsys):
+    # 4 365 673 diagonal partitions of [10]: the count prices them, no row is built
+    def unlisted(*args, **kwargs):
+        raise AssertionError("the listing was started")
+        yield
+
+    monkeypatch.setattr(cli, "diagonal_partitions", unlisted)
+    code = main(["partitions", "--n", "10"])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert captured.err.startswith("resource guard:") and "4365673" in captured.err
+
+
+def test_euler_counts_run_to_the_sech_moment_cap(capsys):
+    # the count is a continued fraction, capped like moments --family sech at 2 nmax <= 64
+    code, data = run_json(capsys, "euler", "--nmax", "32")
+    assert code == 0
+    assert data["pairs_on_2n"]["8"] == 19391512145 and len(data["pairs_on_2n"]) == 32
+    code, moments = run_json(capsys, "moments", "--family", "sech", "--nmax", "64")
+    assert str(data["pairs_on_2n"]["32"]) == moments["moments_from_order_zero"][64]
+
+
 def test_partitions_negative_size_is_bad_input(capsys):
     code = main(["partitions", "--n", "-1"])
     captured = capsys.readouterr()
@@ -351,7 +373,7 @@ def test_moments_and_cauchy_guards(capsys):
         ["moments", "--family", "hermite", "--nmax", "99999"],
         ["polys", "--family", "hermite", "--nmax", "4096"],
         ["cauchy", "--family", "hermite", "--depth", "999999"],
-        ["euler", "--nmax", "9"],
+        ["euler", "--nmax", "33"],
     ):
         code = main(argv)
         capsys.readouterr()

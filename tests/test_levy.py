@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from diagfock.scalars import DeformationParams, Poly, ResourceLimitError
-from diagfock.partitions import MAX_DIAGONAL_N, SetPartition, diagonal_partitions, diagonal_sum, set_partitions
+from diagfock.partitions import MAX_DIAGONAL_N, SetPartition, diagonal_partitions, set_partitions
 from diagfock.levy import (
     MAX_LEVY_WORD,
     GeneratorPair,
@@ -249,6 +249,17 @@ def test_stochastic_measure_needs_an_interval():
             stochastic_measure(spec, (0,), SetPartition(1, [(1,)]), Fraction(1), n_int, GEN)
 
 
+@pytest.mark.parametrize("u", [-1, 2], ids=["negative", "past-k"])
+def test_operator_model_refuses_an_unknown_coordinate(u):
+    # a negative u used to index the last coordinate, and u >= k to fail with IndexError
+    spec = rand_spec(helpers.rng(73), k=2, d=2)
+    with pytest.raises(ValueError, match="word uses an unknown coordinate"):
+        fock_levy_oracle(spec, [(u, 0), (u, 0)], [Fraction(1)], GEN)
+    for n_int in (1, 2):
+        with pytest.raises(ValueError, match="word uses an unknown coordinate"):
+            stochastic_measure(spec, (u, u), SetPartition(2, [(1,), (2,)]), Fraction(1), n_int, GEN)
+
+
 def test_cumulant_functional_inverts_moments():
     r = helpers.rng(68)
     spec = rand_spec(r, k=2, d=2)
@@ -487,12 +498,13 @@ def test_moment_with_gram_and_zero_cumulants_matches_operator_model():
                 assert got == fock_levy_oracle(spec, [(u, 0) for u in word], [s], params), word
                 if n <= 3:
                     value = lambda block: levy_cumulant(spec, tuple(word[i - 1] for i in block), s)
-                    assert got == diagonal_sum(n, params, value, lambda block: 1)
+                    assert got == sum(helpers.brute_class_sums(n, params, value, lambda block: 1).values(), 0)
 
 
 def test_moment_with_asymmetric_T_matches_the_row_table_route():
     # the DP multiplies row vectors from the left; the cumulant applies T
-    # from the right: they agree for any T, symmetric or not
+    # from the right: they agree for any T, symmetric or not (the route is
+    # the literal sum over the brute rows of helpers)
     r = helpers.rng(78)
     gram = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3)))
     spec = LevySpec.of(
@@ -502,11 +514,12 @@ def test_moment_with_asymmetric_T_matches_the_row_table_route():
     for n in range(1, 6):
         for word in itertools.product(range(2), repeat=n):
             value = lambda block: levy_cumulant(spec, tuple(word[i - 1] for i in block), Fraction(1, 2))
-            assert levy_moment(spec, word, GEN, Fraction(1, 2)) == diagonal_sum(n, GEN, value, lambda block: 1), word
+            expect = sum(helpers.brute_class_sums(n, GEN, value, lambda block: 1).values(), 0)
+            assert levy_moment(spec, word, GEN, Fraction(1, 2)) == expect, word
 
 
 def test_s_polynomial_by_block_count_at_the_symbolic_point():
-    # the block count of the DP state against the role classes of the row table
+    # the block count of the DP state against the literal diagonal enumeration
     r = helpers.rng(77)
     spec = rand_spec(r, k=2, d=2, with_gram=True)
     sym = DeformationParams.symbolic()

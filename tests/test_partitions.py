@@ -14,12 +14,11 @@ from diagfock.partitions import (
     DiagonalPartition,
     SetPartition,
     arc_sums,
-    class_sums,
     count_diagonal_pair_partitions,
+    count_diagonal_partitions,
     diagonal_pair_partitions,
     diagonal_partition_profiles,
     diagonal_partitions,
-    diagonal_sum,
     kernel_partition,
     noncrossing_partitions,
     pair_partitions,
@@ -27,11 +26,11 @@ from diagfock.partitions import (
     parse_partition,
     ps12_diagonal_partitions,
     render_partition,
-    row_sums,
-    row_table,
+    role_sums,
     satisfies_diagonal_conditions,
     set_partitions,
     unit_bar_sum,
+    _unit_bar_weights,
     _walk,
 )
 from diagfock.levy import cumulant_functional, moment_functional
@@ -286,12 +285,18 @@ KERNEL_POINTS = [
     DeformationParams.from_rationals(Fraction(1, 2), Fraction(2, 3), Fraction(1, 3), Fraction(3, 4)),
     DeformationParams.from_rationals(Fraction(-1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(1)),
     DeformationParams.symbolic(),
+    # a weight that vanishes: no crossing on the top row, no nesting on the bar row
+    DeformationParams.from_rationals(Fraction(0), Fraction(2, 3), Fraction(1, 3), Fraction(0)),
+    # no nesting on the top row, no crossing on the bar row
+    DeformationParams.from_rationals(Fraction(1, 2), Fraction(0), Fraction(0), Fraction(3, 4)),
 ]
+KERNEL_IDS = ["rational-a", "rational-b", "symbolic", "q-w-zero", "t-v-zero"]
 
 
-def brute_class_sums(n, params, top, bar):
+def enumerated_class_sums(n, params, top, bar):
     """The literal diagonal sum, grouped by role class: every (top, bar) pair
-    weighted by its monomial times top * bar values over conjugate blocks."""
+    of the enumeration weighted by its monomial times top * bar values over
+    conjugate blocks."""
     out = {}
     for dp in diagonal_partitions(n):
         term = params.monomial(*dp.weight_exponents())
@@ -308,27 +313,77 @@ def rand_block_values(r, n):
     return {b: Fraction(0) if r.random() < 0.25 else helpers.rand_frac(r) for b in blocks}
 
 
-@pytest.mark.parametrize("params", KERNEL_POINTS, ids=["rational-a", "rational-b", "symbolic"])
+def block_role_sums(n, a, b, value, roles="OCMS"):
+    """{R: T(R)} by the role-word pass over [n], each open block its own
+    chain, keyed by the role vector."""
+    sums = role_sums(
+        [roles] * n,
+        a,
+        b,
+        lambda i: value((i + 1,)),
+        lambda i: (i + 1,),
+        lambda block, i: value(block + (i + 1,)),
+        lambda block, i: block + (i + 1,),
+    )
+    return {tuple(role for role, _ in word): total for word, total in sums.items()}
+
+
+@pytest.mark.parametrize("params", KERNEL_POINTS, ids=KERNEL_IDS)
 def test_kernel_matches_diagonal_enumeration(params):
     r = helpers.rng(31)
     for n in range(7):
         top, bar = rand_block_values(r, n), rand_block_values(r, n)
         for bar_value in (bar.__getitem__, lambda block: 1):
-            expect = brute_class_sums(n, params, top.__getitem__, bar_value)
-            got = class_sums(n, params, top.__getitem__, bar_value)
-            for roles in set(expect) | set(got):
-                assert got.get(roles, 0) == expect.get(roles, 0), (n, roles)
-            assert diagonal_sum(n, params, top.__getitem__, bar_value) == sum(expect.values(), Fraction(0))
+            expect = helpers.brute_class_sums(n, params, top.__getitem__, bar_value)
+            enumerated = enumerated_class_sums(n, params, top.__getitem__, bar_value)
+            assert all(enumerated.get(roles, 0) == total for roles, total in expect.items())
+            top_sums = block_role_sums(n, params.q, params.t, top.__getitem__)
+            bar_sums = block_role_sums(n, params.v, params.w, bar_value)
+            for roles in set(expect) | set(top_sums):
+                got = top_sums.get(roles, 0) * bar_sums.get(roles, 0)
+                assert got == expect.get(roles, 0), (n, roles)
+            # a zero class is left out
+            assert all(total != 0 for total in top_sums.values())
 
 
-@pytest.mark.parametrize("params", KERNEL_POINTS, ids=["rational-a", "rational-b", "symbolic"])
+@pytest.mark.parametrize("roles", ["OC", "OCS", "OCM"])
+def test_role_sums_over_pruned_alphabets_keep_their_classes(roles):
+    # the pass over a smaller alphabet gives the same T(R) as the full one
+    # on the role vectors it spells, and no other
+    r = helpers.rng(32)
+    params = KERNEL_POINTS[0]
+    for n in range(7):
+        value = rand_block_values(r, n).__getitem__
+        full = block_role_sums(n, params.q, params.t, value)
+        pruned = block_role_sums(n, params.q, params.t, value, roles)
+        assert pruned == {R: t for R, t in full.items() if set(R) <= set(roles)}, n
+
+
+def test_role_sums_of_no_points_and_one_point():
+    # [0] has one row, the empty one, in the ring of the weights
+    sym = DeformationParams.symbolic()
+    assert block_role_sums(0, sym.q, sym.t, lambda block: 5) == {(): 1}
+    assert type(block_role_sums(0, sym.q, sym.t, lambda block: 5)[()]) is type(sym.q)
+    assert block_role_sums(0, Fraction(1, 2), Fraction(1, 3), lambda block: 5) == {(): Fraction(1)}
+    assert block_role_sums(1, sym.q, sym.t, lambda block: 5) == {("S",): 5}
+    assert block_role_sums(1, sym.q, sym.t, lambda block: 0) == {}
+
+
+@pytest.mark.parametrize("params", KERNEL_POINTS, ids=KERNEL_IDS)
 def test_unit_bar_sum_is_the_bar_class_sum(params):
     for n in range(8):
-        bar = row_sums(n, lambda block: 1, params.v, params.w)
+        bar = block_role_sums(n, params.v, params.w, lambda block: 1)
         for roles, expect in bar.items():
             assert unit_bar_sum(roles, params.v, params.w) == expect, roles
     with pytest.raises(ResourceLimitError):
         unit_bar_sum(("S",) * (MAX_DIAGONAL_N + 1), params.v, params.w)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_partition_count_is_the_length_of_the_listing(m):
+    for n in range(9):
+        assert count_diagonal_partitions(n, m) == sum(1 for _ in diagonal_partitions(n, m)), n
+    assert count_diagonal_partitions(0, m) == 1
 
 
 def block_arc_sums(n, params, value, graded=False):
@@ -338,7 +393,7 @@ def block_arc_sums(n, params, value, graded=False):
     return list(
         arc_sums(
             [(p,) for p in range(1, n + 1)],
-            params,
+            _unit_bar_weights(params),
             lambda p: value((p,)),
             lambda p: (p,),
             lambda block, p: value(block + (p,)),
@@ -374,6 +429,8 @@ def rand_points(r, count):
 
 @pytest.mark.parametrize("symbolic", [False, True], ids=["rational", "symbolic"])
 def test_arc_sums_match_enumeration_and_row_table(symbolic):
+    # the DP against the brute table of rows, and against the literal sum
+    # over diagonal pairs of the oracle in helpers
     r = helpers.rng(37)
     points, nmax = ([DeformationParams.symbolic()], 6) if symbolic else (rand_points(r, 5), 8)
     for params in points:
@@ -383,19 +440,21 @@ def test_arc_sums_match_enumeration_and_row_table(symbolic):
         assert len(sums) == len(by_blocks) == nmax
         for n in range(1, nmax + 1):
             expect, expect_graded = brute_row_sums(n, params, value)
-            assert sums[n - 1] == expect == diagonal_sum(n, params, value, lambda block: 1), n
+            assert sums[n - 1] == expect, n
             assert {k: v for k, v in by_blocks[n - 1].items() if v != 0} == {
                 k: v for k, v in expect_graded.items() if v != 0
             }
             if n <= 6:
-                assert expect == sum(brute_class_sums(n, params, value, lambda block: 1).values(), Fraction(0))
+                literal = helpers.brute_class_sums(n, params, value, lambda block: 1)
+                assert expect == sum(literal.values(), Fraction(0))
 
 
 def pair_arc_sums(n, params):
     """The DP with pair blocks only (r_2 = 1, every other r = 0): chain 1 is
     an open pair, which closes to 1; chain 2 a block grown past a pair,
     which closes to 0."""
-    sums = arc_sums([(0,)] * n, params, lambda a: 0, lambda a: 1, lambda chain, a: int(chain == 1), lambda chain, a: 2)
+    weights = _unit_bar_weights(params)
+    sums = arc_sums([(0,)] * n, weights, lambda a: 0, lambda a: 1, lambda chain, a: int(chain == 1), lambda chain, a: 2)
     return list(sums.values())
 
 
@@ -433,7 +492,16 @@ def test_arc_sums_of_no_points_and_bad_sizes():
         with pytest.raises(ValueError):
             functional({}, 1, params, -1)
     with pytest.raises(ValueError):
-        arc_sums([(0,)], params, lambda a: 1, lambda a: 1, lambda c, a: 1, lambda c, a: 1, lambda w, s: 0, graded=True)
+        arc_sums(
+            [(0,)],
+            _unit_bar_weights(params),
+            lambda a: 1,
+            lambda a: 1,
+            lambda c, a: 1,
+            lambda c, a: 1,
+            lambda w, s: 0,
+            graded=True,
+        )
 
 
 @functools.lru_cache(maxsize=None)
@@ -464,7 +532,7 @@ def word_arc_sums(letters, params, value):
     """The DP over the words of ``letters``, a chain being the open subword."""
     return arc_sums(
         letters,
-        params,
+        _unit_bar_weights(params),
         lambda a: value((a,)),
         lambda a: (a,),
         lambda sub, a: value(sub + (a,)),
@@ -495,25 +563,18 @@ def test_walk_rows_equal_checked_partitions():
             assert row == checked and hash(row) == hash(checked) and row.blocks == checked.blocks
 
 
-def test_row_table_holds_each_set_partition_once():
-    for n in range(8):
-        table = row_table(n)
-        assert len(table) == BELL[n]
-        assert {blocks for _, _, _, blocks in table} == set(helpers.all_partitions_brute(n))
-        for roles, _, _, blocks in table:
-            assert roles == helpers.roles_brute(blocks, n)
-    assert row_table.cache_info().maxsize == MAX_DIAGONAL_N + 1
-    with pytest.raises(ResourceLimitError):
-        row_table(MAX_DIAGONAL_N + 1)
-
-
-def test_row_table_counts_match_pairwise_arc_counts():
+def test_walk_counts_and_roles_match_brute():
     # the walk's per-step crossing and nesting increments against the
-    # pairwise arc comparison of SetPartition
+    # pairwise arc comparison of SetPartition and of helpers, and its roles
     for n in range(9):
-        for _, rc, rn, blocks in row_table(n):
+        rows = list(_walk(n, ("OCMS",) * n))
+        assert len(rows) == len(helpers.all_partitions_brute(n))
+        for roles, rc, rn, blocks in rows:
             p = SetPartition(n, blocks)
             assert (rc, rn) == (p.restricted_crossings(), p.restricted_nestings()), blocks
+            if n <= 7:
+                assert (rc, rn) == helpers.restricted_counts_brute(blocks), blocks
+            assert roles == helpers.roles_brute(blocks, n)
 
 
 def test_word_rows_match_injections():
@@ -536,7 +597,10 @@ def test_resource_guards():
     with pytest.raises(ResourceLimitError):
         list(diagonal_partitions(99))
     with pytest.raises(ResourceLimitError):
-        count_diagonal_pair_partitions(16)
+        count_diagonal_partitions(MAX_DIAGONAL_N + 1)
+    # the Euler count is a sech moment, priced by a continued fraction, not an enumeration
+    assert count_diagonal_pair_partitions(16) == 19391512145
+    assert count_diagonal_pair_partitions(64) == moments_from_jacobi(jacobi_sech(33), 64)[-1]
 
 
 @pytest.mark.parametrize(
@@ -549,7 +613,7 @@ def test_resource_guards():
         lambda: list(diagonal_partitions(-1)),
         lambda: list(diagonal_pair_partitions(-2)),
         lambda: list(ps12_diagonal_partitions(-1)),
-        lambda: row_table(-1),
+        lambda: count_diagonal_partitions(-1),
         lambda: count_diagonal_pair_partitions(-2),
     ],
 )

@@ -14,7 +14,7 @@ from diagfock.fock import (
     field_apply,
     quadrabasic_apply,
 )
-from diagfock.partitions import MAX_DIAGONAL_N, diagonal_sum, set_partitions
+from diagfock.partitions import MAX_DIAGONAL_N, set_partitions
 from diagfock.wick import (
     MAX_WICK_N,
     QuadrabasicOp,
@@ -329,11 +329,89 @@ def test_transform_guards():
 
 
 def test_transforms_match_the_row_table_route():
-    # the DP against the Bell(n) row expansion of the kernel, with zero cumulants
+    # the DP against the sum over the brute rows of helpers, with zero cumulants
     r = helpers.rng(45)
     for params in PARAM_POINTS + [SYM]:
         n = 6 if params is SYM else 8
         cums = [Fraction(0) if r.random() < 0.3 else helpers.rand_frac(r) for _ in range(n)]
-        expect = [diagonal_sum(k, params, lambda block: cums[len(block) - 1], lambda block: 1) for k in range(1, n + 1)]
+        expect = [
+            sum(helpers.brute_class_sums(k, params, lambda block: cums[len(block) - 1], lambda block: 1).values(), 0)
+            for k in range(1, n + 1)
+        ]
         assert cumulants_to_moments(cums, params) == expect
         assert moments_to_cumulants(expect, params) == cums
+
+
+def chain_value(vectors, gauges, scalars):
+    """A block's value on one row of the general Wick formula, from the
+    right: the last point's vector through the middle points' gauges (0
+    without one), paired with the first point's vector; a singleton's is its
+    scalar."""
+
+    def value(block):
+        if len(block) == 1:
+            return scalars[block[0] - 1]
+        vec = vectors[block[-1] - 1]
+        for i in reversed(block[1:-1]):
+            if gauges[i - 1] is None:
+                return Fraction(0)
+            vec = helpers.apply_mat(gauges[i - 1], vec)
+        return sum((a * b for a, b in zip(vectors[block[0] - 1], vec)), Fraction(0))
+
+    return value
+
+
+def brute_full_wick(ops, params):
+    n = len(ops)
+    gauges = [op.gauge for op in ops]
+    top = chain_value([op.vector.xi for op in ops], [g and g.top for g in gauges], [op.lam for op in ops])
+    bar = chain_value([op.vector.eta for op in ops], [g and g.bar for g in gauges], [op.lambar for op in ops])
+    return sum(helpers.brute_class_sums(n, params, top, bar).values(), Fraction(0))
+
+
+def rand_op(r, d_top, d_bar):
+    """Gauges absent a third of the time, scalars 0 on either row a third of the time."""
+    gauge = None
+    if r.random() < 2 / 3:
+        gauge = GaugePair.of(helpers.rand_mat(r, d_top), helpers.rand_mat(r, d_bar))
+    lam, lambar = (helpers.rand_frac(r) if r.random() < 2 / 3 else Fraction(0) for _ in range(2))
+    return QuadrabasicOp(VectorPair.of(helpers.rand_vec(r, d_top), helpers.rand_vec(r, d_bar)), gauge, lam, lambar)
+
+
+ROLE_POINTS = [
+    PARAM_POINTS[0],
+    params_rat(0, Fraction(2, 3), Fraction(1, 3), Fraction(3, 4)),
+    params_rat(Fraction(1, 2), 0, Fraction(1, 3), Fraction(3, 4)),
+    params_rat(Fraction(1, 2), Fraction(2, 3), 0, Fraction(3, 4)),
+    params_rat(Fraction(-1, 2), Fraction(1, 2), Fraction(-2, 3), Fraction(2, 3)),
+    SYM,
+]
+
+
+@pytest.mark.parametrize("params", ROLE_POINTS, ids=["rational", "q-zero", "t-zero", "v-zero", "negative", "symbolic"])
+def test_role_word_wick_sums_match_the_enumeration(params):
+    # pruned alphabets (no gauge: no Middle; a zero scalar: no Singleton),
+    # d = 1 and 2 on either row, n = 0 and 1, odd Gaussian moments
+    r = helpers.rng(46)
+    for n in range(6 if params is SYM else 7):
+        for d_top, d_bar in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            ops = [rand_op(r, d_top, d_bar) for _ in range(n)]
+            expect = brute_full_wick(ops, params)
+            got = full_wick(ops, params)
+            assert got == expect, (n, d_top, d_bar)
+            xs = [op.vector for op in ops]
+            no_block_factors = [QuadrabasicOp(x, None) for x in xs]
+            got = gaussian_wick(xs, params)
+            assert got == brute_full_wick(no_block_factors, params), (n, d_top, d_bar)
+            if n % 2:
+                assert got == 0 and type(got) is Fraction
+            elif n == 0 or (params is SYM and got != 0):
+                assert type(got) is type(params.q)
+            if params is not SYM and n <= 5:
+                assert full_wick(ops, params) == full_fock_oracle(ops, params), (n, d_top, d_bar)
+
+
+def test_full_wick_of_no_operators_is_one():
+    assert full_wick([], SYM) == 1 and type(full_wick([], SYM)) is Fraction
+    assert gaussian_wick([], SYM) == Poly.const(1)
+    assert gaussian_wick([], PARAM_POINTS[0]) == 1 and type(gaussian_wick([], PARAM_POINTS[0])) is Fraction
