@@ -177,7 +177,8 @@ def cmd_euler(args) -> int:
     nmax = _int(args.nmax, "--nmax", least=1)
     if 2 * nmax > MAX_FAMILY_NMAX:
         raise ResourceLimitError(f"Euler counts guarded at 2 nmax <= {MAX_FAMILY_NMAX}, the sech moment order")
-    counts = {n: count_diagonal_pair_partitions(2 * n) for n in range(1, nmax + 1)}
+    moments = moments_from_jacobi(jacobi_sech(nmax + 1), 2 * nmax)  # m_2n counts the pairs on 2n points
+    counts = {n: int(moments[2 * n - 1]) for n in range(1, nmax + 1)}
     _emit({"pairs_on_2n": counts, "seconds": time.monotonic() - t0}, args.output)
     return 0
 

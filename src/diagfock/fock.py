@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .scalars import DeformationParams, Poly, ResourceLimitError
+from .scalars import DeformationParams, Poly, ResourceLimitError, qt_number
 
 Word = Tuple[int, ...]
 WordPair = Tuple[Word, Word]
@@ -606,13 +606,9 @@ def gauge_adjoint_check(
 # -- creation operator norm -------------------------------------------------------
 
 
-def qt_number_float(n: int, q: float, t: float) -> float:
-    return sum(q ** (i - 1) * t ** (n - i) for i in range(1, n + 1))
-
-
 def empirical_creation_norm(q: float, t: float, nmax: int = 200) -> float:
     """sup over levels of the one-row creation norm ratio sqrt([n]_{q,t})."""
-    return max(math.sqrt(qt_number_float(n, q, t)) for n in range(1, nmax + 1))
+    return max(math.sqrt(qt_number(n, q, t)) for n in range(1, nmax + 1))
 
 
 def creation_norm_formula(q: float, t: float) -> Tuple[float, str]:

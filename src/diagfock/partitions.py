@@ -30,8 +30,8 @@ enclose it.  Ending arc j therefore adds
 each pair of arcs being counted when the first of them ends; summed over j
 the step weight q^(k-j) t^(j-1) is [k]_{q,t}.  Each point may be limited to
 some of the roles: O, C, M and S give all set partitions, O and C the
-matchings, O, C and S the pairs and singletons, and O at annihilators with C
-or S at creators the rows of the word expansion in :mod:`diagfock.wick`.
+matchings, and O, C and S the pairs and singletons (the word expansion in
+:mod:`diagfock.wick` sums these per role vector, by :func:`role_sums`).
 :meth:`SetPartition.restricted_crossings` and
 :meth:`SetPartition.restricted_nestings` count the same statistics pair by
 pair and serve as the tests' oracle for the walk.
@@ -57,10 +57,10 @@ the product of [k]_{v,w} over the steps of R that end one of k open arcs
 (:func:`unit_bar_sum`), so the step weight is the top row's times that
 factor; so run the functionals (the one-variable transforms are their
 one-letter case, and a fill-in inverts the sum in the same pass) and the
-Levy word moments.  When both rows carry block values (the Wick sums),
-:func:`role_sums` gives T(R) or B(R) for every R by one pass per row over
-the trie of the role words; :func:`count_diagonal_partitions` is that pass
-at weight 1.  The pairs themselves (:func:`diagonal_partitions`) are
+Levy word moments.  When both rows carry block values (the Wick sums, the
+word expansion), :func:`role_sums` gives T(R) or B(R) for every R by one pass
+per row over the trie of the role words; :func:`count_diagonal_partitions` is
+that pass at weight 1.  The pairs themselves (:func:`diagonal_partitions`) are
 enumerated only for display and as a test oracle.
 """
 

@@ -20,11 +20,12 @@ the cumulant of the word 0^n.  The Gaussian and general sums are sums over
 role vectors R of T(R) * B(R) (see :mod:`diagfock.partitions`): both rows
 carry block values, so each row is one pass of the same open-arc DP over the
 role words the data allow.  The word expansion factorises into a top-row
-expansion tensored with a bar-row expansion.  Every formula has an operator
-counterpart in :mod:`diagfock.fock`; tests hold the two routes against each
-other.  The two moment oracles keep only the terms that can still return to
-the vacuum; the word oracle returns the whole vector.  Every function here
-refuses entries whose xi or eta dimension differs from entry 0's.
+expansion tensored with a bar-row expansion, each row one such pass too.
+Every formula has an operator counterpart in :mod:`diagfock.fock`; tests
+hold the two routes against each other.  The two moment oracles keep only
+the terms that can still return to the vacuum; the word oracle returns the
+whole vector.  Every function here refuses more than MAX_WICK_N entries and
+entries whose xi or eta dimension differs from entry 0's.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
 from .levy import cumulant_functional, moment_functional
-from .partitions import SetPartition, _walk, role_sums
+from .partitions import role_sums
 from .scalars import DeformationParams, ResourceLimitError
 from .fock import (
     ANNIHILATE,
@@ -46,8 +47,7 @@ from .fock import (
     VectorPair,
     _quadrabasic_parts,
     _vacuum_moment,
-    annihilation_apply,
-    creation_apply,
+    apply_word,
 )
 
 MAX_WICK_N = 10
@@ -73,13 +73,17 @@ class QuadrabasicOp:
         return self.lam * self.lambar
 
 
-def _same_dims(pairs: Sequence[VectorPair], key: str) -> None:
-    """Name the first entry whose xi (or eta) dimension differs from entry 0's."""
+def _check_entries(pairs: Sequence[VectorPair], key: str) -> None:
+    """The entry check of every formula and oracle here: name the first
+    entry whose xi (or eta) dimension differs from entry 0's, and refuse
+    more than MAX_WICK_N entries."""
     for i, x in enumerate(pairs):
         for side in ("xi", "eta"):
             dim, first = len(getattr(x, side)), len(getattr(pairs[0], side))
             if dim != first:
                 raise ValueError(f"{key}[{i}]: {side} has dimension {dim}, but {key}[0] has {first}")
+    if len(pairs) > MAX_WICK_N:
+        raise ResourceLimitError(f"{key}: {len(pairs)} entries, but the wick formulas are guarded at n <= {MAX_WICK_N}")
 
 
 def gaussian_wick(xs: Sequence[VectorPair], params: DeformationParams):
@@ -91,23 +95,28 @@ def gaussian_wick(xs: Sequence[VectorPair], params: DeformationParams):
     :func:`full_wick` with no gauge and zero scalars, where only pair blocks
     have a nonzero value.
     """
-    _same_dims(xs, "vectors")
-    n = len(xs)
-    if n > MAX_WICK_N:
-        raise ResourceLimitError(f"wick sum guarded at n <= {MAX_WICK_N}")
-    if n % 2:
+    _check_entries(xs, "vectors")
+    if len(xs) % 2:
         return Fraction(0)
     # pairs only: no point is a Middle or a Singleton, so no gauge or scalar is read
-    return _wick_sum(["OC"] * n, params, _row([x.xi for x in xs], (), ()), _row([x.eta for x in xs], (), ()))
+    return _wick_sum(["OC"] * len(xs), params, _row([x.xi for x in xs], (), ()), _row([x.eta for x in xs], (), ()))
 
 
 def gaussian_fock_oracle(xs: Sequence[VectorPair], params: DeformationParams):
     """The same moment by applying the operators to the vacuum (independent route)."""
-    _same_dims(xs, "vectors")
+    _check_entries(xs, "vectors")
     return _vacuum_moment([_quadrabasic_parts(x, None, 0, params, None) for x in xs])
 
 
 # -- creation/annihilation word expansion ------------------------------------------
+
+
+def _check_word(tokens: Sequence[Tuple[str, VectorPair]]) -> None:
+    """The entry check, and a word has creators and annihilators only."""
+    _check_entries([x for _, x in tokens], "tokens")
+    for kind, _ in tokens:
+        if kind not in (CREATE, ANNIHILATE):
+            raise ValueError(f"word tokens must be create/annihilate only, got {kind!r}")
 
 
 def word_vacuum_formula(tokens: Sequence[Tuple[str, VectorPair]], params: DeformationParams) -> FockVector:
@@ -123,19 +132,13 @@ def word_vacuum_formula(tokens: Sequence[Tuple[str, VectorPair]], params: Deform
 
     Every row pairs each annihilator with a later creator, so all rows share
     one opener set and the sum is the top-row expansion tensored with the
-    bar-row expansion.  The rows are the open-arc walk with annihilators
-    opening arcs and creators closing one or standing alone.
+    bar-row expansion, each one :func:`role_sums` pass over the role words
+    with annihilators Opening and creators Closing or standing alone.
     """
-    _same_dims([x for _, x in tokens], "tokens")
-    n = len(tokens)
-    if n > MAX_WICK_N:
-        raise ResourceLimitError(f"word expansion guarded at n <= {MAX_WICK_N}")
-    if any(kind not in (CREATE, ANNIHILATE) for kind, _ in tokens):
-        raise ValueError("word_vacuum_formula tokens must be create/annihilate only")
-    letters = ["O" if kind == ANNIHILATE else "CS" for kind, _ in tokens]
-    rows = [(SetPartition._canonical(n, blocks), rc, rn) for _, rc, rn, blocks in _walk(n, letters)]
-    top = _word_row([x.xi for _, x in tokens], rows, params.q, params.t)
-    bar = _word_row([x.eta for _, x in tokens], rows, params.v, params.w)
+    _check_word(tokens)
+    roles_at = ["O" if kind == ANNIHILATE else "CS" for kind, _ in tokens]
+    top = _word_row([x.xi for _, x in tokens], roles_at, params.q, params.t)
+    bar = _word_row([x.eta for _, x in tokens], roles_at, params.v, params.w)
     out = FockVector()
     for top_word, top_coeff in top.items():
         for bar_word, bar_coeff in bar.items():
@@ -143,20 +146,27 @@ def word_vacuum_formula(tokens: Sequence[Tuple[str, VectorPair]], params: Deform
     return out
 
 
-def _word_row(vectors: Sequence[Sequence], rows, a, b) -> Dict[Tuple[int, ...], object]:
-    """One row of the word expansion as {residual word: coefficient}: each row
-    partition's weight times the inner products of its pairs times the tensor
-    of its singletons' vectors, expanded in basis words.  ``rows`` holds
-    (partition, crossings, nestings) triples."""
+def _word_row(vectors: Sequence[Sequence], roles_at: Sequence[str], a, b) -> Dict[Tuple[int, ...], object]:
+    """One row of the word expansion as {residual word: coefficient}.
+
+    T(R) of :func:`role_sums` sums a^cr b^nest times the inner products of
+    the pairs over the rows with role vector R, a singleton being worth 1.
+    R fixes the arcs open over each singleton and the pairs closed before
+    it, so T(R) takes a^(open arcs) b^(closed pairs) per singleton, times
+    the tensor of the singletons' vectors expanded in basis words."""
     out: Dict[Tuple[int, ...], object] = {}
-    for row, rc, rn in rows:
-        scalar = Fraction(1)
-        for i, j in row.pair_blocks():
-            scalar = scalar * _linalg.dot(vectors[i - 1], vectors[j - 1])
-        if scalar == 0:
-            continue
-        coeff = (a ** (rc + row.covered_singletons())) * (b ** (rn + row.singletons_after_pairs())) * scalar
-        expansions = [[(c, x) for c, x in enumerate(vectors[s - 1]) if x != 0] for s in row.singletons()]
+    for roles, total in role_sums(roles_at, a, b, *_row(vectors, (), [1] * len(vectors))).items():
+        opened = closed = covered = after = 0
+        expansions = []
+        for role, i in roles:
+            if role == "O":
+                opened += 1
+            elif role == "C":
+                closed += 1
+            else:
+                covered, after = covered + opened - closed, after + closed
+                expansions.append([(c, x) for c, x in enumerate(vectors[i]) if x != 0])
+        coeff = (a ** covered) * (b ** after) * total
         for choice in itertools.product(*expansions):
             val = coeff
             for _, x in choice:
@@ -168,16 +178,8 @@ def _word_row(vectors: Sequence[Sequence], rows, a, b) -> Dict[Tuple[int, ...], 
 
 def word_fock_oracle(tokens: Sequence[Tuple[str, VectorPair]], params: DeformationParams) -> FockVector:
     """The same vector by direct operator application, kept whole."""
-    _same_dims([x for _, x in tokens], "tokens")
-    f = FockVector.vacuum()
-    for kind, x in reversed(tokens):
-        if kind == CREATE:
-            f = creation_apply(x, f)
-        elif kind == ANNIHILATE:
-            f = annihilation_apply(x, f, params)
-        else:
-            raise ValueError(f"bad token kind {kind!r}")
-    return f
+    _check_word(tokens)
+    return apply_word(tokens, params)
 
 
 # -- general Wick formula ------------------------------------------------------------
@@ -210,11 +212,8 @@ def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):
     (eta, T-bar, lam-bar).  A point is a Middle only at a gauge and a
     Singleton only where both scalars are nonzero; other blocks have value 0.
     """
-    _same_dims([op.vector for op in ops], "operators")
-    n = len(ops)
-    if n > MAX_WICK_N:
-        raise ResourceLimitError(f"wick sum guarded at n <= {MAX_WICK_N}")
-    if n == 0:
+    _check_entries([op.vector for op in ops], "operators")
+    if not ops:
         return Fraction(1)
     gauges = [op.gauge for op in ops]
     top = _row([op.vector.xi for op in ops], [g and g.top for g in gauges], [op.lam for op in ops])
@@ -225,7 +224,7 @@ def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):
 
 def full_fock_oracle(ops: Sequence[QuadrabasicOp], params: DeformationParams):
     """The same moment by operator application (independent route)."""
-    _same_dims([op.vector for op in ops], "operators")
+    _check_entries([op.vector for op in ops], "operators")
     return _vacuum_moment([_quadrabasic_parts(op.vector, op.gauge, op.scalar, params, None) for op in ops])
 
 

@@ -278,6 +278,43 @@ def word_rows_brute(kinds: Sequence[str]) -> List[Tuple[Tuple[int, ...], ...]]:
     return out
 
 
+def word_row_brute(kinds: Sequence[str], vectors: Sequence[Sequence], a, b) -> Dict[Tuple[int, ...], object]:
+    """One row of the word expansion as {residual word: coefficient}, row by
+    row over :func:`word_rows_brute`: a^(cr + covered singletons)
+    b^(nest + singletons after a pair) times the inner products of the pairs
+    times the tensor of the singletons' vectors, expanded in basis words."""
+    out: Dict[Tuple[int, ...], object] = {}
+    for blocks in word_rows_brute(kinds):
+        pairs = [blk for blk in blocks if len(blk) == 2]
+        singles = [blk[0] for blk in blocks if len(blk) == 1]
+        scalar = Fraction(1)
+        for i, j in pairs:
+            scalar = scalar * sum(x * y for x, y in zip(vectors[i - 1], vectors[j - 1]))
+        if scalar == 0:
+            continue
+        covered = sum(1 for s in singles for i, j in pairs if i < s < j)
+        after = sum(1 for s in singles for _, j in pairs if j < s)
+        coeff = (a ** (crossings_pairs(pairs) + covered)) * (b ** (nestings_pairs(pairs) + after)) * scalar
+        expansions = [[(c, x) for c, x in enumerate(vectors[s - 1]) if x != 0] for s in singles]
+        for choice in itertools.product(*expansions):
+            val = coeff
+            for _, x in choice:
+                val = val * x
+            word = tuple(c for c, _ in choice)
+            out[word] = out.get(word, 0) + val
+    return out
+
+
+def word_expansion_brute(kinds: Sequence[str], tops, bars, params) -> Dict[tuple, object]:
+    """The word applied to the vacuum as {(top word, bar word): coefficient}
+    without zero terms: the top row's expansion at (q, t) tensored with the
+    bar row's at (v, w)."""
+    top = word_row_brute(kinds, tops, params.q, params.t)
+    bar = word_row_brute(kinds, bars, params.v, params.w)
+    terms = (((tw, bw), tc * bc) for tw, tc in top.items() for bw, bc in bar.items())
+    return {key: val for key, val in terms if val != 0}
+
+
 def noncrossing_partitions_brute(n: int) -> List[Tuple[Tuple[int, ...], ...]]:
     """Noncrossing set partitions: no block separates part of another block."""
     return _nc_filter(n)

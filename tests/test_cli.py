@@ -5,6 +5,7 @@ import pytest
 
 from diagfock import cli
 from diagfock.cli import main
+from diagfock.partitions import count_diagonal_pair_partitions
 
 
 def run(capsys, *argv):
@@ -93,6 +94,8 @@ def test_euler_counts_run_to_the_sech_moment_cap(capsys):
     code, data = run_json(capsys, "euler", "--nmax", "32")
     assert code == 0
     assert data["pairs_on_2n"]["8"] == 19391512145 and len(data["pairs_on_2n"]) == 32
+    # one continued fraction gives every count, each the depth-n one of the library count
+    assert data["pairs_on_2n"] == {str(n): count_diagonal_pair_partitions(2 * n) for n in range(1, 33)}
     code, moments = run_json(capsys, "moments", "--family", "sech", "--nmax", "64")
     assert str(data["pairs_on_2n"]["32"]) == moments["moments_from_order_zero"][64]
 

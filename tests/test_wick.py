@@ -43,8 +43,8 @@ PARAM_POINTS = [
 ]
 
 
-def rand_pair(r, d=2):
-    return VectorPair.of(helpers.rand_vec(r, d), helpers.rand_vec(r, d))
+def rand_pair(r, d=2, d_bar=None):
+    return VectorPair.of(helpers.rand_vec(r, d), helpers.rand_vec(r, d if d_bar is None else d_bar))
 
 
 def test_gaussian_low_moments_symbolic():
@@ -135,14 +135,44 @@ def test_word_formula_residual_three_tokens_by_hand():
     assert got == expect
 
 
+def assert_word_formula_matches(kinds, tokens, params):
+    """The formula against the per-row oracle of helpers (values and types)
+    and against the operator model (values)."""
+    got = word_vacuum_formula(tokens, params)
+    rows = helpers.word_expansion_brute(kinds, [x.xi for _, x in tokens], [x.eta for _, x in tokens], params)
+    assert got.terms == rows, kinds
+    assert all(type(got.terms[key]) is type(val) for key, val in rows.items()), kinds
+    assert got == word_fock_oracle(tokens, params), kinds
+
+
 def test_word_formula_matches_operator_model_all_patterns():
     r = helpers.rng(36)
     params = PARAM_POINTS[0]
-    for n in range(1, 6):
+    for n in range(6):
         for mask in range(2**n):
-            kinds = [CREATE if (mask >> i) & 1 else ANNIHILATE for i in range(n)]
-            tokens = [(k, rand_pair(r)) for k in kinds]
-            assert word_vacuum_formula(tokens, params) == word_fock_oracle(tokens, params)
+            kinds = "".join("c" if (mask >> i) & 1 else "a" for i in range(n))
+            tokens = [(CREATE if k == "c" else ANNIHILATE, rand_pair(r)) for k in kinds]
+            assert_word_formula_matches(kinds, tokens, params)
+
+
+WORD_POINTS = [
+    params_rat(0, 0, Fraction(1, 3), Fraction(3, 4)),
+    params_rat(Fraction(1, 2), Fraction(2, 3), 0, 0),
+    params_rat(Fraction(-1, 2), Fraction(1, 2), Fraction(-2, 3), Fraction(2, 3)),
+    SYM,
+]
+
+
+@pytest.mark.parametrize("params", WORD_POINTS, ids=["qt-zero", "vw-zero", "negative", "symbolic"])
+def test_word_formula_matches_the_row_oracle(params):
+    # no token, creators only (the residual alone), an annihilator last (the
+    # zero vector), a creator first, alternating words and the benchmark
+    # pattern, d = 1, 2 and 3 on the top row
+    r = helpers.rng(47)
+    for kinds in ("", "ccc", "acca", "caacc", "acacac", "cacaca", "aacccacc"):
+        for d_top in (1, 2, 3):
+            tokens = [(CREATE if k == "c" else ANNIHILATE, rand_pair(r, d_top, 2)) for k in kinds]
+            assert_word_formula_matches(kinds, tokens, params)
 
 
 def test_word_formula_matches_operator_model_symbolic_length_six():
@@ -238,7 +268,7 @@ MIXED_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize(
+EVERY_FORMULA_AND_ORACLE = pytest.mark.parametrize(
     "fn, key",
     [
         (gaussian_wick, "vectors"), (gaussian_fock_oracle, "vectors"), (word_vacuum_formula, "tokens"),
@@ -246,12 +276,25 @@ MIXED_ENTRIES = {
     ],
     ids=lambda v: v if isinstance(v, str) else v.__name__,
 )
+
+
+@EVERY_FORMULA_AND_ORACLE
 def test_entries_of_another_dimension_are_refused(fn, key):
     # the oracles used to contract the mismatched letters silently (the
     # Gaussian one returned 1 here) and the formulas to fail inside zip
     message = f"{key}[1]: xi has dimension 1, but {key}[0] has 2"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fn(MIXED_ENTRIES[key], PARAM_POINTS[0])
+
+
+@EVERY_FORMULA_AND_ORACLE
+def test_more_entries_than_the_guard_are_refused(fn, key):
+    # an oracle refuses what its formula refuses; at the guard size each answers
+    entries = {"vectors": MIXED[1], "tokens": (CREATE, MIXED[1]), "operators": QuadrabasicOp(MIXED[1], None)}[key]
+    message = f"{key}: {MAX_WICK_N + 1} entries, but the wick formulas are guarded at n <= {MAX_WICK_N}"
+    with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
+        fn([entries] * (MAX_WICK_N + 1), PARAM_POINTS[0])
+    fn([entries] * MAX_WICK_N, PARAM_POINTS[0])
 
 
 def test_full_wick_mixed_operators_symbolic():
