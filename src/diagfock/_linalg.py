@@ -1,10 +1,13 @@
 """Small exact linear algebra helpers over Fraction (and generic scalars).
 
-Matrices are tuples of tuples (rows).  Sizes stay in the tens-to-hundreds,
-so plain Gaussian elimination over exact rationals serves the solves and
-ranks.  :func:`ldlt_classify` is on the hot path of the symmetrizer
-positivity checks (one call per letter-content block), so it eliminates
-fraction-free over integers instead.
+Matrices are tuples of tuples (rows).  Every product is built from the one
+inner-product loop :func:`dot`, which refuses sequences of unequal length, so
+:func:`mat_vec` and :func:`mat_mul` refuse mismatched dimensions alike.
+Sizes stay in the tens-to-hundreds, so one Gauss-Jordan elimination over
+exact rationals, :func:`_reduce`, serves both the solves and the ranks.
+:func:`ldlt_classify` is on the hot path of the symmetrizer positivity
+checks (one call per letter-content block), so it eliminates fraction-free
+over integers instead.
 """
 
 from __future__ import annotations
@@ -21,30 +24,12 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = len(b[0])
-    inner = len(b)
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(cols):
-            s = None
-            for k in range(inner):
-                term = row[k] * b[k][j]
-                s = term if s is None else s + term
-            out_row.append(s if s is not None else Fraction(0))
-        out.append(tuple(out_row))
-    return tuple(out)
+    cols = transpose(b)
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def mat_vec(a: Matrix, x: Sequence) -> Tuple:
-    out = []
-    for row in a:
-        s = None
-        for rv, xv in zip(row, x, strict=True):
-            term = rv * xv
-            s = term if s is None else s + term
-        out.append(s if s is not None else Fraction(0))
-    return tuple(out)
+    return tuple(dot(row, x) for row in a)
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -65,21 +50,13 @@ def is_symmetric(a: Matrix) -> bool:
 
 
 def solve_linear(a: Matrix, b: Sequence) -> Tuple:
-    """Solve A x = b exactly for square nonsingular A (partial pivoting)."""
+    """Solve A x = b exactly for square nonsingular A: Gauss-Jordan on the
+    augmented rows, which must pivot in each column of A and not in b's."""
     n = len(a)
-    aug = [list(row) + [val] for row, val in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(row[n] for row in aug)
+    rows, pivots = _reduce([list(row) + [val] for row, val in zip(a, b)])
+    if pivots != list(range(n)):
+        raise ValueError("singular system")
+    return tuple(row[n] for row in rows)
 
 
 def ldlt_classify(a: Matrix) -> Tuple[str, int]:
@@ -209,22 +186,28 @@ def independent_subset(gram: Matrix) -> List[int]:
 
 
 def _rank(rows: List[List[Fraction]]) -> int:
+    return len(_reduce(rows)[1])
+
+
+def _reduce(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
+    """Gauss-Jordan elimination: (the reduced rows, the pivot columns).
+
+    Column by column, the first remaining row with a nonzero entry is the
+    pivot row; it is scaled to a leading 1 and cleared from every other row.
+    """
     m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+    pivots: List[int] = []
+    for col in range(len(m[0]) if m else 0):
+        row = len(pivots)
+        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
         d = m[row][col]
         m[row] = [x / d for x in m[row]]
-        for r in range(nrows):
+        for r in range(len(m)):
             if r != row and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-    return rank
+        pivots.append(col)
+    return m, pivots

@@ -347,14 +347,12 @@ def quadrabasic_apply(
     return _apply_parts(_quadrabasic_parts(x, g, lam, params, metric), f)
 
 
-def apply_word(
-    tokens: Sequence, params: DeformationParams, metric: Metric = None, start: Optional[FockVector] = None
-) -> FockVector:
-    """Apply a product of tokens to a vector (rightmost token acts first).
+def apply_word(tokens: Sequence, params: DeformationParams, metric: Metric = None) -> FockVector:
+    """Apply a product of tokens to the vacuum (rightmost token acts first).
 
     The whole vector is kept at every step: this is the unpruned route that
     :func:`vacuum_expectation` is tested against."""
-    f = FockVector.vacuum() if start is None else start
+    f = FockVector.vacuum()
     for token in reversed(tokens):
         f = apply_token(token, f, params, metric)
     return f

@@ -50,6 +50,7 @@ from .fock import GaugePair, VectorPair, _quadrabasic_parts, _vacuum_moment
 Word = Tuple[int, ...]
 
 MAX_LEVY_WORD = 8
+_PAIR_ORDER = 12  # tau moments m_0..m_11 of brownian_pair and poisson_pair
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,7 @@ def diagonal_measure_spec(spec: LevySpec, u: int, n: int) -> LevySpec:
         xi' = T_u^(n-1) xi_u,   T' = T_u^n,   lambda' = <xi_u, T_u^(n-2) xi_u>
 
     (n >= 2; n = 1 returns the coordinate itself)."""
+    _check_coordinates(spec, (u,))
     if n < 1:
         raise ValueError("diagonal measure needs n >= 1")
     if n == 1:
@@ -178,11 +180,7 @@ def diagonal_measure_spec(spec: LevySpec, u: int, n: int) -> LevySpec:
         power = _linalg.mat_mul(power, mat)
     xi_new = _linalg.mat_vec(power, spec.xi[u])  # T^(n-1) xi
     t_new = _linalg.mat_mul(power, mat)  # T^n
-    chain = spec.xi[u]
-    for _ in range(n - 2):
-        chain = _linalg.mat_vec(mat, chain)
-    lam_new = spec.pair(spec.xi[u], chain)
-    return LevySpec(1, spec.d, (tuple(xi_new),), (t_new,), (lam_new,), spec.gram)
+    return LevySpec(1, spec.d, (tuple(xi_new),), (t_new,), (levy_cumulant(spec, (u,) * n),), spec.gram)
 
 
 def combined_spec(a: LevySpec, b: LevySpec) -> LevySpec:
@@ -359,6 +357,27 @@ def moment_functional(psi: Functional, k: int, params: DeformationParams, maxlen
     return {(): Fraction(1), **_functional_sums(psi.__getitem__, k, params, maxlen)}
 
 
+def cumulants_to_moments(r: Sequence, params: DeformationParams) -> List:
+    """m_n = sum over diagonal partitions of weight * product of r_{block size}.
+
+    ``r`` lists r_1..r_N; returns m_1..m_N.  This is :func:`moment_functional`
+    on one coordinate, r_n being the cumulant of the word 0^n: one pass of
+    the open-arc DP gives every m_n.
+    """
+    words = [(0,) * n for n in range(1, len(r) + 1)]
+    phi = moment_functional(dict(zip(words, r)), 1, params, len(r))
+    return [phi[w] for w in words]
+
+
+def moments_to_cumulants(m: Sequence, params: DeformationParams) -> List:
+    """Triangular inversion of :func:`cumulants_to_moments`: the
+    :func:`cumulant_functional` of one coordinate, which fills each r_n in
+    during the same pass."""
+    words = [(0,) * n for n in range(1, len(m) + 1)]
+    psi = cumulant_functional(dict(zip(words, m)), 1, params, len(m))
+    return [psi[w] for w in words]
+
+
 def product_functional(
     phi1: Functional, k1: int, phi2: Functional, k2: int, params: DeformationParams, maxlen: int
 ) -> Functional:
@@ -412,16 +431,18 @@ class GeneratorPair:
         return GeneratorPair(s * self.lam, tuple(s * m for m in self.tau_moments))
 
 
-def brownian_pair(s=1, order: int = 12) -> GeneratorPair:
-    """Gaussian-type generator at time s: lam = 0, tau = s * (unit mass at 0)."""
+def brownian_pair(s=1) -> GeneratorPair:
+    """Gaussian-type generator at time s: lam = 0, tau = s * (unit mass at 0),
+    with _PAIR_ORDER tau moments."""
     s = Fraction(s)
-    return GeneratorPair(Fraction(0), (s,) + tuple(Fraction(0) for _ in range(order - 1)))
+    return GeneratorPair(Fraction(0), (s,) + tuple(Fraction(0) for _ in range(_PAIR_ORDER - 1)))
 
 
-def poisson_pair(s=1, order: int = 12) -> GeneratorPair:
-    """Poisson-type generator at time s: lam = s, tau = s * (unit mass at 1)."""
+def poisson_pair(s=1) -> GeneratorPair:
+    """Poisson-type generator at time s: lam = s, tau = s * (unit mass at 1),
+    with _PAIR_ORDER tau moments."""
     s = Fraction(s)
-    return GeneratorPair(s, tuple(s for _ in range(order)))
+    return GeneratorPair(s, tuple(s for _ in range(_PAIR_ORDER)))
 
 
 def convolve_pairs(a: GeneratorPair, b: GeneratorPair) -> GeneratorPair:
@@ -434,14 +455,10 @@ def convolve_pairs(a: GeneratorPair, b: GeneratorPair) -> GeneratorPair:
 
 
 def pair_to_moments(p: GeneratorPair, params: DeformationParams, nmax: int) -> List[Fraction]:
-    from .wick import cumulants_to_moments
-
     return cumulants_to_moments(p.cumulants(nmax), params)
 
 
 def moments_to_pair(m: Sequence, params: DeformationParams) -> GeneratorPair:
-    from .wick import moments_to_cumulants
-
     r = moments_to_cumulants(list(m), params)
     if not r:
         raise ValueError("need at least the first moment")

@@ -23,9 +23,10 @@ The float paths use the standard library only:
     eigenvector row;
   * integrals (hyperbolic-secant and Meixner-Pollaczek moments) by adaptive
     bisection with the 20-point Gauss-Legendre rule, itself built by that
-    solver from the Legendre recurrence;
-  * the largest |root| of a polynomial by the Durand-Kerner iteration
-    (Kerner 1966).
+    solver from the Legendre recurrence.
+
+The zeros of P_n are the n-point Gauss nodes, so :func:`quadrature_rule`
+also serves wherever a root of an orthogonal polynomial is wanted.
 
 Families:
 
@@ -34,8 +35,12 @@ Families:
     [n]_{q,t} [n]_{v,w} for n >= 1;
   * one-parameter Meixner-Pollaczek type: beta = 0, gamma_{n-1} =
     [n]_q (1 + alpha q^{n-1});
-  * hyperbolic-secant: gamma_{n-1} = n^2 (the (1,1,1,1) Hermite point);
-  * discrete q-Hermite I: gamma_{n-1} = [n]_q q^{n-1} (the (q,1,0,q) point).
+  * hyperbolic-secant: gamma_{n-1} = n^2, the deformed Hermite family at
+    (1, 1, 1, 1);
+  * discrete q-Hermite I: gamma_{n-1} = [n]_q q^{n-1}, the deformed Hermite
+    family at (q, 1, 0, q), since [n]_{0,q} = q^{n-1}.
+
+The last two are built as those Hermite points, not by code of their own.
 
 The Meixner-Pollaczek density on (-2/sqrt(1-q), 2/sqrt(1-q)) is implemented
 in two variants.  The product factor as printed in the source formula,
@@ -48,14 +53,11 @@ not silently patched.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import mul
 from typing import Callable, Iterator, List, Sequence, Tuple
 
 from .scalars import DeformationParams, Scalar
@@ -64,7 +66,8 @@ _QL_MAX_SWEEPS = 30  # implicit-QL sweeps per eigenvalue before giving up
 _GL_POINTS = 20  # Gauss-Legendre points per panel of the adaptive quadrature
 _QUAD_TOL = 1e-13  # panel acceptance, relative to the integral of |f|
 _QUAD_MAX_DEPTH = 30  # bisection levels before a panel is kept as it is
-_DK_MAX_ITER = 500  # Durand-Kerner sweeps before the roots are taken as they are
+_SECH_CUTOFF = 60.0  # the sech moments integrate over [0, _SECH_CUTOFF]
+_QPOCH_TOL = 1e-16  # (a; q)_infinity stops at the first |a q^k| at or below this
 
 
 @dataclass(frozen=True)
@@ -113,26 +116,23 @@ def jacobi_poisson(params: DeformationParams, depth: int) -> JacobiData:
     return JacobiData((Fraction(0),) + gam, gam)
 
 
-def _q_ladder(q: Fraction, depth: int) -> Iterator[Tuple[Fraction, Fraction]]:
-    """([n]_q, q^(n-1)) for n = 1..depth-1."""
-    q_pows = accumulate(repeat(q, depth - 2), mul, initial=Fraction(1))
-    return zip(_qt_numbers(q, Fraction(1), depth - 1), q_pows)
-
-
 def jacobi_qmp(q: Fraction, alpha: Fraction, depth: int) -> JacobiData:
-    alpha = Fraction(alpha)
-    gam = tuple(qn * (1 + alpha * q_pow) for qn, q_pow in _q_ladder(Fraction(q), depth))
+    """gamma_{n-1} = [n]_q (1 + alpha q^(n-1)), with q^(n-1) = [n]_{0,q}."""
+    q, alpha = Fraction(q), Fraction(alpha)
+    q_numbers = _qt_numbers(q, Fraction(1), depth - 1)
+    q_pows = _qt_numbers(Fraction(0), q, depth - 1)
+    gam = tuple(qn * (1 + alpha * q_pow) for qn, q_pow in zip(q_numbers, q_pows))
     return JacobiData(tuple(Fraction(0) for _ in range(depth)), gam)
 
 
 def jacobi_sech(depth: int) -> JacobiData:
-    gam = tuple(Fraction(n * n) for n in range(1, depth))
-    return JacobiData(tuple(Fraction(0) for _ in range(depth)), gam)
+    """The (1, 1, 1, 1) Hermite point: gamma_{n-1} = n^2."""
+    return jacobi_hermite(DeformationParams.from_rationals(1, 1, 1, 1), depth)
 
 
 def jacobi_discrete_qhermite(q: Fraction, depth: int) -> JacobiData:
-    gam = tuple(qn * q_pow for qn, q_pow in _q_ladder(Fraction(q), depth))
-    return JacobiData(tuple(Fraction(0) for _ in range(depth)), gam)
+    """The (q, 1, 0, q) Hermite point: gamma_{n-1} = [n]_q q^(n-1)."""
+    return jacobi_hermite(DeformationParams.from_rationals(q, 1, 0, q), depth)
 
 
 # -- exact paths -----------------------------------------------------------------
@@ -348,10 +348,10 @@ def _poly_eval(coeffs: Sequence, x: float) -> float:
     return acc
 
 
-def orthogonality_residual(j: JacobiData, max_degree: int, rule_size: int | None = None) -> float:
-    """Largest |<P_a, P_b>| for a < b <= max_degree under the Gauss rule."""
-    size = rule_size or (max_degree + 2)
-    nodes, weights = quadrature_rule(j, size)
+def orthogonality_residual(j: JacobiData, max_degree: int) -> float:
+    """Largest |<P_a, P_b>| for a < b <= max_degree under the
+    (max_degree + 2)-point Gauss rule."""
+    nodes, weights = quadrature_rule(j, max_degree + 2)
     values = [[_poly_eval(p, x) for x in nodes] for p in polys_from_jacobi(j, max_degree)]
     worst = 0.0
     for a in range(max_degree + 1):
@@ -368,27 +368,27 @@ def sech_density(x: float) -> float:
     return 1.0 / (2.0 * math.cosh(math.pi * x / 2.0))
 
 
-def sech_moment_quad(k: int, cutoff: float = 60.0) -> float:
+def sech_moment_quad(k: int) -> float:
     """k-th moment of the hyperbolic-secant law by quadrature (odd k gives 0).
 
-    The tail beyond the cutoff is bounded by int x^k exp(-pi x / 2), which at
-    cutoff 60 is far below any tolerance used here.
+    The tail beyond _SECH_CUTOFF is bounded by int x^k exp(-pi x / 2), which
+    at 60 is far below any tolerance used here.
     """
     if k % 2:
         return 0.0
-    return 2.0 * _integrate(lambda x: x**k * sech_density(x), 0.0, cutoff)
+    return 2.0 * _integrate(lambda x: x**k * sech_density(x), 0.0, _SECH_CUTOFF)
 
 
 # -- Meixner-Pollaczek-type density ---------------------------------------------------
 
 
-def qpochhammer(a: float, q: float, tol: float = 1e-16) -> float:
+def qpochhammer(a: float, q: float) -> float:
     """(a; q)_infinity for |q| < 1."""
     if not abs(q) < 1:
         raise ValueError("qpochhammer needs |q| < 1")
     prod = 1.0
     ak = a
-    while abs(ak) > tol:
+    while abs(ak) > _QPOCH_TOL:
         prod *= 1.0 - ak
         ak *= q
     return prod
@@ -465,42 +465,6 @@ def support_interval(q: Fraction, v: Fraction) -> Tuple[float, float]:
         raise ValueError("support formula needs q < 1 and v < 1")
     r = 2.0 / (math.sqrt(1.0 - q) * math.sqrt(1.0 - v))
     return (-r, r)
-
-
-def max_abs_root(coeffs: Sequence) -> float:
-    """Largest |root| of a polynomial given by ascending coefficients.
-
-    Zero coefficients are trimmed at both ends (zero low-order ones only
-    add roots at 0), then the roots of the monic polynomial are found
-    together by the Durand-Kerner iteration (Kerner 1966), started on a
-    circle of the Cauchy root bound.
-    """
-    a = [float(c) for c in coeffs]
-    while a and a[-1] == 0.0:
-        a.pop()
-    low = next((i for i, c in enumerate(a) if c != 0.0), len(a))
-    monic = [c / a[-1] for c in a[low:]] if a else []
-    n = len(monic) - 1
-    if n < 1:
-        return 0.0
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
-    z = [radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4)) for k in range(n)]
-    for _ in range(_DK_MAX_ITER):
-        done = True
-        for k, zk in enumerate(z):
-            value = 0j
-            for c in reversed(monic):
-                value = value * zk + c
-            den = 1.0
-            for i, zi in enumerate(z):
-                if i != k:
-                    den *= zk - zi
-            step = value / den
-            z[k] = zk - step
-            done = done and abs(step) <= 1e-15 * abs(z[k])
-        if done:
-            break
-    return max(abs(v) for v in z)
 
 
 def carleman_sums(j: JacobiData, nmax: int) -> Tuple[float, float]:

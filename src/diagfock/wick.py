@@ -14,18 +14,20 @@ Three layers, all exact:
     scalar) as a sum over all diagonal partitions, with restricted crossing
     and nesting weights and matrix-chain block factors.
 
-The same partition weights drive the scalar moment/cumulant transforms,
-which are the word functionals of :mod:`diagfock.levy` on one letter: r_n is
-the cumulant of the word 0^n.  The Gaussian and general sums are sums over
-role vectors R of T(R) * B(R) (see :mod:`diagfock.partitions`): both rows
-carry block values, so each row is one pass of the same open-arc DP over the
-role words the data allow.  The word expansion factorises into a top-row
-expansion tensored with a bar-row expansion, each row one such pass too.
-Every formula has an operator counterpart in :mod:`diagfock.fock`; tests
-hold the two routes against each other.  The two moment oracles keep only
-the terms that can still return to the vacuum; the word oracle returns the
-whole vector.  Every function here refuses more than MAX_WICK_N entries and
-entries whose xi or eta dimension differs from entry 0's.
+The same partition weights drive the scalar moment/cumulant transforms
+``cumulants_to_moments`` and ``moments_to_cumulants``: they are the word
+functionals of :mod:`diagfock.levy` on one letter (r_n is the cumulant of
+the word 0^n), defined there and re-exported here.  The Gaussian and general
+sums are sums over role vectors R of T(R) * B(R) (see
+:mod:`diagfock.partitions`): both rows carry block values, so each row is
+one pass of the same open-arc DP over the role words the data allow.  The
+word expansion factorises into a top-row expansion tensored with a bar-row
+expansion, each row one such pass too.  Every formula has an operator
+counterpart in :mod:`diagfock.fock`; tests hold the two routes against each
+other.  The two moment oracles keep only the terms that can still return to
+the vacuum; the word oracle returns the whole vector.  Every function here
+refuses more than MAX_WICK_N entries and entries whose xi or eta dimension
+differs from entry 0's.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import _linalg
-from .levy import cumulant_functional, moment_functional
+from .levy import cumulants_to_moments, moments_to_cumulants  # re-exported: the transforms live in levy
 from .partitions import role_sums
 from .scalars import DeformationParams, ResourceLimitError
 from .fock import (
@@ -226,27 +228,3 @@ def full_fock_oracle(ops: Sequence[QuadrabasicOp], params: DeformationParams):
     """The same moment by operator application (independent route)."""
     _check_entries([op.vector for op in ops], "operators")
     return _vacuum_moment([_quadrabasic_parts(op.vector, op.gauge, op.scalar, params, None) for op in ops])
-
-
-# -- scalar moment/cumulant transforms -------------------------------------------------
-
-
-def cumulants_to_moments(r: Sequence, params: DeformationParams) -> List:
-    """m_n = sum over diagonal partitions of weight * product of r_{block size}.
-
-    ``r`` lists r_1..r_N; returns m_1..m_N.  This is :func:`moment_functional`
-    on one coordinate, r_n being the cumulant of the word 0^n: one pass of
-    the open-arc DP gives every m_n.
-    """
-    words = [(0,) * n for n in range(1, len(r) + 1)]
-    phi = moment_functional(dict(zip(words, r)), 1, params, len(r))
-    return [phi[w] for w in words]
-
-
-def moments_to_cumulants(m: Sequence, params: DeformationParams) -> List:
-    """Triangular inversion of :func:`cumulants_to_moments`: the
-    :func:`cumulant_functional` of one coordinate, which fills each r_n in
-    during the same pass."""
-    words = [(0,) * n for n in range(1, len(m) + 1)]
-    psi = cumulant_functional(dict(zip(words, m)), 1, params, len(m))
-    return [psi[w] for w in words]

@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -455,3 +458,42 @@ def test_sizes_below_range_and_non_finite_points_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and message in captured.err and not captured.out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples():
+    """(id, argv, JSON input or None) for every `diagfock` command line in a
+    code block of README.md, and every JSON input of a json block, run by the
+    command named last before that block."""
+    text = README.read_text()
+    examples = []
+    for block in re.finditer(r"```(\w*)\n(.*?)```", text, re.S):
+        lang, body = block.groups()
+        if lang == "json":
+            command = re.findall(r"`diagfock (\w+)", text[: block.start()])[-1]
+            decoder, rest = json.JSONDecoder(), body.strip()
+            while rest:
+                job, end = decoder.raw_decode(rest)
+                examples.append((f"{command}-{job.get('kind', 'job')}", [command], job))
+                rest = rest[end:].lstrip()
+        else:
+            for line in body.splitlines():
+                if line.startswith("diagfock "):
+                    examples.append((line, shlex.split(line)[1:], None))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize("argv, job", [e[1:] for e in README_EXAMPLES], ids=[e[0] for e in README_EXAMPLES])
+def test_readme_examples_exit_0(capsys, tmp_path, argv, job):
+    if job is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        argv = argv + ["--input", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err

@@ -258,6 +258,9 @@ def test_operator_model_refuses_an_unknown_coordinate(u):
     for n_int in (1, 2):
         with pytest.raises(ValueError, match="word uses an unknown coordinate"):
             stochastic_measure(spec, (u, u), SetPartition(2, [(1,), (2,)]), Fraction(1), n_int, GEN)
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="word uses an unknown coordinate"):
+            diagonal_measure_spec(spec, u, n)
 
 
 def test_cumulant_functional_inverts_moments():

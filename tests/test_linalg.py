@@ -4,6 +4,7 @@ import pytest
 
 import helpers
 from diagfock import _linalg
+from diagfock.scalars import Q, T, V, W
 
 
 def random_invertible(r, n):
@@ -126,6 +127,46 @@ def test_solve_linear_roundtrip():
         x = [helpers.rand_frac(r) for _ in range(3)]
         b = _linalg.mat_vec(a, x)
         assert list(_linalg.solve_linear(a, b)) == x
+    f = Fraction
+    singular = ((f(1), f(2)), (f(2), f(4)))
+    for b in ((f(1), f(2)), (f(1), f(3))):  # consistent, then inconsistent
+        with pytest.raises(ValueError, match="singular system"):
+            _linalg.solve_linear(singular, b)
+    with pytest.raises(ValueError, match="singular system"):
+        _linalg.solve_linear(((f(0), f(1), f(0)), (f(0), f(0), f(1)), (f(0), f(1), f(1))), (f(1), f(1), f(1)))
+
+
+def test_products_match_a_literal_loop():
+    r = helpers.rng(25)
+    entries = [Q, T, V - W, Q * T + 1]
+
+    def pick():
+        return r.choice(entries) if r.random() < 0.4 else helpers.rand_frac(r)
+
+    for _ in range(40):
+        m, k, n = r.randint(1, 4), r.randint(1, 4), r.randint(1, 4)
+        a = tuple(tuple(pick() for _ in range(k)) for _ in range(m))
+        b = tuple(tuple(pick() for _ in range(n)) for _ in range(k))
+        x = [pick() for _ in range(k)]
+        want_ab = []
+        for i in range(m):
+            row = []
+            for j in range(n):
+                s = a[i][0] * b[0][j]
+                for l in range(1, k):
+                    s = s + a[i][l] * b[l][j]
+                row.append(s)
+            want_ab.append(tuple(row))
+        want_ax = []
+        for i in range(m):
+            s = a[i][0] * x[0]
+            for l in range(1, k):
+                s = s + a[i][l] * x[l]
+            want_ax.append(s)
+        got_ab, got_ax = _linalg.mat_mul(a, b), _linalg.mat_vec(a, x)
+        assert got_ab == tuple(want_ab) and got_ax == tuple(want_ax)
+        assert [type(v) for row in got_ab for v in row] == [type(v) for row in want_ab for v in row]
+        assert list(map(type, got_ax)) == list(map(type, want_ax))
 
 
 def test_independent_subset_with_planted_dependencies():
@@ -146,3 +187,7 @@ def test_dimension_mismatch_raises():
         _linalg.dot([1, 2], [3])
     with pytest.raises(ValueError):
         _linalg.mat_vec(((1, 0), (0, 1)), [1])
+    assert _linalg.mat_mul(((1, 2),), ((1,), (2,))) == ((5,),)
+    for a, b in [(((1, 2, 3),), ((1,), (2,))), (((1,),), ((1,), (2,)))]:  # inner size 3 vs 2, then 1 vs 2
+        with pytest.raises(ValueError):
+            _linalg.mat_mul(a, b)

@@ -10,7 +10,7 @@ import pytest
 
 import diagfock
 import helpers
-from diagfock.scalars import DeformationParams, Poly, Q, T, W, qt_number
+from diagfock.scalars import DeformationParams, Q, T, W, qt_number
 from diagfock.fock import GaugePair, VectorPair
 from diagfock.wick import QuadrabasicOp, full_wick, gaussian_wick
 from diagfock.orthopoly import (
@@ -25,7 +25,6 @@ from diagfock.orthopoly import (
     jacobi_poisson,
     jacobi_qmp,
     jacobi_sech,
-    max_abs_root,
     moments_from_jacobi,
     mp_density,
     mp_moment_quad,
@@ -113,6 +112,27 @@ def test_family_moments_match_matrix_powers(params, q, alpha):
             assert typed(moments_from_jacobi(jac, nmax)) == typed(want)
 
 
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(1, 2), Fraction(5, 3)])
+def test_family_data_match_closed_forms(q):
+    # plain powers, not the [n+1] = a [n] + b^n ladder the families run on
+    def q_number(n):
+        return sum((q**i for i in range(n)), Fraction(0))
+
+    for depth in range(1, 21):
+        zeros = typed([Fraction(0)] * depth)
+        ns = range(1, depth)
+        cases = [
+            (jacobi_sech(depth), [Fraction(n) ** 2 for n in ns]),
+            (jacobi_discrete_qhermite(q, depth), [q_number(n) * q ** (n - 1) for n in ns]),
+        ] + [
+            (jacobi_qmp(q, alpha, depth), [q_number(n) * (1 + alpha * q ** (n - 1)) for n in ns])
+            for alpha in (Fraction(0), Fraction(-1, 4), Fraction(1), Fraction(7, 2))
+        ]
+        for jac, gamma in cases:
+            assert typed(jac.beta) == zeros
+            assert typed(jac.gamma) == typed(gamma), (q, depth)
+
+
 @pytest.mark.parametrize("family", [jacobi_hermite, jacobi_poisson])
 def test_symbolic_family_moments_match_matrix_powers(family):
     jac = family(SYM, 5)
@@ -143,7 +163,7 @@ import json, sys
 import diagfock, diagfock.cli
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 from diagfock.orthopoly import (
-    jacobi_hermite, max_abs_root, mp_normalization, orthogonality_residual, quadrature_rule, sech_moment_quad,
+    jacobi_hermite, mp_normalization, orthogonality_residual, quadrature_rule, sech_moment_quad,
 )
 from diagfock.scalars import DeformationParams
 jac = jacobi_hermite(DeformationParams.from_rationals(0, 1, 0, 1), 6)
@@ -151,7 +171,6 @@ nodes, weights = quadrature_rule(jac, 5)
 orthogonality_residual(jac, 3)
 sech_moment_quad(2)
 mp_normalization(0.5, -0.25)
-max_abs_root([-1, 0, 1])
 print(json.dumps({
     "loaded_cold": loaded,
     "loaded_after": sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}),
@@ -388,26 +407,15 @@ def test_integrate_converges_quietly_and_warns_at_its_depth_cap():
     assert got == pytest.approx(2.0 / 3.0, abs=1e-8)
 
 
-def chebyshev_t(n):
-    """Ascending integer coefficients of T_n, by T_(k+1) = 2x T_k - T_(k-1)."""
-    prev, cur = [1], [0, 1]
-    for _ in range(n - 1):
-        nxt = [0] + [2 * c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return cur
-
-
-def test_max_abs_root_closed_forms():
+def test_largest_chebyshev_node_is_cos_pi_over_2n():
+    # the monic Chebyshev-T recurrence: the zeros of T_n, cos((2k - 1) pi / 2n),
+    # are the n-point Gauss nodes, the largest being cos(pi / 2n)
     for n in range(1, 13):
-        top = math.cos(math.pi / (2 * n))  # the largest zero of T_n
-        assert max_abs_root(chebyshev_t(n)) == pytest.approx(top, abs=1e-12), n
-        # zero coefficients at either end change nothing
-        assert max_abs_root([0, 0] + chebyshev_t(n) + [0, 0]) == pytest.approx(top, abs=1e-12), n
-    assert max_abs_root([5]) == 0.0
-    assert max_abs_root([0, 0, 0, 1]) == 0.0
-    assert max_abs_root([0, 0]) == 0.0
+        jac = JacobiData((Fraction(0),) * n, ((Fraction(1, 2),) + (Fraction(1, 4),) * n)[: n - 1])
+        nodes, _ = quadrature_rule(jac, n)
+        assert max(nodes) == pytest.approx(math.cos(math.pi / (2 * n)), abs=1e-12), n
+        zeros = sorted(math.cos((2 * k - 1) * math.pi / (2 * n)) for k in range(1, n + 1))
+        assert list(nodes) == pytest.approx(zeros, abs=1e-12), n
 
 
 def test_discrete_qhermite_classical_limit():
@@ -420,11 +428,11 @@ def test_support_and_roots():
     lo, hi = support_interval(q, v)
     assert abs(hi - 4.0) < 1e-12 and abs(lo + 4.0) < 1e-12
     jac = jacobi_hermite(params_rat(q, 1, v, 1), 12)
-    polys = polys_from_jacobi(jac, 10)
-    top = max_abs_root(polys[10])
+    # the zeros of P_n are the n-point Gauss nodes
+    top = max(map(abs, quadrature_rule(jac, 10)[0]))
     assert 2.0 < top < 4.0
     # root spread grows with the degree toward the support edge
-    assert max_abs_root(polys[4]) < top
+    assert max(map(abs, quadrature_rule(jac, 4)[0])) < top
 
 
 def test_carleman_sech_sum_is_harmonic():
