@@ -1,0 +1,32 @@
+"""Every resource cap, and the one check that applies them before any work.
+
+A cap belongs to the kernel whose work grows with the size, so the callers
+of one kernel share it.  Below its least value a size is bad input
+(``ValueError``, CLI exit code 2); above its cap it is refused
+(:class:`ResourceLimitError`, exit code 3).  Callers read the caps here at
+call time."""
+
+from __future__ import annotations
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a request exceeds a hard combinatorial size guard."""
+
+
+MAX_DIAGONAL_N = 10  # points of a diagonal partition: the open-arc DP, its operator oracles, the listings
+MAX_SET_PARTITION_N = 14  # points of the enumerating open-arc walk
+MAX_OPERATOR_WORD = 12  # tokens of a vacuum expectation
+MAX_SYMMETRIZER_WORDS = 800  # the d^n words of the level-n symmetrizer over d letters
+MAX_FAMILY_NMAX = 64  # moment order and polynomial degree of the CLI families, hence 2 nmax of euler
+MAX_CF_DEPTH = 1024  # continued-fraction depth of diagfock cauchy
+MAX_PARTITION_ITEMS = 100_000  # rows of one diagfock partitions listing, counted before it is built
+
+
+def check_size(what: str, n, cap, least=0):
+    """n, if least <= n <= cap: a ValueError below least, a
+    ResourceLimitError above cap, each naming what, n and the bound."""
+    if n < least:
+        raise ValueError(f"{what} is {n}, but must be >= {least}")
+    if n > cap:
+        raise ResourceLimitError(f"{what} is {n}, but is guarded at <= {cap}")
+    return n

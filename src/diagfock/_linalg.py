@@ -24,6 +24,8 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if any(len(row) != len(b) for row in a):  # no dot runs when b has no columns
+        raise ValueError(f"mat_mul needs a row length of a equal to the {len(b)} rows of b")
     cols = transpose(b)
     return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
@@ -53,6 +55,8 @@ def solve_linear(a: Matrix, b: Sequence) -> Tuple:
     """Solve A x = b exactly for square nonsingular A: Gauss-Jordan on the
     augmented rows, which must pivot in each column of A and not in b's."""
     n = len(a)
+    if any(len(row) != n for row in a) or len(b) != n:
+        raise ValueError(f"solve_linear needs an n x n matrix and n right-hand sides, got {n} rows and {len(b)}")
     rows, pivots = _reduce([list(row) + [val] for row, val in zip(a, b)])
     if pivots != list(range(n)):
         raise ValueError("singular system")

@@ -27,7 +27,8 @@ import time
 from fractions import Fraction
 from typing import List, Optional
 
-from .scalars import DeformationParams, Poly, ResourceLimitError, parse_rational, render_rational
+from . import _guards
+from .scalars import DeformationParams, Poly, parse_rational, render_rational
 from .partitions import (
     count_diagonal_pair_partitions,
     count_diagonal_partitions,
@@ -74,13 +75,6 @@ from .levy import (
     levy_moment_s_poly,
     pair_to_moments,
 )
-
-
-# caps for the open-ended numeric knobs and the partitions listing; the other
-# enumeration commands rely on the library guards
-MAX_FAMILY_NMAX = 64
-MAX_PARTITION_ITEMS = 100_000
-MAX_CF_DEPTH = 1024
 
 
 def _ser(x):
@@ -174,9 +168,7 @@ def _entries(data, key: str) -> List[dict]:
 
 def cmd_euler(args) -> int:
     t0 = time.monotonic()
-    nmax = _int(args.nmax, "--nmax", least=1)
-    if 2 * nmax > MAX_FAMILY_NMAX:
-        raise ResourceLimitError(f"Euler counts guarded at 2 nmax <= {MAX_FAMILY_NMAX}, the sech moment order")
+    nmax = _guards.check_size("--nmax", _int(args.nmax, "--nmax"), _guards.MAX_FAMILY_NMAX // 2, least=1)
     moments = moments_from_jacobi(jacobi_sech(nmax + 1), 2 * nmax)  # m_2n counts the pairs on 2n points
     counts = {n: int(moments[2 * n - 1]) for n in range(1, nmax + 1)}
     _emit({"pairs_on_2n": counts, "seconds": time.monotonic() - t0}, args.output)
@@ -188,14 +180,12 @@ def cmd_partitions(args) -> int:
     if args.pairs:
         if args.n % 2:
             raise ValueError("pair partitions need an even number of points")
-        if args.n > MAX_FAMILY_NMAX:
-            raise ResourceLimitError(f"pair partition count guarded at n <= {MAX_FAMILY_NMAX}, the sech moment order")
+        _guards.check_size("--n, the sech moment order,", args.n, _guards.MAX_FAMILY_NMAX)
         count, items = count_diagonal_pair_partitions(args.n), diagonal_pair_partitions(args.n)
     else:
         count = count_diagonal_partitions(args.n, args.min_block_size)
         items = diagonal_partitions(args.n, min_block_size=args.min_block_size)
-    if count > MAX_PARTITION_ITEMS:
-        raise ResourceLimitError(f"partition listing guarded at {MAX_PARTITION_ITEMS} items; n = {args.n} gives {count}")
+    _guards.check_size(f"the item count of --n {args.n}", count, _guards.MAX_PARTITION_ITEMS)
     rows = []
     for dp in items:
         a, b, c, d = dp.weight_exponents()
@@ -226,8 +216,7 @@ def _family(args, depth: int) -> JacobiData:
 
 
 def cmd_moments(args) -> int:
-    if _int(args.nmax, "--nmax", least=1) > MAX_FAMILY_NMAX:
-        raise ResourceLimitError(f"moment order guarded at nmax <= {MAX_FAMILY_NMAX}")
+    _guards.check_size("--nmax", _int(args.nmax, "--nmax"), _guards.MAX_FAMILY_NMAX, least=1)
     depth = args.nmax // 2 + 1
     jac = _family(args, depth)
     moments = [Fraction(1)] + moments_from_jacobi(jac, args.nmax)
@@ -238,8 +227,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_polys(args) -> int:
-    if _int(args.nmax, "--nmax", least=1) > MAX_FAMILY_NMAX:
-        raise ResourceLimitError(f"polynomial degree guarded at nmax <= {MAX_FAMILY_NMAX}")
+    _guards.check_size("--nmax", _int(args.nmax, "--nmax"), _guards.MAX_FAMILY_NMAX, least=1)
     jac = _family(args, args.nmax)
     polys = polys_from_jacobi(jac, args.nmax)
     _emit(
@@ -255,8 +243,7 @@ def cmd_polys(args) -> int:
 
 
 def cmd_cauchy(args) -> int:
-    if _int(args.depth, "--depth", least=1) > MAX_CF_DEPTH:
-        raise ResourceLimitError(f"continued fraction depth guarded at depth <= {MAX_CF_DEPTH}")
+    _guards.check_size("--depth", _int(args.depth, "--depth"), _guards.MAX_CF_DEPTH, least=1)
     z = complex(_finite(args.re, "--re"), _finite(args.im, "--im"))
     jac = _family(args, args.depth)
     val = cauchy_transform(jac, z, args.depth)
@@ -545,7 +532,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
+    except _guards.ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

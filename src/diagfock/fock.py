@@ -51,14 +51,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import _linalg
-from .scalars import DeformationParams, Poly, ResourceLimitError, qt_number
+from . import _guards, _linalg
+from .scalars import DeformationParams, Poly, qt_number
 
 Word = Tuple[int, ...]
 WordPair = Tuple[Word, Word]
 ColumnMemo = Dict[Word, Dict[Word, object]]
-
-DEFAULT_WORD_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -361,8 +359,7 @@ def apply_word(tokens: Sequence, params: DeformationParams, metric: Metric = Non
 def vacuum_expectation(tokens: Sequence, params: DeformationParams, metric: Metric = None):
     """<vacuum, tokens vacuum>, keeping after each token only the terms that
     can still return to the vacuum."""
-    if len(tokens) > DEFAULT_WORD_CAP:
-        raise ResourceLimitError(f"operator word longer than cap {DEFAULT_WORD_CAP}")
+    _guards.check_size("the length of an operator word", len(tokens), _guards.MAX_OPERATOR_WORD)
     return _vacuum_moment([_token_parts(token, params, metric) for token in tokens])
 
 
@@ -455,14 +452,10 @@ def _deformed_inner(
     return total
 
 
-def _check_symmetrizer_size(n: int, d: int) -> None:
-    if d ** n > 800:
-        raise ResourceLimitError("symmetrizer matrix would exceed the size guard")
-
-
 def symmetrizer_matrix(n: int, a, b, d: int):
     """Matrix of P^(n)_{a,b} on words of length n over a d-letter basis (lex order)."""
-    _check_symmetrizer_size(n, d)
+    # bounded above only: a d < 0 or n < 0 has never been refused here
+    _guards.check_size(f"the words d^n at n = {n}, d = {d}", d ** n, _guards.MAX_SYMMETRIZER_WORDS, least=-math.inf)
     words = list(itertools.product(range(d), repeat=n))
     memo: ColumnMemo = {}
     zero = Fraction(0)
@@ -497,7 +490,7 @@ def positivity_check(n: int, a: Fraction, b: Fraction, d: int) -> Tuple[str, int
     partition of n into at most d parts) is classified, counted as many times
     as its content has distinct rearrangements over the d letters.
     """
-    _check_symmetrizer_size(n, d)
+    _guards.check_size(f"the words d^n at n = {n}, d = {d}", d ** n, _guards.MAX_SYMMETRIZER_WORDS, least=-math.inf)
     a, b = Fraction(a), Fraction(b)
     memo: ColumnMemo = {}  # shared by all blocks: a subword's column serves every block holding it
     zero = Fraction(0)

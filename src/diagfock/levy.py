@@ -34,9 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from . import _linalg
+from . import _guards, _linalg
 from .partitions import (
-    MAX_DIAGONAL_N,
     DiagonalPartition,
     SetPartition,
     arc_sums,
@@ -44,12 +43,11 @@ from .partitions import (
     unit_bar_sum,
     _unit_bar_weights,
 )
-from .scalars import DeformationParams, ResourceLimitError
+from .scalars import DeformationParams
 from .fock import GaugePair, VectorPair, _quadrabasic_parts, _vacuum_moment
 
 Word = Tuple[int, ...]
 
-MAX_LEVY_WORD = 8
 _PAIR_ORDER = 12  # tau moments m_0..m_11 of brownian_pair and poisson_pair
 
 
@@ -126,8 +124,7 @@ def _spec_sums(spec: LevySpec, letters: Sequence[Sequence[int]], params: Deforma
     graded) by one open-arc DP with the cumulants of ``spec`` at time s: a
     chain is the row vector s xi_{u1}^T G T_{u2} ... T_{uk} of its open block
     (G the gram, if any), and closing at u takes its dot product with xi_u."""
-    if len(letters) > MAX_LEVY_WORD:
-        raise ResourceLimitError(f"moment words guarded at length <= {MAX_LEVY_WORD}")
+    _guards.check_size("the length of a moment word", len(letters), _guards.MAX_DIAGONAL_N)
     _check_coordinates(spec, (u for alphabet in letters for u in alphabet))
     gram_t = None if spec.gram is None else _linalg.transpose(spec.gram)
     starts = [tuple(s * x for x in (xi if gram_t is None else _linalg.mat_vec(gram_t, xi))) for xi in spec.xi]
@@ -222,8 +219,7 @@ def fock_levy_oracle(
     bar space is one-dimensional.  Each token acts as creation + annihilation
     + gauge (T_u cut to its interval) + lambda_u * length scalar.
     """
-    if len(tokens) > MAX_LEVY_WORD:
-        raise ResourceLimitError(f"operator words guarded at length <= {MAX_LEVY_WORD}")
+    _guards.check_size("the length of an operator word", len(tokens), _guards.MAX_DIAGONAL_N)
     lengths = [Fraction(x) for x in lengths]
     n_int = len(lengths)
     d = spec.d
@@ -322,10 +318,7 @@ def _functional_sums(value: Callable[[Word], Fraction], k: int, params: Deformat
     """The open-arc DP over every word of length 1..maxlen on k letters with
     block values ``value`` on subwords, a chain being the open subword.  The
     one guard of the functionals and of the one-variable transforms."""
-    if maxlen < 0:
-        raise ValueError(f"functionals need a word length >= 0, got {maxlen}")
-    if maxlen > MAX_DIAGONAL_N:
-        raise ResourceLimitError(f"moment functionals guarded at word length <= {MAX_DIAGONAL_N}")
+    _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
     return arc_sums(
         [range(k)] * maxlen,
         _unit_bar_weights(params),
@@ -476,9 +469,9 @@ def hankel_psd_check(tau_moments: Sequence) -> Tuple[str, int]:
 # -- conditional positivity and reconstruction -----------------------------------------
 
 
-def _iter_words(k: int, maxlen: int) -> Iterator[Word]:
-    """Words over 0..k-1 of length 1..maxlen, shortest first, lazily."""
-    return itertools.chain.from_iterable(itertools.product(range(k), repeat=n) for n in range(1, maxlen + 1))
+def _iter_words(k: int, maxlen: int, shortest: int = 1) -> Iterator[Word]:
+    """Words over 0..k-1 of length shortest..maxlen, shortest first, lazily."""
+    return itertools.chain.from_iterable(itertools.product(range(k), repeat=n) for n in range(shortest, maxlen + 1))
 
 
 def _psi_value(psi: Functional, word: Word) -> Fraction:
@@ -487,10 +480,26 @@ def _psi_value(psi: Functional, word: Word) -> Fraction:
     return Fraction(psi[word])
 
 
+def _check_window(psi: Functional, k: int, shortest: int, longest: int) -> None:
+    """Raise at the first word of length shortest..longest over the k
+    letters that psi misses.  The window is counted only as far as
+    len(psi), so a psi too short for it fails within len(psi) + 1 listed
+    words, before a word list of the window is built."""
+    size, n = 0, shortest - 1
+    while n < longest and size <= len(psi):
+        n += 1
+        size += k ** n
+    inside = sum(isinstance(w, tuple) and shortest <= len(w) <= longest and all(a in range(k) for a in w) for w in psi)
+    if inside < size:
+        for word in _iter_words(k, longest, shortest):
+            _psi_value(psi, word)
+
+
 def conditional_positivity_check(psi: Functional, k: int, maxlen: int) -> Tuple[str, int]:
     """Definiteness of the kernel <u, v> = psi(reverse(u) v) on words of
-    length 1..maxlen (the constant-free sector).  Needs psi on words up to
-    length 2 * maxlen."""
+    length 1..maxlen (the constant-free sector).  Needs psi on words of
+    length 2..2 * maxlen, each of which it reads."""
+    _check_window(psi, k, 2, 2 * maxlen)
     words = list(_iter_words(k, maxlen))
     rows = tuple(
         tuple(_psi_value(psi, tuple(reversed(u)) + v) for v in words) for u in words
@@ -515,16 +524,7 @@ def gns_reconstruct(psi: Functional, k: int, maxlen: int) -> Tuple[LevySpec, Dic
     keys = [w for w in psi if isinstance(w, tuple) and 1 <= len(w) <= 2 * maxlen + 2 and all(a in letters for a in w)]
     if any(psi[w] != psi[tuple(reversed(w))] for w in keys if tuple(reversed(w)) in psi):
         raise ValueError("functional is not reversal-symmetric")
-    # every psi is read on each coordinate and each word of length 2..2*maxlen: count
-    # that window only as far as len(psi), so a short psi fails before a word list is built
-    longest = max(1, 2 * maxlen)
-    size = n = 0
-    while n < longest and size <= len(psi):
-        n += 1
-        size += k ** n
-    if sum(len(w) <= longest for w in keys) < size:
-        for word in _iter_words(k, longest):
-            _psi_value(psi, word)  # raises at a missing word, within len(psi) + 1 words
+    _check_window(psi, k, 1, max(1, 2 * maxlen))  # each coordinate and each word of length 2..2*maxlen
     words = list(_iter_words(k, maxlen))
     gram_full = [[_psi_value(psi, tuple(reversed(u)) + v) for v in words] for u in words]
     verdict, _ = _linalg.ldlt_classify(tuple(tuple(r) for r in gram_full))

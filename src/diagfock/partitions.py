@@ -72,14 +72,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from . import _guards
 from .orthopoly import jacobi_sech, moments_from_jacobi
-from .scalars import DeformationParams, ResourceLimitError, qt_number
+from .scalars import DeformationParams, qt_number
 
 Block = Tuple[int, ...]
 Roles = Tuple[str, ...]
-
-MAX_SET_PARTITION_N = 14
-MAX_DIAGONAL_N = 10
 
 ROLE_OPENER = "O"
 ROLE_CLOSER = "C"
@@ -261,10 +259,7 @@ def _walk(n: int, letters: Sequence[str]) -> Iterator[Tuple[Roles, int, int, Tup
     partition of [n] whose point p has a role in ``letters[p - 1]``, by the
     open-arc walk of the module docstring.  Blocks come sorted and ordered by
     least element.  This is the one enumeration guard: n <= MAX_SET_PARTITION_N."""
-    if n < 0:
-        raise ValueError(f"partitions of [n] need n >= 0, got {n}")
-    if n > MAX_SET_PARTITION_N:
-        raise ResourceLimitError(f"set partition enumeration guarded at n <= {MAX_SET_PARTITION_N}")
+    _guards.check_size("the size n of a set partition", n, _guards.MAX_SET_PARTITION_N)
     # state: next point, open blocks in arc-opening order, closed blocks, roles so far, rc, rn
     stack = [(1, (), (), (), 0, 0)]
     while stack:
@@ -377,13 +372,6 @@ def satisfies_diagonal_conditions(top: SetPartition, bar: SetPartition) -> bool:
     return tuple(sorted(top.singletons())) == tuple(sorted(bar.singletons()))
 
 
-def _check_diagonal_n(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"diagonal partitions of [n] need n >= 0, got {n}")
-    if n > MAX_DIAGONAL_N:
-        raise ResourceLimitError(f"diagonal enumeration guarded at n <= {MAX_DIAGONAL_N}")
-
-
 def _paired(rows: Iterator[SetPartition], key: Callable[[SetPartition], tuple], make) -> Iterator:
     """make(top, bar) for every two rows with equal keys, classes in key order."""
     classes: Dict[tuple, List[SetPartition]] = {}
@@ -397,7 +385,7 @@ def _paired(rows: Iterator[SetPartition], key: Callable[[SetPartition], tuple], 
 
 def diagonal_partitions(n: int, min_block_size: int = 1) -> Iterator[DiagonalPartition]:
     """All diagonal partitions of [n] + [n-bar]: pairs with equal role vectors."""
-    _check_diagonal_n(n)
+    _guards.check_size("the size n of a diagonal partition", n, _guards.MAX_DIAGONAL_N)
     yield from _paired(set_partitions(n, min_block_size), lambda p: p.roles(), DiagonalPartition)
 
 
@@ -406,7 +394,7 @@ def diagonal_pair_partitions(n: int) -> Iterator[DiagonalPartition]:
 
     Compatibility for matchings reduces to equal opener sets.
     """
-    _check_diagonal_n(n)
+    _guards.check_size("the size n of a diagonal partition", n, _guards.MAX_DIAGONAL_N)
     yield from _paired(pair_partitions(n), lambda p: p.openers(), DiagonalPartition)
 
 
@@ -435,7 +423,7 @@ def ps12_diagonal_partitions(n: int) -> Iterator[DiagonalPartition]:
     DiagonalPartition instances in the strict role sense, so plain tuples of
     (top, bar) are yielded wrapped in a lightweight holder.
     """
-    _check_diagonal_n(n)
+    _guards.check_size("the size n of a diagonal partition", n, _guards.MAX_DIAGONAL_N)
     yield from _paired(pairs_and_singletons_partitions(n), lambda p: p.openers(), PSDiagonal)
 
 
@@ -482,7 +470,7 @@ def unit_bar_sum(roles: Roles, v, w):
     vector R.  The bar row chooses freely which of the k open arcs each
     Closer or Middle step ends, so B(R) is the product of [k]_{v,w} over
     those steps.  Guarded like the diagonal enumeration."""
-    _check_diagonal_n(len(roles))
+    _guards.check_size("the length of a role vector", len(roles), _guards.MAX_DIAGONAL_N)
     bar, k = Fraction(1), 0
     for role in roles:
         if role == ROLE_OPENER:
@@ -663,7 +651,7 @@ def count_diagonal_partitions(n: int, min_block_size: int = 1) -> int:
     least m = min_block_size points: the sum over R of T(R)^2, T(R) counting
     such rows by :func:`role_sums` at weight 1, with the block size capped
     at m as the chain.  Guarded like the enumeration it counts."""
-    _check_diagonal_n(n)
+    _guards.check_size("the size n of a diagonal partition", n, _guards.MAX_DIAGONAL_N)
     m = min_block_size
     one = Fraction(1)
     rows = role_sums(["OCMS" if m <= 1 else "OCM"] * n, one, one, lambda i: 1, lambda i: 1,

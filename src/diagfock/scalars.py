@@ -29,10 +29,6 @@ VAR_NAMES = ("q", "t", "v", "w")
 _ZERO4: Exponent = (0, 0, 0, 0)
 
 
-class ResourceLimitError(RuntimeError):
-    """Raised when a request exceeds a hard combinatorial size guard."""
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse a rational from a string such as '3/2', '-1', or '0.25'."""
     try:

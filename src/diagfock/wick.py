@@ -26,8 +26,8 @@ expansion, each row one such pass too.  Every formula has an operator
 counterpart in :mod:`diagfock.fock`; tests hold the two routes against each
 other.  The two moment oracles keep only the terms that can still return to
 the vacuum; the word oracle returns the whole vector.  Every function here
-refuses more than MAX_WICK_N entries and entries whose xi or eta dimension
-differs from entry 0's.
+refuses entries whose xi or eta dimension differs from entry 0's, and more
+entries than the open-arc DP's cap ``_guards.MAX_DIAGONAL_N``.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from . import _linalg
+from . import _guards, _linalg
 from .levy import cumulants_to_moments, moments_to_cumulants  # re-exported: the transforms live in levy
 from .partitions import role_sums
-from .scalars import DeformationParams, ResourceLimitError
+from .scalars import DeformationParams
 from .fock import (
     ANNIHILATE,
     CREATE,
@@ -51,8 +51,6 @@ from .fock import (
     _vacuum_moment,
     apply_word,
 )
-
-MAX_WICK_N = 10
 
 
 @dataclass(frozen=True)
@@ -78,14 +76,13 @@ class QuadrabasicOp:
 def _check_entries(pairs: Sequence[VectorPair], key: str) -> None:
     """The entry check of every formula and oracle here: name the first
     entry whose xi (or eta) dimension differs from entry 0's, and refuse
-    more than MAX_WICK_N entries."""
+    more than MAX_DIAGONAL_N entries."""
     for i, x in enumerate(pairs):
         for side in ("xi", "eta"):
             dim, first = len(getattr(x, side)), len(getattr(pairs[0], side))
             if dim != first:
                 raise ValueError(f"{key}[{i}]: {side} has dimension {dim}, but {key}[0] has {first}")
-    if len(pairs) > MAX_WICK_N:
-        raise ResourceLimitError(f"{key}: {len(pairs)} entries, but the wick formulas are guarded at n <= {MAX_WICK_N}")
+    _guards.check_size(f"the number of {key}", len(pairs), _guards.MAX_DIAGONAL_N)
 
 
 def gaussian_wick(xs: Sequence[VectorPair], params: DeformationParams):

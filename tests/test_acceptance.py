@@ -21,9 +21,9 @@ from diagfock.fock import (
     gauge_adjoint_check,
     positivity_check,
 )
+from diagfock._guards import MAX_DIAGONAL_N
 from diagfock.partitions import SetPartition, count_diagonal_pair_partitions
 from diagfock.wick import (
-    MAX_WICK_N,
     QuadrabasicOp,
     cumulants_to_moments,
     full_fock_oracle,
@@ -89,7 +89,7 @@ def test_c02_gaussian_formula_equals_operator_model():
             assert gaussian_wick(xs, params) == gaussian_fock_oracle(xs, params)
         draws += 1
     # one draw at the guard size, d = 2 on both rows; most of its time is the formula's
-    xs = [rand_pair(r) for _ in range(MAX_WICK_N)]
+    xs = [rand_pair(r) for _ in range(MAX_DIAGONAL_N)]
     assert gaussian_wick(xs, GEN) == gaussian_fock_oracle(xs, GEN)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from diagfock import cli
+from diagfock import _guards, cli
 from diagfock.cli import main
 from diagfock.partitions import count_diagonal_pair_partitions
 
@@ -72,9 +72,9 @@ def test_partitions_item_count_is_predicted_exactly(monkeypatch, capsys, flags):
     for n in range(0, 7, 2 if "--pairs" in flags else 1):
         code, data = run_json(capsys, "partitions", "--n", str(n), *flags)
         assert code == 0
-        monkeypatch.setattr(cli, "MAX_PARTITION_ITEMS", data["count"])
+        monkeypatch.setattr(_guards, "MAX_PARTITION_ITEMS", data["count"])
         assert run(capsys, "partitions", "--n", str(n), *flags)[0] == 0
-        monkeypatch.setattr(cli, "MAX_PARTITION_ITEMS", data["count"] - 1)
+        monkeypatch.setattr(_guards, "MAX_PARTITION_ITEMS", data["count"] - 1)
         assert run(capsys, "partitions", "--n", str(n), *flags)[0] == 3
         monkeypatch.undo()
 

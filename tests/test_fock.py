@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from diagfock.scalars import DeformationParams, Poly, Q, T, V, W, ResourceLimitError, qt_number
+from diagfock._guards import ResourceLimitError
+from diagfock.scalars import DeformationParams, Poly, Q, T, V, W, qt_number
 from diagfock import _linalg, levy
 from diagfock.fock import (
     ANNIHILATE,

@@ -1,0 +1,124 @@
+"""Every guarded public entry, at one past its cap and one below its least size."""
+
+import re
+from fractions import Fraction
+
+import pytest
+
+from diagfock import cli, fock, levy, partitions, wick
+from diagfock._guards import (
+    MAX_CF_DEPTH,
+    MAX_DIAGONAL_N,
+    MAX_FAMILY_NMAX,
+    MAX_OPERATOR_WORD,
+    MAX_SET_PARTITION_N,
+    MAX_SYMMETRIZER_WORDS,
+    ResourceLimitError,
+)
+from diagfock.fock import CREATE, VectorPair
+from diagfock.levy import GeneratorPair, LevySpec
+from diagfock.partitions import SetPartition
+from diagfock.scalars import DeformationParams
+from diagfock.wick import QuadrabasicOp
+
+P = DeformationParams.from_rationals(Fraction(1, 2), Fraction(2, 3), Fraction(1, 3), Fraction(3, 4))
+SPEC = LevySpec.of([[1]], [[[Fraction(1, 2)]]], [Fraction(1, 3)])
+X = VectorPair.of([1], [1])
+HALF, ONE = Fraction(1, 2), Fraction(1)
+
+# the kernels behind the entries, in every namespace that calls them
+WORK = [
+    (partitions, "arc_sums"), (partitions, "role_sums"), (partitions, "_paired"),
+    (levy, "arc_sums"), (levy, "_interval_metric"), (levy, "_vacuum_moment"),
+    (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
+    (fock, "_vacuum_moment"), (fock, "_sym_column"), (fock, "_letter_contents"),
+    (cli, "moments_from_jacobi"), (cli, "polys_from_jacobi"), (cli, "cauchy_transform"),
+    (cli, "count_diagonal_pair_partitions"), (cli, "diagonal_pair_partitions"),
+]
+
+
+def _cli(*argv):
+    args = cli.build_parser().parse_args(list(argv))
+    return args.func(args)
+
+
+# (id, call at size n, cap, least size or None when no size is too small)
+ENTRIES = [
+    ("set_partitions", lambda n: list(partitions.set_partitions(n)), MAX_SET_PARTITION_N, 0),
+    ("pair_partitions", lambda n: list(partitions.pair_partitions(n)), MAX_SET_PARTITION_N, 0),
+    ("pairs_and_singletons", lambda n: list(partitions.pairs_and_singletons_partitions(n)), MAX_SET_PARTITION_N, 0),
+    ("noncrossing_partitions", lambda n: list(partitions.noncrossing_partitions(n)), MAX_SET_PARTITION_N, 0),
+    ("diagonal_partitions", lambda n: list(partitions.diagonal_partitions(n)), MAX_DIAGONAL_N, 0),
+    ("diagonal_pair_partitions", lambda n: list(partitions.diagonal_pair_partitions(n)), MAX_DIAGONAL_N, 0),
+    ("ps12_diagonal_partitions", lambda n: list(partitions.ps12_diagonal_partitions(n)), MAX_DIAGONAL_N, 0),
+    ("count_diagonal_partitions", partitions.count_diagonal_partitions, MAX_DIAGONAL_N, 0),
+    ("unit_bar_sum", lambda n: partitions.unit_bar_sum(("S",) * n, P.v, P.w), MAX_DIAGONAL_N, None),
+    ("levy_moment", lambda n: levy.levy_moment(SPEC, (0,) * n, P), MAX_DIAGONAL_N, None),
+    ("levy_moment_s_poly", lambda n: levy.levy_moment_s_poly(SPEC, (0,) * n, P), MAX_DIAGONAL_N, None),
+    ("functional_from_spec", lambda n: levy.functional_from_spec(SPEC, P, n), MAX_DIAGONAL_N, None),
+    ("fock_levy_oracle", lambda n: levy.fock_levy_oracle(SPEC, [(0, 0)] * n, [ONE], P), MAX_DIAGONAL_N, None),
+    (
+        "stochastic_measure",
+        lambda n: levy.stochastic_measure(SPEC, (0,) * n, SetPartition(n, [range(1, n + 1)]), ONE, 1, P),
+        MAX_DIAGONAL_N,
+        None,
+    ),
+    (
+        "stochastic_limit",
+        lambda n: levy.stochastic_limit(SPEC, (0,) * n, SetPartition(n, [range(1, n + 1)]), ONE, P),
+        MAX_DIAGONAL_N,
+        None,
+    ),
+    ("cumulant_functional", lambda n: levy.cumulant_functional({}, 1, P, n), MAX_DIAGONAL_N, 0),
+    ("moment_functional", lambda n: levy.moment_functional({}, 1, P, n), MAX_DIAGONAL_N, 0),
+    ("product_functional", lambda n: levy.product_functional({}, 1, {}, 1, P, n), MAX_DIAGONAL_N, 0),
+    ("cumulants_to_moments", lambda n: levy.cumulants_to_moments([ONE] * n, P), MAX_DIAGONAL_N, None),
+    ("moments_to_cumulants", lambda n: levy.moments_to_cumulants([ONE] * n, P), MAX_DIAGONAL_N, None),
+    ("pair_to_moments", lambda n: levy.pair_to_moments(GeneratorPair.of(0, [ONE] * 12), P, n), MAX_DIAGONAL_N, None),
+    ("moments_to_pair", lambda n: levy.moments_to_pair([ONE] * n, P), MAX_DIAGONAL_N, None),
+    ("gaussian_wick", lambda n: wick.gaussian_wick([X] * n, P), MAX_DIAGONAL_N, None),
+    ("gaussian_fock_oracle", lambda n: wick.gaussian_fock_oracle([X] * n, P), MAX_DIAGONAL_N, None),
+    ("word_vacuum_formula", lambda n: wick.word_vacuum_formula([(CREATE, X)] * n, P), MAX_DIAGONAL_N, None),
+    ("word_fock_oracle", lambda n: wick.word_fock_oracle([(CREATE, X)] * n, P), MAX_DIAGONAL_N, None),
+    ("full_wick", lambda n: wick.full_wick([QuadrabasicOp(X, None)] * n, P), MAX_DIAGONAL_N, None),
+    ("full_fock_oracle", lambda n: wick.full_fock_oracle([QuadrabasicOp(X, None)] * n, P), MAX_DIAGONAL_N, None),
+    ("vacuum_expectation", lambda n: fock.vacuum_expectation([(CREATE, X)] * n, P), MAX_OPERATOR_WORD, None),
+    # level 1 over d letters has d words
+    ("symmetrizer_matrix", lambda d: fock.symmetrizer_matrix(1, HALF, ONE, d), MAX_SYMMETRIZER_WORDS, None),
+    ("positivity_check", lambda d: fock.positivity_check(1, HALF, ONE, d), MAX_SYMMETRIZER_WORDS, None),
+    ("cli euler", lambda n: _cli("euler", "--nmax", str(n)), MAX_FAMILY_NMAX // 2, 1),
+    ("cli partitions --pairs", lambda n: _cli("partitions", "--pairs", "--n", str(n)), MAX_FAMILY_NMAX, 0),
+    ("cli partitions", lambda n: _cli("partitions", "--n", str(n)), MAX_DIAGONAL_N, 0),
+    ("cli moments", lambda n: _cli("moments", "--family", "hermite", "--nmax", str(n)), MAX_FAMILY_NMAX, 1),
+    ("cli polys", lambda n: _cli("polys", "--family", "hermite", "--nmax", str(n)), MAX_FAMILY_NMAX, 1),
+    ("cli cauchy", lambda n: _cli("cauchy", "--family", "hermite", "--depth", str(n)), MAX_CF_DEPTH, 1),
+]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    for module, name in WORK:
+        def ran(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} ran before the guard")
+
+        monkeypatch.setattr(module, name, ran)
+
+
+# sizes that step by more than 1: an odd --n of a pair listing is refused first, as bad input
+STEPS = {"cli partitions --pairs": 2}
+
+
+@pytest.mark.parametrize(
+    "call, cap, least, step",
+    [(call, cap, least, STEPS.get(i, 1)) for i, call, cap, least in ENTRIES],
+    ids=[e[0] for e in ENTRIES],
+)
+def test_every_entry_refuses_one_past_its_cap_before_any_work(no_work, call, cap, least, step):
+    message = f"is {cap + step}, but is guarded at <= {cap}"
+    with pytest.raises(ResourceLimitError, match=f"{re.escape(message)}$"):
+        call(cap + step)
+    if least is not None:
+        message = f"is {least - step}, but must be >= {least}"
+        with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+            call(least - step)
+

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from diagfock.scalars import DeformationParams, Poly, ResourceLimitError
-from diagfock.partitions import MAX_DIAGONAL_N, SetPartition, diagonal_partitions, set_partitions
+from diagfock._guards import MAX_DIAGONAL_N, ResourceLimitError
+from diagfock.scalars import DeformationParams, Poly
+from diagfock import levy
+from diagfock.partitions import SetPartition, diagonal_partitions, set_partitions
 from diagfock.levy import (
-    MAX_LEVY_WORD,
     GeneratorPair,
     LevySpec,
     brownian_pair,
@@ -307,7 +308,7 @@ def test_functional_from_spec_is_the_moment_of_each_word():
     for word, value in phi.items():
         assert value == levy_moment(spec, word, GEN, s), word
     with pytest.raises(ResourceLimitError):
-        functional_from_spec(spec, GEN, MAX_LEVY_WORD + 1)
+        functional_from_spec(spec, GEN, MAX_DIAGONAL_N + 1)
 
 
 def test_product_functional_marginals_and_mixed_cumulants():
@@ -465,11 +466,53 @@ def test_gns_window_is_bounded_by_psi():
         gns_reconstruct(psi, 2, 1)
 
 
+def test_psi_window_checks_list_words_only_as_far_as_psi(monkeypatch):
+    # a two-word psi at maxlen 16: the positivity check used to list all
+    # 131 070 words of length 1..16 before its first lookup
+    drawn = []
+
+    def counted(*args):
+        for word in iter_words(*args):
+            drawn.append(word)
+            yield word
+
+    iter_words = levy._iter_words
+    monkeypatch.setattr(levy, "_iter_words", counted)
+    psi = {(0,): Fraction(1), (0, 0): Fraction(1)}
+    for check, missing in ((conditional_positivity_check, r"\(0, 1\)"), (gns_reconstruct, r"\(1,\)")):
+        drawn.clear()
+        with pytest.raises(ValueError, match=f"not defined on word {missing}"):
+            check(psi, 2, 16)
+        assert len(drawn) <= len(psi) + 1, check.__name__
+
+
 def test_word_guard():
+    # the moment words, the functionals and the operator model share the DP's cap
     r = helpers.rng(74)
     spec = rand_spec(r, k=1, d=1)
-    with pytest.raises(ResourceLimitError):
-        levy_moment(spec, (0,) * (MAX_LEVY_WORD + 1), GEN)
+    n = MAX_DIAGONAL_N + 1
+    word = (0,) * n
+    one_block = SetPartition(n, [range(1, n + 1)])
+    for refused in (
+        lambda: levy_moment(spec, word, GEN),
+        lambda: levy_moment_s_poly(spec, word, GEN),
+        lambda: functional_from_spec(spec, GEN, n),
+        lambda: fock_levy_oracle(spec, [(0, 0)] * n, [Fraction(1)], GEN),
+        lambda: stochastic_measure(spec, word, one_block, Fraction(1), 1, GEN),
+    ):
+        with pytest.raises(ResourceLimitError):
+            refused()
+
+
+@pytest.mark.parametrize("n", [MAX_DIAGONAL_N - 1, MAX_DIAGONAL_N])
+def test_words_at_the_cap_match_the_operator_model(n):
+    r = helpers.rng(80 + n)
+    spec = rand_spec(r, k=2, d=2, with_gram=True)
+    word = tuple(r.randrange(2) for _ in range(n))
+    s = Fraction(2, 3)
+    moment = levy_moment(spec, word, GEN, s)
+    assert moment == fock_levy_oracle(spec, [(u, 0) for u in word], [s], GEN)
+    assert sum(c * s ** k for k, c in levy_moment_s_poly(spec, word, GEN).items()) == moment
 
 
 def test_functional_guards():

@@ -191,3 +191,16 @@ def test_dimension_mismatch_raises():
     for a, b in [(((1, 2, 3),), ((1,), (2,))), (((1,),), ((1,), (2,)))]:  # inner size 3 vs 2, then 1 vs 2
         with pytest.raises(ValueError):
             _linalg.mat_mul(a, b)
+
+
+@pytest.mark.parametrize("a, b", [(((1, 2),), (3,)), (((1, 0), (0, 1)), (1, 2, 3)), (((1, 0), (0, 1)), (1,))])
+def test_solve_linear_refuses_a_shape_mismatch(a, b):
+    # a non-square A, a b longer than A, a b shorter than A
+    with pytest.raises(ValueError, match="n x n matrix and n right-hand sides"):
+        _linalg.solve_linear(a, b)
+
+
+@pytest.mark.parametrize("a, b", [(((1, 2, 3),), ((), ())), (((1, 2),), ())])
+def test_mat_mul_refuses_a_mismatch_when_b_has_no_columns(a, b):
+    with pytest.raises(ValueError, match="rows of b"):
+        _linalg.mat_mul(a, b)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from diagfock._guards import MAX_DIAGONAL_N, ResourceLimitError
 from diagfock.partitions import (
-    MAX_DIAGONAL_N,
     ROLE_OPENER,
     ROLE_SINGLETON,
     DiagonalPartition,
@@ -35,7 +35,7 @@ from diagfock.partitions import (
 )
 from diagfock.levy import cumulant_functional, moment_functional
 from diagfock.orthopoly import jacobi_hermite, jacobi_sech, moments_from_jacobi
-from diagfock.scalars import DeformationParams, ResourceLimitError
+from diagfock.scalars import DeformationParams
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 NO_SINGLETON = [1, 0, 1, 1, 4, 11, 41, 162]

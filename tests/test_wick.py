@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from diagfock.scalars import DeformationParams, Poly, Q, T, V, W, ResourceLimitError
+from diagfock._guards import MAX_DIAGONAL_N, ResourceLimitError
+from diagfock.scalars import DeformationParams, Poly, Q, T, V, W
 from diagfock.fock import (
     ANNIHILATE,
     CREATE,
@@ -14,9 +15,8 @@ from diagfock.fock import (
     field_apply,
     quadrabasic_apply,
 )
-from diagfock.partitions import MAX_DIAGONAL_N, set_partitions
+from diagfock.partitions import set_partitions
 from diagfock.wick import (
-    MAX_WICK_N,
     QuadrabasicOp,
     cumulants_to_moments,
     full_fock_oracle,
@@ -291,10 +291,10 @@ def test_entries_of_another_dimension_are_refused(fn, key):
 def test_more_entries_than_the_guard_are_refused(fn, key):
     # an oracle refuses what its formula refuses; at the guard size each answers
     entries = {"vectors": MIXED[1], "tokens": (CREATE, MIXED[1]), "operators": QuadrabasicOp(MIXED[1], None)}[key]
-    message = f"{key}: {MAX_WICK_N + 1} entries, but the wick formulas are guarded at n <= {MAX_WICK_N}"
+    message = f"the number of {key} is {MAX_DIAGONAL_N + 1}, but is guarded at <= {MAX_DIAGONAL_N}"
     with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
-        fn([entries] * (MAX_WICK_N + 1), PARAM_POINTS[0])
-    fn([entries] * MAX_WICK_N, PARAM_POINTS[0])
+        fn([entries] * (MAX_DIAGONAL_N + 1), PARAM_POINTS[0])
+    fn([entries] * MAX_DIAGONAL_N, PARAM_POINTS[0])
 
 
 def test_full_wick_mixed_operators_symbolic():
@@ -358,7 +358,7 @@ def test_cumulants_to_moments_classical_case_role_pair_sum():
 def test_wick_guard():
     x = VectorPair.of([1], [1])
     with pytest.raises(ResourceLimitError):
-        gaussian_wick([x] * (MAX_WICK_N + 2), SYM)
+        gaussian_wick([x] * (MAX_DIAGONAL_N + 2), SYM)
 
 
 def test_transform_guards():
