@@ -30,10 +30,9 @@ from typing import List, Optional
 from . import _guards
 from .scalars import DeformationParams, Poly, parse_rational, render_rational
 from .partitions import (
+    _diagonal_classes,
     count_diagonal_pair_partitions,
     count_diagonal_partitions,
-    diagonal_pair_partitions,
-    diagonal_partitions,
     render_partition,
 )
 from .fock import (
@@ -176,26 +175,24 @@ def cmd_euler(args) -> int:
 
 
 def cmd_partitions(args) -> int:
-    _int(args.min_block_size, "--min-block-size", least=1)
+    m = _int(args.min_block_size, "--min-block-size", least=1)
     if args.pairs:
+        if m > 2:
+            raise ValueError(f"--pairs with --min-block-size {m}: the blocks of a matching have 2 points")
         if args.n % 2:
             raise ValueError("pair partitions need an even number of points")
         _guards.check_size("--n, the sech moment order,", args.n, _guards.MAX_FAMILY_NMAX)
-        count, items = count_diagonal_pair_partitions(args.n), diagonal_pair_partitions(args.n)
+        count = count_diagonal_pair_partitions(args.n)
     else:
-        count = count_diagonal_partitions(args.n, args.min_block_size)
-        items = diagonal_partitions(args.n, min_block_size=args.min_block_size)
+        count = count_diagonal_partitions(args.n, m)
     _guards.check_size(f"the item count of --n {args.n}", count, _guards.MAX_PARTITION_ITEMS)
     rows = []
-    for dp in items:
-        a, b, c, d = dp.weight_exponents()
-        rows.append(
-            {
-                "top": render_partition(dp.top),
-                "bar": render_partition(dp.bar),
-                "weight": str(Poly.monomial(1, (a, b, c, d))),
-            }
-        )
+    for members in _diagonal_classes(args.n, m, args.pairs):
+        # each row is rendered once, with its walk counts (rc, rn) for the weight
+        shown = [(render_partition(p), rc, rn) for p, rc, rn in members]
+        for top, a, b in shown:
+            for bar, c, d in shown:
+                rows.append({"top": top, "bar": bar, "weight": str(Poly.monomial(1, (a, b, c, d)))})
     _emit({"n": args.n, "count": len(rows), "items": rows}, args.output)
     return 0
 

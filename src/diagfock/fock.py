@@ -452,10 +452,17 @@ def _deformed_inner(
     return total
 
 
+def _check_words(n: int, d: int) -> None:
+    """The guard of the level-n symmetrizer over d letters: n, d >= 0 and
+    at most MAX_SYMMETRIZER_WORDS words d^n."""
+    _guards.check_size("the level n of the symmetrizer", n, math.inf)
+    _guards.check_size("the letter count d of the symmetrizer", d, math.inf)
+    _guards.check_size(f"the words d^n at n = {n}, d = {d}", d ** n, _guards.MAX_SYMMETRIZER_WORDS)
+
+
 def symmetrizer_matrix(n: int, a, b, d: int):
     """Matrix of P^(n)_{a,b} on words of length n over a d-letter basis (lex order)."""
-    # bounded above only: a d < 0 or n < 0 has never been refused here
-    _guards.check_size(f"the words d^n at n = {n}, d = {d}", d ** n, _guards.MAX_SYMMETRIZER_WORDS, least=-math.inf)
+    _check_words(n, d)
     words = list(itertools.product(range(d), repeat=n))
     memo: ColumnMemo = {}
     zero = Fraction(0)
@@ -490,7 +497,7 @@ def positivity_check(n: int, a: Fraction, b: Fraction, d: int) -> Tuple[str, int
     partition of n into at most d parts) is classified, counted as many times
     as its content has distinct rearrangements over the d letters.
     """
-    _guards.check_size(f"the words d^n at n = {n}, d = {d}", d ** n, _guards.MAX_SYMMETRIZER_WORDS, least=-math.inf)
+    _check_words(n, d)
     a, b = Fraction(a), Fraction(b)
     memo: ColumnMemo = {}  # shared by all blocks: a subword's column serves every block holding it
     zero = Fraction(0)

@@ -311,13 +311,15 @@ Functional = Dict[Word, Fraction]
 def functional_from_spec(spec: LevySpec, params: DeformationParams, maxlen: int, s: Fraction = Fraction(1)) -> Functional:
     """Moment functional of a spec on all words up to maxlen, by one DP pass
     over the trie of the words."""
+    _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
     return {(): Fraction(1), **_spec_sums(spec, [range(spec.k)] * maxlen, params, Fraction(s))}
 
 
 def _functional_sums(value: Callable[[Word], Fraction], k: int, params: DeformationParams, maxlen: int, fill=None):
     """The open-arc DP over every word of length 1..maxlen on k letters with
     block values ``value`` on subwords, a chain being the open subword.  The
-    one guard of the functionals and of the one-variable transforms."""
+    guard of the functionals (:func:`functional_from_spec` applies it too)
+    and of the one-variable transforms."""
     _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
     return arc_sums(
         [range(k)] * maxlen,
@@ -412,12 +414,11 @@ class GeneratorPair:
         return cls(Fraction(lam), tuple(Fraction(x) for x in tau_moments))
 
     def cumulants(self, nmax: int) -> List[Fraction]:
-        if nmax >= 2 and len(self.tau_moments) < nmax - 1:
+        """r_1..r_nmax."""
+        _guards.check_size("the cumulant count nmax", nmax, math.inf)
+        if len(self.tau_moments) < nmax - 1:
             raise ValueError(f"need tau moments up to order {nmax - 2}")
-        out = [self.lam]
-        for n in range(2, nmax + 1):
-            out.append(self.tau_moments[n - 2])
-        return out
+        return [self.lam, *self.tau_moments][:nmax]
 
     def scale_time(self, s) -> "GeneratorPair":
         s = Fraction(s)

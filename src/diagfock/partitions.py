@@ -60,8 +60,14 @@ one-letter case, and a fill-in inverts the sum in the same pass) and the
 Levy word moments.  When both rows carry block values (the Wick sums, the
 word expansion), :func:`role_sums` gives T(R) or B(R) for every R by one pass
 per row over the trie of the role words; :func:`count_diagonal_partitions` is
-that pass at weight 1.  The pairs themselves (:func:`diagonal_partitions`) are
-enumerated only for display and as a test oracle.
+that pass at weight 1.
+
+The pairs themselves are listed for display only.  :func:`_diagonal_classes`
+groups the rows of one walk by role vector, with the walk's rc and rn of each
+row, and a listing pairs the rows of each class: :func:`diagonal_partitions`,
+:func:`diagonal_pair_partitions` and ``diagfock partitions``, whose weights
+are the two rows' walk counts.  :meth:`DiagonalPartition.weight_exponents`
+recounts them pair by pair, as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -258,7 +264,9 @@ def _walk(n: int, letters: Sequence[str]) -> Iterator[Tuple[Roles, int, int, Tup
     """(roles, restricted crossings, restricted nestings, blocks) of every set
     partition of [n] whose point p has a role in ``letters[p - 1]``, by the
     open-arc walk of the module docstring.  Blocks come sorted and ordered by
-    least element.  This is the one enumeration guard: n <= MAX_SET_PARTITION_N."""
+    least element.  Every listing reads its rows, role vectors and restricted
+    counts from here, and this is its one enumeration guard:
+    n <= MAX_SET_PARTITION_N."""
     _guards.check_size("the size n of a set partition", n, _guards.MAX_SET_PARTITION_N)
     # state: next point, open blocks in arc-opening order, closed blocks, roles so far, rc, rn
     stack = [(1, (), (), (), 0, 0)]
@@ -353,40 +361,29 @@ class DiagonalPartition:
         return f"{render_partition(self.top)} || {render_partition(self.bar)}"
 
 
-def satisfies_diagonal_conditions(top: SetPartition, bar: SetPartition) -> bool:
-    """Literal transcription of the pairing conditions, used to cross-check
-    the role-vector characterization:
-
-      * blocks of size >= 2 start at the same points in both rows,
-      * arcs start at the same points in both rows,
-      * singletons sit at the same points in both rows.
-    """
-    if top.n != bar.n:
-        return False
-    if top.openers() != bar.openers():
-        return False
-    top_arc_starts = tuple(sorted(a for a, _, _ in top.arcs()))
-    bar_arc_starts = tuple(sorted(a for a, _, _ in bar.arcs()))
-    if top_arc_starts != bar_arc_starts:
-        return False
-    return tuple(sorted(top.singletons())) == tuple(sorted(bar.singletons()))
-
-
-def _paired(rows: Iterator[SetPartition], key: Callable[[SetPartition], tuple], make) -> Iterator:
-    """make(top, bar) for every two rows with equal keys, classes in key order."""
-    classes: Dict[tuple, List[SetPartition]] = {}
-    for p in rows:
-        classes.setdefault(key(p), []).append(p)
-    for _, members in sorted(classes.items()):
-        for top in members:
-            for bar in members:
-                yield make(top, bar)
+def _diagonal_classes(n: int, min_block_size: int = 1, pairs: bool = False) -> List[List[Tuple[SetPartition, int, int]]]:
+    """The role classes of the diagonal listings: the rows (row, rc, rn) of
+    one walk over [n], every block of at least min_block_size points (or,
+    with ``pairs``, the matchings), grouped by role vector (by opener set for
+    the matchings, which orders the classes differently), the classes in key
+    order and the rows of each in walk order.  (top, bar) is diagonal exactly
+    when both rows are in one class, and rc, rn are the walk's restricted
+    counts of the row.  Callers guard n first: by MAX_DIAGONAL_N, or by the
+    item count of the listing."""
+    letters = "OC" if pairs else "OCM" if min_block_size >= 2 else "OCMS"
+    classes: Dict[tuple, List[Tuple[SetPartition, int, int]]] = {}
+    for roles, rc, rn, blocks in _walk(n, (letters,) * n):
+        if min_block_size <= 2 or all(len(b) >= min_block_size for b in blocks):
+            key = tuple(p for p, r in enumerate(roles, 1) if r == ROLE_OPENER) if pairs else roles
+            classes.setdefault(key, []).append((SetPartition._canonical(n, blocks), rc, rn))
+    return [rows for _, rows in sorted(classes.items())]
 
 
 def diagonal_partitions(n: int, min_block_size: int = 1) -> Iterator[DiagonalPartition]:
     """All diagonal partitions of [n] + [n-bar]: pairs with equal role vectors."""
     _guards.check_size("the size n of a diagonal partition", n, _guards.MAX_DIAGONAL_N)
-    yield from _paired(set_partitions(n, min_block_size), lambda p: p.roles(), DiagonalPartition)
+    for rows in _diagonal_classes(n, min_block_size):
+        yield from (DiagonalPartition(top, bar) for top, _, _ in rows for bar, _, _ in rows)
 
 
 def diagonal_pair_partitions(n: int) -> Iterator[DiagonalPartition]:
@@ -395,7 +392,8 @@ def diagonal_pair_partitions(n: int) -> Iterator[DiagonalPartition]:
     Compatibility for matchings reduces to equal opener sets.
     """
     _guards.check_size("the size n of a diagonal partition", n, _guards.MAX_DIAGONAL_N)
-    yield from _paired(pair_partitions(n), lambda p: p.openers(), DiagonalPartition)
+    for rows in _diagonal_classes(n, pairs=True):
+        yield from (DiagonalPartition(top, bar) for top, _, _ in rows for bar, _, _ in rows)
 
 
 def count_diagonal_pair_partitions(n: int) -> int:
@@ -413,39 +411,6 @@ def count_diagonal_pair_partitions(n: int) -> int:
     if n == 0:
         return 1
     return int(moments_from_jacobi(jacobi_sech(n // 2 + 1), n)[-1])
-
-
-def ps12_diagonal_partitions(n: int) -> Iterator[DiagonalPartition]:
-    """Diagonal pairs-and-singletons partitions under the weaker pairing rule:
-    only pair-opener sets must coincide (singleton positions may differ).
-
-    These index intermediate word expansions; note they are generally *not*
-    DiagonalPartition instances in the strict role sense, so plain tuples of
-    (top, bar) are yielded wrapped in a lightweight holder.
-    """
-    _guards.check_size("the size n of a diagonal partition", n, _guards.MAX_DIAGONAL_N)
-    yield from _paired(pairs_and_singletons_partitions(n), lambda p: p.openers(), PSDiagonal)
-
-
-@dataclass(frozen=True)
-class PSDiagonal:
-    """A pairs-and-singletons top/bar pair with matching pair-opener sets."""
-
-    top: SetPartition
-    bar: SetPartition
-
-    def __post_init__(self):
-        top_openers = tuple(sorted(b[0] for b in self.top.pair_blocks()))
-        bar_openers = tuple(sorted(b[0] for b in self.bar.pair_blocks()))
-        if self.top.n != self.bar.n or top_openers != bar_openers:
-            raise ValueError("pair-opener sets differ; not a valid pairing")
-
-    @property
-    def n(self) -> int:
-        return self.top.n
-
-    def __str__(self):
-        return f"{render_partition(self.top)} || {render_partition(self.bar)}"
 
 
 @lru_cache(maxsize=None)

@@ -162,6 +162,24 @@ def all_partitions_brute(n: int) -> List[Tuple[Tuple[int, ...], ...]]:
     return [tuple(sorted((tuple(sorted(b)) for b in p), key=lambda b: b[0])) for p in out]
 
 
+def satisfies_diagonal_conditions(top, bar) -> bool:
+    """Literal transcription of the pairing conditions of two partitions of
+    [n] (objects with ``n`` and sorted ``blocks``), the oracle of the
+    role-vector rule:
+
+      * blocks of size >= 2 start at the same points in both rows,
+      * arcs start at the same points in both rows,
+      * singletons sit at the same points in both rows.
+    """
+    def shape(p):
+        openers = sorted(b[0] for b in p.blocks if len(b) >= 2)
+        arc_starts = sorted(x for b in p.blocks for x in b[:-1])
+        singletons = sorted(b[0] for b in p.blocks if len(b) == 1)
+        return p.n, openers, arc_starts, singletons
+
+    return shape(top) == shape(bar)
+
+
 def roles_brute(blocks: Sequence[Sequence[int]], n: int) -> Tuple[str, ...]:
     role = [""] * (n + 1)
     for b in blocks:

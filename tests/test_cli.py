@@ -8,7 +8,13 @@ import pytest
 
 from diagfock import _guards, cli
 from diagfock.cli import main
-from diagfock.partitions import count_diagonal_pair_partitions
+from diagfock.partitions import (
+    count_diagonal_pair_partitions,
+    diagonal_pair_partitions,
+    diagonal_partitions,
+    render_partition,
+)
+from diagfock.scalars import Poly
 
 
 def run(capsys, *argv):
@@ -79,13 +85,28 @@ def test_partitions_item_count_is_predicted_exactly(monkeypatch, capsys, flags):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("flags", [["--min-block-size", "1"], ["--min-block-size", "2"], ["--min-block-size", "3"], ["--pairs"]])
+def test_partitions_items_match_the_pairwise_listing(capsys, flags):
+    # the listing reads each row's (rc, rn) off the walk; the library pairs counted arc by arc are its oracle
+    pairs = "--pairs" in flags
+    for n in range(0, 8, 2 if pairs else 1):
+        code, data = run_json(capsys, "partitions", "--n", str(n), *flags)
+        assert code == 0
+        listed = diagonal_pair_partitions(n) if pairs else diagonal_partitions(n, int(flags[1]))
+        expect = [
+            {"top": render_partition(dp.top), "bar": render_partition(dp.bar),
+             "weight": str(Poly.monomial(1, dp.weight_exponents()))}
+            for dp in listed
+        ]
+        assert data["items"] == expect, n
+
+
 def test_partitions_count_refuses_n_ten_without_listing(monkeypatch, capsys):
     # 4 365 673 diagonal partitions of [10]: the count prices them, no row is built
     def unlisted(*args, **kwargs):
         raise AssertionError("the listing was started")
-        yield
 
-    monkeypatch.setattr(cli, "diagonal_partitions", unlisted)
+    monkeypatch.setattr(cli, "_diagonal_classes", unlisted)
     code = main(["partitions", "--n", "10"])
     captured = capsys.readouterr()
     assert code == 3 and not captured.out
@@ -446,11 +467,12 @@ def test_bad_input_exit_codes(tmp_path, capsys):
         (["density", "--kind", "qmp", "--q=1/2", "--x=-inf"], "--x"),
         (["partitions", "--n", "3", "--min-block-size", "0"], "--min-block-size"),
         (["partitions", "--n", "3", "--min-block-size", "-2"], "--min-block-size"),
+        (["partitions", "--n", "4", "--pairs", "--min-block-size", "3"], "--pairs with --min-block-size 3"),
     ],
     ids=[
         "euler-nmax-zero", "euler-nmax-negative", "moments-nmax-zero", "polys-nmax-zero", "cauchy-depth-zero",
         "cauchy-pole", "cauchy-re-nan", "cauchy-im-inf", "density-sech-x-nan", "density-qmp-x-inf",
-        "partitions-min-block-size-zero", "partitions-min-block-size-negative",
+        "partitions-min-block-size-zero", "partitions-min-block-size-negative", "partitions-pairs-min-block-size-three",
     ],
 )
 def test_sizes_below_range_and_non_finite_points_exit_2(capsys, argv, message):

@@ -384,6 +384,22 @@ def test_positivity_by_blocks_matches_the_whole_symmetrizer():
         positivity_check(7, Fraction(1, 2), Fraction(2, 3), 3)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: positivity_check(3, Fraction(1, 2), 1, -1), "the letter count d of the symmetrizer is -1"),
+        (lambda: positivity_check(-1, Fraction(1, 2), 1, 2), "the level n of the symmetrizer is -1"),
+        (lambda: positivity_check(0, Fraction(1, 2), 1, -1), "the letter count d of the symmetrizer is -1"),
+        (lambda: symmetrizer_matrix(3, Fraction(1, 2), 1, -1), "the letter count d of the symmetrizer is -1"),
+    ],
+    ids=["positivity-d-negative", "positivity-n-negative", "positivity-level-zero-d-negative", "symmetrizer-d-negative"],
+)
+def test_negative_levels_and_letter_counts_are_bad_input(call, message):
+    # no empty space is reported for a size below 0
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_positivity_at_level_six_over_three_letters():
     assert positivity_check(6, Fraction(2, 7), Fraction(5, 7), 3) == ("positive_definite", 0)
     # one letter: a single word, whatever n

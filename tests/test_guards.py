@@ -28,12 +28,12 @@ HALF, ONE = Fraction(1, 2), Fraction(1)
 
 # the kernels behind the entries, in every namespace that calls them
 WORK = [
-    (partitions, "arc_sums"), (partitions, "role_sums"), (partitions, "_paired"),
+    (partitions, "arc_sums"), (partitions, "role_sums"), (partitions, "_diagonal_classes"),
     (levy, "arc_sums"), (levy, "_interval_metric"), (levy, "_vacuum_moment"),
     (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
     (fock, "_vacuum_moment"), (fock, "_sym_column"), (fock, "_letter_contents"),
     (cli, "moments_from_jacobi"), (cli, "polys_from_jacobi"), (cli, "cauchy_transform"),
-    (cli, "count_diagonal_pair_partitions"), (cli, "diagonal_pair_partitions"),
+    (cli, "count_diagonal_pair_partitions"), (cli, "_diagonal_classes"),
 ]
 
 
@@ -50,12 +50,11 @@ ENTRIES = [
     ("noncrossing_partitions", lambda n: list(partitions.noncrossing_partitions(n)), MAX_SET_PARTITION_N, 0),
     ("diagonal_partitions", lambda n: list(partitions.diagonal_partitions(n)), MAX_DIAGONAL_N, 0),
     ("diagonal_pair_partitions", lambda n: list(partitions.diagonal_pair_partitions(n)), MAX_DIAGONAL_N, 0),
-    ("ps12_diagonal_partitions", lambda n: list(partitions.ps12_diagonal_partitions(n)), MAX_DIAGONAL_N, 0),
     ("count_diagonal_partitions", partitions.count_diagonal_partitions, MAX_DIAGONAL_N, 0),
     ("unit_bar_sum", lambda n: partitions.unit_bar_sum(("S",) * n, P.v, P.w), MAX_DIAGONAL_N, None),
     ("levy_moment", lambda n: levy.levy_moment(SPEC, (0,) * n, P), MAX_DIAGONAL_N, None),
     ("levy_moment_s_poly", lambda n: levy.levy_moment_s_poly(SPEC, (0,) * n, P), MAX_DIAGONAL_N, None),
-    ("functional_from_spec", lambda n: levy.functional_from_spec(SPEC, P, n), MAX_DIAGONAL_N, None),
+    ("functional_from_spec", lambda n: levy.functional_from_spec(SPEC, P, n), MAX_DIAGONAL_N, 0),
     ("fock_levy_oracle", lambda n: levy.fock_levy_oracle(SPEC, [(0, 0)] * n, [ONE], P), MAX_DIAGONAL_N, None),
     (
         "stochastic_measure",
@@ -74,7 +73,7 @@ ENTRIES = [
     ("product_functional", lambda n: levy.product_functional({}, 1, {}, 1, P, n), MAX_DIAGONAL_N, 0),
     ("cumulants_to_moments", lambda n: levy.cumulants_to_moments([ONE] * n, P), MAX_DIAGONAL_N, None),
     ("moments_to_cumulants", lambda n: levy.moments_to_cumulants([ONE] * n, P), MAX_DIAGONAL_N, None),
-    ("pair_to_moments", lambda n: levy.pair_to_moments(GeneratorPair.of(0, [ONE] * 12), P, n), MAX_DIAGONAL_N, None),
+    ("pair_to_moments", lambda n: levy.pair_to_moments(GeneratorPair.of(0, [ONE] * 12), P, n), MAX_DIAGONAL_N, 0),
     ("moments_to_pair", lambda n: levy.moments_to_pair([ONE] * n, P), MAX_DIAGONAL_N, None),
     ("gaussian_wick", lambda n: wick.gaussian_wick([X] * n, P), MAX_DIAGONAL_N, None),
     ("gaussian_fock_oracle", lambda n: wick.gaussian_fock_oracle([X] * n, P), MAX_DIAGONAL_N, None),
@@ -84,8 +83,8 @@ ENTRIES = [
     ("full_fock_oracle", lambda n: wick.full_fock_oracle([QuadrabasicOp(X, None)] * n, P), MAX_DIAGONAL_N, None),
     ("vacuum_expectation", lambda n: fock.vacuum_expectation([(CREATE, X)] * n, P), MAX_OPERATOR_WORD, None),
     # level 1 over d letters has d words
-    ("symmetrizer_matrix", lambda d: fock.symmetrizer_matrix(1, HALF, ONE, d), MAX_SYMMETRIZER_WORDS, None),
-    ("positivity_check", lambda d: fock.positivity_check(1, HALF, ONE, d), MAX_SYMMETRIZER_WORDS, None),
+    ("symmetrizer_matrix", lambda d: fock.symmetrizer_matrix(1, HALF, ONE, d), MAX_SYMMETRIZER_WORDS, 0),
+    ("positivity_check", lambda d: fock.positivity_check(1, HALF, ONE, d), MAX_SYMMETRIZER_WORDS, 0),
     ("cli euler", lambda n: _cli("euler", "--nmax", str(n)), MAX_FAMILY_NMAX // 2, 1),
     ("cli partitions --pairs", lambda n: _cli("partitions", "--pairs", "--n", str(n)), MAX_FAMILY_NMAX, 0),
     ("cli partitions", lambda n: _cli("partitions", "--n", str(n)), MAX_DIAGONAL_N, 0),

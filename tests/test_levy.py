@@ -309,6 +309,9 @@ def test_functional_from_spec_is_the_moment_of_each_word():
         assert value == levy_moment(spec, word, GEN, s), word
     with pytest.raises(ResourceLimitError):
         functional_from_spec(spec, GEN, MAX_DIAGONAL_N + 1)
+    # refused as the other functionals refuse it, not the functional {(): 1} of no word
+    with pytest.raises(ValueError, match="the word length maxlen of a functional is -1, but must be >= 0"):
+        functional_from_spec(spec, GEN, -1)
 
 
 def test_product_functional_marginals_and_mixed_cumulants():
@@ -360,6 +363,12 @@ def test_generator_pairs_and_convolution():
     both = convolve_pairs(br, po)
     assert both.cumulants(4) == [Fraction(1, 2), Fraction(5, 2), Fraction(1, 2), Fraction(1, 2)]
     assert br.scale_time(3).cumulants(4) == [0, 6, 0, 0]
+    # exactly nmax cumulants, hence nmax moments
+    assert [po.cumulants(n) for n in range(3)] == [[], [Fraction(1, 2)], [Fraction(1, 2)] * 2]
+    assert pair_to_moments(po, GEN, 0) == []
+    for refused in (lambda: po.cumulants(-1), lambda: pair_to_moments(po, GEN, -1)):
+        with pytest.raises(ValueError, match="the cumulant count nmax is -1, but must be >= 0"):
+            refused()
 
 
 def test_free_brownian_and_poisson_moments():

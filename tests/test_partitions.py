@@ -24,10 +24,8 @@ from diagfock.partitions import (
     pair_partitions,
     pairs_and_singletons_partitions,
     parse_partition,
-    ps12_diagonal_partitions,
     render_partition,
     role_sums,
-    satisfies_diagonal_conditions,
     set_partitions,
     unit_bar_sum,
     _unit_bar_weights,
@@ -162,7 +160,7 @@ def test_role_vectors_equal_iff_literal_conditions():
         ps = list(set_partitions(n))
         for a in ps:
             for b in ps:
-                assert (a.roles() == b.roles()) == satisfies_diagonal_conditions(a, b)
+                assert (a.roles() == b.roles()) == helpers.satisfies_diagonal_conditions(a, b)
 
 
 def brute_diagonal_count(n: int) -> int:
@@ -199,27 +197,6 @@ def test_diagonal_pair_partitions_match_filtered_diagonals():
             if dp.top.is_pair_partition()
         }
         assert via_pairs == via_filter
-
-
-def test_ps12_counts_and_rule():
-    def brute(n):
-        ps = list(pairs_and_singletons_partitions(n))
-        cnt = 0
-        for a in ps:
-            for b in ps:
-                ka = tuple(sorted(x[0] for x in a.pair_blocks()))
-                kb = tuple(sorted(x[0] for x in b.pair_blocks()))
-                cnt += ka == kb
-        return cnt
-
-    for n in range(1, 7):
-        got = list(ps12_diagonal_partitions(n))
-        assert len(got) == brute(n)
-    # singleton positions may genuinely differ across the two rows
-    tops_vs_bars = [
-        (canon(d.top), canon(d.bar)) for d in ps12_diagonal_partitions(3)
-    ]
-    assert any(a != b for a, b in tops_vs_bars)
 
 
 def test_weight_exponents_examples():
@@ -612,7 +589,7 @@ def test_resource_guards():
         lambda: list(noncrossing_partitions(-1)),
         lambda: list(diagonal_partitions(-1)),
         lambda: list(diagonal_pair_partitions(-2)),
-        lambda: list(ps12_diagonal_partitions(-1)),
+        lambda: list(diagonal_partitions(-1, 3)),
         lambda: count_diagonal_partitions(-1),
         lambda: count_diagonal_pair_partitions(-2),
     ],
