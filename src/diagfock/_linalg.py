@@ -4,7 +4,9 @@ Matrices are tuples of tuples (rows).  Every product is built from the one
 inner-product loop :func:`dot`, which refuses sequences of unequal length, so
 :func:`mat_vec` and :func:`mat_mul` refuse mismatched dimensions alike.
 Sizes stay in the tens-to-hundreds, so one Gauss-Jordan elimination over
-exact rationals, :func:`_reduce`, serves both the solves and the ranks.
+exact rationals, :func:`_reduce`, serves the solves (every right-hand side of
+a system in one pass, as the columns of a matrix), the ranks and the
+independent subsets.
 :func:`ldlt_classify` is on the hot path of the symmetrizer positivity
 checks (one call per letter-content block), so it eliminates fraction-free
 over integers instead.
@@ -51,16 +53,18 @@ def is_symmetric(a: Matrix) -> bool:
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def solve_linear(a: Matrix, b: Sequence) -> Tuple:
-    """Solve A x = b exactly for square nonsingular A: Gauss-Jordan on the
-    augmented rows, which must pivot in each column of A and not in b's."""
+def solve_linear(a: Matrix, b: Matrix) -> Matrix:
+    """Solve A X = B exactly for square nonsingular A, each column of B one
+    right-hand side: Gauss-Jordan on the augmented rows [A | B], which must
+    pivot in each column of A and in none of B's.  X comes as rows, like B."""
     n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
-        raise ValueError(f"solve_linear needs an n x n matrix and n right-hand sides, got {n} rows and {len(b)}")
-    rows, pivots = _reduce([list(row) + [val] for row, val in zip(a, b)])
+    width = len(b[0]) if b else 0
+    if any(len(row) != n for row in a) or len(b) != n or any(len(row) != width for row in b):
+        raise ValueError(f"solve_linear needs an n x n matrix and n rows of right-hand sides, got {n} rows and {len(b)}")
+    rows, pivots = _reduce([list(row) + list(rhs) for row, rhs in zip(a, b)])
     if pivots != list(range(n)):
         raise ValueError("singular system")
-    return tuple(row[n] for row in rows)
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def ldlt_classify(a: Matrix) -> Tuple[str, int]:
@@ -176,17 +180,15 @@ def block_diagonal_classify(blocks: Iterable[Tuple[Tuple[str, int], int]]) -> Tu
 
 def independent_subset(gram: Matrix) -> List[int]:
     """Indices of a maximal linearly independent family, judged through its
-    Gram matrix (vector i is dependent on previous picks iff adding it leaves
-    the chosen principal minor singular)."""
-    n = len(gram)
-    chosen: List[int] = []
-    # row-reduce the Gram rows restricted to chosen columns incrementally
-    for i in range(n):
-        trial = chosen + [i]
-        sub = [[gram[r][c] for c in trial] for r in trial]
-        if _rank(sub) == len(trial):
-            chosen.append(i)
-    return chosen
+    Gram matrix, which must be positive semidefinite: the pivot columns of
+    one elimination.
+
+    For such a G, G c = 0 exactly when c^T G c, the squared norm of
+    sum_i c_i v_i, is 0, so a column depends on the columns before it exactly
+    when its vector depends on theirs: the pivots are the greedy choice.  An
+    indefinite matrix falls outside this: ((0, 1), (1, 0)) gives [0, 1],
+    though each of its vectors has norm 0."""
+    return _reduce(gram)[1]
 
 
 def _rank(rows: List[List[Fraction]]) -> int:

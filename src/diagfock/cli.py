@@ -25,7 +25,7 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import _guards
 from .scalars import DeformationParams, Poly, parse_rational, render_rational
@@ -187,12 +187,16 @@ def cmd_partitions(args) -> int:
         count = count_diagonal_partitions(args.n, m)
     _guards.check_size(f"the item count of --n {args.n}", count, _guards.MAX_PARTITION_ITEMS)
     rows = []
+    weights: Dict[Tuple[int, int, int, int], str] = {}  # few distinct exponents among many items
     for members in _diagonal_classes(args.n, m, args.pairs):
         # each row is rendered once, with its walk counts (rc, rn) for the weight
         shown = [(render_partition(p), rc, rn) for p, rc, rn in members]
         for top, a, b in shown:
             for bar, c, d in shown:
-                rows.append({"top": top, "bar": bar, "weight": str(Poly.monomial(1, (a, b, c, d)))})
+                weight = weights.get((a, b, c, d))
+                if weight is None:
+                    weight = weights[a, b, c, d] = str(Poly.monomial(1, (a, b, c, d)))
+                rows.append({"top": top, "bar": bar, "weight": weight})
     _emit({"n": args.n, "count": len(rows), "items": rows}, args.output)
     return 0
 
@@ -470,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--family", required=True, choices=["hermite", "poisson", "qmp", "sech", "dqhermite"])
         sp.add_argument("--nmax", type=int, default=8)
         sp.add_argument("--alpha", default="0", help="qmp shape parameter (rational)")
-        sp.add_argument("--mode", choices=["exact", "float"], default="exact")
+        if name == "moments":
+            sp.add_argument("--mode", choices=["exact", "float"], default="exact")
         sp.add_argument("--output", default=None)
         _add_param_flags(sp)
         sp.set_defaults(func=handler)

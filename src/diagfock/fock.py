@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _guards, _linalg
-from .scalars import DeformationParams, Poly, qt_number
+from .scalars import DeformationParams, _qt_ladder, _qt_row
 
 Word = Tuple[int, ...]
 WordPair = Tuple[Word, Word]
@@ -150,14 +150,6 @@ class FockVector:
         return f"FockVector({self.terms!r})"
 
 
-def _front_weight(i: int, n: int, wa, wb):
-    """wa^(i-1) wb^(n-i): the weight of moving position i of n to the front.
-
-    This is the factor R_n shared by annihilation, gauge and the symmetrizer.
-    """
-    return (wa ** (i - 1)) * (wb ** (n - i))
-
-
 # -- row operators ---------------------------------------------------------------
 
 RowOp = Callable[[Word], List[Tuple[Word, object]]]  # basis word -> its (word, coeff) terms
@@ -182,7 +174,7 @@ def _row_front(heads: Sequence[Sequence[Tuple[Word, object]]], wa, wb) -> RowOp:
         n = len(word)
         ws = weights.get(n)
         if ws is None:
-            ws = weights[n] = tuple(_front_weight(i, n, wa, wb) for i in range(1, n + 1))
+            ws = weights[n] = _qt_row(n, wa, wb)
         return [
             (head + word[:i] + word[i + 1 :], ws[i] * c)
             for i, letter in enumerate(word)
@@ -385,8 +377,7 @@ def _sym_column(x: Word, a, b, memo: ColumnMemo) -> Dict[Word, object]:
         col = {(): Fraction(1)}
     else:
         acc: Dict[Word, object] = {}
-        for k in range(1, n + 1):
-            weight = _front_weight(k, n, a, b)
+        for k, weight in enumerate(_qt_row(n, a, b), 1):
             head = (x[k - 1],)
             for word, c in _sym_column(x[: k - 1] + x[k:], a, b, memo).items():
                 key = head + word
@@ -606,7 +597,7 @@ def gauge_adjoint_check(
 
 def empirical_creation_norm(q: float, t: float, nmax: int = 200) -> float:
     """sup over levels of the one-row creation norm ratio sqrt([n]_{q,t})."""
-    return max(math.sqrt(qt_number(n, q, t)) for n in range(1, nmax + 1))
+    return max(map(math.sqrt, _qt_ladder(q, t, nmax)))
 
 
 def creation_norm_formula(q: float, t: float) -> Tuple[float, str]:

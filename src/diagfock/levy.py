@@ -119,6 +119,19 @@ def _subword(word: Word, block: Sequence[int]) -> Word:
     return tuple(word[i - 1] for i in block)
 
 
+def _vector_chain(starts: Sequence[Sequence], gauges: Sequence[Optional[_linalg.Matrix]] = (), singles: Sequence = (), ends=None):
+    """The callbacks (single, open_, close, extend) of the open-arc DP for
+    blocks valued by a vector chain: singles[i] for a singleton {i}; a
+    block's chain is the row vector starts[b1]^T G_{b2} ... of its points
+    so far, a Middle at i multiplying it by gauges[i], and closing at i takes
+    its dot product with ends[i] (starts[i] by default).  The Wick sums and
+    the Levy moments share it."""
+    ends = starts if ends is None else ends
+    cols = [None if g is None else _linalg.transpose(g) for g in gauges]
+    return (singles.__getitem__, starts.__getitem__,
+            lambda row, i: _linalg.dot(row, ends[i]), lambda row, i: _linalg.mat_vec(cols[i], row))
+
+
 def _spec_sums(spec: LevySpec, letters: Sequence[Sequence[int]], params: DeformationParams, s: Fraction, graded=False):
     """The moments of the words over ``letters`` (by block count when
     graded) by one open-arc DP with the cumulants of ``spec`` at time s: a
@@ -128,16 +141,8 @@ def _spec_sums(spec: LevySpec, letters: Sequence[Sequence[int]], params: Deforma
     _check_coordinates(spec, (u for alphabet in letters for u in alphabet))
     gram_t = None if spec.gram is None else _linalg.transpose(spec.gram)
     starts = [tuple(s * x for x in (xi if gram_t is None else _linalg.mat_vec(gram_t, xi))) for xi in spec.xi]
-    cols = [_linalg.transpose(m) for m in spec.T]
-    return arc_sums(
-        letters,
-        _unit_bar_weights(params),
-        lambda u: s * spec.lam[u],
-        starts.__getitem__,
-        lambda row, u: _linalg.dot(row, spec.xi[u]),
-        lambda row, u: _linalg.mat_vec(cols[u], row),
-        graded=graded,
-    )
+    chain = _vector_chain(starts, spec.T, [s * lam for lam in spec.lam], ends=spec.xi)
+    return arc_sums(letters, _unit_bar_weights(params), *chain, graded=graded)
 
 
 def levy_moment(spec: LevySpec, word: Word, params: DeformationParams, s: Fraction = Fraction(1)):
@@ -514,9 +519,11 @@ def gns_reconstruct(psi: Functional, k: int, maxlen: int) -> Tuple[LevySpec, Dic
 
     The space is the span of word classes of length <= maxlen under the
     kernel psi(reverse(u) v); a maximal independent family of word classes is
-    selected greedily, left multiplication by a coordinate is compressed onto
-    the span, and lam_i = psi(x_i).  Multiplication compressions are exactly
-    symmetric for reversal-symmetric psi, which is validated.
+    selected greedily (the pivot columns of the Gram matrix), left
+    multiplication by a coordinate is compressed onto the span (one solve
+    for every target word), and lam_i = psi(x_i).  Multiplication
+    compressions are exactly symmetric for reversal-symmetric psi, which is
+    validated.
 
     The round trip (single-block cumulants of the result) reproduces psi on
     all words of length <= maxlen + 1; longer words see the compression.
@@ -527,29 +534,21 @@ def gns_reconstruct(psi: Functional, k: int, maxlen: int) -> Tuple[LevySpec, Dic
         raise ValueError("functional is not reversal-symmetric")
     _check_window(psi, k, 1, max(1, 2 * maxlen))  # each coordinate and each word of length 2..2*maxlen
     words = list(_iter_words(k, maxlen))
-    gram_full = [[_psi_value(psi, tuple(reversed(u)) + v) for v in words] for u in words]
-    verdict, _ = _linalg.ldlt_classify(tuple(tuple(r) for r in gram_full))
+    gram_full = tuple(tuple(_psi_value(psi, tuple(reversed(u)) + v) for v in words) for u in words)
+    verdict, _ = _linalg.ldlt_classify(gram_full)
     if verdict not in ("positive_definite", "positive_semidefinite", "zero"):
         raise ValueError("functional is not conditionally positive on this window")
-    chosen = _linalg.independent_subset(tuple(tuple(r) for r in gram_full))
+    chosen = _linalg.independent_subset(gram_full)  # positive semidefinite, as checked above
     basis = [words[i] for i in chosen]
     dim = len(basis)
-    gram = tuple(tuple(Fraction(gram_full[i][j]) for j in chosen) for i in chosen)
-
-    def represent(word: Word) -> Tuple[Fraction, ...]:
-        rhs = [_psi_value(psi, tuple(reversed(b)) + word) for b in basis]
-        if dim == 0:
-            return ()
-        return _linalg.solve_linear(gram, rhs)
-
-    xi = tuple(represent((i,)) for i in range(k))
-    mats = []
-    for i in range(k):
-        cols = [represent((i,) + b) for b in basis]
-        rows = tuple(tuple(cols[j][a] for j in range(dim)) for a in range(dim))
-        mats.append(rows)
+    gram = tuple(tuple(gram_full[i][j] for j in chosen) for i in chosen)
+    # every coordinate, then every coordinate times every basis class, in basis coordinates
+    targets = [(i,) for i in range(k)] + [(i,) + b for i in range(k) for b in basis]
+    coords = _linalg.solve_linear(gram, [[_psi_value(psi, tuple(reversed(b)) + w) for w in targets] for b in basis])
+    xi = tuple(tuple(row[i] for row in coords) for i in range(k))
+    mats = tuple(tuple(row[k + i * dim : k + (i + 1) * dim] for row in coords) for i in range(k))
     lam = tuple(_psi_value(psi, (i,)) for i in range(k))
-    spec = LevySpec(k, dim, xi, tuple(mats), lam, gram if dim else None)
+    spec = LevySpec(k, dim, xi, mats, lam, gram if dim else None)
     # compression of a symmetric operator: exact Gram-symmetry must hold
     for mat in spec.T:
         gm = _linalg.mat_mul(gram, mat) if dim else ()

@@ -12,8 +12,8 @@ The moment m_k is the weighted Motzkin-path sum over walks of length k from
 level 0 back to 0 (up steps 1, flat steps beta_l, down steps gamma_{l-1}),
 i.e. the top-left entry of J^k for the tridiagonal Jacobi matrix J; it is
 read off the row vector e_0^T J^k, carried one step at a time.  The families'
-Jacobi data come from the running recurrence [n+1]_{a,b} = a [n]_{a,b} + b^n
-in one pass.
+Jacobi data come from the ladder [n+1]_{a,b} = a [n]_{a,b} + b^n of
+:mod:`diagfock.scalars` in one pass.
 
 The float paths use the standard library only:
 
@@ -58,9 +58,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
-from .scalars import DeformationParams, Scalar
+from .scalars import DeformationParams, _qt_ladder
 
 _QL_MAX_SWEEPS = 30  # implicit-QL sweeps per eigenvalue before giving up
 _GL_POINTS = 20  # Gauss-Legendre points per panel of the adaptive quadrature
@@ -89,21 +89,10 @@ class JacobiData:
         return [float(b) for b in self.beta], [float(g) for g in self.gamma]
 
 
-def _qt_numbers(a: Scalar, b: Scalar, count: int) -> Iterator:
-    """[1]_{a,b} .. [count]_{a,b} by [n+1] = a [n] + b^n; entrywise equal to
-    ``scalars.qt_number``, and of the same type."""
-    cur = a**0 * b**0
-    b_pow = b**0
-    for _ in range(count):
-        yield cur
-        b_pow = b_pow * b
-        cur = a * cur + b_pow
-
-
 def _hermite_gammas(params: DeformationParams, depth: int) -> Tuple:
     """gamma_{n-1} = [n]_{q,t} [n]_{v,w} for n = 1..depth-1."""
-    top = _qt_numbers(params.q, params.t, depth - 1)
-    bar = _qt_numbers(params.v, params.w, depth - 1)
+    top = _qt_ladder(params.q, params.t, depth - 1)
+    bar = _qt_ladder(params.v, params.w, depth - 1)
     return tuple(x * y for x, y in zip(top, bar))
 
 
@@ -119,8 +108,8 @@ def jacobi_poisson(params: DeformationParams, depth: int) -> JacobiData:
 def jacobi_qmp(q: Fraction, alpha: Fraction, depth: int) -> JacobiData:
     """gamma_{n-1} = [n]_q (1 + alpha q^(n-1)), with q^(n-1) = [n]_{0,q}."""
     q, alpha = Fraction(q), Fraction(alpha)
-    q_numbers = _qt_numbers(q, Fraction(1), depth - 1)
-    q_pows = _qt_numbers(Fraction(0), q, depth - 1)
+    q_numbers = _qt_ladder(q, Fraction(1), depth - 1)
+    q_pows = _qt_ladder(Fraction(0), q, depth - 1)
     gam = tuple(qn * (1 + alpha * q_pow) for qn, q_pow in zip(q_numbers, q_pows))
     return JacobiData(tuple(Fraction(0) for _ in range(depth)), gam)
 

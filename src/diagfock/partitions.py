@@ -80,7 +80,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _guards
 from .orthopoly import jacobi_sech, moments_from_jacobi
-from .scalars import DeformationParams, qt_number
+from .scalars import DeformationParams, _qt_row, qt_number
 
 Block = Tuple[int, ...]
 Roles = Tuple[str, ...]
@@ -449,10 +449,11 @@ def unit_bar_sum(roles: Roles, v, w):
 
 @lru_cache(maxsize=256)
 def _row_weights(a, b, k: int, bar=1) -> Tuple:
-    """a^(k-1-j) b^j * bar for j = 0..k-1, None where it is 0: the weight of
-    ending the j-th of k open arcs on one row, its crossings counted by a
-    and its nestings by b."""
-    row = ((a ** (k - 1 - j)) * (b ** j) * bar for j in range(k))
+    """The summands of [k]_{a,b} read reversed, a^(k-1-j) b^j for
+    j = 0..k-1, times bar, and None where 0: the weight of ending the j-th
+    of k open arcs on one row, its crossings counted by a and its nestings
+    by b."""
+    row = (x * bar for x in reversed(_qt_row(k, a, b)))
     return tuple(None if x == 0 else x for x in row)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterator, Tuple, Union
 
 Exponent = Tuple[int, int, int, int]
 
@@ -101,9 +101,6 @@ class Poly:
     @property
     def terms(self) -> Dict[Exponent, Fraction]:
         return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def constant_term(self) -> Fraction:
         return self._terms.get(_ZERO4, Fraction(0))
@@ -247,6 +244,26 @@ W = Poly.variable("w")
 Scalar = Union[Fraction, int, Poly]
 
 
+def _qt_ladder(a: Scalar, b: Scalar, count: int) -> Iterator:
+    """[1]_{a,b} .. [count]_{a,b} by the ladder [n+1] = a [n] + b^n, from
+    [1] = a^0 b^0 (so each rung has the type of the sum it equals)."""
+    b_pow = b**0
+    cur = a**0 * b_pow
+    for n in range(count):
+        if n:
+            b_pow = b_pow * b
+            cur = a * cur + b_pow
+        yield cur
+
+
+def _qt_row(n: int, a: Scalar, b: Scalar) -> Tuple:
+    """The summands (a^(i-1) b^(n-i)) for i = 1..n of [n]_{a,b}: the weight of
+    moving position i of n to the front (the factor R_n of annihilation,
+    gauge and the symmetrizer), or, read reversed, of ending the j-th of n
+    open arcs."""
+    return tuple((a ** (i - 1)) * (b ** (n - i)) for i in range(1, n + 1))
+
+
 def qt_number(n: int, a: Scalar, b: Scalar):
     """Deformed integer [n]_{a,b} = sum_{i=1..n} a^(i-1) b^(n-i).
 
@@ -255,13 +272,8 @@ def qt_number(n: int, a: Scalar, b: Scalar):
     """
     if n < 0:
         raise ValueError("deformed integer needs n >= 0")
-    total = None
-    for i in range(1, n + 1):
-        term = (a ** (i - 1)) * (b ** (n - i))
-        total = term if total is None else total + term
-    if total is None:
-        return Fraction(0)
-    return total
+    rungs = list(_qt_ladder(a, b, n))
+    return rungs[-1] if rungs else Fraction(0)
 
 
 @dataclass(frozen=True)

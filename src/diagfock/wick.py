@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from . import _guards, _linalg
-from .levy import cumulants_to_moments, moments_to_cumulants  # re-exported: the transforms live in levy
+from . import _guards
+from .levy import _vector_chain, cumulants_to_moments, moments_to_cumulants  # the transforms are re-exported
 from .partitions import role_sums
 from .scalars import DeformationParams
 from .fock import (
@@ -98,7 +98,7 @@ def gaussian_wick(xs: Sequence[VectorPair], params: DeformationParams):
     if len(xs) % 2:
         return Fraction(0)
     # pairs only: no point is a Middle or a Singleton, so no gauge or scalar is read
-    return _wick_sum(["OC"] * len(xs), params, _row([x.xi for x in xs], (), ()), _row([x.eta for x in xs], (), ()))
+    return _wick_sum(["OC"] * len(xs), params, _vector_chain([x.xi for x in xs]), _vector_chain([x.eta for x in xs]))
 
 
 def gaussian_fock_oracle(xs: Sequence[VectorPair], params: DeformationParams):
@@ -154,7 +154,7 @@ def _word_row(vectors: Sequence[Sequence], roles_at: Sequence[str], a, b) -> Dic
     it, so T(R) takes a^(open arcs) b^(closed pairs) per singleton, times
     the tensor of the singletons' vectors expanded in basis words."""
     out: Dict[Tuple[int, ...], object] = {}
-    for roles, total in role_sums(roles_at, a, b, *_row(vectors, (), [1] * len(vectors))).items():
+    for roles, total in role_sums(roles_at, a, b, *_vector_chain(vectors, singles=[1] * len(vectors))).items():
         opened = closed = covered = after = 0
         expansions = []
         for role, i in roles:
@@ -184,20 +184,10 @@ def word_fock_oracle(tokens: Sequence[Tuple[str, VectorPair]], params: Deformati
 # -- general Wick formula ------------------------------------------------------------
 
 
-def _row(vectors: Sequence[Sequence], gauges: Sequence[Optional[_linalg.Matrix]], scalars: Sequence):
-    """The callbacks of :func:`diagfock.partitions.role_sums` for one row of
-    the general Wick formula: scalars[i] for a singleton {i}; a block's chain
-    is the row vector x_{b1}^T G_{b2} ... of its points so far, and closing
-    at i takes its dot product with x_i.  The alphabet admits a Middle only
-    at a gauge."""
-    cols = [None if g is None else _linalg.transpose(g) for g in gauges]
-    return (scalars.__getitem__, vectors.__getitem__,
-            lambda row, i: _linalg.dot(row, vectors[i]), lambda row, i: _linalg.mat_vec(cols[i], row))
-
-
 def _wick_sum(roles_at: Sequence[str], params: DeformationParams, top, bar):
-    """The sum over role vectors R of T(R) * B(R): :func:`_row` callbacks
-    ``top`` on the top row at (q, t), ``bar`` on the bar row at (v, w)."""
+    """The sum over role vectors R of T(R) * B(R): the vector-chain
+    callbacks ``top`` on the top row at (q, t), ``bar`` on the bar row at
+    (v, w)."""
     top_sums, bar_sums = role_sums(roles_at, params.q, params.t, *top), role_sums(roles_at, params.v, params.w, *bar)
     return sum((t * bar_sums[roles] for roles, t in top_sums.items() if roles in bar_sums), Fraction(0))
 
@@ -207,7 +197,7 @@ def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):
 
     Weight: q^rc t^rnest over the top row arcs, v^rc w^rnest over the bar row,
     with restricted (cross-block) crossing/nesting counts.  A top block's
-    value is the chain of :func:`_row` over (xi, T, lam), a bar block's over
+    value is the vector chain over (xi, T, lam), a bar block's over
     (eta, T-bar, lam-bar).  A point is a Middle only at a gauge and a
     Singleton only where both scalars are nonzero; other blocks have value 0.
     """
@@ -215,8 +205,8 @@ def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):
     if not ops:
         return Fraction(1)
     gauges = [op.gauge for op in ops]
-    top = _row([op.vector.xi for op in ops], [g and g.top for g in gauges], [op.lam for op in ops])
-    bar = _row([op.vector.eta for op in ops], [g and g.bar for g in gauges], [op.lambar for op in ops])
+    top = _vector_chain([op.vector.xi for op in ops], [g and g.top for g in gauges], [op.lam for op in ops])
+    bar = _vector_chain([op.vector.eta for op in ops], [g and g.bar for g in gauges], [op.lambar for op in ops])
     roles_at = ["OC" + "M" * (op.gauge is not None) + "S" * (op.lam * op.lambar != 0) for op in ops]
     return _wick_sum(roles_at, params, top, bar)
 

@@ -48,6 +48,25 @@ def test_moments_symbolic(capsys):
     assert data["moments_from_order_zero"][4] == "1 + qv + qw + tv + tw"
 
 
+def test_moments_float_mode_gives_the_floats_of_the_exact_moments(capsys):
+    argv = ["moments", "--family", "hermite", "--nmax", "8", "--q", "1/2", "--t", "2/3", "--v", "1/3", "--w", "3/4"]
+    code, exact = run_json(capsys, *argv)
+    assert code == 0
+    code, floats = run_json(capsys, *argv, "--mode", "float")
+    assert code == 0
+    got = floats["moments_from_order_zero"]
+    assert all(isinstance(x, float) for x in got)
+    assert got == [float(Fraction(m)) for m in exact["moments_from_order_zero"]]
+
+
+def test_polys_has_no_mode_flag(capsys):
+    # polys prints exact coefficients only, so a float mode is an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        main(["polys", "--family", "sech", "--nmax", "2", "--mode", "float"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+
+
 def test_partitions_listing(capsys):
     code, data = run_json(capsys, "partitions", "--n", "2")
     assert code == 0

@@ -121,19 +121,20 @@ def test_components_classified_apart_match_fraction_elimination():
 
 
 def test_solve_linear_roundtrip():
+    # each column of B is one right-hand side, solved in the same elimination
     r = helpers.rng(22)
-    for _ in range(6):
-        a = random_invertible(r, 3)
-        x = [helpers.rand_frac(r) for _ in range(3)]
-        b = _linalg.mat_vec(a, x)
-        assert list(_linalg.solve_linear(a, b)) == x
+    for width in (1, 3, 0):
+        for _ in range(4):
+            a = random_invertible(r, 3)
+            x = tuple(tuple(helpers.rand_frac(r) for _ in range(width)) for _ in range(3))
+            assert _linalg.solve_linear(a, _linalg.mat_mul(a, x)) == x
     f = Fraction
     singular = ((f(1), f(2)), (f(2), f(4)))
-    for b in ((f(1), f(2)), (f(1), f(3))):  # consistent, then inconsistent
+    for b in (((f(1),), (f(2),)), ((f(1),), (f(3),)), ((f(1), f(1)), (f(2), f(3)))):  # consistent, inconsistent, both
         with pytest.raises(ValueError, match="singular system"):
             _linalg.solve_linear(singular, b)
     with pytest.raises(ValueError, match="singular system"):
-        _linalg.solve_linear(((f(0), f(1), f(0)), (f(0), f(0), f(1)), (f(0), f(1), f(1))), (f(1), f(1), f(1)))
+        _linalg.solve_linear(((f(0), f(1), f(0)), (f(0), f(0), f(1)), (f(0), f(1), f(1))), ((f(1),), (f(1),), (f(1),)))
 
 
 def test_products_match_a_literal_loop():
@@ -181,6 +182,31 @@ def test_independent_subset_with_planted_dependencies():
     assert _linalg.independent_subset(gram) == [0, 2, 4]
 
 
+def test_independent_subset_is_the_greedy_choice_on_gram_matrices():
+    # the oracle keeps vector i when the principal minor of the kept ones and i
+    # is nonsingular; the pivot columns agree on every Gram (positive
+    # semidefinite) matrix, and an indefinite one is outside the contract
+    r = helpers.rng(26)
+    for _ in range(60):
+        dim, count = r.randint(1, 3), r.randint(1, 6)
+        vs = []
+        for _ in range(count):
+            pick = r.random()
+            if vs and pick < 0.3:  # a combination of earlier vectors
+                u, w = r.choice(vs), r.choice(vs)
+                vs.append(tuple(helpers.rand_frac(r) * x + y for x, y in zip(u, w)))
+            else:
+                vs.append(tuple(Fraction(0) if pick > 0.9 else helpers.rand_frac(r) for _ in range(dim)))
+        gram = tuple(tuple(_linalg.dot(a, b) for b in vs) for a in vs)
+        greedy = []
+        for i in range(count):
+            trial = greedy + [i]
+            if _linalg._rank([[gram[a][b] for b in trial] for a in trial]) == len(trial):
+                greedy.append(i)
+        assert _linalg.independent_subset(gram) == greedy
+    assert _linalg.independent_subset(((0, 1), (1, 0))) == [0, 1]
+
+
 def test_dimension_mismatch_raises():
     assert _linalg.dot([1, 2], [3, 4]) == 11
     with pytest.raises(ValueError):
@@ -193,10 +219,18 @@ def test_dimension_mismatch_raises():
             _linalg.mat_mul(a, b)
 
 
-@pytest.mark.parametrize("a, b", [(((1, 2),), (3,)), (((1, 0), (0, 1)), (1, 2, 3)), (((1, 0), (0, 1)), (1,))])
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (((1, 2),), ((3,),)),
+        (((1, 0), (0, 1)), ((1,), (2,), (3,))),
+        (((1, 0), (0, 1)), ((1,),)),
+        (((1, 0), (0, 1)), ((1,), (2, 3))),
+    ],
+)
 def test_solve_linear_refuses_a_shape_mismatch(a, b):
-    # a non-square A, a b longer than A, a b shorter than A
-    with pytest.raises(ValueError, match="n x n matrix and n right-hand sides"):
+    # a non-square A, a B longer than A, a B shorter than A, rows of B of unequal length
+    with pytest.raises(ValueError, match="n x n matrix and n rows of right-hand sides"):
         _linalg.solve_linear(a, b)
 
 

@@ -10,14 +10,14 @@ import pytest
 
 import diagfock
 import helpers
-from diagfock.scalars import DeformationParams, Q, T, W, qt_number
+from diagfock import partitions
+from diagfock.scalars import DeformationParams, Q, T, W, _qt_ladder, _qt_row, qt_number
 from diagfock.fock import GaugePair, VectorPair
-from diagfock.wick import QuadrabasicOp, full_wick, gaussian_wick
+from diagfock.wick import QuadrabasicOp, full_fock_oracle, full_wick, gaussian_wick
 from diagfock.orthopoly import (
     JacobiData,
     _integrate,
     _legendre_rule,
-    _qt_numbers,
     carleman_sums,
     cauchy_transform,
     jacobi_discrete_qhermite,
@@ -151,11 +151,24 @@ def test_symbolic_family_moments_match_matrix_powers(family):
         (Q, Fraction(1, 3)),
         (Fraction(-1, 2), W),
         (Q, T),
+        (2, -3),
+        (-1, 0),
     ],
 )
 def test_qt_numbers_match_definition(a, b):
-    got = list(_qt_numbers(a, b, 9))
-    assert typed(got) == typed([qt_number(n, a, b) for n in range(1, 10)])
+    # the ladder, qt_number and the summand row against the literal power sum
+    def power_sum(n):
+        terms = [a ** (i - 1) * b ** (n - i) for i in range(1, n + 1)]
+        return sum(terms[1:], terms[0]) if terms else Fraction(0)
+
+    want = [power_sum(n) for n in range(10)]
+    assert typed([qt_number(n, a, b) for n in range(10)]) == typed(want)
+    assert typed(list(_qt_ladder(a, b, 9))) == typed(want[1:])
+    for n in range(10):
+        row = _qt_row(n, a, b)
+        assert len(row) == n and sum(row, Fraction(0)) == want[n]
+        # read reversed, the row is the step weight of ending the j-th of n open arcs
+        assert partitions._row_weights(a, b, n) == tuple(None if x == 0 else x for x in reversed(row))
 
 
 COLD_IMPORT = """
@@ -214,16 +227,35 @@ def test_hermite_specializations():
     assert even_moments(params_rat(1, 1, 1, 1)) == [1, 5, 61, 1385]
 
 
-def test_poisson_family_matches_operator_moments():
-    # the recurrence with beta_0 = 0, beta_n = gamma_(n-1) = [n][n] describes
-    # creation + annihilation + identity gauge on the coherent tower
-    op = QuadrabasicOp(
-        VectorPair.of([1], [1]), GaugePair.of([[1]], [[1]]), Fraction(0), Fraction(0)
-    )
-    jac = jacobi_poisson(SYM, 4)
-    ms = moments_from_jacobi(jac, 6)
-    for n in range(1, 7):
-        assert full_wick([op] * n, SYM) == ms[n - 1]
+D1_OPERATORS = {
+    # (xi, eta, tau, taubar, lam, lambar) of one operator on d = 1
+    "hermite": (1, 1, 0, 0, 0, 0),
+    "poisson": (1, 1, 1, 1, 0, 0),
+    "generic": (Fraction(2, 3), Fraction(-3, 5), Fraction(1, 2), Fraction(5, 7), Fraction(-1, 3), Fraction(3, 2)),
+}
+
+
+@pytest.mark.parametrize("case", D1_OPERATORS)
+def test_one_dimensional_operator_is_a_jacobi_matrix(case):
+    # level n is one word pair, on which X = A + A* + p(tau, taubar) + lam lambar
+    # is tridiagonal: beta_n = tau taubar [n]_{q,t} [n]_{v,w} + lam lambar and
+    # gamma_(n-1) = (xi eta)^2 [n]_{q,t} [n]_{v,w}
+    xi, eta, tau, taubar, lam, lambar = D1_OPERATORS[case]
+    gauge = GaugePair.of([[tau]], [[taubar]]) if tau * taubar else None
+    op = QuadrabasicOp(VectorPair.of([xi], [eta]), gauge, Fraction(lam), Fraction(lambar))
+    point = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(1, 3), Fraction(3, 4))
+    for params, oracle_n, formula_n in ((point, 10, 8), (SYM, 6, 6)):
+        depth = oracle_n // 2 + 1
+        nn = [qt_number(n, params.q, params.t) * qt_number(n, params.v, params.w) for n in range(depth)]
+        jac = JacobiData(tuple(tau * taubar * x + lam * lambar for x in nn), tuple((xi * eta) ** 2 * x for x in nn[1:]))
+        ms = moments_from_jacobi(jac, oracle_n)
+        for n in range(1, oracle_n + 1):
+            assert full_fock_oracle([op] * n, params) == ms[n - 1], (params, n)
+        for n in range(1, formula_n + 1):
+            assert full_wick([op] * n, params) == ms[n - 1], (params, n)
+        family = {"hermite": jacobi_hermite, "poisson": jacobi_poisson}.get(case)
+        if family is not None:
+            assert jac == family(params, depth)
 
 
 def test_poisson_free_specialization():
