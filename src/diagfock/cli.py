@@ -20,12 +20,13 @@ Exit codes: 0 success, 1 verification mismatch, 2 bad input, 3 resource guard.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import _guards
 from .scalars import DeformationParams, Poly, parse_rational, render_rational
@@ -76,24 +77,22 @@ from .levy import (
 )
 
 
-def _ser(x):
+def _json_value(x):
+    """The JSON form of the values json does not know: a Fraction as 'p/q',
+    a Poly as its text and a complex as {"re", "im"}."""
     if isinstance(x, Fraction):
         return render_rational(x)
     if isinstance(x, Poly):
         return str(x)
-    if isinstance(x, float):
-        return float(format(x, ".17g"))
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
-    if isinstance(x, dict):
-        return {str(k): _ser(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_ser(v) for v in x]
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _emit(payload, path: Optional[str]) -> None:
-    text = json.dumps(_ser(payload), indent=2, sort_keys=True)
+    """Write payload as indented JSON with sorted keys.  Dict keys must be
+    strings: json sorts int keys as numbers, so 10 would follow 9."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_value)
     if path and path != "-":
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -101,11 +100,17 @@ def _emit(payload, path: Optional[str]) -> None:
         sys.stdout.write(text + "\n")
 
 
+class _Fields(dict):
+    """A JSON object of the input, whose missing field is bad input that
+    names the field."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing field {key!r}")
+
+
 def _read_input(path: str) -> dict:
-    if path == "-":
-        return _check(json.load(sys.stdin), dict, "a JSON object")
-    with open(path) as fh:
-        return _check(json.load(fh), dict, "a JSON object")
+    with contextlib.nullcontext(sys.stdin) if path == "-" else open(path) as fh:
+        return _check(json.load(fh, object_pairs_hook=_Fields), dict, "a JSON object")
 
 
 def _params_from(args) -> DeformationParams:
@@ -116,7 +121,12 @@ def _params_from(args) -> DeformationParams:
     )
 
 
-def _add_param_flags(sp, symbolic_ok: bool = True) -> None:
+def _add_output_flags(sp, point: bool = True, symbolic_ok: bool = True) -> None:
+    """--output, then the point flags --q --t --v --w (and --symbolic) of a
+    command that reads a point."""
+    sp.add_argument("--output", default=None)
+    if not point:
+        return
     sp.add_argument("--q", default="0", help="twist parameter q (rational, default 0)")
     sp.add_argument("--t", default="1", help="twist parameter t (rational, default 1)")
     sp.add_argument("--v", default="0", help="bar twist parameter v (rational, default 0)")
@@ -169,7 +179,7 @@ def cmd_euler(args) -> int:
     t0 = time.monotonic()
     nmax = _guards.check_size("--nmax", _int(args.nmax, "--nmax"), _guards.MAX_FAMILY_NMAX // 2, least=1)
     moments = moments_from_jacobi(jacobi_sech(nmax + 1), 2 * nmax)  # m_2n counts the pairs on 2n points
-    counts = {n: int(moments[2 * n - 1]) for n in range(1, nmax + 1)}
+    counts = {str(n): int(moments[2 * n - 1]) for n in range(1, nmax + 1)}
     _emit({"pairs_on_2n": counts, "seconds": time.monotonic() - t0}, args.output)
     return 0
 
@@ -201,22 +211,23 @@ def cmd_partitions(args) -> int:
     return 0
 
 
+# the Jacobi data of each --family of moments, polys and cauchy, from the flags and a depth
+_FAMILIES: Dict[str, Callable[[argparse.Namespace, int], JacobiData]] = {
+    "hermite": lambda args, depth: jacobi_hermite(_params_from(args), depth),
+    "poisson": lambda args, depth: jacobi_poisson(_params_from(args), depth),
+    "qmp": lambda args, depth: jacobi_qmp(parse_rational(args.q), parse_rational(args.alpha), depth),
+    "sech": lambda args, depth: jacobi_sech(depth),
+    "dqhermite": lambda args, depth: jacobi_discrete_qhermite(parse_rational(args.q), depth),
+}
+
+
 def _family(args, depth: int) -> JacobiData:
-    name = args.family
-    if name == "hermite":
-        return jacobi_hermite(_params_from(args), depth)
-    if name == "poisson":
-        return jacobi_poisson(_params_from(args), depth)
-    if name == "qmp":
-        return jacobi_qmp(parse_rational(args.q), parse_rational(args.alpha), depth)
-    if name == "sech":
-        return jacobi_sech(depth)
-    if name == "dqhermite":
-        return jacobi_discrete_qhermite(parse_rational(args.q), depth)
-    raise ValueError(f"unknown family {name!r}")
+    return _FAMILIES[args.family](args, depth)
 
 
 def cmd_moments(args) -> int:
+    if args.symbolic and args.mode == "float":
+        raise ValueError("--mode float needs a rational point, not --symbolic")
     _guards.check_size("--nmax", _int(args.nmax, "--nmax"), _guards.MAX_FAMILY_NMAX, least=1)
     depth = args.nmax // 2 + 1
     jac = _family(args, depth)
@@ -280,43 +291,37 @@ def _fock_terms(f) -> List[dict]:
     return rows
 
 
+def _vector_pair(e: dict) -> VectorPair:
+    return VectorPair.of(_vec(e["xi"]), _vec(e["eta"]))
+
+
+def _operator(e: dict) -> QuadrabasicOp:
+    vec = _vector_pair(e)
+    gauge = None if e.get("T") is None else GaugePair.of(_mat(e["T"]), _mat(e["Tbar"]))
+    return QuadrabasicOp(vec, gauge, parse_rational(str(e.get("lam", "0"))), parse_rational(str(e.get("lambar", "1"))))
+
+
+# each kind of wick input: (the key of its entries, entry parser, formula, oracle, renderer)
+_WICK_KINDS = {
+    "gaussian": ("vectors", _vector_pair, gaussian_wick, gaussian_fock_oracle, lambda x: x),
+    "word": ("tokens", lambda e: (e["kind"], _vector_pair(e)), word_vacuum_formula, word_fock_oracle, _fock_terms),
+    "full": ("operators", _operator, full_wick, full_fock_oracle, lambda x: x),
+}
+
+
 def cmd_wick(args) -> int:
     data = _read_input(args.input)
     params = _params_from(args)
     kind = data.get("kind", "gaussian")
-    if kind == "gaussian":
-        xs = [VectorPair.of(_vec(e["xi"]), _vec(e["eta"])) for e in _entries(data, "vectors")]
-        lhs = gaussian_wick(xs, params)
-        rhs = gaussian_fock_oracle(xs, params)
-        match = lhs == rhs
-        _emit({"kind": kind, "formula": lhs, "oracle": rhs, "match": match}, args.output)
-        return 0 if match else 1
-    if kind == "word":
-        tokens = [(e["kind"], VectorPair.of(_vec(e["xi"]), _vec(e["eta"]))) for e in _entries(data, "tokens")]
-        lhs = word_vacuum_formula(tokens, params)
-        rhs = word_fock_oracle(tokens, params)
-        match = lhs == rhs
-        _emit(
-            {"kind": kind, "formula": _fock_terms(lhs), "oracle": _fock_terms(rhs), "match": match},
-            args.output,
-        )
-        return 0 if match else 1
-    if kind == "full":
-        ops = []
-        for e in _entries(data, "operators"):
-            vec = VectorPair.of(_vec(e["xi"]), _vec(e["eta"]))
-            gauge = None
-            if "T" in e and e["T"] is not None:
-                gauge = GaugePair.of(_mat(e["T"]), _mat(e["Tbar"]))
-            lam = parse_rational(str(e.get("lam", "0")))
-            lambar = parse_rational(str(e.get("lambar", "1")))
-            ops.append(QuadrabasicOp(vec, gauge, lam, lambar))
-        lhs = full_wick(ops, params)
-        rhs = full_fock_oracle(ops, params)
-        match = lhs == rhs
-        _emit({"kind": kind, "formula": lhs, "oracle": rhs, "match": match}, args.output)
-        return 0 if match else 1
-    raise ValueError(f"unknown wick kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _WICK_KINDS:
+        raise ValueError(f"unknown wick kind {kind!r}")
+    key, entry, formula, oracle, render = _WICK_KINDS[kind]
+    entries = [entry(e) for e in _entries(data, key)]
+    lhs = formula(entries, params)
+    rhs = oracle(entries, params)
+    match = lhs == rhs
+    _emit({"kind": kind, "formula": render(lhs), "oracle": render(rhs), "match": match}, args.output)
+    return 0 if match else 1
 
 
 def _spec_from_json(data: dict) -> LevySpec:
@@ -399,18 +404,10 @@ def cmd_gns(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify(args) -> int:
-    failures = 0
-
-    def report(name: str, ok: bool) -> None:
-        nonlocal failures
-        line = f"{'ok  ' if ok else 'FAIL'}  {name}"
-        print(line)
-        if not ok:
-            failures += 1
-
+def _verify_checks():
+    """The built-in battery: yields (name, passed) for each check in turn."""
     counts = [count_diagonal_pair_partitions(2 * n) for n in range(1, 5)]
-    report("diagonal pair partition counts 1,5,61,1385", counts == [1, 5, 61, 1385])
+    yield "diagonal pair partition counts 1,5,61,1385", counts == [1, 5, 61, 1385]
 
     sym = DeformationParams.symbolic()
     x = VectorPair.of([1], [1])
@@ -422,7 +419,7 @@ def cmd_verify(args) -> int:
         + Poly.monomial(1, (0, 1, 1, 0))
         + Poly.monomial(1, (0, 1, 0, 1))
     )
-    report("fourth moment equals 1 + qv + qw + tv + tw", m4 == expected)
+    yield "fourth moment equals 1 + qv + qw + tv + tw", m4 == expected
 
     pr = DeformationParams.from_rationals(Fraction(1, 2), Fraction(2, 3), Fraction(1, 3), Fraction(3, 4))
     vecs = [
@@ -431,26 +428,32 @@ def cmd_verify(args) -> int:
         VectorPair.of([1, 1], [1, 0]),
         VectorPair.of([2, -1], [0, 1]),
     ]
-    report(
+    yield (
         "pair-partition moment formula matches operator model (n=4, d=2)",
         gaussian_wick(vecs, pr) == gaussian_fock_oracle(vecs, pr),
     )
 
     pc = DeformationParams.from_rationals(Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(1))
-    report(
+    yield (
         "twisted commutation relation on levels <= 2",
         check_commutation_tensor(vecs[0], vecs[1], pc, 2, 2, maxlevel=2),
     )
 
     ok_norm, emp, val, branch = creation_norm_check(Fraction(1, 3), Fraction(1, 2))
-    report(f"creation norm branch '{branch}' matches level sweep", ok_norm)
+    yield f"creation norm branch '{branch}' matches level sweep", ok_norm
 
     free = DeformationParams.from_rationals(Fraction(0), Fraction(1), Fraction(0), Fraction(1))
     ms = moments_from_jacobi(jacobi_poisson(free, 3), 4)
-    report("centered free Poisson moments 0,1,1,3", ms == [0, 1, 1, 3])
+    yield "centered free Poisson moments 0,1,1,3", ms == [0, 1, 1, 3]
 
-    print(f"{6 - failures} of 6 checks passed")
-    return 0 if failures == 0 else 1
+
+def cmd_verify(args) -> int:
+    passed = []
+    for name, ok in _verify_checks():
+        print(f"{'ok  ' if ok else 'FAIL'}  {name}")
+        passed.append(ok)
+    print(f"{sum(passed)} of {len(passed)} checks passed")
+    return 0 if all(passed) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,35 +462,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("euler", help="count diagonal pair partitions of 2n points")
     sp.add_argument("--nmax", type=int, default=5)
-    sp.add_argument("--output", default=None)
+    _add_output_flags(sp, point=False)
     sp.set_defaults(func=cmd_euler)
 
     sp = sub.add_parser("partitions", help="enumerate diagonal partitions with weights")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--pairs", action="store_true", help="pair partitions only")
     sp.add_argument("--min-block-size", type=int, default=1)
-    sp.add_argument("--output", default=None)
+    _add_output_flags(sp, point=False)
     sp.set_defaults(func=cmd_partitions)
 
     for name, handler in (("moments", cmd_moments), ("polys", cmd_polys)):
         sp = sub.add_parser(name, help=f"orthogonal polynomial family {name}")
-        sp.add_argument("--family", required=True, choices=["hermite", "poisson", "qmp", "sech", "dqhermite"])
+        sp.add_argument("--family", required=True, choices=list(_FAMILIES))
         sp.add_argument("--nmax", type=int, default=8)
         sp.add_argument("--alpha", default="0", help="qmp shape parameter (rational)")
         if name == "moments":
             sp.add_argument("--mode", choices=["exact", "float"], default="exact")
-        sp.add_argument("--output", default=None)
-        _add_param_flags(sp)
+        _add_output_flags(sp)
         sp.set_defaults(func=handler)
 
     sp = sub.add_parser("cauchy", help="Cauchy transform at a complex point")
-    sp.add_argument("--family", required=True, choices=["hermite", "poisson", "qmp", "sech", "dqhermite"])
+    sp.add_argument("--family", required=True, choices=list(_FAMILIES))
     sp.add_argument("--re", type=float, default=0.0)
     sp.add_argument("--im", type=float, default=1.0)
     sp.add_argument("--depth", type=int, default=120)
     sp.add_argument("--alpha", default="0")
-    sp.add_argument("--output", default=None)
-    _add_param_flags(sp, symbolic_ok=False)
+    _add_output_flags(sp, symbolic_ok=False)
     sp.set_defaults(func=cmd_cauchy)
 
     sp = sub.add_parser("density", help="evaluate a density")
@@ -497,30 +498,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", default="0")
     sp.add_argument("--variant", choices=["corrected", "printed"], default="corrected")
     sp.add_argument("--mass", action="store_true", help="also report total mass over the support")
-    sp.add_argument("--output", default=None)
+    _add_output_flags(sp, point=False)
     sp.set_defaults(func=cmd_density)
 
     sp = sub.add_parser("wick", help="moment formulas vs operator model from JSON input")
     sp.add_argument("--input", required=True, help="JSON file or - for stdin")
-    sp.add_argument("--output", default=None)
-    _add_param_flags(sp)
+    _add_output_flags(sp)
     sp.set_defaults(func=cmd_wick)
 
     sp = sub.add_parser("levy", help="process moment/cumulant of a word")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--output", default=None)
-    _add_param_flags(sp)
+    _add_output_flags(sp)
     sp.set_defaults(func=cmd_levy)
 
     sp = sub.add_parser("convolve", help="convolve one-variable laws via generator pairs")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--output", default=None)
-    _add_param_flags(sp)
+    _add_output_flags(sp)
     sp.set_defaults(func=cmd_convolve)
 
     sp = sub.add_parser("gns", help="reconstruct coordinates from a cumulant functional")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--output", default=None)
+    _add_output_flags(sp, point=False)
     sp.set_defaults(func=cmd_gns)
 
     sp = sub.add_parser("verify", help="run the built-in cross-check battery")

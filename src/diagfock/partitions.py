@@ -447,7 +447,7 @@ def unit_bar_sum(roles: Roles, v, w):
     return bar
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)  # 1 == Fraction(1): an entry keeps its point's type
 def _row_weights(a, b, k: int, bar=1) -> Tuple:
     """The summands of [k]_{a,b} read reversed, a^(k-1-j) b^j for
     j = 0..k-1, times bar, and None where 0: the weight of ending the j-th

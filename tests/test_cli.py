@@ -34,6 +34,65 @@ def test_euler_counts(capsys):
     assert data["pairs_on_2n"] == {"1": 1, "2": 5, "3": 61, "4": 1385}
 
 
+def test_euler_lists_its_keys_in_text_order(capsys):
+    code, out = run(capsys, "euler", "--nmax", "12")
+    assert code == 0
+    keys = re.findall(r'^    "(\d+)": ', out, re.M)
+    assert keys == ["1", "10", "11", "12", "2", "3", "4", "5", "6", "7", "8", "9"]
+
+
+EMITTED = """{
+  "empty": {},
+  "flag": true,
+  "float": 0.1,
+  "nested": {
+    "a": {
+      "z": {
+        "im": 1.0,
+        "re": 0.0
+      }
+    },
+    "b": [
+      1.0,
+      false
+    ]
+  },
+  "nothing": null,
+  "pair": [
+    "1/3",
+    2
+  ],
+  "poly": "-1/2 + 3 qw^2",
+  "rational": "-3/4",
+  "whole": "2",
+  "z": {
+    "im": -2.0,
+    "re": 1.5
+  }
+}
+"""
+
+
+def test_emit_writes_one_json_format(tmp_path, capsys):
+    payload = {
+        "poly": Poly.const(Fraction(-1, 2)) + Poly.monomial(3, (1, 0, 0, 2)),
+        "rational": Fraction(-3, 4),
+        "whole": Fraction(6, 3),
+        "z": complex(1.5, -2),
+        "float": 0.1,
+        "flag": True,
+        "nothing": None,
+        "pair": (Fraction(1, 3), 2),
+        "nested": {"b": [1.0, False], "a": {"z": 1j}},
+        "empty": {},
+    }
+    cli._emit(payload, None)
+    assert capsys.readouterr().out == EMITTED
+    target = tmp_path / "out.json"
+    cli._emit(payload, str(target))
+    assert target.read_text() == EMITTED and not capsys.readouterr().out
+
+
 def test_moments_free_hermite(capsys):
     code, data = run_json(
         capsys, "moments", "--family", "hermite", "--nmax", "6", "--q", "0", "--t", "1"
@@ -487,11 +546,14 @@ def test_bad_input_exit_codes(tmp_path, capsys):
         (["partitions", "--n", "3", "--min-block-size", "0"], "--min-block-size"),
         (["partitions", "--n", "3", "--min-block-size", "-2"], "--min-block-size"),
         (["partitions", "--n", "4", "--pairs", "--min-block-size", "3"], "--pairs with --min-block-size 3"),
+        (["moments", "--family", "hermite", "--nmax", "3", "--symbolic", "--mode", "float"],
+         "--mode float needs a rational point, not --symbolic"),
     ],
     ids=[
         "euler-nmax-zero", "euler-nmax-negative", "moments-nmax-zero", "polys-nmax-zero", "cauchy-depth-zero",
         "cauchy-pole", "cauchy-re-nan", "cauchy-im-inf", "density-sech-x-nan", "density-qmp-x-inf",
         "partitions-min-block-size-zero", "partitions-min-block-size-negative", "partitions-pairs-min-block-size-three",
+        "moments-symbolic-float-mode",
     ],
 )
 def test_sizes_below_range_and_non_finite_points_exit_2(capsys, argv, message):
@@ -499,6 +561,28 @@ def test_sizes_below_range_and_non_finite_points_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and message in captured.err and not captured.out
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("wick", {"kind": "gaussian", "vectors": [{"xi": ["1"]}]}, "eta"),
+        ("wick", {"kind": "word", "tokens": [{"xi": ["1"], "eta": ["1"]}]}, "kind"),
+        ("wick", {"kind": "full", "operators": [{"xi": ["1"], "eta": ["1"], "T": [["2"]]}]}, "Tbar"),
+        ("levy", {"spec": {"xi": [["1"]], "T": [[["1"]]]}, "word": [0]}, "lam"),
+        ("convolve", {"a": {"lam": "0"}, "b": {"lam": "1", "tau": ["1"]}}, "tau"),
+        ("gns", {"k": 1, "psi": {}}, "maxlen"),
+    ],
+    ids=["wick-gaussian", "wick-word", "wick-full", "levy", "convolve", "gns"],
+)
+def test_missing_field_is_named(tmp_path, capsys, command, payload, field):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code = main([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: missing field '{field}'\n" and not captured.out
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -171,6 +171,16 @@ def test_qt_numbers_match_definition(a, b):
         assert partitions._row_weights(a, b, n) == tuple(None if x == 0 else x for x in reversed(row))
 
 
+def test_row_weights_keep_the_type_of_their_point():
+    # 3 == Fraction(3) with equal hashes, so a cache keyed by value alone hands
+    # the entries of whichever point came first to the other
+    points = [(Fraction(3), Fraction(1)), (3, 1)]
+    for order in (points, points[::-1]):
+        partitions._row_weights.cache_clear()
+        for a, b in order:
+            assert typed(partitions._row_weights(a, b, 3)) == typed(reversed(_qt_row(3, a, b)))
+
+
 COLD_IMPORT = """
 import json, sys
 import diagfock, diagfock.cli
