@@ -221,7 +221,13 @@ _FAMILIES: Dict[str, Callable[[argparse.Namespace, int], JacobiData]] = {
 }
 
 
+_POINT_FAMILIES = ("hermite", "poisson")  # the families read at the point --q --t --v --w, which may be --symbolic
+
+
 def _family(args, depth: int) -> JacobiData:
+    if getattr(args, "symbolic", False) and args.family not in _POINT_FAMILIES:
+        only = " and ".join(_POINT_FAMILIES)
+        raise ValueError(f"--family {args.family} has no symbolic point: --symbolic applies to {only} only")
     return _FAMILIES[args.family](args, depth)
 
 
@@ -325,11 +331,14 @@ def cmd_wick(args) -> int:
 
 
 def _spec_from_json(data: dict) -> LevySpec:
+    gram = data.get("gram")  # only an absent or null gram is no gram
+    if gram is not None:
+        try:
+            gram = _mat(gram)
+        except ValueError as exc:
+            raise ValueError(f"gram: {exc}") from None
     return LevySpec.of(
-        _mat(data["xi"]),
-        [_mat(m) for m in _check(data["T"], list, "a list of matrices")],
-        _vec(data["lam"]),
-        gram=_mat(data["gram"]) if data.get("gram") else None,
+        _mat(data["xi"]), [_mat(m) for m in _check(data["T"], list, "a list of matrices")], _vec(data["lam"]), gram=gram
     )
 
 

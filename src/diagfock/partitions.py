@@ -62,6 +62,13 @@ word expansion), :func:`role_sums` gives T(R) or B(R) for every R by one pass
 per row over the trie of the role words; :func:`count_diagonal_partitions` is
 that pass at weight 1.
 
+At a rational point the forward passes run on ints.  A walk of m points
+multiplies one factor per point (a step weight at each Closer and Middle, a
+block value at each Closer and Singleton, and Openers match Closers), so
+with the step weights times S_w and a block of j points times S_w D^j every
+sum of m points is (S_w D)^m times its value, and each word's is divided
+once at the end (:func:`_int_weights`, :func:`_divided`).
+
 The pairs themselves are listed for display only.  :func:`_diagonal_classes`
 groups the rows of one walk by role vector, with the walk's rc and rn of each
 row, and a listing pairs the rows of each class: :func:`diagonal_partitions`,
@@ -73,6 +80,7 @@ recounts them pair by pair, as the tests' oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -463,6 +471,58 @@ def _unit_bar_weights(params: DeformationParams) -> Callable[[int], Tuple]:
     return lambda k: _row_weights(params.q, params.t, k, qt_number(k, params.v, params.w))
 
 
+def _common_denominator(values) -> Optional[int]:
+    """The lcm of the denominators of values (None skipped), or None if one
+    of them is neither an int nor a Fraction."""
+    scale = 1
+    for x in values:
+        if x is None or isinstance(x, int):
+            continue
+        if type(x) is not Fraction:
+            return None
+        if scale % x.denominator:
+            scale = math.lcm(scale, x.denominator)
+    return scale
+
+
+def _as_int(x, scale: int) -> int:
+    """x * scale for an int x, or a Fraction x whose denominator divides scale."""
+    return x.numerator * (scale // x.denominator)
+
+
+def _int_weights(weights: Callable[[int], Tuple], n: int, data_scale: Optional[int]):
+    """The step weights of an n-point :func:`arc_sums` pass on ints at a
+    rational point: (k -> the row times S_w, S_w), S_w the lcm of the
+    denominators of the rows up to n // 2 open arcs.  A walk of m points
+    multiplies one factor per point, so if the block values are scaled to
+    match (a block of j points by S_w D^j, D = data_scale the lcm of their
+    data's denominators), the sum of m points is point^m times its value,
+    point = S_w D (:func:`_divided`).  Only where weights(1)[0] is a
+    Fraction, so that every sum of the pass is one, and the data are
+    rational (data_scale not None); elsewhere (weights, None), and the pass
+    runs as given."""
+    rows = [weights(k) for k in range(1, max(n // 2, 1) + 1)]
+    step = _common_denominator(x for row in rows for x in row)
+    if type(rows[0][0]) is not Fraction or step is None or data_scale is None:
+        return weights, None
+    rows = [tuple(None if x is None else _as_int(x, step) for x in row) for row in rows]
+    return (lambda k: rows[k - 1]), step
+
+
+def _divided(sums: Dict[tuple, object], point: Optional[int]) -> Dict[tuple, object]:
+    """The sums of a pass on ints as Fractions, the sum of a word of m
+    points divided by point^m, and a dict by block count entrywise; the
+    sums as they are when point is None (a pass not on ints)."""
+    if point is None:
+        return sums
+    out: Dict[tuple, object] = {}
+    for word, total in sums.items():
+        scale = point ** len(word)
+        graded = isinstance(total, dict)
+        out[word] = {k: Fraction(x, scale) for k, x in total.items()} if graded else Fraction(total, scale)
+    return out
+
+
 def arc_sums(
     letters: Sequence[Sequence],
     weights: Callable[[int], Tuple],
@@ -485,8 +545,10 @@ def arc_sums(
     needs to value a block once it closes.  Point p with letter a is a
     Singleton (times ``single(a)``), Opens a chain ``open_(a)``, or ends the
     j-th (from 0) of the k open arcs with weight ``weights(k)[j]`` (None for
-    0; weights(1) is (1,) in their ring).  A Closer then multiplies by
-    ``close(chain, a)``; a Middle re-appends ``extend(chain, a)``.  A letter
+    0).  A walk starts at weights(1)[0] ** 0, the 1 of their ring, so every
+    row may carry one scale (:func:`_int_weights`).  A Closer then
+    multiplies by ``close(chain, a)``; a Middle re-appends
+    ``extend(chain, a)``.  A letter
     may take fewer roles: ``open_`` and ``extend`` return None and
     ``single`` and ``close`` 0 for a role it cannot take, and ``ends(a)`` is
     false if it can end no arc.  Zero values and weights are dropped, and so
@@ -504,9 +566,9 @@ def arc_sums(
     if fill is not None and graded:
         raise ValueError("fill adds one block to the ungraded sums only")
     n = len(letters)
-    # at most n // 2 arcs are open at once; rows[k - 1][j] weighs ending arc j of k
-    rows = [weights(k) for k in range(1, n // 2 + 1)]
-    one = weights(1)[0]
+    one = weights(1)[0] ** 0  # every walk starts at 1 in the ring of the weights, which may carry a scale
+    # at most n // 2 arcs are open at once; rows[k - 1][j] weighs ending arc j of k, a weight of 1 being `one`
+    rows = [tuple(one if x == one else x for x in weights(k)) for k in range(1, n // 2 + 1)]
     chains: List[object] = []  # the chain of each id; states hold ids
     ids: Dict[object, int] = {}
     extended: Dict[Tuple[int, object], Optional[int]] = {}
@@ -595,14 +657,20 @@ def role_sums(roles_at: Sequence[str], a, b, single, open_, close, extend) -> Di
     role words.  The letter of point p in role r is (r, p - 1), and the
     callbacks value point i in that role: ``single(i)``, ``open_(i)``,
     ``close(chain, i)``, ``extend(chain, i)``."""
+    return _role_sums(roles_at, lambda k: _row_weights(a, b, k), single, open_, close, extend)
+
+
+def _role_sums(roles_at: Sequence[str], weights, single, open_, close, extend) -> Dict[tuple, object]:
+    """:func:`role_sums` with the step weights of the row given, as
+    :func:`_int_weights` may scale them."""
     n = len(roles_at)
     if n == 0:
-        return {(): (a ** 0) * (b ** 0)}  # the one row of [0], in the ring of the weights
+        return {(): weights(1)[0] ** 0}  # the one row of [0], in the ring of the weights
     # the first point opens or stands alone, the last closes or stands alone
     first, last = (ROLE_OPENER, ROLE_SINGLETON), (ROLE_CLOSER, ROLE_SINGLETON)
     sums = arc_sums(
         [[(r, i) for r in roles if (i or r in first) and (i < n - 1 or r in last)] for i, roles in enumerate(roles_at)],
-        lambda k: _row_weights(a, b, k),
+        weights,
         lambda x: single(x[1]) if x[0] == ROLE_SINGLETON else 0,
         lambda x: open_(x[1]) if x[0] == ROLE_OPENER else None,
         lambda chain, x: close(chain, x[1]) if x[0] == ROLE_CLOSER else 0,

@@ -39,7 +39,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import _guards
 from .levy import _vector_chain, cumulants_to_moments, moments_to_cumulants  # the transforms are re-exported
-from .partitions import role_sums
+from .partitions import _as_int, _divided, _role_sums, _row_weights
 from .scalars import DeformationParams
 from .fock import (
     ANNIHILATE,
@@ -98,7 +98,7 @@ def gaussian_wick(xs: Sequence[VectorPair], params: DeformationParams):
     if len(xs) % 2:
         return Fraction(0)
     # pairs only: no point is a Middle or a Singleton, so no gauge or scalar is read
-    return _wick_sum(["OC"] * len(xs), params, _vector_chain([x.xi for x in xs]), _vector_chain([x.eta for x in xs]))
+    return _wick_sum(["OC"] * len(xs), params, ([x.xi for x in xs],), ([x.eta for x in xs],))
 
 
 def gaussian_fock_oracle(xs: Sequence[VectorPair], params: DeformationParams):
@@ -136,25 +136,50 @@ def word_vacuum_formula(tokens: Sequence[Tuple[str, VectorPair]], params: Deform
     """
     _check_word(tokens)
     roles_at = ["O" if kind == ANNIHILATE else "CS" for kind, _ in tokens]
-    top = _word_row([x.xi for _, x in tokens], roles_at, params.q, params.t)
-    bar = _word_row([x.eta for _, x in tokens], roles_at, params.v, params.w)
+    (top, top_scale), (bar, bar_scale) = (
+        _word_row([x.xi for _, x in tokens], roles_at, params.q, params.t),
+        _word_row([x.eta for _, x in tokens], roles_at, params.v, params.w),
+    )
+    on_ints = top_scale is not None and bar_scale is not None
+    if not on_ints:
+        top, bar = _unscaled_row(top, top_scale), _unscaled_row(bar, bar_scale)
     out = FockVector()
     for top_word, top_coeff in top.items():
         for bar_word, bar_coeff in bar.items():
-            out.add_term((top_word, bar_word), top_coeff * bar_coeff)
+            coeff = top_coeff * bar_coeff
+            out.add_term((top_word, bar_word), Fraction(coeff, top_scale * bar_scale) if on_ints else coeff)
     return out
 
 
-def _word_row(vectors: Sequence[Sequence], roles_at: Sequence[str], a, b) -> Dict[Tuple[int, ...], object]:
-    """One row of the word expansion as {residual word: coefficient}.
+def _unscaled_row(row: Dict[Tuple[int, ...], object], scale: Optional[int]) -> Dict[Tuple[int, ...], object]:
+    return row if scale is None else {word: Fraction(coeff, scale) for word, coeff in row.items()}
+
+
+def _word_row(vectors: Sequence[Sequence], roles_at: Sequence[str], a, b) -> Tuple[Dict[tuple, object], Optional[int]]:
+    """One row of the word expansion as ({residual word: coefficient}, scale).
 
     T(R) of :func:`role_sums` sums a^cr b^nest times the inner products of
     the pairs over the rows with role vector R, a singleton being worth 1.
     R fixes the arcs open over each singleton and the pairs closed before
     it, so T(R) takes a^(open arcs) b^(closed pairs) per singleton, times
-    the tensor of the singletons' vectors expanded in basis words."""
+    the tensor of the singletons' vectors expanded in basis words.  At a
+    rational point the coefficients are ints, scale times their values: T(R)
+    and each vector entry come times the pass's point scale, and
+    a^covered b^after times (den a * den b)^most, where every R has the same
+    singletons, so covered and after are at most most = openers *
+    singletons.  Elsewhere scale is None."""
+    sums, point = _chain_role_sums(roles_at, a, b, vectors, (), [1] * len(vectors))
+    openers = roles_at.count("O")
+    most = max(openers * (len(roles_at) - 2 * openers), 0)
+    if point is None:
+        scale, powers = None, lambda covered, after: (a ** covered) * (b ** after)
+    else:
+        scale = point ** (2 * len(roles_at) - 2 * openers) * (a.denominator * b.denominator) ** most
+        vectors = [[_as_int(x, point) for x in v] for v in vectors]
+        powers = lambda covered, after: (a.numerator ** covered * a.denominator ** (most - covered)
+                                         * b.numerator ** after * b.denominator ** (most - after))
     out: Dict[Tuple[int, ...], object] = {}
-    for roles, total in role_sums(roles_at, a, b, *_vector_chain(vectors, singles=[1] * len(vectors))).items():
+    for roles, total in sums.items():
         opened = closed = covered = after = 0
         expansions = []
         for role, i in roles:
@@ -165,14 +190,14 @@ def _word_row(vectors: Sequence[Sequence], roles_at: Sequence[str], a, b) -> Dic
             else:
                 covered, after = covered + opened - closed, after + closed
                 expansions.append([(c, x) for c, x in enumerate(vectors[i]) if x != 0])
-        coeff = (a ** covered) * (b ** after) * total
+        coeff = powers(covered, after) * total
         for choice in itertools.product(*expansions):
             val = coeff
             for _, x in choice:
                 val = val * x
             word = tuple(c for c, _ in choice)
             out[word] = out.get(word, 0) + val
-    return out
+    return out, scale
 
 
 def word_fock_oracle(tokens: Sequence[Tuple[str, VectorPair]], params: DeformationParams) -> FockVector:
@@ -184,12 +209,31 @@ def word_fock_oracle(tokens: Sequence[Tuple[str, VectorPair]], params: Deformati
 # -- general Wick formula ------------------------------------------------------------
 
 
+def _chain_role_sums(roles_at: Sequence[str], a, b, *chain) -> Tuple[Dict[tuple, object], Optional[int]]:
+    """T(R) of :func:`diagfock.partitions.role_sums` on the row weighed by
+    (a, b), for blocks valued by the vector chain of ``chain`` (starts,
+    gauges, singles), and its point scale (see
+    :func:`diagfock.levy._vector_chain`): at a rational point T(R) comes as
+    the int point^n T(R), elsewhere as it is, with point None."""
+    weights, callbacks, point = _vector_chain(lambda k: _row_weights(a, b, k), len(roles_at), *chain)
+    return _role_sums(roles_at, weights, *callbacks), point
+
+
 def _wick_sum(roles_at: Sequence[str], params: DeformationParams, top, bar):
-    """The sum over role vectors R of T(R) * B(R): the vector-chain
-    callbacks ``top`` on the top row at (q, t), ``bar`` on the bar row at
-    (v, w)."""
-    top_sums, bar_sums = role_sums(roles_at, params.q, params.t, *top), role_sums(roles_at, params.v, params.w, *bar)
-    return sum((t * bar_sums[roles] for roles, t in top_sums.items() if roles in bar_sums), Fraction(0))
+    """The sum over role vectors R of T(R) * B(R): the vector chain of
+    ``top`` (starts, gauges, singles) on the top row at (q, t), of ``bar``
+    on the bar row at (v, w).  When both rows run on ints, so does the sum,
+    divided once at the end."""
+    (top_sums, top_point), (bar_sums, bar_point) = (
+        _chain_role_sums(roles_at, params.q, params.t, *top),
+        _chain_role_sums(roles_at, params.v, params.w, *bar),
+    )
+    on_ints = top_point is not None and bar_point is not None
+    if not on_ints:
+        top_sums, bar_sums = _divided(top_sums, top_point), _divided(bar_sums, bar_point)
+    terms = (t * bar_sums[roles] for roles, t in top_sums.items() if roles in bar_sums)
+    total = sum(terms, 0 if on_ints else Fraction(0))
+    return Fraction(total, (top_point * bar_point) ** len(roles_at)) if on_ints else total
 
 
 def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):
@@ -205,8 +249,8 @@ def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):
     if not ops:
         return Fraction(1)
     gauges = [op.gauge for op in ops]
-    top = _vector_chain([op.vector.xi for op in ops], [g and g.top for g in gauges], [op.lam for op in ops])
-    bar = _vector_chain([op.vector.eta for op in ops], [g and g.bar for g in gauges], [op.lambar for op in ops])
+    top = ([op.vector.xi for op in ops], [g and g.top for g in gauges], [op.lam for op in ops])
+    bar = ([op.vector.eta for op in ops], [g and g.bar for g in gauges], [op.lambar for op in ops])
     roles_at = ["OC" + "M" * (op.gauge is not None) + "S" * (op.lam * op.lambar != 0) for op in ops]
     return _wick_sum(roles_at, params, top, bar)
 

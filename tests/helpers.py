@@ -228,6 +228,33 @@ def brute_class_sums(n: int, params, top, bar) -> Dict[Tuple[str, ...], object]:
     return {roles: t * b for roles, (t, b) in out.items()}
 
 
+def chain_value(vectors, gauges, scalars):
+    """A block's value on one row of the general Wick formula, from the
+    right: the last point's vector through the middle points' gauges (0
+    without one), paired with the first point's vector; a singleton's is its
+    scalar."""
+
+    def value(block):
+        if len(block) == 1:
+            return scalars[block[0] - 1]
+        vec = vectors[block[-1] - 1]
+        for i in reversed(block[1:-1]):
+            if gauges[i - 1] is None:
+                return Fraction(0)
+            vec = apply_mat(gauges[i - 1], vec)
+        return sum((a * b for a, b in zip(vectors[block[0] - 1], vec)), Fraction(0))
+
+    return value
+
+
+def brute_full_wick(ops, params):
+    n = len(ops)
+    gauges = [op.gauge for op in ops]
+    top = chain_value([op.vector.xi for op in ops], [g and g.top for g in gauges], [op.lam for op in ops])
+    bar = chain_value([op.vector.eta for op in ops], [g and g.bar for g in gauges], [op.lambar for op in ops])
+    return sum(brute_class_sums(n, params, top, bar).values(), Fraction(0))
+
+
 def pair_partitions_brute(n: int) -> List[Tuple[Tuple[int, int], ...]]:
     if n % 2:
         return []

@@ -473,6 +473,50 @@ def test_levy_refuses_bad_gram(tmp_path, capsys, gram, message):
     assert captured.err.startswith(f"error: {message}") and not captured.out
 
 
+@pytest.mark.parametrize("gram", [0, [], False], ids=["zero", "empty-list", "false"])
+def test_levy_refuses_a_falsy_gram(tmp_path, capsys, gram):
+    spec = {"xi": [["1", "0"]], "T": [[["1", "0"], ["0", "1"]]], "lam": ["1"], "gram": gram}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"spec": spec, "word": [0, 0]}))
+    code = main(["levy", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "gram" in captured.err and not captured.out
+
+
+def test_levy_takes_a_null_gram_as_no_gram(tmp_path, capsys):
+    spec = {"xi": [["1", "1/2"]], "T": [[["1", "0"], ["0", "2"]]], "lam": ["1/3"]}
+    outputs = []
+    for extra in ({}, {"gram": None}):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"spec": {**spec, **extra}, "word": [0, 0, 0]}))
+        outputs.append(run(capsys, "levy", "--input", str(path)))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("command", ["moments", "polys"])
+@pytest.mark.parametrize("family", ["sech", "qmp", "dqhermite"])
+def test_symbolic_is_refused_for_a_family_without_a_point(monkeypatch, capsys, command, family):
+    def built(args, depth):
+        raise AssertionError("the family was built before --symbolic was refused")
+
+    monkeypatch.setitem(cli._FAMILIES, family, built)
+    code = main([command, "--family", family, "--nmax", "4", "--symbolic"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and not captured.out
+    assert f"--family {family}" in captured.err and "--symbolic" in captured.err
+
+
+@pytest.mark.parametrize("command", ["moments", "polys"])
+@pytest.mark.parametrize("family", ["hermite", "poisson"])
+def test_symbolic_is_taken_for_the_families_at_a_point(capsys, command, family):
+    code, data = run_json(capsys, command, "--family", family, "--nmax", "4", "--symbolic")
+    assert code == 0
+    key = "moments_from_order_zero" if command == "moments" else "gamma"
+    assert any(re.search(r"[qtvw]", x) for x in data[key])
+
+
 def test_moments_and_cauchy_guards(capsys):
     for argv in (
         ["moments", "--family", "hermite", "--nmax", "99999"],

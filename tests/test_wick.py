@@ -385,33 +385,6 @@ def test_transforms_match_the_row_table_route():
         assert moments_to_cumulants(expect, params) == cums
 
 
-def chain_value(vectors, gauges, scalars):
-    """A block's value on one row of the general Wick formula, from the
-    right: the last point's vector through the middle points' gauges (0
-    without one), paired with the first point's vector; a singleton's is its
-    scalar."""
-
-    def value(block):
-        if len(block) == 1:
-            return scalars[block[0] - 1]
-        vec = vectors[block[-1] - 1]
-        for i in reversed(block[1:-1]):
-            if gauges[i - 1] is None:
-                return Fraction(0)
-            vec = helpers.apply_mat(gauges[i - 1], vec)
-        return sum((a * b for a, b in zip(vectors[block[0] - 1], vec)), Fraction(0))
-
-    return value
-
-
-def brute_full_wick(ops, params):
-    n = len(ops)
-    gauges = [op.gauge for op in ops]
-    top = chain_value([op.vector.xi for op in ops], [g and g.top for g in gauges], [op.lam for op in ops])
-    bar = chain_value([op.vector.eta for op in ops], [g and g.bar for g in gauges], [op.lambar for op in ops])
-    return sum(helpers.brute_class_sums(n, params, top, bar).values(), Fraction(0))
-
-
 def rand_op(r, d_top, d_bar):
     """Gauges absent a third of the time, scalars 0 on either row a third of the time."""
     gauge = None
@@ -439,13 +412,13 @@ def test_role_word_wick_sums_match_the_enumeration(params):
     for n in range(6 if params is SYM else 7):
         for d_top, d_bar in ((1, 1), (2, 1), (1, 2), (2, 2)):
             ops = [rand_op(r, d_top, d_bar) for _ in range(n)]
-            expect = brute_full_wick(ops, params)
+            expect = helpers.brute_full_wick(ops, params)
             got = full_wick(ops, params)
             assert got == expect, (n, d_top, d_bar)
             xs = [op.vector for op in ops]
             no_block_factors = [QuadrabasicOp(x, None) for x in xs]
             got = gaussian_wick(xs, params)
-            assert got == brute_full_wick(no_block_factors, params), (n, d_top, d_bar)
+            assert got == helpers.brute_full_wick(no_block_factors, params), (n, d_top, d_bar)
             if n % 2:
                 assert got == 0 and type(got) is Fraction
             elif n == 0 or (params is SYM and got != 0):
