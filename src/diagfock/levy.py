@@ -41,10 +41,9 @@ from .partitions import (
     arc_sums,
     diagonal_partitions,
     unit_bar_sum,
-    _as_int,
-    _common_denominator,
-    _divided,
-    _int_weights,
+    _cleared,
+    _read,
+    _unit,
     _unit_bar_weights,
 )
 from .scalars import DeformationParams
@@ -123,35 +122,27 @@ def _subword(word: Word, block: Sequence[int]) -> Word:
     return tuple(word[i - 1] for i in block)
 
 
-def _vector_chain(
-    weights, n: int, starts: Sequence[Sequence], gauges: Sequence[Optional[_linalg.Matrix]] = (), singles=(), ends=None
-):
-    """(weights, (single, open_, close, extend), point): the step weights
-    and callbacks of an n-point open-arc DP for blocks valued by a vector
-    chain: singles[i] for a singleton {i}; a block's chain is the row vector
-    starts[b1]^T G_{b2} ... of its points so far, a Middle at i multiplying
-    it by gauges[i], and closing at i takes its dot product with ends[i]
-    (starts[i] by default).  At a rational point the pass runs on ints
-    (:func:`diagfock.partitions._int_weights`): the weights times S_w, and
-    with D the lcm of the data's denominators, starts and gauges times D,
-    ends and singles times D S_w, so a block of j points carries point^j,
-    point = D S_w, and :func:`diagfock.partitions._divided` takes the sums
-    back; elsewhere point is None.  The Wick sums and the Levy moments share
-    it."""
+def _vector_chain(starts: Sequence[Sequence], gauges: Sequence[Optional[_linalg.Matrix]] = (), singles=(), ends=None):
+    """((single, open_, close, extend), unit): the callbacks of an open-arc
+    DP for blocks valued by a vector chain: singles[i] for a singleton {i};
+    a block's chain is the row vector starts[b1]^T G_{b2} ... of its points
+    so far, a Middle at i multiplying it by gauges[i], and closing at i
+    takes its dot product with ends[i] (starts[i] by default).  Every datum
+    comes times one integer D, the lcm of their denominators, so a block of
+    j points carries D^j, and unit = 1/D (:func:`diagfock.partitions._unit`)
+    goes to the pass, which returns the unit by which each word's sum is
+    read.  The Wick sums and the Levy moments share it."""
     ends = starts if ends is None else ends
     matrices = (row for g in gauges if g is not None for row in g)
-    data = _common_denominator(itertools.chain(*starts, *ends, *matrices, singles))
-    weights, step = _int_weights(weights, n, data)
-    point = None if step is None else data * step
-    if point is not None:
-        starts = [tuple(_as_int(x, data) for x in v) for v in starts]  # a chain is a tuple: the DP hashes it
-        ends = [[_as_int(x, point) for x in v] for v in ends]
-        gauges = [None if g is None else [[_as_int(x, data) for x in row] for row in g] for g in gauges]
-        singles = [_as_int(x, point) for x in singles]
-    cols = [None if g is None else _linalg.transpose(g) for g in gauges]
+    unit = _unit(itertools.chain(*starts, *ends, *matrices, singles))
+    scale = unit.denominator
+    starts = [tuple(_cleared(x, scale) for x in v) for v in starts]  # a chain is a tuple: the DP hashes it
+    ends = [[_cleared(x, scale) for x in v] for v in ends]
+    cols = [None if g is None else _linalg.transpose([[_cleared(x, scale) for x in row] for row in g]) for g in gauges]
+    singles = [_cleared(x, scale) for x in singles]
     callbacks = (singles.__getitem__, starts.__getitem__,
                  lambda row, i: _linalg.dot(row, ends[i]), lambda row, i: _linalg.mat_vec(cols[i], row))
-    return weights, callbacks, point
+    return callbacks, unit
 
 
 def _spec_sums(spec: LevySpec, letters: Sequence[Sequence[int]], params: DeformationParams, s: Fraction, graded=False):
@@ -163,10 +154,8 @@ def _spec_sums(spec: LevySpec, letters: Sequence[Sequence[int]], params: Deforma
     _check_coordinates(spec, (u for alphabet in letters for u in alphabet))
     gram_t = None if spec.gram is None else _linalg.transpose(spec.gram)
     starts = [tuple(s * x for x in (xi if gram_t is None else _linalg.mat_vec(gram_t, xi))) for xi in spec.xi]
-    weights, chain, point = _vector_chain(
-        _unit_bar_weights(params), len(letters), starts, spec.T, [s * lam for lam in spec.lam], ends=spec.xi
-    )
-    return _divided(arc_sums(letters, weights, *chain, graded=graded), point)
+    chain, unit = _vector_chain(starts, spec.T, [s * lam for lam in spec.lam], ends=spec.xi)
+    return _read(*arc_sums(letters, _unit_bar_weights(params), *chain, graded=graded, unit=unit))
 
 
 def levy_moment(spec: LevySpec, word: Word, params: DeformationParams, s: Fraction = Fraction(1)):
@@ -344,29 +333,25 @@ def functional_from_spec(spec: LevySpec, params: DeformationParams, maxlen: int,
     return {(): Fraction(1), **_spec_sums(spec, [range(spec.k)] * maxlen, params, Fraction(s))}
 
 
-def _functional_sums(psi: Functional, k: int, params: DeformationParams, maxlen: int, phi=None):
+def _functional_sums(psi: Functional, k: int, params: DeformationParams, maxlen: int, phi=None) -> Functional:
     """The open-arc DP over every word of length 1..maxlen on k letters with
     block values psi on subwords, a chain being the open subword: the
-    moments of the cumulants psi, on ints at a rational point (a block of j
-    points times S_w D^j, D the lcm of psi's denominators, as
-    :func:`diagfock.partitions._int_weights` needs).  With phi, psi is
-    filled in as the cumulants of phi instead (:func:`cumulant_functional`);
-    its values are not known up front, so that pass stays on Fractions.  The
-    guard of the functionals (:func:`functional_from_spec` applies it too)
-    and of the one-variable transforms."""
+    moments of the cumulants psi on every word of length 0..maxlen, a block
+    of j points cleared by D^j (D the lcm of psi's denominators).  With phi,
+    psi is filled in as the cumulants of phi instead
+    (:func:`cumulant_functional`); its values are not known up front, so
+    they stay as they come.  The guard of the functionals
+    (:func:`functional_from_spec` applies it too) and of the one-variable
+    transforms."""
     _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
-    weights, point, value, fill = _unit_bar_weights(params), None, psi.__getitem__, None
-    if phi is not None:
-        value, fill = (lambda sub: psi.get(sub, 0)), (lambda u, lower: psi.setdefault(u, phi[u] - lower))
+    if phi is None:
+        data, fill = _unit(psi.values()), None
+        value = lambda sub: _cleared(psi[sub], data.denominator ** len(sub))
     else:
-        data = _common_denominator(psi.values())
-        weights, step = _int_weights(weights, maxlen, data)
-        if step is not None:
-            point = step * data
-            value = lambda sub: _as_int(psi[sub], step * data ** len(sub))
-    sums = arc_sums([range(k)] * maxlen, weights, lambda u: value((u,)), lambda u: (u,),
-                    lambda sub, u: value(sub + (u,)), lambda sub, u: sub + (u,), fill)
-    return _divided(sums, point)
+        data, value, fill = 1, (lambda sub: psi.get(sub, 0)), (lambda u, lower: psi.setdefault(u, phi[u] - lower))
+    sums, unit = arc_sums([range(k)] * maxlen, _unit_bar_weights(params), lambda u: value((u,)), lambda u: (u,),
+                          lambda sub, u: value(sub + (u,)), lambda sub, u: sub + (u,), fill, unit=data)
+    return {(): unit ** 0, **_read(sums, unit)}  # the empty word: 1, an int only where the pass is
 
 
 def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
@@ -386,7 +371,7 @@ def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxl
 
 def moment_functional(psi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
     """Expand cumulants back into moments over all diagonal partitions."""
-    return {(): Fraction(1), **_functional_sums(psi, k, params, maxlen)}
+    return _functional_sums(psi, k, params, maxlen)
 
 
 def cumulants_to_moments(r: Sequence, params: DeformationParams) -> List:

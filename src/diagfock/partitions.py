@@ -62,12 +62,15 @@ word expansion), :func:`role_sums` gives T(R) or B(R) for every R by one pass
 per row over the trie of the role words; :func:`count_diagonal_partitions` is
 that pass at weight 1.
 
-At a rational point the forward passes run on ints.  A walk of m points
-multiplies one factor per point (a step weight at each Closer and Middle, a
-block value at each Closer and Singleton, and Openers match Closers), so
-with the step weights times S_w and a block of j points times S_w D^j every
-sum of m points is (S_w D)^m times its value, and each word's is divided
-once at the end (:func:`_int_weights`, :func:`_divided`).
+At a rational point every pass without a fill-in runs on ints, by one rule.
+A walk of m points multiplies one factor per point (a step weight at each
+Closer and Middle, a block value at each Closer and Singleton, and Openers
+match Closers).  So a caller clears its data by one integer D per point, a
+block of j points times D^j (:func:`_unit`, :func:`_cleared`);
+:func:`arc_sums` clears its step weights by the lcm S_w of their
+denominators and puts one more S_w on each singleton and closer value; and
+the sum of every word of m points comes as an int, (S_w D)^m times its
+value, read once at the end (:func:`_read`).
 
 The pairs themselves are listed for display only.  :func:`_diagonal_classes`
 groups the rows of one walk by role vector, with the walk's rc and rn of each
@@ -471,55 +474,50 @@ def _unit_bar_weights(params: DeformationParams) -> Callable[[int], Tuple]:
     return lambda k: _row_weights(params.q, params.t, k, qt_number(k, params.v, params.w))
 
 
-def _common_denominator(values) -> Optional[int]:
-    """The lcm of the denominators of values (None skipped), or None if one
-    of them is neither an int nor a Fraction."""
-    scale = 1
+def _unit(values):
+    """1/D for the lcm D of the denominators of the Fractions among values
+    (None skipped): the int 1 where every value is an int, else Fraction(1, D),
+    also at D = 1, so that a value read times a unit keeps the type of the
+    values it came from."""
+    scale, ints = 1, True
     for x in values:
-        if x is None or isinstance(x, int):
+        if x is None or type(x) is int:
             continue
-        if type(x) is not Fraction:
-            return None
-        if scale % x.denominator:
+        ints = False
+        if type(x) is Fraction and scale % x.denominator:
             scale = math.lcm(scale, x.denominator)
-    return scale
+    return 1 if ints else Fraction(1, scale)
 
 
-def _as_int(x, scale: int) -> int:
-    """x * scale for an int x, or a Fraction x whose denominator divides scale."""
-    return x.numerator * (scale // x.denominator)
+def _cleared(x, scale: int):
+    """x * scale: an int for an int x or a Fraction x whose denominator
+    divides scale, and a Poly x times scale (x itself at scale 1)."""
+    if type(x) is Fraction:
+        return x.numerator * (scale // x.denominator)
+    return x * scale if scale != 1 else x
 
 
-def _int_weights(weights: Callable[[int], Tuple], n: int, data_scale: Optional[int]):
-    """The step weights of an n-point :func:`arc_sums` pass on ints at a
-    rational point: (k -> the row times S_w, S_w), S_w the lcm of the
-    denominators of the rows up to n // 2 open arcs.  A walk of m points
-    multiplies one factor per point, so if the block values are scaled to
-    match (a block of j points by S_w D^j, D = data_scale the lcm of their
-    data's denominators), the sum of m points is point^m times its value,
-    point = S_w D (:func:`_divided`).  Only where weights(1)[0] is a
-    Fraction, so that every sum of the pass is one, and the data are
-    rational (data_scale not None); elsewhere (weights, None), and the pass
-    runs as given."""
-    rows = [weights(k) for k in range(1, max(n // 2, 1) + 1)]
-    step = _common_denominator(x for row in rows for x in row)
-    if type(rows[0][0]) is not Fraction or step is None or data_scale is None:
-        return weights, None
-    rows = [tuple(None if x is None else _as_int(x, step) for x in row) for row in rows]
-    return (lambda k: rows[k - 1]), step
+def _over(x, scale: int):
+    """x / scale: a Fraction for an int or Fraction x, a Poly x times the
+    Fraction 1/scale (a Poly has no division)."""
+    return Fraction(x, scale) if type(x) is int or type(x) is Fraction else x * Fraction(1, scale)
 
 
-def _divided(sums: Dict[tuple, object], point: Optional[int]) -> Dict[tuple, object]:
-    """The sums of a pass on ints as Fractions, the sum of a word of m
-    points divided by point^m, and a dict by block count entrywise; the
-    sums as they are when point is None (a pass not on ints)."""
-    if point is None:
+def _times(x, unit):
+    """x * unit for a unit 1/D of :func:`_unit`: x itself for the int 1,
+    else x / D."""
+    return x if type(unit) is int else _over(x, unit.denominator)
+
+
+def _read(sums: Dict[tuple, object], unit) -> Dict[tuple, object]:
+    """The values of :func:`arc_sums`: the sum of a word of m points times
+    unit^m, and a dict by block count entrywise."""
+    if type(unit) is int:
         return sums
     out: Dict[tuple, object] = {}
     for word, total in sums.items():
-        scale = point ** len(word)
-        graded = isinstance(total, dict)
-        out[word] = {k: Fraction(x, scale) for k, x in total.items()} if graded else Fraction(total, scale)
+        scale = unit.denominator ** len(word)
+        out[word] = {k: _over(x, scale) for k, x in total.items()} if isinstance(total, dict) else _over(total, scale)
     return out
 
 
@@ -533,7 +531,8 @@ def arc_sums(
     fill: Optional[Callable[[tuple, object], object]] = None,
     graded: bool = False,
     ends: Optional[Callable[[object], bool]] = None,
-) -> Dict[tuple, object]:
+    unit=1,
+) -> Tuple[Dict[tuple, object], object]:
     """The diagonal sums of every word a_1 ... a_m with a_p in
     ``letters[p - 1]``, m = 1..n, by one open-arc state DP over the trie of
     the words.
@@ -545,30 +544,43 @@ def arc_sums(
     needs to value a block once it closes.  Point p with letter a is a
     Singleton (times ``single(a)``), Opens a chain ``open_(a)``, or ends the
     j-th (from 0) of the k open arcs with weight ``weights(k)[j]`` (None for
-    0).  A walk starts at weights(1)[0] ** 0, the 1 of their ring, so every
-    row may carry one scale (:func:`_int_weights`).  A Closer then
-    multiplies by ``close(chain, a)``; a Middle re-appends
-    ``extend(chain, a)``.  A letter
-    may take fewer roles: ``open_`` and ``extend`` return None and
-    ``single`` and ``close`` 0 for a role it cannot take, and ``ends(a)`` is
-    false if it can end no arc.  Zero values and weights are dropped, and so
-    are states with more open arcs than points left and, before the last
-    point, words with no state.
+    0).  A Closer then multiplies by ``close(chain, a)``; a Middle
+    re-appends ``extend(chain, a)``.  A letter may take fewer roles:
+    ``open_`` and ``extend`` return None and ``single`` and ``close`` 0 for
+    a role it cannot take, and ``ends(a)`` is false if it can end no arc.
+    Zero values and weights are dropped, and so are states with more open
+    arcs than points left and, before the last point, words with no state.
 
-    Returns {w: S(w)} for every word kept, shortest first (a word left out
-    has sum 0): the empty state after the step of w, with ``graded`` {block
-    count: sum}.  With ``fill``, every word is kept and fill(w, S(w)) values
-    the one block covering w, which the step of w left out (``close`` read
-    it as 0); it is added to S(w), so longer words see it.  Each chain is
-    valued once per step and letter.  Callers cap n; the state count, not
-    Bell(n), sets the cost.
+    Returns ({w: S(w)}, unit) for every word kept, shortest first (a word
+    left out has sum 0): S(w) * unit^m is the sum of w, m its length, read
+    off the empty state after the step of w, with ``graded`` {block count:
+    sum}.  The caller's values may come cleared of denominators, a block of
+    j points times D^j, given as ``unit`` = 1/D (:func:`_unit` of the data).
+    The pass clears its weights in turn: with S_w the lcm of their
+    denominators it runs on the rows times S_w and multiplies each
+    singleton and closer value by S_w, so that, one factor coming per point,
+    every sum of m points is (S_w D)^m times its value, and the unit
+    returned is 1/(S_w D), an int only where weights and data are.  With
+    ``fill``, every word is kept and fill(w, S(w)) values the one block
+    covering w, which the step of w left out (``close`` read it as 0); it
+    is added to S(w), so longer words see it.  fill reads each S(w) as it
+    stands, so such a pass runs as given.  Each chain is valued once per
+    step and letter.  Callers cap n; the state count, not Bell(n), sets the
+    cost.
     """
     if fill is not None and graded:
         raise ValueError("fill adds one block to the ungraded sums only")
     n = len(letters)
-    one = weights(1)[0] ** 0  # every walk starts at 1 in the ring of the weights, which may carry a scale
-    # at most n // 2 arcs are open at once; rows[k - 1][j] weighs ending arc j of k, a weight of 1 being `one`
-    rows = [tuple(one if x == one else x for x in weights(k)) for k in range(1, n // 2 + 1)]
+    # at most n // 2 arcs are open at once; rows[k - 1][j] weighs ending arc j of k
+    rows = [weights(k) for k in range(1, max(n // 2, 1) + 1)]
+    step = 1
+    if fill is None:
+        weight_unit = _unit(x for row in rows for x in row)
+        step, unit = weight_unit.denominator, unit * weight_unit
+        rows = [tuple(None if x is None else _cleared(x, step) for x in row) for row in rows]
+    one = rows[0][0] ** 0  # every walk starts at 1 in the ring of the weights
+    zero = 0 if type(one) is int else _ZERO  # the sum of a word with no state
+    rows = [tuple(one if x == one else x for x in row) for row in rows]  # a weight of 1 is `one`
     chains: List[object] = []  # the chain of each id; states hold ids
     ids: Dict[object, int] = {}
     extended: Dict[Tuple[int, object], Optional[int]] = {}
@@ -587,6 +599,7 @@ def arc_sums(
         steps = []
         for a in letters[p - 1]:
             s_val, chain, can_end = single(a), open_(a) if room else None, ends is None or ends(a)
+            s_val = s_val * step if step > 1 else s_val
             steps.append((a, None if s_val == 0 else s_val, None if chain is None else intern(chain), can_end))
         # per step, as ``fill`` sets values between steps: close(chain, a) by
         # (chain, a) and its product with the weight by (k, j, chain, a)
@@ -620,7 +633,8 @@ def arc_sums(
                         if wx is _UNSEEN:
                             x = closed.get((cid, a), _UNSEEN)
                             if x is _UNSEEN:
-                                x = closed[cid, a] = close(chains[cid], a)
+                                x = close(chains[cid], a)
+                                x = closed[cid, a] = x * step if step > 1 else x
                             wx = closing[k, j, cid, a] = None if x == 0 else x if weight is one else weight * x
                         if wx is not None:
                             key, term = (blocks, rest), val * wx
@@ -641,43 +655,39 @@ def arc_sums(
             if graded:
                 sums[word] = {blocks: val for (blocks, open_ids), val in states.items() if not open_ids}
                 continue
-            total = states.get((0, ()), _ZERO)
+            total = states.get((0, ()), zero)
             x = 0 if fill is None else fill(word, total)
             if x != 0:  # the one-block term as a step adds one: nonzero, in the ring of the weights
                 total = states[0, ()] = total + one * x
             sums[word] = total
         level = nodes
-    return sums
+    return sums, unit
 
 
-def role_sums(roles_at: Sequence[str], a, b, single, open_, close, extend) -> Dict[tuple, object]:
-    """{R: T(R)} for every R with R_p in roles_at[p - 1] and T(R) nonzero,
-    T(R) the sum of a^rc b^rn * prod of block values over the rows of [n]
-    with role vector R, by one :func:`arc_sums` pass over the trie of the
-    role words.  The letter of point p in role r is (r, p - 1), and the
-    callbacks value point i in that role: ``single(i)``, ``open_(i)``,
-    ``close(chain, i)``, ``extend(chain, i)``."""
-    return _role_sums(roles_at, lambda k: _row_weights(a, b, k), single, open_, close, extend)
-
-
-def _role_sums(roles_at: Sequence[str], weights, single, open_, close, extend) -> Dict[tuple, object]:
-    """:func:`role_sums` with the step weights of the row given, as
-    :func:`_int_weights` may scale them."""
+def role_sums(roles_at: Sequence[str], a, b, single, open_, close, extend, unit=1) -> Tuple[Dict[tuple, object], object]:
+    """({R: T(R)}, unit) for every R with R_p in roles_at[p - 1] and T(R)
+    nonzero, T(R) * unit^n the sum of a^rc b^rn * prod of block values over
+    the rows of [n] with role vector R, by one :func:`arc_sums` pass over the
+    trie of the role words, whose ``unit`` it takes and returns.  The letter
+    of point p in role r is (r, p - 1), and the callbacks value point i in
+    that role: ``single(i)``, ``open_(i)``, ``close(chain, i)``,
+    ``extend(chain, i)``."""
     n = len(roles_at)
-    if n == 0:
-        return {(): weights(1)[0] ** 0}  # the one row of [0], in the ring of the weights
     # the first point opens or stands alone, the last closes or stands alone
     first, last = (ROLE_OPENER, ROLE_SINGLETON), (ROLE_CLOSER, ROLE_SINGLETON)
-    sums = arc_sums(
+    sums, unit = arc_sums(
         [[(r, i) for r in roles if (i or r in first) and (i < n - 1 or r in last)] for i, roles in enumerate(roles_at)],
-        weights,
+        lambda k: _row_weights(a, b, k),
         lambda x: single(x[1]) if x[0] == ROLE_SINGLETON else 0,
         lambda x: open_(x[1]) if x[0] == ROLE_OPENER else None,
         lambda chain, x: close(chain, x[1]) if x[0] == ROLE_CLOSER else 0,
         lambda chain, x: extend(chain, x[1]) if x[0] == ROLE_MIDDLE else None,
         ends=lambda x: x[0] in (ROLE_CLOSER, ROLE_MIDDLE),
+        unit=unit,
     )
-    return {word: total for word, total in sums.items() if len(word) == n and total != 0}
+    if n == 0:
+        return {(): _row_weights(a, b, 1)[0] ** 0}, unit  # the one row of [0], in the ring of the weights
+    return {word: total for word, total in sums.items() if len(word) == n and total != 0}, unit
 
 
 def count_diagonal_partitions(n: int, min_block_size: int = 1) -> int:
@@ -687,10 +697,9 @@ def count_diagonal_partitions(n: int, min_block_size: int = 1) -> int:
     at m as the chain.  Guarded like the enumeration it counts."""
     _guards.check_size("the size n of a diagonal partition", n, _guards.MAX_DIAGONAL_N)
     m = min_block_size
-    one = Fraction(1)
-    rows = role_sums(["OCMS" if m <= 1 else "OCM"] * n, one, one, lambda i: 1, lambda i: 1,
-                     lambda size, i: int(size + 1 >= m), lambda size, i: min(size + 1, m))
-    return int(sum(t * t for t in rows.values()))
+    rows, _ = role_sums(["OCMS" if m <= 1 else "OCM"] * n, 1, 1, lambda i: 1, lambda i: 1,
+                        lambda size, i: int(size + 1 >= m), lambda size, i: min(size + 1, m))
+    return sum(t * t for t in rows.values())
 
 
 def noncrossing_partitions(n: int) -> Iterator[SetPartition]:

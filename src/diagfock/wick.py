@@ -22,9 +22,12 @@ sums are sums over role vectors R of T(R) * B(R) (see
 :mod:`diagfock.partitions`): both rows carry block values, so each row is
 one pass of the same open-arc DP over the role words the data allow.  The
 word expansion factorises into a top-row expansion tensored with a bar-row
-expansion, each row one such pass too.  Every formula has an operator
-counterpart in :mod:`diagfock.fock`; tests hold the two routes against each
-other.  The two moment oracles keep only the terms that can still return to
+expansion, each row one such pass too.  Each row clears its data by one
+integer D per point, and its pass returns the unit 1/(S_w D) by which the
+sum of m points is read, times unit^m (see :mod:`diagfock.partitions`), so
+the two rows combine as ints and the result is divided once.  Every formula
+has an operator counterpart in :mod:`diagfock.fock`; tests hold the two
+routes against each other.  The two moment oracles keep only the terms that can still return to
 the vacuum; the word oracle returns the whole vector.  Every function here
 refuses entries whose xi or eta dimension differs from entry 0's, and more
 entries than the open-arc DP's cap ``_guards.MAX_DIAGONAL_N``.
@@ -39,7 +42,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import _guards
 from .levy import _vector_chain, cumulants_to_moments, moments_to_cumulants  # the transforms are re-exported
-from .partitions import _as_int, _divided, _role_sums, _row_weights
+from .partitions import _cleared, _over, _times, _unit, role_sums
 from .scalars import DeformationParams
 from .fock import (
     ANNIHILATE,
@@ -136,48 +139,40 @@ def word_vacuum_formula(tokens: Sequence[Tuple[str, VectorPair]], params: Deform
     """
     _check_word(tokens)
     roles_at = ["O" if kind == ANNIHILATE else "CS" for kind, _ in tokens]
-    (top, top_scale), (bar, bar_scale) = (
+    (top, top_unit), (bar, bar_unit) = (
         _word_row([x.xi for _, x in tokens], roles_at, params.q, params.t),
         _word_row([x.eta for _, x in tokens], roles_at, params.v, params.w),
     )
-    on_ints = top_scale is not None and bar_scale is not None
-    if not on_ints:
-        top, bar = _unscaled_row(top, top_scale), _unscaled_row(bar, bar_scale)
+    unit = top_unit * bar_unit
     out = FockVector()
     for top_word, top_coeff in top.items():
         for bar_word, bar_coeff in bar.items():
-            coeff = top_coeff * bar_coeff
-            out.add_term((top_word, bar_word), Fraction(coeff, top_scale * bar_scale) if on_ints else coeff)
+            out.add_term((top_word, bar_word), _times(top_coeff * bar_coeff, unit))
     return out
 
 
-def _unscaled_row(row: Dict[Tuple[int, ...], object], scale: Optional[int]) -> Dict[Tuple[int, ...], object]:
-    return row if scale is None else {word: Fraction(coeff, scale) for word, coeff in row.items()}
-
-
-def _word_row(vectors: Sequence[Sequence], roles_at: Sequence[str], a, b) -> Tuple[Dict[tuple, object], Optional[int]]:
-    """One row of the word expansion as ({residual word: coefficient}, scale).
+def _word_row(vectors: Sequence[Sequence], roles_at: Sequence[str], a, b) -> Tuple[Dict[tuple, object], object]:
+    """One row of the word expansion as ({residual word: coefficient}, unit),
+    each coefficient times unit being its value.
 
     T(R) of :func:`role_sums` sums a^cr b^nest times the inner products of
     the pairs over the rows with role vector R, a singleton being worth 1.
     R fixes the arcs open over each singleton and the pairs closed before
     it, so T(R) takes a^(open arcs) b^(closed pairs) per singleton, times
-    the tensor of the singletons' vectors expanded in basis words.  At a
-    rational point the coefficients are ints, scale times their values: T(R)
-    and each vector entry come times the pass's point scale, and
-    a^covered b^after times (den a * den b)^most, where every R has the same
-    singletons, so covered and after are at most most = openers *
-    singletons.  Elsewhere scale is None."""
-    sums, point = _chain_role_sums(roles_at, a, b, vectors, (), [1] * len(vectors))
+    the tensor of the singletons' vectors expanded in basis words.  Every
+    factor comes cleared of its denominators: T(R) by the pass, each vector
+    entry by the data's D, and a^covered b^after, with a = a'/d_a and
+    b = b'/d_b, as a'^covered d_a^(most - covered) b'^after d_b^(most -
+    after), where every R has the same singletons, so covered and after are
+    at most most = openers * singletons."""
+    chain, data = _vector_chain(vectors, (), [1] * len(vectors))
+    sums, unit = role_sums(roles_at, a, b, *chain, unit=data)
     openers = roles_at.count("O")
-    most = max(openers * (len(roles_at) - 2 * openers), 0)
-    if point is None:
-        scale, powers = None, lambda covered, after: (a ** covered) * (b ** after)
-    else:
-        scale = point ** (2 * len(roles_at) - 2 * openers) * (a.denominator * b.denominator) ** most
-        vectors = [[_as_int(x, point) for x in v] for v in vectors]
-        powers = lambda covered, after: (a.numerator ** covered * a.denominator ** (most - covered)
-                                         * b.numerator ** after * b.denominator ** (most - after))
+    singletons = max(len(roles_at) - 2 * openers, 0)  # as many in every R; no R if creators are too few
+    most = openers * singletons
+    vectors = [[_cleared(x, data.denominator) for x in v] for v in vectors]
+    a_den, b_den = _unit([a]).denominator, _unit([b]).denominator
+    a_num, b_num = _cleared(a, a_den), _cleared(b, b_den)
     out: Dict[Tuple[int, ...], object] = {}
     for roles, total in sums.items():
         opened = closed = covered = after = 0
@@ -190,14 +185,16 @@ def _word_row(vectors: Sequence[Sequence], roles_at: Sequence[str], a, b) -> Tup
             else:
                 covered, after = covered + opened - closed, after + closed
                 expansions.append([(c, x) for c, x in enumerate(vectors[i]) if x != 0])
-        coeff = powers(covered, after) * total
+        coeff = a_num ** covered * a_den ** (most - covered) * b_num ** after * b_den ** (most - after) * total
         for choice in itertools.product(*expansions):
             val = coeff
             for _, x in choice:
                 val = val * x
             word = tuple(c for c, _ in choice)
             out[word] = out.get(word, 0) + val
-    return out, scale
+    if type(unit) is int:  # an int point and int data: nothing was cleared
+        return out, unit
+    return out, Fraction(1, unit.denominator ** len(roles_at) * data.denominator ** singletons * (a_den * b_den) ** most)
 
 
 def word_fock_oracle(tokens: Sequence[Tuple[str, VectorPair]], params: DeformationParams) -> FockVector:
@@ -209,31 +206,26 @@ def word_fock_oracle(tokens: Sequence[Tuple[str, VectorPair]], params: Deformati
 # -- general Wick formula ------------------------------------------------------------
 
 
-def _chain_role_sums(roles_at: Sequence[str], a, b, *chain) -> Tuple[Dict[tuple, object], Optional[int]]:
-    """T(R) of :func:`diagfock.partitions.role_sums` on the row weighed by
-    (a, b), for blocks valued by the vector chain of ``chain`` (starts,
-    gauges, singles), and its point scale (see
-    :func:`diagfock.levy._vector_chain`): at a rational point T(R) comes as
-    the int point^n T(R), elsewhere as it is, with point None."""
-    weights, callbacks, point = _vector_chain(lambda k: _row_weights(a, b, k), len(roles_at), *chain)
-    return _role_sums(roles_at, weights, *callbacks), point
+def _chain_role_sums(roles_at: Sequence[str], a, b, *chain) -> Tuple[Dict[tuple, object], object]:
+    """(T(R), unit) of :func:`diagfock.partitions.role_sums` on the row
+    weighed by (a, b), for blocks valued by the vector chain of ``chain``
+    (starts, gauges, singles; :func:`diagfock.levy._vector_chain`)."""
+    callbacks, unit = _vector_chain(*chain)
+    return role_sums(roles_at, a, b, *callbacks, unit=unit)
 
 
 def _wick_sum(roles_at: Sequence[str], params: DeformationParams, top, bar):
     """The sum over role vectors R of T(R) * B(R): the vector chain of
     ``top`` (starts, gauges, singles) on the top row at (q, t), of ``bar``
-    on the bar row at (v, w).  When both rows run on ints, so does the sum,
-    divided once at the end."""
-    (top_sums, top_point), (bar_sums, bar_point) = (
+    on the bar row at (v, w).  The rows come cleared of denominators, so
+    the sum runs on them and is read once at the end, a Fraction (a Poly at
+    a symbolic point) also where everything is an int."""
+    (top_sums, top_unit), (bar_sums, bar_unit) = (
         _chain_role_sums(roles_at, params.q, params.t, *top),
         _chain_role_sums(roles_at, params.v, params.w, *bar),
     )
-    on_ints = top_point is not None and bar_point is not None
-    if not on_ints:
-        top_sums, bar_sums = _divided(top_sums, top_point), _divided(bar_sums, bar_point)
-    terms = (t * bar_sums[roles] for roles, t in top_sums.items() if roles in bar_sums)
-    total = sum(terms, 0 if on_ints else Fraction(0))
-    return Fraction(total, (top_point * bar_point) ** len(roles_at)) if on_ints else total
+    total = sum((t * bar_sums[roles] for roles, t in top_sums.items() if roles in bar_sums), 0)
+    return _over(total, (top_unit * bar_unit).denominator ** len(roles_at))
 
 
 def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):

@@ -211,6 +211,18 @@ def restricted_counts_brute(blocks: Sequence[Sequence[int]]) -> Tuple[int, int]:
     return rc, rn
 
 
+def kernel_values(result) -> Dict[tuple, object]:
+    """The values of an ``arc_sums`` or ``role_sums`` pass (sums, unit): the
+    sum of a word of m points times unit^m, a dict by block count
+    entrywise."""
+    sums, unit = result
+    out = {}
+    for word, total in sums.items():
+        u = unit ** len(word)
+        out[word] = {k: x * u for k, x in total.items()} if isinstance(total, dict) else total * u
+    return out
+
+
 def brute_class_sums(n: int, params, top, bar) -> Dict[Tuple[str, ...], object]:
     """The diagonal sum grouped by role class: over every pair (top row, bar
     row) of brute set partitions of [n] with equal role vectors, q^rc t^rn

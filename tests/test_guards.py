@@ -30,7 +30,7 @@ HALF, ONE = Fraction(1, 2), Fraction(1)
 WORK = [
     (partitions, "arc_sums"), (partitions, "role_sums"), (partitions, "_diagonal_classes"),
     (levy, "arc_sums"), (levy, "_interval_metric"), (levy, "_vacuum_moment"),
-    (wick, "_role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
+    (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
     (fock, "_vacuum_moment"), (fock, "_sym_column"), (fock, "_letter_contents"),
     (cli, "moments_from_jacobi"), (cli, "polys_from_jacobi"), (cli, "cauchy_transform"),
     (cli, "count_diagonal_pair_partitions"), (cli, "_diagonal_classes"),

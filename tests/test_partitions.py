@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -293,7 +294,7 @@ def rand_block_values(r, n):
 def block_role_sums(n, a, b, value, roles="OCMS"):
     """{R: T(R)} by the role-word pass over [n], each open block its own
     chain, keyed by the role vector."""
-    sums = role_sums(
+    sums = helpers.kernel_values(role_sums(
         [roles] * n,
         a,
         b,
@@ -301,7 +302,7 @@ def block_role_sums(n, a, b, value, roles="OCMS"):
         lambda i: (i + 1,),
         lambda block, i: value(block + (i + 1,)),
         lambda block, i: block + (i + 1,),
-    )
+    ))
     return {tuple(role for role, _ in word): total for word, total in sums.items()}
 
 
@@ -368,7 +369,7 @@ def block_arc_sums(n, params, value, graded=False):
     chain: every diagonal sum of [1], ..., [n] with top value ``value`` and
     bar value 1."""
     return list(
-        arc_sums(
+        helpers.kernel_values(arc_sums(
             [(p,) for p in range(1, n + 1)],
             _unit_bar_weights(params),
             lambda p: value((p,)),
@@ -376,7 +377,7 @@ def block_arc_sums(n, params, value, graded=False):
             lambda block, p: value(block + (p,)),
             lambda block, p: block + (p,),
             graded=graded,
-        ).values()
+        )).values()
     )
 
 
@@ -432,7 +433,7 @@ def pair_arc_sums(n, params):
     which closes to 0."""
     weights = _unit_bar_weights(params)
     sums = arc_sums([(0,)] * n, weights, lambda a: 0, lambda a: 1, lambda chain, a: int(chain == 1), lambda chain, a: 2)
-    return list(sums.values())
+    return list(helpers.kernel_values(sums).values())
 
 
 def test_arc_sums_of_pairs_are_the_hermite_moments_to_twenty():
@@ -507,14 +508,14 @@ def brute_word_sum(word, params, value):
 
 def word_arc_sums(letters, params, value):
     """The DP over the words of ``letters``, a chain being the open subword."""
-    return arc_sums(
+    return helpers.kernel_values(arc_sums(
         letters,
         _unit_bar_weights(params),
         lambda a: value((a,)),
         lambda a: (a,),
         lambda sub, a: value(sub + (a,)),
         lambda sub, a: sub + (a,),
-    )
+    ))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -530,6 +531,30 @@ def test_trie_pass_equals_single_word_passes_and_enumeration(k):
             single = word_arc_sums([(u,) for u in word], params, psi.__getitem__)
             assert list(single) == [word[:m] for m in range(1, len(word) + 1)]
             assert trie[word] == single[word] == brute_word_sum(word, params, psi.__getitem__), word
+
+
+def test_arc_sums_run_on_ints_at_a_rational_point():
+    # the data cleared by one D per point and passed as the unit 1/D: every
+    # sum is an int, and the unit returned reads the sums the pass on the
+    # Fractions themselves gives
+    r = helpers.rng(42)
+    params = rand_points(r, 1)[0]
+    words = [w for n in range(1, 6) for w in itertools.product(range(2), repeat=n)]
+    psi = {w: helpers.rand_frac(r) for w in words}
+    scale = math.lcm(*(x.denominator for x in psi.values()))
+    cleared = {w: int(x * scale ** len(w)) for w, x in psi.items()}
+    sums, unit = arc_sums(
+        [range(2)] * 5,
+        _unit_bar_weights(params),
+        lambda a: cleared[(a,)],
+        lambda a: (a,),
+        lambda sub, a: cleared[sub + (a,)],
+        lambda sub, a: sub + (a,),
+        unit=Fraction(1, scale),
+    )
+    assert list(sums) == words and all(type(t) is int for t in sums.values())
+    assert type(unit) is Fraction and unit.numerator == 1 and unit.denominator % scale == 0
+    assert helpers.kernel_values((sums, unit)) == word_arc_sums([range(2)] * 5, params, psi.__getitem__)
 
 
 def test_walk_rows_equal_checked_partitions():

@@ -1,10 +1,12 @@
-"""The forward diagonal sums at rational points, where the open-arc DP runs on
-ints and divides each word's sum once: value and type against the brute
-class sums and the Fock oracles.
+"""The forward diagonal sums where the open-arc DP runs on ints, its data
+cleared by one integer per point and each word's sum read once: value and
+type against the brute class sums and the Fock oracles.
 
-The points have denominators coprime to the data's (fifths and sevenths),
-negative coordinates, or q = v = 0 (row weights that vanish); the data have
-negative entries, a zero vector entry and a zero gauge.
+The rational points have denominators coprime to the data's (fifths and
+sevenths), negative coordinates, or q = v = 0 (row weights that vanish).
+The symbolic point runs its passes on the same cleared data, and the all-int
+point (int coordinates, int data) clears nothing.  The data have negative
+entries, a zero vector entry and a zero gauge.
 """
 
 import itertools
@@ -30,7 +32,7 @@ from diagfock.levy import (
 )
 from diagfock.orthopoly import jacobi_hermite, moments_from_jacobi
 from diagfock.partitions import role_sums
-from diagfock.scalars import DeformationParams
+from diagfock.scalars import DeformationParams, Poly
 from diagfock.wick import (
     QuadrabasicOp,
     full_fock_oracle,
@@ -41,66 +43,89 @@ from diagfock.wick import (
     word_vacuum_formula,
 )
 
-POINTS = {
-    "coprime": DeformationParams.from_rationals(Fraction(1, 11), Fraction(3, 13), Fraction(2, 9), Fraction(5, 17)),
-    "negative": DeformationParams.from_rationals(Fraction(-3, 11), Fraction(1, 2), Fraction(-2, 3), Fraction(4, 13)),
-    "q-zero": DeformationParams.from_rationals(0, Fraction(3, 13), 0, Fraction(1, 11)),
-}
-point = pytest.mark.parametrize("params", list(POINTS.values()), ids=list(POINTS))
-
 ENTRIES = [Fraction(n, d) for d in (5, 7) for n in range(-4, 5)]
+INT_ENTRIES = list(range(-4, 5))
+
+# id: (point, the data drawn there, the type of a sum there)
+POINTS = {
+    "coprime": (
+        DeformationParams.from_rationals(Fraction(1, 11), Fraction(3, 13), Fraction(2, 9), Fraction(5, 17)), ENTRIES, Fraction
+    ),
+    "negative": (
+        DeformationParams.from_rationals(Fraction(-3, 11), Fraction(1, 2), Fraction(-2, 3), Fraction(4, 13)), ENTRIES, Fraction
+    ),
+    "q-zero": (DeformationParams.from_rationals(0, Fraction(3, 13), 0, Fraction(1, 11)), ENTRIES, Fraction),
+    "symbolic": (DeformationParams.symbolic(), ENTRIES, Poly),
+    "all-int": (DeformationParams(2, 1, -1, 3), INT_ENTRIES, int),
+}
+point = pytest.mark.parametrize("params, values, kind", list(POINTS.values()), ids=list(POINTS))
 
 
-def entries(r, count):
-    return tuple(r.choice(ENTRIES) for _ in range(count))
+def entries(r, count, values=ENTRIES):
+    return tuple(r.choice(values) for _ in range(count))
 
 
-def matrix(r, d):
-    return tuple(entries(r, d) for _ in range(d))
+def matrix(r, d, values=ENTRIES):
+    return tuple(entries(r, d, values) for _ in range(d))
 
 
-def zero_matrix(d):
-    return tuple((Fraction(0),) * d for _ in range(d))
+def zero_matrix(d, zero=Fraction(0)):
+    return tuple((zero,) * d for _ in range(d))
 
 
 def is_fraction(x):
     return type(x) is Fraction
 
 
-def ops_with_zeros(r, n):
-    """n general operators (top d = 2, bar d = 1): the first with a zero xi
-    entry, the second with zero gauges, the third with no gauge."""
-    ops = []
+def has_type(x, kind):
+    """x is of the point's kind; at the symbolic point a sum with no term
+    is the Fraction 0, as it always was."""
+    return type(x) is kind or (kind is Poly and is_fraction(x) and x == 0)
+
+
+def ops_with_zeros(r, n, values=ENTRIES):
+    """n general operators (top d = 2, bar d = 1) with data drawn from
+    values: the first with a zero xi entry, the second with zero gauges, the
+    third with no gauge."""
+    zero, ops = values[0] * 0, []
     for i in range(n):
-        xi = (Fraction(0),) + entries(r, 1) if i == 0 else entries(r, 2)
-        gauge = GaugePair.of(zero_matrix(2), zero_matrix(1)) if i == 1 else GaugePair.of(matrix(r, 2), matrix(r, 1))
-        ops.append(QuadrabasicOp(VectorPair.of(xi, entries(r, 1)), None if i == 2 else gauge, *entries(r, 2)))
+        xi = (zero,) + entries(r, 1, values) if i == 0 else entries(r, 2, values)
+        if i == 1:
+            gauge = GaugePair(zero_matrix(2, zero), zero_matrix(1, zero))
+        else:
+            gauge = GaugePair(matrix(r, 2, values), matrix(r, 1, values))
+        ops.append(QuadrabasicOp(VectorPair(xi, entries(r, 1, values)), None if i == 2 else gauge, *entries(r, 2, values)))
     return ops
 
 
 @point
-def test_full_and_gaussian_wick_match_brute_sums_and_oracles(params):
+def test_full_and_gaussian_wick_match_brute_sums_and_oracles(params, values, kind):
     r = helpers.rng(191)
+    # the Wick moments are Fractions at an int point too; no operator is the empty product 1
+    moment = Fraction if kind is int else kind
     for n in range(6):
-        ops = ops_with_zeros(r, n)
+        ops = ops_with_zeros(r, n, values)
         got = full_wick(ops, params)
-        assert is_fraction(got) and got == helpers.brute_full_wick(ops, params) == full_fock_oracle(ops, params), n
+        assert got == helpers.brute_full_wick(ops, params) == full_fock_oracle(ops, params), n
+        assert has_type(got, moment if n else Fraction), n
         xs = [op.vector for op in ops]
         got = gaussian_wick(xs, params)
         no_blocks = [QuadrabasicOp(x, None) for x in xs]
-        assert is_fraction(got) and got == helpers.brute_full_wick(no_blocks, params) == gaussian_fock_oracle(xs, params)
+        assert got == helpers.brute_full_wick(no_blocks, params) == gaussian_fock_oracle(xs, params)
+        assert has_type(got, Fraction if n % 2 else moment), n
 
 
 @point
 @pytest.mark.parametrize("pattern", ["c", "ac", "acac", "aacc", "cacca", "aacccacc"])
-def test_word_formula_matches_the_row_oracle_and_the_operator_model(params, pattern):
+def test_word_formula_matches_the_row_oracle_and_the_operator_model(params, values, kind, pattern):
     r = helpers.rng(192)
-    tokens = [(ANNIHILATE if ch == "a" else CREATE, VectorPair.of(entries(r, 2), entries(r, 2))) for ch in pattern]
-    tokens[0] = (tokens[0][0], VectorPair.of((Fraction(0), Fraction(3, 7)), entries(r, 2)))
+    kinds = [ANNIHILATE if ch == "a" else CREATE for ch in pattern]
+    tokens = [(kind, VectorPair(entries(r, 2, values), entries(r, 2, values))) for kind in kinds]
+    tokens[0] = (tokens[0][0], VectorPair((values[0] * 0, values[-2]), entries(r, 2, values)))
     got = word_vacuum_formula(tokens, params)
     tops, bars = [x.xi for _, x in tokens], [x.eta for _, x in tokens]
     assert got.terms == helpers.word_expansion_brute(pattern, tops, bars, params)
-    assert all(is_fraction(c) for c in got.terms.values())
+    assert all(type(c) is kind for c in got.terms.values())
     assert got == word_fock_oracle(tokens, params)
 
 
@@ -114,57 +139,70 @@ def spec_with_zeros(r):
 
 
 @point
-def test_levy_moments_match_brute_sums_and_the_oracle(params):
+def test_levy_moments_match_brute_sums_and_the_oracle(params, values, kind):
     spec, s = spec_with_zeros(helpers.rng(193)), Fraction(3, 13)
+    moment = Fraction if kind is int else kind  # a spec holds Fractions
     for n in range(1, 7):
         for word in itertools.product(range(2), repeat=n) if n <= 3 else [(0, 1, 1, 0, 1, 0)[:n], (1,) * n]:
             got = levy_moment(spec, word, params, s)
-            assert is_fraction(got) and got == fock_levy_oracle(spec, [(u, 0) for u in word], [s], params), word
+            assert has_type(got, moment) and got == fock_levy_oracle(spec, [(u, 0) for u in word], [s], params), word
             if n <= 4:
                 value = lambda block: levy_cumulant(spec, tuple(word[i - 1] for i in block), s)
                 assert got == sum(helpers.brute_class_sums(n, params, value, lambda block: 1).values(), 0), word
             poly = levy_moment_s_poly(spec, word, params)
-            assert all(is_fraction(c) for c in poly.values())
+            assert all(has_type(c, moment) for c in poly.values())
             assert sum(c * s**k for k, c in poly.items()) == got and poly.get(1, 0) == levy_cumulant(spec, word)
 
 
 @point
-def test_functionals_and_transforms_match_brute_sums(params):
+def test_functionals_and_transforms_match_brute_sums(params, values, kind):
     r = helpers.rng(194)
-    cums = [Fraction(0), Fraction(-3, 5)] + list(entries(r, 4))
+    cums = [values[0] * 0, Fraction(-3, 5) if kind is not int else -3] + list(entries(r, 4, values))
     moments = cumulants_to_moments(cums, params)
     value = lambda block: cums[len(block) - 1]
     for n, m in enumerate(moments, 1):
-        assert is_fraction(m) and m == sum(helpers.brute_class_sums(n, params, value, lambda block: 1).values(), 0)
+        assert has_type(m, kind) and m == sum(helpers.brute_class_sums(n, params, value, lambda block: 1).values(), 0)
     assert moments_to_cumulants(moments, params) == cums
-    psi = {w: r.choice(ENTRIES) for n in range(1, 4) for w in itertools.product(range(2), repeat=n)}
+    psi = {w: r.choice(values) for n in range(1, 4) for w in itertools.product(range(2), repeat=n)}
     phi = moment_functional(psi, 2, params, 3)
     for word, m in phi.items():
         value = lambda block: psi[tuple(word[i - 1] for i in block)]
-        assert is_fraction(m) and m == sum(helpers.brute_class_sums(len(word), params, value, lambda block: 1).values(), 0)
+        # the empty word is the int 1 at the all-int point and the Fraction 1 elsewhere
+        assert has_type(m, kind if word else int if kind is int else Fraction), word
+        assert m == sum(helpers.brute_class_sums(len(word), params, value, lambda block: 1).values(), 0)
     assert cumulant_functional(phi, 2, params, 3) == psi
 
 
 def test_all_int_inputs_keep_int_results():
+    # every value is an int: the zero cumulants and the words with no
+    # nonzero term, the empty word, and both inverses' filled-in values
     params = DeformationParams(2, 1, -1, 3)
+    cums = [0, 1, 0, 0]
+    assert [(type(m), m) for m in cumulants_to_moments(cums, params)] == [(int, 0), (int, 1), (int, 0), (int, 7)]
     cums = [1, -2, 0, 3, 1]
     moments = cumulants_to_moments(cums, params)
     value = lambda block: cums[len(block) - 1]
     assert all(type(m) is int for m in moments)
     assert moments == [sum(helpers.brute_class_sums(n, params, value, lambda block: 1).values(), 0) for n in range(1, 6)]
+    back = moments_to_cumulants(moments, params)
+    assert back == cums and all(type(x) is int for x in back)
     psi = {w: sum(w) - 1 for n in range(1, 4) for w in itertools.product(range(2), repeat=n)}
-    # a word with no nonzero term, like the empty word, sums to Fraction(0) or 1 as before
-    phi = {word: m for word, m in moment_functional(psi, 2, params, 3).items() if word and m != 0}
-    assert phi and all(type(m) is int for m in phi.values())
+    phi = moment_functional(psi, 2, params, 3)
+    assert phi[()] == 1 and any(m == 0 for m in phi.values())
+    assert all(type(m) is int for m in phi.values())
+    back = cumulant_functional(phi, 2, params, 3)
+    assert back == psi and all(type(x) is int for x in back.values())
+    assert all(type(m) is int for m in moment_functional(psi, 2, params, 0).values())
     tokens = [(ANNIHILATE if ch == "a" else CREATE, VectorPair((i, -1), (2, i))) for i, ch in enumerate("aacccc")]
     got = word_vacuum_formula(tokens, params)
     assert all(type(c) is int for c in got.terms.values()) and got == word_fock_oracle(tokens, params)
-    sums = role_sums(["OCMS"] * 4, params.q, params.t, lambda i: i + 1, lambda i: i - 2, lambda c, i: c * i, lambda c, i: c + i)
+    sums, unit = role_sums(["OCMS"] * 4, params.q, params.t, lambda i: i + 1, lambda i: i - 2, lambda c, i: c * i, lambda c, i: c + i)
+    assert type(unit) is int and unit == 1
     assert sums and all(type(t) is int for t in sums.values())
 
 
 def test_the_guard_size_at_a_rational_point():
-    params = POINTS["coprime"]
+    params = POINTS["coprime"][0]
     n = MAX_DIAGONAL_N
     # the Gaussian cumulants give the Hermite moments of the continued fraction
     got = cumulants_to_moments([0, 1] + [0] * (n - 2), params)
