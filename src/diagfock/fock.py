@@ -29,8 +29,8 @@ lowers the level by more than one, so a term at level l with r operators
 still to apply can return only if l <= r.  :func:`vacuum_expectation` and
 the vacuum-moment oracles of :mod:`diagfock.wick` and :mod:`diagfock.levy`
 keep only such terms (one private driver, ``_vacuum_moment``).
-:func:`apply_word`, ``wick.word_fock_oracle`` and the public ``*_apply``
-functions return whole, unpruned vectors.
+:func:`apply_word`, ``wick.word_fock_oracle`` and the single-operator
+actions (creation, annihilation, gauge) return whole, unpruned vectors.
 
 Annihilation kills the vacuum.  With t = w = 1 these reduce to the familiar
 twisted ladder operators; the t^N-type commutation relation is exercised in
@@ -315,28 +315,6 @@ def _token_parts(token, params: DeformationParams, metric: Metric) -> List[RowPa
     raise ValueError(f"unknown token kind {kind!r}")
 
 
-def apply_token(token, f: FockVector, params: DeformationParams, metric: Metric = None) -> FockVector:
-    return _apply_parts(_token_parts(token, params, metric), f)
-
-
-def field_apply(x: VectorPair, f: FockVector, params: DeformationParams, metric: Metric = None) -> FockVector:
-    """(creation + annihilation) applied to f."""
-    return _apply_parts(_quadrabasic_parts(x, None, 0, params, metric), f)
-
-
-def quadrabasic_apply(
-    x: VectorPair,
-    g: Optional[GaugePair],
-    lam,
-    f: FockVector,
-    params: DeformationParams,
-    metric: Metric = None,
-) -> FockVector:
-    """(creation + annihilation + gauge + lam) applied to f; lam is the
-    combined scalar (lambda * lambda-bar)."""
-    return _apply_parts(_quadrabasic_parts(x, g, lam, params, metric), f)
-
-
 def apply_word(tokens: Sequence, params: DeformationParams, metric: Metric = None) -> FockVector:
     """Apply a product of tokens to the vacuum (rightmost token acts first).
 
@@ -344,7 +322,7 @@ def apply_word(tokens: Sequence, params: DeformationParams, metric: Metric = Non
     :func:`vacuum_expectation` is tested against."""
     f = FockVector.vacuum()
     for token in reversed(tokens):
-        f = apply_token(token, f, params, metric)
+        f = _apply_parts(_token_parts(token, params, metric), f)
     return f
 
 
@@ -509,30 +487,6 @@ def positivity_check(n: int, a: Fraction, b: Fraction, d: int) -> Tuple[str, int
 # -- commutation checks ----------------------------------------------------------
 
 
-def check_commutation_single(xi1, xi2, a, b, d: int, maxlevel: int = 3) -> bool:
-    """Verify the single-row relation on every basis word up to maxlevel:
-
-        a(xi1) a*(xi2) - a a*(xi2) a(xi1)  =  <xi1, xi2> b^n   on level n,
-
-    the twisted ladder relation with twist a and a b^N multiplier that fixes
-    the vacuum (b^0 = 1).  The relation maps level n to level n, so the check
-    is exact on every level; maxlevel only bounds the basis swept.
-    """
-    xi1 = tuple(Fraction(x) for x in xi1)
-    xi2 = tuple(Fraction(x) for x in xi2)
-    inner = _linalg.dot(xi1, xi2)
-    create, annihilate = _row_create(xi2), _row_annihilate(xi1, a, b)
-    for n in range(0, maxlevel + 1):
-        for word in itertools.product(range(d), repeat=n):
-            f = {word: Fraction(1)}
-            lhs = _row_apply(annihilate, _row_apply(create, f))
-            twist = _row_apply(create, _row_apply(annihilate, f))
-            terms = itertools.chain(lhs.items(), ((w, -a * c) for w, c in twist.items()), [(word, -inner * b ** n)])
-            if _collect(terms):
-                return False
-    return True
-
-
 def check_commutation_tensor(
     x1: VectorPair, x2: VectorPair, params: DeformationParams, d: int, dbar: int, maxlevel: int = 3
 ) -> bool:
@@ -597,6 +551,7 @@ def gauge_adjoint_check(
 
 def empirical_creation_norm(q: float, t: float, nmax: int = 200) -> float:
     """sup over levels of the one-row creation norm ratio sqrt([n]_{q,t})."""
+    _guards.check_size("the level count nmax", nmax, math.inf, least=1)
     return max(map(math.sqrt, _qt_ladder(q, t, nmax)))
 
 

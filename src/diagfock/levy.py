@@ -178,33 +178,6 @@ def levy_moment_s_poly(spec: LevySpec, word: Word, params: DeformationParams) ->
     return {k: v for k, v in sorted(by_blocks.items()) if v != 0}
 
 
-def diagonal_measure_spec(spec: LevySpec, u: int, n: int) -> LevySpec:
-    """Coordinate data of the n-th diagonal measure of coordinate u:
-
-        xi' = T_u^(n-1) xi_u,   T' = T_u^n,   lambda' = <xi_u, T_u^(n-2) xi_u>
-
-    (n >= 2; n = 1 returns the coordinate itself)."""
-    _check_coordinates(spec, (u,))
-    if n < 1:
-        raise ValueError("diagonal measure needs n >= 1")
-    if n == 1:
-        return LevySpec(1, spec.d, (spec.xi[u],), (spec.T[u],), (spec.lam[u],), spec.gram)
-    mat = spec.T[u]
-    power = _linalg.identity(spec.d)
-    for _ in range(n - 1):
-        power = _linalg.mat_mul(power, mat)
-    xi_new = _linalg.mat_vec(power, spec.xi[u])  # T^(n-1) xi
-    t_new = _linalg.mat_mul(power, mat)  # T^n
-    return LevySpec(1, spec.d, (tuple(xi_new),), (t_new,), (levy_cumulant(spec, (u,) * n),), spec.gram)
-
-
-def combined_spec(a: LevySpec, b: LevySpec) -> LevySpec:
-    """Stack two specs on the same space: coordinates of a, then of b."""
-    if a.d != b.d or a.gram != b.gram:
-        raise ValueError("specs must share the space and gram")
-    return LevySpec(a.k + b.k, a.d, a.xi + b.xi, a.T + b.T, a.lam + b.lam, a.gram)
-
-
 # -- operator model over step functions ---------------------------------------------
 
 
@@ -441,10 +414,6 @@ class GeneratorPair:
         if len(self.tau_moments) < nmax - 1:
             raise ValueError(f"need tau moments up to order {nmax - 2}")
         return [self.lam, *self.tau_moments][:nmax]
-
-    def scale_time(self, s) -> "GeneratorPair":
-        s = Fraction(s)
-        return GeneratorPair(s * self.lam, tuple(s * m for m in self.tau_moments))
 
 
 def brownian_pair(s=1) -> GeneratorPair:

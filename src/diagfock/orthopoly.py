@@ -60,6 +60,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, Sequence, Tuple
 
+from . import _guards
 from .scalars import DeformationParams, _qt_ladder
 
 _QL_MAX_SWEEPS = 30  # implicit-QL sweeps per eigenvalue before giving up
@@ -273,6 +274,7 @@ def _tridiag_eigen(diag: Sequence[float], off: Sequence[float]) -> Tuple[Tuple[f
 def quadrature_rule(j: JacobiData, size: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """Gauss nodes (ascending) and weights, as tuples of floats, from the
     symmetrized truncated recurrence matrix (Golub-Welsch)."""
+    _guards.check_size("the Gauss rule size", size, math.inf)
     if j.depth < size:
         raise ValueError("not enough recurrence data for the requested rule")
     beta, gamma = j.as_floats()
@@ -328,26 +330,6 @@ def _integrate(f: Callable[[float], float], a: float, b: float) -> float:
             stacklevel=2,
         )
     return math.fsum(pieces)
-
-
-def _poly_eval(coeffs: Sequence, x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + float(c)
-    return acc
-
-
-def orthogonality_residual(j: JacobiData, max_degree: int) -> float:
-    """Largest |<P_a, P_b>| for a < b <= max_degree under the
-    (max_degree + 2)-point Gauss rule."""
-    nodes, weights = quadrature_rule(j, max_degree + 2)
-    values = [[_poly_eval(p, x) for x in nodes] for p in polys_from_jacobi(j, max_degree)]
-    worst = 0.0
-    for a in range(max_degree + 1):
-        for b in range(a + 1, max_degree + 1):
-            inner = math.fsum(w * u * v for w, u, v in zip(weights, values[a], values[b]))
-            worst = max(worst, abs(inner))
-    return worst
 
 
 # -- hyperbolic-secant law -----------------------------------------------------------
@@ -441,30 +423,3 @@ def mp_moment_quad(n: int, q: float, alpha: float, variant: str = "corrected") -
 def mp_normalization(q: float, alpha: float, variant: str = "corrected") -> float:
     """Total mass of the density (1 for 'corrected'); 0 < q < 1, -1 < alpha <= 1."""
     return mp_moment_quad(0, q, alpha, variant)
-
-
-# -- support and moment growth --------------------------------------------------------
-
-
-def support_interval(q: Fraction, v: Fraction) -> Tuple[float, float]:
-    """Support endpoints of the (q,1,v,1) law: +- 2 / (sqrt(1-q) sqrt(1-v))."""
-    q = float(q)
-    v = float(v)
-    if not (q < 1 and v < 1):
-        raise ValueError("support formula needs q < 1 and v < 1")
-    r = 2.0 / (math.sqrt(1.0 - q) * math.sqrt(1.0 - v))
-    return (-r, r)
-
-
-def carleman_sums(j: JacobiData, nmax: int) -> Tuple[float, float]:
-    """(sum of gamma_n^(-1/2) for n < nmax, harmonic sum H_nmax).
-
-    For the (q,t,1,1) family gamma_{n-1} = [n]_{q,t} * n <= n^2, so the first
-    component dominates the second; its divergence is the moment-determinacy
-    criterion for these laws.
-    """
-    if len(j.gamma) < nmax:
-        raise ValueError("not enough gamma entries")
-    partial = sum(1.0 / math.sqrt(float(g)) for g in j.gamma[:nmax])
-    harmonic = sum(1.0 / k for k in range(1, nmax + 1))
-    return partial, harmonic

@@ -142,21 +142,11 @@ class SetPartition:
 
     # -- shape ---------------------------------------------------------------
 
-    def block_sizes(self) -> Tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
     def singletons(self) -> Tuple[int, ...]:
         return tuple(b[0] for b in self.blocks if len(b) == 1)
 
     def pair_blocks(self) -> Tuple[Block, ...]:
         return tuple(b for b in self.blocks if len(b) == 2)
-
-    def openers(self) -> Tuple[int, ...]:
-        """Least elements of blocks of size >= 2, sorted."""
-        return tuple(sorted(b[0] for b in self.blocks if len(b) >= 2))
-
-    def is_pair_partition(self) -> bool:
-        return all(len(b) == 2 for b in self.blocks)
 
     def is_pairs_and_singletons(self) -> bool:
         return all(len(b) <= 2 for b in self.blocks)
@@ -236,36 +226,12 @@ class SetPartition:
         return sum(1 for a, b, c, d in self._arc_pairs() if (a < c and d < b) or (c < a and b < d))
 
 
-def kernel_partition(values: Sequence) -> SetPartition:
-    """The kernel of a tuple: positions grouped by equal values.
-
-    kernel((5, 2, 5)) partitions [3] into {1,3} | {2}.
-    """
-    groups: Dict[object, List[int]] = {}
-    for pos, val in enumerate(values, start=1):
-        groups.setdefault(val, []).append(pos)
-    return SetPartition(len(values), list(groups.values()))
-
-
 # -- text form ----------------------------------------------------------------
 
 
 def render_partition(p: SetPartition) -> str:
     """Render as '1 3 | 2 4' (blocks by least element, elements ascending)."""
     return " | ".join(" ".join(str(x) for x in b) for b in p.blocks)
-
-
-def parse_partition(text: str, n: int | None = None) -> SetPartition:
-    """Parse '1 3 | 2 4' back into a SetPartition of [n] (n inferred if omitted)."""
-    blocks = []
-    for chunk in text.split("|"):
-        elems = [int(tok) for tok in chunk.split()]
-        if elems:
-            blocks.append(elems)
-    size = max((x for b in blocks for x in b), default=0)
-    if n is not None:
-        size = n
-    return SetPartition(size, blocks)
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -281,9 +281,9 @@ class DeformationParams:
     """The four deformation parameters.
 
     Each field is a Fraction, or a Poly variable when running symbolically.
-    Admissibility (``|q| <= t <= 1`` and ``|v| <= w <= 1``) is what operator
-    positivity needs; combinatorial sums are defined for any rationals, so
-    validation is on demand rather than in the constructor.
+    Operator positivity needs ``|q| <= t <= 1`` and ``|v| <= w <= 1``, but
+    the combinatorial sums are defined for any rationals, so the
+    constructor does not validate.
     """
 
     q: Scalar
@@ -299,30 +299,6 @@ class DeformationParams:
     def symbolic(cls) -> "DeformationParams":
         return cls(Q, T, V, W)
 
-    @property
-    def is_symbolic(self) -> bool:
-        return any(isinstance(x, Poly) for x in (self.q, self.t, self.v, self.w))
-
-    def require_rational(self) -> None:
-        if self.is_symbolic:
-            raise ValueError("this operation needs rational parameters")
-
-    def is_admissible(self, strict: bool = False) -> bool:
-        """|q| <= t <= 1 and |v| <= w <= 1 (strict: |q| < t, |v| < w)."""
-        self.require_rational()
-        if strict:
-            return abs(self.q) < self.t <= 1 and abs(self.v) < self.w <= 1
-        return abs(self.q) <= self.t <= 1 and abs(self.v) <= self.w <= 1
-
     def monomial(self, a: int, b: int, c: int, d: int):
         """q^a t^b v^c w^d with the 0**0 = 1 convention."""
         return (self.q ** a) * (self.t ** b) * (self.v ** c) * (self.w ** d)
-
-
-def scalar_eq(x, y) -> bool:
-    """Equality across the Fraction/Poly divide."""
-    if isinstance(x, Poly) or isinstance(y, Poly):
-        xp = x if isinstance(x, Poly) else Poly.const(x)
-        yp = y if isinstance(y, Poly) else Poly.const(y)
-        return xp == yp
-    return Fraction(x) == Fraction(y)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles (no calls into
 the library's own combinatorics) so tests compare two genuinely different
-routes to the same numbers.
+routes to the same numbers.  The last section is the exception: routes built
+on the library's own parts that nothing in the library calls, kept here for
+the tests that use them as checks of their own.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ from fractions import Fraction
 from functools import reduce
 from operator import add
 from typing import Dict, List, Sequence, Tuple
+
+from diagfock import _linalg, fock, levy
+from diagfock.orthopoly import polys_from_jacobi, quadrature_rule
+from diagfock.partitions import SetPartition
 
 
 def rng(seed: int) -> random.Random:
@@ -486,3 +492,91 @@ def mp_density_products(x: float, q: float, alpha: float, variant: str = "correc
     pref = poch(q) * poch(-alpha) / (2.0 * math.pi * math.sqrt((r - x) * (x + r)))
     num = g(1.0) * g(-1.0) * g(math.sqrt(q)) * g(-math.sqrt(q))
     return (pref * num / (g(1j * beta) * g(-1j * beta))).real
+
+
+# -- routes on the library's own parts that only the tests call ------------------------
+
+
+def quadrabasic_sum(x, g, lam, f, params, metric=None):
+    """(creation + annihilation + gauge + lam) applied to f as the sum of the
+    separate actions, with no gauge for g = None: the field operator is
+    g = None, lam = 0.  The library applies the same sum in one pass."""
+    out = fock.creation_apply(x, f) + fock.annihilation_apply(x, f, params, metric)
+    if g is not None:
+        out = out + fock.gauge_apply(g, f, params)
+    return out + f.scale(lam)
+
+
+def check_commutation_single(xi1, xi2, a, b, d: int, maxlevel: int = 3) -> bool:
+    """Verify the single-row relation on every basis word up to maxlevel:
+
+        a(xi1) a*(xi2) - a a*(xi2) a(xi1)  =  <xi1, xi2> b^n   on level n,
+
+    the twisted ladder relation with twist a and a b^N multiplier that fixes
+    the vacuum (b^0 = 1).  The relation maps level n to level n, so the check
+    is exact on every level; maxlevel only bounds the basis swept.
+    """
+    xi1 = tuple(Fraction(x) for x in xi1)
+    xi2 = tuple(Fraction(x) for x in xi2)
+    inner = _linalg.dot(xi1, xi2)
+    create, annihilate = fock._row_create(xi2), fock._row_annihilate(xi1, a, b)
+    for n in range(0, maxlevel + 1):
+        for word in itertools.product(range(d), repeat=n):
+            f = {word: Fraction(1)}
+            lhs = fock._row_apply(annihilate, fock._row_apply(create, f))
+            twist = fock._row_apply(create, fock._row_apply(annihilate, f))
+            terms = itertools.chain(lhs.items(), ((w, -a * c) for w, c in twist.items()), [(word, -inner * b ** n)])
+            if fock._collect(terms):
+                return False
+    return True
+
+
+def diagonal_measure_spec(spec, u: int, n: int):
+    """Coordinate data of the n-th diagonal measure of coordinate u:
+
+        xi' = T_u^(n-1) xi_u,   T' = T_u^n,   lambda' = <xi_u, T_u^(n-2) xi_u>
+
+    (n >= 2; n = 1 returns the coordinate itself)."""
+    levy._check_coordinates(spec, (u,))
+    if n < 1:
+        raise ValueError("diagonal measure needs n >= 1")
+    if n == 1:
+        return levy.LevySpec(1, spec.d, (spec.xi[u],), (spec.T[u],), (spec.lam[u],), spec.gram)
+    mat = spec.T[u]
+    power = _linalg.identity(spec.d)
+    for _ in range(n - 1):
+        power = _linalg.mat_mul(power, mat)
+    xi_new = _linalg.mat_vec(power, spec.xi[u])  # T^(n-1) xi
+    t_new = _linalg.mat_mul(power, mat)  # T^n
+    return levy.LevySpec(1, spec.d, (tuple(xi_new),), (t_new,), (levy.levy_cumulant(spec, (u,) * n),), spec.gram)
+
+
+def _poly_eval(coeffs: Sequence, x: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + float(c)
+    return acc
+
+
+def orthogonality_residual(j, max_degree: int) -> float:
+    """Largest |<P_a, P_b>| for a < b <= max_degree under the
+    (max_degree + 2)-point Gauss rule."""
+    nodes, weights = quadrature_rule(j, max_degree + 2)
+    values = [[_poly_eval(p, x) for x in nodes] for p in polys_from_jacobi(j, max_degree)]
+    worst = 0.0
+    for a in range(max_degree + 1):
+        for b in range(a + 1, max_degree + 1):
+            inner = math.fsum(w * u * v for w, u, v in zip(weights, values[a], values[b]))
+            worst = max(worst, abs(inner))
+    return worst
+
+
+def kernel_partition(values: Sequence) -> SetPartition:
+    """The kernel of a tuple: positions grouped by equal values.
+
+    kernel((5, 2, 5)) partitions [3] into {1,3} | {2}.
+    """
+    groups: Dict[object, List[int]] = {}
+    for pos, val in enumerate(values, start=1):
+        groups.setdefault(val, []).append(pos)
+    return SetPartition(len(values), list(groups.values()))

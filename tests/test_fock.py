@@ -6,7 +6,7 @@ import pytest
 import helpers
 from diagfock._guards import ResourceLimitError
 from diagfock.scalars import DeformationParams, Poly, Q, T, V, W, qt_number
-from diagfock import _linalg, levy
+from diagfock import _linalg, fock, levy
 from diagfock.fock import (
     ANNIHILATE,
     CREATE,
@@ -17,17 +17,14 @@ from diagfock.fock import (
     VectorPair,
     annihilation_apply,
     apply_word,
-    check_commutation_single,
     check_commutation_tensor,
     creation_apply,
     creation_norm_check,
     creation_norm_formula,
     deformed_inner,
-    field_apply,
     gauge_adjoint_check,
     gauge_apply,
     positivity_check,
-    quadrabasic_apply,
     sym_inner_words,
     symmetrizer_matrix,
     vacuum_expectation,
@@ -126,7 +123,7 @@ def test_field_vacuum_moments_symbolic():
     f = FockVector.vacuum()
     powers = [f]
     for _ in range(6):
-        powers.append(field_apply(x, powers[-1], SYM))
+        powers.append(helpers.quadrabasic_sum(x, None, 0, powers[-1], SYM))
     assert powers[2].vacuum_coefficient() == Poly.const(1)
     m4 = powers[4].vacuum_coefficient()
     assert m4 == 1 + Q * V + Q * W + T * V + T * W
@@ -136,8 +133,9 @@ def test_field_vacuum_moments_symbolic():
 
 
 def test_one_pass_sums_equal_separate_actions():
-    # field and quadrabasic apply all their parts in one pass over f; each must
-    # equal the sum of the separate actions, on a vector spread over levels 0-3
+    # the field and general operators apply all their parts in one pass over f;
+    # each must equal the sum of the separate actions, on a vector spread over
+    # levels 0-3
     r = helpers.rng(17)
     d, dbar = 2, 2
     f = FockVector(
@@ -153,14 +151,10 @@ def test_one_pass_sums_equal_separate_actions():
     g = GaugePair.of(helpers.rand_mat(r, d), helpers.rand_mat(r, dbar))
     rational = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4))
     for params, met in ((rational, metric), (SYM, None)):
-        field = creation_apply(x, f) + annihilation_apply(x, f, params, met)
-        assert field_apply(x, f, params, met) == field
         for gauge in (None, g):
             for lam in (Fraction(0), Fraction(-5, 3)):
-                expect = field + f.scale(lam)
-                if gauge is not None:
-                    expect = expect + gauge_apply(gauge, f, params)
-                assert quadrabasic_apply(x, gauge, lam, f, params, met) == expect
+                one_pass = fock._apply_parts(fock._quadrabasic_parts(x, gauge, lam, params, met), f)
+                assert one_pass == helpers.quadrabasic_sum(x, gauge, lam, f, params, met)
 
 
 def test_apply_word_token_kinds():
@@ -414,7 +408,7 @@ def test_commutation_single_parameter_sweep():
         for _ in range(4):
             xi1 = helpers.rand_vec(r, 2)
             xi2 = helpers.rand_vec(r, 2)
-            assert check_commutation_single(xi1, xi2, q, t, 2, maxlevel=3)
+            assert helpers.check_commutation_single(xi1, xi2, q, t, 2, maxlevel=3)
 
 
 def test_commutation_tensor_requires_unit_scale():

@@ -1,11 +1,12 @@
-"""Every guarded public entry, at one past its cap and one below its least size."""
+"""Every guarded public entry, at one past its cap and one below its least size
+(an entry with no cap only below its least size)."""
 
 import re
 from fractions import Fraction
 
 import pytest
 
-from diagfock import cli, fock, levy, partitions, wick
+from diagfock import cli, fock, levy, orthopoly, partitions, wick
 from diagfock._guards import (
     MAX_CF_DEPTH,
     MAX_DIAGONAL_N,
@@ -121,3 +122,19 @@ def test_every_entry_refuses_one_past_its_cap_before_any_work(no_work, call, cap
         with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
             call(least - step)
 
+
+# (id, call at size n, what the message names, least size)
+UNCAPPED = [
+    ("quadrature_rule", lambda n: orthopoly.quadrature_rule(orthopoly.jacobi_sech(3), n), "the Gauss rule size", 0),
+    ("creation_norm_check", lambda n: fock.creation_norm_check(HALF, ONE, nmax=n), "the level count nmax", 1),
+]
+
+
+@pytest.mark.parametrize("call, what, least", [e[1:] for e in UNCAPPED], ids=[e[0] for e in UNCAPPED])
+def test_uncapped_entries_refuse_one_below_their_least_size(call, what, least):
+    # a rule of size -1 used to come back as nodes (0, 0) and weights (0, 1),
+    # and nmax = 0 to fail inside max() on an empty sequence
+    message = f"{what} is {least - 1}, but must be >= {least}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(least - 1)
+    call(least)

@@ -12,11 +12,9 @@ from diagfock.levy import (
     GeneratorPair,
     LevySpec,
     brownian_pair,
-    combined_spec,
     conditional_positivity_check,
     convolve_pairs,
     cumulant_functional,
-    diagonal_measure_spec,
     fock_levy_oracle,
     functional_from_spec,
     gns_reconstruct,
@@ -125,11 +123,11 @@ def test_diagonal_measure_cumulant_identities():
     r = helpers.rng(64)
     spec = rand_spec(r, k=1, d=3)
     for n in (2, 3):
-        diag = diagonal_measure_spec(spec, 0, n)
+        diag = helpers.diagonal_measure_spec(spec, 0, n)
         assert levy_cumulant(diag, (0,)) == levy_cumulant(spec, (0,) * n)
         for m in (2, 3):
             assert levy_cumulant(diag, (0,) * m) == levy_cumulant(spec, (0,) * (n * m))
-    assert diagonal_measure_spec(spec, 0, 1).xi == (spec.xi[0],)
+    assert helpers.diagonal_measure_spec(spec, 0, 1).xi == (spec.xi[0],)
 
 
 def test_stochastic_measure_pair_block_error_is_exact():
@@ -261,7 +259,7 @@ def test_operator_model_refuses_an_unknown_coordinate(u):
             stochastic_measure(spec, (u, u), SetPartition(2, [(1,), (2,)]), Fraction(1), n_int, GEN)
     for n in (1, 2):
         with pytest.raises(ValueError, match="word uses an unknown coordinate"):
-            diagonal_measure_spec(spec, u, n)
+            helpers.diagonal_measure_spec(spec, u, n)
 
 
 def test_cumulant_functional_inverts_moments():
@@ -362,7 +360,6 @@ def test_generator_pairs_and_convolution():
     assert po.cumulants(4) == [Fraction(1, 2)] * 4
     both = convolve_pairs(br, po)
     assert both.cumulants(4) == [Fraction(1, 2), Fraction(5, 2), Fraction(1, 2), Fraction(1, 2)]
-    assert br.scale_time(3).cumulants(4) == [0, 6, 0, 0]
     # exactly nmax cumulants, hence nmax moments
     assert [po.cumulants(n) for n in range(3)] == [[], [Fraction(1, 2)], [Fraction(1, 2)] * 2]
     assert pair_to_moments(po, GEN, 0) == []
@@ -593,11 +590,11 @@ def test_s_polynomial_by_block_count_at_the_symbolic_point():
 def test_combined_spec_mixed_cumulants():
     r = helpers.rng(75)
     a = rand_spec(r, k=1, d=2)
-    b = LevySpec.of([helpers.rand_vec(r, 2)], [helpers.rand_sym_mat(r, 2)], [helpers.rand_frac(r)])
-    both = combined_spec(a, b)
+    xi_b, t_b, lam_b = helpers.rand_vec(r, 2), helpers.rand_sym_mat(r, 2), helpers.rand_frac(r)
+    both = LevySpec.of(a.xi + (xi_b,), a.T + (t_b,), a.lam + (lam_b,))
     assert both.k == 2
     # chain rule: R(0,1,0) = <xi_a, T_b xi_a>
     expect = sum(
-        a.xi[0][i] * sum(b.T[0][i][j] * a.xi[0][j] for j in range(2)) for i in range(2)
+        a.xi[0][i] * sum(t_b[i][j] * a.xi[0][j] for j in range(2)) for i in range(2)
     )
     assert levy_cumulant(both, (0, 1, 0)) == expect

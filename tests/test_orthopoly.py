@@ -18,7 +18,6 @@ from diagfock.orthopoly import (
     JacobiData,
     _integrate,
     _legendre_rule,
-    carleman_sums,
     cauchy_transform,
     jacobi_discrete_qhermite,
     jacobi_hermite,
@@ -30,12 +29,10 @@ from diagfock.orthopoly import (
     mp_moment_quad,
     mp_normalization,
     norm_squares_from_jacobi,
-    orthogonality_residual,
     polys_from_jacobi,
     quadrature_rule,
     sech_density,
     sech_moment_quad,
-    support_interval,
 )
 
 SYM = DeformationParams.symbolic()
@@ -185,9 +182,8 @@ COLD_IMPORT = """
 import json, sys
 import diagfock, diagfock.cli
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
-from diagfock.orthopoly import (
-    jacobi_hermite, mp_normalization, orthogonality_residual, quadrature_rule, sech_moment_quad,
-)
+from diagfock.orthopoly import jacobi_hermite, mp_normalization, quadrature_rule, sech_moment_quad
+from helpers import orthogonality_residual
 from diagfock.scalars import DeformationParams
 jac = jacobi_hermite(DeformationParams.from_rationals(0, 1, 0, 1), 6)
 nodes, weights = quadrature_rule(jac, 5)
@@ -206,7 +202,8 @@ print(json.dumps({
 def test_cold_import_loads_no_numpy_or_scipy():
     # neither a plain import nor any float path loads numpy or scipy
     src = os.path.dirname(os.path.dirname(diagfock.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    paths = [src, os.path.dirname(helpers.__file__), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     run = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, capture_output=True, text=True, check=True)
     out = json.loads(run.stdout)
     assert out["loaded_cold"] == []
@@ -347,7 +344,7 @@ def test_quadrature_integrates_moments():
 
 def test_orthogonality_residual_small():
     jac = jacobi_poisson(params_rat(Fraction(1, 3), 1, Fraction(1, 4), 1), 20)
-    assert orthogonality_residual(jac, 6) < 1e-9
+    assert helpers.orthogonality_residual(jac, 6) < 1e-9
 
 
 def test_sech_moments_exact_and_by_quadrature():
@@ -467,17 +464,11 @@ def test_discrete_qhermite_classical_limit():
 
 def test_support_and_roots():
     q = v = Fraction(1, 2)
-    lo, hi = support_interval(q, v)
-    assert abs(hi - 4.0) < 1e-12 and abs(lo + 4.0) < 1e-12
+    edge = 2 / math.sqrt((1 - q) * (1 - v))  # the support of the (q, 1, v, 1) law is [-edge, edge]
+    assert abs(edge - 4.0) < 1e-12
     jac = jacobi_hermite(params_rat(q, 1, v, 1), 12)
     # the zeros of P_n are the n-point Gauss nodes
     top = max(map(abs, quadrature_rule(jac, 10)[0]))
-    assert 2.0 < top < 4.0
+    assert 2.0 < top < edge
     # root spread grows with the degree toward the support edge
     assert max(map(abs, quadrature_rule(jac, 4)[0])) < top
-
-
-def test_carleman_sech_sum_is_harmonic():
-    total, harmonic = carleman_sums(jacobi_sech(30), 25)
-    assert abs(total - harmonic) < 1e-12
-    assert abs(harmonic - sum(1.0 / k for k in range(1, 26))) < 1e-12

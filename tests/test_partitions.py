@@ -20,11 +20,9 @@ from diagfock.partitions import (
     diagonal_pair_partitions,
     diagonal_partition_profiles,
     diagonal_partitions,
-    kernel_partition,
     noncrossing_partitions,
     pair_partitions,
     pairs_and_singletons_partitions,
-    parse_partition,
     render_partition,
     role_sums,
     set_partitions,
@@ -58,7 +56,7 @@ def test_min_block_size_two_counts():
     for n in range(7):
         got = list(set_partitions(n, min_block_size=2))
         assert len(got) == NO_SINGLETON[n]
-        assert all(min(p.block_sizes()) >= 2 for p in got if p.blocks)
+        assert all(len(b) >= 2 for p in got for b in p.blocks)
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -82,7 +80,7 @@ def test_pairs_and_singletons_counts():
     for n in range(7):
         got = list(pairs_and_singletons_partitions(n))
         assert len(got) == INVOLUTIONS[n]
-        assert all(max(p.block_sizes(), default=1) <= 2 for p in got)
+        assert all(p.is_pairs_and_singletons() for p in got)
 
 
 def test_crossing_nesting_hand_examples():
@@ -186,7 +184,7 @@ def test_diagonal_pair_counts_are_euler_numbers():
     for n in (2, 4, 6, 8):
         listed = list(diagonal_pair_partitions(n))
         assert len(listed) == euler[n]
-        assert all(dp.top.is_pair_partition() for dp in listed)
+        assert all(len(b) == 2 for dp in listed for b in dp.top.blocks)
 
 
 def test_diagonal_pair_partitions_match_filtered_diagonals():
@@ -195,7 +193,7 @@ def test_diagonal_pair_partitions_match_filtered_diagonals():
         via_filter = {
             (canon(dp.top), canon(dp.bar))
             for dp in diagonal_partitions(n)
-            if dp.top.is_pair_partition()
+            if all(len(b) == 2 for b in dp.top.blocks)
         }
         assert via_pairs == via_filter
 
@@ -228,16 +226,14 @@ def test_conjugate_block_sizes_can_differ():
     assert ok
 
 
-def test_parse_render_roundtrip():
-    for text in ["1 3 | 2 4", "1 | 2 | 3", "1 2 3"]:
-        p = parse_partition(text)
-        assert render_partition(p) == text
-    p = SetPartition(4, [(2, 4), (1, 3)])
-    assert parse_partition(render_partition(p)) == p
+def test_render_partition():
+    # blocks by least element, elements ascending, whatever order they came in
+    for blocks, text in [([(2, 4), (1, 3)], "1 3 | 2 4"), ([(3,), (2,), (1,)], "1 | 2 | 3"), ([(3, 1, 2)], "1 2 3")]:
+        assert render_partition(SetPartition(max(map(max, blocks)), blocks)) == text
 
 
 def test_kernel_partition():
-    p = kernel_partition(["a", "b", "a", "c", "b"])
+    p = helpers.kernel_partition(["a", "b", "a", "c", "b"])
     assert canon(p) == ((1, 3), (2, 5), (4,))
 
 
@@ -627,7 +623,7 @@ def test_negative_sizes_are_bad_input(call):
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=8))
 @settings(max_examples=80, deadline=None)
 def test_arc_and_role_invariants(values):
-    p = kernel_partition(values)
+    p = helpers.kernel_partition(values)
     n = p.n
     arcs = p.arcs()
     assert len(arcs) == n - len(p.blocks)

@@ -12,8 +12,6 @@ from diagfock.fock import (
     FockVector,
     GaugePair,
     VectorPair,
-    field_apply,
-    quadrabasic_apply,
 )
 from diagfock.partitions import set_partitions
 from diagfock.wick import (
@@ -58,7 +56,7 @@ def test_gaussian_sixth_moment_symbolic_vs_operator_route():
     x = VectorPair.of([1], [1])
     f = FockVector.vacuum()
     for _ in range(6):
-        f = field_apply(x, f, SYM)
+        f = helpers.quadrabasic_sum(x, None, 0, f, SYM)
     assert gaussian_wick([x] * 6, SYM) == f.vacuum_coefficient()
 
 
@@ -253,8 +251,8 @@ def test_operator_oracles_match_the_whole_vector():
             ]
             field, general = FockVector.vacuum(), FockVector.vacuum()
             for x, op in zip(reversed(xs), reversed(ops)):
-                field = field_apply(x, field, params)
-                general = quadrabasic_apply(op.vector, op.gauge, op.scalar, general, params)
+                field = helpers.quadrabasic_sum(x, None, 0, field, params)
+                general = helpers.quadrabasic_sum(op.vector, op.gauge, op.scalar, general, params)
             for got, want in ((gaussian_fock_oracle(xs, params), field), (full_fock_oracle(ops, params), general)):
                 want = want.vacuum_coefficient()
                 assert got == want and type(got) is type(want), (n, params)
