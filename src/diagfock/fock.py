@@ -21,16 +21,20 @@ Each action is a tensor product of a (q, t) row operator on the top word and
 a (v, w) one on the bar word; a row operator maps one basis word to its
 (word, coefficient) terms.  Creation prefixes a letter; annihilation and
 gauge share the front move R_n and differ only in the letter each position
-turns into.  Field and general operators are sums of such top (x) bar parts,
-applied to a vector in one pass over its terms.
+turns into.  Field and general operators are sums of such top (x) bar parts;
+the single actions and ``_vacuum_moment`` apply them to the (top, bar) pair
+terms of a vector in one pass.  Three routes run row by row instead, since
+each of their operators, and the deformed pairing, is one product top (x) bar:
+:func:`apply_word` keeps one dict per row and tensors the two once at the
+end, and the commutation and gauge-adjoint sweeps compute each row's images
+(or pairings) once per word and combine them per basis pair.
 
 A vacuum moment is a path from level 0 back to level 0, and no operator
 lowers the level by more than one, so a term at level l with r operators
 still to apply can return only if l <= r.  :func:`vacuum_expectation` and
 the vacuum-moment oracles of :mod:`diagfock.wick` and :mod:`diagfock.levy`
-keep only such terms (one private driver, ``_vacuum_moment``).
-:func:`apply_word`, ``wick.word_fock_oracle`` and the single-operator
-actions (creation, annihilation, gauge) return whole, unpruned vectors.
+keep only such terms (one private driver, ``_vacuum_moment``); the single
+actions, :func:`apply_word` and ``wick.word_fock_oracle`` return whole vectors.
 
 Annihilation kills the vacuum.  With t = w = 1 these reduce to the familiar
 twisted ladder operators; the t^N-type commutation relation is exercised in
@@ -57,6 +61,7 @@ from .scalars import DeformationParams, _qt_ladder, _qt_row
 Word = Tuple[int, ...]
 WordPair = Tuple[Word, Word]
 ColumnMemo = Dict[Word, Dict[Word, object]]
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -319,11 +324,14 @@ def apply_word(tokens: Sequence, params: DeformationParams, metric: Metric = Non
     """Apply a product of tokens to the vacuum (rightmost token acts first).
 
     The whole vector is kept at every step: this is the unpruned route that
-    :func:`vacuum_expectation` is tested against."""
-    f = FockVector.vacuum()
+    :func:`vacuum_expectation` is tested against.  It runs row by row."""
+    top, bar = {(): Fraction(1)}, {(): Fraction(1)}
     for token in reversed(tokens):
-        f = _apply_parts(_token_parts(token, params, metric), f)
-    return f
+        ((top_op, bar_op),) = _token_parts(token, params, metric)
+        top, bar = _row_apply(top_op, top), _row_apply(bar_op, bar)
+    out = FockVector()
+    out.terms = {(wt, wb): ct * cb for wt, ct in top.items() for wb, cb in bar.items()}
+    return out
 
 
 def vacuum_expectation(tokens: Sequence, params: DeformationParams, metric: Metric = None):
@@ -369,11 +377,11 @@ def _sym_column(x: Word, a, b, memo: ColumnMemo) -> Dict[Word, object]:
 def _sym_inner(u: Word, x: Word, a, b, g: Optional[_linalg.Matrix], memo: ColumnMemo):
     """<e_u, P^(n)_{a,b} e_x>, pairing letters through the metric g if given."""
     if len(u) != len(x):
-        return Fraction(0)
+        return _ZERO
     col = _sym_column(tuple(x), a, b, memo)
     if g is None:
-        return col.get(tuple(u), Fraction(0))
-    total = Fraction(0)
+        return col.get(tuple(u), _ZERO)
+    total = _ZERO
     for word, c in col.items():
         for ui, yi in zip(u, word):
             c = c * g[ui][yi]
@@ -389,13 +397,8 @@ def sym_inner_words(u: Word, x: Word, a, b, g: Optional[_linalg.Matrix] = None):
 def deformed_inner(f: FockVector, h: FockVector, params: DeformationParams, metric: Metric = None):
     """The four-parameter inner product: levels pair off, and within a level the
     top rows pair through P_{q,t} while the bar rows pair through P_{v,w}."""
-    return _deformed_inner(f, h, params, metric, {}, {})
-
-
-def _deformed_inner(
-    f: FockVector, h: FockVector, params: DeformationParams, metric: Metric, top_memo: ColumnMemo, bar_memo: ColumnMemo
-):
-    """deformed_inner with the column memos of the top and bar rows passed in."""
+    top_memo: ColumnMemo = {}
+    bar_memo: ColumnMemo = {}
     g_top = metric[0] if metric else None
     g_bar = metric[1] if metric else None
     total = Fraction(0)
@@ -465,17 +468,21 @@ def positivity_check(n: int, a: Fraction, b: Fraction, d: int) -> Tuple[str, int
     content with the same matrix, so one block per sorted content (a
     partition of n into at most d parts) is classified, counted as many times
     as its content has distinct rearrangements over the d letters.
+
+    a and b are cleared by D, the lcm of their denominators, so the columns are
+    ints: P_n(Da, Db) = D^C(n,2) P_n(a, b) has the same verdict and kernel.
     """
     _check_words(n, d)
     a, b = Fraction(a), Fraction(b)
-    memo: ColumnMemo = {}  # shared by all blocks: a subword's column serves every block holding it
-    zero = Fraction(0)
+    scale = math.lcm(a.denominator, b.denominator)
+    a, b = int(a * scale), int(b * scale)
+    memo: ColumnMemo = {(): {(): 1}}  # shared by all blocks: a subword's column serves every block holding it
     blocks = []
     for content in _letter_contents(n, d, n):
         head = tuple(letter for letter, size in enumerate(content) for _ in range(size))
         # its rearrangements in lex order, from at most d^n words
         words = [x for x in itertools.product(range(len(content)), repeat=n) if tuple(sorted(x)) == head]
-        block = tuple(tuple(_sym_column(x, a, b, memo).get(u, zero) for u in words) for x in words)
+        block = tuple(tuple(_sym_column(x, a, b, memo).get(u, 0) for u in words) for x in words)
         padded = content + (0,) * (d - len(content))
         count = math.factorial(len(padded))
         for size in set(padded):
@@ -502,47 +509,64 @@ def check_commutation_tensor(
     inner_top = _linalg.dot(x1.xi, x2.xi)
     inner_bar = _linalg.dot(x1.eta, x2.eta)
     one = Fraction(1)
-    create_top, annihilate_top = _row_create(x2.xi), _row_annihilate(x1.xi, q, one)
-    create_bar, annihilate_bar = _row_create(x2.eta), _row_annihilate(x1.eta, v, one)
+    create_top, annihilate_top = _row_create(x2.xi), _row_annihilate(x1.xi, q, params.t)
+    create_bar, annihilate_bar = _row_create(x2.eta), _row_annihilate(x1.eta, v, params.w)
+
+    def row_images(create: RowOp, annihilate: RowOp, size: int, n: int, lhs_scale, rhs_scale):
+        """(word, a c e_word, lhs_scale c a e_word, rhs_scale c a e_word) as
+        term lists, for each level-n word over size letters."""
+        for w in itertools.product(range(size), repeat=n):
+            moved = _row_apply(create, _row_apply(annihilate, {w: one})).items()
+            ac = _row_apply(annihilate, _row_apply(create, {w: one})).items()
+            yield w, ac, [(u, lhs_scale * c) for u, c in moved], [(u, rhs_scale * c) for u, c in moved]
+
     for n in range(0, maxlevel + 1):
-        for top in itertools.product(range(d), repeat=n):
-            moved_top = _row_apply(create_top, _row_apply(annihilate_top, {top: one}))
-            for bar in itertools.product(range(dbar), repeat=n):
-                f = FockVector({(top, bar): one})
-                lhs = annihilation_apply(x1, creation_apply(x2, f), params)
-                lhs = lhs - creation_apply(x2, annihilation_apply(x1, f, params)).scale(q * v)
-                moved_bar = _row_apply(create_bar, _row_apply(annihilate_bar, {bar: one}))
+        bars = list(row_images(create_bar, annihilate_bar, dbar, n, one, v * inner_top))
+        for top, ac_top, moved_top, rhs_top in row_images(create_top, annihilate_top, d, n, -(q * v), q * inner_bar):
+            for bar, ac_bar, moved_bar, rhs_bar in bars:
+                lhs = itertools.chain(
+                    (((wt, wb), ct * cb) for wt, ct in ac_top for wb, cb in ac_bar),
+                    (((wt, wb), ct * cb) for wt, ct in moved_top for wb, cb in moved_bar),
+                )
                 rhs = itertools.chain(
-                    (((w, bar), q * inner_bar * c) for w, c in moved_top.items()),
-                    (((top, w), v * inner_top * c) for w, c in moved_bar.items()),
+                    (((w, bar), c) for w, c in rhs_top),
+                    (((top, w), c) for w, c in rhs_bar),
                     [((top, bar), inner_top * inner_bar)],
                 )
-                if lhs.terms != _collect(rhs):
+                if _collect(lhs) != _collect(rhs):
                     return False
     return True
+
+
+def _adjoint_pairs(mat, a, b, size: int, n: int, memo: ColumnMemo):
+    """(<T e_x, e_y>_P, <e_x, T' e_y>_P) for every pair (x, y) of level-n
+    words of one row, T = mat, T' its transpose and P = P^(n)_{a,b}.  P is
+    symmetric, so the first pairs T e_x with the column P e_y and the second
+    T' e_y with P e_x."""
+    words = list(itertools.product(range(size), repeat=n))
+    cols = [_sym_column(z, a, b, memo) for z in words]
+    gauge, gauge_adj = _row_gauge(mat, a, b), _row_gauge(_linalg.transpose(mat), a, b)
+    images, images_adj = [gauge(z) for z in words], [gauge_adj(z) for z in words]
+
+    def pair(terms, col):
+        return sum((c * col[w] for w, c in terms if w in col), _ZERO)
+
+    indices = range(len(words))
+    return [(pair(images[x], cols[y]), pair(images_adj[y], cols[x])) for x in indices for y in indices]
 
 
 def gauge_adjoint_check(
     g: GaugePair, params: DeformationParams, d: int, dbar: int, maxlevel: int = 3
 ) -> bool:
     """<p f, h> = <f, p' h> in the deformed inner product, p' built from the
-    transposed matrices.  Swept exactly over all basis word pairs."""
-    g_adj = GaugePair(_linalg.transpose(g.top), _linalg.transpose(g.bar))
-    memos: Tuple[ColumnMemo, ColumnMemo] = ({}, {})  # shared by every inner product of the sweep
+    transposed matrices.  Swept exactly over all basis word pairs, each side
+    the product of one top-row and one bar-row pairing."""
+    top_memo, bar_memo = {}, {}  # column memos, each shared by every pairing of its row in the sweep
     for n in range(1, maxlevel + 1):
-        basis = [
-            FockVector({(top, bar): Fraction(1)})
-            for top in itertools.product(range(d), repeat=n)
-            for bar in itertools.product(range(dbar), repeat=n)
-        ]
-        images = [gauge_apply(g, f, params) for f in basis]
-        images_adj = [gauge_apply(g_adj, f, params) for f in basis]
-        for i, f in enumerate(basis):
-            for j, h in enumerate(basis):
-                left = _deformed_inner(images[i], h, params, None, *memos)
-                right = _deformed_inner(f, images_adj[j], params, None, *memos)
-                if left != right:
-                    return False
+        bar = _adjoint_pairs(g.bar, params.v, params.w, dbar, n, bar_memo)
+        for lt, rt in _adjoint_pairs(g.top, params.q, params.t, d, n, top_memo):
+            if any(lt * lb != rt * rb for lb, rb in bar):
+                return False
     return True
 
 

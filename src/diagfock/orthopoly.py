@@ -92,6 +92,7 @@ class JacobiData:
 
 def _hermite_gammas(params: DeformationParams, depth: int) -> Tuple:
     """gamma_{n-1} = [n]_{q,t} [n]_{v,w} for n = 1..depth-1."""
+    _guards.check_size("the recurrence depth", depth, math.inf, least=1)
     top = _qt_ladder(params.q, params.t, depth - 1)
     bar = _qt_ladder(params.v, params.w, depth - 1)
     return tuple(x * y for x, y in zip(top, bar))
@@ -108,6 +109,7 @@ def jacobi_poisson(params: DeformationParams, depth: int) -> JacobiData:
 
 def jacobi_qmp(q: Fraction, alpha: Fraction, depth: int) -> JacobiData:
     """gamma_{n-1} = [n]_q (1 + alpha q^(n-1)), with q^(n-1) = [n]_{0,q}."""
+    _guards.check_size("the recurrence depth", depth, math.inf, least=1)
     q, alpha = Fraction(q), Fraction(alpha)
     q_numbers = _qt_ladder(q, Fraction(1), depth - 1)
     q_pows = _qt_ladder(Fraction(0), q, depth - 1)
@@ -164,6 +166,7 @@ def moments_from_jacobi(j: JacobiData, nmax: int) -> List:
 
 def polys_from_jacobi(j: JacobiData, nmax: int) -> List[List]:
     """Monic orthogonal polynomials P_0..P_nmax as ascending coefficient lists."""
+    _guards.check_size("the polynomial degree nmax", nmax, math.inf)
     if j.depth < nmax:
         raise ValueError(f"need recurrence depth >= {nmax}")
     polys: List[List] = [[Fraction(1)]]
@@ -185,6 +188,7 @@ def polys_from_jacobi(j: JacobiData, nmax: int) -> List[List]:
 def norm_squares_from_jacobi(j: JacobiData, nmax: int) -> List:
     """Squared norms of P_0..P_nmax: cumulative products of the gammas,
     starting from ||P_0||^2 = 1."""
+    _guards.check_size("the polynomial degree nmax", nmax, math.inf)
     if len(j.gamma) < nmax:
         raise ValueError(f"need {nmax} gamma entries")
     out = [Fraction(1)]
@@ -206,6 +210,7 @@ def cauchy_transform(j: JacobiData, z: complex, depth: int) -> complex:
     truncated at the given depth.  Needs Im z != 0 for a safe denominator;
     a real z where a denominator vanishes is refused with ValueError.
     """
+    _guards.check_size("the continued-fraction depth", depth, math.inf, least=1)
     beta, gamma = j.as_floats()
     if depth > j.depth:
         raise ValueError("depth exceeds available recurrence data")

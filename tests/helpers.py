@@ -507,6 +507,16 @@ def quadrabasic_sum(x, g, lam, f, params, metric=None):
     return out + f.scale(lam)
 
 
+def apply_word_pairs(tokens, params, metric=None):
+    """A product of tokens applied to the vacuum on (top, bar) pairs: every
+    token expands each pair term into the products of its top and bar images.
+    The library runs each row on its own and tensors the rows once."""
+    f = fock.FockVector.vacuum()
+    for token in reversed(tokens):
+        f = fock._apply_parts(fock._token_parts(token, params, metric), f)
+    return f
+
+
 def check_commutation_single(xi1, xi2, a, b, d: int, maxlevel: int = 3) -> bool:
     """Verify the single-row relation on every basis word up to maxlevel:
 

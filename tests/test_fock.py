@@ -169,6 +169,28 @@ def test_apply_word_token_kinds():
         vacuum_expectation([(CREATE, x)] * 20, SYM)
 
 
+def test_apply_word_matches_the_pair_route():
+    # the row route against the pair route it replaced, in values and types:
+    # every word over the four kinds up to length 3 and sampled words up to 6,
+    # with and without the interval metric, at a rational and the symbolic point
+    r = helpers.rng(37)
+    kinds = (CREATE, ANNIHILATE, GAUGE, SCALAR)
+    interval = levy._interval_metric([Fraction(1, 2), Fraction(5, 3)], ((Fraction(3, 2),),), 1)
+    words = [w for n in range(4) for w in itertools.product(kinds, repeat=n)]
+    words += [tuple(r.choice(kinds) for _ in range(n)) for n in range(4, 7) for _ in range(6)]
+    nonzero = 0
+    for params in (params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4)), SYM):
+        for metric in (None, (interval, None)):
+            for word in words:
+                tokens = [_random_token(r, kind, 2, 2) for kind in word]
+                got = apply_word(tokens, params, metric).terms
+                want = helpers.apply_word_pairs(tokens, params, metric).terms
+                assert got == want, (word, params, metric)
+                assert all(type(got[key]) is type(c) for key, c in want.items()), (word, params, metric)
+                nonzero += bool(got)
+    assert nonzero > len(words)  # most words leave a nonzero vector
+
+
 def _returnable_kinds(r, n):
     """n token kinds that can take the vacuum back to itself: read from the
     right, no kind leaves more levels than operators left to come down, and
@@ -434,6 +456,29 @@ def test_gauge_adjoint_sweep():
     for _ in range(4):
         g = GaugePair.of(helpers.rand_mat(r, 2), helpers.rand_mat(r, 2))
         assert gauge_adjoint_check(g, p, 2, 2, maxlevel=3)
+
+
+def test_commutation_tensor_fails_with_swapped_annihilation_weights(monkeypatch):
+    # annihilation weighting position i by t^(i-1) q^(n-i) breaks the relation from level 1 on
+    p = params_rat(Fraction(1, 2), 1, Fraction(1, 3), 1)
+    x1 = VectorPair.of([1, Fraction(1, 2)], [Fraction(2, 3), 1])
+    x2 = VectorPair.of([Fraction(-1, 3), 2], [1, Fraction(3, 4)])
+    assert check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=2)
+    row_annihilate = fock._row_annihilate
+    monkeypatch.setattr(fock, "_row_annihilate", lambda vec, wa, wb, g=None: row_annihilate(vec, wb, wa, g))
+    assert check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=0)
+    assert not check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=2)
+
+
+def test_gauge_adjoint_fails_without_the_transpose(monkeypatch):
+    # a non-symmetric matrix is not its own adjoint, on either row
+    p = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 4), Fraction(1, 2))
+    symmetric, skewed = [[1, 2], [2, Fraction(1, 3)]], [[Fraction(1, 2), 1], [Fraction(-1, 3), 2]]
+    gauges = [GaugePair.of(symmetric, skewed), GaugePair.of(skewed, symmetric)]
+    assert all(gauge_adjoint_check(g, p, 2, 2, maxlevel=2) for g in gauges)
+    monkeypatch.setattr(_linalg, "transpose", lambda m: m)
+    assert gauge_adjoint_check(GaugePair.of(symmetric, symmetric), p, 2, 2, maxlevel=2)
+    assert not any(gauge_adjoint_check(g, p, 2, 2, maxlevel=2) for g in gauges)
 
 
 def test_creation_norm_pinned_points():

@@ -127,13 +127,38 @@ def test_every_entry_refuses_one_past_its_cap_before_any_work(no_work, call, cap
 UNCAPPED = [
     ("quadrature_rule", lambda n: orthopoly.quadrature_rule(orthopoly.jacobi_sech(3), n), "the Gauss rule size", 0),
     ("creation_norm_check", lambda n: fock.creation_norm_check(HALF, ONE, nmax=n), "the level count nmax", 1),
+    (
+        "polys_from_jacobi",
+        lambda n: orthopoly.polys_from_jacobi(orthopoly.jacobi_sech(4), n),
+        "the polynomial degree nmax",
+        0,
+    ),
+    (
+        "norm_squares_from_jacobi",
+        lambda n: orthopoly.norm_squares_from_jacobi(orthopoly.jacobi_sech(4), n),
+        "the polynomial degree nmax",
+        0,
+    ),
+    (
+        "cauchy_transform",
+        lambda n: orthopoly.cauchy_transform(orthopoly.jacobi_sech(4), 1j, n),
+        "the continued-fraction depth",
+        1,
+    ),
+    ("jacobi_sech", orthopoly.jacobi_sech, "the recurrence depth", 1),
+    ("jacobi_hermite", lambda n: orthopoly.jacobi_hermite(P, n), "the recurrence depth", 1),
+    ("jacobi_poisson", lambda n: orthopoly.jacobi_poisson(P, n), "the recurrence depth", 1),
+    ("jacobi_qmp", lambda n: orthopoly.jacobi_qmp(HALF, HALF, n), "the recurrence depth", 1),
 ]
 
 
 @pytest.mark.parametrize("call, what, least", [e[1:] for e in UNCAPPED], ids=[e[0] for e in UNCAPPED])
 def test_uncapped_entries_refuse_one_below_their_least_size(call, what, least):
     # a rule of size -1 used to come back as nodes (0, 0) and weights (0, 1),
-    # and nmax = 0 to fail inside max() on an empty sequence
+    # and nmax = 0 to fail inside max() on an empty sequence; polys_from_jacobi
+    # at -1 gave P_0 and P_1, cauchy_transform 0j, jacobi_poisson the data of
+    # depth 1, and a depth-0 sech, hermite or qmp recurrence failed with
+    # "need exactly one more beta than gamma"
     message = f"{what} is {least - 1}, but must be >= {least}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(least - 1)
