@@ -73,7 +73,13 @@ class VectorPair:
 
     @classmethod
     def of(cls, xi: Sequence, eta: Sequence) -> "VectorPair":
-        return cls(tuple(Fraction(a) for a in xi), tuple(Fraction(b) for b in eta))
+        """The pair from the coordinates of xi and eta; a zero-length vector
+        (a one-particle space of dimension 0) is refused, naming its field."""
+        pair = cls(tuple(Fraction(a) for a in xi), tuple(Fraction(b) for b in eta))
+        for name, vec in (("xi", pair.xi), ("eta", pair.eta)):
+            if not vec:
+                raise ValueError(f"{name} is a zero-length vector")
+        return pair
 
 
 @dataclass(frozen=True)
@@ -85,9 +91,13 @@ class GaugePair:
 
     @classmethod
     def of(cls, top: Sequence[Sequence], bar: Sequence[Sequence]) -> "GaugePair":
+        """The pair from the rows of T and T-bar; a 0 x 0 matrix is refused,
+        naming it (``T`` or ``Tbar``, as in the CLI's input)."""
         t = tuple(tuple(Fraction(x) for x in row) for row in top)
         b = tuple(tuple(Fraction(x) for x in row) for row in bar)
-        for m in (t, b):
+        for name, m in (("T", t), ("Tbar", b)):
+            if not m:
+                raise ValueError(f"gauge {name} is a 0 x 0 matrix")
             if any(len(row) != len(m) for row in m):
                 raise ValueError("gauge matrices must be square")
         return cls(t, b)

@@ -457,21 +457,22 @@ def _unit(values):
 
 def _cleared(x, scale: int):
     """x * scale: an int for an int x or a Fraction x whose denominator
-    divides scale, and a Poly x times scale (x itself at scale 1)."""
+    divides scale, and a Poly x times scale, one scale of its int
+    numerators (x itself at scale 1)."""
     if type(x) is Fraction:
         return x.numerator * (scale // x.denominator)
     return x * scale if scale != 1 else x
 
 
 def _over(x, scale: int):
-    """x / scale: a Fraction for an int or Fraction x, a Poly x times the
-    Fraction 1/scale (a Poly has no division)."""
+    """x / scale: a Fraction for an int or Fraction x, and for a Poly x
+    x * Fraction(1, scale), one scale of its denominator."""
     return Fraction(x, scale) if type(x) is int or type(x) is Fraction else x * Fraction(1, scale)
 
 
 def _times(x, unit):
     """x * unit for a unit 1/D of :func:`_unit`: x itself for the int 1,
-    else x / D."""
+    else x / D (for a Poly, one scale of its denominator)."""
     return x if type(unit) is int else _over(x, unit.denominator)
 
 

@@ -8,9 +8,15 @@ Two kinds of scalars circulate in this package:
     symbolically instead of at a rational parameter point.
 
 A polynomial is a dict mapping exponent 4-tuples ``(a, b, c, d)`` (degrees of
-q, t, v, w) to nonzero Fractions.  The zero polynomial has an empty dict.
-Everything downstream is written against ordinary Python operators, so the
-two scalar kinds mix freely: ``Fraction + Poly`` promotes to ``Poly``.
+q, t, v, w) to nonzero int numerators, over one positive int denominator
+that shares no factor with all of them (Knuth, TAOCP vol. 2, 4.6.1).  The
+zero polynomial has an empty dict and denominator 1.  The sums run on
+cleared integer data, so their Polys have denominator 1 and add and
+multiply on ints; a Fraction enters only as one scale of the numerators and
+the denominator.  ``terms``, ``constant_term`` and ``evaluate`` give
+Fractions.  Everything downstream is written against ordinary Python
+operators, so the two scalar kinds mix freely: ``Fraction + Poly`` promotes
+to ``Poly``.
 
 Convention: ``0**0 == 1`` throughout, so evaluating a monomial at q = 0 with
 exponent 0 gives 1.  Python's ``Fraction(0) ** 0`` already behaves this way.
@@ -18,6 +24,7 @@ exponent 0 gives 1.  Python's ``Fraction(0) ** 0`` already behaves this way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, Tuple, Union
@@ -53,15 +60,46 @@ def _monomial_str(exp: Exponent) -> str:
     return "".join(parts)
 
 
+def _poly(num: Dict[Exponent, int], den: int) -> "Poly":
+    """The Poly num/den, its parts already in lowest terms."""
+    res = Poly.__new__(Poly)
+    res._num = num
+    res._den = den
+    return res
+
+
+def _lowest(num: Dict[Exponent, int], den: int) -> "Poly":
+    """The Poly num/den for a positive den: numerators and denominator
+    divided by their gcd (the zero polynomial gets denominator 1)."""
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {exp: c // g for exp, c in num.items()}
+    return _poly(num, den)
+
+
+def _parts(x) -> "Tuple[Dict[Exponent, int], int] | None":
+    """(numerators, denominator) of a Poly, int or Fraction, else None."""
+    if isinstance(x, Poly):
+        return x._num, x._den
+    if isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+        return ({_ZERO4: x.numerator} if x else {}), x.denominator
+    return None
+
+
 class Poly:
     """Sparse polynomial in q, t, v, w over the rationals.
 
-    Immutable once constructed; zero coefficients are pruned.  Equality is
-    structural (identical monomial dicts), which is canonical because the
-    representation is.
+    Immutable once constructed.  Stored as integer numerators keyed by
+    exponent (zeros pruned) over one positive integer denominator, with no
+    common factor among them all (denominator 1 for zero).  That form is
+    canonical, so equality is structural; at denominator 1, the common case
+    of the cleared sums, arithmetic runs on ints with no gcd at all.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Dict[Exponent, Fraction] | None = None):
         clean: Dict[Exponent, Fraction] = {}
@@ -72,7 +110,11 @@ class Poly:
                     if len(exp) != 4 or any(e < 0 for e in exp):
                         raise ValueError(f"bad exponent tuple: {exp!r}")
                     clean[tuple(exp)] = coeff
-        self._terms = clean
+        # over the lcm of the denominators no prime divides every numerator:
+        # each prime's top power in the lcm leaves one numerator prime to it
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._num = {exp: c.numerator * (den // c.denominator) for exp, c in clean.items()}
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -82,7 +124,7 @@ class Poly:
 
     @classmethod
     def const(cls, value: Union[int, Fraction]) -> "Poly":
-        return cls({_ZERO4: Fraction(value)})
+        return cls({_ZERO4: value})
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
@@ -90,132 +132,155 @@ class Poly:
             raise ValueError(f"unknown variable {name!r}; expected one of {VAR_NAMES}")
         exp = [0, 0, 0, 0]
         exp[VAR_NAMES.index(name)] = 1
-        return cls({tuple(exp): Fraction(1)})
+        return cls({tuple(exp): 1})
 
     @classmethod
     def monomial(cls, coeff: Union[int, Fraction], exp: Exponent) -> "Poly":
-        return cls({tuple(exp): Fraction(coeff)})
+        return cls({tuple(exp): coeff})
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> Dict[Exponent, Fraction]:
-        return dict(self._terms)
+        den = self._den
+        return {exp: Fraction(c, den) for exp, c in self._num.items()}
 
     def constant_term(self) -> Fraction:
-        return self._terms.get(_ZERO4, Fraction(0))
+        return Fraction(self._num.get(_ZERO4, 0), self._den)
 
     # -- ring operations ---------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "Poly | None":
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        out = dict(self._terms)
-        for exp, c in o._terms.items():
-            s = out.get(exp)
-            s = c if s is None else s + c
+        num, den = parts
+        if den == self._den:
+            out = dict(self._num)
+        else:
+            g = math.gcd(den, self._den)
+            mine_by, num_by = den // g, self._den // g
+            out = {exp: c * mine_by for exp, c in self._num.items()}
+            num = {exp: c * num_by for exp, c in num.items()}
+            den *= num_by  # the lcm of the two denominators
+        get = out.get
+        for exp, c in num.items():
+            s = get(exp, 0) + c
             if s:
                 out[exp] = s
             else:
                 del out[exp]
-        res = Poly.__new__(Poly)
-        res._terms = out
-        return res
+        return _poly(out, 1) if den == 1 else _lowest(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = Poly.__new__(Poly)
-        res._terms = {exp: -c for exp, c in self._terms.items()}
-        return res
+        return _poly({exp: -c for exp, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return self + (-o)
+        return self + -_poly(*parts)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return o + (-self)
+        return -self + _poly(*parts)
+
+    def _scaled(self, a: int, b: int) -> "Poly":
+        """self * a/b for ints a and b > 0 with no common factor: a cancels
+        against the denominator and b against the numerators' gcd, so the
+        result needs no further reduction."""
+        if not a:
+            return _poly({}, 1)
+        num, den = self._num, self._den
+        if den != 1:
+            g = math.gcd(a, den)
+            a //= g
+            den //= g
+        g = math.gcd(b, *num.values()) if b != 1 else 1
+        if g != 1:
+            b //= g
+            num = {exp: c // g * a for exp, c in num.items()}
+        elif a != 1:
+            num = {exp: c * a for exp, c in num.items()}
+        return _poly(num, den * b)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, Poly):
+            if isinstance(other, int):
+                return self._scaled(other, 1)
+            if isinstance(other, Fraction):
+                return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        out: Dict[Exponent, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in o._terms.items():
-                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                s = out.get(exp)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[exp] = s
-                else:
-                    del out[exp]
-        res = Poly.__new__(Poly)
-        res._terms = out
-        return res
+        out: Dict[Exponent, int] = {}
+        get = out.get
+        right = [(*exp, c) for exp, c in other._num.items()]
+        for (a1, b1, c1, d1), k1 in self._num.items():
+            for a2, b2, c2, d2, k2 in right:
+                exp = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
+                out[exp] = get(exp, 0) + k1 * k2
+        if 0 in out.values():
+            out = {exp: c for exp, c in out.items() if c}
+        den = self._den * other._den
+        return _poly(out, 1) if den == 1 else _lowest(out, den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power needs a nonnegative integer")
-        result = Poly.const(1)
+        if n == 0:
+            return _poly({_ZERO4: 1}, 1)
         base = self
+        while not n & 1:  # the power at the lowest set bit starts the product
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return self._terms == o._terms
+        return self._den == parts[1] and self._num == parts[0]
 
     def __hash__(self):
         # a constant hashes like the Fraction it equals, so it finds the same
         # dict and set entries (the zero polynomial hashes like 0)
-        if self._terms.keys() <= {_ZERO4}:
+        if self._num.keys() <= {_ZERO4}:
             return hash(self.constant_term())
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     # -- evaluation and printing -------------------------------------------
 
     def evaluate(self, q: Fraction, t: Fraction, v: Fraction, w: Fraction) -> Fraction:
         vals = (Fraction(q), Fraction(t), Fraction(v), Fraction(w))
         total = Fraction(0)
-        for exp, coeff in self._terms.items():
-            prod = coeff
+        for exp, coeff in self._num.items():
+            prod = Fraction(coeff)
             for base, e in zip(vals, exp):
                 if e:
                     prod *= base ** e
             total += prod
-        return total
+        return total / self._den
 
     def sorted_terms(self):
         """Terms by total degree, then q-heavy first (q before t before v before w)."""
         return sorted(
-            self._terms.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0]))
+            self.terms.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0]))
         )
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         chunks = []
         for exp, coeff in self.sorted_terms():
@@ -233,7 +298,7 @@ class Poly:
         return " ".join(chunks)
 
     def __repr__(self) -> str:
-        return f"Poly({self._terms!r})"
+        return f"Poly({dict(self.sorted_terms())!r})"
 
 
 Q = Poly.variable("q")

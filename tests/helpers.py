@@ -423,6 +423,102 @@ def moments_of_atoms(atoms: Sequence[Tuple[Fraction, Fraction]], nmax: int) -> L
     return [sum(w * x**n for w, x in atoms) for n in range(nmax + 1)]
 
 
+# -- the Fraction-dict polynomial ------------------------------------------------------
+
+_VAR_NAMES = ("q", "t", "v", "w")
+_ZERO4 = (0, 0, 0, 0)
+
+
+class FractionPoly:
+    """The reference for :class:`diagfock.scalars.Poly`: a dict mapping
+    exponent 4-tuples (degrees of q, t, v, w) to nonzero Fractions, every
+    operation done term by term on Fractions.  It mixes with ints and
+    Fractions as Poly does, and prints the same text."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=None):
+        self._terms = {tuple(e): Fraction(c) for e, c in (terms or {}).items() if c != 0}
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, FractionPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionPoly({_ZERO4: other})
+        return None
+
+    def constant_term(self) -> Fraction:
+        return self._terms.get(_ZERO4, Fraction(0))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for exp, c in o._terms.items():
+            out[exp] = out.get(exp, 0) + c
+        return FractionPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPoly({exp: -c for exp, c in self._terms.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out: Dict[tuple, Fraction] = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in o._terms.items():
+                exp = tuple(a + b for a, b in zip(e1, e2))
+                out[exp] = out.get(exp, 0) + c1 * c2
+        return FractionPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        result = FractionPoly({_ZERO4: 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._terms == o._terms
+
+    def __hash__(self):
+        if self._terms.keys() <= {_ZERO4}:
+            return hash(self.constant_term())
+        return hash(frozenset(self._terms.items()))
+
+    def evaluate(self, q, t, v, w) -> Fraction:
+        vals = (Fraction(q), Fraction(t), Fraction(v), Fraction(w))
+        return sum((c * math.prod(x ** e for x, e in zip(vals, exp)) for exp, c in self._terms.items()), Fraction(0))
+
+    def sorted_terms(self):
+        """Terms by total degree, then q-heavy first (q before t before v before w)."""
+        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
+
+    def __str__(self) -> str:
+        chunks = []
+        for exp, coeff in self.sorted_terms():
+            mono = "".join(name if e == 1 else f"{name}^{e}" for name, e in zip(_VAR_NAMES, exp) if e)
+            body = str(abs(coeff)) if not mono else mono if abs(coeff) == 1 else f"{abs(coeff)} {mono}"
+            sign = ("" if coeff > 0 else "-") if not chunks else ("+ " if coeff > 0 else "- ")
+            chunks.append(sign + body)
+        return " ".join(chunks) or "0"
+
+
 # -- dense Jacobi-matrix powers -------------------------------------------------------
 
 

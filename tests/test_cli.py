@@ -336,6 +336,26 @@ def test_wick_rejects_gauge_of_another_dimension(tmp_path, capsys):
     assert captured.err.startswith("error: gauge T must be 2 x 2") and not captured.out
 
 
+@pytest.mark.parametrize(
+    "kind, key, entry, message",
+    [
+        ("gaussian", "vectors", {"xi": [], "eta": []}, "xi is a zero-length vector"),
+        ("gaussian", "vectors", {"xi": ["1"], "eta": []}, "eta is a zero-length vector"),
+        ("full", "operators", {"xi": ["1"], "eta": ["1"], "T": [], "Tbar": [["1"]]}, "gauge T is a 0 x 0 matrix"),
+        ("full", "operators", {"xi": ["1"], "eta": ["1"], "T": [["1"]], "Tbar": []}, "gauge Tbar is a 0 x 0 matrix"),
+    ],
+    ids=["xi", "eta", "T", "Tbar"],
+)
+def test_wick_refuses_zero_dimensional_input(tmp_path, capsys, kind, key, entry, message):
+    # a job on 0-dimensional spaces would print "match": true about nothing
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"kind": kind, key: [entry, entry]}))
+    code = main(["wick", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n" and not captured.out
+
+
 @pytest.mark.parametrize("gauge", [3, ["12", "34"]])
 def test_wick_rejects_matrix_that_is_not_a_list_of_lists(tmp_path, capsys, gauge):
     op = {"xi": ["1"], "eta": ["1"], "T": gauge, "Tbar": [["1"]]}

@@ -86,6 +86,21 @@ def test_annihilation_weights_level_two_by_hand():
     assert out.terms == {((1,), (0,)): T * W + T * V}
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: VectorPair.of([], [1]), "xi is a zero-length vector"),
+        (lambda: VectorPair.of([1], []), "eta is a zero-length vector"),
+        (lambda: GaugePair.of([], [[1]]), "gauge T is a 0 x 0 matrix"),
+        (lambda: GaugePair.of([[1]], []), "gauge Tbar is a 0 x 0 matrix"),
+    ],
+    ids=["xi", "eta", "T", "Tbar"],
+)
+def test_zero_dimensional_input_is_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_gauge_kills_vacuum_and_acts_scalar_at_d1():
     g = GaugePair.of([[Fraction(5)]], [[Fraction(7)]])
     assert gauge_apply(g, FockVector.vacuum(), SYM) == FockVector.zero()

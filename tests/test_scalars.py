@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import FractionPoly
 from diagfock.scalars import (
     DeformationParams,
     Poly,
@@ -61,11 +62,12 @@ def test_int_and_fraction_coercion():
 
 
 def test_pow_matches_repeated_mul():
-    p = Q + 2 * T
-    acc = Poly.const(1)
-    for k in range(5):
-        assert p**k == acc
-        acc = acc * p
+    # denominators 1 and 12
+    for p in (Q + 2 * T, Fraction(1, 2) * Q - Fraction(2, 3) * T * W + Fraction(3, 4)):
+        acc = Poly.const(1)
+        for k in range(9):
+            assert p**k == acc
+            acc = acc * p
 
 
 def test_qt_number_values():
@@ -134,3 +136,75 @@ def test_constant_poly_hashes_like_its_fraction():
     assert Poly.zero() in {Fraction(0)} and Fraction(2) in {Poly.const(2)}
     # nonconstant polynomials still hash by their terms
     assert {Q + T: 1}.get(T + Q) == 1 and Poly.const(1) not in {Q}
+
+
+def test_repr_is_canonical():
+    # equal Polys built in two orders print one repr, which reads back
+    a = Poly({(1, 0, 0, 0): 1, (0, 1, 0, 0): Fraction(2, 3), (0, 0, 0, 0): -1})
+    b = Poly({(0, 0, 0, 0): -1, (0, 1, 0, 0): Fraction(2, 3), (1, 0, 0, 0): 1})
+    assert a == b and repr(a) == repr(b)
+    assert repr(Q + T) == repr(T + Q)
+    assert eval(repr(a), {"Poly": Poly, "Fraction": Fraction}) == a
+
+
+# -- against the Fraction-dict reference ---------------------------------------------
+
+coeffs = st.one_of(st.integers(min_value=-3, max_value=3), st.fractions(min_value=-3, max_value=3, max_denominator=6))
+term_dicts = st.dictionaries(st.tuples(*(st.integers(min_value=0, max_value=2) for _ in range(4))), coeffs, max_size=4)
+
+
+@st.composite
+def operands(draw, scalars=True):
+    """(a Poly or scalar, the same value as a FractionPoly or scalar)."""
+    if scalars and draw(st.booleans()):
+        x = draw(coeffs)
+        return x, x
+    terms = draw(term_dicts)
+    return Poly(terms), FractionPoly(terms)
+
+
+def assert_matches(got, want):
+    """A Poly result agrees with its reference on everything it shows."""
+    assert isinstance(got, Poly)
+    assert got.terms == want._terms and all(type(c) is Fraction for c in got.terms.values())
+    assert got.sorted_terms() == want.sorted_terms() and str(got) == str(want)
+    assert got.constant_term() == want.constant_term() and type(got.constant_term()) is Fraction
+    assert got == Poly(want._terms)
+    if want._terms.keys() <= {(0, 0, 0, 0)}:
+        assert hash(got) == hash(want) == hash(want.constant_term()) and got == want.constant_term()
+
+
+def both(terms):
+    return Poly(terms), FractionPoly(terms)
+
+
+HALVES = {(0, 0, 0, 0): Fraction(1, 6), (1, 0, 0, 0): Fraction(1, 2)}
+
+
+@given(operands(scalars=False), operands(), fracs, fracs, fracs, fracs)
+@settings(max_examples=150, deadline=None)
+# denominators that cancel: against an int, a Fraction's numerator, a Fraction's
+# denominator through the numerators, and another Poly's denominator
+@example(both(HALVES), (2, 2), 1, 1, 1, 1)
+@example(both(HALVES), (Fraction(9, 4), Fraction(9, 4)), 1, 1, 1, 1)
+@example(both({(0, 0, 1, 0): 6, (0, 0, 0, 1): -9}), (Fraction(1, 12), Fraction(1, 12)), 1, 1, 1, 1)
+@example(both(HALVES), both({(0, 0, 0, 0): Fraction(1, 3), (1, 0, 0, 0): Fraction(3, 2)}), 1, 1, 1, 1)
+def test_ring_operations_match_the_fraction_reference(a, b, q, t, v, w):
+    (pa, fa), (pb, fb) = a, b
+    for got, want in [
+        (pa + pb, fa + fb), (pb + pa, fb + fa),
+        (pa - pb, fa - fb), (pb - pa, fb - fa),
+        (pa * pb, fa * fb), (pb * pa, fb * fa),
+        (-pa, -fa),
+    ]:
+        assert_matches(got, want)
+        assert got.evaluate(q, t, v, w) == want.evaluate(q, t, v, w)
+        assert type(got.evaluate(q, t, v, w)) is Fraction
+    assert (pa == pb) == (fa == fb) and (pb == pa) == (fb == fa)
+
+
+@given(operands(scalars=False), st.integers(min_value=0, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_pow_matches_the_fraction_reference(a, k):
+    pa, fa = a
+    assert_matches(pa**k, fa**k)
