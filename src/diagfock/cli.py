@@ -64,6 +64,7 @@ from .orthopoly import (
     mp_normalization,
     polys_from_jacobi,
     sech_density,
+    sech_moment_quad,
 )
 from .levy import (
     GeneratorPair,
@@ -270,22 +271,22 @@ def cmd_cauchy(args) -> int:
 
 
 def cmd_density(args) -> int:
-    if args.kind == "sech":
-        if args.x is None:
-            raise ValueError("sech density needs --x")
-        _finite(args.x, "--x")
-        _emit({"kind": "sech", "x": args.x, "value": sech_density(args.x)}, args.output)
-        return 0
     if args.x is None and not args.mass:
         raise ValueError("need --x (a point) or --mass (the normalization integral)")
-    q = float(parse_rational(args.q))
-    alpha = float(parse_rational(args.alpha))
-    payload = {"kind": "qmp", "variant": args.variant}
+    payload = {"kind": args.kind}
+    if args.kind == "sech":
+        density, mass = sech_density, lambda: sech_moment_quad(0)
+    else:
+        q = float(parse_rational(args.q))
+        alpha = float(parse_rational(args.alpha))
+        payload["variant"] = args.variant
+        density = lambda x: mp_density(x, q, alpha, variant=args.variant)
+        mass = lambda: mp_normalization(q, alpha, variant=args.variant)
     if args.x is not None:
         payload["x"] = _finite(args.x, "--x")
-        payload["value"] = mp_density(args.x, q, alpha, variant=args.variant)
+        payload["value"] = density(args.x)
     if args.mass:
-        payload["mass"] = mp_normalization(q, alpha, variant=args.variant)
+        payload["mass"] = mass()
     _emit(payload, args.output)
     return 0
 

@@ -42,8 +42,9 @@ from .partitions import (
     diagonal_partitions,
     unit_bar_sum,
     _cleared,
+    _denominator,
+    _over,
     _read,
-    _unit,
     _unit_bar_weights,
 )
 from .scalars import DeformationParams
@@ -123,26 +124,25 @@ def _subword(word: Word, block: Sequence[int]) -> Word:
 
 
 def _vector_chain(starts: Sequence[Sequence], gauges: Sequence[Optional[_linalg.Matrix]] = (), singles=(), ends=None):
-    """((single, open_, close, extend), unit): the callbacks of an open-arc
+    """((single, open_, close, extend), scale): the callbacks of an open-arc
     DP for blocks valued by a vector chain: singles[i] for a singleton {i};
     a block's chain is the row vector starts[b1]^T G_{b2} ... of its points
     so far, a Middle at i multiplying it by gauges[i], and closing at i
     takes its dot product with ends[i] (starts[i] by default).  Every datum
-    comes times one integer D, the lcm of their denominators, so a block of
-    j points carries D^j, and unit = 1/D (:func:`diagfock.partitions._unit`)
-    goes to the pass, which returns the unit by which each word's sum is
-    read.  The Wick sums and the Levy moments share it."""
+    comes times one int scale D, the lcm of their denominators, so a block
+    of j points carries D^j, and D goes to the pass, which returns the scale
+    by which each word's sum is divided.  The Wick sums and the Levy moments
+    share it."""
     ends = starts if ends is None else ends
     matrices = (row for g in gauges if g is not None for row in g)
-    unit = _unit(itertools.chain(*starts, *ends, *matrices, singles))
-    scale = unit.denominator
+    scale = _denominator(itertools.chain(*starts, *ends, *matrices, singles))
     starts = [tuple(_cleared(x, scale) for x in v) for v in starts]  # a chain is a tuple: the DP hashes it
     ends = [[_cleared(x, scale) for x in v] for v in ends]
     cols = [None if g is None else _linalg.transpose([[_cleared(x, scale) for x in row] for row in g]) for g in gauges]
     singles = [_cleared(x, scale) for x in singles]
     callbacks = (singles.__getitem__, starts.__getitem__,
                  lambda row, i: _linalg.dot(row, ends[i]), lambda row, i: _linalg.mat_vec(cols[i], row))
-    return callbacks, unit
+    return callbacks, scale
 
 
 def _spec_sums(spec: LevySpec, letters: Sequence[Sequence[int]], params: DeformationParams, s: Fraction, graded=False):
@@ -154,14 +154,12 @@ def _spec_sums(spec: LevySpec, letters: Sequence[Sequence[int]], params: Deforma
     _check_coordinates(spec, (u for alphabet in letters for u in alphabet))
     gram_t = None if spec.gram is None else _linalg.transpose(spec.gram)
     starts = [tuple(s * x for x in (xi if gram_t is None else _linalg.mat_vec(gram_t, xi))) for xi in spec.xi]
-    chain, unit = _vector_chain(starts, spec.T, [s * lam for lam in spec.lam], ends=spec.xi)
-    return _read(*arc_sums(letters, _unit_bar_weights(params), *chain, graded=graded, unit=unit))
+    chain, scale = _vector_chain(starts, spec.T, [s * lam for lam in spec.lam], ends=spec.xi)
+    return _read(*arc_sums(letters, _unit_bar_weights(params), *chain, graded=graded, scale=scale))
 
 
 def levy_moment(spec: LevySpec, word: Word, params: DeformationParams, s: Fraction = Fraction(1)):
     """Moment of a word at time s: diagonal-partition sum of cumulant products."""
-    if not word:
-        return Fraction(1)
     return _spec_sums(spec, [(u,) for u in word], params, Fraction(s))[tuple(word)]
 
 
@@ -172,8 +170,6 @@ def levy_moment_s_poly(spec: LevySpec, word: Word, params: DeformationParams) ->
     count in its state.  The linear coefficient is the single-block cumulant
     at s = 1, which is the generator of the convolution semigroup on this word.
     """
-    if not word:
-        return {0: Fraction(1)}
     by_blocks = _spec_sums(spec, [(u,) for u in word], params, Fraction(1), graded=True)[tuple(word)]
     return {k: v for k, v in sorted(by_blocks.items()) if v != 0}
 
@@ -303,7 +299,7 @@ def functional_from_spec(spec: LevySpec, params: DeformationParams, maxlen: int,
     """Moment functional of a spec on all words up to maxlen, by one DP pass
     over the trie of the words."""
     _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
-    return {(): Fraction(1), **_spec_sums(spec, [range(spec.k)] * maxlen, params, Fraction(s))}
+    return _spec_sums(spec, [range(spec.k)] * maxlen, params, Fraction(s))
 
 
 def _functional_sums(psi: Functional, k: int, params: DeformationParams, maxlen: int, phi=None) -> Functional:
@@ -313,18 +309,18 @@ def _functional_sums(psi: Functional, k: int, params: DeformationParams, maxlen:
     of j points cleared by D^j (D the lcm of psi's denominators).  With phi,
     psi is filled in as the cumulants of phi instead
     (:func:`cumulant_functional`); its values are not known up front, so
-    they stay as they come.  The guard of the functionals
+    the pass runs on them as they come, each a Fraction (a Poly at a
+    symbolic point).  The guard of the functionals
     (:func:`functional_from_spec` applies it too) and of the one-variable
     transforms."""
     _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
     if phi is None:
-        data, fill = _unit(psi.values()), None
-        value = lambda sub: _cleared(psi[sub], data.denominator ** len(sub))
+        scale, fill = _denominator(psi.values()), None
+        value = lambda sub: _cleared(psi[sub], scale ** len(sub))
     else:
-        data, value, fill = 1, (lambda sub: psi.get(sub, 0)), (lambda u, lower: psi.setdefault(u, phi[u] - lower))
-    sums, unit = arc_sums([range(k)] * maxlen, _unit_bar_weights(params), lambda u: value((u,)), lambda u: (u,),
-                          lambda sub, u: value(sub + (u,)), lambda sub, u: sub + (u,), fill, unit=data)
-    return {(): unit ** 0, **_read(sums, unit)}  # the empty word: 1, an int only where the pass is
+        scale, value, fill = 1, (lambda sub: psi.get(sub, 0)), (lambda u, lower: psi.setdefault(u, _over(phi[u] - lower, 1)))
+    return _read(*arc_sums([range(k)] * maxlen, _unit_bar_weights(params), lambda u: value((u,)), lambda u: (u,),
+                           lambda sub, u: value(sub + (u,)), lambda sub, u: sub + (u,), fill, scale=scale))
 
 
 def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:

@@ -143,6 +143,7 @@ def moments_from_jacobi(j: JacobiData, nmax: int) -> List:
     to 0 in time, so each row is cut there: the walk never rises above
     floor(nmax/2), which bounds the depth needed.
     """
+    _guards.check_size("the moment order nmax", nmax, math.inf)
     size = nmax // 2 + 1
     if j.depth < size:
         raise ValueError(f"need recurrence depth >= {size} for {nmax} moments")

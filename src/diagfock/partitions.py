@@ -65,12 +65,14 @@ that pass at weight 1.
 At a rational point every pass without a fill-in runs on ints, by one rule.
 A walk of m points multiplies one factor per point (a step weight at each
 Closer and Middle, a block value at each Closer and Singleton, and Openers
-match Closers).  So a caller clears its data by one integer D per point, a
-block of j points times D^j (:func:`_unit`, :func:`_cleared`);
-:func:`arc_sums` clears its step weights by the lcm S_w of their
-denominators and puts one more S_w on each singleton and closer value; and
-the sum of every word of m points comes as an int, (S_w D)^m times its
-value, read once at the end (:func:`_read`).
+match Closers).  So a caller clears its data by one integer scale D per
+point, a block of j points times D^j (:func:`_denominator`,
+:func:`_cleared`); :func:`arc_sums` clears its step weights by the lcm S_w
+of their denominators and puts one more S_w on each singleton and closer
+value; and the sum of every word of m points comes as an int, (S_w D)^m
+times its value, divided once at the end (:func:`_read`).  Every value read
+is a Fraction at a rational point and a Poly at the symbolic point, whatever
+mix of ints and Fractions the data hold.
 
 The pairs themselves are listed for display only.  :func:`_diagonal_classes`
 groups the rows of one walk by role vector, with the walk's rc and rn of each
@@ -404,7 +406,6 @@ def diagonal_partition_profiles(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[in
 
 
 _UNSEEN = object()
-_ZERO = Fraction(0)
 
 
 def unit_bar_sum(roles: Roles, v, w):
@@ -440,19 +441,14 @@ def _unit_bar_weights(params: DeformationParams) -> Callable[[int], Tuple]:
     return lambda k: _row_weights(params.q, params.t, k, qt_number(k, params.v, params.w))
 
 
-def _unit(values):
-    """1/D for the lcm D of the denominators of the Fractions among values
-    (None skipped): the int 1 where every value is an int, else Fraction(1, D),
-    also at D = 1, so that a value read times a unit keeps the type of the
-    values it came from."""
-    scale, ints = 1, True
+def _denominator(values) -> int:
+    """The lcm D of the denominators of the Fractions among values (ints,
+    Polys and None skipped): the scale that clears them."""
+    scale = 1
     for x in values:
-        if x is None or type(x) is int:
-            continue
-        ints = False
         if type(x) is Fraction and scale % x.denominator:
             scale = math.lcm(scale, x.denominator)
-    return 1 if ints else Fraction(1, scale)
+    return scale
 
 
 def _cleared(x, scale: int):
@@ -465,26 +461,20 @@ def _cleared(x, scale: int):
 
 
 def _over(x, scale: int):
-    """x / scale: a Fraction for an int or Fraction x, and for a Poly x
-    x * Fraction(1, scale), one scale of its denominator."""
-    return Fraction(x, scale) if type(x) is int or type(x) is Fraction else x * Fraction(1, scale)
+    """x / scale: a Fraction for an int or Fraction x, and a Poly for a Poly
+    x, one scale of its denominator."""
+    if type(x) is int:
+        return Fraction(x, scale)
+    return x if scale == 1 else x * Fraction(1, scale)
 
 
-def _times(x, unit):
-    """x * unit for a unit 1/D of :func:`_unit`: x itself for the int 1,
-    else x / D (for a Poly, one scale of its denominator)."""
-    return x if type(unit) is int else _over(x, unit.denominator)
-
-
-def _read(sums: Dict[tuple, object], unit) -> Dict[tuple, object]:
-    """The values of :func:`arc_sums`: the sum of a word of m points times
-    unit^m, and a dict by block count entrywise."""
-    if type(unit) is int:
-        return sums
+def _read(sums: Dict[tuple, object], scale: int) -> Dict[tuple, object]:
+    """The values of :func:`arc_sums`: the sum of a word of m points over
+    scale^m, and a dict by block count entrywise."""
     out: Dict[tuple, object] = {}
     for word, total in sums.items():
-        scale = unit.denominator ** len(word)
-        out[word] = {k: _over(x, scale) for k, x in total.items()} if isinstance(total, dict) else _over(total, scale)
+        d = scale ** len(word)
+        out[word] = {k: _over(x, d) for k, x in total.items()} if isinstance(total, dict) else _over(total, d)
     return out
 
 
@@ -498,10 +488,10 @@ def arc_sums(
     fill: Optional[Callable[[tuple, object], object]] = None,
     graded: bool = False,
     ends: Optional[Callable[[object], bool]] = None,
-    unit=1,
-) -> Tuple[Dict[tuple, object], object]:
+    scale: int = 1,
+) -> Tuple[Dict[tuple, object], int]:
     """The diagonal sums of every word a_1 ... a_m with a_p in
-    ``letters[p - 1]``, m = 1..n, by one open-arc state DP over the trie of
+    ``letters[p - 1]``, m = 0..n, by one open-arc state DP over the trie of
     the words.
 
     The points 1..n are placed as in :func:`_walk`, but walks that reach the
@@ -518,22 +508,23 @@ def arc_sums(
     Zero values and weights are dropped, and so are states with more open
     arcs than points left and, before the last point, words with no state.
 
-    Returns ({w: S(w)}, unit) for every word kept, shortest first (a word
-    left out has sum 0): S(w) * unit^m is the sum of w, m its length, read
+    Returns ({w: S(w)}, scale) for every word kept, shortest first (a word
+    left out has sum 0): S(w) / scale^m is the sum of w, m its length, read
     off the empty state after the step of w, with ``graded`` {block count:
-    sum}.  The caller's values may come cleared of denominators, a block of
-    j points times D^j, given as ``unit`` = 1/D (:func:`_unit` of the data).
-    The pass clears its weights in turn: with S_w the lcm of their
+    sum}.  The empty word comes first, its sum the weights' ring's one (with
+    ``graded``, {0: one}), and a word with no state sums to that ring's 0.
+    The caller's values may come cleared of denominators by an int
+    ``scale`` D, a block of j points times D^j (:func:`_denominator` of the
+    data).  The pass clears its weights in turn: with S_w the lcm of their
     denominators it runs on the rows times S_w and multiplies each
     singleton and closer value by S_w, so that, one factor coming per point,
-    every sum of m points is (S_w D)^m times its value, and the unit
-    returned is 1/(S_w D), an int only where weights and data are.  With
-    ``fill``, every word is kept and fill(w, S(w)) values the one block
-    covering w, which the step of w left out (``close`` read it as 0); it
-    is added to S(w), so longer words see it.  fill reads each S(w) as it
-    stands, so such a pass runs as given.  Each chain is valued once per
-    step and letter.  Callers cap n; the state count, not Bell(n), sets the
-    cost.
+    every sum of m points is (S_w D)^m times its value, and the scale
+    returned is S_w D.  With ``fill``, every word is kept and fill(w, S(w))
+    values the one block covering w, which the step of w left out
+    (``close`` read it as 0); it is added to S(w), so longer words see it.
+    fill reads each S(w) as it stands, so such a pass runs as given.  Each
+    chain is valued once per step and letter.  Callers cap n; the state
+    count, not Bell(n), sets the cost.
     """
     if fill is not None and graded:
         raise ValueError("fill adds one block to the ungraded sums only")
@@ -542,18 +533,17 @@ def arc_sums(
     rows = [weights(k) for k in range(1, max(n // 2, 1) + 1)]
     step = 1
     if fill is None:
-        weight_unit = _unit(x for row in rows for x in row)
-        step, unit = weight_unit.denominator, unit * weight_unit
+        step = _denominator(x for row in rows for x in row)
         rows = [tuple(None if x is None else _cleared(x, step) for x in row) for row in rows]
     one = rows[0][0] ** 0  # every walk starts at 1 in the ring of the weights
-    zero = 0 if type(one) is int else _ZERO  # the sum of a word with no state
+    zero = one * 0  # the sum of a word with no state
     rows = [tuple(one if x == one else x for x in row) for row in rows]  # a weight of 1 is `one`
     chains: List[object] = []  # the chain of each id; states hold ids
     ids: Dict[object, int] = {}
     extended: Dict[Tuple[int, object], Optional[int]] = {}
     grade = 1 if graded else 0
     level: Dict[tuple, Dict[Tuple[int, Tuple[int, ...]], object]] = {(): {(0, ()): one}}
-    sums: Dict[tuple, object] = {}
+    sums: Dict[tuple, object] = {(): {0: one} if graded else one}
 
     def intern(chain) -> int:
         i = ids.setdefault(chain, len(chains))
@@ -628,21 +618,21 @@ def arc_sums(
                 total = states[0, ()] = total + one * x
             sums[word] = total
         level = nodes
-    return sums, unit
+    return sums, scale * step
 
 
-def role_sums(roles_at: Sequence[str], a, b, single, open_, close, extend, unit=1) -> Tuple[Dict[tuple, object], object]:
-    """({R: T(R)}, unit) for every R with R_p in roles_at[p - 1] and T(R)
-    nonzero, T(R) * unit^n the sum of a^rc b^rn * prod of block values over
+def role_sums(roles_at: Sequence[str], a, b, single, open_, close, extend, scale: int = 1) -> Tuple[Dict[tuple, object], int]:
+    """({R: T(R)}, scale) for every R with R_p in roles_at[p - 1] and T(R)
+    nonzero, T(R) / scale^n the sum of a^rc b^rn * prod of block values over
     the rows of [n] with role vector R, by one :func:`arc_sums` pass over the
-    trie of the role words, whose ``unit`` it takes and returns.  The letter
+    trie of the role words, whose ``scale`` it takes and returns.  The letter
     of point p in role r is (r, p - 1), and the callbacks value point i in
     that role: ``single(i)``, ``open_(i)``, ``close(chain, i)``,
-    ``extend(chain, i)``."""
+    ``extend(chain, i)``.  At n = 0 the one row of [0] is the empty R."""
     n = len(roles_at)
     # the first point opens or stands alone, the last closes or stands alone
     first, last = (ROLE_OPENER, ROLE_SINGLETON), (ROLE_CLOSER, ROLE_SINGLETON)
-    sums, unit = arc_sums(
+    sums, scale = arc_sums(
         [[(r, i) for r in roles if (i or r in first) and (i < n - 1 or r in last)] for i, roles in enumerate(roles_at)],
         lambda k: _row_weights(a, b, k),
         lambda x: single(x[1]) if x[0] == ROLE_SINGLETON else 0,
@@ -650,11 +640,9 @@ def role_sums(roles_at: Sequence[str], a, b, single, open_, close, extend, unit=
         lambda chain, x: close(chain, x[1]) if x[0] == ROLE_CLOSER else 0,
         lambda chain, x: extend(chain, x[1]) if x[0] == ROLE_MIDDLE else None,
         ends=lambda x: x[0] in (ROLE_CLOSER, ROLE_MIDDLE),
-        unit=unit,
+        scale=scale,
     )
-    if n == 0:
-        return {(): _row_weights(a, b, 1)[0] ** 0}, unit  # the one row of [0], in the ring of the weights
-    return {word: total for word, total in sums.items() if len(word) == n and total != 0}, unit
+    return {word: total for word, total in sums.items() if len(word) == n and total != 0}, scale
 
 
 def count_diagonal_partitions(n: int, min_block_size: int = 1) -> int:

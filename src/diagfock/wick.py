@@ -23,9 +23,11 @@ sums are sums over role vectors R of T(R) * B(R) (see
 one pass of the same open-arc DP over the role words the data allow.  The
 word expansion factorises into a top-row expansion tensored with a bar-row
 expansion, each row one such pass too.  Each row clears its data by one
-integer D per point, and its pass returns the unit 1/(S_w D) by which the
-sum of m points is read, times unit^m (see :mod:`diagfock.partitions`), so
-the two rows combine as ints and the result is divided once.  Every formula
+integer scale D per point, and its pass returns the scale S_w D by which the
+sum of m points is divided, m times (see :mod:`diagfock.partitions`), so
+the two rows combine as ints and the result is divided once: a Fraction at
+a rational point and a Poly at the symbolic point, whatever mix of ints and
+Fractions the data hold.  Every formula
 has an operator counterpart in :mod:`diagfock.fock`; tests hold the two
 routes against each other.  The two moment oracles keep only the terms that can still return to
 the vacuum; the word oracle returns the whole vector.  Every function here
@@ -42,7 +44,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import _guards
 from .levy import _vector_chain, cumulants_to_moments, moments_to_cumulants  # the transforms are re-exported
-from .partitions import _cleared, _over, _times, _unit, role_sums
+from .partitions import _cleared, _denominator, _over, role_sums
 from .scalars import DeformationParams
 from .fock import (
     ANNIHILATE,
@@ -93,13 +95,11 @@ def gaussian_wick(xs: Sequence[VectorPair], params: DeformationParams):
 
     Sum over diagonal pair partitions: the top row pairs (l, r) contribute
     <xi_l, xi_r>, the bar row pairs <eta_l, eta_r>, and the partition weight
-    is q^cr t^nest (top) times v^cr w^nest (bar).  Odd n gives 0.  This is
-    :func:`full_wick` with no gauge and zero scalars, where only pair blocks
-    have a nonzero value.
+    is q^cr t^nest (top) times v^cr w^nest (bar).  Odd n has no pair
+    partition, so gives 0.  This is :func:`full_wick` with no gauge and zero
+    scalars, where only pair blocks have a nonzero value.
     """
     _check_entries(xs, "vectors")
-    if len(xs) % 2:
-        return Fraction(0)
     # pairs only: no point is a Middle or a Singleton, so no gauge or scalar is read
     return _wick_sum(["OC"] * len(xs), params, ([x.xi for x in xs],), ([x.eta for x in xs],))
 
@@ -139,21 +139,20 @@ def word_vacuum_formula(tokens: Sequence[Tuple[str, VectorPair]], params: Deform
     """
     _check_word(tokens)
     roles_at = ["O" if kind == ANNIHILATE else "CS" for kind, _ in tokens]
-    (top, top_unit), (bar, bar_unit) = (
+    (top, top_den), (bar, bar_den) = (
         _word_row([x.xi for _, x in tokens], roles_at, params.q, params.t),
         _word_row([x.eta for _, x in tokens], roles_at, params.v, params.w),
     )
-    unit = top_unit * bar_unit
     out = FockVector()
     for top_word, top_coeff in top.items():
         for bar_word, bar_coeff in bar.items():
-            out.add_term((top_word, bar_word), _times(top_coeff * bar_coeff, unit))
+            out.add_term((top_word, bar_word), _over(top_coeff * bar_coeff, top_den * bar_den))
     return out
 
 
-def _word_row(vectors: Sequence[Sequence], roles_at: Sequence[str], a, b) -> Tuple[Dict[tuple, object], object]:
-    """One row of the word expansion as ({residual word: coefficient}, unit),
-    each coefficient times unit being its value.
+def _word_row(vectors: Sequence[Sequence], roles_at: Sequence[str], a, b) -> Tuple[Dict[tuple, object], int]:
+    """One row of the word expansion as ({residual word: coefficient}, den),
+    each coefficient over the int den being its value.
 
     T(R) of :func:`role_sums` sums a^cr b^nest times the inner products of
     the pairs over the rows with role vector R, a singleton being worth 1.
@@ -166,12 +165,12 @@ def _word_row(vectors: Sequence[Sequence], roles_at: Sequence[str], a, b) -> Tup
     after), where every R has the same singletons, so covered and after are
     at most most = openers * singletons."""
     chain, data = _vector_chain(vectors, (), [1] * len(vectors))
-    sums, unit = role_sums(roles_at, a, b, *chain, unit=data)
+    sums, scale = role_sums(roles_at, a, b, *chain, scale=data)
     openers = roles_at.count("O")
     singletons = max(len(roles_at) - 2 * openers, 0)  # as many in every R; no R if creators are too few
     most = openers * singletons
-    vectors = [[_cleared(x, data.denominator) for x in v] for v in vectors]
-    a_den, b_den = _unit([a]).denominator, _unit([b]).denominator
+    vectors = [[_cleared(x, data) for x in v] for v in vectors]
+    a_den, b_den = _denominator([a]), _denominator([b])
     a_num, b_num = _cleared(a, a_den), _cleared(b, b_den)
     out: Dict[Tuple[int, ...], object] = {}
     for roles, total in sums.items():
@@ -192,9 +191,7 @@ def _word_row(vectors: Sequence[Sequence], roles_at: Sequence[str], a, b) -> Tup
                 val = val * x
             word = tuple(c for c, _ in choice)
             out[word] = out.get(word, 0) + val
-    if type(unit) is int:  # an int point and int data: nothing was cleared
-        return out, unit
-    return out, Fraction(1, unit.denominator ** len(roles_at) * data.denominator ** singletons * (a_den * b_den) ** most)
+    return out, scale ** len(roles_at) * data ** singletons * (a_den * b_den) ** most
 
 
 def word_fock_oracle(tokens: Sequence[Tuple[str, VectorPair]], params: DeformationParams) -> FockVector:
@@ -206,26 +203,28 @@ def word_fock_oracle(tokens: Sequence[Tuple[str, VectorPair]], params: Deformati
 # -- general Wick formula ------------------------------------------------------------
 
 
-def _chain_role_sums(roles_at: Sequence[str], a, b, *chain) -> Tuple[Dict[tuple, object], object]:
-    """(T(R), unit) of :func:`diagfock.partitions.role_sums` on the row
+def _chain_role_sums(roles_at: Sequence[str], a, b, *chain) -> Tuple[Dict[tuple, object], int]:
+    """(T(R), scale) of :func:`diagfock.partitions.role_sums` on the row
     weighed by (a, b), for blocks valued by the vector chain of ``chain``
     (starts, gauges, singles; :func:`diagfock.levy._vector_chain`)."""
-    callbacks, unit = _vector_chain(*chain)
-    return role_sums(roles_at, a, b, *callbacks, unit=unit)
+    callbacks, scale = _vector_chain(*chain)
+    return role_sums(roles_at, a, b, *callbacks, scale=scale)
 
 
 def _wick_sum(roles_at: Sequence[str], params: DeformationParams, top, bar):
     """The sum over role vectors R of T(R) * B(R): the vector chain of
     ``top`` (starts, gauges, singles) on the top row at (q, t), of ``bar``
-    on the bar row at (v, w).  The rows come cleared of denominators, so
-    the sum runs on them and is read once at the end, a Fraction (a Poly at
-    a symbolic point) also where everything is an int."""
-    (top_sums, top_unit), (bar_sums, bar_unit) = (
+    on the bar row at (v, w).  The rows come cleared of denominators by
+    int scales, so the sum runs on them and is divided once at the end.  The
+    point's zero is added to the sum (as its start it would turn every step
+    into Fraction arithmetic), so the result is a Fraction at a rational
+    point and a Poly at the symbolic point also where no R has a term."""
+    (top_sums, top_scale), (bar_sums, bar_scale) = (
         _chain_role_sums(roles_at, params.q, params.t, *top),
         _chain_role_sums(roles_at, params.v, params.w, *bar),
     )
-    total = sum((t * bar_sums[roles] for roles, t in top_sums.items() if roles in bar_sums), 0)
-    return _over(total, (top_unit * bar_unit).denominator ** len(roles_at))
+    total = sum((t * bar_sums[roles] for roles, t in top_sums.items() if roles in bar_sums), 0) + params.q * 0
+    return _over(total, (top_scale * bar_scale) ** len(roles_at))
 
 
 def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):
@@ -238,8 +237,6 @@ def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):
     Singleton only where both scalars are nonzero; other blocks have value 0.
     """
     _check_entries([op.vector for op in ops], "operators")
-    if not ops:
-        return Fraction(1)
     gauges = [op.gauge for op in ops]
     top = ([op.vector.xi for op in ops], [g and g.top for g in gauges], [op.lam for op in ops])
     bar = ([op.vector.eta for op in ops], [g and g.bar for g in gauges], [op.lambar for op in ops])

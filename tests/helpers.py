@@ -218,13 +218,14 @@ def restricted_counts_brute(blocks: Sequence[Sequence[int]]) -> Tuple[int, int]:
 
 
 def kernel_values(result) -> Dict[tuple, object]:
-    """The values of an ``arc_sums`` or ``role_sums`` pass (sums, unit): the
-    sum of a word of m points times unit^m, a dict by block count
-    entrywise."""
-    sums, unit = result
+    """The values of an ``arc_sums`` or ``role_sums`` pass (sums, scale):
+    the sum of a word of m points over the int scale^m, a dict by block
+    count entrywise."""
+    sums, scale = result
+    assert type(scale) is int and scale >= 1
     out = {}
     for word, total in sums.items():
-        u = unit ** len(word)
+        u = Fraction(1, scale ** len(word))
         out[word] = {k: x * u for k, x in total.items()} if isinstance(total, dict) else total * u
     return out
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 from fractions import Fraction
@@ -447,6 +448,19 @@ def test_density_variants(capsys):
     code = main(["density", "--kind", "qmp", "--q", "1/4", "--alpha=-1/4"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_density_sech_reports_its_mass(capsys):
+    # the sech law has total mass 1; --mass was once dropped for sech
+    code, data = run_json(capsys, "density", "--kind", "sech", "--x", "0.5", "--mass")
+    assert code == 0 and abs(data["mass"] - 1.0) < 1e-9
+    assert data["x"] == 0.5 and abs(data["value"] - 0.5 / math.cosh(math.pi / 4)) < 1e-12
+    # mass alone, no evaluation point, as for qmp
+    code, data = run_json(capsys, "density", "--kind", "sech", "--mass")
+    assert code == 0 and set(data) == {"kind", "mass"} and abs(data["mass"] - 1.0) < 1e-9
+    code = main(["density", "--kind", "sech"])
+    captured = capsys.readouterr()
+    assert code == 2 and "--x" in captured.err and not captured.out
 
 
 @pytest.mark.parametrize(

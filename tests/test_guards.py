@@ -128,6 +128,12 @@ UNCAPPED = [
     ("quadrature_rule", lambda n: orthopoly.quadrature_rule(orthopoly.jacobi_sech(3), n), "the Gauss rule size", 0),
     ("creation_norm_check", lambda n: fock.creation_norm_check(HALF, ONE, nmax=n), "the level count nmax", 1),
     (
+        "moments_from_jacobi",
+        lambda n: orthopoly.moments_from_jacobi(orthopoly.jacobi_sech(4), n),
+        "the moment order nmax",
+        0,
+    ),
+    (
         "polys_from_jacobi",
         lambda n: orthopoly.polys_from_jacobi(orthopoly.jacobi_sech(4), n),
         "the polynomial degree nmax",

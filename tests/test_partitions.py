@@ -363,7 +363,7 @@ def test_partition_count_is_the_length_of_the_listing(m):
 def block_arc_sums(n, params, value, graded=False):
     """The open-arc DP over the one word 1 2 ... n, each open block its own
     chain: every diagonal sum of [1], ..., [n] with top value ``value`` and
-    bar value 1."""
+    bar value 1 (the empty word's left out)."""
     return list(
         helpers.kernel_values(arc_sums(
             [(p,) for p in range(1, n + 1)],
@@ -374,7 +374,7 @@ def block_arc_sums(n, params, value, graded=False):
             lambda block, p: block + (p,),
             graded=graded,
         )).values()
-    )
+    )[1:]
 
 
 def brute_row_sums(n, params, value):
@@ -426,10 +426,10 @@ def test_arc_sums_match_enumeration_and_row_table(symbolic):
 def pair_arc_sums(n, params):
     """The DP with pair blocks only (r_2 = 1, every other r = 0): chain 1 is
     an open pair, which closes to 1; chain 2 a block grown past a pair,
-    which closes to 0."""
+    which closes to 0: m_1, ..., m_n."""
     weights = _unit_bar_weights(params)
     sums = arc_sums([(0,)] * n, weights, lambda a: 0, lambda a: 1, lambda chain, a: int(chain == 1), lambda chain, a: 2)
-    return list(helpers.kernel_values(sums).values())
+    return list(helpers.kernel_values(sums).values())[1:]
 
 
 def test_arc_sums_of_pairs_are_the_hermite_moments_to_twenty():
@@ -517,40 +517,40 @@ def word_arc_sums(letters, params, value):
 @pytest.mark.parametrize("k", [2, 3])
 def test_trie_pass_equals_single_word_passes_and_enumeration(k):
     r = helpers.rng(39 + k)
-    words = [w for n in range(1, 7) for w in itertools.product(range(k), repeat=n)]
+    words = [w for n in range(7) for w in itertools.product(range(k), repeat=n)]
     points = rand_points(r, 2 if k == 2 else 1)
     for params in points:
-        psi = {w: Fraction(0) if r.random() < 0.25 else helpers.rand_frac(r) for w in words}
+        psi = {w: Fraction(0) if r.random() < 0.25 else helpers.rand_frac(r) for w in words if w}
         trie = word_arc_sums([range(k)] * 6, params, psi.__getitem__)
         assert list(trie) == words
         for word in words:
             single = word_arc_sums([(u,) for u in word], params, psi.__getitem__)
-            assert list(single) == [word[:m] for m in range(1, len(word) + 1)]
+            assert list(single) == [word[:m] for m in range(len(word) + 1)]
             assert trie[word] == single[word] == brute_word_sum(word, params, psi.__getitem__), word
 
 
 def test_arc_sums_run_on_ints_at_a_rational_point():
-    # the data cleared by one D per point and passed as the unit 1/D: every
-    # sum is an int, and the unit returned reads the sums the pass on the
-    # Fractions themselves gives
+    # the data cleared by one int scale D per point and passed as the scale:
+    # every sum is an int, and the scale returned, a multiple of D, reads
+    # the sums the pass on the Fractions themselves gives
     r = helpers.rng(42)
     params = rand_points(r, 1)[0]
-    words = [w for n in range(1, 6) for w in itertools.product(range(2), repeat=n)]
-    psi = {w: helpers.rand_frac(r) for w in words}
+    words = [w for n in range(6) for w in itertools.product(range(2), repeat=n)]
+    psi = {w: helpers.rand_frac(r) for w in words if w}
     scale = math.lcm(*(x.denominator for x in psi.values()))
     cleared = {w: int(x * scale ** len(w)) for w, x in psi.items()}
-    sums, unit = arc_sums(
+    sums, out = arc_sums(
         [range(2)] * 5,
         _unit_bar_weights(params),
         lambda a: cleared[(a,)],
         lambda a: (a,),
         lambda sub, a: cleared[sub + (a,)],
         lambda sub, a: sub + (a,),
-        unit=Fraction(1, scale),
+        scale=scale,
     )
     assert list(sums) == words and all(type(t) is int for t in sums.values())
-    assert type(unit) is Fraction and unit.numerator == 1 and unit.denominator % scale == 0
-    assert helpers.kernel_values((sums, unit)) == word_arc_sums([range(2)] * 5, params, psi.__getitem__)
+    assert type(out) is int and out % scale == 0
+    assert helpers.kernel_values((sums, out)) == word_arc_sums([range(2)] * 5, params, psi.__getitem__)
 
 
 def test_walk_rows_equal_checked_partitions():

@@ -2,11 +2,15 @@
 cleared by one integer per point and each word's sum read once: value and
 type against the brute class sums and the Fock oracles.
 
+One contract holds at every point: each result is a Fraction at a rational
+point and a Poly at the symbolic point, whatever mix of ints and Fractions
+the data hold, zero results, the empty word and the empty product included.
 The rational points have denominators coprime to the data's (fifths and
 sevenths), negative coordinates, or q = v = 0 (row weights that vanish).
-The symbolic point runs its passes on the same cleared data, and the all-int
-point (int coordinates, int data) clears nothing.  The data have negative
-entries, a zero vector entry and a zero gauge.
+The symbolic point runs its passes on the same cleared data, the all-int
+point (int coordinates, int data) clears nothing, and the mixed points draw
+their data from ints and Fractions alike.  The data have negative entries, a
+zero vector entry and a zero gauge.
 """
 
 import itertools
@@ -45,6 +49,7 @@ from diagfock.wick import (
 
 ENTRIES = [Fraction(n, d) for d in (5, 7) for n in range(-4, 5)]
 INT_ENTRIES = list(range(-4, 5))
+MIXED_ENTRIES = ENTRIES + INT_ENTRIES
 
 # id: (point, the data drawn there, the type of a sum there)
 POINTS = {
@@ -56,7 +61,9 @@ POINTS = {
     ),
     "q-zero": (DeformationParams.from_rationals(0, Fraction(3, 13), 0, Fraction(1, 11)), ENTRIES, Fraction),
     "symbolic": (DeformationParams.symbolic(), ENTRIES, Poly),
-    "all-int": (DeformationParams(2, 1, -1, 3), INT_ENTRIES, int),
+    "all-int": (DeformationParams(2, 1, -1, 3), INT_ENTRIES, Fraction),
+    "mixed": (DeformationParams(2, 1, -1, 3), MIXED_ENTRIES, Fraction),
+    "symbolic-mixed": (DeformationParams.symbolic(), MIXED_ENTRIES, Poly),
 }
 point = pytest.mark.parametrize("params, values, kind", list(POINTS.values()), ids=list(POINTS))
 
@@ -77,12 +84,6 @@ def is_fraction(x):
     return type(x) is Fraction
 
 
-def has_type(x, kind):
-    """x is of the point's kind; at the symbolic point a sum with no term
-    is the Fraction 0, as it always was."""
-    return type(x) is kind or (kind is Poly and is_fraction(x) and x == 0)
-
-
 def ops_with_zeros(r, n, values=ENTRIES):
     """n general operators (top d = 2, bar d = 1) with data drawn from
     values: the first with a zero xi entry, the second with zero gauges, the
@@ -101,18 +102,17 @@ def ops_with_zeros(r, n, values=ENTRIES):
 @point
 def test_full_and_gaussian_wick_match_brute_sums_and_oracles(params, values, kind):
     r = helpers.rng(191)
-    # the Wick moments are Fractions at an int point too; no operator is the empty product 1
-    moment = Fraction if kind is int else kind
+    # no operator is the empty product 1, and an odd Gaussian moment is 0
     for n in range(6):
         ops = ops_with_zeros(r, n, values)
         got = full_wick(ops, params)
         assert got == helpers.brute_full_wick(ops, params) == full_fock_oracle(ops, params), n
-        assert has_type(got, moment if n else Fraction), n
+        assert type(got) is kind, n
         xs = [op.vector for op in ops]
         got = gaussian_wick(xs, params)
         no_blocks = [QuadrabasicOp(x, None) for x in xs]
         assert got == helpers.brute_full_wick(no_blocks, params) == gaussian_fock_oracle(xs, params)
-        assert has_type(got, Fraction if n % 2 else moment), n
+        assert type(got) is kind, n
 
 
 @point
@@ -141,63 +141,82 @@ def spec_with_zeros(r):
 @point
 def test_levy_moments_match_brute_sums_and_the_oracle(params, values, kind):
     spec, s = spec_with_zeros(helpers.rng(193)), Fraction(3, 13)
-    moment = Fraction if kind is int else kind  # a spec holds Fractions
+    got, poly = levy_moment(spec, (), params, s), levy_moment_s_poly(spec, (), params)
+    assert type(got) is kind and got == 1 and poly == {0: 1} and type(poly[0]) is kind  # the empty word
     for n in range(1, 7):
         for word in itertools.product(range(2), repeat=n) if n <= 3 else [(0, 1, 1, 0, 1, 0)[:n], (1,) * n]:
             got = levy_moment(spec, word, params, s)
-            assert has_type(got, moment) and got == fock_levy_oracle(spec, [(u, 0) for u in word], [s], params), word
+            assert type(got) is kind and got == fock_levy_oracle(spec, [(u, 0) for u in word], [s], params), word
             if n <= 4:
                 value = lambda block: levy_cumulant(spec, tuple(word[i - 1] for i in block), s)
                 assert got == sum(helpers.brute_class_sums(n, params, value, lambda block: 1).values(), 0), word
             poly = levy_moment_s_poly(spec, word, params)
-            assert all(has_type(c, moment) for c in poly.values())
+            assert all(type(c) is kind for c in poly.values())
             assert sum(c * s**k for k, c in poly.items()) == got and poly.get(1, 0) == levy_cumulant(spec, word)
 
 
 @point
 def test_functionals_and_transforms_match_brute_sums(params, values, kind):
     r = helpers.rng(194)
-    cums = [values[0] * 0, Fraction(-3, 5) if kind is not int else -3] + list(entries(r, 4, values))
+    cums = [values[0] * 0, -3 if values is INT_ENTRIES else Fraction(-3, 5)] + list(entries(r, 4, values))
     moments = cumulants_to_moments(cums, params)
     value = lambda block: cums[len(block) - 1]
     for n, m in enumerate(moments, 1):
-        assert has_type(m, kind) and m == sum(helpers.brute_class_sums(n, params, value, lambda block: 1).values(), 0)
-    assert moments_to_cumulants(moments, params) == cums
+        assert type(m) is kind and m == sum(helpers.brute_class_sums(n, params, value, lambda block: 1).values(), 0)
+    back = moments_to_cumulants(moments, params)
+    assert back == cums and all(type(x) is kind for x in back)
     psi = {w: r.choice(values) for n in range(1, 4) for w in itertools.product(range(2), repeat=n)}
     phi = moment_functional(psi, 2, params, 3)
+    assert phi[()] == 1  # the empty word
     for word, m in phi.items():
         value = lambda block: psi[tuple(word[i - 1] for i in block)]
-        # the empty word is the int 1 at the all-int point and the Fraction 1 elsewhere
-        assert has_type(m, kind if word else int if kind is int else Fraction), word
+        assert type(m) is kind, word
         assert m == sum(helpers.brute_class_sums(len(word), params, value, lambda block: 1).values(), 0)
-    assert cumulant_functional(phi, 2, params, 3) == psi
+    back = cumulant_functional(phi, 2, params, 3)
+    assert back == psi and all(type(x) is kind for x in back.values())
 
 
-def test_all_int_inputs_keep_int_results():
-    # every value is an int: the zero cumulants and the words with no
+@point
+def test_both_inverses_type_mixed_moments_by_the_point(params, values, kind):
+    # moments that mix ints and Fractions: every filled-in cumulant is of
+    # the point's kind, and the forward sums give the moments back
+    moments = [1, Fraction(-2, 5), 0, 3, Fraction(4, 7), -1]
+    cums = moments_to_cumulants(moments, params)
+    assert all(type(x) is kind for x in cums) and cumulants_to_moments(cums, params) == moments
+    phi = {w: Fraction(sum(w) - 1, 1 + len(w) % 2) for n in range(1, 4) for w in itertools.product(range(2), repeat=n)}
+    phi = {w: int(x) if x.denominator == 1 else x for w, x in phi.items()}
+    assert {type(x) for x in phi.values()} == {int, Fraction}
+    psi = cumulant_functional(phi, 2, params, 3)
+    assert all(type(x) is kind for x in psi.values())
+    assert {w: m for w, m in moment_functional(psi, 2, params, 3).items() if w} == phi
+
+
+def test_all_int_inputs_give_fraction_results():
+    # every value is a Fraction: the zero cumulants and the words with no
     # nonzero term, the empty word, and both inverses' filled-in values
     params = DeformationParams(2, 1, -1, 3)
     cums = [0, 1, 0, 0]
-    assert [(type(m), m) for m in cumulants_to_moments(cums, params)] == [(int, 0), (int, 1), (int, 0), (int, 7)]
+    assert [(type(m), m) for m in cumulants_to_moments(cums, params)] == [(Fraction, m) for m in (0, 1, 0, 7)]
     cums = [1, -2, 0, 3, 1]
     moments = cumulants_to_moments(cums, params)
     value = lambda block: cums[len(block) - 1]
-    assert all(type(m) is int for m in moments)
+    assert all(is_fraction(m) for m in moments)
     assert moments == [sum(helpers.brute_class_sums(n, params, value, lambda block: 1).values(), 0) for n in range(1, 6)]
     back = moments_to_cumulants(moments, params)
-    assert back == cums and all(type(x) is int for x in back)
+    assert back == cums and all(is_fraction(x) for x in back)
     psi = {w: sum(w) - 1 for n in range(1, 4) for w in itertools.product(range(2), repeat=n)}
     phi = moment_functional(psi, 2, params, 3)
     assert phi[()] == 1 and any(m == 0 for m in phi.values())
-    assert all(type(m) is int for m in phi.values())
+    assert all(is_fraction(m) for m in phi.values())
     back = cumulant_functional(phi, 2, params, 3)
-    assert back == psi and all(type(x) is int for x in back.values())
-    assert all(type(m) is int for m in moment_functional(psi, 2, params, 0).values())
+    assert back == psi and all(is_fraction(x) for x in back.values())
+    assert all(is_fraction(m) for m in moment_functional(psi, 2, params, 0).values())
     tokens = [(ANNIHILATE if ch == "a" else CREATE, VectorPair((i, -1), (2, i))) for i, ch in enumerate("aacccc")]
     got = word_vacuum_formula(tokens, params)
-    assert all(type(c) is int for c in got.terms.values()) and got == word_fock_oracle(tokens, params)
-    sums, unit = role_sums(["OCMS"] * 4, params.q, params.t, lambda i: i + 1, lambda i: i - 2, lambda c, i: c * i, lambda c, i: c + i)
-    assert type(unit) is int and unit == 1
+    assert all(is_fraction(c) for c in got.terms.values()) and got == word_fock_oracle(tokens, params)
+    # the pass itself runs on the ints as given: nothing to clear, scale 1
+    sums, scale = role_sums(["OCMS"] * 4, params.q, params.t, lambda i: i + 1, lambda i: i - 2, lambda c, i: c * i, lambda c, i: c + i)
+    assert type(scale) is int and scale == 1
     assert sums and all(type(t) is int for t in sums.values())
 
 

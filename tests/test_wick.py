@@ -417,15 +417,16 @@ def test_role_word_wick_sums_match_the_enumeration(params):
             no_block_factors = [QuadrabasicOp(x, None) for x in xs]
             got = gaussian_wick(xs, params)
             assert got == helpers.brute_full_wick(no_block_factors, params), (n, d_top, d_bar)
-            if n % 2:
-                assert got == 0 and type(got) is Fraction
-            elif n == 0 or (params is SYM and got != 0):
-                assert type(got) is type(params.q)
+            # a Fraction at a rational point and a Poly at the symbolic point,
+            # the odd moments' 0 and the empty product's 1 included
+            assert type(got) is type(params.q) and (n % 2 == 0 or got == 0), (n, d_top, d_bar)
             if params is not SYM and n <= 5:
                 assert full_wick(ops, params) == full_fock_oracle(ops, params), (n, d_top, d_bar)
 
 
 def test_full_wick_of_no_operators_is_one():
-    assert full_wick([], SYM) == 1 and type(full_wick([], SYM)) is Fraction
-    assert gaussian_wick([], SYM) == Poly.const(1)
-    assert gaussian_wick([], PARAM_POINTS[0]) == 1 and type(gaussian_wick([], PARAM_POINTS[0])) is Fraction
+    # the empty product is the one of the point: a Poly at the symbolic point
+    for params in (SYM, PARAM_POINTS[0]):
+        for got in (full_wick([], params), gaussian_wick([], params)):
+            assert got == 1 and type(got) is type(params.q)
+    assert full_wick([], SYM) == gaussian_wick([], SYM) == Poly.const(1)
