@@ -28,6 +28,8 @@ import time
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
+# fock, wick and levy are imported inside the commands that run them, so that
+# the other commands do not load them
 from . import _guards
 from .scalars import DeformationParams, Poly, parse_rational, render_rational
 from .partitions import (
@@ -35,21 +37,6 @@ from .partitions import (
     count_diagonal_pair_partitions,
     count_diagonal_partitions,
     render_partition,
-)
-from .fock import (
-    GaugePair,
-    VectorPair,
-    check_commutation_tensor,
-    creation_norm_check,
-)
-from .wick import (
-    QuadrabasicOp,
-    full_fock_oracle,
-    full_wick,
-    gaussian_fock_oracle,
-    gaussian_wick,
-    word_fock_oracle,
-    word_vacuum_formula,
 )
 from .orthopoly import (
     JacobiData,
@@ -65,16 +52,6 @@ from .orthopoly import (
     polys_from_jacobi,
     sech_density,
     sech_moment_quad,
-)
-from .levy import (
-    GeneratorPair,
-    LevySpec,
-    convolve_pairs,
-    gns_reconstruct,
-    levy_cumulant,
-    levy_moment,
-    levy_moment_s_poly,
-    pair_to_moments,
 )
 
 
@@ -298,25 +275,33 @@ def _fock_terms(f) -> List[dict]:
     return rows
 
 
-def _vector_pair(e: dict) -> VectorPair:
+def _vector_pair(e: dict):
+    from .fock import VectorPair
+
     return VectorPair.of(_vec(e["xi"]), _vec(e["eta"]))
 
 
-def _operator(e: dict) -> QuadrabasicOp:
+def _operator(e: dict):
+    from .fock import GaugePair
+    from .wick import QuadrabasicOp
+
     vec = _vector_pair(e)
     gauge = None if e.get("T") is None else GaugePair.of(_mat(e["T"]), _mat(e["Tbar"]))
     return QuadrabasicOp(vec, gauge, parse_rational(str(e.get("lam", "0"))), parse_rational(str(e.get("lambar", "1"))))
 
 
-# each kind of wick input: (the key of its entries, entry parser, formula, oracle, renderer)
+# each kind of wick input: (the key of its entries, entry parser, formula, oracle, renderer),
+# the formula and the oracle by their names in wick
 _WICK_KINDS = {
-    "gaussian": ("vectors", _vector_pair, gaussian_wick, gaussian_fock_oracle, lambda x: x),
-    "word": ("tokens", lambda e: (e["kind"], _vector_pair(e)), word_vacuum_formula, word_fock_oracle, _fock_terms),
-    "full": ("operators", _operator, full_wick, full_fock_oracle, lambda x: x),
+    "gaussian": ("vectors", _vector_pair, "gaussian_wick", "gaussian_fock_oracle", lambda x: x),
+    "word": ("tokens", lambda e: (e["kind"], _vector_pair(e)), "word_vacuum_formula", "word_fock_oracle", _fock_terms),
+    "full": ("operators", _operator, "full_wick", "full_fock_oracle", lambda x: x),
 }
 
 
 def cmd_wick(args) -> int:
+    from . import wick
+
     data = _read_input(args.input)
     params = _params_from(args)
     kind = data.get("kind", "gaussian")
@@ -324,14 +309,16 @@ def cmd_wick(args) -> int:
         raise ValueError(f"unknown wick kind {kind!r}")
     key, entry, formula, oracle, render = _WICK_KINDS[kind]
     entries = [entry(e) for e in _entries(data, key)]
-    lhs = formula(entries, params)
-    rhs = oracle(entries, params)
+    lhs = getattr(wick, formula)(entries, params)
+    rhs = getattr(wick, oracle)(entries, params)
     match = lhs == rhs
     _emit({"kind": kind, "formula": render(lhs), "oracle": render(rhs), "match": match}, args.output)
     return 0 if match else 1
 
 
-def _spec_from_json(data: dict) -> LevySpec:
+def _spec_from_json(data: dict):
+    from .levy import LevySpec
+
     gram = data.get("gram")  # only an absent or null gram is no gram
     if gram is not None:
         try:
@@ -344,6 +331,8 @@ def _spec_from_json(data: dict) -> LevySpec:
 
 
 def cmd_levy(args) -> int:
+    from .levy import levy_cumulant, levy_moment, levy_moment_s_poly
+
     data = _read_input(args.input)
     params = _params_from(args)
     spec = _spec_from_json(_check(data["spec"], dict, "spec to be an object"))
@@ -362,6 +351,8 @@ def cmd_levy(args) -> int:
 
 
 def cmd_convolve(args) -> int:
+    from .levy import GeneratorPair, convolve_pairs, pair_to_moments
+
     data = _read_input(args.input)
     params = _params_from(args)
     pairs = [_check(data[key], dict, f"{key} to be an object") for key in ("a", "b")]
@@ -387,6 +378,8 @@ def _parse_word_key(key: str):
 
 
 def cmd_gns(args) -> int:
+    from .levy import gns_reconstruct, levy_cumulant
+
     data = _read_input(args.input)
     k = _int(data["k"], "k", least=1)
     maxlen = _int(data["maxlen"], "maxlen", least=0)
@@ -416,6 +409,9 @@ def cmd_gns(args) -> int:
 
 def _verify_checks():
     """The built-in battery: yields (name, passed) for each check in turn."""
+    from .fock import VectorPair, check_commutation_tensor, creation_norm_check
+    from .wick import gaussian_fock_oracle, gaussian_wick
+
     counts = [count_diagonal_pair_partitions(2 * n) for n in range(1, 5)]
     yield "diagonal pair partition counts 1,5,61,1385", counts == [1, 5, 61, 1385]
 

@@ -48,7 +48,6 @@ from .partitions import (
     _unit_bar_weights,
 )
 from .scalars import DeformationParams
-from .fock import GaugePair, VectorPair, _quadrabasic_parts, _vacuum_moment
 
 Word = Tuple[int, ...]
 
@@ -206,6 +205,9 @@ def fock_levy_oracle(
     bar space is one-dimensional.  Each token acts as creation + annihilation
     + gauge (T_u cut to its interval) + lambda_u * length scalar.
     """
+    # imported here, so that loading levy does not load fock
+    from .fock import GaugePair, VectorPair, _quadrabasic_parts, _vacuum_moment
+
     _guards.check_size("the length of an operator word", len(tokens), _guards.MAX_DIAGONAL_N)
     lengths = [Fraction(x) for x in lengths]
     n_int = len(lengths)

@@ -98,13 +98,19 @@ def _hermite_gammas(params: DeformationParams, depth: int) -> Tuple:
     return tuple(x * y for x, y in zip(top, bar))
 
 
+def _zero(params: DeformationParams):
+    """0 as a Fraction, or as a Poly at the symbolic point, so that a beta of 0
+    leaves no Fraction among the symbolic moments."""
+    return params.q * Fraction(0)
+
+
 def jacobi_hermite(params: DeformationParams, depth: int) -> JacobiData:
-    return JacobiData(tuple(Fraction(0) for _ in range(depth)), _hermite_gammas(params, depth))
+    return JacobiData((_zero(params),) * depth, _hermite_gammas(params, depth))
 
 
 def jacobi_poisson(params: DeformationParams, depth: int) -> JacobiData:
     gam = _hermite_gammas(params, depth)
-    return JacobiData((Fraction(0),) + gam, gam)
+    return JacobiData((_zero(params),) + gam, gam)
 
 
 def jacobi_qmp(q: Fraction, alpha: Fraction, depth: int) -> JacobiData:

@@ -1,8 +1,9 @@
-"""The package's public names: ``diagfock.__all__``, the names that
-``diagfock/__init__.py`` imports and the "Public names" section of the README
+"""The package's public names: ``diagfock.__all__``, the names of the lazy
+table in ``diagfock/__init__.py`` and the "Public names" section of the README
 list the same set."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -11,10 +12,15 @@ import diagfock
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def imported_public_names():
+def lazy_table():
+    """{module: names} of the table ``_PUBLIC`` in the package source."""
     tree = ast.parse(Path(diagfock.__file__).read_text())
-    names = (alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names)
-    return {name for name in names if not name.startswith("_")}
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign) and node.targets[0].id == "_PUBLIC"]
+    return ast.literal_eval(table)
+
+
+def imported_public_names():
+    return {name for names in lazy_table().values() for name in names if not name.startswith("_")}
 
 
 def readme_public_names():
@@ -31,6 +37,10 @@ def test_all_has_no_duplicates_and_every_entry_resolves():
 
 def test_all_is_what_init_imports():
     assert set(diagfock.__all__) == imported_public_names()
+    # each name is loaded from the module the table names for it
+    table = lazy_table()
+    assert [(m, n) for m, names in table.items() for n in names
+            if getattr(importlib.import_module(f"diagfock.{m}"), n) is not getattr(diagfock, n)] == []
 
 
 def test_readme_lists_all_by_defining_module():

@@ -34,7 +34,7 @@ from diagfock.levy import (
     moment_functional,
     moments_to_cumulants,
 )
-from diagfock.orthopoly import jacobi_hermite, moments_from_jacobi
+from diagfock.orthopoly import jacobi_hermite, jacobi_poisson, moments_from_jacobi
 from diagfock.partitions import role_sums
 from diagfock.scalars import DeformationParams, Poly
 from diagfock.wick import (
@@ -113,6 +113,19 @@ def test_full_and_gaussian_wick_match_brute_sums_and_oracles(params, values, kin
         no_blocks = [QuadrabasicOp(x, None) for x in xs]
         assert got == helpers.brute_full_wick(no_blocks, params) == gaussian_fock_oracle(xs, params)
         assert type(got) is kind, n
+
+
+@point
+def test_jacobi_moments_and_the_wick_oracles_are_of_the_point_kind(params, values, kind):
+    # beta = 0 is the point's zero, so no Fraction m_1 leads the symbolic
+    # moments; the oracles' empty product and odd moments are the point's too
+    for family in (jacobi_hermite, jacobi_poisson):
+        assert [type(m) for m in moments_from_jacobi(family(params, 3), 4)] == [kind] * 4
+    r = helpers.rng(193)
+    for n in range(4):
+        ops = ops_with_zeros(r, n, values)
+        assert type(full_fock_oracle(ops, params)) is kind, n
+        assert type(gaussian_fock_oracle([op.vector for op in ops], params)) is kind, n
 
 
 @point

@@ -253,9 +253,11 @@ def test_operator_oracles_match_the_whole_vector():
             for x, op in zip(reversed(xs), reversed(ops)):
                 field = helpers.quadrabasic_sum(x, None, 0, field, params)
                 general = helpers.quadrabasic_sum(op.vector, op.gauge, op.scalar, general, params)
+            # the whole vector keeps the ring of its inputs, the oracles the point's
+            kind = Poly if params is SYM else Fraction
             for got, want in ((gaussian_fock_oracle(xs, params), field), (full_fock_oracle(ops, params), general)):
                 want = want.vacuum_coefficient()
-                assert got == want and type(got) is type(want), (n, params)
+                assert got == want and type(got) is kind, (n, params)
 
 
 MIXED = [VectorPair.of([1, 2], [1]), VectorPair.of([1], [1])]
