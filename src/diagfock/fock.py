@@ -41,10 +41,10 @@ twisted ladder operators; the t^N-type commutation relation is exercised in
 tests level by level (the relation sends level n to level n, so no truncation
 error is involved).
 
-One-particle spaces may carry a nonstandard inner product through an optional
-``metric`` pair (G_top, G_bar) of symmetric positive matrices; this is what
-lets step functions with interval lengths as weights live in an exact
-rational model.  Only annihilation and inner products consult the metric.
+Both one-particle spaces carry the standard inner product: an annihilator
+pairs letter l with the l-th coordinate of its vector.  A caller whose
+one-particle space has a symmetric Gram matrix G (the Levy oracle's step
+functions) annihilates by G xi in place of xi, which gives the same action.
 """
 
 from __future__ import annotations
@@ -101,9 +101,6 @@ class GaugePair:
             if any(len(row) != len(m) for row in m):
                 raise ValueError("gauge matrices must be square")
         return cls(t, b)
-
-
-Metric = Optional[Tuple[Optional[_linalg.Matrix], Optional[_linalg.Matrix]]]
 
 
 class FockVector:
@@ -199,10 +196,9 @@ def _row_front(heads: Sequence[Sequence[Tuple[Word, object]]], wa, wb) -> RowOp:
     return op
 
 
-def _row_annihilate(vec: Sequence, wa, wb, g: Optional[_linalg.Matrix] = None) -> RowOp:
-    """Annihilation: pair each letter l with vec, <vec, e_l> (through the metric g if given)."""
-    paired = vec if g is None else _linalg.mat_vec(g, vec)
-    return _row_front([[((), c)] if c != 0 else [] for c in paired], wa, wb)
+def _row_annihilate(vec: Sequence, wa, wb) -> RowOp:
+    """Annihilation: pair each letter l with vec, <vec, e_l>."""
+    return _row_front([[((), c)] if c != 0 else [] for c in vec], wa, wb)
 
 
 def _row_gauge(mat: Sequence[Sequence], wa, wb) -> RowOp:
@@ -251,9 +247,8 @@ def _creation_part(x: VectorPair) -> RowPart:
     return _row_create(x.xi), _row_create(x.eta)
 
 
-def _annihilation_part(x: VectorPair, params: DeformationParams, metric: Metric) -> RowPart:
-    g_top, g_bar = metric if metric else (None, None)
-    return _row_annihilate(x.xi, params.q, params.t, g_top), _row_annihilate(x.eta, params.v, params.w, g_bar)
+def _annihilation_part(x: VectorPair, params: DeformationParams) -> RowPart:
+    return _row_annihilate(x.xi, params.q, params.t), _row_annihilate(x.eta, params.v, params.w)
 
 
 def _gauge_part(g: GaugePair, params: DeformationParams) -> RowPart:
@@ -264,12 +259,10 @@ def _scalar_part(lam) -> RowPart:
     return (lambda word: [(word, lam)]), (lambda word: [(word, Fraction(1))])
 
 
-def _quadrabasic_parts(
-    x: VectorPair, g: Optional[GaugePair], lam, params: DeformationParams, metric: Metric
-) -> List[RowPart]:
+def _quadrabasic_parts(x: VectorPair, g: Optional[GaugePair], lam, params: DeformationParams) -> List[RowPart]:
     """The parts of creation + annihilation + gauge + lam (no gauge part for
     g = None, no scalar part for lam = 0); the field operator is g = None, lam = 0."""
-    parts = [_creation_part(x), _annihilation_part(x, params, metric)]
+    parts = [_creation_part(x), _annihilation_part(x, params)]
     if g is not None:
         parts.append(_gauge_part(g, params))
     if lam != 0:
@@ -298,10 +291,8 @@ def creation_apply(x: VectorPair, f: FockVector) -> FockVector:
     return _apply_parts([_creation_part(x)], f)
 
 
-def annihilation_apply(
-    x: VectorPair, f: FockVector, params: DeformationParams, metric: Metric = None
-) -> FockVector:
-    return _apply_parts([_annihilation_part(x, params, metric)], f)
+def annihilation_apply(x: VectorPair, f: FockVector, params: DeformationParams) -> FockVector:
+    return _apply_parts([_annihilation_part(x, params)], f)
 
 
 def gauge_apply(g: GaugePair, f: FockVector, params: DeformationParams) -> FockVector:
@@ -316,13 +307,13 @@ GAUGE = "gauge"
 SCALAR = "scalar"
 
 
-def _token_parts(token, params: DeformationParams, metric: Metric) -> List[RowPart]:
+def _token_parts(token, params: DeformationParams) -> List[RowPart]:
     """The parts of one (kind, payload) token."""
     kind, payload = token
     if kind == CREATE:
         return [_creation_part(payload)]
     if kind == ANNIHILATE:
-        return [_annihilation_part(payload, params, metric)]
+        return [_annihilation_part(payload, params)]
     if kind == GAUGE:
         return [_gauge_part(payload, params)]
     if kind == SCALAR:
@@ -330,25 +321,25 @@ def _token_parts(token, params: DeformationParams, metric: Metric) -> List[RowPa
     raise ValueError(f"unknown token kind {kind!r}")
 
 
-def apply_word(tokens: Sequence, params: DeformationParams, metric: Metric = None) -> FockVector:
+def apply_word(tokens: Sequence, params: DeformationParams) -> FockVector:
     """Apply a product of tokens to the vacuum (rightmost token acts first).
 
     The whole vector is kept at every step: this is the unpruned route that
     :func:`vacuum_expectation` is tested against.  It runs row by row."""
     top, bar = {(): Fraction(1)}, {(): Fraction(1)}
     for token in reversed(tokens):
-        ((top_op, bar_op),) = _token_parts(token, params, metric)
+        ((top_op, bar_op),) = _token_parts(token, params)
         top, bar = _row_apply(top_op, top), _row_apply(bar_op, bar)
     out = FockVector()
     out.terms = {(wt, wb): ct * cb for wt, ct in top.items() for wb, cb in bar.items()}
     return out
 
 
-def vacuum_expectation(tokens: Sequence, params: DeformationParams, metric: Metric = None):
+def vacuum_expectation(tokens: Sequence, params: DeformationParams):
     """<vacuum, tokens vacuum>, keeping after each token only the terms that
     can still return to the vacuum."""
     _guards.check_size("the length of an operator word", len(tokens), _guards.MAX_OPERATOR_WORD)
-    return _vacuum_moment([_token_parts(token, params, metric) for token in tokens])
+    return _vacuum_moment([_token_parts(token, params) for token in tokens])
 
 
 # -- deformed inner product ------------------------------------------------------
@@ -384,33 +375,23 @@ def _sym_column(x: Word, a, b, memo: ColumnMemo) -> Dict[Word, object]:
     return col
 
 
-def _sym_inner(u: Word, x: Word, a, b, g: Optional[_linalg.Matrix], memo: ColumnMemo):
-    """<e_u, P^(n)_{a,b} e_x>, pairing letters through the metric g if given."""
+def _sym_inner(u: Word, x: Word, a, b, memo: ColumnMemo):
+    """<e_u, P^(n)_{a,b} e_x>."""
     if len(u) != len(x):
         return _ZERO
-    col = _sym_column(tuple(x), a, b, memo)
-    if g is None:
-        return col.get(tuple(u), _ZERO)
-    total = _ZERO
-    for word, c in col.items():
-        for ui, yi in zip(u, word):
-            c = c * g[ui][yi]
-        total = total + c
-    return total
+    return _sym_column(tuple(x), a, b, memo).get(tuple(u), _ZERO)
 
 
-def sym_inner_words(u: Word, x: Word, a, b, g: Optional[_linalg.Matrix] = None):
+def sym_inner_words(u: Word, x: Word, a, b):
     """<e_u, P^(n)_{a,b} e_x> where P = sum_sigma a^inv(sigma) b^(binom-inv) U(sigma)."""
-    return _sym_inner(u, x, a, b, g, {})
+    return _sym_inner(u, x, a, b, {})
 
 
-def deformed_inner(f: FockVector, h: FockVector, params: DeformationParams, metric: Metric = None):
+def deformed_inner(f: FockVector, h: FockVector, params: DeformationParams):
     """The four-parameter inner product: levels pair off, and within a level the
     top rows pair through P_{q,t} while the bar rows pair through P_{v,w}."""
     top_memo: ColumnMemo = {}
     bar_memo: ColumnMemo = {}
-    g_top = metric[0] if metric else None
-    g_bar = metric[1] if metric else None
     total = Fraction(0)
     by_level_f: Dict[int, List[Tuple[WordPair, object]]] = {}
     for key, c in f.terms.items():
@@ -424,10 +405,10 @@ def deformed_inner(f: FockVector, h: FockVector, params: DeformationParams, metr
             continue
         for (ftop, fbar), fc in fterms:
             for (htop, hbar), hc in hterms:
-                top_part = _sym_inner(ftop, htop, params.q, params.t, g_top, top_memo)
+                top_part = _sym_inner(ftop, htop, params.q, params.t, top_memo)
                 if top_part == 0:
                     continue
-                bar_part = _sym_inner(fbar, hbar, params.v, params.w, g_bar, bar_memo)
+                bar_part = _sym_inner(fbar, hbar, params.v, params.w, bar_memo)
                 if bar_part == 0:
                     continue
                 total = total + fc * hc * top_part * bar_part

@@ -21,8 +21,9 @@ step.  The stochastic limit's bar factor is the same product of deformed
 integers along the roles of pi,
 :func:`diagfock.partitions.unit_bar_sum`.  The
 operator model realizes the same numbers on the doubled Fock space over
-step functions; tests compare the two routes exactly, with interval lengths
-as rational metric weights.
+step functions with the standard inner product: an annihilator on interval
+i pairs by lengths[i] G xi_u (G the gram, if any), so the step functions'
+inner product lives in its vector; tests compare the two routes exactly.
 """
 
 from __future__ import annotations
@@ -176,20 +177,6 @@ def levy_moment_s_poly(spec: LevySpec, word: Word, params: DeformationParams) ->
 # -- operator model over step functions ---------------------------------------------
 
 
-def _interval_metric(lengths: Sequence[Fraction], base: Optional[Tuple[Tuple[Fraction, ...], ...]], d: int):
-    n = len(lengths)
-    size = n * d
-    base_rows = base if base is not None else _linalg.identity(d)
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for i, ln in enumerate(lengths):
-        for a in range(d):
-            for b in range(d):
-                val = Fraction(ln) * base_rows[a][b]
-                if val:
-                    rows[i * d + a][i * d + b] = val
-    return tuple(tuple(r) for r in rows)
-
-
 def fock_levy_oracle(
     spec: LevySpec,
     tokens: Sequence[Tuple[int, int]],
@@ -197,46 +184,46 @@ def fock_levy_oracle(
     params: DeformationParams,
 ) -> Fraction:
     """Vacuum moment of a product of process increments, computed on the
-    operator model.
+    operator model, plus the point's zero: a Poly at the symbolic point, as
+    :func:`levy_moment` gives.
 
     ``tokens`` lists (coordinate u, interval index i); interval i carries the
-    rational length lengths[i].  The top one-particle space is (number of
-    intervals) x d with the step-function metric diag(lengths) (x) gram; the
-    bar space is one-dimensional.  Each token acts as creation + annihilation
-    + gauge (T_u cut to its interval) + lambda_u * length scalar.
+    rational length lengths[i].  The top one-particle space is the step
+    functions, d coordinates per interval, with the inner product
+    diag(lengths) (x) gram; the bar space is one-dimensional.  Each token acts
+    as creation by xi_u on interval i + annihilation + gauge (T_u cut to its
+    interval) + lambda_u * length scalar.  The annihilator pairs through that
+    inner product, a symmetric matrix, so it is the standard annihilator by
+    lengths[i] gram xi_u on interval i (lengths[i] xi_u with no gram).
     """
     # imported here, so that loading levy does not load fock
-    from .fock import GaugePair, VectorPair, _quadrabasic_parts, _vacuum_moment
+    from .fock import GaugePair, VectorPair, _annihilation_part, _creation_part, _gauge_part, _scalar_part, _vacuum_moment
 
     _guards.check_size("the length of an operator word", len(tokens), _guards.MAX_DIAGONAL_N)
     lengths = [Fraction(x) for x in lengths]
-    n_int = len(lengths)
-    d = spec.d
-    metric_top = _interval_metric(lengths, spec.gram, d)
-    metric = (metric_top, None)
-    size = n_int * d
-
-    def embed_vector(u: int, i: int) -> VectorPair:
-        coords = [Fraction(0)] * size
-        for a in range(d):
-            coords[i * d + a] = spec.xi[u][a]
-        return VectorPair(tuple(coords), (Fraction(1),))
-
-    def embed_gauge(u: int, i: int) -> GaugePair:
-        rows = [[Fraction(0)] * size for _ in range(size)]
-        for a in range(d):
-            for b in range(d):
-                rows[i * d + a][i * d + b] = spec.T[u][a][b]
-        return GaugePair(tuple(tuple(r) for r in rows), ((Fraction(1),),))
-
     _check_coordinates(spec, (u for u, _ in tokens))
-    if any(not 0 <= i < n_int for _, i in tokens):
+    if any(not 0 <= i < len(lengths) for _, i in tokens):
         raise ValueError("interval index out of range")
-    steps = [
-        _quadrabasic_parts(embed_vector(u, i), embed_gauge(u, i), spec.lam[u] * lengths[i], params, metric)
-        for u, i in tokens
-    ]
-    return _vacuum_moment(steps)
+    d, size, one = spec.d, len(lengths) * spec.d, (Fraction(1),)
+
+    def on_interval(vec: Sequence, i: int) -> VectorPair:
+        coords = [Fraction(0)] * size
+        coords[i * d : (i + 1) * d] = vec
+        return VectorPair(tuple(coords), one)
+
+    def parts(u: int, i: int):
+        paired = spec.xi[u] if spec.gram is None else _linalg.mat_vec(spec.gram, spec.xi[u])
+        gauge = [[Fraction(0)] * size for _ in range(size)]
+        for a, row in enumerate(spec.T[u]):
+            gauge[i * d + a][i * d : (i + 1) * d] = row
+        lam = spec.lam[u] * lengths[i]
+        return [
+            _creation_part(on_interval(spec.xi[u], i)),
+            _annihilation_part(on_interval([lengths[i] * x for x in paired], i), params),
+            _gauge_part(GaugePair(tuple(map(tuple, gauge)), (one,)), params),
+        ] + ([_scalar_part(lam)] if lam != 0 else [])
+
+    return _vacuum_moment([parts(u, i) for u, i in tokens]) + params.q * 0
 
 
 def stochastic_measure(
@@ -268,7 +255,7 @@ def stochastic_measure(
     s = Fraction(s)
     assignments = math.perm(n_intervals, len(pi.blocks))
     if assignments == 0:
-        return Fraction(0)
+        return params.q * Fraction(0)  # the point's zero: a Poly at the symbolic point
     interval_of = {pos: i for i, block in enumerate(pi.blocks) for pos in block}
     tokens = [(word[pos - 1], interval_of[pos]) for pos in range(1, n + 1)]
     return assignments * fock_levy_oracle(spec, tokens, [s / n_intervals] * len(pi.blocks), params)

@@ -172,17 +172,21 @@ def moments_from_jacobi(j: JacobiData, nmax: int) -> List:
 
 
 def polys_from_jacobi(j: JacobiData, nmax: int) -> List[List]:
-    """Monic orthogonal polynomials P_0..P_nmax as ascending coefficient lists."""
+    """Monic orthogonal polynomials P_0..P_nmax as ascending coefficient lists,
+    each coefficient in the ring of the Jacobi data (a Poly at the symbolic
+    point, the leading 1 included)."""
     _guards.check_size("the polynomial degree nmax", nmax, math.inf)
     if j.depth < nmax:
         raise ValueError(f"need recurrence depth >= {nmax}")
-    polys: List[List] = [[Fraction(1)]]
+    zero = j.beta[0] * 0
+    one = Fraction(1) + zero
+    polys: List[List] = [[one]]
     if nmax == 0:
         return polys
-    polys.append([-j.beta[0], Fraction(1)])
+    polys.append([-j.beta[0], one])
     for n in range(1, nmax):
         prev, cur = polys[n - 1], polys[n]
-        shifted = [Fraction(0)] + list(cur)  # x * P_n
+        shifted = [zero] + list(cur)  # x * P_n
         nxt = list(shifted)
         for i, c in enumerate(cur):
             nxt[i] = nxt[i] - j.beta[n] * c
@@ -194,12 +198,12 @@ def polys_from_jacobi(j: JacobiData, nmax: int) -> List[List]:
 
 def norm_squares_from_jacobi(j: JacobiData, nmax: int) -> List:
     """Squared norms of P_0..P_nmax: cumulative products of the gammas,
-    starting from ||P_0||^2 = 1."""
+    starting from ||P_0||^2 = 1 in the ring of the Jacobi data."""
     _guards.check_size("the polynomial degree nmax", nmax, math.inf)
     if len(j.gamma) < nmax:
         raise ValueError(f"need {nmax} gamma entries")
-    out = [Fraction(1)]
-    acc = Fraction(1)
+    acc = Fraction(1) + j.beta[0] * 0
+    out = [acc]
     for k in range(nmax):
         acc = acc * j.gamma[k]
         out.append(acc)

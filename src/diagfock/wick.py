@@ -109,7 +109,7 @@ def gaussian_fock_oracle(xs: Sequence[VectorPair], params: DeformationParams):
     route), plus the point's zero: a Poly at the symbolic point, as the
     formula gives."""
     _check_entries(xs, "vectors")
-    return _vacuum_moment([_quadrabasic_parts(x, None, 0, params, None) for x in xs]) + params.q * 0
+    return _vacuum_moment([_quadrabasic_parts(x, None, 0, params) for x in xs]) + params.q * 0
 
 
 # -- creation/annihilation word expansion ------------------------------------------
@@ -250,4 +250,4 @@ def full_fock_oracle(ops: Sequence[QuadrabasicOp], params: DeformationParams):
     """The same moment by operator application (independent route), plus the
     point's zero: a Poly at the symbolic point, as the formula gives."""
     _check_entries([op.vector for op in ops], "operators")
-    return _vacuum_moment([_quadrabasic_parts(op.vector, op.gauge, op.scalar, params, None) for op in ops]) + params.q * 0
+    return _vacuum_moment([_quadrabasic_parts(op.vector, op.gauge, op.scalar, params) for op in ops]) + params.q * 0

@@ -61,26 +61,20 @@ def apply_mat(m: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Tuple[F
 # -- slow, library-independent symmetrizer ---------------------------------------------
 
 
-def sym_inner_brute(u: Sequence[int], x: Sequence[int], a, b, g=None):
+def sym_inner_brute(u: Sequence[int], x: Sequence[int], a, b):
     """<e_u, P^(n)_{a,b} e_x> from the definition as a sum over all n! permutations:
 
-        sum_sigma a^inv(sigma) b^(C(n,2) - inv(sigma)) prod_i g[u_i][x_sigma(i)],
-
-    with g = None meaning the standard inner product (g[i][j] = [i == j]).
+        sum over sigma with u_i = x_sigma(i) for every i of a^inv(sigma) b^(C(n,2) - inv(sigma)).
     """
     n = len(u)
     if n != len(x):
         return Fraction(0)
     total = Fraction(0)
     for sigma in itertools.permutations(range(n)):
-        pairing = Fraction(1)
-        for i in range(n):
-            ui, xi = u[i], x[sigma[i]]
-            pairing *= Fraction(int(ui == xi)) if g is None else g[ui][xi]
-        if pairing == 0:
+        if any(u[i] != x[sigma[i]] for i in range(n)):
             continue
         inv = sum(1 for i, j in itertools.combinations(range(n), 2) if sigma[i] > sigma[j])
-        total = total + (a**inv) * (b ** (n * (n - 1) // 2 - inv)) * pairing
+        total = total + (a**inv) * (b ** (n * (n - 1) // 2 - inv))
     return total
 
 
@@ -594,23 +588,23 @@ def mp_density_products(x: float, q: float, alpha: float, variant: str = "correc
 # -- routes on the library's own parts that only the tests call ------------------------
 
 
-def quadrabasic_sum(x, g, lam, f, params, metric=None):
+def quadrabasic_sum(x, g, lam, f, params):
     """(creation + annihilation + gauge + lam) applied to f as the sum of the
     separate actions, with no gauge for g = None: the field operator is
     g = None, lam = 0.  The library applies the same sum in one pass."""
-    out = fock.creation_apply(x, f) + fock.annihilation_apply(x, f, params, metric)
+    out = fock.creation_apply(x, f) + fock.annihilation_apply(x, f, params)
     if g is not None:
         out = out + fock.gauge_apply(g, f, params)
     return out + f.scale(lam)
 
 
-def apply_word_pairs(tokens, params, metric=None):
+def apply_word_pairs(tokens, params):
     """A product of tokens applied to the vacuum on (top, bar) pairs: every
     token expands each pair term into the products of its top and bar images.
     The library runs each row on its own and tensors the rows once."""
     f = fock.FockVector.vacuum()
     for token in reversed(tokens):
-        f = fock._apply_parts(fock._token_parts(token, params, metric), f)
+        f = fock._apply_parts(fock._token_parts(token, params), f)
     return f
 
 

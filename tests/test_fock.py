@@ -6,7 +6,7 @@ import pytest
 import helpers
 from diagfock._guards import ResourceLimitError
 from diagfock.scalars import DeformationParams, Poly, Q, T, V, W, qt_number
-from diagfock import _linalg, fock, levy
+from diagfock import _linalg, fock
 from diagfock.fock import (
     ANNIHILATE,
     CREATE,
@@ -161,15 +161,14 @@ def test_one_pass_sums_equal_separate_actions():
         }
     )
     assert f.levels() == (0, 1, 2, 3)
-    metric = (helpers.rand_sym_mat(r, d), helpers.rand_sym_mat(r, dbar))
     x = VectorPair.of(helpers.rand_vec(r, d), helpers.rand_vec(r, dbar))
     g = GaugePair.of(helpers.rand_mat(r, d), helpers.rand_mat(r, dbar))
     rational = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4))
-    for params, met in ((rational, metric), (SYM, None)):
+    for params in (rational, SYM):
         for gauge in (None, g):
             for lam in (Fraction(0), Fraction(-5, 3)):
-                one_pass = fock._apply_parts(fock._quadrabasic_parts(x, gauge, lam, params, met), f)
-                assert one_pass == helpers.quadrabasic_sum(x, gauge, lam, f, params, met)
+                one_pass = fock._apply_parts(fock._quadrabasic_parts(x, gauge, lam, params), f)
+                assert one_pass == helpers.quadrabasic_sum(x, gauge, lam, f, params)
 
 
 def test_apply_word_token_kinds():
@@ -187,23 +186,21 @@ def test_apply_word_token_kinds():
 def test_apply_word_matches_the_pair_route():
     # the row route against the pair route it replaced, in values and types:
     # every word over the four kinds up to length 3 and sampled words up to 6,
-    # with and without the interval metric, at a rational and the symbolic point
+    # at a rational and the symbolic point
     r = helpers.rng(37)
     kinds = (CREATE, ANNIHILATE, GAUGE, SCALAR)
-    interval = levy._interval_metric([Fraction(1, 2), Fraction(5, 3)], ((Fraction(3, 2),),), 1)
     words = [w for n in range(4) for w in itertools.product(kinds, repeat=n)]
     words += [tuple(r.choice(kinds) for _ in range(n)) for n in range(4, 7) for _ in range(6)]
     nonzero = 0
     for params in (params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4)), SYM):
-        for metric in (None, (interval, None)):
-            for word in words:
-                tokens = [_random_token(r, kind, 2, 2) for kind in word]
-                got = apply_word(tokens, params, metric).terms
-                want = helpers.apply_word_pairs(tokens, params, metric).terms
-                assert got == want, (word, params, metric)
-                assert all(type(got[key]) is type(c) for key, c in want.items()), (word, params, metric)
-                nonzero += bool(got)
-    assert nonzero > len(words)  # most words leave a nonzero vector
+        for word in words:
+            tokens = [_random_token(r, kind, 2, 2) for kind in word]
+            got = apply_word(tokens, params).terms
+            want = helpers.apply_word_pairs(tokens, params).terms
+            assert got == want, (word, params)
+            assert all(type(got[key]) is type(c) for key, c in want.items()), (word, params)
+            nonzero += bool(got)
+    assert 2 * nonzero > len(words)  # over the two points, more than a quarter of the runs leave a nonzero vector
 
 
 def _returnable_kinds(r, n):
@@ -230,11 +227,9 @@ def _random_token(r, kind, d, dbar):
 def test_vacuum_expectation_matches_the_whole_vector():
     # the room-pruned route against apply_word, which keeps every term: every
     # word over the four kinds up to length 3, and sampled words up to 6 (most
-    # of them able to return to the vacuum), with and without the interval
-    # metric of the Levy oracle (two intervals of one letter each, so d = 2)
+    # of them able to return to the vacuum)
     r = helpers.rng(31)
     kinds = (CREATE, ANNIHILATE, GAUGE, SCALAR)
-    interval = levy._interval_metric([Fraction(1, 2), Fraction(5, 3)], ((Fraction(3, 2),),), 1)
     points = (params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4)),
               params_rat(Fraction(-2, 5), 1, Fraction(1, 3), Fraction(1, 7)), SYM)
     words = [w for n in range(4) for w in itertools.product(kinds, repeat=n)]
@@ -242,15 +237,14 @@ def test_vacuum_expectation_matches_the_whole_vector():
     returnable = [tuple(_returnable_kinds(r, n)) for n in range(1, 7) for _ in range(6)]
     words += returnable
     for params in points:
-        for metric in (None, (interval, None)):
-            nonzero = 0
-            for word in words:
-                tokens = [_random_token(r, kind, 2, 2) for kind in word]
-                got = vacuum_expectation(tokens, params, metric)
-                want = apply_word(tokens, params, metric).vacuum_coefficient()
-                assert got == want and type(got) is type(want), (word, params, metric)
-                nonzero += got != 0
-            assert nonzero > 3 * len(returnable) // 4  # most words that can return do
+        nonzero = 0
+        for word in words:
+            tokens = [_random_token(r, kind, 2, 2) for kind in word]
+            got = vacuum_expectation(tokens, params)
+            want = apply_word(tokens, params).vacuum_coefficient()
+            assert got == want and type(got) is type(want), (word, params)
+            nonzero += got != 0
+        assert nonzero > 3 * len(returnable) // 4  # most words that can return do
 
 
 def test_vacuum_moment_needs_a_term_at_level_equal_to_the_room():
@@ -312,22 +306,6 @@ def test_deformed_inner_rotation_invariance():
     assert deformed_inner(f, h, SYM) == deformed_inner(fr, hr, SYM)
 
 
-def test_metric_pairing_on_level_one():
-    gram = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3)))
-    metric = (gram, None)
-    x = VectorPair.of([1, 0], [1])
-    y = VectorPair.of([0, 1], [1])
-    f = annihilation_apply(x, creation_apply(y, FockVector.vacuum()), SYM, metric)
-    # <e1, e2>_G = G[0][1] = 1
-    assert f.vacuum_coefficient() == Poly.const(1)
-    assert deformed_inner(
-        creation_apply(x, FockVector.vacuum()),
-        creation_apply(x, FockVector.vacuum()),
-        SYM,
-        metric,
-    ) == Poly.const(2)
-
-
 def test_symmetrizer_matrix_level_two():
     mat = symmetrizer_matrix(2, Fraction(1, 2), Fraction(1), 1)
     assert mat == ((Fraction(3, 2),),)
@@ -348,24 +326,17 @@ def test_sym_inner_words_matches_permutation_sum():
     zeros = 0
     for n in range(7):
         for d in (1, 2, 3):
-            g = [list(row) for row in helpers.rand_mat(r, d)]
-            if d > 1:
-                g[0][1] = g[1][0] + 1  # a non-symmetric metric
             for _ in range(3):
                 u = tuple(r.randrange(d) for _ in range(n))
                 x = tuple(r.sample(u, n))  # a rearrangement, so the entry is not trivially 0
                 y = tuple(r.randrange(d) for _ in range(n))
                 for a, b in SYM_POINTS:
-                    for metric in (None, g):
-                        for target in (x, y):
-                            expect = helpers.sym_inner_brute(u, target, a, b, metric)
-                            assert sym_inner_words(u, target, a, b, metric) == expect
-                            zeros += expect == 0 and metric is None and target == x and n >= 2
+                    for target in (x, y):
+                        expect = helpers.sym_inner_brute(u, target, a, b)
+                        assert sym_inner_words(u, target, a, b) == expect
+                        zeros += expect == 0 and target == x and n >= 2
                 if n <= 5 or d == 1:
-                    for metric in (None, g):
-                        assert sym_inner_words(u, x, SYM.q, SYM.t, metric) == helpers.sym_inner_brute(
-                            u, x, SYM.q, SYM.t, metric
-                        )
+                    assert sym_inner_words(u, x, SYM.q, SYM.t) == helpers.sym_inner_brute(u, x, SYM.q, SYM.t)
     assert zeros > 0
     assert sym_inner_words((0, 1), (0,), Fraction(1, 2), Fraction(1)) == 0
 
@@ -480,7 +451,7 @@ def test_commutation_tensor_fails_with_swapped_annihilation_weights(monkeypatch)
     x2 = VectorPair.of([Fraction(-1, 3), 2], [1, Fraction(3, 4)])
     assert check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=2)
     row_annihilate = fock._row_annihilate
-    monkeypatch.setattr(fock, "_row_annihilate", lambda vec, wa, wb, g=None: row_annihilate(vec, wb, wa, g))
+    monkeypatch.setattr(fock, "_row_annihilate", lambda vec, wa, wb: row_annihilate(vec, wb, wa))
     assert check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=0)
     assert not check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=2)
 

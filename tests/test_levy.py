@@ -93,19 +93,27 @@ def test_moment_matches_operator_model_single_interval():
 
 def test_moment_additivity_over_split_intervals():
     # splitting [0, s) into intervals and summing all token assignments
-    # reproduces the one-interval moment
+    # reproduces the one-interval moment: equal halves with no gram, and
+    # pieces s/3 and 2s/3 with a gram that is not the identity, where each
+    # annihilator must pair by its own interval's length and by the gram
     r = helpers.rng(62)
     spec = rand_spec(r, k=1, d=2)
     s = Fraction(2, 3)
+    base = rand_spec(r, k=2, d=2)
+    gram = ((Fraction(2), Fraction(1, 5)), (Fraction(1, 5), Fraction(3)))
+    with_gram = LevySpec.of(base.xi, base.T, base.lam, gram)
+    cases = [
+        (spec, [(0,) * n for n in (1, 2, 3)], [s / 2, s / 2]),
+        (with_gram, [(0,), (0, 1), (1, 0, 1), (0, 1, 1, 0)], [s / 3, 2 * s / 3]),
+    ]
     for params in (FREE, GEN):
-        for n in (1, 2, 3):
-            word = (0,) * n
-            whole = levy_moment(spec, word, params, s)
-            pieces = [s / 2, s / 2]
-            total = Fraction(0)
-            for assign in itertools.product(range(2), repeat=n):
-                total += fock_levy_oracle(spec, list(zip(word, assign)), pieces, params)
-            assert total == whole
+        for case, words, pieces in cases:
+            for word in words:
+                whole = levy_moment(case, word, params, s)
+                total = Fraction(0)
+                for assign in itertools.product(range(2), repeat=len(word)):
+                    total += fock_levy_oracle(case, list(zip(word, assign)), pieces, params)
+                assert total == whole, word
 
 
 def test_s_polynomial_consistency():

@@ -33,9 +33,16 @@ from diagfock.levy import (
     levy_moment_s_poly,
     moment_functional,
     moments_to_cumulants,
+    stochastic_measure,
 )
-from diagfock.orthopoly import jacobi_hermite, jacobi_poisson, moments_from_jacobi
-from diagfock.partitions import role_sums
+from diagfock.orthopoly import (
+    jacobi_hermite,
+    jacobi_poisson,
+    moments_from_jacobi,
+    norm_squares_from_jacobi,
+    polys_from_jacobi,
+)
+from diagfock.partitions import SetPartition, role_sums
 from diagfock.scalars import DeformationParams, Poly
 from diagfock.wick import (
     QuadrabasicOp,
@@ -118,9 +125,15 @@ def test_full_and_gaussian_wick_match_brute_sums_and_oracles(params, values, kin
 @point
 def test_jacobi_moments_and_the_wick_oracles_are_of_the_point_kind(params, values, kind):
     # beta = 0 is the point's zero, so no Fraction m_1 leads the symbolic
-    # moments; the oracles' empty product and odd moments are the point's too
+    # moments; P_0, every leading 1, the x P_n shift's constant term and
+    # ||P_0||^2 = 1 come from the ring of the Jacobi data; the oracles' empty
+    # product and odd moments are the point's too
     for family in (jacobi_hermite, jacobi_poisson):
         assert [type(m) for m in moments_from_jacobi(family(params, 3), 4)] == [kind] * 4
+        data = family(params, 5)
+        assert [[type(c) for c in p] for p in polys_from_jacobi(data, 4)] == [[kind] * (n + 1) for n in range(5)]
+        assert [type(c) for c in polys_from_jacobi(data, 0)[0]] == [kind]
+        assert [type(x) for x in norm_squares_from_jacobi(data, 4)] == [kind] * 5
     r = helpers.rng(193)
     for n in range(4):
         ops = ops_with_zeros(r, n, values)
@@ -156,6 +169,8 @@ def test_levy_moments_match_brute_sums_and_the_oracle(params, values, kind):
     spec, s = spec_with_zeros(helpers.rng(193)), Fraction(3, 13)
     got, poly = levy_moment(spec, (), params, s), levy_moment_s_poly(spec, (), params)
     assert type(got) is kind and got == 1 and poly == {0: 1} and type(poly[0]) is kind  # the empty word
+    oracle = fock_levy_oracle(spec, [], [s], params)
+    assert type(oracle) is kind and oracle == 1
     for n in range(1, 7):
         for word in itertools.product(range(2), repeat=n) if n <= 3 else [(0, 1, 1, 0, 1, 0)[:n], (1,) * n]:
             got = levy_moment(spec, word, params, s)
@@ -166,6 +181,16 @@ def test_levy_moments_match_brute_sums_and_the_oracle(params, values, kind):
             poly = levy_moment_s_poly(spec, word, params)
             assert all(type(c) is kind for c in poly.values())
             assert sum(c * s**k for k, c in poly.items()) == got and poly.get(1, 0) == levy_cumulant(spec, word)
+    # a spec whose cumulants all vanish, on two intervals, and the stochastic
+    # measure, its zero for more blocks than intervals included
+    silent = LevySpec.of([(0, 0)], [zero_matrix(2)], [0])
+    for tokens in ([(0, 0)], [(0, 1), (0, 0), (0, 1)], [(0, 0), (0, 1), (0, 1), (0, 0)]):
+        oracle = fock_levy_oracle(silent, tokens, [s, 2 * s], params)
+        assert type(oracle) is kind and oracle == 0, tokens
+    singles, whole = SetPartition(2, [(1,), (2,)]), SetPartition(2, [(1, 2)])
+    assert stochastic_measure(spec, (0, 1), singles, s, 1, params) == 0
+    for case, pi, n_intervals in itertools.product((spec, silent), (singles, whole), (1, 3)):
+        assert type(stochastic_measure(case, (0, 0), pi, s, n_intervals, params)) is kind, (pi, n_intervals)
 
 
 @point
