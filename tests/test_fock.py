@@ -6,7 +6,7 @@ import pytest
 import helpers
 from diagfock._guards import ResourceLimitError
 from diagfock.scalars import DeformationParams, Poly, Q, T, V, W, qt_number
-from diagfock import _linalg, fock
+from diagfock import _linalg, fock, levy
 from diagfock.fock import (
     ANNIHILATE,
     CREATE,
@@ -304,6 +304,25 @@ def test_deformed_inner_rotation_invariance():
     f, h = build(vecs[:2]), build(vecs[2:])
     fr, hr = build([rotated(v) for v in vecs[:2]]), build([rotated(v) for v in vecs[2:]])
     assert deformed_inner(f, h, SYM) == deformed_inner(fr, hr, SYM)
+
+
+def test_metric_pairing_on_level_one():
+    # the Levy oracle pairs an annihilator through diag(lengths) (x) gram:
+    # on one letter, <e_a, e_b> = length * G[a][b], and letters on different
+    # intervals are orthogonal; annihilating by the folded vector G x agrees
+    gram = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3)))
+    x = VectorPair.of([1, 0], [1])
+    y = VectorPair.of([0, 1], [1])
+    folded = VectorPair.of(_linalg.mat_vec(gram, x.xi), x.eta)
+    f = annihilation_apply(folded, creation_apply(y, FockVector.vacuum()), SYM)
+    assert f.vacuum_coefficient() == Poly.const(1)  # G[0][1]
+    spec = levy.LevySpec.of([[1, 0], [0, 1]], [[[0, 0], [0, 0]]] * 2, [0, 0], gram)
+    lengths = [Fraction(1, 5), Fraction(3, 2)]
+    for a, b in itertools.product(range(2), repeat=2):
+        for i in range(2):
+            got = levy.fock_levy_oracle(spec, [(a, i), (b, i)], lengths, SYM)
+            assert got == Poly.const(lengths[i] * gram[a][b]), (a, b, i)
+        assert levy.fock_levy_oracle(spec, [(a, 0), (b, 1)], lengths, SYM) == Poly.const(0)
 
 
 def test_symmetrizer_matrix_level_two():
