@@ -21,10 +21,6 @@ from typing import Iterable, List, Sequence, Tuple
 Matrix = Tuple[Tuple, ...]
 
 
-def identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n))
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if any(len(row) != len(b) for row in a):  # no dot runs when b has no columns
         raise ValueError(f"mat_mul needs a row length of a equal to the {len(b)} rows of b")

@@ -15,10 +15,11 @@ w^rnest weights, one factor of s per block.  The cumulants sit on the top
 row and the bar row has value 1, so every such sum here runs on the
 open-arc state DP :func:`diagfock.partitions.arc_sums`, one pass over the
 trie of the words: for word moments a chain is the row vector
-xi_{u1}^T G T_{u2} ... of an open block, for the functional transforms its
-open subword, and the inverse fills in each word's cumulant right after its
-step.  The stochastic limit's bar factor is the same product of deformed
-integers along the roles of pi,
+xi_{u1}^T G T_{u2} ... of an open block, and for the functional transforms
+its open subword.  The inverse runs one such pass per word length n, the
+cumulants of length n still 0, and takes each of them as its moment minus
+that sum.  The stochastic limit's bar factor is the same product of
+deformed integers along the roles of pi,
 :func:`diagfock.partitions.unit_bar_sum`.  The
 operator model realizes the same numbers on the doubled Fock space over
 step functions with the standard inner product: an annihilator on interval
@@ -44,7 +45,6 @@ from .partitions import (
     unit_bar_sum,
     _cleared,
     _denominator,
-    _over,
     _read,
     _unit_bar_weights,
 )
@@ -291,25 +291,18 @@ def functional_from_spec(spec: LevySpec, params: DeformationParams, maxlen: int,
     return _spec_sums(spec, [range(spec.k)] * maxlen, params, Fraction(s))
 
 
-def _functional_sums(psi: Functional, k: int, params: DeformationParams, maxlen: int, phi=None) -> Functional:
+def _functional_sums(psi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
     """The open-arc DP over every word of length 1..maxlen on k letters with
     block values psi on subwords, a chain being the open subword: the
     moments of the cumulants psi on every word of length 0..maxlen, a block
-    of j points cleared by D^j (D the lcm of psi's denominators).  With phi,
-    psi is filled in as the cumulants of phi instead
-    (:func:`cumulant_functional`); its values are not known up front, so
-    the pass runs on them as they come, each a Fraction (a Poly at a
-    symbolic point).  The guard of the functionals
-    (:func:`functional_from_spec` applies it too) and of the one-variable
-    transforms."""
+    of j points cleared by D^j (D the lcm of psi's denominators).  The
+    guard of the functionals (:func:`functional_from_spec` applies it too)
+    and of the one-variable transforms."""
     _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
-    if phi is None:
-        scale, fill = _denominator(psi.values()), None
-        value = lambda sub: _cleared(psi[sub], scale ** len(sub))
-    else:
-        scale, value, fill = 1, (lambda sub: psi.get(sub, 0)), (lambda u, lower: psi.setdefault(u, _over(phi[u] - lower, 1)))
+    scale = _denominator(psi.values())
+    value = lambda sub: _cleared(psi[sub], scale ** len(sub))
     return _read(*arc_sums([range(k)] * maxlen, _unit_bar_weights(params), lambda u: value((u,)), lambda u: (u,),
-                           lambda sub, u: value(sub + (u,)), lambda sub, u: sub + (u,), fill, scale=scale))
+                           lambda sub, u: value(sub + (u,)), lambda sub, u: sub + (u,), scale=scale))
 
 
 def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
@@ -319,11 +312,20 @@ def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxl
                  weight * product of Psi on the top-row subwords,
 
     the forward sum with the one-block value still 0 (that block is alone in
-    its role class, with weight 1).  Psi(u) is filled in right after the step
-    of u, in the same pass that then carries it to the longer words.
+    its role class, with weight 1).  Psi is known below length n before the
+    words of length n need it, so one forward pass per length n = 1..maxlen,
+    over the words up to n with Psi 0 on length n, gives every such sum,
+    each pass on cleared data like every other.  Psi(u) is a Fraction at a
+    rational point and a Poly at the symbolic point.
     """
+    _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
     psi: Functional = {}
-    _functional_sums(psi, k, params, maxlen, phi)
+    for n in range(1, maxlen + 1):
+        words = list(itertools.product(range(k), repeat=n))
+        psi.update(dict.fromkeys(words, 0))  # the one block over a whole word, 0 in this pass
+        sums = _functional_sums(psi, k, params, n)  # a block open from point 1 reaches every word of length n
+        for u in words:
+            psi[u] = phi[u] - sums[u]
     return psi
 
 
@@ -346,8 +348,8 @@ def cumulants_to_moments(r: Sequence, params: DeformationParams) -> List:
 
 def moments_to_cumulants(m: Sequence, params: DeformationParams) -> List:
     """Triangular inversion of :func:`cumulants_to_moments`: the
-    :func:`cumulant_functional` of one coordinate, which fills each r_n in
-    during the same pass."""
+    :func:`cumulant_functional` of one coordinate, r_n being m_n minus the
+    forward sum at n with r_n still 0."""
     words = [(0,) * n for n in range(1, len(m) + 1)]
     psi = cumulant_functional(dict(zip(words, m)), 1, params, len(m))
     return [psi[w] for w in words]

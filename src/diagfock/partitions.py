@@ -56,23 +56,24 @@ Bell(n).  Its step weights are an argument.  When bar_value is 1, B(R) is
 the product of [k]_{v,w} over the steps of R that end one of k open arcs
 (:func:`unit_bar_sum`), so the step weight is the top row's times that
 factor; so run the functionals (the one-variable transforms are their
-one-letter case, and a fill-in inverts the sum in the same pass) and the
+one-letter case, and the inverse is one such pass per word length) and the
 Levy word moments.  When both rows carry block values (the Wick sums, the
 word expansion), :func:`role_sums` gives T(R) or B(R) for every R by one pass
 per row over the trie of the role words; :func:`count_diagonal_partitions` is
 that pass at weight 1.
 
-At a rational point every pass without a fill-in runs on ints, by one rule.
-A walk of m points multiplies one factor per point (a step weight at each
-Closer and Middle, a block value at each Closer and Singleton, and Openers
-match Closers).  So a caller clears its data by one integer scale D per
-point, a block of j points times D^j (:func:`_denominator`,
-:func:`_cleared`); :func:`arc_sums` clears its step weights by the lcm S_w
-of their denominators and puts one more S_w on each singleton and closer
-value; and the sum of every word of m points comes as an int, (S_w D)^m
-times its value, divided once at the end (:func:`_read`).  Every value read
-is a Fraction at a rational point and a Poly at the symbolic point, whatever
-mix of ints and Fractions the data hold.
+Every pass runs on ints at a rational point, and on Polys of denominator 1
+at the symbolic point, by one rule.  A walk of m points multiplies one
+factor per point (a step weight at each Closer and Middle, a block value at
+each Closer and Singleton, and Openers match Closers).  So a caller clears
+its data by one integer scale D per point, a block of j points times D^j
+(:func:`_denominator`, :func:`_cleared`, which read a Poly's denominator as
+a Fraction's); :func:`arc_sums` clears its step weights by the lcm S_w of
+their denominators and puts one more S_w on each singleton and closer
+value; and the sum of every word of m points comes cleared, (S_w D)^m times
+its value, divided once at the end (:func:`_read`).  Every value read is a
+Fraction at a rational point and a Poly at the symbolic point, whatever mix
+of ints, Fractions and Polys the data hold.
 
 The pairs themselves are listed for display only.  :func:`_diagonal_classes`
 groups the rows of one walk by role vector, with the walk's rc and rn of each
@@ -442,11 +443,11 @@ def _unit_bar_weights(params: DeformationParams) -> Callable[[int], Tuple]:
 
 
 def _denominator(values) -> int:
-    """The lcm D of the denominators of the Fractions among values (ints,
-    Polys and None skipped): the scale that clears them."""
+    """The lcm D of the denominators of the ints, Fractions and Polys among
+    values (None skipped): the scale that clears them."""
     scale = 1
     for x in values:
-        if type(x) is Fraction and scale % x.denominator:
+        if x is not None and scale % x.denominator:
             scale = math.lcm(scale, x.denominator)
     return scale
 
@@ -454,7 +455,8 @@ def _denominator(values) -> int:
 def _cleared(x, scale: int):
     """x * scale: an int for an int x or a Fraction x whose denominator
     divides scale, and a Poly x times scale, one scale of its int
-    numerators (x itself at scale 1)."""
+    numerators, of denominator 1 when its denominator divides scale (x
+    itself at scale 1)."""
     if type(x) is Fraction:
         return x.numerator * (scale // x.denominator)
     return x * scale if scale != 1 else x
@@ -485,7 +487,6 @@ def arc_sums(
     open_: Callable[[object], object],
     close: Callable[[object, object], object],
     extend: Callable[[object, object], object],
-    fill: Optional[Callable[[tuple, object], object]] = None,
     graded: bool = False,
     ends: Optional[Callable[[object], bool]] = None,
     scale: int = 1,
@@ -519,28 +520,23 @@ def arc_sums(
     denominators it runs on the rows times S_w and multiplies each
     singleton and closer value by S_w, so that, one factor coming per point,
     every sum of m points is (S_w D)^m times its value, and the scale
-    returned is S_w D.  With ``fill``, every word is kept and fill(w, S(w))
-    values the one block covering w, which the step of w left out
-    (``close`` read it as 0); it is added to S(w), so longer words see it.
-    fill reads each S(w) as it stands, so such a pass runs as given.  Each
-    chain is valued once per step and letter.  Callers cap n; the state
-    count, not Bell(n), sets the cost.
+    returned is S_w D.  Each chain is valued once per letter.  Callers cap
+    n; the state count, not Bell(n), sets the cost.
     """
-    if fill is not None and graded:
-        raise ValueError("fill adds one block to the ungraded sums only")
     n = len(letters)
     # at most n // 2 arcs are open at once; rows[k - 1][j] weighs ending arc j of k
     rows = [weights(k) for k in range(1, max(n // 2, 1) + 1)]
-    step = 1
-    if fill is None:
-        step = _denominator(x for row in rows for x in row)
-        rows = [tuple(None if x is None else _cleared(x, step) for x in row) for row in rows]
+    step = _denominator(x for row in rows for x in row)
+    rows = [tuple(None if x is None else _cleared(x, step) for x in row) for row in rows]
     one = rows[0][0] ** 0  # every walk starts at 1 in the ring of the weights
     zero = one * 0  # the sum of a word with no state
     rows = [tuple(one if x == one else x for x in row) for row in rows]  # a weight of 1 is `one`
     chains: List[object] = []  # the chain of each id; states hold ids
     ids: Dict[object, int] = {}
     extended: Dict[Tuple[int, object], Optional[int]] = {}
+    # close(chain, a) by (chain, a) and its product with the weight by (k, j, chain, a)
+    closed: Dict[Tuple[int, object], object] = {}
+    closing: Dict[tuple, object] = {}
     grade = 1 if graded else 0
     level: Dict[tuple, Dict[Tuple[int, Tuple[int, ...]], object]] = {(): {(0, ()): one}}
     sums: Dict[tuple, object] = {(): {0: one} if graded else one}
@@ -558,10 +554,6 @@ def arc_sums(
             s_val, chain, can_end = single(a), open_(a) if room else None, ends is None or ends(a)
             s_val = s_val * step if step > 1 else s_val
             steps.append((a, None if s_val == 0 else s_val, None if chain is None else intern(chain), can_end))
-        # per step, as ``fill`` sets values between steps: close(chain, a) by
-        # (chain, a) and its product with the weight by (k, j, chain, a)
-        closed: Dict[Tuple[int, object], object] = {}
-        closing: Dict[tuple, object] = {}
         nodes: Dict[tuple, Dict[Tuple[int, Tuple[int, ...]], object]] = {}
         for word, states in level.items():
             for a, s_val, o_id, can_end in steps:
@@ -606,17 +598,13 @@ def arc_sums(
                                 key, term = (blocks, rest + (e,)), val if weight is one else val * weight
                                 acc = get(key)
                                 nxt[key] = term if acc is None else acc + term
-                if nxt or fill is not None or room == 0:
+                if nxt or room == 0:
                     nodes[word + (a,)] = nxt
         for word, states in nodes.items():
             if graded:
                 sums[word] = {blocks: val for (blocks, open_ids), val in states.items() if not open_ids}
-                continue
-            total = states.get((0, ()), zero)
-            x = 0 if fill is None else fill(word, total)
-            if x != 0:  # the one-block term as a step adds one: nonzero, in the ring of the weights
-                total = states[0, ()] = total + one * x
-            sums[word] = total
+            else:
+                sums[word] = states.get((0, ()), zero)
         level = nodes
     return sums, scale * step
 

@@ -148,6 +148,11 @@ class Poly:
     def constant_term(self) -> Fraction:
         return Fraction(self._num.get(_ZERO4, 0), self._den)
 
+    @property
+    def denominator(self) -> int:
+        """The one positive int denominator, as a Fraction's."""
+        return self._den
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

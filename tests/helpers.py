@@ -644,7 +644,7 @@ def diagonal_measure_spec(spec, u: int, n: int):
     if n == 1:
         return levy.LevySpec(1, spec.d, (spec.xi[u],), (spec.T[u],), (spec.lam[u],), spec.gram)
     mat = spec.T[u]
-    power = _linalg.identity(spec.d)
+    power = tuple(tuple(Fraction(int(i == j)) for j in range(spec.d)) for i in range(spec.d))  # the identity
     for _ in range(n - 1):
         power = _linalg.mat_mul(power, mat)
     xi_new = _linalg.mat_vec(power, spec.xi[u])  # T^(n-1) xi

@@ -597,6 +597,16 @@ def test_output_file(tmp_path, capsys):
     assert data["pairs_on_2n"]["2"] == 5
 
 
+def test_euler_prints_the_same_bytes_every_run(tmp_path, capsys):
+    outs = [run(capsys, "euler", "--nmax", "3") for _ in range(2)]
+    assert outs[0] == outs[1] == (0, '{\n  "pairs_on_2n": {\n    "1": 1,\n    "2": 5,\n    "3": 61\n  }\n}\n')
+    files = [tmp_path / "a.json", tmp_path / "b.json"]
+    for target in files:
+        assert main(["euler", "--nmax", "3", "--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert files[0].read_bytes() == files[1].read_bytes() == outs[0][1].encode()
+
+
 def test_bad_input_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

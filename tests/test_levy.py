@@ -305,6 +305,31 @@ def test_moment_functional_roundtrip_at_the_symbolic_point():
         assert value.evaluate(GEN.q, GEN.t, GEN.v, GEN.w) == at_gen[word], word
 
 
+@pytest.mark.parametrize("params", [GEN, DeformationParams.symbolic()], ids=["rational", "symbolic"])
+def test_the_inverse_runs_one_cleared_pass_per_word_length(monkeypatch, params):
+    r = helpers.rng(76)
+    moments = [helpers.rand_frac(r) for _ in range(6)]
+    psi = {w: helpers.rand_frac(r) for n in range(1, 4) for w in itertools.product(range(2), repeat=n)}
+    phi = moment_functional(psi, 2, params, 3)
+    passes, arc_sums = [], levy.arc_sums
+
+    def recorded(*args, **kwargs):
+        sums, scale = arc_sums(*args, **kwargs)
+        passes.append(list(sums.values()))
+        return sums, scale
+
+    monkeypatch.setattr(levy, "arc_sums", recorded)
+    cumulants = levy.moments_to_cumulants(moments, params)
+    assert len(passes) == len(moments)
+    assert levy.cumulant_functional(phi, 2, params, 3) == psi
+    assert len(passes) == len(moments) + 3
+    monkeypatch.undo()
+    assert levy.cumulants_to_moments(cumulants, params) == moments
+    # every sum a pass returns is cleared: an int, a Poly of denominator 1 at the symbolic point
+    cleared = (lambda x: type(x) is int) if params is GEN else (lambda x: type(x) is Poly and x.denominator == 1)
+    assert all(cleared(x) for sums in passes for x in sums)
+
+
 def test_functional_from_spec_is_the_moment_of_each_word():
     r = helpers.rng(76)
     spec = rand_spec(r, k=2, d=2, with_gram=True)

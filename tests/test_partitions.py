@@ -465,17 +465,6 @@ def test_arc_sums_of_no_points_and_bad_sizes():
     for functional in (moment_functional, cumulant_functional):
         with pytest.raises(ValueError):
             functional({}, 1, params, -1)
-    with pytest.raises(ValueError):
-        arc_sums(
-            [(0,)],
-            _unit_bar_weights(params),
-            lambda a: 1,
-            lambda a: 1,
-            lambda c, a: 1,
-            lambda c, a: 1,
-            lambda w, s: 0,
-            graded=True,
-        )
 
 
 @functools.lru_cache(maxsize=None)
