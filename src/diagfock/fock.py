@@ -21,10 +21,11 @@ Each action is a tensor product of a (q, t) row operator on the top word and
 a (v, w) one on the bar word; a row operator maps one basis word to its
 (word, coefficient) terms.  Creation prefixes a letter; annihilation and
 gauge share the front move R_n and differ only in the letter each position
-turns into.  Field and general operators are sums of such top (x) bar parts;
-the single actions and ``_vacuum_moment`` apply them to the (top, bar) pair
-terms of a vector in one pass.  Three routes run row by row instead, since
-each of their operators, and the deformed pairing, is one product top (x) bar:
+turns into.  Field and general operators are sums of such top (x) bar parts,
+each part a pair of row specs (kind, data); the single actions and
+``_vacuum_moment`` apply them to the (top, bar) pair terms of a vector in
+one pass.  Three routes run row by row instead, since each of their
+operators, and the deformed pairing, is one product top (x) bar:
 :func:`apply_word` keeps one dict per row and tensors the two once at the
 end, and the commutation and gauge-adjoint sweeps compute each row's images
 (or pairings) once per word and combine them per basis pair.
@@ -35,6 +36,37 @@ still to apply can return only if l <= r.  :func:`vacuum_expectation` and
 the vacuum-moment oracles of :mod:`diagfock.wick` and :mod:`diagfock.levy`
 keep only such terms (one private driver, ``_vacuum_moment``); the single
 actions, :func:`apply_word` and ``wick.word_fock_oracle`` return whole vectors.
+
+Every route that multiplies more than once runs on ints at a rational point
+(on Polys of denominator 1 at the symbolic point), by the rule of the
+open-arc DP of :mod:`diagfock.partitions`.  Each row's data (vectors, gauge
+matrices, scalars) is cleared by one int scale D, the lcm of their
+denominators, and its point (a, b) by the lcm E of theirs, and every scale
+is known before the route runs, so the result is divided once
+(``scalars._over``).  At (E a, E b) the front move R_n is E^(n-1) times
+its value and the level-n symmetrizer P_n is E^C(n,2) times its own, so:
+
+  * the symmetrizer entries (:func:`sym_inner_words`,
+    :func:`symmetrizer_matrix`) are divided by E^C(n,2), and
+    :func:`deformed_inner` divides each level's sum by E_top^C(n,2)
+    E_bar^C(n,2) and by the scales of f's and h's coefficients there;
+  * the gauge-adjoint sweep compares two pairings of the same scale per
+    row, and the commutation sweep checks the relation on level n times
+    D_top^2 D_bar^2 (E_top E_bar)^n, so both compare ints as they are;
+  * a product of operators (the vacuum moments, :func:`apply_word`) keeps
+    the scale of a term independent of its path by the level rule: after
+    s steps a level-l term is stored times D^s E^(c s - C(l,2)), c at
+    least the highest level reached, so each step multiplies by an int,
+    E^(c-l) for creation from level l, E^c for annihilation,
+    E^(c-l+1) for a gauge at level l and E^c for a scalar.  The vacuum
+    coefficient is divided once by (D_top D_bar (E_top E_bar)^c)^steps,
+    and every term of :func:`apply_word` by the scale of its level.
+
+The single actions multiply each term once and keep the ring of their
+inputs.  Every other route returns what it returned on Fractions: a
+Fraction at a rational point, a Poly where a Poly weight or datum entered
+(``vacuum_expectation`` of the empty word is ``Fraction(1)`` at the
+symbolic point too).
 
 Annihilation kills the vacuum.  With t = w = 1 these reduce to the familiar
 twisted ladder operators; the t^N-type commutation relation is exercised in
@@ -56,12 +88,22 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _guards, _linalg
-from .scalars import DeformationParams, _qt_ladder, _qt_row
+from .scalars import (
+    DeformationParams,
+    _cleared,
+    _cleared_array,
+    _cleared_point,
+    _denominator,
+    _entries,
+    _over,
+    _qt_ladder,
+    _qt_row,
+)
 
 Word = Tuple[int, ...]
 WordPair = Tuple[Word, Word]
 ColumnMemo = Dict[Word, Dict[Word, object]]
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -164,29 +206,52 @@ class FockVector:
 
 # -- row operators ---------------------------------------------------------------
 
+CREATE = "create"
+ANNIHILATE = "annihilate"
+GAUGE = "gauge"
+SCALAR = "scalar"
+
 RowOp = Callable[[Word], List[Tuple[Word, object]]]  # basis word -> its (word, coeff) terms
-RowPart = Tuple[RowOp, RowOp]  # top (x) bar: the top factor at (q, t), the bar one at (v, w)
+RowSpec = Tuple[str, object]  # one row's (kind, data): a vector, a gauge matrix or a scalar
+Part = Tuple[RowSpec, RowSpec]  # top (x) bar: the top factor at (q, t), the bar one at (v, w)
+Lift = Callable[[int], object]  # the factor of every term an operator makes from a word of length n
 
 
-def _row_create(vec: Sequence) -> RowOp:
+def _unlifted(n: int) -> int:
+    return 1
+
+
+class _Memo(dict):
+    """fn(key) by key, computed once per key."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        val = self[key] = self.fn(key)
+        return val
+
+
+def _row_create(vec: Sequence, lift: Lift = _unlifted) -> RowOp:
     """Creation: sum_a vec_a e_a prefixed to the word."""
     letters = [(a, x) for a, x in enumerate(vec) if x != 0]
-    return lambda word: [((a,) + word, x) for a, x in letters]
+    at = _Memo(lambda n: [(a, x * lift(n)) for a, x in letters])
+    return lambda word: [((a,) + word, x) for a, x in at[len(word)]]
 
 
-def _row_front(heads: Sequence[Sequence[Tuple[Word, object]]], wa, wb) -> RowOp:
+def _row_front(heads: Sequence[Sequence[Tuple[Word, object]]], wa, wb, lift: Lift = _unlifted) -> RowOp:
     """The R_n front move: sum_i wa^(i-1) wb^(n-i) h e_(word without i) over
     the terms (h, c) of heads[word_i], each with coefficient c.
 
     Annihilation takes heads[l] = ((), <vec, e_l>), gauge heads[l] = ((a,), T[a][l]).
     """
-    weights: Dict[int, Tuple] = {}
+    at = _Memo(lambda n: [x * lift(n) for x in _qt_row(n, wa, wb)])
 
     def op(word: Word) -> List[Tuple[Word, object]]:
-        n = len(word)
-        ws = weights.get(n)
-        if ws is None:
-            ws = weights[n] = _qt_row(n, wa, wb)
+        ws = at[len(word)]
         return [
             (head + word[:i] + word[i + 1 :], ws[i] * c)
             for i, letter in enumerate(word)
@@ -196,14 +261,31 @@ def _row_front(heads: Sequence[Sequence[Tuple[Word, object]]], wa, wb) -> RowOp:
     return op
 
 
-def _row_annihilate(vec: Sequence, wa, wb) -> RowOp:
+def _row_annihilate(vec: Sequence, wa, wb, lift: Lift = _unlifted) -> RowOp:
     """Annihilation: pair each letter l with vec, <vec, e_l>."""
-    return _row_front([[((), c)] if c != 0 else [] for c in vec], wa, wb)
+    return _row_front([[((), c)] if c != 0 else [] for c in vec], wa, wb, lift)
 
 
-def _row_gauge(mat: Sequence[Sequence], wa, wb) -> RowOp:
+def _row_gauge(mat: Sequence[Sequence], wa, wb, lift: Lift = _unlifted) -> RowOp:
     """Gauge: replace each letter l by the column T e_l moved to the front."""
-    return _row_front([[((a,), row[l]) for a, row in enumerate(mat) if row[l] != 0] for l in range(len(mat))], wa, wb)
+    heads = [[((a,), row[l]) for a, row in enumerate(mat) if row[l] != 0] for l in range(len(mat))]
+    return _row_front(heads, wa, wb, lift)
+
+
+def _row_scalar(lam, lift: Lift = _unlifted) -> RowOp:
+    """The scalar lam times the identity."""
+    at = _Memo(lambda n: lam * lift(n))
+    return lambda word: [(word, at[len(word)])]
+
+
+def _row_op(spec: RowSpec, a, b, lift: Lift = _unlifted) -> RowOp:
+    """The row operator of one spec on a row weighed by (a, b)."""
+    kind, data = spec
+    if kind == CREATE:
+        return _row_create(data, lift)
+    if kind == SCALAR:
+        return _row_scalar(data, lift)
+    return (_row_annihilate if kind == ANNIHILATE else _row_gauge)(data, a, b, lift)
 
 
 def _collect(terms: Iterable[Tuple[object, object]]) -> Dict:
@@ -220,57 +302,102 @@ def _row_apply(op: RowOp, f: Dict[Word, object]) -> Dict[Word, object]:
     return _collect((word, c * cw) for w, c in f.items() for word, cw in op(w))
 
 
-def _apply_parts(parts: Sequence[RowPart], f: FockVector, room: float = math.inf) -> FockVector:
+def _apply_ops(ops: Sequence[Tuple[RowOp, RowOp]], terms: Dict[WordPair, object], room: float = math.inf) -> Dict:
+    """(sum over ops of top (x) bar) applied to pair terms in one pass.
+
+    A part's image of one term lies on one level; images above level
+    ``room`` are skipped before their bar factor is expanded.  Each row
+    operator runs once per word, however many terms hold it."""
+    ops = [(_Memo(top_op), _Memo(bar_op)) for top_op, bar_op in ops]
+    acc: Dict = {}
+    get = acc.get
+    for (top, bar), c in terms.items():
+        for top_op, bar_op in ops:
+            top_terms = top_op[top]
+            if not top_terms or len(top_terms[0][0]) > room:
+                continue
+            bar_terms = bar_op[bar]
+            for wt, ct in top_terms:
+                cc = c * ct
+                for wb, cb in bar_terms:
+                    key, val = (wt, wb), cc * cb
+                    prev = get(key)
+                    acc[key] = val if prev is None else prev + val
+    return {key: val for key, val in acc.items() if val != 0}
+
+
+def _apply_parts(parts: Sequence[Part], f: FockVector, params: Optional[DeformationParams] = None) -> FockVector:
     """(sum over parts of top (x) bar) applied to f in one pass over its terms.
 
-    A part's image of one term lies on one level; images above level ``room``
-    are skipped before their bar factor is expanded."""
-
-    def terms():
-        for (top, bar), c in f.terms.items():
-            for top_op, bar_op in parts:
-                top_terms = top_op(top)
-                if not top_terms or len(top_terms[0][0]) > room:
-                    continue
-                bar_terms = bar_op(bar)
-                for wt, ct in top_terms:
-                    cc = c * ct
-                    for wb, cb in bar_terms:
-                        yield (wt, wb), cc * cb
-
+    One operator multiplies each term once, so nothing is cleared: the
+    terms keep the ring of f, the data and the point, which only
+    annihilation and gauge parts read."""
+    q, t, v, w = (None,) * 4 if params is None else (params.q, params.t, params.v, params.w)
     out = FockVector()
-    out.terms = _collect(terms())
+    out.terms = _apply_ops([(_row_op(top, q, t), _row_op(bar, v, w)) for top, bar in parts], f.terms)
     return out
 
 
-def _creation_part(x: VectorPair) -> RowPart:
-    return _row_create(x.xi), _row_create(x.eta)
+def _creation_part(x: VectorPair) -> Part:
+    return (CREATE, x.xi), (CREATE, x.eta)
 
 
-def _annihilation_part(x: VectorPair, params: DeformationParams) -> RowPart:
-    return _row_annihilate(x.xi, params.q, params.t), _row_annihilate(x.eta, params.v, params.w)
+def _annihilation_part(x: VectorPair) -> Part:
+    return (ANNIHILATE, x.xi), (ANNIHILATE, x.eta)
 
 
-def _gauge_part(g: GaugePair, params: DeformationParams) -> RowPart:
-    return _row_gauge(g.top, params.q, params.t), _row_gauge(g.bar, params.v, params.w)
+def _gauge_part(g: GaugePair) -> Part:
+    return (GAUGE, g.top), (GAUGE, g.bar)
 
 
-def _scalar_part(lam) -> RowPart:
-    return (lambda word: [(word, lam)]), (lambda word: [(word, Fraction(1))])
+def _scalar_part(lam) -> Part:
+    return (SCALAR, lam), (SCALAR, _ONE)
 
 
-def _quadrabasic_parts(x: VectorPair, g: Optional[GaugePair], lam, params: DeformationParams) -> List[RowPart]:
+def _quadrabasic_parts(x: VectorPair, g: Optional[GaugePair], lam) -> List[Part]:
     """The parts of creation + annihilation + gauge + lam (no gauge part for
     g = None, no scalar part for lam = 0); the field operator is g = None, lam = 0."""
-    parts = [_creation_part(x), _annihilation_part(x, params)]
+    parts = [_creation_part(x), _annihilation_part(x)]
     if g is not None:
-        parts.append(_gauge_part(g, params))
+        parts.append(_gauge_part(g))
     if lam != 0:
         parts.append(_scalar_part(lam))
     return parts
 
 
-def _vacuum_moment(steps: Sequence[Sequence[RowPart]]):
+# -- cleared rows ------------------------------------------------------------------
+
+
+def _level_rule(specs: Sequence[RowSpec], a, b, c: int) -> Tuple[Callable[[RowSpec], RowOp], int, int]:
+    """(make, D, E) for a product of the row operators of specs on one row
+    weighed by (a, b): make(spec) is the operator of a spec, on ints.
+
+    The data are cleared by D, the lcm of their denominators, and (a, b) by
+    E.  Each operator multiplies its terms from level l by E^(c-l) for
+    creation, E^c for annihilation, E^(c-l+1) for a gauge and E^c for a
+    scalar, so that after s operators a level-l term is
+    D^s E^(c s - C(l,2)) times its value, whatever its path, for c at
+    least the highest level that a term reaches."""
+    data = _denominator(x for _, d in specs for x in _entries(d))
+    a, b, e = _cleared_point(a, b)
+    power = [e**k for k in range(c + 2)]
+    lifts = {CREATE: lambda n: power[c - n], GAUGE: lambda n: power[c + 1 - n]}
+
+    def make(spec: RowSpec) -> RowOp:
+        kind, d = spec
+        return _row_op((kind, _cleared_array(d, data)), a, b, lifts.get(kind, lambda n: power[c]))
+
+    return make, data, e
+
+
+def _level_rows(parts: Sequence[Part], params: DeformationParams, c: int):
+    """:func:`_level_rule` on the top row of parts at (q, t) and on the bar
+    row at (v, w)."""
+    points = ((params.q, params.t), (params.v, params.w))
+    return [_level_rule([part[side] for part in parts], a, b, c) for side, (a, b) in enumerate(points)]
+
+
+def _vacuum_moment(steps: Sequence[Sequence[Part]], params: DeformationParams):
     """<vacuum, (product of steps) vacuum>, each step the parts of one
     operator, the rightmost step acting first.
 
@@ -280,11 +407,19 @@ def _vacuum_moment(steps: Sequence[Sequence[RowPart]]):
     DP, on the operator side).  Every term kept gets its inputs from kept
     terms only, so it has the value, and the vacuum coefficient the sum, of
     the unpruned application.
+
+    The level of a kept term is at most the number of steps behind it and
+    the number still ahead, so no level passes c = steps // 2, and each
+    row runs on ints by the level rule of :func:`_level_rule`: the vacuum
+    coefficient comes as (D_top D_bar (E_top E_bar)^c)^steps times its
+    value and is divided once.
     """
-    f = FockVector.vacuum()
-    for left, parts in zip(range(len(steps) - 1, -1, -1), reversed(steps)):
-        f = _apply_parts(parts, f, room=left)
-    return f.vacuum_coefficient()
+    c = len(steps) // 2
+    (top, top_data, top_e), (bar, bar_data, bar_e) = _level_rows([part for step in steps for part in step], params, c)
+    terms: Dict[WordPair, object] = {((), ()): 1}
+    for left, step in zip(range(len(steps) - 1, -1, -1), reversed(steps)):
+        terms = _apply_ops([(top(t), bar(b)) for t, b in step], terms, room=left)
+    return _over(terms.get(((), ()), 0), (top_data * bar_data * (top_e * bar_e) ** c) ** len(steps))
 
 
 def creation_apply(x: VectorPair, f: FockVector) -> FockVector:
@@ -292,46 +427,49 @@ def creation_apply(x: VectorPair, f: FockVector) -> FockVector:
 
 
 def annihilation_apply(x: VectorPair, f: FockVector, params: DeformationParams) -> FockVector:
-    return _apply_parts([_annihilation_part(x, params)], f)
+    return _apply_parts([_annihilation_part(x)], f, params)
 
 
 def gauge_apply(g: GaugePair, f: FockVector, params: DeformationParams) -> FockVector:
-    return _apply_parts([_gauge_part(g, params)], f)
+    return _apply_parts([_gauge_part(g)], f, params)
 
 
 # -- operator words ------------------------------------------------------------
 
-CREATE = "create"
-ANNIHILATE = "annihilate"
-GAUGE = "gauge"
-SCALAR = "scalar"
+_TOKEN_PARTS = {CREATE: _creation_part, ANNIHILATE: _annihilation_part, GAUGE: _gauge_part, SCALAR: _scalar_part}
 
 
-def _token_parts(token, params: DeformationParams) -> List[RowPart]:
-    """The parts of one (kind, payload) token."""
+def _token_part(token) -> Part:
+    """The part of one (kind, payload) token."""
     kind, payload = token
-    if kind == CREATE:
-        return [_creation_part(payload)]
-    if kind == ANNIHILATE:
-        return [_annihilation_part(payload, params)]
-    if kind == GAUGE:
-        return [_gauge_part(payload, params)]
-    if kind == SCALAR:
-        return [_scalar_part(payload)]
-    raise ValueError(f"unknown token kind {kind!r}")
+    part = _TOKEN_PARTS.get(kind)
+    if part is None:
+        raise ValueError(f"unknown token kind {kind!r}")
+    return part(payload)
 
 
 def apply_word(tokens: Sequence, params: DeformationParams) -> FockVector:
     """Apply a product of tokens to the vacuum (rightmost token acts first).
 
     The whole vector is kept at every step: this is the unpruned route that
-    :func:`vacuum_expectation` is tested against.  It runs row by row."""
-    top, bar = {(): Fraction(1)}, {(): Fraction(1)}
-    for token in reversed(tokens):
-        ((top_op, bar_op),) = _token_parts(token, params)
-        top, bar = _row_apply(top_op, top), _row_apply(bar_op, bar)
+    :func:`vacuum_expectation` is tested against.  It runs row by row, each
+    row on ints by the level rule of :func:`_level_rule`, c being the
+    number of creators.  Every term of the result has the level of the
+    word, so the tensor of the two rows is divided by one scale."""
+    parts = [_token_part(token) for token in tokens]
+    kinds = [kind for kind, _ in tokens]
+    c, steps = kinds.count(CREATE), len(tokens)
+    rows = []
+    for side, (make, data, e) in enumerate(_level_rows(parts, params, c)):
+        f = {(): 1}
+        for part in reversed(parts):
+            f = _row_apply(make(part[side]), f)
+        rows.append((f, data, e))
+    (top, top_data, top_e), (bar, bar_data, bar_e) = rows
+    level = max(c - kinds.count(ANNIHILATE), 0)  # of every word, if any survives
+    scale = (top_data * bar_data) ** steps * (top_e * bar_e) ** (c * steps - math.comb(level, 2))
     out = FockVector()
-    out.terms = {(wt, wb): ct * cb for wt, ct in top.items() for wb, cb in bar.items()}
+    out.terms = {(wt, wb): _over(ct * cb, scale) for wt, ct in top.items() for wb, cb in bar.items()}
     return out
 
 
@@ -339,14 +477,15 @@ def vacuum_expectation(tokens: Sequence, params: DeformationParams):
     """<vacuum, tokens vacuum>, keeping after each token only the terms that
     can still return to the vacuum."""
     _guards.check_size("the length of an operator word", len(tokens), _guards.MAX_OPERATOR_WORD)
-    return _vacuum_moment([_token_parts(token, params) for token in tokens])
+    return _vacuum_moment([[_token_part(token)] for token in tokens], params)
 
 
 # -- deformed inner product ------------------------------------------------------
 
 
 def _sym_column(x: Word, a, b, memo: ColumnMemo) -> Dict[Word, object]:
-    """The column P^(n)_{a,b} e_x as a sparse dict {word: coeff}.
+    """The column P^(n)_{a,b} e_x as a sparse dict {word: coeff}, for a and
+    b cleared (ints, or Polys of denominator 1), so its entries are too.
 
     Uses the factorisation P_n = (1 (x) P_(n-1)) R_n:
 
@@ -361,7 +500,7 @@ def _sym_column(x: Word, a, b, memo: ColumnMemo) -> Dict[Word, object]:
         return col
     n = len(x)
     if n == 0:
-        col = {(): Fraction(1)}
+        col = {(): 1}
     else:
         acc: Dict[Word, object] = {}
         for k, weight in enumerate(_qt_row(n, a, b), 1):
@@ -375,43 +514,59 @@ def _sym_column(x: Word, a, b, memo: ColumnMemo) -> Dict[Word, object]:
     return col
 
 
-def _sym_inner(u: Word, x: Word, a, b, memo: ColumnMemo):
-    """<e_u, P^(n)_{a,b} e_x>."""
+def sym_inner_words(u: Word, x: Word, a, b):
+    """<e_u, P^(n)_{a,b} e_x> where P = sum_sigma a^inv(sigma) b^(binom-inv) U(sigma):
+    the entry of the column at (E a, E b), divided by E^C(n,2)."""
     if len(u) != len(x):
         return _ZERO
-    return _sym_column(tuple(x), a, b, memo).get(tuple(u), _ZERO)
+    a, b, e = _cleared_point(a, b)
+    return _over(_sym_column(tuple(x), a, b, {}).get(tuple(u), 0), e ** math.comb(len(x), 2))
 
 
-def sym_inner_words(u: Word, x: Word, a, b):
-    """<e_u, P^(n)_{a,b} e_x> where P = sum_sigma a^inv(sigma) b^(binom-inv) U(sigma)."""
-    return _sym_inner(u, x, a, b, {})
+def _levels(f: FockVector) -> Dict[int, List[Tuple[WordPair, object]]]:
+    """The terms of f by level."""
+    out: Dict[int, List[Tuple[WordPair, object]]] = {}
+    for key, c in f.terms.items():
+        out.setdefault(len(key[0]), []).append((key, c))
+    return out
 
 
 def deformed_inner(f: FockVector, h: FockVector, params: DeformationParams):
     """The four-parameter inner product: levels pair off, and within a level the
-    top rows pair through P_{q,t} while the bar rows pair through P_{v,w}."""
+    top rows pair through P_{q,t} while the bar rows pair through P_{v,w}.
+
+    Level n runs on ints: the coefficients of f and of h are cleared by the
+    lcm of their denominators on that level, and each row's columns are
+    taken at its point cleared by E, E^C(n,2) times their values, so the
+    level's sum is divided once.  The sum over term pairs is taken in two
+    stages: first, for each top word of h, the bar pairings of its terms
+    against each bar word; then, for each term of f, the top pairings
+    against those (P is symmetric, so the column of f's top word gives
+    them)."""
+    q, t, top_e = _cleared_point(params.q, params.t)
+    v, w, bar_e = _cleared_point(params.v, params.w)
     top_memo: ColumnMemo = {}
     bar_memo: ColumnMemo = {}
-    total = Fraction(0)
-    by_level_f: Dict[int, List[Tuple[WordPair, object]]] = {}
-    for key, c in f.terms.items():
-        by_level_f.setdefault(len(key[0]), []).append((key, c))
-    by_level_h: Dict[int, List[Tuple[WordPair, object]]] = {}
-    for key, c in h.terms.items():
-        by_level_h.setdefault(len(key[0]), []).append((key, c))
-    for n, fterms in by_level_f.items():
-        hterms = by_level_h.get(n)
+    total = _ZERO
+    levels_h = _levels(h)
+    for n, fterms in _levels(f).items():
+        hterms = levels_h.get(n)
         if not hterms:
             continue
-        for (ftop, fbar), fc in fterms:
-            for (htop, hbar), hc in hterms:
-                top_part = _sym_inner(ftop, htop, params.q, params.t, top_memo)
-                if top_part == 0:
-                    continue
-                bar_part = _sym_inner(fbar, hbar, params.v, params.w, bar_memo)
-                if bar_part == 0:
-                    continue
-                total = total + fc * hc * top_part * bar_part
+        f_scale, h_scale = _denominator(c for _, c in fterms), _denominator(c for _, c in hterms)
+        bars: Dict[Word, Dict[Word, object]] = {}  # h's top word -> {bar word: sum of hc <e_bar, P e_hb>}
+        for (ht, hb), hc in hterms:
+            hc = _cleared(hc, h_scale)
+            row = bars.setdefault(ht, {})
+            for fb, p in _sym_column(hb, v, w, bar_memo).items():
+                prev = row.get(fb)
+                row[fb] = hc * p if prev is None else prev + hc * p
+        level = 0
+        for (ft, fb), fc in fterms:
+            pairs = [p * bars[ht][fb] for ht, p in _sym_column(ft, q, t, top_memo).items() if fb in bars.get(ht, ())]
+            if pairs:
+                level = level + _cleared(fc, f_scale) * sum(pairs[1:], pairs[0])
+        total = total + _over(level, f_scale * h_scale * (top_e * bar_e) ** math.comb(n, 2))
     return total
 
 
@@ -424,16 +579,18 @@ def _check_words(n: int, d: int) -> None:
 
 
 def symmetrizer_matrix(n: int, a, b, d: int):
-    """Matrix of P^(n)_{a,b} on words of length n over a d-letter basis (lex order)."""
+    """Matrix of P^(n)_{a,b} on words of length n over a d-letter basis (lex
+    order): the columns at (E a, E b), each entry divided by E^C(n,2)."""
     _check_words(n, d)
     words = list(itertools.product(range(d), repeat=n))
+    a, b, e = _cleared_point(a, b)
+    scale = e ** math.comb(n, 2)
     memo: ColumnMemo = {}
-    zero = Fraction(0)
     # P is symmetric (inv(sigma) = inv(sigma^-1)), so each column serves as a row
     rows = []
     for x in words:
         col = _sym_column(x, a, b, memo)
-        rows.append(tuple(col.get(u, zero) for u in words))
+        rows.append(tuple(_over(col.get(u, 0), scale) for u in words))
     return tuple(rows)
 
 
@@ -460,14 +617,12 @@ def positivity_check(n: int, a: Fraction, b: Fraction, d: int) -> Tuple[str, int
     partition of n into at most d parts) is classified, counted as many times
     as its content has distinct rearrangements over the d letters.
 
-    a and b are cleared by D, the lcm of their denominators, so the columns are
-    ints: P_n(Da, Db) = D^C(n,2) P_n(a, b) has the same verdict and kernel.
+    The columns are taken at (E a, E b), so they are ints:
+    P_n(E a, E b) = E^C(n,2) P_n(a, b) has the same verdict and kernel.
     """
     _check_words(n, d)
-    a, b = Fraction(a), Fraction(b)
-    scale = math.lcm(a.denominator, b.denominator)
-    a, b = int(a * scale), int(b * scale)
-    memo: ColumnMemo = {(): {(): 1}}  # shared by all blocks: a subword's column serves every block holding it
+    a, b, _ = _cleared_point(Fraction(a), Fraction(b))
+    memo: ColumnMemo = {}  # shared by all blocks: a subword's column serves every block holding it
     blocks = []
     for content in _letter_contents(n, d, n):
         head = tuple(letter for letter, size in enumerate(content) for _ in range(size))
@@ -493,38 +648,48 @@ def check_commutation_tensor(
         A(x1) A*(x2) - qv A*(x2) A(x1)
           = q <eta1,eta2> (a* a on top) + v <xi1,xi2> (a* a on bar)
             + <xi1,xi2><eta1,eta2> Id.
+
+    It runs on ints: each row's vectors are cleared by D and its point by
+    E, so on level n a c e_w carries D^2 E^n of its row and c a e_w
+    D^2 E^(n-1).  The relation is checked times
+    D_top^2 D_bar^2 (E_top E_bar)^n: the twisted term takes q v cleared,
+    each one-row term the other row's E^n, and the identity term
+    (E_top E_bar)^n.
     """
     if params.t != 1 or params.w != 1:
         raise ValueError("the doubled commutation relation needs t = w = 1")
-    q, v = params.q, params.v
-    inner_top = _linalg.dot(x1.xi, x2.xi)
-    inner_bar = _linalg.dot(x1.eta, x2.eta)
-    one = Fraction(1)
-    create_top, annihilate_top = _row_create(x2.xi), _row_annihilate(x1.xi, q, params.t)
-    create_bar, annihilate_bar = _row_create(x2.eta), _row_annihilate(x1.eta, v, params.w)
+    q, t, top_e = _cleared_point(params.q, params.t)
+    v, w, bar_e = _cleared_point(params.v, params.w)
+    xi1, xi2 = _cleared_array((x1.xi, x2.xi))
+    eta1, eta2 = _cleared_array((x1.eta, x2.eta))
+    inner_top = _linalg.dot(xi1, xi2)
+    inner_bar = _linalg.dot(eta1, eta2)
+    create_top, annihilate_top = _row_create(xi2), _row_annihilate(xi1, q, t)
+    create_bar, annihilate_bar = _row_create(eta2), _row_annihilate(eta1, v, w)
 
     def row_images(create: RowOp, annihilate: RowOp, size: int, n: int, lhs_scale, rhs_scale):
-        """(word, a c e_word, lhs_scale c a e_word, rhs_scale c a e_word) as
-        term lists, for each level-n word over size letters."""
-        for w in itertools.product(range(size), repeat=n):
-            moved = _row_apply(create, _row_apply(annihilate, {w: one})).items()
-            ac = _row_apply(annihilate, _row_apply(create, {w: one})).items()
-            yield w, ac, [(u, lhs_scale * c) for u, c in moved], [(u, rhs_scale * c) for u, c in moved]
+        """(word, a c e_word, lhs_scale c a e_word, -rhs_scale c a e_word)
+        as term lists, for each level-n word over size letters."""
+        for word in itertools.product(range(size), repeat=n):
+            moved = _row_apply(create, _row_apply(annihilate, {word: 1})).items()
+            ac = _row_apply(annihilate, _row_apply(create, {word: 1})).items()
+            yield word, ac, [(u, lhs_scale * c) for u, c in moved], [(u, -rhs_scale * c) for u, c in moved]
 
     for n in range(0, maxlevel + 1):
-        bars = list(row_images(create_bar, annihilate_bar, dbar, n, one, v * inner_top))
-        for top, ac_top, moved_top, rhs_top in row_images(create_top, annihilate_top, d, n, -(q * v), q * inner_bar):
+        identity = -(inner_top * inner_bar * (top_e * bar_e) ** n)
+        bars = list(row_images(create_bar, annihilate_bar, dbar, n, 1, v * inner_top * top_e**n))
+        tops = row_images(create_top, annihilate_top, d, n, -(q * v), q * inner_bar * bar_e**n)
+        for top, ac_top, moved_top, rhs_top in tops:
             for bar, ac_bar, moved_bar, rhs_bar in bars:
-                lhs = itertools.chain(
+                # the terms of lhs - rhs, which sum to zero where the relation holds
+                difference = itertools.chain(
                     (((wt, wb), ct * cb) for wt, ct in ac_top for wb, cb in ac_bar),
                     (((wt, wb), ct * cb) for wt, ct in moved_top for wb, cb in moved_bar),
+                    (((word, bar), c) for word, c in rhs_top),
+                    (((top, word), c) for word, c in rhs_bar),
+                    [((top, bar), identity)],
                 )
-                rhs = itertools.chain(
-                    (((w, bar), c) for w, c in rhs_top),
-                    (((top, w), c) for w, c in rhs_bar),
-                    [((top, bar), inner_top * inner_bar)],
-                )
-                if _collect(lhs) != _collect(rhs):
+                if _collect(difference):
                     return False
     return True
 
@@ -533,14 +698,15 @@ def _adjoint_pairs(mat, a, b, size: int, n: int, memo: ColumnMemo):
     """(<T e_x, e_y>_P, <e_x, T' e_y>_P) for every pair (x, y) of level-n
     words of one row, T = mat, T' its transpose and P = P^(n)_{a,b}.  P is
     symmetric, so the first pairs T e_x with the column P e_y and the second
-    T' e_y with P e_x."""
+    T' e_y with P e_x.  With the row cleared (mat by D, a and b by E) both
+    pairings carry the same scale D E^(n-1) E^C(n,2)."""
     words = list(itertools.product(range(size), repeat=n))
     cols = [_sym_column(z, a, b, memo) for z in words]
     gauge, gauge_adj = _row_gauge(mat, a, b), _row_gauge(_linalg.transpose(mat), a, b)
     images, images_adj = [gauge(z) for z in words], [gauge_adj(z) for z in words]
 
     def pair(terms, col):
-        return sum((c * col[w] for w, c in terms if w in col), _ZERO)
+        return sum((c * col[w] for w, c in terms if w in col), 0)
 
     indices = range(len(words))
     return [(pair(images[x], cols[y]), pair(images_adj[y], cols[x])) for x in indices for y in indices]
@@ -551,12 +717,16 @@ def gauge_adjoint_check(
 ) -> bool:
     """<p f, h> = <f, p' h> in the deformed inner product, p' built from the
     transposed matrices.  Swept exactly over all basis word pairs, each side
-    the product of one top-row and one bar-row pairing."""
+    the product of one top-row and one bar-row pairing.  Each row runs on
+    ints, its matrix cleared by D and its point by E: the two pairings of a
+    row carry the same scale, so the two sides compare as they are."""
+    (q, t, _), (v, w, _) = _cleared_point(params.q, params.t), _cleared_point(params.v, params.w)
+    top, bar = _cleared_array(g.top), _cleared_array(g.bar)
     top_memo, bar_memo = {}, {}  # column memos, each shared by every pairing of its row in the sweep
     for n in range(1, maxlevel + 1):
-        bar = _adjoint_pairs(g.bar, params.v, params.w, dbar, n, bar_memo)
-        for lt, rt in _adjoint_pairs(g.top, params.q, params.t, d, n, top_memo):
-            if any(lt * lb != rt * rb for lb, rb in bar):
+        bars = _adjoint_pairs(bar, v, w, dbar, n, bar_memo)
+        for lt, rt in _adjoint_pairs(top, q, t, d, n, top_memo):
+            if any(lt * lb != rt * rb for lb, rb in bars):
                 return False
     return True
 

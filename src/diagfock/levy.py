@@ -43,12 +43,10 @@ from .partitions import (
     arc_sums,
     diagonal_partitions,
     unit_bar_sum,
-    _cleared,
-    _denominator,
     _read,
     _unit_bar_weights,
 )
-from .scalars import DeformationParams
+from .scalars import DeformationParams, _cleared, _cleared_array, _denominator, _over
 
 Word = Tuple[int, ...]
 
@@ -136,10 +134,10 @@ def _vector_chain(starts: Sequence[Sequence], gauges: Sequence[Optional[_linalg.
     ends = starts if ends is None else ends
     matrices = (row for g in gauges if g is not None for row in g)
     scale = _denominator(itertools.chain(*starts, *ends, *matrices, singles))
-    starts = [tuple(_cleared(x, scale) for x in v) for v in starts]  # a chain is a tuple: the DP hashes it
-    ends = [[_cleared(x, scale) for x in v] for v in ends]
-    cols = [None if g is None else _linalg.transpose([[_cleared(x, scale) for x in row] for row in g]) for g in gauges]
-    singles = [_cleared(x, scale) for x in singles]
+    starts = [_cleared_array(v, scale) for v in starts]  # a chain is a tuple: the DP hashes it
+    ends = [_cleared_array(v, scale) for v in ends]
+    cols = [None if g is None else _linalg.transpose(_cleared_array(g, scale)) for g in gauges]
+    singles = _cleared_array(singles, scale)
     callbacks = (singles.__getitem__, starts.__getitem__,
                  lambda row, i: _linalg.dot(row, ends[i]), lambda row, i: _linalg.mat_vec(cols[i], row))
     return callbacks, scale
@@ -219,11 +217,11 @@ def fock_levy_oracle(
         lam = spec.lam[u] * lengths[i]
         return [
             _creation_part(on_interval(spec.xi[u], i)),
-            _annihilation_part(on_interval([lengths[i] * x for x in paired], i), params),
-            _gauge_part(GaugePair(tuple(map(tuple, gauge)), (one,)), params),
+            _annihilation_part(on_interval([lengths[i] * x for x in paired], i)),
+            _gauge_part(GaugePair(tuple(map(tuple, gauge)), (one,))),
         ] + ([_scalar_part(lam)] if lam != 0 else [])
 
-    return _vacuum_moment([parts(u, i) for u, i in tokens]) + params.q * 0
+    return _vacuum_moment([parts(u, i) for u, i in tokens], params) + params.q * 0
 
 
 def stochastic_measure(
@@ -291,18 +289,19 @@ def functional_from_spec(spec: LevySpec, params: DeformationParams, maxlen: int,
     return _spec_sums(spec, [range(spec.k)] * maxlen, params, Fraction(s))
 
 
-def _functional_sums(psi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
+def _functional_sums(psi: Functional, k: int, params: DeformationParams, maxlen: int) -> Tuple[Dict[Word, object], int]:
     """The open-arc DP over every word of length 1..maxlen on k letters with
     block values psi on subwords, a chain being the open subword: the
-    moments of the cumulants psi on every word of length 0..maxlen, a block
-    of j points cleared by D^j (D the lcm of psi's denominators).  The
-    guard of the functionals (:func:`functional_from_spec` applies it too)
-    and of the one-variable transforms."""
+    (sums, scale) of :func:`diagfock.partitions.arc_sums`, the moment of
+    the cumulants psi on a word of m points being its sum over scale^m, a
+    block of j points cleared by D^j (D the lcm of psi's denominators).
+    The guard of the functionals (:func:`functional_from_spec` applies it
+    too) and of the one-variable transforms."""
     _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
     scale = _denominator(psi.values())
     value = lambda sub: _cleared(psi[sub], scale ** len(sub))
-    return _read(*arc_sums([range(k)] * maxlen, _unit_bar_weights(params), lambda u: value((u,)), lambda u: (u,),
-                           lambda sub, u: value(sub + (u,)), lambda sub, u: sub + (u,), scale=scale))
+    return arc_sums([range(k)] * maxlen, _unit_bar_weights(params), lambda u: value((u,)), lambda u: (u,),
+                    lambda sub, u: value(sub + (u,)), lambda sub, u: sub + (u,), scale=scale)
 
 
 def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
@@ -315,7 +314,8 @@ def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxl
     its role class, with weight 1).  Psi is known below length n before the
     words of length n need it, so one forward pass per length n = 1..maxlen,
     over the words up to n with Psi 0 on length n, gives every such sum,
-    each pass on cleared data like every other.  Psi(u) is a Fraction at a
+    each pass on cleared data like every other; pass n divides only the
+    sums of length n, the ones it reads.  Psi(u) is a Fraction at a
     rational point and a Poly at the symbolic point.
     """
     _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
@@ -323,15 +323,16 @@ def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxl
     for n in range(1, maxlen + 1):
         words = list(itertools.product(range(k), repeat=n))
         psi.update(dict.fromkeys(words, 0))  # the one block over a whole word, 0 in this pass
-        sums = _functional_sums(psi, k, params, n)  # a block open from point 1 reaches every word of length n
+        sums, scale = _functional_sums(psi, k, params, n)  # a block open from point 1 reaches every word of length n
+        unit = scale ** n
         for u in words:
-            psi[u] = phi[u] - sums[u]
+            psi[u] = phi[u] - _over(sums[u], unit)
     return psi
 
 
 def moment_functional(psi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
     """Expand cumulants back into moments over all diagonal partitions."""
-    return _functional_sums(psi, k, params, maxlen)
+    return _read(*_functional_sums(psi, k, params, maxlen))
 
 
 def cumulants_to_moments(r: Sequence, params: DeformationParams) -> List:

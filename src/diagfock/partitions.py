@@ -67,13 +67,14 @@ at the symbolic point, by one rule.  A walk of m points multiplies one
 factor per point (a step weight at each Closer and Middle, a block value at
 each Closer and Singleton, and Openers match Closers).  So a caller clears
 its data by one integer scale D per point, a block of j points times D^j
-(:func:`_denominator`, :func:`_cleared`, which read a Poly's denominator as
-a Fraction's); :func:`arc_sums` clears its step weights by the lcm S_w of
-their denominators and puts one more S_w on each singleton and closer
-value; and the sum of every word of m points comes cleared, (S_w D)^m times
-its value, divided once at the end (:func:`_read`).  Every value read is a
-Fraction at a rational point and a Poly at the symbolic point, whatever mix
-of ints, Fractions and Polys the data hold.
+(``scalars._denominator``, ``scalars._cleared``, which read a Poly's
+denominator as a Fraction's); :func:`arc_sums` clears its step weights by
+the lcm S_w of their denominators and puts one more S_w on each singleton
+and closer value; and the sum of every word of m points comes cleared,
+(S_w D)^m times its value, divided once at the end (:func:`_read`, by
+``scalars._over``).  Every value read is a Fraction at a rational point
+and a Poly at the symbolic point, whatever mix of ints, Fractions and
+Polys the data hold.
 
 The pairs themselves are listed for display only.  :func:`_diagonal_classes`
 groups the rows of one walk by role vector, with the walk's rc and rn of each
@@ -86,7 +87,6 @@ recounts them pair by pair, as the tests' oracle.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -94,7 +94,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _guards
 from .orthopoly import jacobi_sech, moments_from_jacobi
-from .scalars import DeformationParams, _qt_row, qt_number
+from .scalars import DeformationParams, _cleared, _denominator, _over, _qt_row, qt_number
 
 Block = Tuple[int, ...]
 Roles = Tuple[str, ...]
@@ -440,34 +440,6 @@ def _unit_bar_weights(params: DeformationParams) -> Callable[[int], Tuple]:
     """The step weights of the sums with bar value 1: the top row's times
     the bar row's factor [k]_{v,w} of :func:`unit_bar_sum`."""
     return lambda k: _row_weights(params.q, params.t, k, qt_number(k, params.v, params.w))
-
-
-def _denominator(values) -> int:
-    """The lcm D of the denominators of the ints, Fractions and Polys among
-    values (None skipped): the scale that clears them."""
-    scale = 1
-    for x in values:
-        if x is not None and scale % x.denominator:
-            scale = math.lcm(scale, x.denominator)
-    return scale
-
-
-def _cleared(x, scale: int):
-    """x * scale: an int for an int x or a Fraction x whose denominator
-    divides scale, and a Poly x times scale, one scale of its int
-    numerators, of denominator 1 when its denominator divides scale (x
-    itself at scale 1)."""
-    if type(x) is Fraction:
-        return x.numerator * (scale // x.denominator)
-    return x * scale if scale != 1 else x
-
-
-def _over(x, scale: int):
-    """x / scale: a Fraction for an int or Fraction x, and a Poly for a Poly
-    x, one scale of its denominator."""
-    if type(x) is int:
-        return Fraction(x, scale)
-    return x if scale == 1 else x * Fraction(1, scale)
 
 
 def _read(sums: Dict[tuple, object], scale: int) -> Dict[tuple, object]:

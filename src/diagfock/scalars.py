@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 Exponent = Tuple[int, int, int, int]
 
@@ -332,6 +332,60 @@ def _qt_row(n: int, a: Scalar, b: Scalar) -> Tuple:
     gauge and the symmetrizer), or, read reversed, of ending the j-th of n
     open arcs."""
     return tuple((a ** (i - 1)) * (b ** (n - i)) for i in range(1, n + 1))
+
+
+def _denominator(values) -> int:
+    """The lcm D of the denominators of the ints, Fractions and Polys among
+    values (None skipped): the scale that clears them."""
+    scale = 1
+    for x in values:
+        if x is not None and scale % x.denominator:
+            scale = math.lcm(scale, x.denominator)
+    return scale
+
+
+def _cleared(x, scale: int):
+    """x * scale: an int for an int x or a Fraction x whose denominator
+    divides scale, and a Poly x times scale, one scale of its int
+    numerators, of denominator 1 when its denominator divides scale (x
+    itself at scale 1)."""
+    if type(x) is Fraction:
+        return x.numerator * (scale // x.denominator)
+    return x * scale if scale != 1 else x
+
+
+def _over(x, scale: int):
+    """x / scale: a Fraction for an int or Fraction x, and a Poly for a Poly
+    x, one scale of its denominator."""
+    if type(x) is int:
+        return Fraction(x, scale)
+    return x if scale == 1 else x * Fraction(1, scale)
+
+
+def _entries(data) -> list:
+    """The scalars of a scalar, a vector or a matrix (tuples or lists)."""
+    if not isinstance(data, (tuple, list)):
+        return [data]
+    return [x for row in data for x in (row if isinstance(row, (tuple, list)) else (row,))]
+
+
+def _cleared_array(data, scale: Optional[int] = None):
+    """A scalar, a vector or a matrix times scale, entry by entry
+    (:func:`_cleared`; an array comes back as tuples), scale defaulting to
+    the lcm of its denominators."""
+    if scale is None:
+        scale = _denominator(_entries(data))
+    if not isinstance(data, (tuple, list)):
+        return _cleared(data, scale)
+    return tuple(_cleared_array(x, scale) if isinstance(x, (tuple, list)) else _cleared(x, scale) for x in data)
+
+
+def _cleared_point(a: Scalar, b: Scalar) -> Tuple[Scalar, Scalar, int]:
+    """(E a, E b, E), E the lcm of the denominators of a and b: each
+    summand of [n]_{E a, E b} (:func:`_qt_row`) is E^(n-1) times that of
+    [n]_{a,b}."""
+    e = _denominator((a, b))
+    return _cleared(a, e), _cleared(b, e), e
 
 
 def qt_number(n: int, a: Scalar, b: Scalar):

@@ -44,8 +44,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import _guards
 from .levy import _vector_chain, cumulants_to_moments, moments_to_cumulants  # the transforms are re-exported
-from .partitions import _cleared, _denominator, _over, role_sums
-from .scalars import DeformationParams
+from .partitions import role_sums
+from .scalars import DeformationParams, _cleared, _cleared_array, _denominator, _over
 from .fock import (
     ANNIHILATE,
     CREATE,
@@ -109,7 +109,7 @@ def gaussian_fock_oracle(xs: Sequence[VectorPair], params: DeformationParams):
     route), plus the point's zero: a Poly at the symbolic point, as the
     formula gives."""
     _check_entries(xs, "vectors")
-    return _vacuum_moment([_quadrabasic_parts(x, None, 0, params) for x in xs]) + params.q * 0
+    return _vacuum_moment([_quadrabasic_parts(x, None, 0) for x in xs], params) + params.q * 0
 
 
 # -- creation/annihilation word expansion ------------------------------------------
@@ -171,7 +171,7 @@ def _word_row(vectors: Sequence[Sequence], roles_at: Sequence[str], a, b) -> Tup
     openers = roles_at.count("O")
     singletons = max(len(roles_at) - 2 * openers, 0)  # as many in every R; no R if creators are too few
     most = openers * singletons
-    vectors = [[_cleared(x, data) for x in v] for v in vectors]
+    vectors = [_cleared_array(v, data) for v in vectors]
     a_den, b_den = _denominator([a]), _denominator([b])
     a_num, b_num = _cleared(a, a_den), _cleared(b, b_den)
     out: Dict[Tuple[int, ...], object] = {}
@@ -250,4 +250,4 @@ def full_fock_oracle(ops: Sequence[QuadrabasicOp], params: DeformationParams):
     """The same moment by operator application (independent route), plus the
     point's zero: a Poly at the symbolic point, as the formula gives."""
     _check_entries([op.vector for op in ops], "operators")
-    return _vacuum_moment([_quadrabasic_parts(op.vector, op.gauge, op.scalar, params) for op in ops]) + params.q * 0
+    return _vacuum_moment([_quadrabasic_parts(op.vector, op.gauge, op.scalar) for op in ops], params) + params.q * 0

@@ -78,6 +78,46 @@ def sym_inner_brute(u: Sequence[int], x: Sequence[int], a, b):
     return total
 
 
+def sym_inner_recursive(u: Sequence[int], x: Sequence[int], a, b, memo: Dict) -> Fraction:
+    """<e_u, P_n e_x> on the data as given, by P_n = (1 (x) P_(n-1)) R_n
+    read from u's side: the first letter of u meets letter k of x with
+    weight a^(k-1) b^(n-k).  A zero entry is Fraction(0), as the library
+    prunes it, and the empty word's is Fraction(1).  ``memo`` keeps (u, x)
+    pairs for one point."""
+    key = (tuple(u), tuple(x))
+    if key in memo:
+        return memo[key]
+    n = len(u)
+    if n != len(x):
+        return Fraction(0)
+    if n == 0:
+        val = Fraction(1)
+    else:
+        val = Fraction(0)
+        for k in range(n):
+            if x[k] == u[0]:
+                val += a**k * b ** (n - 1 - k) * sym_inner_recursive(u[1:], x[:k] + x[k + 1 :], a, b, memo)
+        if val == 0:
+            val = Fraction(0)
+    memo[key] = val
+    return val
+
+
+def deformed_inner_pairs(f, h, params):
+    """The deformed inner product term pair by term pair on the data as
+    given: fc hc <e_ft, P e_ht>_{q,t} <e_fb, P e_hb>_{v,w} summed from
+    Fraction(0) over the pairs whose two pairings are nonzero."""
+    top_memo, bar_memo = {}, {}
+    total = Fraction(0)
+    for (ft, fb), fc in f.terms.items():
+        for (ht, hb), hc in h.terms.items():
+            top = sym_inner_recursive(ft, ht, params.q, params.t, top_memo)
+            bar = sym_inner_recursive(fb, hb, params.v, params.w, bar_memo)
+            if top != 0 and bar != 0:
+                total = total + fc * hc * top * bar
+    return total
+
+
 # -- reference elimination and stochastic measure ---------------------------------------
 
 
@@ -598,14 +638,29 @@ def quadrabasic_sum(x, g, lam, f, params):
     return out + f.scale(lam)
 
 
+def _apply_steps(steps, params):
+    """The vacuum under a product of steps, each the parts of one operator,
+    by the single actions' one pass per step on the data as given: every
+    term kept, and nothing cleared."""
+    f = fock.FockVector.vacuum()
+    for parts in reversed(steps):
+        f = fock._apply_parts(parts, f, params)
+    return f
+
+
 def apply_word_pairs(tokens, params):
     """A product of tokens applied to the vacuum on (top, bar) pairs: every
     token expands each pair term into the products of its top and bar images.
-    The library runs each row on its own and tensors the rows once."""
-    f = fock.FockVector.vacuum()
-    for token in reversed(tokens):
-        f = fock._apply_parts(fock._token_parts(token, params), f)
-    return f
+    The library runs each row on its own, on cleared ints, and tensors the
+    rows once."""
+    return _apply_steps([[fock._token_part(token)] for token in tokens], params)
+
+
+def vacuum_moment_pairs(steps, params):
+    """The value of ``fock._vacuum_moment(steps, params)`` on the data as
+    given, with no room bound: the vacuum coefficient of the whole vector
+    (``Fraction(0)`` where no term returns)."""
+    return _apply_steps(steps, params).vacuum_coefficient()
 
 
 def check_commutation_single(xi1, xi2, a, b, d: int, maxlevel: int = 3) -> bool:

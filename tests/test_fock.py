@@ -167,7 +167,7 @@ def test_one_pass_sums_equal_separate_actions():
     for params in (rational, SYM):
         for gauge in (None, g):
             for lam in (Fraction(0), Fraction(-5, 3)):
-                one_pass = fock._apply_parts(fock._quadrabasic_parts(x, gauge, lam, params), f)
+                one_pass = fock._apply_parts(fock._quadrabasic_parts(x, gauge, lam), f, params)
                 assert one_pass == helpers.quadrabasic_sum(x, gauge, lam, f, params)
 
 
@@ -468,22 +468,44 @@ def test_commutation_tensor_fails_with_swapped_annihilation_weights(monkeypatch)
     p = params_rat(Fraction(1, 2), 1, Fraction(1, 3), 1)
     x1 = VectorPair.of([1, Fraction(1, 2)], [Fraction(2, 3), 1])
     x2 = VectorPair.of([Fraction(-1, 3), 2], [1, Fraction(3, 4)])
+    # t = w = 1, so q, v and the vectors of the two rows take pairwise
+    # different denominators, each row's above the other's scale (cleared
+    # by a wrong scale, the bar vectors would vanish and pass); at q = t = 1
+    # the swap leaves the top row as it is and breaks only the bar
+    distinct = params_rat(Fraction(2, 5), 1, Fraction(-3, 7), 1)
+    only_bar = params_rat(1, 1, Fraction(-3, 7), 1)
+    x3 = VectorPair.of([Fraction(1, 2), Fraction(-1, 3)], [Fraction(2, 7), Fraction(3, 11)])
+    x4 = VectorPair.of([Fraction(2, 3), 1], [Fraction(-1, 9), Fraction(4, 13)])
     assert check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=2)
+    assert check_commutation_tensor(x3, x4, distinct, 2, 2, maxlevel=3)
+    assert check_commutation_tensor(x3, x4, only_bar, 2, 2, maxlevel=3)
     row_annihilate = fock._row_annihilate
     monkeypatch.setattr(fock, "_row_annihilate", lambda vec, wa, wb: row_annihilate(vec, wb, wa))
     assert check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=0)
     assert not check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=2)
+    assert not check_commutation_tensor(x3, x4, distinct, 2, 2, maxlevel=3)
+    assert not check_commutation_tensor(x3, x4, only_bar, 2, 2, maxlevel=3)
 
 
 def test_gauge_adjoint_fails_without_the_transpose(monkeypatch):
-    # a non-symmetric matrix is not its own adjoint, on either row
+    # a non-symmetric matrix is not its own adjoint, on either row; the
+    # first gauge of each pair breaks only the bar row
     p = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 4), Fraction(1, 2))
     symmetric, skewed = [[1, 2], [2, Fraction(1, 3)]], [[Fraction(1, 2), 1], [Fraction(-1, 3), 2]]
     gauges = [GaugePair.of(symmetric, skewed), GaugePair.of(skewed, symmetric)]
+    # q, t, v and w of pairwise different denominators, and a skewed matrix
+    # whose denominators pass the symmetric one's (cleared by a wrong scale,
+    # it would vanish and pass)
+    distinct = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 5), Fraction(3, 7))
+    halves, sevenths = [[Fraction(1, 2), 1], [1, Fraction(3, 2)]], [[Fraction(1, 3), Fraction(1, 5)], [Fraction(-1, 7), Fraction(2, 9)]]
+    distinct_gauges = [GaugePair.of(halves, sevenths), GaugePair.of(sevenths, halves)]
     assert all(gauge_adjoint_check(g, p, 2, 2, maxlevel=2) for g in gauges)
+    assert all(gauge_adjoint_check(g, distinct, 2, 2, maxlevel=3) for g in distinct_gauges)
     monkeypatch.setattr(_linalg, "transpose", lambda m: m)
     assert gauge_adjoint_check(GaugePair.of(symmetric, symmetric), p, 2, 2, maxlevel=2)
+    assert gauge_adjoint_check(GaugePair.of(halves, halves), distinct, 2, 2, maxlevel=3)
     assert not any(gauge_adjoint_check(g, p, 2, 2, maxlevel=2) for g in gauges)
+    assert not any(gauge_adjoint_check(g, distinct, 2, 2, maxlevel=3) for g in distinct_gauges)
 
 
 def test_creation_norm_pinned_points():

@@ -1,6 +1,8 @@
 """The forward diagonal sums where the open-arc DP runs on ints, its data
 cleared by one integer per point and each word's sum read once: value and
-type against the brute class sums and the Fock oracles.
+type against the brute class sums and the Fock oracles.  The Fock routes
+run on cleared ints too; they keep the types they had on the data as
+given, so they are held, in value and type, to routes that run on it.
 
 One contract holds at every point: each result is a Fraction at a rational
 point and a Poly at the symbolic point, whatever mix of ints and Fractions
@@ -21,8 +23,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from diagfock import fock, wick
 from diagfock._guards import MAX_DIAGONAL_N
-from diagfock.fock import ANNIHILATE, CREATE, GaugePair, VectorPair
+from diagfock.fock import (
+    ANNIHILATE,
+    CREATE,
+    GAUGE,
+    SCALAR,
+    FockVector,
+    GaugePair,
+    VectorPair,
+    apply_word,
+    deformed_inner,
+    sym_inner_words,
+    symmetrizer_matrix,
+    vacuum_expectation,
+)
 from diagfock.levy import (
     LevySpec,
     cumulant_functional,
@@ -268,6 +284,107 @@ def test_the_guard_size_at_a_rational_point():
     xs = [VectorPair.of(entries(r, 1), entries(r, 1)) for _ in range(n)]
     got = gaussian_wick(xs, params)
     assert is_fraction(got) and got == gaussian_fock_oracle(xs, params)
+
+
+# -- the operator model on cleared ints against its routes on the data as given ----------
+
+# the Fock routes keep the types they had on Fractions, so each is held to a
+# route that runs on the data as given, in value and in type; v = w = 0
+# joins the points (no bar weight above level 1)
+FOCK_POINTS = dict(
+    POINTS, **{"vw-zero": (DeformationParams.from_rationals(Fraction(-2, 9), Fraction(5, 7), 0, 0), ENTRIES, Fraction)}
+)
+fock_point = pytest.mark.parametrize(
+    "params, values", [(p, values) for p, values, _ in FOCK_POINTS.values()], ids=list(FOCK_POINTS)
+)
+KINDS = {"a": ANNIHILATE, "c": CREATE, "g": GAUGE, "s": SCALAR}
+# the empty word, words that return to the vacuum and words that end above it
+PATTERNS = ["", "s", "c", "a", "ac", "agc", "sacg", "aacc", "acgsac", "cagcc", "aagccs", "acacgc"]
+
+
+def same(got, expect):
+    """Equal values of equal types: a Fock vector term by term, a tuple entry by entry."""
+    if isinstance(expect, FockVector):
+        return got.terms.keys() == expect.terms.keys() and all(same(c, expect.terms[k]) for k, c in got.terms.items())
+    if isinstance(expect, tuple):
+        return len(got) == len(expect) and all(map(same, got, expect))
+    return type(got) is type(expect) and got == expect
+
+
+def word_tokens(r, pattern, values):
+    """Tokens of the kinds of a pattern over top d = 2, bar d = 1, with data
+    drawn from values."""
+    payload = {
+        "a": lambda: VectorPair(entries(r, 2, values), entries(r, 1, values)),
+        "c": lambda: VectorPair(entries(r, 2, values), entries(r, 1, values)),
+        "g": lambda: GaugePair(matrix(r, 2, values), matrix(r, 1, values)),
+        "s": lambda: r.choice(values),
+    }
+    return [(KINDS[ch], payload[ch]()) for ch in pattern]
+
+
+@fock_point
+def test_the_symmetrizer_routes_match_the_recursion_on_the_data(params, values):
+    # every entry of P_0 .. P_3 over two letters and of P_2 over three, on
+    # both rows; the empty word's entry is Fraction(1) at every point
+    for a, b in ((params.q, params.t), (params.v, params.w)):
+        memo = {}
+        for n, d in ((0, 2), (1, 2), (2, 2), (3, 2), (2, 3)):
+            words = list(itertools.product(range(d), repeat=n))
+            expect = tuple(tuple(helpers.sym_inner_recursive(u, x, a, b, memo) for u in words) for x in words)
+            assert same(symmetrizer_matrix(n, a, b, d), expect), (n, d)
+            assert all(same(sym_inner_words(u, x, a, b), expect[i][j]) for i, x in enumerate(words) for j, u in enumerate(words))
+        assert same(sym_inner_words((0,), (0, 1), a, b), Fraction(0))
+    assert same(sym_inner_words((), (), params.q, params.t), Fraction(1))
+
+
+@fock_point
+def test_deformed_inner_matches_the_pairwise_sum_on_the_data(params, values):
+    r = helpers.rng(201)
+
+    def vector():
+        keys = [(tuple(r.randrange(2) for _ in range(n)), tuple(r.randrange(2) for _ in range(n))) for n in (0, 1, 2, 2, 3, 3, 3)]
+        return FockVector({key: r.choice(values) for key in keys})
+
+    for _ in range(4):
+        f, h = vector(), vector()
+        assert same(deformed_inner(f, h, params), helpers.deformed_inner_pairs(f, h, params))
+    vacuum, other_level = FockVector.vacuum(), FockVector({((0,), (1,)): values[-1]})
+    assert same(deformed_inner(vacuum, vacuum, params), Fraction(1))
+    assert same(deformed_inner(vacuum, other_level, params), Fraction(0))
+    assert same(deformed_inner(FockVector(), vacuum, params), Fraction(0))
+
+
+@fock_point
+@pytest.mark.parametrize("pattern", PATTERNS)
+def test_operator_words_match_the_pair_route_on_the_data(params, values, pattern):
+    tokens = word_tokens(helpers.rng(202), pattern, values)
+    whole = helpers.apply_word_pairs(tokens, params)
+    assert same(apply_word(tokens, params), whole)
+    assert same(vacuum_expectation(tokens, params), whole.vacuum_coefficient())
+    word = [token for token in tokens if token[0] in (ANNIHILATE, CREATE)]
+    assert same(wick.word_fock_oracle(word, params), helpers.apply_word_pairs(word, params))
+
+
+@fock_point
+def test_the_moment_oracles_match_the_driver_on_the_data(params, values, monkeypatch):
+    # the same parts on two drivers: the cleared one, and every term kept on
+    # the data as given; no operator is the empty product
+    r = helpers.rng(203)
+    moments = []
+    for n in range(6):
+        ops = ops_with_zeros(r, n, values)
+        moments.append((ops, wick.full_fock_oracle(ops, params), wick.gaussian_fock_oracle([op.vector for op in ops], params)))
+    spec, s = spec_with_zeros(r), Fraction(3, 13)
+    words = [(), (0,), (0, 1), (1, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1, 1)]
+    levy_moments = [fock_levy_oracle(spec, [(u, i % 2) for i, u in enumerate(w)], [s, 2 * s], params) for w in words]
+    monkeypatch.setattr(wick, "_vacuum_moment", helpers.vacuum_moment_pairs)
+    monkeypatch.setattr(fock, "_vacuum_moment", helpers.vacuum_moment_pairs)
+    for ops, full, gaussian in moments:
+        assert same(full, wick.full_fock_oracle(ops, params)), len(ops)
+        assert same(gaussian, wick.gaussian_fock_oracle([op.vector for op in ops], params)), len(ops)
+    for w, got in zip(words, levy_moments):
+        assert same(got, fock_levy_oracle(spec, [(u, i % 2) for i, u in enumerate(w)], [s, 2 * s], params)), w
 
 
 rationals = st.builds(Fraction, st.integers(min_value=-13, max_value=13), st.integers(min_value=1, max_value=13))
