@@ -8,7 +8,7 @@ exact rationals, :func:`_reduce`, serves the solves (every right-hand side of
 a system in one pass, as the columns of a matrix), the ranks and the
 independent subsets.
 :func:`ldlt_classify` is on the hot path of the symmetrizer positivity
-checks (one call per letter-content block), so it eliminates fraction-free
+checks (two calls per content block), so it eliminates fraction-free
 over integers instead.
 """
 

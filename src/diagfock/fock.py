@@ -613,9 +613,13 @@ def positivity_check(n: int, a: Fraction, b: Fraction, d: int) -> Tuple[str, int
     a word (its letter-content block) to itself, and the matrix of
     :func:`symmetrizer_matrix` is block diagonal up to the order of the words.
     Relabelling the letters maps a block onto the block of the relabelled
-    content with the same matrix, so one block per sorted content (a
-    partition of n into at most d parts) is classified, counted as many times
-    as its content has distinct rearrangements over the d letters.
+    content with the same matrix, so one block per partition of n into at
+    most d parts, split by reversal, is classified, counted as many times as
+    its content has distinct rearrangements over the d letters.  The reversal
+    J of positions keeps a content, and J P_n J = P_n as inv(w0 sigma w0) =
+    inv(sigma), so the basis e_x + e_Jx (x <= Jx), e_x - e_Jx (x < Jx) is a
+    congruence of a block onto its even and odd halves, 2 (P[y,x] +- P[Jy,x]),
+    which by Sylvester's law of inertia give its verdict and kernel.
 
     The columns are taken at (E a, E b), so they are ints:
     P_n(E a, E b) = E^C(n,2) P_n(a, b) has the same verdict and kernel.
@@ -626,14 +630,18 @@ def positivity_check(n: int, a: Fraction, b: Fraction, d: int) -> Tuple[str, int
     blocks = []
     for content in _letter_contents(n, d, n):
         head = tuple(letter for letter, size in enumerate(content) for _ in range(size))
-        # its rearrangements in lex order, from at most d^n words
-        words = [x for x in itertools.product(range(len(content)), repeat=n) if tuple(sorted(x)) == head]
-        block = tuple(tuple(_sym_column(x, a, b, memo).get(u, 0) for u in words) for x in words)
+        # the columns of its rearrangements x <= Jx in lex order, from at most d^n words
+        words = itertools.product(range(len(content)), repeat=n)
+        reps = [(x, x[::-1], _sym_column(x, a, b, memo)) for x in words if tuple(sorted(x)) == head and x <= x[::-1]]
         padded = content + (0,) * (d - len(content))
         count = math.factorial(len(padded))
         for size in set(padded):
             count //= math.factorial(padded.count(size))
-        blocks.append((_linalg.ldlt_classify(block), count))
+        for sign in (1, -1):
+            half = [rep for rep in reps if sign == 1 or rep[0] != rep[1]]
+            if half:
+                block = tuple(tuple(col.get(y, 0) + sign * col.get(jy, 0) for y, jy, _ in half) for _, _, col in half)
+                blocks.append((_linalg.ldlt_classify(block), count))
     return _linalg.block_diagonal_classify(blocks)
 
 

@@ -205,13 +205,13 @@ def fock_levy_oracle(
     d, size, one = spec.d, len(lengths) * spec.d, (Fraction(1),)
 
     def on_interval(vec: Sequence, i: int) -> VectorPair:
-        coords = [Fraction(0)] * size
+        coords = [0] * size
         coords[i * d : (i + 1) * d] = vec
         return VectorPair(tuple(coords), one)
 
     def parts(u: int, i: int):
         paired = spec.xi[u] if spec.gram is None else _linalg.mat_vec(spec.gram, spec.xi[u])
-        gauge = [[Fraction(0)] * size for _ in range(size)]
+        gauge = [[0] * size for _ in range(size)]
         for a, row in enumerate(spec.T[u]):
             gauge[i * d + a][i * d : (i + 1) * d] = row
         lam = spec.lam[u] * lengths[i]

@@ -370,14 +370,16 @@ def _entries(data) -> list:
 
 
 def _cleared_array(data, scale: Optional[int] = None):
-    """A scalar, a vector or a matrix times scale, entry by entry
-    (:func:`_cleared`; an array comes back as tuples), scale defaulting to
-    the lcm of its denominators."""
+    """A scalar, a vector or a matrix (its first entry a row) times scale,
+    entry by entry (:func:`_cleared`; an array comes back as tuples, built
+    in one comprehension), scale defaulting to the lcm of its denominators."""
     if scale is None:
         scale = _denominator(_entries(data))
     if not isinstance(data, (tuple, list)):
         return _cleared(data, scale)
-    return tuple(_cleared_array(x, scale) if isinstance(x, (tuple, list)) else _cleared(x, scale) for x in data)
+    if data and isinstance(data[0], (tuple, list)):
+        return tuple(tuple([_cleared(x, scale) for x in row]) for row in data)
+    return tuple([_cleared(x, scale) for x in data])
 
 
 def _cleared_point(a: Scalar, b: Scalar) -> Tuple[Scalar, Scalar, int]:

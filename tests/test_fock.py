@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -405,6 +406,35 @@ def test_positivity_by_blocks_matches_the_whole_symmetrizer():
         positivity_check(7, Fraction(1, 2), Fraction(2, 3), 3)
 
 
+def test_the_symmetrizer_commutes_with_word_reversal():
+    # inv(w0 sigma w0) = inv(sigma), so J P J = P for the reversal J of positions:
+    # the fact positivity_check splits each block by
+    for n, d in [(n, d) for d in range(1, 4) for n in range(6)]:
+        words = list(itertools.product(range(d), repeat=n))
+        index = {x: i for i, x in enumerate(words)}
+        rev = [index[x[::-1]] for x in words]
+        for a, b in POSITIVITY_POINTS:
+            mat = symmetrizer_matrix(n, a, b, d)
+            assert tuple(tuple(mat[i][j] for j in rev) for i in rev) == mat, (n, d, a, b)
+
+
+def test_positivity_classifies_each_content_by_its_reversal_halves(monkeypatch):
+    sizes = []
+    classify = _linalg.ldlt_classify
+
+    def spy(block):
+        sizes.append(len(block))
+        return classify(block)
+
+    monkeypatch.setattr(fock._linalg, "ldlt_classify", spy)
+    assert positivity_check(6, Fraction(2, 7), Fraction(5, 7), 2) == ("positive_definite", 0)
+    # contents 6, 5+1, 4+2 and 3+3, each its even half, then its odd half
+    # (none for 000000, a palindrome); whole, the 3+3 block has 20 rows
+    assert max(sizes) <= 10
+    assert sizes == [1, 3, 3, 9, 6, 10, 10]
+    assert [sizes[0], sum(sizes[1:3]), sum(sizes[3:5]), sum(sizes[5:])] == [1, 6, 15, 20]
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -425,6 +455,14 @@ def test_positivity_at_level_six_over_three_letters():
     assert positivity_check(6, Fraction(2, 7), Fraction(5, 7), 3) == ("positive_definite", 0)
     # one letter: a single word, whatever n
     assert positivity_check(40, Fraction(2, 7), Fraction(5, 7), 1) == ("positive_definite", 0)
+    # past the whole-matrix sweep: at (1, 1) P_n is n! times the projection onto
+    # the symmetric tensors, of rank C(n+d-1, n), and at (-1, 1) n! times the
+    # one onto the antisymmetric tensors, of rank C(d, n), none for n > d
+    for n, d in [(6, 3), (7, 2), (9, 2), (4, 5), (3, 4)]:
+        symmetric, antisymmetric = math.comb(n + d - 1, n), math.comb(d, n)
+        assert positivity_check(n, Fraction(1), Fraction(1), d) == ("positive_semidefinite", d**n - symmetric)
+        verdict = "positive_semidefinite" if antisymmetric else "zero"
+        assert positivity_check(n, Fraction(-1), Fraction(1), d) == (verdict, d**n - antisymmetric)
 
 
 def test_commutation_single_parameter_sweep():
