@@ -25,10 +25,11 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from types import ModuleType
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-# fock, wick and levy are imported inside the commands that run them, so that
-# the other commands do not load them
+# orthopoly, fock, wick and levy are imported inside the commands that run
+# them, so that the other commands do not load them
 from . import _guards
 from .scalars import DeformationParams, Poly, parse_rational, render_rational
 from .partitions import (
@@ -37,21 +38,9 @@ from .partitions import (
     count_diagonal_partitions,
     render_partition,
 )
-from .orthopoly import (
-    JacobiData,
-    cauchy_transform,
-    jacobi_discrete_qhermite,
-    jacobi_hermite,
-    jacobi_poisson,
-    jacobi_qmp,
-    jacobi_sech,
-    moments_from_jacobi,
-    mp_density,
-    mp_normalization,
-    polys_from_jacobi,
-    sech_density,
-    sech_moment_quad,
-)
+
+if TYPE_CHECKING:
+    from .orthopoly import JacobiData
 
 
 def _json_value(x):
@@ -153,6 +142,8 @@ def _entries(data, key: str) -> List[dict]:
 
 
 def cmd_euler(args) -> int:
+    from .orthopoly import jacobi_sech, moments_from_jacobi
+
     nmax = _guards.check_size("--nmax", _int(args.nmax, "--nmax"), _guards.MAX_FAMILY_NMAX // 2, least=1)
     moments = moments_from_jacobi(jacobi_sech(nmax + 1), 2 * nmax)  # m_2n counts the pairs on 2n points
     counts = {str(n): int(moments[2 * n - 1]) for n in range(1, nmax + 1)}
@@ -187,13 +178,13 @@ def cmd_partitions(args) -> int:
     return 0
 
 
-# the Jacobi data of each --family of moments, polys and cauchy, from the flags and a depth
-_FAMILIES: Dict[str, Callable[[argparse.Namespace, int], JacobiData]] = {
-    "hermite": lambda args, depth: jacobi_hermite(_params_from(args), depth),
-    "poisson": lambda args, depth: jacobi_poisson(_params_from(args), depth),
-    "qmp": lambda args, depth: jacobi_qmp(parse_rational(args.q), parse_rational(args.alpha), depth),
-    "sech": lambda args, depth: jacobi_sech(depth),
-    "dqhermite": lambda args, depth: jacobi_discrete_qhermite(parse_rational(args.q), depth),
+# the Jacobi data of each --family of moments, polys and cauchy, from orthopoly, the flags and a depth
+_FAMILIES: Dict[str, Callable[[ModuleType, argparse.Namespace, int], JacobiData]] = {
+    "hermite": lambda o, args, depth: o.jacobi_hermite(_params_from(args), depth),
+    "poisson": lambda o, args, depth: o.jacobi_poisson(_params_from(args), depth),
+    "qmp": lambda o, args, depth: o.jacobi_qmp(parse_rational(args.q), parse_rational(args.alpha), depth),
+    "sech": lambda o, args, depth: o.jacobi_sech(depth),
+    "dqhermite": lambda o, args, depth: o.jacobi_discrete_qhermite(parse_rational(args.q), depth),
 }
 
 
@@ -201,13 +192,17 @@ _POINT_FAMILIES = ("hermite", "poisson")  # the families read at the point --q -
 
 
 def _family(args, depth: int) -> JacobiData:
+    from . import orthopoly
+
     if getattr(args, "symbolic", False) and args.family not in _POINT_FAMILIES:
         only = " and ".join(_POINT_FAMILIES)
         raise ValueError(f"--family {args.family} has no symbolic point: --symbolic applies to {only} only")
-    return _FAMILIES[args.family](args, depth)
+    return _FAMILIES[args.family](orthopoly, args, depth)
 
 
 def cmd_moments(args) -> int:
+    from .orthopoly import moments_from_jacobi
+
     if args.symbolic and args.mode == "float":
         raise ValueError("--mode float needs a rational point, not --symbolic")
     _guards.check_size("--nmax", _int(args.nmax, "--nmax"), _guards.MAX_FAMILY_NMAX, least=1)
@@ -221,6 +216,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_polys(args) -> int:
+    from .orthopoly import polys_from_jacobi
+
     _guards.check_size("--nmax", _int(args.nmax, "--nmax"), _guards.MAX_FAMILY_NMAX, least=1)
     jac = _family(args, args.nmax)
     polys = polys_from_jacobi(jac, args.nmax)
@@ -237,6 +234,8 @@ def cmd_polys(args) -> int:
 
 
 def cmd_cauchy(args) -> int:
+    from .orthopoly import cauchy_transform
+
     _guards.check_size("--depth", _int(args.depth, "--depth"), _guards.MAX_CF_DEPTH, least=1)
     z = complex(_finite(args.re, "--re"), _finite(args.im, "--im"))
     jac = _family(args, args.depth)
@@ -246,6 +245,8 @@ def cmd_cauchy(args) -> int:
 
 
 def cmd_density(args) -> int:
+    from .orthopoly import mp_density, mp_normalization, sech_density, sech_moment_quad
+
     if args.x is None and not args.mass:
         raise ValueError("need --x (a point) or --mass (the normalization integral)")
     payload = {"kind": args.kind}
@@ -369,10 +370,12 @@ def cmd_convolve(args) -> int:
 
 
 def _parse_word_key(key: str):
-    key = key.strip()
-    if not key:
-        return ()
-    return tuple(int(tok) for tok in key.split())
+    """A psi key: a word as integers separated by spaces ("" is the empty
+    word); any other key is bad input that names the key."""
+    try:
+        return tuple(int(tok) for tok in key.split())
+    except ValueError:
+        raise ValueError(f"expected psi keys to be words of integers separated by spaces, got {key!r}") from None
 
 
 def cmd_gns(args) -> int:
@@ -408,6 +411,7 @@ def cmd_gns(args) -> int:
 def _verify_checks():
     """The built-in battery: yields (name, passed) for each check in turn."""
     from .fock import VectorPair, check_commutation_tensor, creation_norm_check
+    from .orthopoly import jacobi_poisson, moments_from_jacobi
     from .wick import gaussian_fock_oracle, gaussian_wick
 
     counts = [count_diagonal_pair_partitions(2 * n) for n in range(1, 5)]

@@ -83,9 +83,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _guards, _linalg
 from .scalars import (
@@ -106,8 +105,7 @@ ColumnMemo = Dict[Word, Dict[Word, object]]
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-@dataclass(frozen=True)
-class VectorPair:
+class VectorPair(NamedTuple):
     """A simple tensor xi (x) eta of one-particle vectors (rational coords)."""
 
     xi: Tuple[Fraction, ...]
@@ -124,8 +122,7 @@ class VectorPair:
         return pair
 
 
-@dataclass(frozen=True)
-class GaugePair:
+class GaugePair(NamedTuple):
     """A pair of one-particle operators (T on H, T-bar on H-bar)."""
 
     top: Tuple[Tuple[Fraction, ...], ...]

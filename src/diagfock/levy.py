@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _guards, _linalg
 from .partitions import (
@@ -53,8 +52,7 @@ Word = Tuple[int, ...]
 _PAIR_ORDER = 12  # tau moments m_0..m_11 of brownian_pair and poisson_pair
 
 
-@dataclass(frozen=True)
-class LevySpec:
+class LevySpec(NamedTuple):
     """Cumulant data for k process coordinates on a d-dimensional space."""
 
     k: int
@@ -382,8 +380,7 @@ def product_functional(
 # -- one-variable laws: generator pairs and convolution --------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorPair:
+class GeneratorPair(NamedTuple):
     """A one-variable generator: drift-type scalar lam and the moment sequence
     tau_moments = (m_0(tau), m_1(tau), ...) of a finite positive measure.
 

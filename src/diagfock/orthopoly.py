@@ -55,10 +55,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from . import _guards
 from .scalars import DeformationParams, _qt_ladder
@@ -71,16 +70,24 @@ _SECH_CUTOFF = 60.0  # the sech moments integrate over [0, _SECH_CUTOFF]
 _QPOCH_TOL = 1e-16  # (a; q)_infinity stops at the first |a q^k| at or below this
 
 
-@dataclass(frozen=True)
-class JacobiData:
-    """Monic recurrence coefficients: beta_0..beta_{m-1}, gamma_0..gamma_{m-2}."""
-
+class _JacobiDataFields(NamedTuple):
     beta: Tuple
     gamma: Tuple
 
-    def __post_init__(self):
-        if len(self.beta) != len(self.gamma) + 1:
+
+class JacobiData(_JacobiDataFields):
+    """Monic recurrence coefficients: beta_0..beta_{m-1}, gamma_0..gamma_{m-2}."""
+
+    __slots__ = ()
+
+    def __new__(cls, beta: Tuple, gamma: Tuple):
+        if len(beta) != len(gamma) + 1:
             raise ValueError("need exactly one more beta than gamma")
+        return super().__new__(cls, beta, gamma)
+
+    @classmethod
+    def _make(cls, iterable) -> "JacobiData":
+        return cls(*iterable)  # so that _replace checks too
 
     @property
     def depth(self) -> int:

@@ -87,13 +87,11 @@ recounts them pair by pair, as the tests' oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _guards
-from .orthopoly import jacobi_sech, moments_from_jacobi
 from .scalars import DeformationParams, _cleared, _denominator, _over, _qt_row, qt_number
 
 Block = Tuple[int, ...]
@@ -302,22 +300,30 @@ def pairs_and_singletons_partitions(n: int) -> Iterator[SetPartition]:
 # -- diagonal pairing ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagonalPartition:
+class _DiagonalPartitionFields(NamedTuple):
+    top: SetPartition
+    bar: SetPartition
+
+
+class DiagonalPartition(_DiagonalPartitionFields):
     """A compatible pair (top, bar): equal role vectors (see module docstring).
 
     Conjugate blocks are matched by shared least element; every block of the
     top row has exactly one conjugate in the bar row.
     """
 
-    top: SetPartition
-    bar: SetPartition
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.top.n != self.bar.n:
+    def __new__(cls, top: SetPartition, bar: SetPartition):
+        if top.n != bar.n:
             raise ValueError("top and bar must partition the same [n]")
-        if self.top.roles() != self.bar.roles():
+        if top.roles() != bar.roles():
             raise ValueError("top and bar role vectors differ; not a diagonal partition")
+        return super().__new__(cls, top, bar)
+
+    @classmethod
+    def _make(cls, iterable) -> "DiagonalPartition":
+        return cls(*iterable)  # so that _replace checks too
 
     @property
     def n(self) -> int:
@@ -390,6 +396,9 @@ def count_diagonal_pair_partitions(n: int) -> int:
         raise ValueError(f"diagonal pair partitions of [n] need n >= 0, got {n}")
     if n == 0:
         return 1
+    # imported here, so that loading partitions does not load orthopoly
+    from .orthopoly import jacobi_sech, moments_from_jacobi
+
     return int(moments_from_jacobi(jacobi_sech(n // 2 + 1), n)[-1])
 
 

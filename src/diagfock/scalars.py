@@ -25,9 +25,8 @@ exponent 0 gives 1.  Python's ``Fraction(0) ** 0`` already behaves this way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple, Union
 
 Exponent = Tuple[int, int, int, int]
 
@@ -402,8 +401,7 @@ def qt_number(n: int, a: Scalar, b: Scalar):
     return rungs[-1] if rungs else Fraction(0)
 
 
-@dataclass(frozen=True)
-class DeformationParams:
+class DeformationParams(NamedTuple):
     """The four deformation parameters.
 
     Each field is a Fraction, or a Poly variable when running symbolically.

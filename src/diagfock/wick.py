@@ -38,9 +38,8 @@ entries than the open-arc DP's cap ``_guards.MAX_DIAGONAL_N``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import _guards
 from .levy import _vector_chain, cumulants_to_moments, moments_to_cumulants  # the transforms are re-exported
@@ -58,20 +57,29 @@ from .fock import (
 )
 
 
-@dataclass(frozen=True)
-class QuadrabasicOp:
-    """One general operator: field part x, gauge pair g, scalars lam, lambar."""
-
+class _QuadrabasicOpFields(NamedTuple):
     vector: VectorPair
     gauge: Optional[GaugePair]
-    lam: Fraction = Fraction(0)
-    lambar: Fraction = Fraction(0)
+    lam: Fraction  # defaults in QuadrabasicOp.__new__
+    lambar: Fraction
 
-    def __post_init__(self):
-        g, x = self.gauge, self.vector
+
+class QuadrabasicOp(_QuadrabasicOpFields):
+    """One general operator: field part x, gauge pair g, scalars lam, lambar."""
+
+    __slots__ = ()
+
+    def __new__(cls, vector: VectorPair, gauge: Optional[GaugePair], lam: Fraction = Fraction(0),
+                lambar: Fraction = Fraction(0)):
+        g, x = gauge, vector
         for name, mat, d in () if g is None else (("T", g.top, len(x.xi)), ("Tbar", g.bar, len(x.eta))):
             if len(mat) != d or any(len(row) != d for row in mat):
                 raise ValueError(f"gauge {name} must be {d} x {d} to act on a {d}-dimensional vector")
+        return super().__new__(cls, vector, gauge, lam, lambar)
+
+    @classmethod
+    def _make(cls, iterable) -> "QuadrabasicOp":
+        return cls(*iterable)  # so that _replace checks too
 
     @property
     def scalar(self) -> Fraction:

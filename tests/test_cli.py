@@ -428,6 +428,17 @@ def test_gns_short_functional_exits_2_at_once(tmp_path, capsys):
     assert captured.err == "error: functional not defined on word (1,)\n" and not captured.out
 
 
+@pytest.mark.parametrize("key", ["x y", "0.5", "0 x", "0,1"])
+def test_gns_malformed_psi_key_exits_2_naming_the_key(tmp_path, capsys, key):
+    # int() used to fail first, with "invalid literal for int() with base 10: 'x'"
+    path = tmp_path / "gns.json"
+    path.write_text(json.dumps({"k": 1, "maxlen": 1, "psi": {"0": "1", key: "2"}}))
+    code = main(["gns", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == f"error: expected psi keys to be words of integers separated by spaces, got {key!r}\n"
+
+
 def test_density_variants(capsys):
     code, data = run_json(
         capsys, "density", "--kind", "qmp", "--q", "1/2", "--alpha=-1/4", "--x", "0.25", "--mass"

@@ -29,13 +29,14 @@ HALF, ONE = Fraction(1, 2), Fraction(1)
 
 # the kernels behind the entries, in every namespace that calls them (levy reads
 # fock._creation_part, the first part its oracle builds, and fock._vacuum_moment
-# from fock when its oracle runs)
+# from fock when its oracle runs; the CLI reads the orthopoly kernels from
+# orthopoly when its command runs)
 WORK = [
     (partitions, "arc_sums"), (partitions, "role_sums"), (partitions, "_diagonal_classes"),
     (levy, "arc_sums"),
     (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
     (fock, "_creation_part"), (fock, "_vacuum_moment"), (fock, "_sym_column"), (fock, "_letter_contents"),
-    (cli, "moments_from_jacobi"), (cli, "polys_from_jacobi"), (cli, "cauchy_transform"),
+    (orthopoly, "moments_from_jacobi"), (orthopoly, "polys_from_jacobi"), (orthopoly, "cauchy_transform"),
     (cli, "count_diagonal_pair_partitions"), (cli, "_diagonal_classes"),
 ]
 
