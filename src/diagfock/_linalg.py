@@ -7,9 +7,10 @@ Sizes stay in the tens-to-hundreds, so one Gauss-Jordan elimination over
 exact rationals, :func:`_reduce`, serves the solves (every right-hand side of
 a system in one pass, as the columns of a matrix), the ranks and the
 independent subsets.
-:func:`ldlt_classify` is on the hot path of the symmetrizer positivity
-checks (two calls per content block), so it eliminates fraction-free
-over integers instead.
+:func:`ldlt_classify`, which classifies the Gram matrices of the Levy
+Hankel, conditional-positivity and GNS checks, eliminates fraction-free over
+integers instead: their denominators are cleared once, and no step pays a
+Fraction's gcd on every entry.
 """
 
 from __future__ import annotations
@@ -78,9 +79,7 @@ def ldlt_classify(a: Matrix) -> Tuple[str, int]:
     """
     if not is_symmetric(a):
         raise ValueError("ldlt_classify needs a symmetric matrix")
-    return block_diagonal_classify(
-        (_classify_block([[a[i][j] for j in comp] for i in comp]), 1) for comp in _components(a)
-    )
+    return block_diagonal_classify(_classify_block([[a[i][j] for j in comp] for i in comp]) for comp in _components(a))
 
 
 def _components(a: Matrix) -> List[List[int]]:
@@ -159,18 +158,17 @@ def _verdict(pos: bool, neg: bool, kernel: int) -> Tuple[str, int]:
     return ("zero", kernel)
 
 
-def block_diagonal_classify(blocks: Iterable[Tuple[Tuple[str, int], int]]) -> Tuple[str, int]:
-    """Classify a block-diagonal matrix from ((verdict, kernel), count) of
-    each distinct block, count being how many times that block occurs (up to
-    congruence).  Inertia adds over blocks: the matrix is indefinite when a
-    block is, or when one block has a positive pivot and another a negative
-    one, and the kernels add with their counts."""
+def block_diagonal_classify(blocks: Iterable[Tuple[str, int]]) -> Tuple[str, int]:
+    """Classify a block-diagonal matrix from the (verdict, kernel) of each
+    block.  Inertia adds over blocks: the matrix is indefinite when a block
+    is, or when one block has a positive pivot and another a negative one,
+    and the kernels add."""
     pos = neg = False
     kernel = 0
-    for (verdict, k), count in blocks:
+    for verdict, k in blocks:
         pos = pos or verdict in ("positive_definite", "positive_semidefinite", "indefinite")
         neg = neg or verdict in ("negative_definite", "negative_semidefinite", "indefinite")
-        kernel += k * count
+        kernel += k
     return _verdict(pos, neg, kernel)
 
 

@@ -569,10 +569,15 @@ def deformed_inner(f: FockVector, h: FockVector, params: DeformationParams):
 
 def _check_words(n: int, d: int) -> None:
     """The guard of the level-n symmetrizer over d letters: n, d >= 0 and
-    at most MAX_SYMMETRIZER_WORDS words d^n."""
+    at most MAX_SYMMETRIZER_WORDS words d^n, refused without forming d^n
+    once its lower bound 2^bits passes the cap, so a huge n costs nothing."""
     _guards.check_size("the level n of the symmetrizer", n, math.inf)
     _guards.check_size("the letter count d of the symmetrizer", d, math.inf)
-    _guards.check_size(f"the words d^n at n = {n}, d = {d}", d ** n, _guards.MAX_SYMMETRIZER_WORDS)
+    what, cap = f"the words d^n at n = {n}, d = {d}", _guards.MAX_SYMMETRIZER_WORDS
+    bits = n * (d.bit_length() - 1)  # d^n >= 2^bits
+    if bits > cap.bit_length():
+        raise _guards.ResourceLimitError(f"{what} is at least 2^{bits}, but is guarded at <= {cap}")
+    _guards.check_size(what, d ** n, cap)
 
 
 def symmetrizer_matrix(n: int, a, b, d: int):
@@ -591,55 +596,37 @@ def symmetrizer_matrix(n: int, a, b, d: int):
     return tuple(rows)
 
 
-def _letter_contents(n: int, parts: int, largest: int) -> Iterable[Tuple[int, ...]]:
-    """Partitions of n into at most ``parts`` parts of size <= largest, largest first."""
-    if n == 0:
-        yield ()
-        return
-    if parts <= 0:
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _letter_contents(n - first, parts - 1, first):
-            yield (first,) + rest
-
-
 def positivity_check(n: int, a: Fraction, b: Fraction, d: int) -> Tuple[str, int]:
-    """Exact definiteness verdict for the level-n symmetrizer on a d-dim space.
+    """Exact definiteness verdict (verdict, kernel) of the level-n symmetrizer
+    on the d^n words over d letters, from its closed-form inertia.
 
-    P_n only permutes positions, so it maps the span of the rearrangements of
-    a word (its letter-content block) to itself, and the matrix of
-    :func:`symmetrizer_matrix` is block diagonal up to the order of the words.
-    Relabelling the letters maps a block onto the block of the relabelled
-    content with the same matrix, so one block per partition of n into at
-    most d parts, split by reversal, is classified, counted as many times as
-    its content has distinct rearrangements over the d letters.  The reversal
-    J of positions keeps a content, and J P_n J = P_n as inv(w0 sigma w0) =
-    inv(sigma), so the basis e_x + e_Jx (x <= Jx), e_x - e_Jx (x < Jx) is a
-    congruence of a block onto its even and odd halves, 2 (P[y,x] +- P[Jy,x]),
-    which by Sylvester's law of inertia give its verdict and kernel.
-
-    The columns are taken at (E a, E b), so they are ints:
-    P_n(E a, E b) = E^C(n,2) P_n(a, b) has the same verdict and kernel.
+    With N = C(n,2), P_n(a, b) = b^N P_n(a/b, 1) for |a| < |b|, and P_n(r, 1)
+    is positive definite for |r| < 1 (Bozejko-Speicher, Comm. Math. Phys.
+    137, 1991; by Zagier, Comm. Math. Phys. 147, 1992, its determinant
+    vanishes only at |r| = 1).  For |a| > |b|, P_n(a, b) = a^N P_n(b/a, 1) J,
+    J the reversal of positions, which commutes with P_n: over d >= 2
+    letters, where J has both eigenvalues, P_n is indefinite.  At a = b,
+    P_n is b^N n! times the projection onto the symmetric tensors, of rank
+    C(d+n-1, n), and at a = -b onto the antisymmetric ones, of rank C(d, n).
+    Each sign is that of a^N or b^N, read off the parity of N.
     """
     _check_words(n, d)
-    a, b, _ = _cleared_point(Fraction(a), Fraction(b))
-    memo: ColumnMemo = {}  # shared by all blocks: a subword's column serves every block holding it
-    blocks = []
-    for content in _letter_contents(n, d, n):
-        head = tuple(letter for letter, size in enumerate(content) for _ in range(size))
-        # the columns of its rearrangements x <= Jx in lex order, from at most d^n words
-        words = itertools.product(range(len(content)), repeat=n)
-        reps = [(x, x[::-1], _sym_column(x, a, b, memo)) for x in words if tuple(sorted(x)) == head and x <= x[::-1]]
-        padded = content + (0,) * (d - len(content))
-        count = math.factorial(len(padded))
-        for size in set(padded):
-            count //= math.factorial(padded.count(size))
-        for sign in (1, -1):
-            half = [rep for rep in reps if sign == 1 or rep[0] != rep[1]]
-            if half:
-                block = tuple(tuple(col.get(y, 0) + sign * col.get(jy, 0) for y, jy, _ in half) for _, _, col in half)
-                blocks.append((_linalg.ldlt_classify(block), count))
-    return _linalg.block_diagonal_classify(blocks)
+    a, b = Fraction(a), Fraction(b)
+    words = d ** n
+    if words == 0:
+        return ("zero", 0)
+    if n <= 1:
+        return ("positive_definite", 0)
+    if a == b == 0:
+        return ("zero", words)
+    if abs(a) > abs(b) and d > 1:
+        return ("indefinite", 0)
+    if abs(a) != abs(b):
+        rank = words
+    else:
+        rank = math.comb(d + n - 1, n) if a == b else math.comb(d, n)
+    neg = math.comb(n, 2) % 2 == 1 and (a if abs(a) > abs(b) else b) < 0
+    return _linalg._verdict(rank > 0 and not neg, rank > 0 and neg, words - rank)
 
 
 # -- commutation checks ----------------------------------------------------------

@@ -385,15 +385,15 @@ def test_positivity_verdicts():
     assert positivity_check(2, Fraction(2), Fraction(1), 2)[0] == "indefinite"
 
 
-# q = t, q = -t, q = t = 1, t = 0, q > t, q < -t, and two admissible points
+# q = t, q = -t, q = t = 1, q = t < 0, t = 0, q > t, q < -t, and two admissible points
 POSITIVITY_POINTS = [
     (Fraction(2, 3), Fraction(2, 3)), (Fraction(-1, 2), Fraction(1, 2)), (Fraction(1), Fraction(1)),
-    (Fraction(1, 2), Fraction(0)), (Fraction(2), Fraction(1)), (Fraction(-3, 2), Fraction(1)),
-    (Fraction(1, 2), Fraction(2, 3)), (Fraction(-1, 3), Fraction(1, 2)),
+    (Fraction(-1, 2), Fraction(-1, 2)), (Fraction(1, 2), Fraction(0)), (Fraction(2), Fraction(1)),
+    (Fraction(-3, 2), Fraction(1)), (Fraction(1, 2), Fraction(2, 3)), (Fraction(-1, 3), Fraction(1, 2)),
 ]
 
 
-def test_positivity_by_blocks_matches_the_whole_symmetrizer():
+def test_positivity_closed_form_matches_the_whole_symmetrizer():
     sizes = [(n, d) for d in range(6) for n in range(8) if d ** n <= 243]
     verdicts = set()
     for n, d in sizes:
@@ -401,14 +401,26 @@ def test_positivity_by_blocks_matches_the_whole_symmetrizer():
             got = positivity_check(n, a, b, d)
             assert got == _linalg.ldlt_classify(symmetrizer_matrix(n, a, b, d)), (n, d, a, b)
             verdicts.add(got[0])
-    assert verdicts == {"positive_definite", "positive_semidefinite", "negative_definite", "indefinite", "zero"}
+    assert verdicts == {
+        "positive_definite", "positive_semidefinite", "indefinite", "negative_semidefinite", "negative_definite", "zero"
+    }
     with pytest.raises(ResourceLimitError):
         positivity_check(7, Fraction(1, 2), Fraction(2, 3), 3)
 
 
+# zero, both signs, |a| = |b|, |a| on either side of |b| and of 1, and N = C(n,2) of either parity
+POSITIVITY_GRID = [Fraction(x) for x in ("0", "1", "-1", "2", "-2", "1/2", "-1/2", "2/7", "5/7", "-3/4", "7/3")]
+
+
+def test_positivity_closed_form_on_a_grid_of_points():
+    for n, d in [(n, d) for d in range(5) for n in range(8) if d ** n <= 64]:
+        for a, b in itertools.product(POSITIVITY_GRID, repeat=2):
+            assert positivity_check(n, a, b, d) == _linalg.ldlt_classify(symmetrizer_matrix(n, a, b, d)), (n, d, a, b)
+
+
 def test_the_symmetrizer_commutes_with_word_reversal():
     # inv(w0 sigma w0) = inv(sigma), so J P J = P for the reversal J of positions:
-    # the fact positivity_check splits each block by
+    # the closed form of positivity_check for |a| > |b| rests on it
     for n, d in [(n, d) for d in range(1, 4) for n in range(6)]:
         words = list(itertools.product(range(d), repeat=n))
         index = {x: i for i, x in enumerate(words)}
@@ -418,21 +430,16 @@ def test_the_symmetrizer_commutes_with_word_reversal():
             assert tuple(tuple(mat[i][j] for j in rev) for i in rev) == mat, (n, d, a, b)
 
 
-def test_positivity_classifies_each_content_by_its_reversal_halves(monkeypatch):
-    sizes = []
-    classify = _linalg.ldlt_classify
+def test_positivity_builds_no_column_and_eliminates_nothing(monkeypatch):
+    def ran(*args):
+        raise AssertionError("positivity_check built a matrix")
 
-    def spy(block):
-        sizes.append(len(block))
-        return classify(block)
-
-    monkeypatch.setattr(fock._linalg, "ldlt_classify", spy)
-    assert positivity_check(6, Fraction(2, 7), Fraction(5, 7), 2) == ("positive_definite", 0)
-    # contents 6, 5+1, 4+2 and 3+3, each its even half, then its odd half
-    # (none for 000000, a palindrome); whole, the 3+3 block has 20 rows
-    assert max(sizes) <= 10
-    assert sizes == [1, 3, 3, 9, 6, 10, 10]
-    assert [sizes[0], sum(sizes[1:3]), sum(sizes[3:5]), sum(sizes[5:])] == [1, 6, 15, 20]
+    monkeypatch.setattr(fock, "_sym_column", ran)
+    monkeypatch.setattr(_linalg, "_classify_block", ran)
+    monkeypatch.setattr(_linalg, "_reduce", ran)
+    assert positivity_check(6, Fraction(2, 7), Fraction(5, 7), 3) == ("positive_definite", 0)
+    assert positivity_check(3, Fraction(-1, 2), Fraction(-1, 2), 4) == ("negative_semidefinite", 64 - 20)
+    assert positivity_check(7, Fraction(7, 3), Fraction(-2), 2) == ("indefinite", 0)
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ WORK = [
     (partitions, "arc_sums"), (partitions, "role_sums"), (partitions, "_diagonal_classes"),
     (levy, "arc_sums"),
     (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
-    (fock, "_creation_part"), (fock, "_vacuum_moment"), (fock, "_sym_column"), (fock, "_letter_contents"),
+    (fock, "_creation_part"), (fock, "_vacuum_moment"), (fock, "_sym_column"),
     (orthopoly, "moments_from_jacobi"), (orthopoly, "polys_from_jacobi"), (orthopoly, "cauchy_transform"),
     (cli, "count_diagonal_pair_partitions"), (cli, "_diagonal_classes"),
 ]
@@ -124,6 +124,22 @@ def test_every_entry_refuses_one_past_its_cap_before_any_work(no_work, call, cap
         message = f"is {least - step}, but must be >= {least}"
         with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
             call(least - step)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fock.positivity_check(9100, HALF, Fraction(2, 3), 3), "n = 9100, d = 3 is at least 2^9100"),
+        (lambda: fock.symmetrizer_matrix(10**6, HALF, Fraction(2, 3), 3), "n = 1000000, d = 3 is at least 2^1000000"),
+        (lambda: fock.positivity_check(10**7, HALF, Fraction(2, 3), 2), "n = 10000000, d = 2 is at least 2^10000000"),
+    ],
+    ids=["positivity-n-9100", "symmetrizer-n-10**6", "positivity-n-10**7"],
+)
+def test_the_symmetrizer_refuses_a_huge_level_without_forming_its_words(no_work, call, message):
+    # d^n used to be formed first: past 4300 digits its refusal failed to print
+    # it, with a plain ValueError, and n = 10**7 took seconds to refuse
+    with pytest.raises(ResourceLimitError, match=f"{re.escape(message)}, but is guarded at <= {MAX_SYMMETRIZER_WORDS}$"):
+        call()
 
 
 # (id, call at size n, what the message names, least size)

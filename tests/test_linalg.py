@@ -113,7 +113,7 @@ def test_components_classified_apart_match_fraction_elimination():
         m = tuple(tuple(m[i][j] for j in perm) for i in perm)
         got = _linalg.ldlt_classify(m)
         assert got == helpers.ldlt_classify_fraction(m), m
-        assert got == _linalg.block_diagonal_classify((helpers.ldlt_classify_fraction(b), 1) for b in blocks)
+        assert got == _linalg.block_diagonal_classify(helpers.ldlt_classify_fraction(b) for b in blocks)
         seen.add(got[0])
     assert seen == {
         "positive_definite", "positive_semidefinite", "indefinite", "negative_semidefinite", "negative_definite", "zero"
