@@ -22,11 +22,20 @@ MAX_CF_DEPTH = 1024  # continued-fraction depth of diagfock cauchy
 MAX_PARTITION_ITEMS = 100_000  # rows of one diagfock partitions listing, counted before it is built
 
 
+def shown(n) -> str:
+    """n as a message writes it: an int past 2 000 bits by its bit length,
+    since ``str`` refuses an int longer than ``sys.get_int_max_str_digits()``
+    digits, a limit that may be set as low as 640."""
+    if isinstance(n, int) and n.bit_length() > 2000:
+        return f"({'a negative' if n < 0 else 'an'} int of {n.bit_length()} bits)"
+    return str(n)
+
+
 def check_size(what: str, n, cap, least=0):
     """n, if least <= n <= cap: a ValueError below least, a
     ResourceLimitError above cap, each naming what, n and the bound."""
     if n < least:
-        raise ValueError(f"{what} is {n}, but must be >= {least}")
+        raise ValueError(f"{what} is {shown(n)}, but must be >= {least}")
     if n > cap:
-        raise ResourceLimitError(f"{what} is {n}, but is guarded at <= {cap}")
+        raise ResourceLimitError(f"{what} is {shown(n)}, but is guarded at <= {cap}")
     return n

@@ -573,10 +573,10 @@ def _check_words(n: int, d: int) -> None:
     once its lower bound 2^bits passes the cap, so a huge n costs nothing."""
     _guards.check_size("the level n of the symmetrizer", n, math.inf)
     _guards.check_size("the letter count d of the symmetrizer", d, math.inf)
-    what, cap = f"the words d^n at n = {n}, d = {d}", _guards.MAX_SYMMETRIZER_WORDS
+    what, cap = f"the words d^n at n = {_guards.shown(n)}, d = {_guards.shown(d)}", _guards.MAX_SYMMETRIZER_WORDS
     bits = n * (d.bit_length() - 1)  # d^n >= 2^bits
     if bits > cap.bit_length():
-        raise _guards.ResourceLimitError(f"{what} is at least 2^{bits}, but is guarded at <= {cap}")
+        raise _guards.ResourceLimitError(f"{what} is at least 2^{_guards.shown(bits)}, but is guarded at <= {cap}")
     _guards.check_size(what, d ** n, cap)
 
 

@@ -123,12 +123,12 @@ def _vector_chain(starts: Sequence[Sequence], gauges: Sequence[Optional[_linalg.
     """((single, open_, close, extend), scale): the callbacks of an open-arc
     DP for blocks valued by a vector chain: singles[i] for a singleton {i};
     a block's chain is the row vector starts[b1]^T G_{b2} ... of its points
-    so far, a Middle at i multiplying it by gauges[i], and closing at i
-    takes its dot product with ends[i] (starts[i] by default).  Every datum
-    comes times one int scale D, the lcm of their denominators, so a block
-    of j points carries D^j, and D goes to the pass, which returns the scale
-    by which each word's sum is divided.  The Wick sums and the Levy moments
-    share it."""
+    so far, a Middle at i multiplying it by gauges[i] (no Middle where that
+    is None), and closing at i takes its dot product with ends[i] (starts[i]
+    by default).  Every datum comes times one int scale D, the lcm of their
+    denominators, so a block of j points carries D^j, and D goes to the
+    pass, which returns the scale by which each word's sum is divided.  The
+    Wick sums and the Levy moments share it."""
     ends = starts if ends is None else ends
     matrices = (row for g in gauges if g is not None for row in g)
     scale = _denominator(itertools.chain(*starts, *ends, *matrices, singles))
@@ -136,8 +136,8 @@ def _vector_chain(starts: Sequence[Sequence], gauges: Sequence[Optional[_linalg.
     ends = [_cleared_array(v, scale) for v in ends]
     cols = [None if g is None else _linalg.transpose(_cleared_array(g, scale)) for g in gauges]
     singles = _cleared_array(singles, scale)
-    callbacks = (singles.__getitem__, starts.__getitem__,
-                 lambda row, i: _linalg.dot(row, ends[i]), lambda row, i: _linalg.mat_vec(cols[i], row))
+    callbacks = (singles.__getitem__, starts.__getitem__, lambda row, i: _linalg.dot(row, ends[i]),
+                 lambda row, i: None if cols[i] is None else _linalg.mat_vec(cols[i], row))
     return callbacks, scale
 
 
@@ -151,7 +151,7 @@ def _spec_sums(spec: LevySpec, letters: Sequence[Sequence[int]], params: Deforma
     gram_t = None if spec.gram is None else _linalg.transpose(spec.gram)
     starts = [tuple(s * x for x in (xi if gram_t is None else _linalg.mat_vec(gram_t, xi))) for xi in spec.xi]
     chain, scale = _vector_chain(starts, spec.T, [s * lam for lam in spec.lam], ends=spec.xi)
-    return _read(*arc_sums(letters, _unit_bar_weights(params), *chain, graded=graded, scale=scale))
+    return _read(*arc_sums(letters, _unit_bar_weights(*params), *chain, graded=graded, scale=scale))
 
 
 def levy_moment(spec: LevySpec, word: Word, params: DeformationParams, s: Fraction = Fraction(1)):
@@ -298,7 +298,7 @@ def _functional_sums(psi: Functional, k: int, params: DeformationParams, maxlen:
     _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
     scale = _denominator(psi.values())
     value = lambda sub: _cleared(psi[sub], scale ** len(sub))
-    return arc_sums([range(k)] * maxlen, _unit_bar_weights(params), lambda u: value((u,)), lambda u: (u,),
+    return arc_sums([range(k)] * maxlen, _unit_bar_weights(*params), lambda u: value((u,)), lambda u: (u,),
                     lambda sub, u: value(sub + (u,)), lambda sub, u: sub + (u,), scale=scale)
 
 

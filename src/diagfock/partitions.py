@@ -57,8 +57,12 @@ the product of [k]_{v,w} over the steps of R that end one of k open arcs
 (:func:`unit_bar_sum`), so the step weight is the top row's times that
 factor; so run the functionals (the one-variable transforms are their
 one-letter case, and the inverse is one such pass per word length) and the
-Levy word moments.  When both rows carry block values (the Wick sums, the
-word expansion), :func:`role_sums` gives T(R) or B(R) for every R by one pass
+Levy word moments, and so do the Wick sums when one row is one-dimensional:
+its block values are then products of per-point scalars, so B(R) is
+:func:`unit_bar_sum` of R times each point's scalar in its role, and the
+row folds into the other, one pass over the word of the points.  When both
+rows carry block values (the Wick sums with d >= 2 on both rows, the word
+expansion), :func:`role_sums` gives T(R) or B(R) for every R by one pass
 per row over the trie of the role words; :func:`count_diagonal_partitions` is
 that pass at weight 1.
 
@@ -92,7 +96,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _guards
-from .scalars import DeformationParams, _cleared, _denominator, _over, _qt_row, qt_number
+from .scalars import _cleared, _denominator, _over, _qt_row, qt_number
 
 Block = Tuple[int, ...]
 Roles = Tuple[str, ...]
@@ -445,10 +449,10 @@ def _row_weights(a, b, k: int, bar=1) -> Tuple:
     return tuple(None if x == 0 else x for x in row)
 
 
-def _unit_bar_weights(params: DeformationParams) -> Callable[[int], Tuple]:
-    """The step weights of the sums with bar value 1: the top row's times
-    the bar row's factor [k]_{v,w} of :func:`unit_bar_sum`."""
-    return lambda k: _row_weights(params.q, params.t, k, qt_number(k, params.v, params.w))
+def _unit_bar_weights(a, b, c, d) -> Callable[[int], Tuple]:
+    """The step weights of the sums with bar value 1: the row's at (a, b)
+    times the bar row's factor [k]_{c,d} of :func:`unit_bar_sum`."""
+    return lambda k: _row_weights(a, b, k, qt_number(k, c, d))
 
 
 def _read(sums: Dict[tuple, object], scale: int) -> Dict[tuple, object]:

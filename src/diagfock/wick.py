@@ -20,7 +20,8 @@ functionals of :mod:`diagfock.levy` on one letter (r_n is the cumulant of
 the word 0^n), defined there and re-exported here.  The Gaussian and general
 sums are sums over role vectors R of T(R) * B(R) (see
 :mod:`diagfock.partitions`): both rows carry block values, so each row is
-one pass of the same open-arc DP over the role words the data allow.  The
+one pass of the same open-arc DP over the role words the data allow, unless
+one row is one-dimensional and folds into the other, one pass in all.  The
 word expansion factorises into a top-row expansion tensored with a bar-row
 expansion, each row one such pass too.  Each row clears its data by one
 integer scale D per point, and its pass returns the scale S_w D by which the
@@ -43,7 +44,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import _guards
 from .levy import _vector_chain, cumulants_to_moments, moments_to_cumulants  # the transforms are re-exported
-from .partitions import role_sums
+from .partitions import _unit_bar_weights, arc_sums, role_sums
 from .scalars import DeformationParams, _cleared, _cleared_array, _denominator, _over
 from .fock import (
     ANNIHILATE,
@@ -108,8 +109,9 @@ def gaussian_wick(xs: Sequence[VectorPair], params: DeformationParams):
     scalars, where only pair blocks have a nonzero value.
     """
     _check_entries(xs, "vectors")
-    # pairs only: no point is a Middle or a Singleton, so no gauge or scalar is read
-    return _wick_sum(["OC"] * len(xs), params, ([x.xi for x in xs],), ([x.eta for x in xs],))
+    # pairs only: no gauge and zero scalars, so no point is a Middle or a Singleton
+    nothing = ([None] * len(xs), [0] * len(xs))
+    return _wick_sum(["OC"] * len(xs), params, ([x.xi for x in xs], *nothing), ([x.eta for x in xs], *nothing))
 
 
 def gaussian_fock_oracle(xs: Sequence[VectorPair], params: DeformationParams):
@@ -228,13 +230,29 @@ def _wick_sum(roles_at: Sequence[str], params: DeformationParams, top, bar):
     int scales, so the sum runs on them and is divided once at the end.  The
     point's zero is added to the sum (as its start it would turn every step
     into Fraction arithmetic), so the result is a Fraction at a rational
-    point and a Poly at the symbolic point also where no R has a term."""
+    point and a Poly at the symbolic point also where no R has a term.
+
+    A row of one-dimensional vectors folds into the other: its B(R) is
+    :func:`diagfock.partitions.unit_bar_sum` of R times each point's scalar
+    in its role (eta at an Opener or Closer, Tbar at a Middle, lambda-bar
+    at a Singleton), so the other row's data take those scalars and its
+    weights the folded [k], and one pass over the points gives the sum."""
+    n, (q, t, v, w) = len(roles_at), params
+    for (starts, gauges, singles), (ones, one_gauges, one_singles), point in ((top, bar, params), (bar, top, (v, w, q, t))):
+        if all(len(x) == 1 for x in ones):
+            callbacks, scale = _vector_chain(
+                [tuple(x * s[0] for x in vec) for vec, s in zip(starts, ones)],
+                [g and tuple(tuple(x * h[0][0] for x in row) for row in g) for g, h in zip(gauges, one_gauges)],
+                [x * y for x, y in zip(singles, one_singles)],
+            )
+            sums, scale = arc_sums([(i,) for i in range(n)], _unit_bar_weights(*point), *callbacks, scale=scale)
+            return _over(sums.get(tuple(range(n)), 0) + q * 0, scale ** n)
     (top_sums, top_scale), (bar_sums, bar_scale) = (
-        _chain_role_sums(roles_at, params.q, params.t, *top),
-        _chain_role_sums(roles_at, params.v, params.w, *bar),
+        _chain_role_sums(roles_at, q, t, *top),
+        _chain_role_sums(roles_at, v, w, *bar),
     )
-    total = sum((t * bar_sums[roles] for roles, t in top_sums.items() if roles in bar_sums), 0) + params.q * 0
-    return _over(total, (top_scale * bar_scale) ** len(roles_at))
+    total = sum((x * bar_sums[roles] for roles, x in top_sums.items() if roles in bar_sums), 0) + q * 0
+    return _over(total, (top_scale * bar_scale) ** n)
 
 
 def full_wick(ops: Sequence[QuadrabasicOp], params: DeformationParams):

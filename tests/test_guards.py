@@ -34,7 +34,7 @@ HALF, ONE = Fraction(1, 2), Fraction(1)
 WORK = [
     (partitions, "arc_sums"), (partitions, "role_sums"), (partitions, "_diagonal_classes"),
     (levy, "arc_sums"),
-    (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
+    (wick, "arc_sums"), (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
     (fock, "_creation_part"), (fock, "_vacuum_moment"), (fock, "_sym_column"),
     (orthopoly, "moments_from_jacobi"), (orthopoly, "polys_from_jacobi"), (orthopoly, "cauchy_transform"),
     (cli, "count_diagonal_pair_partitions"), (cli, "_diagonal_classes"),
@@ -139,6 +139,24 @@ def test_the_symmetrizer_refuses_a_huge_level_without_forming_its_words(no_work,
     # d^n used to be formed first: past 4300 digits its refusal failed to print
     # it, with a plain ValueError, and n = 10**7 took seconds to refuse
     with pytest.raises(ResourceLimitError, match=f"{re.escape(message)}, but is guarded at <= {MAX_SYMMETRIZER_WORDS}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: fock.positivity_check(1, HALF, ONE, 10**5000), ResourceLimitError,
+         "the words d^n at n = 1, d = (an int of 16610 bits) is at least 2^16609, but is guarded at <= "
+         f"{MAX_SYMMETRIZER_WORDS}"),
+        (lambda: fock.positivity_check(3, HALF, ONE, -10**5000), ValueError,
+         "the letter count d of the symmetrizer is (a negative int of 16610 bits), but must be >= 0"),
+    ],
+    ids=["letter-count-10**5000", "letter-count--10**5000"],
+)
+def test_a_huge_letter_count_is_named_by_its_bit_length(no_work, call, error, message):
+    # str() refuses an int past 4300 digits, so these guards once failed to
+    # print their own message, with a plain ValueError
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
 

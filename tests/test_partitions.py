@@ -367,7 +367,7 @@ def block_arc_sums(n, params, value, graded=False):
     return list(
         helpers.kernel_values(arc_sums(
             [(p,) for p in range(1, n + 1)],
-            _unit_bar_weights(params),
+            _unit_bar_weights(*params),
             lambda p: value((p,)),
             lambda p: (p,),
             lambda block, p: value(block + (p,)),
@@ -427,7 +427,7 @@ def pair_arc_sums(n, params):
     """The DP with pair blocks only (r_2 = 1, every other r = 0): chain 1 is
     an open pair, which closes to 1; chain 2 a block grown past a pair,
     which closes to 0: m_1, ..., m_n."""
-    weights = _unit_bar_weights(params)
+    weights = _unit_bar_weights(*params)
     sums = arc_sums([(0,)] * n, weights, lambda a: 0, lambda a: 1, lambda chain, a: int(chain == 1), lambda chain, a: 2)
     return list(helpers.kernel_values(sums).values())[1:]
 
@@ -495,7 +495,7 @@ def word_arc_sums(letters, params, value):
     """The DP over the words of ``letters``, a chain being the open subword."""
     return helpers.kernel_values(arc_sums(
         letters,
-        _unit_bar_weights(params),
+        _unit_bar_weights(*params),
         lambda a: value((a,)),
         lambda a: (a,),
         lambda sub, a: value(sub + (a,)),
@@ -530,7 +530,7 @@ def test_arc_sums_run_on_ints_at_a_rational_point():
     cleared = {w: int(x * scale ** len(w)) for w, x in psi.items()}
     sums, out = arc_sums(
         [range(2)] * 5,
-        _unit_bar_weights(params),
+        _unit_bar_weights(*params),
         lambda a: cleared[(a,)],
         lambda a: (a,),
         lambda sub, a: cleared[sub + (a,)],

@@ -426,6 +426,67 @@ def test_role_word_wick_sums_match_the_enumeration(params):
                 assert full_wick(ops, params) == full_fock_oracle(ops, params), (n, d_top, d_bar)
 
 
+def zeros_on_the_narrow_row(r, n, d_wide, narrow_on_top):
+    """n operators of dimension d_wide on one row and 1 on the other (the
+    top row when narrow_on_top): on the one-dimensional row, operator 0 has
+    a zero vector, operator 1 a zero gauge and operator 2 a zero scalar,
+    where the wide row's gauge and scalar are nonzero."""
+    nonzero = lambda: Fraction(r.randint(1, 3) * r.choice((-1, 1)), r.randint(1, 4))
+    ops = []
+    for i in range(n):
+        wide = (helpers.rand_vec(r, d_wide), helpers.rand_mat(r, d_wide), nonzero())
+        narrow = ((0,) if i == 0 else helpers.rand_vec(r, 1), ((0,),) if i == 1 else helpers.rand_mat(r, 1),
+                  0 if i == 2 else helpers.rand_frac(r))
+        (xi, top_gauge, lam), (eta, bar_gauge, lambar) = (narrow, wide) if narrow_on_top else (wide, narrow)
+        ops.append(QuadrabasicOp(VectorPair.of(xi, eta), GaugePair.of(top_gauge, bar_gauge), Fraction(lam), Fraction(lambar)))
+    return ops
+
+
+@pytest.mark.parametrize("params", ROLE_POINTS, ids=["rational", "q-zero", "t-zero", "v-zero", "negative", "symbolic"])
+@pytest.mark.parametrize("narrow_on_top", [False, True], ids=["bar-one-dimensional", "top-one-dimensional"])
+def test_folded_wick_sums_with_zeros_on_the_one_dimensional_row(params, narrow_on_top):
+    # a zero eta, Tbar or lambar (xi, T or lam on top) beside nonzero data on
+    # the other row: the folded row's scalar zeroes the point's role
+    r = helpers.rng(47)
+    for n in range(6 if params is SYM else 7):
+        ops = zeros_on_the_narrow_row(r, n, 2, narrow_on_top)
+        got = full_wick(ops, params)
+        assert got == helpers.brute_full_wick(ops, params) and type(got) is type(params.q), n
+        xs = [op.vector for op in ops]
+        got = gaussian_wick(xs, params)
+        assert got == helpers.brute_full_wick([QuadrabasicOp(x, None) for x in xs], params), n
+        if params is not SYM and n <= 5:
+            assert full_wick(ops, params) == full_fock_oracle(ops, params), n
+            assert gaussian_wick(xs, params) == gaussian_fock_oracle(xs, params), n
+
+
+@pytest.mark.parametrize("d_top, d_bar, passes", [(2, 1, 0), (1, 2, 0), (1, 1, 0), (2, 2, 2)])
+def test_a_one_dimensional_row_folds_into_one_pass(monkeypatch, d_top, d_bar, passes):
+    # one arc_sums pass over the points when either row is one-dimensional,
+    # one role_sums pass per row only when both rows have d >= 2
+    from diagfock import wick
+
+    calls = {"arc_sums": 0, "role_sums": 0}
+
+    def spy(name):
+        kernel = getattr(wick, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(wick, name, counted)
+
+    spy("arc_sums")
+    spy("role_sums")
+    r = helpers.rng(48)
+    ops = [rand_op(r, d_top, d_bar) for _ in range(4)]
+    for formula, data in ((full_wick, ops), (gaussian_wick, [op.vector for op in ops])):
+        calls.update(arc_sums=0, role_sums=0)
+        formula(data, PARAM_POINTS[0])
+        assert calls == {"arc_sums": int(passes == 0), "role_sums": passes}, formula.__name__
+
+
 def test_full_wick_of_no_operators_is_one():
     # the empty product is the one of the point: a Poly at the symbolic point
     for params in (SYM, PARAM_POINTS[0]):
