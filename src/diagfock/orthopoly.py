@@ -11,8 +11,11 @@ deformation variables) feed the moments and the recurrence; float paths
 The moment m_k is the weighted Motzkin-path sum over walks of length k from
 level 0 back to 0 (up steps 1, flat steps beta_l, down steps gamma_{l-1}),
 i.e. the top-left entry of J^k for the tridiagonal Jacobi matrix J; it is
-read off the row vector e_0^T J^k, carried one step at a time.  The families'
-Jacobi data come from the ladder [n+1]_{a,b} = a [n]_{a,b} + b^n of
+read off the row vector e_0^T J^k, carried one step at a time.  The walk and
+the three-term recurrence run on cleared data, E beta_n and E^2 gamma_n for
+E the lcm of the entries' denominators, so they add and multiply ints (or
+Polys of denominator 1) and divide once per result.  The families' Jacobi
+data come from the ladder [n+1]_{a,b} = a [n]_{a,b} + b^n of
 :mod:`diagfock.scalars` in one pass.
 
 The float paths use the standard library only:
@@ -60,7 +63,7 @@ from functools import lru_cache
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from . import _guards
-from .scalars import DeformationParams, _qt_ladder
+from .scalars import DeformationParams, _cleared, _denominator, _over, _qt_ladder
 
 _QL_MAX_SWEEPS = 30  # implicit-QL sweeps per eigenvalue before giving up
 _GL_POINTS = 20  # Gauss-Legendre points per panel of the adaptive quadrature
@@ -155,16 +158,32 @@ def moments_from_jacobi(j: JacobiData, nmax: int) -> List:
     A level above k is unreachable, and one above nmax - k cannot get back
     to 0 in time, so each row is cut there: the walk never rises above
     floor(nmax/2), which bounds the depth needed.
+
+    The walk runs on E beta_l and E^2 gamma_l, E the lcm of the
+    denominators of the entries it reads (:func:`_denominator`), so a path
+    of length k ending at level l carries E^(k+l) and the cleared row is
+    r'_k[l] = E^(k+l) r_k[l]; m_k = r'_k[0] / E^k.  Each moment has the
+    type the walk on the entries as given returns: a Poly if a Poly lies on
+    a walk of length k back to 0, else a Fraction if a Fraction does, else
+    an int (beta_l lies on one for k >= 2l + 1 and gamma_l for k >= 2l + 2).
     """
     _guards.check_size("the moment order nmax", nmax, math.inf)
     size = nmax // 2 + 1
     if j.depth < size:
         raise ValueError(f"need recurrence depth >= {size} for {nmax} moments")
-    beta, gamma = j.beta, j.gamma
+    # beta_0, gamma_0, beta_1, ...: the walks of length k read the first k
+    reached = [(j.beta, j.gamma)[i % 2][i // 2] for i in range(nmax)]
+    ints_until = next((k for k, x in enumerate(reached, 1) if type(x) is Fraction), nmax + 1)
+    e = _denominator(reached)
+    beta = [_cleared(x, e) for x in reached[0::2]]
+    gamma = [_cleared(x, e * e) for x in reached[1::2]]
     out: List = []
-    row = [beta[0], gamma[0]] if nmax >= 2 else [beta[0]]  # e_0^T J, cut
+    row = [beta[0], gamma[0]] if nmax >= 2 else beta[:1]  # e_0^T J, cut
+    scale = 1
     for k in range(1, nmax + 1):
-        out.append(row[0])
+        scale *= e
+        m = row[0]
+        out.append(m // scale if k < ints_until and type(m) is int else _over(m, scale))
         nxt = []
         for lvl in range(min(len(row) + 1, nmax - k)):
             s = row[lvl - 1] * gamma[lvl - 1] if lvl else None
@@ -181,25 +200,36 @@ def moments_from_jacobi(j: JacobiData, nmax: int) -> List:
 def polys_from_jacobi(j: JacobiData, nmax: int) -> List[List]:
     """Monic orthogonal polynomials P_0..P_nmax as ascending coefficient lists,
     each coefficient in the ring of the Jacobi data (a Poly at the symbolic
-    point, the leading 1 included)."""
+    point, the leading 1 included).
+
+    The recurrence runs on E beta_n and E^2 gamma_n, E the lcm of the
+    denominators of the entries it reads: P~_n(x) = E^n P_n(x/E) satisfies
+    P~_(n+1) = (x - E beta_n) P~_n - E^2 gamma_(n-1) P~_(n-1), and
+    coefficient i of P_n is P~_n[i] / E^(n-i).  A coefficient is a Poly
+    where the recurrence on the entries as given meets a Poly, and a
+    Fraction elsewhere, but for P_1[0] = -beta_0 itself.
+    """
     _guards.check_size("the polynomial degree nmax", nmax, math.inf)
     if j.depth < nmax:
         raise ValueError(f"need recurrence depth >= {nmax}")
-    zero = j.beta[0] * 0
-    one = Fraction(1) + zero
+    one = Fraction(1) + j.beta[0] * 0
     polys: List[List] = [[one]]
     if nmax == 0:
         return polys
     polys.append([-j.beta[0], one])
+    e = _denominator([*j.beta[:nmax], *j.gamma[: nmax - 1]])
+    beta = [_cleared(x, e) for x in j.beta[:nmax]]
+    gamma = [_cleared(x, e * e) for x in j.gamma[: nmax - 1]]
+    zero = beta[0] * 0
+    prev, cur = [zero + 1], [-beta[0], zero + 1]  # P~_0 and P~_1
     for n in range(1, nmax):
-        prev, cur = polys[n - 1], polys[n]
-        shifted = [zero] + list(cur)  # x * P_n
-        nxt = list(shifted)
+        nxt = [zero] + cur  # x * P~_n
         for i, c in enumerate(cur):
-            nxt[i] = nxt[i] - j.beta[n] * c
+            nxt[i] = nxt[i] - beta[n] * c
         for i, c in enumerate(prev):
-            nxt[i] = nxt[i] - j.gamma[n - 1] * c
-        polys.append(nxt)
+            nxt[i] = nxt[i] - gamma[n - 1] * c
+        polys.append([_over(c, e ** (n + 1 - i)) for i, c in enumerate(nxt)])
+        prev, cur = cur, nxt
     return polys
 
 

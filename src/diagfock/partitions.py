@@ -440,19 +440,23 @@ def unit_bar_sum(roles: Roles, v, w):
 
 
 @lru_cache(maxsize=256, typed=True)  # 1 == Fraction(1): an entry keeps its point's type
-def _row_weights(a, b, k: int, bar=1) -> Tuple:
+def _row_weights(a, b, k: int, c=None, d=None) -> Tuple:
     """The summands of [k]_{a,b} read reversed, a^(k-1-j) b^j for
-    j = 0..k-1, times bar, and None where 0: the weight of ending the j-th
-    of k open arcs on one row, its crossings counted by a and its nestings
-    by b."""
-    row = (x * bar for x in reversed(_qt_row(k, a, b)))
+    j = 0..k-1, and None where 0: the weight of ending the j-th of k open
+    arcs on one row, its crossings counted by a and its nestings by b.
+    Given (c, d), each is times the bar row's factor [k]_{c,d} of
+    :func:`unit_bar_sum`, built only when the cache misses."""
+    row = reversed(_qt_row(k, a, b))
+    if c is not None:
+        bar = qt_number(k, c, d)
+        row = (x * bar for x in row)
     return tuple(None if x == 0 else x for x in row)
 
 
 def _unit_bar_weights(a, b, c, d) -> Callable[[int], Tuple]:
     """The step weights of the sums with bar value 1: the row's at (a, b)
     times the bar row's factor [k]_{c,d} of :func:`unit_bar_sum`."""
-    return lambda k: _row_weights(a, b, k, qt_number(k, c, d))
+    return lambda k: _row_weights(a, b, k, c, d)
 
 
 def _read(sums: Dict[tuple, object], scale: int) -> Dict[tuple, object]:

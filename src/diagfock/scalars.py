@@ -7,16 +7,21 @@ Two kinds of scalars circulate in this package:
     coefficients (class :class:`Poly`), used when a computation is run
     symbolically instead of at a rational parameter point.
 
-A polynomial is a dict mapping exponent 4-tuples ``(a, b, c, d)`` (degrees of
-q, t, v, w) to nonzero int numerators, over one positive int denominator
-that shares no factor with all of them (Knuth, TAOCP vol. 2, 4.6.1).  The
-zero polynomial has an empty dict and denominator 1.  The sums run on
-cleared integer data, so their Polys have denominator 1 and add and
-multiply on ints; a Fraction enters only as one scale of the numerators and
-the denominator.  ``terms``, ``constant_term`` and ``evaluate`` give
-Fractions.  Everything downstream is written against ordinary Python
-operators, so the two scalar kinds mix freely: ``Fraction + Poly`` promotes
-to ``Poly``.
+A polynomial is a dict mapping packed exponents to nonzero int numerators,
+over one positive int denominator that shares no factor with all of them
+(Knuth, TAOCP vol. 2, 4.6.1).  The zero polynomial has an empty dict and
+denominator 1.  The exponent ``(a, b, c, d)`` (degrees of q, t, v, w) is
+packed in one int, ``a + b 2^16 + c 2^32 + d 2^48``: four 16-bit fields, q
+lowest, so the key of a product of monomials is the sum of their keys and
+hashes as an int.  An exponent of 2^16 or more is refused (OverflowError
+in arithmetic), never carried into the next field.  The constructor packs
+the 4-tuples; ``terms``, ``sorted_terms``, ``evaluate`` and the printing
+unpack them.  The sums run on cleared integer data, so their Polys have
+denominator 1 and add and multiply on ints; a Fraction enters only as one
+scale of the numerators and the denominator.  ``terms``, ``constant_term``
+and ``evaluate`` give Fractions.  Everything downstream is written against
+ordinary Python operators, so the two scalar kinds mix freely:
+``Fraction + Poly`` promotes to ``Poly``.
 
 Convention: ``0**0 == 1`` throughout, so evaluating a monomial at q = 0 with
 exponent 0 gives 1.  Python's ``Fraction(0) ** 0`` already behaves this way.
@@ -26,13 +31,39 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple, Union
 
 Exponent = Tuple[int, int, int, int]
 
 VAR_NAMES = ("q", "t", "v", "w")
 
-_ZERO4: Exponent = (0, 0, 0, 0)
+_WIDTH = 16  # bits per exponent field of a packed key
+_LIMIT = 1 << _WIDTH  # every exponent stays below this
+_FIELD = _LIMIT - 1
+_SHIFTS = tuple(range(0, 4 * _WIDTH, _WIDTH))
+_HIGH = sum(_LIMIT >> 1 << s for s in _SHIFTS)  # the top bit of each field
+
+
+def _pack(exp: Exponent) -> int:
+    """The key of the exponent (a, b, c, d), each below _LIMIT."""
+    if len(exp) != 4 or not all(0 <= e < _LIMIT for e in exp):
+        raise ValueError(f"bad exponent tuple: {exp!r} (each exponent must lie in 0..{_FIELD})")
+    return sum(e << s for e, s in zip(exp, _SHIFTS))
+
+
+def _unpack(key: int) -> Exponent:
+    return key & _FIELD, key >> _WIDTH & _FIELD, key >> 2 * _WIDTH & _FIELD, key >> 3 * _WIDTH
+
+
+def _check_product(a: Dict[int, int], b: Dict[int, int]) -> None:
+    """Refuse a product of the keys of a and b that would reach _LIMIT in a
+    field: the top degrees in a variable multiply to a nonzero term."""
+    for name, s in zip(VAR_NAMES, _SHIFTS):
+        top = max((k >> s & _FIELD for k in a), default=0) + max((k >> s & _FIELD for k in b), default=0)
+        if top >= _LIMIT:
+            raise OverflowError(f"a product of degree {top} in {name}, at or above the limit {_LIMIT} of a Poly")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -59,7 +90,7 @@ def _monomial_str(exp: Exponent) -> str:
     return "".join(parts)
 
 
-def _poly(num: Dict[Exponent, int], den: int) -> "Poly":
+def _poly(num: Dict[int, int], den: int) -> "Poly":
     """The Poly num/den, its parts already in lowest terms."""
     res = Poly.__new__(Poly)
     res._num = num
@@ -67,7 +98,7 @@ def _poly(num: Dict[Exponent, int], den: int) -> "Poly":
     return res
 
 
-def _lowest(num: Dict[Exponent, int], den: int) -> "Poly":
+def _lowest(num: Dict[int, int], den: int) -> "Poly":
     """The Poly num/den for a positive den: numerators and denominator
     divided by their gcd (the zero polynomial gets denominator 1)."""
     if den != 1:
@@ -78,13 +109,13 @@ def _lowest(num: Dict[Exponent, int], den: int) -> "Poly":
     return _poly(num, den)
 
 
-def _parts(x) -> "Tuple[Dict[Exponent, int], int] | None":
+def _parts(x) -> "Tuple[Dict[int, int], int] | None":
     """(numerators, denominator) of a Poly, int or Fraction, else None."""
     if isinstance(x, Poly):
         return x._num, x._den
     if isinstance(x, (int, Fraction)):
         x = Fraction(x)
-        return ({_ZERO4: x.numerator} if x else {}), x.denominator
+        return ({0: x.numerator} if x else {}), x.denominator
     return None
 
 
@@ -92,23 +123,24 @@ class Poly:
     """Sparse polynomial in q, t, v, w over the rationals.
 
     Immutable once constructed.  Stored as integer numerators keyed by
-    exponent (zeros pruned) over one positive integer denominator, with no
-    common factor among them all (denominator 1 for zero).  That form is
-    canonical, so equality is structural; at denominator 1, the common case
-    of the cleared sums, arithmetic runs on ints with no gcd at all.
+    packed exponent (zeros pruned) over one positive integer denominator,
+    with no common factor among them all (denominator 1 for zero).  That
+    form is canonical, so equality is structural; at denominator 1, the
+    common case of the cleared sums, arithmetic runs on ints with no gcd at
+    all.  A key holds each degree in a 16-bit field, so a degree of 2^16 or
+    more in any variable is refused: by the constructor with ValueError, by
+    a product or power with OverflowError.
     """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Dict[Exponent, Fraction] | None = None):
-        clean: Dict[Exponent, Fraction] = {}
+        clean: Dict[int, Fraction] = {}
         if terms:
             for exp, coeff in terms.items():
                 coeff = Fraction(coeff)
                 if coeff != 0:
-                    if len(exp) != 4 or any(e < 0 for e in exp):
-                        raise ValueError(f"bad exponent tuple: {exp!r}")
-                    clean[tuple(exp)] = coeff
+                    clean[_pack(exp)] = coeff
         # over the lcm of the denominators no prime divides every numerator:
         # each prime's top power in the lcm leaves one numerator prime to it
         den = math.lcm(*(c.denominator for c in clean.values()))
@@ -123,7 +155,7 @@ class Poly:
 
     @classmethod
     def const(cls, value: Union[int, Fraction]) -> "Poly":
-        return cls({_ZERO4: value})
+        return cls({(0, 0, 0, 0): value})
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
@@ -142,10 +174,10 @@ class Poly:
     @property
     def terms(self) -> Dict[Exponent, Fraction]:
         den = self._den
-        return {exp: Fraction(c, den) for exp, c in self._num.items()}
+        return {_unpack(key): Fraction(c, den) for key, c in self._num.items()}
 
     def constant_term(self) -> Fraction:
-        return Fraction(self._num.get(_ZERO4, 0), self._den)
+        return Fraction(self._num.get(0, 0), self._den)
 
     @property
     def denominator(self) -> int:
@@ -219,15 +251,25 @@ class Poly:
             if isinstance(other, Fraction):
                 return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        out: Dict[Exponent, int] = {}
-        get = out.get
-        right = [(*exp, c) for exp, c in other._num.items()]
-        for (a1, b1, c1, d1), k1 in self._num.items():
-            for a2, b2, c2, d2, k2 in right:
-                exp = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
-                out[exp] = get(exp, 0) + k1 * k2
-        if 0 in out.values():
-            out = {exp: c for exp, c in out.items() if c}
+        big, small = self._num, other._num
+        if len(big) < len(small):
+            big, small = small, big
+        if not small:
+            return _poly({}, 1)
+        # a field below half its range in both operands cannot carry
+        if reduce(or_, small, reduce(or_, big, 0)) & _HIGH:
+            _check_product(big, small)
+        terms = iter(small.items())
+        e2, k2 = next(terms)
+        out = {e1 + e2: k1 * k2 for e1, k1 in big.items()}  # one term shifts the keys apart
+        if len(small) > 1:
+            get = out.get
+            for e2, k2 in terms:
+                for e1, k1 in big.items():
+                    key = e1 + e2
+                    out[key] = get(key, 0) + k1 * k2
+            if 0 in out.values():
+                out = {key: c for key, c in out.items() if c}
         den = self._den * other._den
         return _poly(out, 1) if den == 1 else _lowest(out, den)
 
@@ -237,7 +279,7 @@ class Poly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power needs a nonnegative integer")
         if n == 0:
-            return _poly({_ZERO4: 1}, 1)
+            return _poly({0: 1}, 1)
         base = self
         while not n & 1:  # the power at the lowest set bit starts the product
             base = base * base
@@ -260,7 +302,7 @@ class Poly:
     def __hash__(self):
         # a constant hashes like the Fraction it equals, so it finds the same
         # dict and set entries (the zero polynomial hashes like 0)
-        if self._num.keys() <= {_ZERO4}:
+        if self._num.keys() <= {0}:
             return hash(self.constant_term())
         return hash((self._den, frozenset(self._num.items())))
 
@@ -269,9 +311,9 @@ class Poly:
     def evaluate(self, q: Fraction, t: Fraction, v: Fraction, w: Fraction) -> Fraction:
         vals = (Fraction(q), Fraction(t), Fraction(v), Fraction(w))
         total = Fraction(0)
-        for exp, coeff in self._num.items():
+        for key, coeff in self._num.items():
             prod = Fraction(coeff)
-            for base, e in zip(vals, exp):
+            for base, e in zip(vals, _unpack(key)):
                 if e:
                     prod *= base ** e
             total += prod

@@ -467,8 +467,9 @@ _ZERO4 = (0, 0, 0, 0)
 class FractionPoly:
     """The reference for :class:`diagfock.scalars.Poly`: a dict mapping
     exponent 4-tuples (degrees of q, t, v, w) to nonzero Fractions, every
-    operation done term by term on Fractions.  It mixes with ints and
-    Fractions as Poly does, and prints the same text."""
+    operation done term by term on Fractions, with no bound on a degree.
+    It mixes with ints and Fractions as Poly does, and prints the same text
+    and repr."""
 
     __slots__ = ("_terms",)
 
@@ -553,6 +554,9 @@ class FractionPoly:
             chunks.append(sign + body)
         return " ".join(chunks) or "0"
 
+    def __repr__(self) -> str:
+        return f"Poly({dict(self.sorted_terms())!r})"
+
 
 # -- dense Jacobi-matrix powers -------------------------------------------------------
 
@@ -583,6 +587,48 @@ def moments_by_matrix_powers(beta: Sequence, gamma: Sequence, nmax: int) -> List
         out.append(row[0])
         row = [reduce(add, (row[m] * a[m][j] for m in range(size))) for j in range(size)]
     return out
+
+
+def moments_by_row_walk(beta: Sequence, gamma: Sequence, nmax: int) -> List:
+    """[m_1..m_nmax] by the walk r_{k+1}[l] = r_k[l-1] gamma_{l-1} +
+    r_k[l] beta_l + r_k[l+1] on the entries as given, from r_0 = [1] (an
+    int), each row one level longer than the last up to level nmax // 2.
+    Every walk back to 0 is summed, none cleared, so a moment's type is the
+    one that arithmetic gives on the entries its walks meet."""
+    top = nmax // 2
+    row: List = [1]
+    out = []
+    for _ in range(nmax):
+        nxt = []
+        for lvl in range(min(len(row) + 1, top + 1)):
+            terms = []
+            if lvl:
+                terms.append(row[lvl - 1] * gamma[lvl - 1])
+            if lvl < len(row):
+                terms.append(row[lvl] * beta[lvl])
+            if lvl + 1 < len(row):
+                terms.append(row[lvl + 1])
+            nxt.append(reduce(add, terms))
+        row = nxt
+        out.append(row[0])
+    return out
+
+
+def polys_by_recurrence(beta: Sequence, gamma: Sequence, nmax: int) -> List[List]:
+    """P_0..P_nmax by P_(n+1) = (x - beta_n) P_n - gamma_(n-1) P_(n-1) on the
+    entries as given, from P_0 = 1 and P_1 = x - beta_0 in the ring of
+    beta_0 (1 a Fraction, or a Poly when beta_0 is one)."""
+    zero = beta[0] * 0
+    one = Fraction(1) + zero
+    polys: List[List] = [[one], [-beta[0], one]][: nmax + 1]
+    for n in range(1, nmax):
+        nxt = [zero] + polys[n]
+        for i, c in enumerate(polys[n]):
+            nxt[i] = nxt[i] - beta[n] * c
+        for i, c in enumerate(polys[n - 1]):
+            nxt[i] = nxt[i] - gamma[n - 1] * c
+        polys.append(nxt)
+    return polys
 
 
 # -- Meixner-Pollaczek density as printed: six complex products ------------------------

@@ -139,6 +139,64 @@ def test_symbolic_family_moments_match_matrix_powers(family):
     assert [str(x) for x in got] == [str(x) for x in want]
 
 
+def jacobi_cases(kind, r, depth):
+    """(beta, gamma) of the given depth with entries of one kind: all ints;
+    ints and Fractions (Fraction(0) and integral Fractions among them);
+    Polys; or Polys mixed with ints and Fractions."""
+    def entry():
+        pick = r.choice({"int": "i", "mixed": "ifzn", "symbolic": "p", "mixed symbolic": "ifp"}[kind])
+        if pick == "i":
+            return r.randint(-3, 3)
+        if pick == "z":
+            return Fraction(0)
+        if pick == "n":
+            return Fraction(r.randint(-3, 3))
+        if pick == "f":
+            return helpers.rand_frac(r, 4, 6)
+        return r.choice([Q, T, W]) * helpers.rand_frac(r, 2, 3) + helpers.rand_frac(r)
+
+    return tuple(entry() for _ in range(depth)), tuple(entry() for _ in range(depth - 1))
+
+
+@pytest.mark.parametrize("kind", ["int", "mixed", "symbolic", "mixed symbolic"])
+def test_cleared_walk_keeps_the_value_and_type_of_the_walk_on_the_entries(kind):
+    # at the exact depth nmax // 2 + 1 (moments) and nmax (polynomials), nmax = 0, 1, 2 included
+    r = helpers.rng(61)
+    for nmax in range(11):
+        for _ in range(4):
+            beta, gamma = jacobi_cases(kind, r, nmax // 2 + 1)
+            got = moments_from_jacobi(JacobiData(beta, gamma), nmax)
+            assert typed(got) == typed(helpers.moments_by_row_walk(beta, gamma, nmax)), (beta, gamma, nmax)
+            if kind == "int":
+                assert all(type(m) is int for m in got)
+            beta, gamma = jacobi_cases(kind, r, max(nmax, 1))
+            got = polys_from_jacobi(JacobiData(beta, gamma), nmax)
+            want = helpers.polys_by_recurrence(beta, gamma, nmax)
+            assert [typed(p) for p in got] == [typed(p) for p in want], (beta, gamma, nmax)
+
+
+def test_cleared_walk_types_at_the_edges():
+    # all ints: int moments, and P_1[0] = -beta_0 the one int coefficient
+    jac = JacobiData((2, 3), (5,))
+    assert typed(moments_from_jacobi(jac, 0)) == []
+    assert typed(moments_from_jacobi(jac, 1)) == [(int, 2)]
+    assert typed(moments_from_jacobi(jac, 2)) == [(int, 2), (int, 9)]
+    assert typed(moments_from_jacobi(jac, 3)) == [(int, 2), (int, 9), (int, 43)]
+    assert [typed(p) for p in polys_from_jacobi(jac, 2)] == [
+        [(Fraction, 1)],
+        [(int, -2), (Fraction, 1)],
+        [(Fraction, 1), (Fraction, -5), (Fraction, 1)],
+    ]
+    # a Fraction reached first by the walks of length 3: m_1 and m_2 stay ints
+    jac = JacobiData((2, Fraction(1, 2)), (5,))
+    assert typed(moments_from_jacobi(jac, 3)) == [(int, 2), (int, 9), (Fraction, Fraction(61, 2))]
+    # an integral Fraction makes the moments from its step on Fractions
+    jac = JacobiData((2, 3), (Fraction(5),))
+    assert typed(moments_from_jacobi(jac, 2)) == [(int, 2), (Fraction, 9)]
+    with pytest.raises(ValueError, match="depth >= 2"):
+        moments_from_jacobi(JacobiData((2,), ()), 2)
+
+
 @pytest.mark.parametrize(
     "a, b",
     [

@@ -432,6 +432,26 @@ def pair_arc_sums(n, params):
     return list(helpers.kernel_values(sums).values())[1:]
 
 
+def test_unit_bar_weights_build_no_ladder_on_a_cache_hit(monkeypatch):
+    from diagfock import partitions, scalars
+
+    points = (DeformationParams.from_rationals(Fraction(1, 3), Fraction(2, 3), Fraction(1, 5), 4), DeformationParams.symbolic())
+    for params in points:
+        weights = _unit_bar_weights(*params)
+        ladders = []
+        monkeypatch.setattr(partitions, "qt_number", lambda *args: ladders.append(args) or scalars.qt_number(*args))
+        partitions._row_weights.cache_clear()
+        first = [weights(k) for k in range(1, 6)]
+        assert len(ladders) == 5
+        # each row the plain row times [k]_{v,w}, keeping its type
+        for k, row in enumerate(first, 1):
+            bar = scalars.qt_number(k, params.v, params.w)
+            plain = partitions._row_weights(params.q, params.t, k)
+            assert [(type(x), x) for x in row] == [(type(x), None if x is None else x * bar) for x in plain]
+        assert [weights(k) for k in range(1, 6)] == first and len(ladders) == 5
+        monkeypatch.undo()
+
+
 def test_arc_sums_of_pairs_are_the_hermite_moments_to_twenty():
     params = DeformationParams.from_rationals(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4))
     assert pair_arc_sums(20, params) == moments_from_jacobi(jacobi_hermite(params, 11), 20)

@@ -208,3 +208,70 @@ def test_ring_operations_match_the_fraction_reference(a, b, q, t, v, w):
 def test_pow_matches_the_fraction_reference(a, k):
     pa, fa = a
     assert_matches(pa**k, fa**k)
+
+
+# -- packed exponent keys against the tuple-keyed reference --------------------------
+
+LIMIT = 2**16  # a degree of a Poly stays below this
+# degrees near the edges of a key's 16-bit fields, where a carry would show
+wide_exps = st.tuples(*(st.sampled_from([0, 1, 2, 2**15 - 1, 2**15, LIMIT - 2, LIMIT - 1]) for _ in range(4)))
+wide_dicts = st.dictionaries(wide_exps, coeffs, max_size=3)
+units = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)])
+
+
+def overflows(ref) -> bool:
+    return any(e >= LIMIT for exp in ref._terms for e in exp)
+
+
+@given(wide_dicts, wide_dicts, units, units, units, units)
+@settings(max_examples=150, deadline=None)
+def test_packed_keys_match_the_tuple_keyed_reference(ta, tb, q, t, v, w):
+    (pa, fa), (pb, fb) = both(ta), both(tb)
+    for got, want in [(pa + pb, fa + fb), (pa - pb, fa - fb), (-pa, -fa)]:
+        assert_matches(got, want)
+        assert repr(got) == repr(want)
+        assert got.evaluate(q, t, v, w) == want.evaluate(q, t, v, w)
+    want = fa * fb
+    if overflows(want):
+        with pytest.raises(OverflowError, match="limit 65536"):
+            pa * pb
+    else:
+        got = pa * pb
+        assert_matches(got, want)
+        assert repr(got) == repr(want) and got == pb * pa
+        assert got.evaluate(q, t, v, w) == want.evaluate(q, t, v, w)
+    assert (pa == pb) == (fa == fb)
+    # equal Polys hash alike, whatever order their terms were built in
+    assert hash(Poly(dict(reversed(list(ta.items()))))) == hash(pa)
+
+
+@given(term_dicts, st.integers(min_value=0, max_value=5), st.sampled_from([1, 2**10, 2**12]))
+@settings(max_examples=60, deadline=None)
+def test_pow_of_wide_keys_matches_the_reference(terms, k, scale):
+    # every degree times scale: the powers run up to degree 2 * 5 * 2**12 < 2**16
+    terms = {tuple(e * scale for e in exp): c for exp, c in terms.items()}
+    pa, fa = both(terms)
+    assert_matches(pa**k, fa**k)
+    assert repr(pa**k) == repr(fa**k)
+
+
+def test_a_degree_at_the_field_limit_is_refused():
+    for name, var in zip("qtvw", (Q, T, V, W)):
+        exp = tuple(LIMIT if n == name else 0 for n in "qtvw")
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            Poly({exp: 1})
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            Poly.monomial(1, exp)
+        top = var ** (LIMIT - 1)
+        assert top.terms == {tuple(LIMIT - 1 if n == name else 0 for n in "qtvw"): 1}
+        assert str(top) == f"{name}^{LIMIT - 1}" and top.evaluate(1, 1, 1, 1) == 1
+        for product in (lambda: top * var, lambda: var * top, lambda: (top + 1) * (var - T * W)):
+            with pytest.raises(OverflowError, match=f"degree {LIMIT} in {name}"):
+                product()
+        # by squaring, each power a doubling: the limit is met after 16 products, however large 2**k
+        for k in (16, 17, 64, 1000):
+            with pytest.raises(OverflowError, match=f"in {name}, at or above the limit {LIMIT}"):
+                var ** 2**k
+    # fields at half their range or above that do not carry multiply
+    half = Q ** 2**15 * T ** 2**15
+    assert (half * Q ** (2**15 - 1)).terms == {(LIMIT - 1, 2**15, 0, 0): 1}
