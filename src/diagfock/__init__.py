@@ -16,13 +16,12 @@ _PUBLIC = {
     "_guards": ("ResourceLimitError",),
     "scalars": ("DeformationParams", "Poly", "parse_rational", "qt_number", "render_rational"),
     "partitions": (
-        "DiagonalPartition", "SetPartition", "count_diagonal_pair_partitions", "diagonal_pair_partitions",
-        "diagonal_partitions", "noncrossing_partitions", "pair_partitions", "set_partitions",
+        "DiagonalPartition", "SetPartition", "count_diagonal_pair_partitions", "diagonal_partitions",
     ),
     "fock": (
         "FockVector", "GaugePair", "VectorPair", "annihilation_apply", "check_commutation_tensor",
-        "creation_apply", "creation_norm_check", "creation_norm_formula", "deformed_inner",
-        "gauge_adjoint_check", "gauge_apply", "positivity_check", "vacuum_expectation",
+        "creation_apply", "creation_norm_squared", "deformed_inner", "gauge_adjoint_check", "gauge_apply",
+        "positivity_check", "vacuum_expectation",
     ),
     "wick": (
         "QuadrabasicOp", "full_fock_oracle", "full_wick", "gaussian_fock_oracle", "gaussian_wick",

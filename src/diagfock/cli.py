@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 # orthopoly, fock, wick and levy are imported inside the commands that run
 # them, so that the other commands do not load them
 from . import _guards
-from .scalars import DeformationParams, Poly, parse_rational, render_rational
+from .scalars import DeformationParams, Poly, _qt_ladder, parse_rational, render_rational
 from .partitions import (
     _diagonal_classes,
     count_diagonal_pair_partitions,
@@ -158,7 +158,6 @@ def cmd_partitions(args) -> int:
             raise ValueError(f"--pairs with --min-block-size {m}: the blocks of a matching have 2 points")
         if args.n % 2:
             raise ValueError("pair partitions need an even number of points")
-        _guards.check_size("--n, the sech moment order,", args.n, _guards.MAX_FAMILY_NMAX)
         count = count_diagonal_pair_partitions(args.n)
     else:
         count = count_diagonal_partitions(args.n, m)
@@ -410,7 +409,7 @@ def cmd_gns(args) -> int:
 
 def _verify_checks():
     """The built-in battery: yields (name, passed) for each check in turn."""
-    from .fock import VectorPair, check_commutation_tensor, creation_norm_check
+    from .fock import VectorPair, check_commutation_tensor, creation_norm_squared
     from .orthopoly import jacobi_poisson, moments_from_jacobi
     from .wick import gaussian_fock_oracle, gaussian_wick
 
@@ -447,8 +446,9 @@ def _verify_checks():
         check_commutation_tensor(vecs[0], vecs[1], pc, 2, 2, maxlevel=2),
     )
 
-    ok_norm, emp, val, branch = creation_norm_check(Fraction(1, 3), Fraction(1, 2))
-    yield f"creation norm branch '{branch}' matches level sweep", ok_norm
+    q, t = Fraction(1, 3), Fraction(1, 2)
+    norm, branch = creation_norm_squared(q, t)
+    yield f"creation norm branch '{branch}' matches level sweep", norm == max(_qt_ladder(q, t, 64))
 
     free = DeformationParams.from_rationals(Fraction(0), Fraction(1), Fraction(0), Fraction(1))
     ms = moments_from_jacobi(jacobi_poisson(free, 3), 4)

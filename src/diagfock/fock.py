@@ -95,7 +95,6 @@ from .scalars import (
     _denominator,
     _entries,
     _over,
-    _qt_ladder,
     _qt_row,
 )
 
@@ -726,40 +725,36 @@ def gauge_adjoint_check(
 # -- creation operator norm -------------------------------------------------------
 
 
-def empirical_creation_norm(q: float, t: float, nmax: int = 200) -> float:
-    """sup over levels of the one-row creation norm ratio sqrt([n]_{q,t})."""
-    _guards.check_size("the level count nmax", nmax, math.inf, least=1)
-    return max(map(math.sqrt, _qt_ladder(q, t, nmax)))
-
-
-def creation_norm_formula(q: float, t: float) -> Tuple[float, str]:
-    """Closed-form one-row creation norm (per unit vector) with branch label.
-
-    Defined for -t <= q <= t <= 1, t > 0, excluding q = t = 1 (unbounded).
-    The mixed 0 < q < t < 1 branch takes the level maximizing [n]_{q,t}: the
-    last n with [n+1] >= [n] is floor(log((1-q)/(1-t)) / log(t/q)), clamped
-    at 0 so the sup is never taken over an empty range.
-    """
-    q = float(q)
-    t = float(t)
+def creation_norm_squared(q, t) -> Tuple[Fraction, str]:
+    """The squared one-row creation norm sup_n [n]_{q,t}, an exact Fraction,
+    with its branch label (Bozejko-Speicher 1991, Blitvic 2012), for
+    -t <= q <= t <= 1, t > 0, except q = t = 1 (unbounded): 1 for q <= 0,
+    the limit 1/(1 - q) at t = 1, and else [nhat + 1], nhat the last n with
+    [n+1] >= [n].  That is floor(t / (1 - t)) at q = t.  For q < t it is the
+    last n with q^n (1-q) >= t^n (1-t), tested on the cleared ints
+    (E q, E t, E) by doubling and bisection from floor(q / (1 - q)), up to
+    which it holds.  nhat, or a lower bound of it, is refused past
+    MAX_NORM_LEVEL."""
+    q, t = Fraction(q), Fraction(t)
     if not (0 < t <= 1 and -t <= q <= t):
         raise ValueError("norm formula needs -t <= q <= t and 0 < t <= 1")
     if q <= 0:
-        return 1.0, "nonpositive_twist"
+        return _ONE, "nonpositive_twist"
     if q == t == 1:
         raise ValueError("creation operator is unbounded at q = t = 1")
     if t == 1:
-        return 1.0 / math.sqrt(1.0 - q), "geometric"
-    if q == t:
-        nstar = math.floor(t / (1.0 - t))
-        return math.sqrt((nstar + 1) * t ** nstar), "equal_parameters"
-    nhat = math.floor((math.log(1.0 - q) - math.log(1.0 - t)) / (math.log(t) - math.log(q)))
-    nhat = max(nhat, 0)
-    return math.sqrt((t ** (nhat + 1) - q ** (nhat + 1)) / (t - q)), "mixed"
-
-
-def creation_norm_check(q, t, nmax: int = 200, tol: float = 1e-12) -> Tuple[bool, float, float, str]:
-    """Compare the branch formula against the empirical level sup."""
-    value, branch = creation_norm_formula(float(q), float(t))
-    emp = empirical_creation_norm(float(q), float(t), nmax)
-    return (abs(value - emp) <= tol * max(1.0, abs(value)), emp, value, branch)
+        return 1 / (1 - q), "geometric"
+    a, b, e = _cleared_point(q, t)
+    lo = a // (e - a)  # the ladder rises after level lo, the last time at q = t
+    hi = lo + 1 if a == b else 0  # once hi > lo, it does not rise after level hi
+    while hi != lo + 1 and lo <= _guards.MAX_NORM_LEVEL:
+        mid = (lo + hi) // 2 if hi > lo else 2 * lo + 1
+        if a**mid * (e - a) >= b**mid * (e - b):
+            lo = mid
+        else:
+            hi = mid
+    what = "the creation norm's level nhat" if hi == lo + 1 else "a lower bound of the creation norm's level nhat"
+    n = _guards.check_size(what, lo, _guards.MAX_NORM_LEVEL)
+    if a == b:
+        return (n + 1) * t**n, "equal_parameters"
+    return Fraction(b ** (n + 1) - a ** (n + 1), e**n * (b - a)), "mixed"

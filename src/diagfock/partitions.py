@@ -16,7 +16,7 @@ is a consecutive pair (b_i, b_{i+1}).  For partitions into pairs and
 singletons the classical crossing/nesting counts apply; for general
 partitions the *restricted* counts compare arcs across distinct blocks.
 
-Every family is enumerated by one open-arc walk (:func:`_walk`, the path
+The rows are enumerated by one open-arc walk (:func:`_walk`, the path
 picture of Flajolet's continued fractions).  It places the points 1..n from
 left to right and keeps the open arcs, one per unfinished block, in the order
 they were opened.  Point p is a Singleton, Opens an arc, or ends the j-th of
@@ -32,9 +32,9 @@ the step weight q^(k-j) t^(j-1) is [k]_{q,t}.  Each point may be limited to
 some of the roles: O, C, M and S give all set partitions, O and C the
 matchings, and O, C and S the pairs and singletons (the word expansion in
 :mod:`diagfock.wick` sums these per role vector, by :func:`role_sums`).
-:meth:`SetPartition.restricted_crossings` and
-:meth:`SetPartition.restricted_nestings` count the same statistics pair by
-pair and serve as the tests' oracle for the walk.
+The walk lists rows for display only; the tests hold it against brute
+enumerations, and :meth:`SetPartition.restricted_crossings` and
+:meth:`SetPartition.restricted_nestings` count its statistics pair by pair.
 
 Every diagonal sum in this package,
 
@@ -82,10 +82,10 @@ Polys the data hold.
 
 The pairs themselves are listed for display only.  :func:`_diagonal_classes`
 groups the rows of one walk by role vector, with the walk's rc and rn of each
-row, and a listing pairs the rows of each class: :func:`diagonal_partitions`,
-:func:`diagonal_pair_partitions` and ``diagfock partitions``, whose weights
-are the two rows' walk counts.  :meth:`DiagonalPartition.weight_exponents`
-recounts them pair by pair, as the tests' oracle.
+row, and a listing pairs the rows of each class: :func:`diagonal_partitions`
+and ``diagfock partitions``, whose weights are the two rows' walk counts.
+:meth:`DiagonalPartition.weight_exponents` recounts them pair by pair, as
+the tests' oracle.
 """
 
 from __future__ import annotations
@@ -246,10 +246,9 @@ def _walk(n: int, letters: Sequence[str]) -> Iterator[Tuple[Roles, int, int, Tup
     """(roles, restricted crossings, restricted nestings, blocks) of every set
     partition of [n] whose point p has a role in ``letters[p - 1]``, by the
     open-arc walk of the module docstring.  Blocks come sorted and ordered by
-    least element.  Every listing reads its rows, role vectors and restricted
-    counts from here, and this is its one enumeration guard:
-    n <= MAX_SET_PARTITION_N."""
-    _guards.check_size("the size n of a set partition", n, _guards.MAX_SET_PARTITION_N)
+    least element.  Its one caller, :func:`_diagonal_classes`, reads the
+    rows, role vectors and restricted counts of every listing from here;
+    the listings guard n."""
     # state: next point, open blocks in arc-opening order, closed blocks, roles so far, rc, rn
     stack = [(1, (), (), (), 0, 0)]
     while stack:
@@ -276,29 +275,6 @@ def _walk(n: int, letters: Sequence[str]) -> Iterator[Tuple[Roles, int, int, Tup
                         child = (p + 1, rest + (block,), closed)
                     children.append(child + (roles + (role,), rc + k - 1 - j, rn + j))
         stack.extend(reversed(children))
-
-
-def set_partitions(n: int, min_block_size: int = 1) -> Iterator[SetPartition]:
-    """All partitions of [n] with every block of size >= min_block_size.
-
-    The order is deterministic (that of the open-arc walk).  Guarded at n <= 14.
-    """
-    letters = "OCM" if min_block_size >= 2 else "OCMS"
-    for _, _, _, blocks in _walk(n, (letters,) * n):
-        if min_block_size <= 2 or all(len(b) >= min_block_size for b in blocks):
-            yield SetPartition._canonical(n, blocks)
-
-
-def pair_partitions(n: int) -> Iterator[SetPartition]:
-    """Perfect matchings of [n] (empty for odd n).  Guarded at n <= 14."""
-    for _, _, _, blocks in _walk(n, ("OC",) * n):
-        yield SetPartition._canonical(n, blocks)
-
-
-def pairs_and_singletons_partitions(n: int) -> Iterator[SetPartition]:
-    """Partitions of [n] with all blocks of size <= 2 (involution shapes)."""
-    for _, _, _, blocks in _walk(n, ("OCS",) * n):
-        yield SetPartition._canonical(n, blocks)
 
 
 # -- diagonal pairing ------------------------------------------------------------
@@ -376,16 +352,6 @@ def diagonal_partitions(n: int, min_block_size: int = 1) -> Iterator[DiagonalPar
         yield from (DiagonalPartition(top, bar) for top, _, _ in rows for bar, _, _ in rows)
 
 
-def diagonal_pair_partitions(n: int) -> Iterator[DiagonalPartition]:
-    """Diagonal partitions whose rows are perfect matchings.
-
-    Compatibility for matchings reduces to equal opener sets.
-    """
-    _guards.check_size("the size n of a diagonal partition", n, _guards.MAX_DIAGONAL_N)
-    for rows in _diagonal_classes(n, pairs=True):
-        yield from (DiagonalPartition(top, bar) for top, _, _ in rows for bar, _, _ in rows)
-
-
 def count_diagonal_pair_partitions(n: int) -> int:
     """Number of diagonal pair partitions of [n] + [n-bar]: the Euler number,
     read as the n-th moment of the hyperbolic-secant law.
@@ -394,10 +360,10 @@ def count_diagonal_pair_partitions(n: int) -> int:
     the product of k over the closers (k open arcs before each); the two rows
     make that k^2, and the sum over Dyck paths of prod k^2 is the n-th moment
     of the Jacobi data gamma_k = k^2, at the cost of a continued fraction of
-    depth n // 2 + 1, not of an enumeration.
+    depth n // 2 + 1, not of an enumeration.  Guarded like the sech moments:
+    n <= MAX_FAMILY_NMAX.
     """
-    if n < 0:
-        raise ValueError(f"diagonal pair partitions of [n] need n >= 0, got {n}")
+    _guards.check_size("the size n of a diagonal pair partition", n, _guards.MAX_FAMILY_NMAX)
     if n == 0:
         return 1
     # imported here, so that loading partitions does not load orthopoly
@@ -632,10 +598,3 @@ def count_diagonal_partitions(n: int, min_block_size: int = 1) -> int:
     rows, _ = role_sums(["OCMS" if m <= 1 else "OCM"] * n, 1, 1, lambda i: 1, lambda i: 1,
                         lambda size, i: int(size + 1 >= m), lambda size, i: min(size + 1, m))
     return sum(t * t for t in rows.values())
-
-
-def noncrossing_partitions(n: int) -> Iterator[SetPartition]:
-    """Noncrossing partitions of [n]: the walk's rows without a restricted crossing."""
-    for _, rc, _, blocks in _walk(n, ("OCMS",) * n):
-        if rc == 0:
-            yield SetPartition._canonical(n, blocks)

@@ -189,6 +189,23 @@ def stochastic_measure_brute(moment, word: Sequence[int], blocks: Sequence[Seque
 # -- slow, library-independent partition machinery -----------------------------------
 
 
+def ladder_max(q: Fraction, t: Fraction, count: int) -> Fraction:
+    """The exact maximum of [1]_{q,t}, ..., [count]_{q,t}.  With q = a/e and
+    t = b/e, the int ladder r_1 = 1, r_n = a r_(n-1) + b^(n-1) gives
+    r_n = e^(n-1) [n]_{q,t}, and the best rung so far is carried at the
+    scale of the current level, so no Fraction is reduced on the way."""
+    e = math.lcm(q.denominator, t.denominator)
+    a, b = int(q * e), int(t * e)
+    rung = b_pow = best = best_n = scaled = 1
+    for n in range(2, count + 1):
+        b_pow *= b
+        rung = a * rung + b_pow
+        scaled *= e
+        if rung > scaled:
+            best, best_n, scaled = rung, n, rung
+    return Fraction(best, e ** (best_n - 1))
+
+
 def all_partitions_brute(n: int) -> List[Tuple[Tuple[int, ...], ...]]:
     """Every set partition of {1..n} as a tuple of min-sorted blocks."""
     if n == 0:

@@ -20,8 +20,7 @@ from diagfock.fock import (
     apply_word,
     check_commutation_tensor,
     creation_apply,
-    creation_norm_check,
-    creation_norm_formula,
+    creation_norm_squared,
     deformed_inner,
     gauge_adjoint_check,
     gauge_apply,
@@ -555,33 +554,60 @@ def test_gauge_adjoint_fails_without_the_transpose(monkeypatch):
 
 def test_creation_norm_pinned_points():
     cases = {
-        (Fraction(-1, 3), Fraction(1, 2)): "nonpositive_twist",
-        (Fraction(1, 2), Fraction(1)): "geometric",
-        (Fraction(1, 2), Fraction(1, 2)): "equal_parameters",
-        (Fraction(1, 3), Fraction(1, 2)): "mixed",
+        (Fraction(-1, 3), Fraction(1, 2)): ("nonpositive_twist", 1),
+        (Fraction(0), Fraction(1)): ("nonpositive_twist", 1),
+        (Fraction(1, 2), Fraction(1)): ("geometric", 2),
+        (Fraction(1, 2), Fraction(1, 2)): ("equal_parameters", 1),
+        (Fraction(2, 3), Fraction(2, 3)): ("equal_parameters", Fraction(4, 3)),  # 3 t^2 at level 3
+        (Fraction(1, 3), Fraction(1, 2)): ("mixed", 1),
+        (Fraction(1, 2), Fraction(3, 4)): ("mixed", Fraction(5, 4)),  # q + t at level 2
     }
-    for (q, t), branch_expect in cases.items():
-        ok, emp, val, branch = creation_norm_check(q, t, nmax=200, tol=1e-12)
-        assert ok, (q, t, emp, val)
-        assert branch == branch_expect
+    for (q, t), (branch, value) in cases.items():
+        got = creation_norm_squared(q, t)
+        assert got == (value, branch) and type(got[0]) is Fraction, (q, t, got)
+
+
+def test_creation_norm_is_exact_where_the_float_sweep_failed():
+    # a float formula checked against 200 float levels called both of these
+    # wrong: at t = 1 the sup 1/(1 - q) is a limit that no level reaches, and
+    # at (999/1000, 9999/10000) the peak is level 2558
+    assert creation_norm_squared(Fraction(9, 10), 1) == (10, "geometric")
+    q, t = Fraction(999, 1000), Fraction(9999, 10000)
+    value, branch = creation_norm_squared(q, t)
+    assert branch == "mixed" and value == helpers.ladder_max(q, t, 4000) == helpers.ladder_max(q, t, 2558)
+    assert value > helpers.ladder_max(q, t, 2557)
+
+
+def test_creation_norm_at_t_one_is_the_limit_of_the_ladder():
+    for q in (Fraction(1, 7), Fraction(1, 2), Fraction(9, 10), Fraction(999, 1000)):
+        value, branch = creation_norm_squared(q, 1)
+        assert (value, branch) == (1 / (1 - q), "geometric")
+        for n in range(1, 41):
+            rung = qt_number(n, q, 1)
+            assert rung < value and value - rung == q**n / (1 - q)
 
 
 def test_creation_norm_wide_sweep():
-    grid = [Fraction(a, 8) for a in range(-8, 9)]
-    for t8 in range(1, 9):
-        t = Fraction(t8, 8)
-        for q in grid:
-            if abs(q) > t or (q == 1 and t == 1):
-                continue
-            ok, emp, val, _ = creation_norm_check(q, t, nmax=200, tol=1e-9)
-            assert ok, (q, t, emp, val)
+    # the sup of the exact ladder on the 1/7, 1/8 and 1/16 grids, -t <= q <= t <= 1
+    points = 0
+    for m in (7, 8, 16):
+        for t in (Fraction(k, m) for k in range(1, m + 1)):
+            for q in (Fraction(k, m) for k in range(-m, m + 1)):
+                if abs(q) > t or q == t == 1:
+                    continue
+                points += 1
+                value, _ = creation_norm_squared(q, t)
+                if t == 1 and q > 0:
+                    assert value == 1 / (1 - q) > helpers.ladder_max(q, t, 200), (q, t)
+                else:
+                    assert value == helpers.ladder_max(q, t, 200), (q, t)
+    assert points == 428
 
 
 def test_creation_norm_domain_errors():
-    with pytest.raises(ValueError):
-        creation_norm_formula(1.0, 1.0)
-    with pytest.raises(ValueError):
-        creation_norm_formula(0.9, 0.5)
+    for q, t in [(1, 1), (Fraction(9, 10), Fraction(1, 2)), (Fraction(-3, 4), Fraction(1, 2)), (0, 0), (Fraction(1, 2), 2)]:
+        with pytest.raises(ValueError):
+            creation_norm_squared(q, t)
 
 
 def test_fock_vector_algebra():

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from diagfock import cli, fock, levy, orthopoly, partitions, wick
+from diagfock import _guards as guards, cli, fock, levy, orthopoly, partitions, wick
 from diagfock._guards import (
     MAX_CF_DEPTH,
     MAX_DIAGONAL_N,
     MAX_FAMILY_NMAX,
+    MAX_NORM_LEVEL,
     MAX_OPERATOR_WORD,
-    MAX_SET_PARTITION_N,
     MAX_SYMMETRIZER_WORDS,
     ResourceLimitError,
 )
@@ -37,7 +37,7 @@ WORK = [
     (wick, "arc_sums"), (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
     (fock, "_creation_part"), (fock, "_vacuum_moment"), (fock, "_sym_column"),
     (orthopoly, "moments_from_jacobi"), (orthopoly, "polys_from_jacobi"), (orthopoly, "cauchy_transform"),
-    (cli, "count_diagonal_pair_partitions"), (cli, "_diagonal_classes"),
+    (cli, "_diagonal_classes"),
 ]
 
 
@@ -48,13 +48,9 @@ def _cli(*argv):
 
 # (id, call at size n, cap, least size or None when no size is too small)
 ENTRIES = [
-    ("set_partitions", lambda n: list(partitions.set_partitions(n)), MAX_SET_PARTITION_N, 0),
-    ("pair_partitions", lambda n: list(partitions.pair_partitions(n)), MAX_SET_PARTITION_N, 0),
-    ("pairs_and_singletons", lambda n: list(partitions.pairs_and_singletons_partitions(n)), MAX_SET_PARTITION_N, 0),
-    ("noncrossing_partitions", lambda n: list(partitions.noncrossing_partitions(n)), MAX_SET_PARTITION_N, 0),
     ("diagonal_partitions", lambda n: list(partitions.diagonal_partitions(n)), MAX_DIAGONAL_N, 0),
-    ("diagonal_pair_partitions", lambda n: list(partitions.diagonal_pair_partitions(n)), MAX_DIAGONAL_N, 0),
     ("count_diagonal_partitions", partitions.count_diagonal_partitions, MAX_DIAGONAL_N, 0),
+    ("count_diagonal_pair_partitions", partitions.count_diagonal_pair_partitions, MAX_FAMILY_NMAX, 0),
     ("unit_bar_sum", lambda n: partitions.unit_bar_sum(("S",) * n, P.v, P.w), MAX_DIAGONAL_N, None),
     ("levy_moment", lambda n: levy.levy_moment(SPEC, (0,) * n, P), MAX_DIAGONAL_N, None),
     ("levy_moment_s_poly", lambda n: levy.levy_moment_s_poly(SPEC, (0,) * n, P), MAX_DIAGONAL_N, None),
@@ -160,10 +156,40 @@ def test_a_huge_letter_count_is_named_by_its_bit_length(no_work, call, error, me
         call()
 
 
+@pytest.mark.parametrize(
+    "q, t, message",
+    [
+        # nhat = 25582: the search stops at its first lower bound past the cap
+        (Fraction(9999, 10000), Fraction(99999, 100000), "a lower bound of the creation norm's level nhat is 25311"),
+        # q / (1 - q) bounds nhat below, so no power is formed
+        (
+            1 - Fraction(2, 10**50),
+            1 - Fraction(1, 10**50),
+            f"a lower bound of the creation norm's level nhat is {5 * 10**49 - 1}",
+        ),
+        # at q = t, nhat = floor(t / (1 - t))
+        (1 - Fraction(1, 10**50), 1 - Fraction(1, 10**50), f"the creation norm's level nhat is {10**50 - 1}"),
+    ],
+    ids=["mixed-nhat-25582", "mixed-nhat-past-10**49", "equal-nhat-10**50"],
+)
+def test_the_creation_norm_refuses_a_high_peak_level(q, t, message):
+    with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}, but is guarded at <= {MAX_NORM_LEVEL}$"):
+        fock.creation_norm_squared(q, t)
+
+
+def test_the_creation_norm_admits_its_level_up_to_the_cap(monkeypatch):
+    # at (999/1000, 9999/10000) nhat = 2557, the peak is level 2558
+    q, t = Fraction(999, 1000), Fraction(9999, 10000)
+    monkeypatch.setattr(guards, "MAX_NORM_LEVEL", 2557)
+    assert fock.creation_norm_squared(q, t)[1] == "mixed"
+    monkeypatch.setattr(guards, "MAX_NORM_LEVEL", 2556)
+    with pytest.raises(ResourceLimitError, match="level nhat is 2557, but is guarded at <= 2556$"):
+        fock.creation_norm_squared(q, t)
+
+
 # (id, call at size n, what the message names, least size)
 UNCAPPED = [
     ("quadrature_rule", lambda n: orthopoly.quadrature_rule(orthopoly.jacobi_sech(3), n), "the Gauss rule size", 0),
-    ("creation_norm_check", lambda n: fock.creation_norm_check(HALF, ONE, nmax=n), "the level count nmax", 1),
     (
         "moments_from_jacobi",
         lambda n: orthopoly.moments_from_jacobi(orthopoly.jacobi_sech(4), n),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from diagfock._guards import MAX_DIAGONAL_N, ResourceLimitError
+from diagfock._guards import MAX_DIAGONAL_N, MAX_FAMILY_NMAX, ResourceLimitError
 from diagfock.partitions import (
     ROLE_OPENER,
     ROLE_SINGLETON,
@@ -17,16 +17,12 @@ from diagfock.partitions import (
     arc_sums,
     count_diagonal_pair_partitions,
     count_diagonal_partitions,
-    diagonal_pair_partitions,
     diagonal_partition_profiles,
     diagonal_partitions,
-    noncrossing_partitions,
-    pair_partitions,
-    pairs_and_singletons_partitions,
     render_partition,
     role_sums,
-    set_partitions,
     unit_bar_sum,
+    _diagonal_classes,
     _unit_bar_weights,
     _walk,
 )
@@ -34,53 +30,76 @@ from diagfock.levy import cumulant_functional, moment_functional
 from diagfock.orthopoly import jacobi_hermite, jacobi_sech, moments_from_jacobi
 from diagfock.scalars import DeformationParams
 
-BELL = [1, 1, 2, 5, 15, 52, 203, 877]
-NO_SINGLETON = [1, 0, 1, 1, 4, 11, 41, 162]
-INVOLUTIONS = [1, 1, 2, 4, 10, 26, 76, 232]
-CATALAN = [1, 1, 2, 5, 14, 42, 132]
+BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+NO_SINGLETON = [1, 0, 1, 1, 4, 11, 41, 162, 715]
+INVOLUTIONS = [1, 1, 2, 4, 10, 26, 76, 232, 764]
+MATCHINGS = [1, 0, 1, 0, 3, 0, 15, 0, 105]
+CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
 
 def canon(p: SetPartition):
     return tuple(tuple(b) for b in p.blocks)
 
 
+def brute_filtered(keep):
+    return lambda n: [p for p in helpers.all_partitions_brute(n) if keep(p)]
+
+
+# (letters of every point, keep only the rows without a restricted crossing, brute rows of [n], counts)
+WALK_FAMILIES = {
+    "OCMS": ("OCMS", False, helpers.all_partitions_brute, BELL),
+    "OCM": ("OCM", False, brute_filtered(lambda p: all(len(b) >= 2 for b in p)), NO_SINGLETON),
+    "OC": ("OC", False, helpers.pair_partitions_brute, MATCHINGS),
+    "OCS": ("OCS", False, brute_filtered(lambda p: all(len(b) <= 2 for b in p)), INVOLUTIONS),
+    "OCMS-rc0": ("OCMS", True, helpers.noncrossing_partitions_brute, CATALAN),
+}
+
+
+@pytest.mark.parametrize("letters, noncrossing, brute, counts", WALK_FAMILIES.values(), ids=list(WALK_FAMILIES))
+def test_walk_families_match_brute(letters, noncrossing, brute, counts):
+    # set partitions, no singletons, matchings, pairs and singletons, and the
+    # noncrossing rows: each row once, in canonical form, and no other
+    for n in range(9):
+        got = [blocks for _, rc, _, blocks in _walk(n, (letters,) * n) if not (noncrossing and rc)]
+        assert len(got) == len(set(got)) == counts[n], n
+        assert set(got) == set(brute(n)), n
+
+
+def listing_rows(n, min_block_size=1, pairs=False):
+    """The rows of the ``diagfock partitions`` listing of [n], class by class."""
+    return [canon(p) for rows in _diagonal_classes(n, min_block_size, pairs) for p, _, _ in rows]
+
+
 def test_set_partition_counts_and_enumeration():
-    for n in range(8):
-        got = [canon(p) for p in set_partitions(n)]
-        assert len(got) == BELL[n]
-        assert len(set(got)) == BELL[n]
+    for n in range(9):
+        got = listing_rows(n)
+        assert len(got) == len(set(got)) == BELL[n]
         assert set(got) == set(helpers.all_partitions_brute(n))
 
 
 def test_min_block_size_two_counts():
-    for n in range(7):
-        got = list(set_partitions(n, min_block_size=2))
-        assert len(got) == NO_SINGLETON[n]
-        assert all(len(b) >= 2 for p in got for b in p.blocks)
+    for n in range(9):
+        got = listing_rows(n, 2)
+        assert len(got) == len(set(got)) == NO_SINGLETON[n]
+        assert all(len(b) >= 2 for p in got for b in p)
+
+
+def test_pair_partition_counts_match_brute():
+    # the matchings, classed by opener set
+    for n in range(9):
+        got = listing_rows(n, pairs=True)
+        assert len(got) == len(set(got)) == MATCHINGS[n]
+        assert set(got) == set(helpers.pair_partitions_brute(n))
 
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_min_block_size_matches_brute_filter(m):
+    # the walk's rows without singletons, filtered by block size
     for n in range(9):
-        got = [canon(p) for p in set_partitions(n, min_block_size=m)]
+        got = listing_rows(n, m)
         brute = [p for p in helpers.all_partitions_brute(n) if all(len(b) >= m for b in p)]
         assert len(got) == len(set(got)) == len(brute)
         assert set(got) == set(brute)
-
-
-def test_pair_partition_counts_match_brute():
-    for n in range(0, 9):
-        got = [canon(p) for p in pair_partitions(n)]
-        brute = helpers.pair_partitions_brute(n)
-        assert len(got) == len(brute)
-        assert set(got) == {tuple(m) for m in brute}
-
-
-def test_pairs_and_singletons_counts():
-    for n in range(7):
-        got = list(pairs_and_singletons_partitions(n))
-        assert len(got) == INVOLUTIONS[n]
-        assert all(p.is_pairs_and_singletons() for p in got)
 
 
 def test_crossing_nesting_hand_examples():
@@ -109,7 +128,7 @@ def test_singleton_statistics_hand_examples():
 
 def test_matching_statistics_match_brute():
     for n in (2, 4, 6):
-        for p in pair_partitions(n):
+        for p in (SetPartition(n, m) for m in helpers.pair_partitions_brute(n)):
             pairs = [tuple(b) for b in p.blocks]
             assert p.crossings() == helpers.crossings_pairs(pairs)
             assert p.nestings() == helpers.nestings_pairs(pairs)
@@ -132,7 +151,7 @@ def test_restricted_statistics_hand_examples():
 
 def test_restricted_equals_plain_on_matchings():
     for n in (2, 4, 6):
-        for p in pair_partitions(n):
+        for p in (SetPartition(n, m) for m in helpers.pair_partitions_brute(n)):
             assert p.restricted_crossings() == p.crossings()
             assert p.restricted_nestings() == p.nestings()
 
@@ -141,8 +160,8 @@ def test_roles_match_brute():
     p = SetPartition(6, [(1, 4, 6), (2, 3), (5,)])
     assert p.roles() == ("O", "O", "C", "M", "S", "C")
     for n in range(1, 6):
-        for sp in set_partitions(n):
-            assert sp.roles() == helpers.roles_brute(sp.blocks, n)
+        for blocks in helpers.all_partitions_brute(n):
+            assert SetPartition(n, blocks).roles() == helpers.roles_brute(blocks, n)
 
 
 def test_diagonal_requires_equal_roles():
@@ -156,14 +175,14 @@ def test_diagonal_requires_equal_roles():
 def test_role_vectors_equal_iff_literal_conditions():
     # same openers of larger blocks, same arc left endpoints, same singletons
     for n in range(1, 6):
-        ps = list(set_partitions(n))
+        ps = [SetPartition(n, blocks) for blocks in helpers.all_partitions_brute(n)]
         for a in ps:
             for b in ps:
                 assert (a.roles() == b.roles()) == helpers.satisfies_diagonal_conditions(a, b)
 
 
 def brute_diagonal_count(n: int) -> int:
-    ps = list(set_partitions(n))
+    ps = [SetPartition(n, blocks) for blocks in helpers.all_partitions_brute(n)]
     return sum(1 for a in ps for b in ps if a.roles() == b.roles())
 
 
@@ -182,14 +201,17 @@ def test_diagonal_pair_counts_are_euler_numbers():
         assert count == expect and type(count) is int
     assert all(count_diagonal_pair_partitions(n) == 0 for n in (1, 3, 5, 13))
     for n in (2, 4, 6, 8):
-        listed = list(diagonal_pair_partitions(n))
-        assert len(listed) == euler[n]
-        assert all(len(b) == 2 for dp in listed for b in dp.top.blocks)
+        # the classes of the pair listing, each paired with itself
+        classes = _diagonal_classes(n, pairs=True)
+        assert sum(len(rows) ** 2 for rows in classes) == euler[n]
+        assert all(len(b) == 2 for rows in classes for p, _, _ in rows for b in p.blocks)
 
 
 def test_diagonal_pair_partitions_match_filtered_diagonals():
     for n in (2, 4, 6):
-        via_pairs = {(canon(dp.top), canon(dp.bar)) for dp in diagonal_pair_partitions(n)}
+        via_pairs = {
+            (canon(top), canon(bar)) for rows in _diagonal_classes(n, pairs=True) for top, _, _ in rows for bar, _, _ in rows
+        }
         via_filter = {
             (canon(dp.top), canon(dp.bar))
             for dp in diagonal_partitions(n)
@@ -235,14 +257,6 @@ def test_render_partition():
 def test_kernel_partition():
     p = helpers.kernel_partition(["a", "b", "a", "c", "b"])
     assert canon(p) == ((1, 3), (2, 5), (4,))
-
-
-def test_noncrossing_catalan_and_brute():
-    for n in range(1, 7):
-        got = [canon(p) for p in noncrossing_partitions(n)]
-        assert len(got) == CATALAN[n]
-        if n <= 5:
-            assert set(got) == set(helpers.noncrossing_partitions_brute(n))
 
 
 def test_profiles_cache_consistency():
@@ -470,9 +484,9 @@ def test_arc_sums_at_the_free_point_run_over_noncrossing_partitions():
     sums = block_arc_sums(8, free, value)
     for n in range(1, 9):
         expect = Fraction(0)
-        for row in noncrossing_partitions(n):
+        for row in helpers.noncrossing_partitions_brute(n):
             term = Fraction(1)
-            for block in row.blocks:
+            for block in row:
                 term *= value(block)
             expect += term
         assert sums[n - 1] == expect, n
@@ -564,8 +578,8 @@ def test_arc_sums_run_on_ints_at_a_rational_point():
 
 def test_walk_rows_equal_checked_partitions():
     for n in range(9):
-        families = [set_partitions(n), pair_partitions(n), pairs_and_singletons_partitions(n), noncrossing_partitions(n)]
-        for row in itertools.chain(*families):
+        for _, _, _, blocks in itertools.chain(*(_walk(n, (letters,) * n) for letters in ("OCMS", "OC", "OCS"))):
+            row = SetPartition._canonical(n, blocks)
             checked = SetPartition(n, [list(reversed(b)) for b in reversed(row.blocks)])
             assert row == checked and hash(row) == hash(checked) and row.blocks == checked.blocks
 
@@ -600,27 +614,27 @@ def test_word_rows_match_injections():
 
 def test_resource_guards():
     with pytest.raises(ResourceLimitError):
-        list(set_partitions(99))
-    with pytest.raises(ResourceLimitError):
         list(diagonal_partitions(99))
     with pytest.raises(ResourceLimitError):
         count_diagonal_partitions(MAX_DIAGONAL_N + 1)
     # the Euler count is a sech moment, priced by a continued fraction, not an enumeration
     assert count_diagonal_pair_partitions(16) == 19391512145
     assert count_diagonal_pair_partitions(64) == moments_from_jacobi(jacobi_sech(33), 64)[-1]
+    with pytest.raises(ResourceLimitError):
+        count_diagonal_pair_partitions(MAX_FAMILY_NMAX + 2)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: list(set_partitions(-1)),
-        lambda: list(pair_partitions(-2)),
-        lambda: list(pairs_and_singletons_partitions(-1)),
-        lambda: list(noncrossing_partitions(-1)),
         lambda: list(diagonal_partitions(-1)),
-        lambda: list(diagonal_pair_partitions(-2)),
+        lambda: list(diagonal_partitions(-1, 2)),
         lambda: list(diagonal_partitions(-1, 3)),
+        lambda: diagonal_partition_profiles(-1),
         lambda: count_diagonal_partitions(-1),
+        lambda: count_diagonal_partitions(-1, 2),
+        lambda: count_diagonal_partitions(-1, 3),
+        lambda: count_diagonal_pair_partitions(-1),
         lambda: count_diagonal_pair_partitions(-2),
     ],
 )

@@ -13,7 +13,7 @@ from diagfock.fock import (
     GaugePair,
     VectorPair,
 )
-from diagfock.partitions import set_partitions
+from diagfock.partitions import SetPartition
 from diagfock.wick import (
     QuadrabasicOp,
     cumulants_to_moments,
@@ -342,7 +342,7 @@ def test_cumulants_to_moments_classical_case_role_pair_sum():
     cums = [helpers.rand_frac(r) for _ in range(5)]
     got = cumulants_to_moments(cums, classical)
     for n in range(1, 6):
-        ps = list(set_partitions(n))
+        ps = [SetPartition(n, blocks) for blocks in helpers.all_partitions_brute(n)]
         total = Fraction(0)
         for a in ps:
             for b in ps:
