@@ -14,7 +14,7 @@ class ResourceLimitError(RuntimeError):
 
 
 MAX_DIAGONAL_N = 10  # points of a diagonal partition: the open-arc DP, its operator oracles, the listings
-MAX_NORM_LEVEL = 25_000  # the level nhat of the one-row creation norm's peak [nhat + 1]_{q,t}
+MAX_NORM_BITS = 425_000  # nhat * bits(E) of the one-row creation norm's peak [nhat + 1]_{q,t}: its powers' size
 MAX_OPERATOR_WORD = 12  # tokens of a vacuum expectation
 MAX_SYMMETRIZER_WORDS = 800  # the d^n words of the level-n symmetrizer over d letters
 MAX_FAMILY_NMAX = 64  # moment order and polynomial degree of the CLI families, hence 2 nmax of euler

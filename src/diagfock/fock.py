@@ -27,8 +27,9 @@ each part a pair of row specs (kind, data); the single actions and
 one pass.  Three routes run row by row instead, since each of their
 operators, and the deformed pairing, is one product top (x) bar:
 :func:`apply_word` keeps one dict per row and tensors the two once at the
-end, and the commutation and gauge-adjoint sweeps compute each row's images
-(or pairings) once per word and combine them per basis pair.
+end, the gauge-adjoint sweep computes each row's pairings once per word and
+combines them per basis pair, and the commutation check tests a sum of
+top (x) bar products for zero by one Gram matrix per level, with no pair.
 
 A vacuum moment is a path from level 0 back to level 0, and no operator
 lowers the level by more than one, so a term at level l with r operators
@@ -51,7 +52,7 @@ its value and the level-n symmetrizer P_n is E^C(n,2) times its own, so:
     :func:`deformed_inner` divides each level's sum by E_top^C(n,2)
     E_bar^C(n,2) and by the scales of f's and h's coefficients there;
   * the gauge-adjoint sweep compares two pairings of the same scale per
-    row, and the commutation sweep checks the relation on level n times
+    row, and the commutation check tests the relation on level n times
     D_top^2 D_bar^2 (E_top E_bar)^n, so both compare ints as they are;
   * a product of operators (the vacuum moments, :func:`apply_word`) keeps
     the scale of a term independent of its path by the level rule: after
@@ -631,14 +632,60 @@ def positivity_check(n: int, a: Fraction, b: Fraction, d: int) -> Tuple[str, int
 # -- commutation checks ----------------------------------------------------------
 
 
+def _check_sweep(maxlevel: int, rows: Sequence[Tuple[str, int, Sequence[int]]]) -> None:
+    """The guard of a sweep through maxlevel over the basis words of each
+    row, given as (name, letter count d, the sizes of its data): maxlevel
+    and d at least 0, the row's data of one size and d at most that size,
+    since its letters index them, and at most MAX_SYMMETRIZER_WORDS words
+    d^maxlevel (:func:`_check_words`)."""
+    _guards.check_size("the maxlevel of the sweep", maxlevel, math.inf)
+    for name, d, sizes in rows:
+        what = f"the letter count d of the {name} row"
+        _guards.check_size(what, d, math.inf)
+        if len(set(sizes)) > 1:
+            raise ValueError(f"the {name} row's data have sizes {' and '.join(map(str, sizes))}, not one size")
+        if d > sizes[0]:
+            raise ValueError(f"{what} is {_guards.shown(d)}, but its data have size {sizes[0]}")
+        _check_words(maxlevel, d)
+
+
+def _commutation_entries(create: RowOp, annihilate: RowOp, size: int, n: int):
+    """[a c, c a, Id] at (u, x) on one row, for each level-n word x over
+    size letters and each word u of its images or u = x; a c e_x and
+    c a e_x are expanded once per word, and an entry that sums to zero is
+    kept as it is (its vector is zero, so it passes the test and adds
+    nothing to a Gram matrix)."""
+    for x in itertools.product(range(size), repeat=n):
+        entries = {x: [0, 0, 1]}
+        get = entries.get
+        for k, first, second in ((0, create, annihilate), (1, annihilate, create)):
+            for w, c in first(x):
+                for u, cu in second(w):
+                    entry = get(u)
+                    if entry is None:
+                        entry = entries[u] = [0, 0, 0]
+                    entry[k] += c * cu
+        yield from entries.values()
+
+
 def check_commutation_tensor(
     x1: VectorPair, x2: VectorPair, params: DeformationParams, d: int, dbar: int, maxlevel: int = 3
 ) -> bool:
-    """Verify the doubled commutation relation at t = w = 1 on all basis pairs:
+    """Verify the doubled commutation relation at t = w = 1 on every level
+    n <= maxlevel, over the words of d top and dbar bar letters:
 
         A(x1) A*(x2) - qv A*(x2) A(x1)
           = q <eta1,eta2> (a* a on top) + v <xi1,xi2> (a* a on bar)
             + <xi1,xi2><eta1,eta2> Id.
+
+    On level n, lhs - rhs is the sum over k of A_k (x) B_k, with (A_k) =
+    (ac, ca, Id) on top and (B_k) = (ac, -qv ca - q <eta1,eta2> Id,
+    -v <xi1,xi2> ca - <xi1,xi2><eta1,eta2> Id) on the bar, ac = a c and
+    ca = c a.  It vanishes exactly when every top entry vector
+    a = (A_k[u,x])_k is orthogonal to every bar one b = (B_k[u',x'])_k.
+    With G the 3 x 3 Gram matrix of the bar entry vectors, a^T G a is the
+    sum of the squares (a.b)^2, so the test is G a = 0 for every top entry:
+    each level costs its d^n + dbar^n words, not their d^n dbar^n pairs.
 
     It runs on ints: each row's vectors are cleared by D and its point by
     E, so on level n a c e_w carries D^2 E^n of its row and c a e_w
@@ -646,7 +693,13 @@ def check_commutation_tensor(
     D_top^2 D_bar^2 (E_top E_bar)^n: the twisted term takes q v cleared,
     each one-row term the other row's E^n, and the identity term
     (E_top E_bar)^n.
+
+    A letter count below 0 or above its row's vector size, vectors of one
+    row of two sizes and a maxlevel below 0 are refused (ValueError), and
+    d^maxlevel or dbar^maxlevel words past MAX_SYMMETRIZER_WORDS
+    (ResourceLimitError).
     """
+    _check_sweep(maxlevel, (("top", d, (len(x1.xi), len(x2.xi))), ("bar", dbar, (len(x1.eta), len(x2.eta)))))
     if params.t != 1 or params.w != 1:
         raise ValueError("the doubled commutation relation needs t = w = 1")
     q, t, top_e = _cleared_point(params.q, params.t)
@@ -657,31 +710,21 @@ def check_commutation_tensor(
     inner_bar = _linalg.dot(eta1, eta2)
     create_top, annihilate_top = _row_create(xi2), _row_annihilate(xi1, q, t)
     create_bar, annihilate_bar = _row_create(eta2), _row_annihilate(eta1, v, w)
-
-    def row_images(create: RowOp, annihilate: RowOp, size: int, n: int, lhs_scale, rhs_scale):
-        """(word, a c e_word, lhs_scale c a e_word, -rhs_scale c a e_word)
-        as term lists, for each level-n word over size letters."""
-        for word in itertools.product(range(size), repeat=n):
-            moved = _row_apply(create, _row_apply(annihilate, {word: 1})).items()
-            ac = _row_apply(annihilate, _row_apply(create, {word: 1})).items()
-            yield word, ac, [(u, lhs_scale * c) for u, c in moved], [(u, -rhs_scale * c) for u, c in moved]
-
     for n in range(0, maxlevel + 1):
-        identity = -(inner_top * inner_bar * (top_e * bar_e) ** n)
-        bars = list(row_images(create_bar, annihilate_bar, dbar, n, 1, v * inner_top * top_e**n))
-        tops = row_images(create_top, annihilate_top, d, n, -(q * v), q * inner_bar * bar_e**n)
-        for top, ac_top, moved_top, rhs_top in tops:
-            for bar, ac_bar, moved_bar, rhs_bar in bars:
-                # the terms of lhs - rhs, which sum to zero where the relation holds
-                difference = itertools.chain(
-                    (((wt, wb), ct * cb) for wt, ct in ac_top for wb, cb in ac_bar),
-                    (((wt, wb), ct * cb) for wt, ct in moved_top for wb, cb in moved_bar),
-                    (((word, bar), c) for word, c in rhs_top),
-                    (((top, word), c) for word, c in rhs_bar),
-                    [((top, bar), identity)],
-                )
-                if _collect(difference):
-                    return False
+        moved_id = q * inner_bar * bar_e**n
+        ca_id, id_id = v * inner_top * top_e**n, inner_top * inner_bar * (top_e * bar_e) ** n
+        g00 = g01 = g02 = g11 = g12 = g22 = 0  # the Gram matrix of the bar entry vectors
+        for ac, ca, ident in _commutation_entries(create_bar, annihilate_bar, dbar, n):
+            b1, b2 = -(q * v) * ca - moved_id * ident, -ca_id * ca - id_id * ident
+            g00, g01, g02 = g00 + ac * ac, g01 + ac * b1, g02 + ac * b2
+            g11, g12, g22 = g11 + b1 * b1, g12 + b1 * b2, g22 + b2 * b2
+        for a0, a1, a2 in _commutation_entries(create_top, annihilate_top, d, n):
+            if (
+                g00 * a0 + g01 * a1 + g02 * a2 != 0
+                or g01 * a0 + g11 * a1 + g12 * a2 != 0
+                or g02 * a0 + g12 * a1 + g22 * a2 != 0
+            ):
+                return False
     return True
 
 
@@ -710,7 +753,10 @@ def gauge_adjoint_check(
     transposed matrices.  Swept exactly over all basis word pairs, each side
     the product of one top-row and one bar-row pairing.  Each row runs on
     ints, its matrix cleared by D and its point by E: the two pairings of a
-    row carry the same scale, so the two sides compare as they are."""
+    row carry the same scale, so the two sides compare as they are.  Sizes
+    are guarded as in :func:`check_commutation_tensor`, each row's letter
+    count at most the size of its matrix."""
+    _check_sweep(maxlevel, (("top", d, (len(g.top),)), ("bar", dbar, (len(g.bar),))))
     (q, t, _), (v, w, _) = _cleared_point(params.q, params.t), _cleared_point(params.v, params.w)
     top, bar = _cleared_array(g.top), _cleared_array(g.bar)
     top_memo, bar_memo = {}, {}  # column memos, each shared by every pairing of its row in the sweep
@@ -733,8 +779,9 @@ def creation_norm_squared(q, t) -> Tuple[Fraction, str]:
     [n+1] >= [n].  That is floor(t / (1 - t)) at q = t.  For q < t it is the
     last n with q^n (1-q) >= t^n (1-t), tested on the cleared ints
     (E q, E t, E) by doubling and bisection from floor(q / (1 - q)), up to
-    which it holds.  nhat, or a lower bound of it, is refused past
-    MAX_NORM_LEVEL."""
+    which it holds.  Its powers, and the value's, have about nhat * bits(E)
+    bits, so nhat, or a lower bound of it, is refused once nhat * bits(E)
+    passes MAX_NORM_BITS (nhat = 25 000 at 17-bit E)."""
     q, t = Fraction(q), Fraction(t)
     if not (0 < t <= 1 and -t <= q <= t):
         raise ValueError("norm formula needs -t <= q <= t and 0 < t <= 1")
@@ -745,16 +792,17 @@ def creation_norm_squared(q, t) -> Tuple[Fraction, str]:
     if t == 1:
         return 1 / (1 - q), "geometric"
     a, b, e = _cleared_point(q, t)
+    bits, cap = e.bit_length(), _guards.MAX_NORM_BITS
     lo = a // (e - a)  # the ladder rises after level lo, the last time at q = t
     hi = lo + 1 if a == b else 0  # once hi > lo, it does not rise after level hi
-    while hi != lo + 1 and lo <= _guards.MAX_NORM_LEVEL:
+    while hi != lo + 1 and lo * bits <= cap:
         mid = (lo + hi) // 2 if hi > lo else 2 * lo + 1
         if a**mid * (e - a) >= b**mid * (e - b):
             lo = mid
         else:
             hi = mid
-    what = "the creation norm's level nhat" if hi == lo + 1 else "a lower bound of the creation norm's level nhat"
-    n = _guards.check_size(what, lo, _guards.MAX_NORM_LEVEL)
+    level = f"nhat {'=' if hi == lo + 1 else '>='} {_guards.shown(lo)}"
+    _guards.check_size(f"nhat * bits(E) of the creation norm at {level} and {bits}-bit E", lo * bits, cap)
     if a == b:
-        return (n + 1) * t**n, "equal_parameters"
-    return Fraction(b ** (n + 1) - a ** (n + 1), e**n * (b - a)), "mixed"
+        return (lo + 1) * t**lo, "equal_parameters"
+    return Fraction(b ** (lo + 1) - a ** (lo + 1), e**lo * (b - a)), "mixed"

@@ -21,6 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 from diagfock import _linalg, fock, levy
 from diagfock.orthopoly import polys_from_jacobi, quadrature_rule
 from diagfock.partitions import SetPartition
+from diagfock.scalars import _cleared_array, _cleared_point
 
 
 def rng(seed: int) -> random.Random:
@@ -799,3 +800,42 @@ def kernel_partition(values: Sequence) -> SetPartition:
     for pos, val in enumerate(values, start=1):
         groups.setdefault(val, []).append(pos)
     return SetPartition(len(values), list(groups.values()))
+
+
+def commutation_by_pairs(x1, x2, params, d: int, dbar: int, maxlevel: int = 3) -> bool:
+    """The doubled commutation relation of ``fock.check_commutation_tensor``
+    checked on every pair (top word, bar word) of each level: both sides of
+    the relation applied to the basis pair and collected, at the same
+    cleared scales and through the same row operators."""
+    q, t, top_e = _cleared_point(params.q, params.t)
+    v, w, bar_e = _cleared_point(params.v, params.w)
+    xi1, xi2 = _cleared_array((x1.xi, x2.xi))
+    eta1, eta2 = _cleared_array((x1.eta, x2.eta))
+    inner_top, inner_bar = _linalg.dot(xi1, xi2), _linalg.dot(eta1, eta2)
+    create_top, annihilate_top = fock._row_create(xi2), fock._row_annihilate(xi1, q, t)
+    create_bar, annihilate_bar = fock._row_create(eta2), fock._row_annihilate(eta1, v, w)
+
+    def row_images(create, annihilate, size: int, n: int, lhs_scale, rhs_scale):
+        # (word, a c e_word, lhs_scale c a e_word, -rhs_scale c a e_word) for each level-n word
+        for word in itertools.product(range(size), repeat=n):
+            moved = fock._row_apply(create, fock._row_apply(annihilate, {word: 1})).items()
+            ac = fock._row_apply(annihilate, fock._row_apply(create, {word: 1})).items()
+            yield word, ac, [(u, lhs_scale * c) for u, c in moved], [(u, -rhs_scale * c) for u, c in moved]
+
+    for n in range(0, maxlevel + 1):
+        identity = -(inner_top * inner_bar * (top_e * bar_e) ** n)
+        bars = list(row_images(create_bar, annihilate_bar, dbar, n, 1, v * inner_top * top_e**n))
+        tops = row_images(create_top, annihilate_top, d, n, -(q * v), q * inner_bar * bar_e**n)
+        for top, ac_top, moved_top, rhs_top in tops:
+            for bar, ac_bar, moved_bar, rhs_bar in bars:
+                # the terms of lhs - rhs, which sum to zero where the relation holds
+                difference = itertools.chain(
+                    (((wt, wb), ct * cb) for wt, ct in ac_top for wb, cb in ac_bar),
+                    (((wt, wb), ct * cb) for wt, ct in moved_top for wb, cb in moved_bar),
+                    (((word, bar), c) for word, c in rhs_top),
+                    (((top, word), c) for word, c in rhs_bar),
+                    [((top, bar), identity)],
+                )
+                if fock._collect(difference):
+                    return False
+    return True

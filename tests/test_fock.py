@@ -531,6 +531,43 @@ def test_commutation_tensor_fails_with_swapped_annihilation_weights(monkeypatch)
     assert not check_commutation_tensor(x3, x4, only_bar, 2, 2, maxlevel=3)
 
 
+def _perturbed_creation(row_create):
+    """_row_create with one coefficient off by one: the first letter it
+    prefixes to a word of length 1."""
+    def make(vec, lift=fock._unlifted):
+        op = row_create(vec, lift)
+        return lambda word: [(w, c + (len(word) == 1 and i == 0)) for i, (w, c) in enumerate(op(word))]
+
+    return make
+
+
+@pytest.mark.parametrize("mutation", ["none", "swapped-annihilation-weights", "perturbed-creation"])
+@pytest.mark.parametrize("d, dbar", [(2, 2), (3, 1), (1, 3), (0, 2), (2, 0)])
+def test_commutation_gram_check_matches_the_pair_sweep(monkeypatch, d, dbar, mutation):
+    # the Gram test against the per-pair sweep it replaced, on the relation
+    # and on two broken ones; a row of no letters has no basis pair past
+    # level 0 (level 0 is the vacuum, which neither mutation reaches)
+    row_annihilate = fock._row_annihilate
+    if mutation == "swapped-annihilation-weights":
+        monkeypatch.setattr(fock, "_row_annihilate", lambda vec, wa, wb: row_annihilate(vec, wb, wa))
+    elif mutation == "perturbed-creation":
+        monkeypatch.setattr(fock, "_row_create", _perturbed_creation(fock._row_create))
+    r = helpers.rng(17 + 5 * d + dbar)
+    verdicts = []
+    for _ in range(4):
+        p = params_rat(helpers.rand_frac(r), 1, helpers.rand_frac(r), 1)
+        x1 = VectorPair.of(helpers.rand_vec(r, max(d, 1)), helpers.rand_vec(r, max(dbar, 1)))
+        x2 = VectorPair.of(helpers.rand_vec(r, max(d, 1)), helpers.rand_vec(r, max(dbar, 1)))
+        for maxlevel in range(4):
+            got = check_commutation_tensor(x1, x2, p, d, dbar, maxlevel)
+            assert got is helpers.commutation_by_pairs(x1, x2, p, d, dbar, maxlevel), (p, x1, x2, maxlevel)
+            verdicts.append(got)
+    if mutation == "none" or 0 in (d, dbar):
+        assert all(verdicts)
+    else:
+        assert not all(verdicts)
+
+
 def test_gauge_adjoint_fails_without_the_transpose(monkeypatch):
     # a non-symmetric matrix is not its own adjoint, on either row; the
     # first gauge of each pair breaks only the bar row

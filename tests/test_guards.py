@@ -11,12 +11,12 @@ from diagfock._guards import (
     MAX_CF_DEPTH,
     MAX_DIAGONAL_N,
     MAX_FAMILY_NMAX,
-    MAX_NORM_LEVEL,
+    MAX_NORM_BITS,
     MAX_OPERATOR_WORD,
     MAX_SYMMETRIZER_WORDS,
     ResourceLimitError,
 )
-from diagfock.fock import CREATE, VectorPair
+from diagfock.fock import CREATE, GaugePair, VectorPair
 from diagfock.levy import GeneratorPair, LevySpec
 from diagfock.partitions import SetPartition
 from diagfock.scalars import DeformationParams
@@ -26,6 +26,11 @@ P = DeformationParams.from_rationals(Fraction(1, 2), Fraction(2, 3), Fraction(1,
 SPEC = LevySpec.of([[1]], [[[Fraction(1, 2)]]], [Fraction(1, 3)])
 X = VectorPair.of([1], [1])
 HALF, ONE = Fraction(1, 2), Fraction(1)
+UNIT = DeformationParams.from_rationals(HALF, 1, Fraction(1, 3), 1)  # t = w = 1, as the commutation relation needs
+# a row of one past the symmetrizer's cap in letters, so its size passes the data's check
+WIDE = (ONE,) * (MAX_SYMMETRIZER_WORDS + 1)
+WIDE_TOP, WIDE_BAR = VectorPair(WIDE, (ONE,)), VectorPair((ONE,), WIDE)
+WIDE_GAUGE = GaugePair((WIDE,) * len(WIDE), (WIDE,) * len(WIDE))
 
 # the kernels behind the entries, in every namespace that calls them (levy reads
 # fock._creation_part, the first part its oracle builds, and fock._vacuum_moment
@@ -36,6 +41,7 @@ WORK = [
     (levy, "arc_sums"),
     (wick, "arc_sums"), (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
     (fock, "_creation_part"), (fock, "_vacuum_moment"), (fock, "_sym_column"),
+    (fock, "_commutation_entries"), (fock, "_adjoint_pairs"),
     (orthopoly, "moments_from_jacobi"), (orthopoly, "polys_from_jacobi"), (orthopoly, "cauchy_transform"),
     (cli, "_diagonal_classes"),
 ]
@@ -85,6 +91,20 @@ ENTRIES = [
     # level 1 over d letters has d words
     ("symmetrizer_matrix", lambda d: fock.symmetrizer_matrix(1, HALF, ONE, d), MAX_SYMMETRIZER_WORDS, 0),
     ("positivity_check", lambda d: fock.positivity_check(1, HALF, ONE, d), MAX_SYMMETRIZER_WORDS, 0),
+    (
+        "check_commutation_tensor top",
+        lambda d: fock.check_commutation_tensor(WIDE_TOP, WIDE_TOP, UNIT, d, 1, maxlevel=1),
+        MAX_SYMMETRIZER_WORDS,
+        0,
+    ),
+    (
+        "check_commutation_tensor bar",
+        lambda d: fock.check_commutation_tensor(WIDE_BAR, WIDE_BAR, UNIT, 1, d, maxlevel=1),
+        MAX_SYMMETRIZER_WORDS,
+        0,
+    ),
+    ("gauge_adjoint_check top", lambda d: fock.gauge_adjoint_check(WIDE_GAUGE, P, d, 1, 1), MAX_SYMMETRIZER_WORDS, 0),
+    ("gauge_adjoint_check bar", lambda d: fock.gauge_adjoint_check(WIDE_GAUGE, P, 1, d, 1), MAX_SYMMETRIZER_WORDS, 0),
     ("cli euler", lambda n: _cli("euler", "--nmax", str(n)), MAX_FAMILY_NMAX // 2, 1),
     ("cli partitions --pairs", lambda n: _cli("partitions", "--pairs", "--n", str(n)), MAX_FAMILY_NMAX, 0),
     ("cli partitions", lambda n: _cli("partitions", "--n", str(n)), MAX_DIAGONAL_N, 0),
@@ -157,34 +177,85 @@ def test_a_huge_letter_count_is_named_by_its_bit_length(no_work, call, error, me
 
 
 @pytest.mark.parametrize(
-    "q, t, message",
+    "q, t, level, bits",
     [
         # nhat = 25582: the search stops at its first lower bound past the cap
-        (Fraction(9999, 10000), Fraction(99999, 100000), "a lower bound of the creation norm's level nhat is 25311"),
+        (Fraction(9999, 10000), Fraction(99999, 100000), ">= 25311", 17),
         # q / (1 - q) bounds nhat below, so no power is formed
-        (
-            1 - Fraction(2, 10**50),
-            1 - Fraction(1, 10**50),
-            f"a lower bound of the creation norm's level nhat is {5 * 10**49 - 1}",
-        ),
+        (1 - Fraction(2, 10**50), 1 - Fraction(1, 10**50), f">= {5 * 10**49 - 1}", 167),
         # at q = t, nhat = floor(t / (1 - t))
-        (1 - Fraction(1, 10**50), 1 - Fraction(1, 10**50), f"the creation norm's level nhat is {10**50 - 1}"),
+        (1 - Fraction(1, 10**50), 1 - Fraction(1, 10**50), f"= {10**50 - 1}", 167),
     ],
     ids=["mixed-nhat-25582", "mixed-nhat-past-10**49", "equal-nhat-10**50"],
 )
-def test_the_creation_norm_refuses_a_high_peak_level(q, t, message):
-    with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}, but is guarded at <= {MAX_NORM_LEVEL}$"):
+def test_the_creation_norm_refuses_a_high_peak_level(q, t, level, bits):
+    nhat = int(level.split()[-1])
+    message = f"nhat * bits(E) of the creation norm at nhat {level} and {bits}-bit E is {nhat * bits}"
+    with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}, but is guarded at <= {MAX_NORM_BITS}$"):
         fock.creation_norm_squared(q, t)
 
 
 def test_the_creation_norm_admits_its_level_up_to_the_cap(monkeypatch):
-    # at (999/1000, 9999/10000) nhat = 2557, the peak is level 2558
+    # at (999/1000, 9999/10000) nhat = 2557, the peak is level 2558, and E = 10^4 has 14 bits
     q, t = Fraction(999, 1000), Fraction(9999, 10000)
-    monkeypatch.setattr(guards, "MAX_NORM_LEVEL", 2557)
+    monkeypatch.setattr(guards, "MAX_NORM_BITS", 2557 * 14)
     assert fock.creation_norm_squared(q, t)[1] == "mixed"
-    monkeypatch.setattr(guards, "MAX_NORM_LEVEL", 2556)
-    with pytest.raises(ResourceLimitError, match="level nhat is 2557, but is guarded at <= 2556$"):
+    monkeypatch.setattr(guards, "MAX_NORM_BITS", 2557 * 14 - 1)
+    with pytest.raises(ResourceLimitError, match="at nhat >= 2557 and 14-bit E is 35798, but is guarded at <= 35797$"):
         fock.creation_norm_squared(q, t)
+
+
+def test_the_creation_norm_prices_its_level_by_the_bits_of_e():
+    # q = 1/2, t = 1 - 10^-k: nhat is about 3.3 k and E has about 3.3 k bits,
+    # so the powers grow with k^2; at k = 300 (nhat = 995, far below 25 000)
+    # the search took 3.3 s, and now stops at its first priced lower bound
+    assert fock.creation_norm_squared(HALF, 1 - Fraction(1, 10**100))[1] == "mixed"
+    message = "nhat * bits(E) of the creation norm at nhat >= 511 and 997-bit E is 509467"
+    with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}, but is guarded at <= {MAX_NORM_BITS}$"):
+        fock.creation_norm_squared(HALF, 1 - Fraction(1, 10**300))
+    # nhat = 24 998 at 17-bit E runs: the cap admits nhat = 25 000 there
+    q, t = 1 - Fraction(6, 69763), 1 - Fraction(1, 69763)
+    assert fock.creation_norm_squared(q, t)[1] == "mixed"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: fock.check_commutation_tensor(X, X, UNIT, 2, 1),
+            "the letter count d of the top row is 2, but its data have size 1",
+        ),
+        (
+            lambda: fock.check_commutation_tensor(X, X, UNIT, 1, 2),
+            "the letter count d of the bar row is 2, but its data have size 1",
+        ),
+        (
+            lambda: fock.check_commutation_tensor(VectorPair.of([1, 2], [1]), X, UNIT, 1, 1),
+            "the top row's data have sizes 2 and 1, not one size",
+        ),
+        (
+            lambda: fock.check_commutation_tensor(X, VectorPair.of([1], [1, 2]), UNIT, 1, 1),
+            "the bar row's data have sizes 1 and 2, not one size",
+        ),
+        (
+            lambda: fock.gauge_adjoint_check(GaugePair.of([[1]], [[1, 2], [3, 4]]), P, 2, 2),
+            "the letter count d of the top row is 2, but its data have size 1",
+        ),
+        (
+            lambda: fock.gauge_adjoint_check(GaugePair.of([[1, 2], [3, 4]], [[1]]), P, 2, 2),
+            "the letter count d of the bar row is 2, but its data have size 1",
+        ),
+    ],
+    ids=[
+        "commutation-top-d", "commutation-bar-d", "commutation-top-sizes", "commutation-bar-sizes",
+        "gauge-top-d", "gauge-bar-d",
+    ],
+)
+def test_the_sweeps_refuse_a_row_that_their_data_do_not_fit(no_work, call, message):
+    # a letter past the data used to fail with an IndexError, and vectors of
+    # two sizes inside zip()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # (id, call at size n, what the message names, least size)
@@ -218,6 +289,19 @@ UNCAPPED = [
     ("jacobi_hermite", lambda n: orthopoly.jacobi_hermite(P, n), "the recurrence depth", 1),
     ("jacobi_poisson", lambda n: orthopoly.jacobi_poisson(P, n), "the recurrence depth", 1),
     ("jacobi_qmp", lambda n: orthopoly.jacobi_qmp(HALF, HALF, n), "the recurrence depth", 1),
+    # a maxlevel or letter count of -1 used to sweep nothing and pass
+    (
+        "check_commutation_tensor maxlevel",
+        lambda n: fock.check_commutation_tensor(X, X, UNIT, 1, 1, n),
+        "the maxlevel of the sweep",
+        0,
+    ),
+    (
+        "gauge_adjoint_check maxlevel",
+        lambda n: fock.gauge_adjoint_check(GaugePair.of([[1]], [[1]]), P, 1, 1, n),
+        "the maxlevel of the sweep",
+        0,
+    ),
 ]
 
 
