@@ -3,21 +3,22 @@
 Matrices are tuples of tuples (rows).  Every product is built from the one
 inner-product loop :func:`dot`, which refuses sequences of unequal length, so
 :func:`mat_vec` and :func:`mat_mul` refuse mismatched dimensions alike.
-Sizes stay in the tens-to-hundreds, so one Gauss-Jordan elimination over
-exact rationals, :func:`_reduce`, serves the solves (every right-hand side of
-a system in one pass, as the columns of a matrix), the ranks and the
-independent subsets.
-:func:`ldlt_classify`, which classifies the Gram matrices of the Levy
-Hankel, conditional-positivity and GNS checks, eliminates fraction-free over
-integers instead: their denominators are cleared once, and no step pays a
-Fraction's gcd on every entry.
+Both eliminations run fraction-free (Bareiss) on integers: a matrix is
+cleared once by :func:`diagfock.scalars._cleared_array`, and no step pays a
+Fraction's gcd on every entry.  The Gauss-Jordan :func:`_reduce` serves the
+solves (every right-hand side of a system in one pass, as the columns of a
+matrix, each entry divided once at the end) and the ranks.  The LDL^T
+:func:`_ldlt`, in index order, gives the definiteness verdicts of
+:func:`ldlt_classify` (the Levy Hankel check) and, in one elimination, the
+verdict and the basis of the GNS reconstruction.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
+
+from .scalars import _cleared_array
 
 Matrix = Tuple[Tuple, ...]
 
@@ -58,10 +59,10 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix:
     width = len(b[0]) if b else 0
     if any(len(row) != n for row in a) or len(b) != n or any(len(row) != width for row in b):
         raise ValueError(f"solve_linear needs an n x n matrix and n rows of right-hand sides, got {n} rows and {len(b)}")
-    rows, pivots = _reduce([list(row) + list(rhs) for row, rhs in zip(a, b)])
+    rows, pivots, d = _reduce([tuple(row) + tuple(rhs) for row, rhs in zip(a, b)])
     if pivots != list(range(n)):
         raise ValueError("singular system")
-    return tuple(tuple(row[n:]) for row in rows)
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows)
 
 
 def ldlt_classify(a: Matrix) -> Tuple[str, int]:
@@ -73,13 +74,13 @@ def ldlt_classify(a: Matrix) -> Tuple[str, int]:
 
     The matrix is block diagonal up to order over the connected components
     of its nonzero pattern (i ~ j when a[i][j] != 0).  Each component is
-    eliminated on its own and the verdicts combine by
+    eliminated on its own by :func:`_ldlt` and the verdicts combine by
     :func:`block_diagonal_classify`, so the elimination of one block never
     carries the pivots of another.
     """
     if not is_symmetric(a):
         raise ValueError("ldlt_classify needs a symmetric matrix")
-    return block_diagonal_classify(_classify_block([[a[i][j] for j in comp] for i in comp]) for comp in _components(a))
+    return block_diagonal_classify(_ldlt([[a[i][j] for j in comp] for i in comp])[:2] for comp in _components(a))
 
 
 def _components(a: Matrix) -> List[List[int]]:
@@ -104,47 +105,43 @@ def _components(a: Matrix) -> List[List[int]]:
     return comps
 
 
-def _classify_block(a: Sequence[Sequence]) -> Tuple[str, int]:
-    """:func:`ldlt_classify` on one symmetric block.
+def _ldlt(a: Sequence[Sequence]) -> Tuple[str, int, List[int]]:
+    """(verdict, kernel, pivots) of a symmetric rational matrix by LDL^T,
+    each pivot the first nonzero diagonal entry of the Schur complement.
 
-    At each step the largest-|value| nonzero diagonal entry of the Schur
-    complement is the pivot.  If the remaining diagonal is all zero but an
-    off-diagonal entry survives, the matrix is indefinite (a symmetric matrix
-    with zero diagonal and a nonzero entry has eigenvalues of both signs),
-    and the kernel is that of the remaining block.
+    If the remaining diagonal is all zero but an off-diagonal entry
+    survives, the matrix is indefinite (a symmetric matrix with zero
+    diagonal and a nonzero entry has eigenvalues of both signs), with the
+    kernel of the remaining block.  By Sylvester's law the verdict does not
+    depend on the pivot order.  In a positive semidefinite matrix a zero
+    Schur diagonal entry has a zero row, which stays zero, so the pivots are
+    the greedy maximal independent family of the vectors whose Gram matrix
+    it is; ((0, 1), (1, 0)), outside that contract, is indefinite.
 
-    The elimination is fraction-free (Bareiss): the denominators are cleared
-    once, and after k pivots every active entry is an integer bordered minor
-    M, whose Schur complement entry is M / M_k for the k-th pivot minor M_k.
-    Dividing every diagonal entry by the same |M_k| keeps their order by
-    absolute value, so the largest-|diagonal| rule picks the same pivots as
-    an elimination over Fraction, and pivot k has the sign of M_k * M_(k-1).
+    Fraction-free (Bareiss): after k pivots every active entry is an integer
+    bordered minor M, whose Schur complement entry is M / M_k for the k-th
+    pivot minor M_k, and pivot k has the sign of M_k * M_(k-1).
     """
-    n = len(a)
-    rows = [[Fraction(x) for x in row] for row in a]
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    # the active block, rows and columns in their original order
-    m = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    m = [list(row) for row in _cleared_array(a)]
+    active = list(range(len(m)))  # the original index of each active row and column
+    pivots: List[int] = []
     prev = 1
-    pos = neg = 0
+    neg = 0
     while m:
-        k = max(range(len(m)), key=lambda i: abs(m[i][i]))
-        piv = m[k][k]
-        if piv == 0:
+        k = next((i for i in range(len(m)) if m[i][i] != 0), None)
+        if k is None:
             if any(map(any, m)):
-                rank = _rank([[Fraction(x) for x in row] for row in m])
-                return ("indefinite", len(m) - rank)
+                return ("indefinite", len(m) - _rank(m), pivots)
             break
-        if (piv > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
+        piv = m[k][k]
+        neg += (piv > 0) != (prev > 0)
+        pivots.append(active.pop(k))
         pivot_row = m.pop(k)
         del pivot_row[k]
         col = [row.pop(k) for row in m]
         m = [[(x * piv - f * y) // prev for x, y in zip(row, pivot_row)] for row, f in zip(m, col)]
         prev = piv
-    return _verdict(pos > 0, neg > 0, n - pos - neg)
+    return _verdict(len(pivots) > neg, neg > 0, len(a) - len(pivots)) + (pivots,)
 
 
 def _verdict(pos: bool, neg: bool, kernel: int) -> Tuple[str, int]:
@@ -172,42 +169,35 @@ def block_diagonal_classify(blocks: Iterable[Tuple[str, int]]) -> Tuple[str, int
     return _verdict(pos, neg, kernel)
 
 
-def independent_subset(gram: Matrix) -> List[int]:
-    """Indices of a maximal linearly independent family, judged through its
-    Gram matrix, which must be positive semidefinite: the pivot columns of
-    one elimination.
-
-    For such a G, G c = 0 exactly when c^T G c, the squared norm of
-    sum_i c_i v_i, is 0, so a column depends on the columns before it exactly
-    when its vector depends on theirs: the pivots are the greedy choice.  An
-    indefinite matrix falls outside this: ((0, 1), (1, 0)) gives [0, 1],
-    though each of its vectors has norm 0."""
-    return _reduce(gram)[1]
-
-
-def _rank(rows: List[List[Fraction]]) -> int:
+def _rank(rows: Sequence[Sequence]) -> int:
     return len(_reduce(rows)[1])
 
 
-def _reduce(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
-    """Gauss-Jordan elimination: (the reduced rows, the pivot columns).
+def _reduce(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free Gauss-Jordan elimination: (d times the reduced rows, the
+    pivot columns, d).
 
-    Column by column, the first remaining row with a nonzero entry is the
-    pivot row; it is scaled to a leading 1 and cleared from every other row.
+    The rows are cleared to integers by one scale.  Column by column, the
+    first remaining row with a nonzero entry is the pivot row, and every
+    other row is cleared by it (Bareiss).  After pivot p each row is p times
+    its state over Fraction, its entries integer minors (by Cramer's rule
+    above the pivot), so the division by the previous pivot is exact.
     """
-    m = [list(r) for r in rows]
+    m = [list(row) for row in _cleared_array(rows)]
     pivots: List[int] = []
+    d = 1
     for col in range(len(m[0]) if m else 0):
         row = len(pivots)
         piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        d = m[row][col]
-        m[row] = [x / d for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        top = m[row]
+        p = top[col]
+        for r, other in enumerate(m):
+            if r != row:
+                f = other[col]
+                m[r] = [(x * p - f * y) // d for x, y in zip(other, top)]
+        d = p
         pivots.append(col)
-    return m, pivots
+    return m, pivots, d

@@ -472,29 +472,18 @@ def _check_window(psi: Functional, k: int, shortest: int, longest: int) -> None:
             _psi_value(psi, word)
 
 
-def conditional_positivity_check(psi: Functional, k: int, maxlen: int) -> Tuple[str, int]:
-    """Definiteness of the kernel <u, v> = psi(reverse(u) v) on words of
-    length 1..maxlen (the constant-free sector).  Needs psi on words of
-    length 2..2 * maxlen, each of which it reads."""
-    _check_window(psi, k, 2, 2 * maxlen)
-    words = list(_iter_words(k, maxlen))
-    rows = tuple(
-        tuple(_psi_value(psi, tuple(reversed(u)) + v) for v in words) for u in words
-    )
-    return _linalg.ldlt_classify(rows)
-
-
 def gns_reconstruct(psi: Functional, k: int, maxlen: int) -> Tuple[LevySpec, Dict[str, object]]:
     """Reconstruct coordinate data (xi, T, lam, gram) from a cumulant
     functional psi, presented on words up to length 2 * maxlen + 2.
 
-    The space is the span of word classes of length <= maxlen under the
-    kernel psi(reverse(u) v); a maximal independent family of word classes is
-    selected greedily (the pivot columns of the Gram matrix), left
-    multiplication by a coordinate is compressed onto the span (one solve
-    for every target word), and lam_i = psi(x_i).  Multiplication
-    compressions are exactly symmetric for reversal-symmetric psi, which is
-    validated.
+    The space is the span of word classes of length 1..maxlen under the
+    kernel psi(reverse(u) v), which must be positive semidefinite there
+    (psi conditionally positive).  One LDL^T of its Gram matrix, in the
+    words' order, gives both that verdict and a greedy maximal independent
+    family of word classes, its pivots.  Left multiplication by a coordinate
+    is compressed onto the span (one solve for every target word), and
+    lam_i = psi(x_i).  Multiplication compressions are exactly symmetric for
+    reversal-symmetric psi, which is validated.
 
     The round trip (single-block cumulants of the result) reproduces psi on
     all words of length <= maxlen + 1; longer words see the compression.
@@ -506,10 +495,9 @@ def gns_reconstruct(psi: Functional, k: int, maxlen: int) -> Tuple[LevySpec, Dic
     _check_window(psi, k, 1, max(1, 2 * maxlen))  # each coordinate and each word of length 2..2*maxlen
     words = list(_iter_words(k, maxlen))
     gram_full = tuple(tuple(_psi_value(psi, tuple(reversed(u)) + v) for v in words) for u in words)
-    verdict, _ = _linalg.ldlt_classify(gram_full)
+    verdict, _, chosen = _linalg._ldlt(gram_full)
     if verdict not in ("positive_definite", "positive_semidefinite", "zero"):
         raise ValueError("functional is not conditionally positive on this window")
-    chosen = _linalg.independent_subset(gram_full)  # positive semidefinite, as checked above
     basis = [words[i] for i in chosen]
     dim = len(basis)
     gram = tuple(tuple(gram_full[i][j] for j in chosen) for i in chosen)

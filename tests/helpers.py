@@ -138,6 +138,29 @@ def rank_brute(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
+def reduce_fraction(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
+    """Gauss-Jordan elimination over Fraction: (the reduced rows, the pivot
+    columns).  Column by column, the first remaining row with a nonzero
+    entry is the pivot row; it is scaled to a leading 1 and cleared from
+    every other row."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: List[int] = []
+    for col in range(len(m[0]) if m else 0):
+        row = len(pivots)
+        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        d = m[row][col]
+        m[row] = [x / d for x in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        pivots.append(col)
+    return m, pivots
+
+
 def ldlt_classify_fraction(a: Sequence[Sequence[Fraction]]) -> Tuple[str, int]:
     """(verdict, kernel) of a symmetric rational matrix by LDL^T over Fraction:
     the pivot is the first largest-|value| nonzero diagonal entry of the Schur

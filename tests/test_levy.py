@@ -12,7 +12,6 @@ from diagfock.levy import (
     GeneratorPair,
     LevySpec,
     brownian_pair,
-    conditional_positivity_check,
     convolve_pairs,
     cumulant_functional,
     fock_levy_oracle,
@@ -427,12 +426,7 @@ def test_hankel_verdicts():
 def test_conditional_positivity_of_true_cumulants():
     r = helpers.rng(72)
     spec = rand_spec(r, k=2, d=2)
-    psi = {}
-    for n in range(1, 7):
-        for word in itertools.product(range(2), repeat=n):
-            psi[word] = levy_cumulant(spec, word)
-    verdict, _ = conditional_positivity_check(psi, 2, 3)
-    assert verdict in ("positive_definite", "positive_semidefinite", "zero")
+    gns_roundtrip_case(spec, 2, 3)
 
 
 def gns_roundtrip_case(spec: LevySpec, k: int, maxlen: int):
@@ -478,6 +472,55 @@ def test_gns_rejects_asymmetric_functional():
         gns_reconstruct(bad, 2, 0)
 
 
+def window(k: int, maxlen: int, values) -> dict:
+    """psi on every word of length 1..2 * maxlen over k letters: its value
+    in values, else 0."""
+    return {w: Fraction(values.get(w, 0)) for n in range(1, 2 * maxlen + 1) for w in itertools.product(range(k), repeat=n)}
+
+
+@pytest.mark.parametrize(
+    "k, values",
+    [
+        (1, {(0, 0): -1}),  # a negative pivot
+        (2, {(0, 1): 1, (1, 0): 1}),  # a zero diagonal with a nonzero row
+    ],
+    ids=["negative-pivot", "zero-diagonal"],
+)
+def test_gns_refuses_a_functional_that_is_not_conditionally_positive(k, values):
+    with pytest.raises(ValueError, match="functional is not conditionally positive on this window"):
+        gns_reconstruct(window(k, 1, values), k, 1)
+
+
+def test_gns_skips_a_dead_first_word():
+    # psi vanishes on every word with a 0, so the class of (0,) is zero: a
+    # zero pivot of a positive semidefinite kernel is skipped, not refused
+    psi = window(2, 2, {(1, 1): 1, (1, 1, 1): 1, (1, 1, 1, 1): 1})
+    rec, info = gns_reconstruct(psi, 2, 2)
+    assert info == {"dim": 1, "basis": [(1,)]}
+    for word in (w for w in psi if len(w) <= 3):
+        assert levy_cumulant(rec, word) == psi[word], word
+
+
+def test_gns_eliminates_its_gram_matrix_once(monkeypatch):
+    # one LDL^T of the whole Gram matrix gives the verdict and the basis; the
+    # only other elimination is the one solve on the basis rows
+    eliminated = []
+
+    def counted(name, fn):
+        def run(rows):
+            eliminated.append((name, len(rows)))
+            return fn(rows)
+        return run
+
+    for name in ("_ldlt", "_reduce"):
+        monkeypatch.setattr(levy._linalg, name, counted(name, getattr(levy._linalg, name)))
+    xi0 = (Fraction(1), Fraction(2))
+    t0 = ((Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(0)))
+    spec = LevySpec.of([xi0, tuple(2 * x for x in xi0)], [t0, t0], [1, 2])
+    rec, info = gns_roundtrip_case(spec, 2, 2)
+    assert eliminated == [("_ldlt", 6), ("_reduce", info["dim"])] and info["dim"] < 6
+
+
 def test_gns_window_is_bounded_by_psi():
     # a one-key psi at maxlen 30 is refused before any of the 2^61 window
     # words is listed
@@ -516,11 +559,9 @@ def test_psi_window_checks_list_words_only_as_far_as_psi(monkeypatch):
     iter_words = levy._iter_words
     monkeypatch.setattr(levy, "_iter_words", counted)
     psi = {(0,): Fraction(1), (0, 0): Fraction(1)}
-    for check, missing in ((conditional_positivity_check, r"\(0, 1\)"), (gns_reconstruct, r"\(1,\)")):
-        drawn.clear()
-        with pytest.raises(ValueError, match=f"not defined on word {missing}"):
-            check(psi, 2, 16)
-        assert len(drawn) <= len(psi) + 1, check.__name__
+    with pytest.raises(ValueError, match=r"not defined on word \(1,\)"):
+        gns_reconstruct(psi, 2, 16)
+    assert len(drawn) <= len(psi) + 1
 
 
 def test_word_guard():

@@ -135,6 +135,40 @@ def test_solve_linear_roundtrip():
             _linalg.solve_linear(singular, b)
     with pytest.raises(ValueError, match="singular system"):
         _linalg.solve_linear(((f(0), f(1), f(0)), (f(0), f(0), f(1)), (f(0), f(1), f(1))), ((f(1),), (f(1),), (f(1),)))
+    # int input solves exactly, to Fractions
+    for a, b, x in ((((2,),), ((1,),), ((f(1, 2),),)), (((2, 0), (1, 3)), ((4, 1), (5, 0)), ((f(2), f(1, 2)), (f(1), f(-1, 6))))):
+        got = _linalg.solve_linear(a, b)
+        assert got == x and all(type(v) is Fraction for row in got for v in row)
+
+
+def random_reduce_input(r):
+    """A rational matrix, empty, wide, tall or square, with planted dependent
+    rows and zero columns."""
+    rows, cols = r.choice(((0, 0), (0, 3), (3, 0), (r.randint(1, 3), r.randint(4, 7)), (r.randint(4, 7), r.randint(1, 3)),
+                           (r.randint(1, 6), r.randint(1, 6))))
+    m = [[helpers.rand_frac(r) if r.random() < 0.7 else Fraction(0) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        if i >= 2 and r.random() < 0.4:  # a combination of two earlier rows
+            c = helpers.rand_frac(r)
+            m[i] = [c * x + y for x, y in zip(m[r.randrange(i)], m[r.randrange(i)])]
+    for j in range(cols):
+        if r.random() < 0.2:
+            for row in m:
+                row[j] = Fraction(0)
+    return m
+
+
+def test_fraction_free_reduce_matches_fraction_gauss_jordan():
+    # d times the reduced rows on ints: the same pivots, and the rows over d are
+    # the Fraction elimination's
+    r = helpers.rng(27)
+    for _ in range(400):
+        m = random_reduce_input(r)
+        rows, pivots, d = _linalg._reduce(m)
+        want_rows, want_pivots = helpers.reduce_fraction(m)
+        assert pivots == want_pivots, m
+        assert all(type(x) is int for row in rows for x in row)
+        assert [[Fraction(x, d) for x in row] for row in rows] == want_rows, m
 
 
 def test_products_match_a_literal_loop():
@@ -170,7 +204,7 @@ def test_products_match_a_literal_loop():
         assert list(map(type, got_ax)) == list(map(type, want_ax))
 
 
-def test_independent_subset_with_planted_dependencies():
+def test_ldlt_pivots_with_planted_dependencies():
     vs = [
         (Fraction(1), Fraction(0), Fraction(0)),
         (Fraction(2), Fraction(0), Fraction(0)),  # dependent on v0
@@ -179,13 +213,14 @@ def test_independent_subset_with_planted_dependencies():
         (Fraction(0), Fraction(0), Fraction(3)),
     ]
     gram = tuple(tuple(_linalg.dot(a, b) for b in vs) for a in vs)
-    assert _linalg.independent_subset(gram) == [0, 2, 4]
+    assert _linalg._ldlt(gram) == ("positive_semidefinite", 2, [0, 2, 4])
 
 
-def test_independent_subset_is_the_greedy_choice_on_gram_matrices():
+def test_ldlt_pivots_are_the_greedy_choice_on_gram_matrices():
     # the oracle keeps vector i when the principal minor of the kept ones and i
-    # is nonsingular; the pivot columns agree on every Gram (positive
-    # semidefinite) matrix, and an indefinite one is outside the contract
+    # is nonsingular; the pivots of the LDL^T in index order agree on every
+    # Gram (positive semidefinite) matrix, and an indefinite one is outside
+    # the contract, as its verdict says
     r = helpers.rng(26)
     for _ in range(60):
         dim, count = r.randint(1, 3), r.randint(1, 6)
@@ -201,10 +236,10 @@ def test_independent_subset_is_the_greedy_choice_on_gram_matrices():
         greedy = []
         for i in range(count):
             trial = greedy + [i]
-            if _linalg._rank([[gram[a][b] for b in trial] for a in trial]) == len(trial):
+            if helpers.rank_brute([[gram[a][b] for b in trial] for a in trial]) == len(trial):
                 greedy.append(i)
-        assert _linalg.independent_subset(gram) == greedy
-    assert _linalg.independent_subset(((0, 1), (1, 0))) == [0, 1]
+        assert _linalg._ldlt(gram)[2] == greedy
+    assert _linalg._ldlt(((0, 1), (1, 0))) == ("indefinite", 0, [])
 
 
 def test_dimension_mismatch_raises():
