@@ -27,8 +27,7 @@ each part a pair of row specs (kind, data); the single actions and
 one pass.  Three routes run row by row instead, since each of their
 operators, and the deformed pairing, is one product top (x) bar:
 :func:`apply_word` keeps one dict per row and tensors the two once at the
-end, the gauge-adjoint sweep computes each row's pairings once per word and
-combines them per basis pair, and the commutation check tests a sum of
+end, and the gauge-adjoint and commutation checks each test a sum of
 top (x) bar products for zero by one Gram matrix per level, with no pair.
 
 A vacuum moment is a path from level 0 back to level 0, and no operator
@@ -51,7 +50,7 @@ its value and the level-n symmetrizer P_n is E^C(n,2) times its own, so:
     :func:`symmetrizer_matrix`) are divided by E^C(n,2), and
     :func:`deformed_inner` divides each level's sum by E_top^C(n,2)
     E_bar^C(n,2) and by the scales of f's and h's coefficients there;
-  * the gauge-adjoint sweep compares two pairings of the same scale per
+  * the gauge-adjoint check compares two pairings of the same scale per
     row, and the commutation check tests the relation on level n times
     D_top^2 D_bar^2 (E_top E_bar)^n, so both compare ints as they are;
   * a product of operators (the vacuum moments, :func:`apply_word`) keeps
@@ -84,6 +83,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -150,13 +150,8 @@ class FockVector:
     def __init__(self, terms: Optional[Dict[WordPair, object]] = None):
         self.terms: Dict[WordPair, object] = {}
         if terms:
-            for key, val in terms.items():
-                if val == 0:
-                    continue
-                top, bar = key
-                if len(top) != len(bar):
-                    raise ValueError("top and bar words must have equal length")
-                self.terms[(tuple(top), tuple(bar))] = val
+            for (top, bar), val in terms.items():
+                self.add_term((tuple(top), tuple(bar)), val)
 
     @classmethod
     def vacuum(cls) -> "FockVector":
@@ -167,6 +162,9 @@ class FockVector:
         return cls()
 
     def add_term(self, key: WordPair, val) -> None:
+        top, bar = key
+        if len(top) != len(bar):
+            raise ValueError("top and bar words must have equal length")
         s = self.terms.get(key, 0) + val
         if s == 0:
             self.terms.pop(key, None)
@@ -239,19 +237,35 @@ def _row_create(vec: Sequence, lift: Lift = _unlifted) -> RowOp:
     return lambda word: [((a,) + word, x) for a, x in at[len(word)]]
 
 
+def _front_runs(word: Word, weights: Sequence) -> List[Tuple[int, Word, object]]:
+    """The front move on word, position i weighed by weights[i], as one
+    (letter, word without it, weight) per run of equal letters: deleting
+    any position of a run leaves the same word, so the run's weights add
+    up.  A run whose weights sum to zero is dropped."""
+    runs, n, i = [], len(word), 0
+    while i < n:
+        letter, weight, j = word[i], weights[i], i + 1
+        while j < n and word[j] == letter:
+            weight, j = weight + weights[j], j + 1
+        if weight != 0:
+            runs.append((letter, word[:i] + word[i + 1 :], weight))
+        i = j
+    return runs
+
+
 def _row_front(heads: Sequence[Sequence[Tuple[Word, object]]], wa, wb, lift: Lift = _unlifted) -> RowOp:
     """The R_n front move: sum_i wa^(i-1) wb^(n-i) h e_(word without i) over
-    the terms (h, c) of heads[word_i], each with coefficient c.
+    the terms (h, c) of heads[word_i], each with coefficient c, one term per
+    run of equal letters (:func:`_front_runs`).
 
     Annihilation takes heads[l] = ((), <vec, e_l>), gauge heads[l] = ((a,), T[a][l]).
     """
     at = _Memo(lambda n: [x * lift(n) for x in _qt_row(n, wa, wb)])
 
     def op(word: Word) -> List[Tuple[Word, object]]:
-        ws = at[len(word)]
         return [
-            (head + word[:i] + word[i + 1 :], ws[i] * c)
-            for i, letter in enumerate(word)
+            (head + rest, weight * c)
+            for letter, rest, weight in _front_runs(word, at[len(word)])
             for head, c in heads[letter]
         ]
 
@@ -367,7 +381,10 @@ def _quadrabasic_parts(x: VectorPair, g: Optional[GaugePair], lam) -> List[Part]
 
 def _level_rule(specs: Sequence[RowSpec], a, b, c: int) -> Tuple[Callable[[RowSpec], RowOp], int, int]:
     """(make, D, E) for a product of the row operators of specs on one row
-    weighed by (a, b): make(spec) is the operator of a spec, on ints.
+    weighed by (a, b): make(spec) is the operator of one of the specs, on
+    ints, built once per spec object.  It is keyed by identity, since
+    hashing a spec's Fractions by value is slow, so the specs must outlive
+    make, as the parts that hold them do.
 
     The data are cleared by D, the lcm of their denominators, and (a, b) by
     E.  Each operator multiplies its terms from level l by E^(c-l) for
@@ -379,19 +396,17 @@ def _level_rule(specs: Sequence[RowSpec], a, b, c: int) -> Tuple[Callable[[RowSp
     a, b, e = _cleared_point(a, b)
     power = [e**k for k in range(c + 2)]
     lifts = {CREATE: lambda n: power[c - n], GAUGE: lambda n: power[c + 1 - n]}
-
-    def make(spec: RowSpec) -> RowOp:
-        kind, d = spec
-        return _row_op((kind, _cleared_array(d, data)), a, b, lifts.get(kind, lambda n: power[c]))
-
-    return make, data, e
+    ops = {id(spec): _row_op((kind, _cleared_array(d, data)), a, b, lifts.get(kind, lambda n: power[c]))
+           for spec in specs for kind, d in [spec]}
+    return lambda spec: ops[id(spec)], data, e
 
 
 def _level_rows(parts: Sequence[Part], params: DeformationParams, c: int):
     """:func:`_level_rule` on the top row of parts at (q, t) and on the bar
-    row at (v, w)."""
+    row at (v, w), each spec object once, however many parts hold it."""
     points = ((params.q, params.t), (params.v, params.w))
-    return [_level_rule([part[side] for part in parts], a, b, c) for side, (a, b) in enumerate(points)]
+    specs = [{id(part[side]): part[side] for part in parts}.values() for side in (0, 1)]
+    return [_level_rule(specs[side], a, b, c) for side, (a, b) in enumerate(points)]
 
 
 def _vacuum_moment(steps: Sequence[Sequence[Part]], params: DeformationParams):
@@ -488,21 +503,21 @@ def _sym_column(x: Word, a, b, memo: ColumnMemo) -> Dict[Word, object]:
 
         P_n e_x = sum_k a^(k-1) b^(n-k) e_(x_k) (x) P_(n-1) e_(x without k),
 
-    so the work grows with the distinct rearrangements of x, not with n!.
+    so the work grows with the distinct rearrangements of x, not with n!,
+    and each run of equal letters in x is one term (:func:`_front_runs`).
     ``memo`` maps each word already expanded to its column; callers create
     it per public call, so nothing is cached across calls.
     """
     col = memo.get(x)
     if col is not None:
         return col
-    n = len(x)
-    if n == 0:
+    if not x:
         col = {(): 1}
     else:
         acc: Dict[Word, object] = {}
-        for k, weight in enumerate(_qt_row(n, a, b), 1):
-            head = (x[k - 1],)
-            for word, c in _sym_column(x[: k - 1] + x[k:], a, b, memo).items():
+        for letter, rest, weight in _front_runs(x, _qt_row(len(x), a, b)):
+            head = (letter,)
+            for word, c in _sym_column(rest, a, b, memo).items():
                 key = head + word
                 prev = acc.get(key)
                 acc[key] = weight * c if prev is None else prev + weight * c
@@ -728,42 +743,48 @@ def check_commutation_tensor(
     return True
 
 
-def _adjoint_pairs(mat, a, b, size: int, n: int, memo: ColumnMemo):
-    """(<T e_x, e_y>_P, <e_x, T' e_y>_P) for every pair (x, y) of level-n
-    words of one row, T = mat, T' its transpose and P = P^(n)_{a,b}.  P is
-    symmetric, so the first pairs T e_x with the column P e_y and the second
-    T' e_y with P e_x.  With the row cleared (mat by D, a and b by E) both
-    pairings carry the same scale D E^(n-1) E^C(n,2)."""
-    words = list(itertools.product(range(size), repeat=n))
-    cols = [_sym_column(z, a, b, memo) for z in words]
-    gauge, gauge_adj = _row_gauge(mat, a, b), _row_gauge(_linalg.transpose(mat), a, b)
-    images, images_adj = [gauge(z) for z in words], [gauge_adj(z) for z in words]
-
-    def pair(terms, col):
-        return sum((c * col[w] for w, c in terms if w in col), 0)
-
-    indices = range(len(words))
-    return [(pair(images[x], cols[y]), pair(images_adj[y], cols[x])) for x in indices for y in indices]
+def _adjoint_entries(mat, a, b, size: int, n: int, memo: ColumnMemo):
+    """The entries (<T e_x, e_y>_P, <e_x, T' e_y>_P) of one row at each pair
+    (x, y) of level-n words over size letters where either is nonzero,
+    T = mat, T' its transpose and P = P^(n)_{a,b}.  P is symmetric, so the
+    first is entry y of P T e_x and the second entry x of P T' e_y: one
+    combination of columns per word and matrix.  An image word whose front
+    letter is size or more lies off the basis and pairs with nothing.  With
+    the row cleared (mat by D, a and b by E) both entries carry the same
+    scale D E^(n-1) E^C(n,2)."""
+    entries: Dict[Tuple[Word, Word], List] = defaultdict(lambda: [0, 0])
+    for k, gauge in enumerate((_row_gauge(mat, a, b), _row_gauge(_linalg.transpose(mat), a, b))):
+        for z in itertools.product(range(size), repeat=n):
+            for w, c in gauge(z):
+                if w[0] < size:
+                    for u, p in _sym_column(w, a, b, memo).items():
+                        entries[(u, z) if k else (z, u)][k] += c * p
+    return entries.values()
 
 
 def gauge_adjoint_check(
     g: GaugePair, params: DeformationParams, d: int, dbar: int, maxlevel: int = 3
 ) -> bool:
     """<p f, h> = <f, p' h> in the deformed inner product, p' built from the
-    transposed matrices.  Swept exactly over all basis word pairs, each side
-    the product of one top-row and one bar-row pairing.  Each row runs on
-    ints, its matrix cleared by D and its point by E: the two pairings of a
-    row carry the same scale, so the two sides compare as they are.  Sizes
-    are guarded as in :func:`check_commutation_tensor`, each row's letter
-    count at most the size of its matrix."""
+    transposed matrices, on every pair of basis words through maxlevel.  On
+    level n it reads L_top (x) L_bar - R_top (x) R_bar = 0, with L[x,y] =
+    <T e_x, e_y>_P and R[x,y] = <e_x, T' e_y>_P on each row, so, as in
+    :func:`check_commutation_tensor`, it holds exactly when G a = 0 for
+    every top entry a = (L, R), G the Gram matrix of the bar's (L, -R).
+    Each row runs on ints, its matrix cleared by D and its point by E: a
+    row's two entries carry the same scale, so they compare as they are.
+    Sizes are guarded as in :func:`check_commutation_tensor`, each row's
+    letter count at most the size of its matrix."""
     _check_sweep(maxlevel, (("top", d, (len(g.top),)), ("bar", dbar, (len(g.bar),))))
     (q, t, _), (v, w, _) = _cleared_point(params.q, params.t), _cleared_point(params.v, params.w)
     top, bar = _cleared_array(g.top), _cleared_array(g.bar)
-    top_memo, bar_memo = {}, {}  # column memos, each shared by every pairing of its row in the sweep
+    top_memo, bar_memo = {}, {}  # column memos, each shared by every level of its row
     for n in range(1, maxlevel + 1):
-        bars = _adjoint_pairs(bar, v, w, dbar, n, bar_memo)
-        for lt, rt in _adjoint_pairs(top, q, t, d, n, top_memo):
-            if any(lt * lb != rt * rb for lb, rb in bars):
+        g00 = g01 = g11 = 0  # the Gram matrix of the bar's (L, -R) entries
+        for lb, rb in _adjoint_entries(bar, v, w, dbar, n, bar_memo):
+            g00, g01, g11 = g00 + lb * lb, g01 - lb * rb, g11 + rb * rb
+        for lt, rt in _adjoint_entries(top, q, t, d, n, top_memo):
+            if g00 * lt + g01 * rt != 0 or g01 * lt + g11 * rt != 0:
                 return False
     return True
 

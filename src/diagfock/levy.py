@@ -219,7 +219,8 @@ def fock_levy_oracle(
             _gauge_part(GaugePair(tuple(map(tuple, gauge)), (one,))),
         ] + ([_scalar_part(lam)] if lam != 0 else [])
 
-    return _vacuum_moment([parts(u, i) for u, i in tokens], params) + params.q * 0
+    shared = {token: parts(*token) for token in {(u, i) for u, i in tokens}}  # one set of specs per distinct token
+    return _vacuum_moment([shared[u, i] for u, i in tokens], params) + params.q * 0
 
 
 def stochastic_measure(

@@ -862,3 +862,34 @@ def commutation_by_pairs(x1, x2, params, d: int, dbar: int, maxlevel: int = 3) -
                 if fock._collect(difference):
                     return False
     return True
+
+
+def adjoint_by_pairs(g, params, d: int, dbar: int, maxlevel: int = 3) -> bool:
+    """The relation of ``fock.gauge_adjoint_check`` checked on every pair of
+    basis pairs of each level: <p e_x (x) e_x', e_y (x) e_y'> against
+    <e_x (x) e_x', p' e_y (x) e_y'>, each side one top-row pairing times one
+    bar-row pairing, at the same cleared scales and through the same row
+    operators and columns.  P is symmetric, so <T e_x, e_y>_P pairs T e_x
+    with the column P e_y, and <e_x, T' e_y>_P pairs T' e_y with P e_x."""
+    (q, t, _), (v, w, _) = _cleared_point(params.q, params.t), _cleared_point(params.v, params.w)
+
+    def row_pairs(mat, a, b, size: int, n: int, memo):
+        words = list(itertools.product(range(size), repeat=n))
+        cols = [fock._sym_column(z, a, b, memo) for z in words]
+        gauge, gauge_adj = fock._row_gauge(mat, a, b), fock._row_gauge(_linalg.transpose(mat), a, b)
+        images, images_adj = [gauge(z) for z in words], [gauge_adj(z) for z in words]
+
+        def pair(terms, col):
+            return sum((c * col[w] for w, c in terms if w in col), 0)
+
+        indices = range(len(words))
+        return [(pair(images[x], cols[y]), pair(images_adj[y], cols[x])) for x in indices for y in indices]
+
+    top, bar = _cleared_array(g.top), _cleared_array(g.bar)
+    top_memo, bar_memo = {}, {}
+    for n in range(1, maxlevel + 1):
+        bars = row_pairs(bar, v, w, dbar, n, bar_memo)
+        for lt, rt in row_pairs(top, q, t, d, n, top_memo):
+            if any(lt * lb != rt * rb for lb, rb in bars):
+                return False
+    return True

@@ -589,6 +589,87 @@ def test_gauge_adjoint_fails_without_the_transpose(monkeypatch):
     assert not any(gauge_adjoint_check(g, distinct, 2, 2, maxlevel=3) for g in distinct_gauges)
 
 
+ADJOINT_SHAPES = [(2, 2), (2, 1), (1, 2), (3, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("transpose", ["kept", "patched-to-identity"])
+@pytest.mark.parametrize("d, dbar", ADJOINT_SHAPES, ids=[f"{d}/{dbar}" for d, dbar in ADJOINT_SHAPES])
+def test_gauge_adjoint_gram_check_matches_the_pair_sweep(monkeypatch, d, dbar, transpose):
+    # the Gram test against the per-pair sweep it replaced; 3 x 3 matrices,
+    # so a row of fewer letters also has images off its basis, which pair
+    # with nothing; a row of no letters has no basis pair past level 0
+    if transpose == "patched-to-identity":
+        monkeypatch.setattr(_linalg, "transpose", lambda m: m)
+    r = helpers.rng(41 + 5 * d + dbar)
+    verdicts = []
+    for _ in range(3):
+        p = params_rat(*(helpers.rand_frac(r) for _ in range(4)))
+        g = GaugePair.of(helpers.rand_mat(r, 3), helpers.rand_mat(r, 3))
+        for maxlevel in range(4):
+            got = gauge_adjoint_check(g, p, d, dbar, maxlevel)
+            assert got is helpers.adjoint_by_pairs(g, p, d, dbar, maxlevel), (p, g, maxlevel)
+            verdicts.append(got)
+    assert all(verdicts) is (transpose == "kept" or d == 0)
+
+
+@pytest.mark.parametrize("transpose", ["kept", "patched-to-identity"])
+def test_gauge_adjoint_gram_check_at_the_symbolic_point(monkeypatch, transpose):
+    if transpose == "patched-to-identity":
+        monkeypatch.setattr(_linalg, "transpose", lambda m: m)
+    r = helpers.rng(43)
+    for d, dbar, maxlevel in ((2, 1, 3), (1, 2, 3), (2, 2, 2)):
+        g = GaugePair.of(helpers.rand_mat(r, 2), helpers.rand_mat(r, 2))
+        got = gauge_adjoint_check(g, SYM, d, dbar, maxlevel)
+        assert got is helpers.adjoint_by_pairs(g, SYM, d, dbar, maxlevel) is (transpose == "kept"), (d, dbar)
+
+
+# the front move's run weights a^i b^(n-1-i) + ... add up at a = b, cancel in
+# pairs at a = -b and vanish past the first position at a = 0
+RUN_POINTS = [(3, 3), (-2, 2), (0, 3), (Q, T)]
+RUN_IDS = ["a=b", "a=-b", "a=0", "symbolic"]
+
+
+@pytest.mark.parametrize("a, b", RUN_POINTS, ids=RUN_IDS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_sym_column_matches_the_permutation_sum_on_every_word(d, a, b):
+    # P_n preserves content, so a column's entries lie on the rearrangements of its word
+    memo = {}
+    for n in range(6):
+        for x in itertools.product(range(d), repeat=n):
+            entries = {u: helpers.sym_inner_brute(u, x, a, b) for u in set(itertools.permutations(x))}
+            assert fock._sym_column(x, a, b, memo) == {u: c for u, c in entries.items() if c != 0}, x
+
+
+@pytest.mark.parametrize("a, b", RUN_POINTS, ids=RUN_IDS)
+@pytest.mark.parametrize("d", [2, 3])
+def test_front_move_by_runs_matches_the_expansion_by_positions(d, a, b):
+    # annihilation and gauge images, collected, against one term per position
+    vec = [Fraction(2 * l - 3, l + 2) for l in range(d)]
+    mat = [[Fraction(r - 2 * l, 3) for l in range(d)] for r in range(d)]
+    annihilate, gauge = fock._row_annihilate(vec, a, b), fock._row_gauge(mat, a, b)
+    for n in range(1, 6):
+        weights = [a**i * b ** (n - 1 - i) for i in range(n)]
+        for x in itertools.product(range(d), repeat=n):
+            rests = [(x[i], weights[i], x[:i] + x[i + 1 :]) for i in range(n)]
+            by_position = [(rest, w * vec[l]) for l, w, rest in rests]
+            assert fock._collect(annihilate(x)) == fock._collect(by_position), x
+            by_position = [((r,) + rest, w * mat[r][l]) for l, w, rest in rests for r in range(d)]
+            assert fock._collect(gauge(x)) == fock._collect(by_position), x
+
+
+def test_add_term_refuses_words_of_different_lengths():
+    # the constructor's check: such a key used to be kept, and deformed_inner
+    # then paired it as if it were a level-1 vector
+    f = FockVector()
+    with pytest.raises(ValueError, match="top and bar words must have equal length"):
+        f.add_term(((0,), ()), 1)
+    assert f == FockVector()
+    with pytest.raises(ValueError, match="top and bar words must have equal length"):
+        FockVector({((0,), ()): 1})
+    f.add_term(((0,), (1,)), Fraction(1, 2))
+    assert f.terms == {((0,), (1,)): Fraction(1, 2)}
+
+
 def test_creation_norm_pinned_points():
     cases = {
         (Fraction(-1, 3), Fraction(1, 2)): ("nonpositive_twist", 1),

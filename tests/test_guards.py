@@ -41,7 +41,7 @@ WORK = [
     (levy, "arc_sums"),
     (wick, "arc_sums"), (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
     (fock, "_creation_part"), (fock, "_vacuum_moment"), (fock, "_sym_column"),
-    (fock, "_commutation_entries"), (fock, "_adjoint_pairs"),
+    (fock, "_commutation_entries"), (fock, "_adjoint_entries"),
     (orthopoly, "moments_from_jacobi"), (orthopoly, "polys_from_jacobi"), (orthopoly, "cauchy_transform"),
     (cli, "_diagonal_classes"),
 ]

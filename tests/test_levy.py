@@ -6,7 +6,7 @@ import pytest
 import helpers
 from diagfock._guards import MAX_DIAGONAL_N, ResourceLimitError
 from diagfock.scalars import DeformationParams, Poly
-from diagfock import levy
+from diagfock import fock, levy
 from diagfock.partitions import SetPartition, diagonal_partitions
 from diagfock.levy import (
     GeneratorPair,
@@ -244,6 +244,22 @@ def test_stochastic_measure_matches_the_sum_over_assignments():
                     assert got == expect and type(got) is Fraction, (word, pi, n_int)
                     checked += len(pi.blocks) > n_int
     assert checked > 0  # more blocks than intervals: no assignment, measure 0
+
+
+def test_levy_oracle_builds_one_row_operator_per_distinct_spec(monkeypatch):
+    # the tokens of a repeated letter share their parts, and each spec's
+    # operator is built once per call, however many steps hold it
+    built = []
+    row_op = fock._row_op
+    monkeypatch.setattr(fock, "_row_op", lambda spec, *args: built.append(spec) or row_op(spec, *args))
+    spec = rand_spec(helpers.rng(74), k=2, d=2)
+    lengths = [Fraction(1, 3), Fraction(1, 2)]
+    tokens = [(0, 1), (1, 1), (0, 1), (0, 1), (1, 1), (0, 1)]
+    for params in (GEN, DeformationParams.symbolic()):
+        built.clear()
+        assert fock_levy_oracle(spec, tokens, lengths, params) == levy_moment(spec, (0, 1, 0, 0, 1, 0), params, lengths[1])
+        parts = 3 + (spec.lam[0] != 0) + 3 + (spec.lam[1] != 0)  # creation, annihilation, gauge, scalar
+        assert len(built) == 2 * parts  # a top and a bar operator per part of the two distinct tokens
 
 
 def test_stochastic_measure_needs_an_interval():
