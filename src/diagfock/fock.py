@@ -46,10 +46,10 @@ is known before the route runs, so the result is divided once
 (``scalars._over``).  At (E a, E b) the front move R_n is E^(n-1) times
 its value and the level-n symmetrizer P_n is E^C(n,2) times its own, so:
 
-  * the symmetrizer entries (:func:`sym_inner_words`,
-    :func:`symmetrizer_matrix`) are divided by E^C(n,2), and
-    :func:`deformed_inner` divides each level's sum by E_top^C(n,2)
-    E_bar^C(n,2) and by the scales of f's and h's coefficients there;
+  * the symmetrizer entries (:func:`symmetrizer_matrix`) are divided by
+    E^C(n,2), and :func:`deformed_inner` divides each level's sum by
+    E_top^C(n,2) E_bar^C(n,2) and by the scales of f's and h's
+    coefficients there;
   * the gauge-adjoint check compares two pairings of the same scale per
     row, and the commutation check tests the relation on level n times
     D_top^2 D_bar^2 (E_top E_bar)^n, so both compare ints as they are;
@@ -526,15 +526,6 @@ def _sym_column(x: Word, a, b, memo: ColumnMemo) -> Dict[Word, object]:
     return col
 
 
-def sym_inner_words(u: Word, x: Word, a, b):
-    """<e_u, P^(n)_{a,b} e_x> where P = sum_sigma a^inv(sigma) b^(binom-inv) U(sigma):
-    the entry of the column at (E a, E b), divided by E^C(n,2)."""
-    if len(u) != len(x):
-        return _ZERO
-    a, b, e = _cleared_point(a, b)
-    return _over(_sym_column(tuple(x), a, b, {}).get(tuple(u), 0), e ** math.comb(len(x), 2))
-
-
 def _levels(f: FockVector) -> Dict[int, List[Tuple[WordPair, object]]]:
     """The terms of f by level."""
     out: Dict[int, List[Tuple[WordPair, object]]] = {}
@@ -554,17 +545,22 @@ def deformed_inner(f: FockVector, h: FockVector, params: DeformationParams):
     stages: first, for each top word of h, the bar pairings of its terms
     against each bar word; then, for each term of f, the top pairings
     against those (P is symmetric, so the column of f's top word gives
-    them)."""
+    them).
+
+    A column of n distinct letters has n! entries, so each row of each
+    level that pairs off is guarded first like the symmetrizer over its d
+    letters, d = 1 + the largest letter on that row at that level."""
+    levels_h = _levels(h)
+    levels = [(n, fterms, levels_h[n]) for n, fterms in _levels(f).items() if n in levels_h]
+    for n, fterms, hterms in levels:
+        for row in (0, 1):
+            _check_words(n, 1 + max((x for key, _ in fterms + hterms for x in key[row]), default=-1))
     q, t, top_e = _cleared_point(params.q, params.t)
     v, w, bar_e = _cleared_point(params.v, params.w)
     top_memo: ColumnMemo = {}
     bar_memo: ColumnMemo = {}
     total = _ZERO
-    levels_h = _levels(h)
-    for n, fterms in _levels(f).items():
-        hterms = levels_h.get(n)
-        if not hterms:
-            continue
+    for n, fterms, hterms in levels:
         f_scale, h_scale = _denominator(c for _, c in fterms), _denominator(c for _, c in hterms)
         bars: Dict[Word, Dict[Word, object]] = {}  # h's top word -> {bar word: sum of hc <e_bar, P e_hb>}
         for (ht, hb), hc in hterms:

@@ -43,7 +43,6 @@ from .partitions import (
     diagonal_partitions,
     unit_bar_sum,
     _read,
-    _unit_bar_weights,
 )
 from .scalars import DeformationParams, _cleared, _cleared_array, _denominator, _over
 
@@ -151,7 +150,7 @@ def _spec_sums(spec: LevySpec, letters: Sequence[Sequence[int]], params: Deforma
     gram_t = None if spec.gram is None else _linalg.transpose(spec.gram)
     starts = [tuple(s * x for x in (xi if gram_t is None else _linalg.mat_vec(gram_t, xi))) for xi in spec.xi]
     chain, scale = _vector_chain(starts, spec.T, [s * lam for lam in spec.lam], ends=spec.xi)
-    return _read(*arc_sums(letters, _unit_bar_weights(*params), *chain, graded=graded, scale=scale))
+    return _read(*arc_sums(letters, params, *chain, graded=graded, scale=scale))
 
 
 def levy_moment(spec: LevySpec, word: Word, params: DeformationParams, s: Fraction = Fraction(1)):
@@ -299,7 +298,7 @@ def _functional_sums(psi: Functional, k: int, params: DeformationParams, maxlen:
     _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
     scale = _denominator(psi.values())
     value = lambda sub: _cleared(psi[sub], scale ** len(sub))
-    return arc_sums([range(k)] * maxlen, _unit_bar_weights(*params), lambda u: value((u,)), lambda u: (u,),
+    return arc_sums([range(k)] * maxlen, params, lambda u: value((u,)), lambda u: (u,),
                     lambda sub, u: value(sub + (u,)), lambda sub, u: sub + (u,), scale=scale)
 
 

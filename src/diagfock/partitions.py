@@ -52,19 +52,22 @@ One kernel computes them all: :func:`arc_sums`, the open-arc state DP over
 the trie of a set of words, one letter per point.  Walks that reach the same
 tuple of open chains are merged, words that share a prefix share its steps,
 and one pass gives the sum of every word at the cost of its states, not
-Bell(n).  Its step weights are an argument.  When bar_value is 1, B(R) is
-the product of [k]_{v,w} over the steps of R that end one of k open arcs
-(:func:`unit_bar_sum`), so the step weight is the top row's times that
-factor; so run the functionals (the one-variable transforms are their
-one-letter case, and the inverse is one such pass per word length) and the
-Levy word moments, and so do the Wick sums when one row is one-dimensional:
+Bell(n).  It takes a point (a, b, c, d) and builds its step weights from
+it: ending the j-th of k open arcs weighs a^(k-1-j) b^j [k]_{c,d}.  When
+bar_value is 1, B(R) is the product of [k]_{v,w} over the steps of R that
+end one of k open arcs (:func:`unit_bar_sum`), so the step weight is the
+top row's times that factor, at the point (q, t, v, w); so run the
+functionals (the one-variable transforms are their one-letter case, and
+the inverse is one such pass per word length) and the Levy word moments,
+and so do the Wick sums when one row is one-dimensional:
 its block values are then products of per-point scalars, so B(R) is
 :func:`unit_bar_sum` of R times each point's scalar in its role, and the
 row folds into the other, one pass over the word of the points.  When both
 rows carry block values (the Wick sums with d >= 2 on both rows, the word
 expansion), :func:`role_sums` gives T(R) or B(R) for every R by one pass
-per row over the trie of the role words; :func:`count_diagonal_partitions` is
-that pass at weight 1.
+per row over the trie of the role words, at (q, t, 1, 0) or (v, w, 1, 0)
+since [k]_{1,0} = 1; :func:`count_diagonal_partitions` is that pass at
+weight 1.
 
 Every pass runs on ints at a rational point, and on Polys of denominator 1
 at the symbolic point, by one rule.  A walk of m points multiplies one
@@ -72,9 +75,11 @@ factor per point (a step weight at each Closer and Middle, a block value at
 each Closer and Singleton, and Openers match Closers).  So a caller clears
 its data by one integer scale D per point, a block of j points times D^j
 (``scalars._denominator``, ``scalars._cleared``, which read a Poly's
-denominator as a Fraction's); :func:`arc_sums` clears its step weights by
-the lcm S_w of their denominators and puts one more S_w on each singleton
-and closer value; and the sum of every word of m points comes cleared,
+denominator as a Fraction's); :func:`arc_sums` builds its step weights at
+the cleared point (E a, E b, F c, F d), E and F the lcms of the
+denominators of each pair, lifts them to one step S_w = (E F)^(K-1), K the
+most arcs open at once, and puts one more S_w on each singleton and closer
+value; and the sum of every word of m points comes cleared,
 (S_w D)^m times its value, divided once at the end (:func:`_read`, by
 ``scalars._over``).  Every value read is a Fraction at a rational point
 and a Poly at the symbolic point, whatever mix of ints, Fractions and
@@ -96,7 +101,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _guards
-from .scalars import _cleared, _denominator, _over, _qt_row, qt_number
+from .scalars import _cleared_point, _over, _qt_ladder, qt_number
 
 Block = Tuple[int, ...]
 Roles = Tuple[str, ...]
@@ -405,26 +410,6 @@ def unit_bar_sum(roles: Roles, v, w):
     return bar
 
 
-@lru_cache(maxsize=256, typed=True)  # 1 == Fraction(1): an entry keeps its point's type
-def _row_weights(a, b, k: int, c=None, d=None) -> Tuple:
-    """The summands of [k]_{a,b} read reversed, a^(k-1-j) b^j for
-    j = 0..k-1, and None where 0: the weight of ending the j-th of k open
-    arcs on one row, its crossings counted by a and its nestings by b.
-    Given (c, d), each is times the bar row's factor [k]_{c,d} of
-    :func:`unit_bar_sum`, built only when the cache misses."""
-    row = reversed(_qt_row(k, a, b))
-    if c is not None:
-        bar = qt_number(k, c, d)
-        row = (x * bar for x in row)
-    return tuple(None if x == 0 else x for x in row)
-
-
-def _unit_bar_weights(a, b, c, d) -> Callable[[int], Tuple]:
-    """The step weights of the sums with bar value 1: the row's at (a, b)
-    times the bar row's factor [k]_{c,d} of :func:`unit_bar_sum`."""
-    return lambda k: _row_weights(a, b, k, c, d)
-
-
 def _read(sums: Dict[tuple, object], scale: int) -> Dict[tuple, object]:
     """The values of :func:`arc_sums`: the sum of a word of m points over
     scale^m, and a dict by block count entrywise."""
@@ -437,7 +422,7 @@ def _read(sums: Dict[tuple, object], scale: int) -> Dict[tuple, object]:
 
 def arc_sums(
     letters: Sequence[Sequence],
-    weights: Callable[[int], Tuple],
+    point: Sequence,
     single: Callable[[object], object],
     open_: Callable[[object], object],
     close: Callable[[object, object], object],
@@ -456,9 +441,11 @@ def arc_sums(
     of open *chains*, in arc-opening order; a chain is whatever the caller
     needs to value a block once it closes.  Point p with letter a is a
     Singleton (times ``single(a)``), Opens a chain ``open_(a)``, or ends the
-    j-th (from 0) of the k open arcs with weight ``weights(k)[j]`` (None for
-    0).  A Closer then multiplies by ``close(chain, a)``; a Middle
-    re-appends ``extend(chain, a)``.  A letter may take fewer roles:
+    j-th (from 0) of the k open arcs with weight a^(k-1-j) b^j [k]_{c,d} at
+    the ``point`` (a, b, c, d): the row's weight, crossings counted by a and
+    nestings by b, times the bar row's factor of :func:`unit_bar_sum` (1 at
+    (c, d) = (1, 0)).  A Closer then multiplies by ``close(chain, a)``; a
+    Middle re-appends ``extend(chain, a)``.  A letter may take fewer roles:
     ``open_`` and ``extend`` return None and ``single`` and ``close`` 0 for
     a role it cannot take, and ``ends(a)`` is false if it can end no arc.
     Zero values and weights are dropped, and so are states with more open
@@ -470,19 +457,29 @@ def arc_sums(
     sum}.  The empty word comes first, its sum the weights' ring's one (with
     ``graded``, {0: one}), and a word with no state sums to that ring's 0.
     The caller's values may come cleared of denominators by an int
-    ``scale`` D, a block of j points times D^j (:func:`_denominator` of the
-    data).  The pass clears its weights in turn: with S_w the lcm of their
-    denominators it runs on the rows times S_w and multiplies each
-    singleton and closer value by S_w, so that, one factor coming per point,
-    every sum of m points is (S_w D)^m times its value, and the scale
-    returned is S_w D.  Each chain is valued once per letter.  Callers cap
-    n; the state count, not Bell(n), sets the cost.
+    ``scale`` D, a block of j points times D^j (``scalars._denominator`` of
+    the data).  The pass clears its weights in turn, at the point cleared
+    by ``scalars._cleared_point``, to S_w = (E F)^(K-1) times their values
+    (module docstring), K = max(n // 2, 1) the most arcs open at once, and
+    multiplies each singleton and closer value by S_w, so that, one factor
+    coming per point, every sum of m points is (S_w D)^m times its value,
+    and the scale returned is S_w D.  Each chain is valued once per letter.
+    Callers cap n; the state count, not Bell(n), sets the cost.
     """
     n = len(letters)
-    # at most n // 2 arcs are open at once; rows[k - 1][j] weighs ending arc j of k
-    rows = [weights(k) for k in range(1, max(n // 2, 1) + 1)]
-    step = _denominator(x for row in rows for x in row)
-    rows = [tuple(None if x is None else _cleared(x, step) for x in row) for row in rows]
+    # rows[k - 1][j] weighs ending arc j of k: (E F)^(k-1) times its value at
+    # the cleared point, lifted by (E F)^(K-k) to S_w times it; row k + 1 is
+    # a times row k followed by b^k
+    (a, b, e), (c, d, f) = _cleared_point(*point[:2]), _cleared_point(*point[2:])
+    top_k, lift = max(n // 2, 1), e * f
+    rows, top, b_pow = [], (), a**0 * b**0
+    for k, bar in enumerate(_qt_ladder(c, d, top_k), 1):
+        top = tuple(a * x for x in top) + (b_pow,)
+        b_pow = b_pow * b
+        factor = bar * lift ** (top_k - k)
+        # a weight is also 0 where [k]_{c,d} is: a kept 0 would keep dead states alive
+        rows.append(tuple(None if x == 0 else x for x in (y * factor for y in top)))
+    step = lift ** (top_k - 1)
     one = rows[0][0] ** 0  # every walk starts at 1 in the ring of the weights
     zero = one * 0  # the sum of a word with no state
     rows = [tuple(one if x == one else x for x in row) for row in rows]  # a weight of 1 is `one`
@@ -568,16 +565,17 @@ def role_sums(roles_at: Sequence[str], a, b, single, open_, close, extend, scale
     """({R: T(R)}, scale) for every R with R_p in roles_at[p - 1] and T(R)
     nonzero, T(R) / scale^n the sum of a^rc b^rn * prod of block values over
     the rows of [n] with role vector R, by one :func:`arc_sums` pass over the
-    trie of the role words, whose ``scale`` it takes and returns.  The letter
-    of point p in role r is (r, p - 1), and the callbacks value point i in
-    that role: ``single(i)``, ``open_(i)``, ``close(chain, i)``,
-    ``extend(chain, i)``.  At n = 0 the one row of [0] is the empty R."""
+    trie of the role words at the point (a, b, 1, 0), since [k]_{1,0} = 1,
+    whose ``scale`` it takes and returns.  The letter of point p in role r
+    is (r, p - 1), and the callbacks value point i in that role:
+    ``single(i)``, ``open_(i)``, ``close(chain, i)``, ``extend(chain, i)``.
+    At n = 0 the one row of [0] is the empty R."""
     n = len(roles_at)
     # the first point opens or stands alone, the last closes or stands alone
     first, last = (ROLE_OPENER, ROLE_SINGLETON), (ROLE_CLOSER, ROLE_SINGLETON)
     sums, scale = arc_sums(
         [[(r, i) for r in roles if (i or r in first) and (i < n - 1 or r in last)] for i, roles in enumerate(roles_at)],
-        lambda k: _row_weights(a, b, k),
+        (a, b, 1, 0),
         lambda x: single(x[1]) if x[0] == ROLE_SINGLETON else 0,
         lambda x: open_(x[1]) if x[0] == ROLE_OPENER else None,
         lambda chain, x: close(chain, x[1]) if x[0] == ROLE_CLOSER else 0,

@@ -44,7 +44,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import _guards
 from .levy import _vector_chain, cumulants_to_moments, moments_to_cumulants  # the transforms are re-exported
-from .partitions import _unit_bar_weights, arc_sums, role_sums
+from .partitions import arc_sums, role_sums
 from .scalars import DeformationParams, _cleared, _cleared_array, _denominator, _over
 from .fock import (
     ANNIHILATE,
@@ -245,7 +245,7 @@ def _wick_sum(roles_at: Sequence[str], params: DeformationParams, top, bar):
                 [g and tuple(tuple(x * h[0][0] for x in row) for row in g) for g, h in zip(gauges, one_gauges)],
                 [x * y for x, y in zip(singles, one_singles)],
             )
-            sums, scale = arc_sums([(i,) for i in range(n)], _unit_bar_weights(*point), *callbacks, scale=scale)
+            sums, scale = arc_sums([(i,) for i in range(n)], point, *callbacks, scale=scale)
             return _over(sums.get(tuple(range(n)), 0) + q * 0, scale ** n)
     (top_sums, top_scale), (bar_sums, bar_scale) = (
         _chain_role_sums(roles_at, q, t, *top),

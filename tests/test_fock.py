@@ -25,7 +25,6 @@ from diagfock.fock import (
     gauge_adjoint_check,
     gauge_apply,
     positivity_check,
-    sym_inner_words,
     symmetrizer_matrix,
     vacuum_expectation,
 )
@@ -340,26 +339,6 @@ def test_symmetrizer_matrix_level_two():
 SYM_POINTS = [(Fraction(-1), Fraction(1)), (Fraction(-1, 2), Fraction(2, 3)), (Fraction(1, 3), Fraction(1, 2))]
 
 
-def test_sym_inner_words_matches_permutation_sum():
-    r = helpers.rng(13)
-    zeros = 0
-    for n in range(7):
-        for d in (1, 2, 3):
-            for _ in range(3):
-                u = tuple(r.randrange(d) for _ in range(n))
-                x = tuple(r.sample(u, n))  # a rearrangement, so the entry is not trivially 0
-                y = tuple(r.randrange(d) for _ in range(n))
-                for a, b in SYM_POINTS:
-                    for target in (x, y):
-                        expect = helpers.sym_inner_brute(u, target, a, b)
-                        assert sym_inner_words(u, target, a, b) == expect
-                        zeros += expect == 0 and target == x and n >= 2
-                if n <= 5 or d == 1:
-                    assert sym_inner_words(u, x, SYM.q, SYM.t) == helpers.sym_inner_brute(u, x, SYM.q, SYM.t)
-    assert zeros > 0
-    assert sym_inner_words((0, 1), (0,), Fraction(1, 2), Fraction(1)) == 0
-
-
 def test_symmetrizer_matrix_matches_permutation_sum():
     for n, d in [(0, 2), (1, 3), (2, 3), (3, 3), (4, 2), (5, 2)]:
         words = list(itertools.product(range(d), repeat=n))
@@ -370,6 +349,31 @@ def test_symmetrizer_matrix_matches_permutation_sum():
             for i, u in enumerate(words):
                 for j, x in enumerate(words):
                     assert mat[i][j] == helpers.sym_inner_brute(u, x, a, b)
+    # sampled entries to level 6: a word u against a rearrangement x of it
+    # (0 at a = -b on a repeated letter) and against a random word y, and at
+    # the symbolic point against x to level 5, and at level 6 over one
+    # letter; the 729 x 729 matrix of level 6 over three letters at one point
+    r = helpers.rng(13)
+    zeros = 0
+    for n in range(7):
+        for d in (1, 2, 3):
+            index = {word: i for i, word in enumerate(itertools.product(range(d), repeat=n))}
+            samples = []
+            for _ in range(3):
+                u = tuple(r.randrange(d) for _ in range(n))
+                samples.append((u, tuple(r.sample(u, n)), tuple(r.randrange(d) for _ in range(n))))
+            if (n, d) == (6, 3):
+                points = SYM_POINTS[1:2]
+            else:
+                points = SYM_POINTS + [(SYM.q, SYM.t)] * (n <= 5 or d == 1)
+            for a, b in points:
+                mat = symmetrizer_matrix(n, a, b, d)
+                for u, x, y in samples:
+                    for target in (x,) if a is SYM.q else (x, y):
+                        expect = helpers.sym_inner_brute(u, target, a, b)
+                        assert mat[index[u]][index[target]] == expect
+                        zeros += expect == 0 and target == x and n >= 2
+    assert zeros > 0
 
 
 def test_positivity_verdicts():

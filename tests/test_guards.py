@@ -31,6 +31,7 @@ UNIT = DeformationParams.from_rationals(HALF, 1, Fraction(1, 3), 1)  # t = w = 1
 WIDE = (ONE,) * (MAX_SYMMETRIZER_WORDS + 1)
 WIDE_TOP, WIDE_BAR = VectorPair(WIDE, (ONE,)), VectorPair((ONE,), WIDE)
 WIDE_GAUGE = GaugePair((WIDE,) * len(WIDE), (WIDE,) * len(WIDE))
+DISTINCT_12 = fock.FockVector({(tuple(range(12)), tuple(range(12))): ONE})  # a level-12 term of 12 distinct letters
 
 # the kernels behind the entries, in every namespace that calls them (levy reads
 # fock._creation_part, the first part its oracle builds, and fock._vacuum_moment
@@ -103,6 +104,19 @@ ENTRIES = [
         MAX_SYMMETRIZER_WORDS,
         0,
     ),
+    # one term at level 1 whose letter on one row is d - 1
+    (
+        "deformed_inner top",
+        lambda d: fock.deformed_inner(*[fock.FockVector({((d - 1,), (0,)): ONE})] * 2, P),
+        MAX_SYMMETRIZER_WORDS,
+        None,
+    ),
+    (
+        "deformed_inner bar",
+        lambda d: fock.deformed_inner(*[fock.FockVector({((0,), (d - 1,)): ONE})] * 2, P),
+        MAX_SYMMETRIZER_WORDS,
+        None,
+    ),
     ("gauge_adjoint_check top", lambda d: fock.gauge_adjoint_check(WIDE_GAUGE, P, d, 1, 1), MAX_SYMMETRIZER_WORDS, 0),
     ("gauge_adjoint_check bar", lambda d: fock.gauge_adjoint_check(WIDE_GAUGE, P, 1, d, 1), MAX_SYMMETRIZER_WORDS, 0),
     ("cli euler", lambda n: _cli("euler", "--nmax", str(n)), MAX_FAMILY_NMAX // 2, 1),
@@ -148,12 +162,14 @@ def test_every_entry_refuses_one_past_its_cap_before_any_work(no_work, call, cap
         (lambda: fock.positivity_check(9100, HALF, Fraction(2, 3), 3), "n = 9100, d = 3 is at least 2^9100"),
         (lambda: fock.symmetrizer_matrix(10**6, HALF, Fraction(2, 3), 3), "n = 1000000, d = 3 is at least 2^1000000"),
         (lambda: fock.positivity_check(10**7, HALF, Fraction(2, 3), 2), "n = 10000000, d = 2 is at least 2^10000000"),
+        (lambda: fock.deformed_inner(*[DISTINCT_12] * 2, P), "n = 12, d = 12 is at least 2^36"),
     ],
-    ids=["positivity-n-9100", "symmetrizer-n-10**6", "positivity-n-10**7"],
+    ids=["positivity-n-9100", "symmetrizer-n-10**6", "positivity-n-10**7", "deformed-inner-level-12"],
 )
 def test_the_symmetrizer_refuses_a_huge_level_without_forming_its_words(no_work, call, message):
     # d^n used to be formed first: past 4300 digits its refusal failed to print
-    # it, with a plain ValueError, and n = 10**7 took seconds to refuse
+    # it, with a plain ValueError, and n = 10**7 took seconds to refuse; a
+    # level-12 term of deformed_inner, a column of 12! entries, ran for minutes
     with pytest.raises(ResourceLimitError, match=f"{re.escape(message)}, but is guarded at <= {MAX_SYMMETRIZER_WORDS}$"):
         call()
 

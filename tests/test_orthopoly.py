@@ -11,7 +11,7 @@ import pytest
 import diagfock
 import helpers
 from diagfock import partitions
-from diagfock.scalars import DeformationParams, Q, T, W, _qt_ladder, _qt_row, qt_number
+from diagfock.scalars import DeformationParams, Q, T, V, W, _qt_ladder, _qt_row, qt_number
 from diagfock.fock import GaugePair, VectorPair
 from diagfock.wick import QuadrabasicOp, full_fock_oracle, full_wick, gaussian_wick
 from diagfock.orthopoly import (
@@ -222,18 +222,19 @@ def test_qt_numbers_match_definition(a, b):
     for n in range(10):
         row = _qt_row(n, a, b)
         assert len(row) == n and sum(row, Fraction(0)) == want[n]
-        # read reversed, the row is the step weight of ending the j-th of n open arcs
-        assert partitions._row_weights(a, b, n) == tuple(None if x == 0 else x for x in reversed(row))
-
-
-def test_row_weights_keep_the_type_of_their_point():
-    # 3 == Fraction(3) with equal hashes, so a cache keyed by value alone hands
-    # the entries of whichever point came first to the other
-    points = [(Fraction(3), Fraction(1)), (3, 1)]
-    for order in (points, points[::-1]):
-        partitions._row_weights.cache_clear()
-        for a, b in order:
-            assert typed(partitions._row_weights(a, b, 3)) == typed(reversed(_qt_row(3, a, b)))
+        if not n:
+            continue
+        # read reversed, the row is the step weight of ending the j-th of n
+        # open arcs: in the kernel, n openers, a closer valuing arc j by v^j
+        # and n - 1 more closers sum to sum_j row[n - 1 - j] v^j [1] ... [n - 1]
+        letters = [(("O", j),) for j in range(n)] + [("V",)] + [("C",)] * (n - 1)
+        sums, scale = partitions.arc_sums(
+            letters, (a, b, 1, 0), lambda x: 0, lambda x: x[1] if x[0] == "O" else None,
+            lambda j, x: V**j if x == "V" else int(x == "C"), lambda j, x: None,
+        )
+        expect = sum((x * V**j for j, x in enumerate(reversed(row))), Fraction(0))
+        # a word with no state (at a = b = 0, n >= 3) is left out: its sum is 0
+        assert partitions._read(sums, scale).get(tuple(x for x, in letters), 0) == expect * math.prod(want[1:n])
 
 
 COLD_IMPORT = """

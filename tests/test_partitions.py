@@ -23,12 +23,12 @@ from diagfock.partitions import (
     role_sums,
     unit_bar_sum,
     _diagonal_classes,
-    _unit_bar_weights,
+    _read,
     _walk,
 )
 from diagfock.levy import cumulant_functional, moment_functional
-from diagfock.orthopoly import jacobi_hermite, jacobi_sech, moments_from_jacobi
-from diagfock.scalars import DeformationParams
+from diagfock.orthopoly import jacobi_hermite, jacobi_poisson, jacobi_sech, moments_from_jacobi
+from diagfock.scalars import DeformationParams, Poly
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 NO_SINGLETON = [1, 0, 1, 1, 4, 11, 41, 162, 715]
@@ -381,7 +381,7 @@ def block_arc_sums(n, params, value, graded=False):
     return list(
         helpers.kernel_values(arc_sums(
             [(p,) for p in range(1, n + 1)],
-            _unit_bar_weights(*params),
+            params,
             lambda p: value((p,)),
             lambda p: (p,),
             lambda block, p: value(block + (p,)),
@@ -437,38 +437,59 @@ def test_arc_sums_match_enumeration_and_row_table(symbolic):
                 assert expect == sum(literal.values(), Fraction(0))
 
 
-def pair_arc_sums(n, params):
-    """The DP with pair blocks only (r_2 = 1, every other r = 0): chain 1 is
-    an open pair, which closes to 1; chain 2 a block grown past a pair,
-    which closes to 0: m_1, ..., m_n."""
-    weights = _unit_bar_weights(*params)
-    sums = arc_sums([(0,)] * n, weights, lambda a: 0, lambda a: 1, lambda chain, a: int(chain == 1), lambda chain, a: 2)
-    return list(helpers.kernel_values(sums).values())[1:]
+def pair_arc_sums(n, params, grown=0):
+    """The DP with no singletons: chain 1 is an open pair, which closes to 1
+    (r_2 = 1); chain 2 a block grown past a pair, which closes to ``grown``
+    (r_k for k >= 3): m_1, ..., m_n, each a Fraction at a rational point and
+    a Poly at the symbolic point, after checking that the pass ran on
+    cleared sums (ints, or Polys of denominator 1)."""
+    sums, scale = arc_sums([(0,)] * n, params, lambda a: 0, lambda a: 1, lambda chain, a: 1 if chain == 1 else grown,
+                           lambda chain, a: 2)
+    assert all(type(x) is int or type(x) is Poly and x.denominator == 1 for x in sums.values())
+    return list(_read(sums, scale).values())[1:]
 
 
-def test_unit_bar_weights_build_no_ladder_on_a_cache_hit(monkeypatch):
-    from diagfock import partitions, scalars
+# a Fraction point with denominators on both rows; q = 0, a zero summand of
+# each [k]_{q,t}; v = -w, a zero bar factor [2]_{v,w}; an int point and the
+# equal Fraction point in both orders (a step weight once kept the type of
+# whichever came first); and the symbolic point, to fewer moments
+MOMENT_POINTS = [
+    (DeformationParams.from_rationals(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4)), 20),
+    (DeformationParams.from_rationals(0, Fraction(3, 5), Fraction(1, 3), Fraction(2, 5)), 20),
+    (DeformationParams.from_rationals(Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(2, 3)), 20),
+    (DeformationParams(2, 1, -1, 1), 20),
+    (DeformationParams.from_rationals(2, 1, -1, 1), 20),
+    (DeformationParams(2, 1, -1, 1), 20),
+    (DeformationParams.symbolic(), 10),
+]
 
-    points = (DeformationParams.from_rationals(Fraction(1, 3), Fraction(2, 3), Fraction(1, 5), 4), DeformationParams.symbolic())
-    for params in points:
-        weights = _unit_bar_weights(*params)
-        ladders = []
-        monkeypatch.setattr(partitions, "qt_number", lambda *args: ladders.append(args) or scalars.qt_number(*args))
-        partitions._row_weights.cache_clear()
-        first = [weights(k) for k in range(1, 6)]
-        assert len(ladders) == 5
-        # each row the plain row times [k]_{v,w}, keeping its type
-        for k, row in enumerate(first, 1):
-            bar = scalars.qt_number(k, params.v, params.w)
-            plain = partitions._row_weights(params.q, params.t, k)
-            assert [(type(x), x) for x in row] == [(type(x), None if x is None else x * bar) for x in plain]
-        assert [weights(k) for k in range(1, 6)] == first and len(ladders) == 5
-        monkeypatch.undo()
+
+def typed(xs):
+    return [(type(x), x) for x in xs]
 
 
 def test_arc_sums_of_pairs_are_the_hermite_moments_to_twenty():
-    params = DeformationParams.from_rationals(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4))
-    assert pair_arc_sums(20, params) == moments_from_jacobi(jacobi_hermite(params, 11), 20)
+    for params, n in MOMENT_POINTS:
+        assert typed(pair_arc_sums(n, params)) == typed(moments_from_jacobi(jacobi_hermite(params, n // 2 + 1), n))
+
+
+def test_arc_sums_of_blocks_are_the_centred_poisson_moments_to_twenty():
+    # every block of two or more points valued 1 (r_1 = 0, r_k = 1 for k >= 2)
+    for params, n in MOMENT_POINTS:
+        assert typed(pair_arc_sums(n, params, 1)) == typed(moments_from_jacobi(jacobi_poisson(params, n // 2 + 1), n))
+
+
+def test_arc_sums_drop_a_weight_that_the_bar_factor_zeroes():
+    # at v = -w, [2]_{v,w} = 0: no arc of two open ones ends, so a word whose
+    # third point must end one has no state and is left out, and so are its
+    # extensions; a zero weight kept would keep the dead state alive
+    letters = [("open",), ("open",), ("close",), ("close",)]
+    callbacks = (lambda a: 0, lambda a: 1 if a == "open" else None, lambda chain, a: int(a == "close"),
+                 lambda chain, a: None)
+    for params, words in [(DeformationParams.from_rationals(Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(2, 3)), 3),
+                          (DeformationParams.from_rationals(Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)), 5)]:
+        sums, _ = arc_sums(letters, params, *callbacks)
+        assert [len(word) for word in sums] == list(range(words))
 
 
 def test_arc_sums_of_pairs_at_one_are_the_sech_moments_to_twenty():
@@ -529,7 +550,7 @@ def word_arc_sums(letters, params, value):
     """The DP over the words of ``letters``, a chain being the open subword."""
     return helpers.kernel_values(arc_sums(
         letters,
-        _unit_bar_weights(*params),
+        params,
         lambda a: value((a,)),
         lambda a: (a,),
         lambda sub, a: value(sub + (a,)),
@@ -564,7 +585,7 @@ def test_arc_sums_run_on_ints_at_a_rational_point():
     cleared = {w: int(x * scale ** len(w)) for w, x in psi.items()}
     sums, out = arc_sums(
         [range(2)] * 5,
-        _unit_bar_weights(*params),
+        params,
         lambda a: cleared[(a,)],
         lambda a: (a,),
         lambda sub, a: cleared[sub + (a,)],
