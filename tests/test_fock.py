@@ -349,9 +349,13 @@ def test_symmetrizer_matrix_matches_permutation_sum():
             for i, u in enumerate(words):
                 for j, x in enumerate(words):
                     assert mat[i][j] == helpers.sym_inner_brute(u, x, a, b)
-    # sampled entries to level 6: a word u against a rearrangement x of it
-    # (0 at a = -b on a repeated letter) and against a random word y, and at
-    # the symbolic point against x to level 5, and at level 6 over one
+
+
+def test_sym_inner_words_matches_permutation_sum():
+    # the symmetrizer inner product <u, x> of two words, read as the entry of
+    # symmetrizer_matrix, sampled to level 6: a word u against a rearrangement
+    # x of it (0 at a = -b on a repeated letter) and against a random word y,
+    # and at the symbolic point against x to level 5, and at level 6 over one
     # letter; the 729 x 729 matrix of level 6 over three letters at one point
     r = helpers.rng(13)
     zeros = 0

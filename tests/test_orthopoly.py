@@ -222,19 +222,35 @@ def test_qt_numbers_match_definition(a, b):
     for n in range(10):
         row = _qt_row(n, a, b)
         assert len(row) == n and sum(row, Fraction(0)) == want[n]
-        if not n:
-            continue
-        # read reversed, the row is the step weight of ending the j-th of n
-        # open arcs: in the kernel, n openers, a closer valuing arc j by v^j
-        # and n - 1 more closers sum to sum_j row[n - 1 - j] v^j [1] ... [n - 1]
-        letters = [(("O", j),) for j in range(n)] + [("V",)] + [("C",)] * (n - 1)
-        sums, scale = partitions.arc_sums(
-            letters, (a, b, 1, 0), lambda x: 0, lambda x: x[1] if x[0] == "O" else None,
-            lambda j, x: V**j if x == "V" else int(x == "C"), lambda j, x: None,
-        )
-        expect = sum((x * V**j for j, x in enumerate(reversed(row))), Fraction(0))
-        # a word with no state (at a = b = 0, n >= 3) is left out: its sum is 0
-        assert partitions._read(sums, scale).get(tuple(x for x, in letters), 0) == expect * math.prod(want[1:n])
+        if n:
+            # read reversed, the row is the step weight of ending the j-th of n open arcs
+            expect = sum((x * V**j for j, x in enumerate(reversed(row))), Fraction(0))
+            assert row_through_kernel(a, b, n, V) == expect * math.prod(want[1:n])
+
+
+def row_through_kernel(a, b, n, v):
+    """The step weights of ending one of n open arcs at the point (a, b, 1, 0),
+    as the kernel builds them: n openers, a closer valuing arc j by v^j and
+    n - 1 more closers sum to sum_j w_j v^j [1] ... [n - 1]."""
+    letters = [(("O", j),) for j in range(n)] + [("V",)] + [("C",)] * (n - 1)
+    sums, scale = partitions.arc_sums(
+        letters, (a, b, 1, 0), lambda x: 0, lambda x: x[1] if x[0] == "O" else None,
+        lambda j, x: v**j if x == "V" else int(x == "C"), lambda j, x: None,
+    )
+    # a word with no state (at a = b = 0, n >= 3) is left out: its sum is 0
+    return partitions._read(sums, scale).get(tuple(x for x, in letters), 0)
+
+
+def test_row_weights_keep_the_type_of_their_point():
+    # 3 == Fraction(3) with equal hashes, so step weights kept by value alone
+    # would hand the entries of whichever point came first to the other; the
+    # kernel's weights at the int point and the equal Fraction point give the
+    # same Fraction in either order (v = 10 reads each of the three weights)
+    points = [(Fraction(3), Fraction(1)), (3, 1)]
+    for order in (points, points[::-1]):
+        for a, b in order:
+            expect = sum(x * 10**j for j, x in enumerate(reversed(_qt_row(3, a, b)))) * qt_number(2, a, b)
+            assert typed([row_through_kernel(a, b, 3, 10)]) == typed([Fraction(expect)])
 
 
 COLD_IMPORT = """
