@@ -2,32 +2,23 @@
 
 Matrices are tuples of tuples (rows).  Every product is built from the one
 inner-product loop :func:`dot`, which refuses sequences of unequal length, so
-:func:`mat_vec` and :func:`mat_mul` refuse mismatched dimensions alike.
-Both eliminations run fraction-free (Bareiss) on integers: a matrix is
-cleared once by :func:`diagfock.scalars._cleared_array`, and no step pays a
-Fraction's gcd on every entry.  The Gauss-Jordan :func:`_reduce` serves the
-solves (every right-hand side of a system in one pass, as the columns of a
-matrix, each entry divided once at the end) and the ranks.  The LDL^T
-:func:`_ldlt`, in index order, gives the definiteness verdicts of
-:func:`ldlt_classify` (the Levy Hankel check) and, in one elimination, the
-verdict and the basis of the GNS reconstruction.
+:func:`mat_vec` refuses mismatched dimensions alike.  The one elimination is
+the LDL^T :func:`_ldlt`, in index order and fraction-free (Bareiss) on
+integers: a matrix and its right-hand sides are cleared once by
+:func:`diagfock.scalars._cleared_array`, and no step pays a Fraction's gcd on
+every entry.  It gives the definiteness verdicts of :func:`ldlt_classify`
+(the Levy Hankel check) and, for the GNS reconstruction, the verdict and
+basis of one elimination and the solve on that basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import _cleared_array
 
 Matrix = Tuple[Tuple, ...]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if any(len(row) != len(b) for row in a):  # no dot runs when b has no columns
-        raise ValueError(f"mat_mul needs a row length of a equal to the {len(b)} rows of b")
-    cols = transpose(b)
-    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def mat_vec(a: Matrix, x: Sequence) -> Tuple:
@@ -49,20 +40,6 @@ def dot(x: Sequence, y: Sequence):
 def is_symmetric(a: Matrix) -> bool:
     n = len(a)
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
-
-
-def solve_linear(a: Matrix, b: Matrix) -> Matrix:
-    """Solve A X = B exactly for square nonsingular A, each column of B one
-    right-hand side: Gauss-Jordan on the augmented rows [A | B], which must
-    pivot in each column of A and in none of B's.  X comes as rows, like B."""
-    n = len(a)
-    width = len(b[0]) if b else 0
-    if any(len(row) != n for row in a) or len(b) != n or any(len(row) != width for row in b):
-        raise ValueError(f"solve_linear needs an n x n matrix and n rows of right-hand sides, got {n} rows and {len(b)}")
-    rows, pivots, d = _reduce([tuple(row) + tuple(rhs) for row, rhs in zip(a, b)])
-    if pivots != list(range(n)):
-        raise ValueError("singular system")
-    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows)
 
 
 def ldlt_classify(a: Matrix) -> Tuple[str, int]:
@@ -105,43 +82,68 @@ def _components(a: Matrix) -> List[List[int]]:
     return comps
 
 
-def _ldlt(a: Sequence[Sequence]) -> Tuple[str, int, List[int]]:
-    """(verdict, kernel, pivots) of a symmetric rational matrix by LDL^T,
-    each pivot the first nonzero diagonal entry of the Schur complement.
+def _ldlt(a: Sequence[Sequence], b: Optional[Sequence[Sequence]] = None) -> Tuple[str, int, List[int], Matrix]:
+    """(verdict, kernel, pivots, x) of a symmetric rational matrix a by
+    LDL^T, each pivot the first nonzero diagonal entry of the Schur
+    complement; x solves a[p][p] x = b[p] on the pivots p, as Fraction rows,
+    one per pivot, for the right-hand sides b, one row per row of a (x is ()
+    when b is None).
 
-    If the remaining diagonal is all zero but an off-diagonal entry
-    survives, the matrix is indefinite (a symmetric matrix with zero
-    diagonal and a nonzero entry has eigenvalues of both signs), with the
-    kernel of the remaining block.  By Sylvester's law the verdict does not
-    depend on the pivot order.  In a positive semidefinite matrix a zero
-    Schur diagonal entry has a zero row, which stays zero, so the pivots are
-    the greedy maximal independent family of the vectors whose Gram matrix
-    it is; ((0, 1), (1, 0)), outside that contract, is indefinite.
+    If the remaining diagonal is all zero but an entry m_ij survives, the
+    congruence e_i -> e_i + e_j puts 2 m_ij on the diagonal and the
+    elimination goes on; by Sylvester's law neither the verdict nor the
+    kernel depends on the congruence or on the pivot order.  In a positive
+    semidefinite matrix a zero Schur diagonal entry has a zero row, which
+    stays zero, so the pivots are the greedy maximal independent family of
+    the vectors whose Gram matrix it is; the pivots and x of other
+    matrices are unspecified.
 
-    Fraction-free (Bareiss): after k pivots every active entry is an integer
-    bordered minor M, whose Schur complement entry is M / M_k for the k-th
-    pivot minor M_k, and pivot k has the sign of M_k * M_(k-1).
+    Fraction-free (Bareiss): a and b are cleared by one scale, and after k
+    pivots every active entry is an integer bordered minor M (linear in each
+    row, so a congruence keeps it one), whose Schur complement entry is
+    M / M_k for the k-th pivot minor M_k; pivot k has the sign of
+    M_k * M_(k-1).  Each pivot row, kept with its columns, is one equation
+    of a triangular system on the pivots, solved by back substitution on
+    D x, an integer by Cramer's rule for the last pivot minor D.
     """
-    m = [list(row) for row in _cleared_array(a)]
-    active = list(range(len(m)))  # the original index of each active row and column
+    n = len(a)
+    m = [list(row) for row in _cleared_array(a if b is None else [(*r, *s) for r, s in zip(a, b, strict=True)])]
+    active = list(range(n))  # the original index of each active row and column
     pivots: List[int] = []
+    kept = []  # (pivot, the active columns left, the pivot row on them and on b), one per pivot
     prev = 1
     neg = 0
     while m:
-        k = next((i for i in range(len(m)) if m[i][i] != 0), None)
+        size = len(m)
+        k = next((i for i in range(size) if m[i][i] != 0), None)
         if k is None:
-            if any(map(any, m)):
-                return ("indefinite", len(m) - _rank(m), pivots)
-            break
+            pair = next(((i, j) for i in range(size) for j in range(i + 1, size) if m[i][j] != 0), None)
+            if pair is None:
+                break
+            k, j = pair
+            m[k] = [x + y for x, y in zip(m[k], m[j])]
+            for row in m:
+                row[k] += row[j]
         piv = m[k][k]
         neg += (piv > 0) != (prev > 0)
         pivots.append(active.pop(k))
         pivot_row = m.pop(k)
         del pivot_row[k]
+        kept.append((piv, tuple(active), pivot_row))
         col = [row.pop(k) for row in m]
         m = [[(x * piv - f * y) // prev for x, y in zip(row, pivot_row)] for row, f in zip(m, col)]
         prev = piv
-    return _verdict(len(pivots) > neg, neg > 0, len(a) - len(pivots)) + (pivots,)
+    verdict = _verdict(len(pivots) > neg, neg > 0, n - len(pivots)) + (pivots,)
+    if b is None:
+        return verdict + ((),)
+    scaled = {}  # prev times the solution, by original index
+    for index, (piv, cols, row) in zip(reversed(pivots), reversed(kept)):
+        acc = [prev * c for c in row[len(cols):]]
+        for j, u in zip(cols, row):
+            if u and j in scaled:
+                acc = [s - u * t for s, t in zip(acc, scaled[j])]
+        scaled[index] = [s // piv for s in acc]
+    return verdict + (tuple(tuple(Fraction(s, prev) for s in scaled[i]) for i in pivots),)
 
 
 def _verdict(pos: bool, neg: bool, kernel: int) -> Tuple[str, int]:
@@ -167,37 +169,3 @@ def block_diagonal_classify(blocks: Iterable[Tuple[str, int]]) -> Tuple[str, int
         neg = neg or verdict in ("negative_definite", "negative_semidefinite", "indefinite")
         kernel += k
     return _verdict(pos, neg, kernel)
-
-
-def _rank(rows: Sequence[Sequence]) -> int:
-    return len(_reduce(rows)[1])
-
-
-def _reduce(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int], int]:
-    """Fraction-free Gauss-Jordan elimination: (d times the reduced rows, the
-    pivot columns, d).
-
-    The rows are cleared to integers by one scale.  Column by column, the
-    first remaining row with a nonzero entry is the pivot row, and every
-    other row is cleared by it (Bareiss).  After pivot p each row is p times
-    its state over Fraction, its entries integer minors (by Cramer's rule
-    above the pivot), so the division by the previous pivot is exact.
-    """
-    m = [list(row) for row in _cleared_array(rows)]
-    pivots: List[int] = []
-    d = 1
-    for col in range(len(m[0]) if m else 0):
-        row = len(pivots)
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        top = m[row]
-        p = top[col]
-        for r, other in enumerate(m):
-            if r != row:
-                f = other[col]
-                m[r] = [(x * p - f * y) // d for x, y in zip(other, top)]
-        d = p
-        pivots.append(col)
-    return m, pivots, d

@@ -295,6 +295,7 @@ def _functional_sums(psi: Functional, k: int, params: DeformationParams, maxlen:
     block of j points cleared by D^j (D the lcm of psi's denominators).
     The guard of the functionals (:func:`functional_from_spec` applies it
     too) and of the one-variable transforms."""
+    _guards.check_size("the letter count k of a functional", k, math.inf)
     _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
     scale = _denominator(psi.values())
     value = lambda sub: _cleared(psi[sub], scale ** len(sub))
@@ -316,6 +317,7 @@ def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxl
     sums of length n, the ones it reads.  Psi(u) is a Fraction at a
     rational point and a Poly at the symbolic point.
     """
+    _guards.check_size("the letter count k of a functional", k, math.inf)
     _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
     psi: Functional = {}
     for n in range(1, maxlen + 1):
@@ -481,13 +483,16 @@ def gns_reconstruct(psi: Functional, k: int, maxlen: int) -> Tuple[LevySpec, Dic
     (psi conditionally positive).  One LDL^T of its Gram matrix, in the
     words' order, gives both that verdict and a greedy maximal independent
     family of word classes, its pivots.  Left multiplication by a coordinate
-    is compressed onto the span (one solve for every target word), and
-    lam_i = psi(x_i).  Multiplication compressions are exactly symmetric for
-    reversal-symmetric psi, which is validated.
+    is compressed onto the span (a second LDL^T, of the basis rows, solves
+    for every target word at once), and lam_i = psi(x_i).  For
+    reversal-symmetric psi, which is validated, each compression T is
+    exactly Gram-symmetric: gram T is the matrix [psi(reverse(b) i b')].
 
     The round trip (single-block cumulants of the result) reproduces psi on
     all words of length <= maxlen + 1; longer words see the compression.
     """
+    _guards.check_size("the letter count k of a functional", k, math.inf)
+    _guards.check_size("the word length maxlen of the reconstruction", maxlen, math.inf)
     letters = range(k)
     keys = [w for w in psi if isinstance(w, tuple) and 1 <= len(w) <= 2 * maxlen + 2 and all(a in letters for a in w)]
     if any(psi[w] != psi[tuple(reversed(w))] for w in keys if tuple(reversed(w)) in psi):
@@ -495,7 +500,7 @@ def gns_reconstruct(psi: Functional, k: int, maxlen: int) -> Tuple[LevySpec, Dic
     _check_window(psi, k, 1, max(1, 2 * maxlen))  # each coordinate and each word of length 2..2*maxlen
     words = list(_iter_words(k, maxlen))
     gram_full = tuple(tuple(_psi_value(psi, tuple(reversed(u)) + v) for v in words) for u in words)
-    verdict, _, chosen = _linalg._ldlt(gram_full)
+    verdict, _, chosen, _ = _linalg._ldlt(gram_full)
     if verdict not in ("positive_definite", "positive_semidefinite", "zero"):
         raise ValueError("functional is not conditionally positive on this window")
     basis = [words[i] for i in chosen]
@@ -503,15 +508,8 @@ def gns_reconstruct(psi: Functional, k: int, maxlen: int) -> Tuple[LevySpec, Dic
     gram = tuple(tuple(gram_full[i][j] for j in chosen) for i in chosen)
     # every coordinate, then every coordinate times every basis class, in basis coordinates
     targets = [(i,) for i in range(k)] + [(i,) + b for i in range(k) for b in basis]
-    coords = _linalg.solve_linear(gram, [[_psi_value(psi, tuple(reversed(b)) + w) for w in targets] for b in basis])
+    coords = _linalg._ldlt(gram, [[_psi_value(psi, tuple(reversed(b)) + w) for w in targets] for b in basis])[3]
     xi = tuple(tuple(row[i] for row in coords) for i in range(k))
     mats = tuple(tuple(row[k + i * dim : k + (i + 1) * dim] for row in coords) for i in range(k))
     lam = tuple(_psi_value(psi, (i,)) for i in range(k))
-    spec = LevySpec(k, dim, xi, mats, lam, gram if dim else None)
-    # compression of a symmetric operator: exact Gram-symmetry must hold
-    for mat in spec.T:
-        gm = _linalg.mat_mul(gram, mat) if dim else ()
-        if dim and not _linalg.is_symmetric(gm):
-            raise ValueError("reconstructed multiplication is not Gram-symmetric")
-    info = {"dim": dim, "basis": basis}
-    return spec, info
+    return LevySpec(k, dim, xi, mats, lam, gram if dim else None), {"dim": dim, "basis": basis}

@@ -161,6 +161,21 @@ def reduce_fraction(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], Lis
     return m, pivots
 
 
+def solve_fraction(a: Sequence[Sequence], b: Sequence[Sequence]) -> Tuple[Tuple[Fraction, ...], ...]:
+    """X with a X = b for a nonsingular square a, each column of b one
+    right-hand side: Gauss-Jordan over Fraction on the rows [a | b]."""
+    n = len(a)
+    rows, pivots = reduce_fraction([tuple(row) + tuple(rhs) for row, rhs in zip(a, b, strict=True)])
+    assert pivots == list(range(n)), "singular system"
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Tuple[Tuple, ...]:
+    """The product of two matrices given as rows, each entry a Fraction sum."""
+    cols = list(zip(*b))
+    return tuple(tuple(sum((x * y for x, y in zip(row, col, strict=True)), Fraction(0)) for col in cols) for row in a)
+
+
 def ldlt_classify_fraction(a: Sequence[Sequence[Fraction]]) -> Tuple[str, int]:
     """(verdict, kernel) of a symmetric rational matrix by LDL^T over Fraction:
     the pivot is the first largest-|value| nonzero diagonal entry of the Schur
@@ -788,9 +803,9 @@ def diagonal_measure_spec(spec, u: int, n: int):
     mat = spec.T[u]
     power = tuple(tuple(Fraction(int(i == j)) for j in range(spec.d)) for i in range(spec.d))  # the identity
     for _ in range(n - 1):
-        power = _linalg.mat_mul(power, mat)
+        power = mat_mul(power, mat)
     xi_new = _linalg.mat_vec(power, spec.xi[u])  # T^(n-1) xi
-    t_new = _linalg.mat_mul(power, mat)  # T^n
+    t_new = mat_mul(power, mat)  # T^n
     return levy.LevySpec(1, spec.d, (tuple(xi_new),), (t_new,), (levy.levy_cumulant(spec, (u,) * n),), spec.gram)
 
 

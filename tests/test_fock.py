@@ -443,7 +443,6 @@ def test_positivity_builds_no_column_and_eliminates_nothing(monkeypatch):
 
     monkeypatch.setattr(fock, "_sym_column", ran)
     monkeypatch.setattr(_linalg, "_ldlt", ran)
-    monkeypatch.setattr(_linalg, "_reduce", ran)
     assert positivity_check(6, Fraction(2, 7), Fraction(5, 7), 3) == ("positive_definite", 0)
     assert positivity_check(3, Fraction(-1, 2), Fraction(-1, 2), 4) == ("negative_semidefinite", 64 - 20)
     assert positivity_check(7, Fraction(7, 3), Fraction(-2), 2) == ("indefinite", 0)

@@ -305,6 +305,18 @@ UNCAPPED = [
     ("jacobi_hermite", lambda n: orthopoly.jacobi_hermite(P, n), "the recurrence depth", 1),
     ("jacobi_poisson", lambda n: orthopoly.jacobi_poisson(P, n), "the recurrence depth", 1),
     ("jacobi_qmp", lambda n: orthopoly.jacobi_qmp(HALF, HALF, n), "the recurrence depth", 1),
+    # k = -1 used to give LevySpec(k=-1, ...) and maxlen = -5 a spec of
+    # dimension 0; cumulant_functional at k = -1 gave {} and
+    # moment_functional {(): 1}
+    ("gns_reconstruct k", lambda n: levy.gns_reconstruct({}, n, 0), "the letter count k of a functional", 0),
+    (
+        "gns_reconstruct maxlen",
+        lambda n: levy.gns_reconstruct({(0,): ONE}, 1, n),
+        "the word length maxlen of the reconstruction",
+        0,
+    ),
+    ("cumulant_functional k", lambda n: levy.cumulant_functional({}, n, P, 1), "the letter count k of a functional", 0),
+    ("moment_functional k", lambda n: levy.moment_functional({}, n, P, 2), "the letter count k of a functional", 0),
     # a maxlevel or letter count of -1 used to sweep nothing and pass
     (
         "check_commutation_tensor maxlevel",

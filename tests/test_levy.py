@@ -6,7 +6,7 @@ import pytest
 import helpers
 from diagfock._guards import MAX_DIAGONAL_N, ResourceLimitError
 from diagfock.scalars import DeformationParams, Poly
-from diagfock import fock, levy
+from diagfock import _linalg, fock, levy
 from diagfock.partitions import SetPartition, diagonal_partitions
 from diagfock.levy import (
     GeneratorPair,
@@ -454,6 +454,9 @@ def gns_roundtrip_case(spec: LevySpec, k: int, maxlen: int):
     for n in range(1, maxlen + 2):
         for word in itertools.product(range(k), repeat=n):
             assert levy_cumulant(rec, word) == psi[word], word
+    # each compression is Gram-symmetric: gram T is [psi(reverse(b) i b')]
+    for mat in rec.T:
+        assert _linalg.is_symmetric(helpers.mat_mul(rec.gram or (), mat))
     return rec, info
 
 
@@ -519,22 +522,20 @@ def test_gns_skips_a_dead_first_word():
 
 def test_gns_eliminates_its_gram_matrix_once(monkeypatch):
     # one LDL^T of the whole Gram matrix gives the verdict and the basis; the
-    # only other elimination is the one solve on the basis rows
+    # only other elimination is the one solve, an LDL^T of the basis rows
     eliminated = []
+    ldlt = levy._linalg._ldlt
 
-    def counted(name, fn):
-        def run(rows):
-            eliminated.append((name, len(rows)))
-            return fn(rows)
-        return run
+    def counted(rows, *rhs):
+        eliminated.append(("_ldlt", len(rows)))
+        return ldlt(rows, *rhs)
 
-    for name in ("_ldlt", "_reduce"):
-        monkeypatch.setattr(levy._linalg, name, counted(name, getattr(levy._linalg, name)))
+    monkeypatch.setattr(levy._linalg, "_ldlt", counted)
     xi0 = (Fraction(1), Fraction(2))
     t0 = ((Fraction(1), Fraction(1, 2)), (Fraction(1, 2), Fraction(0)))
     spec = LevySpec.of([xi0, tuple(2 * x for x in xi0)], [t0, t0], [1, 2])
     rec, info = gns_roundtrip_case(spec, 2, 2)
-    assert eliminated == [("_ldlt", 6), ("_reduce", info["dim"])] and info["dim"] < 6
+    assert eliminated == [("_ldlt", 6), ("_ldlt", info["dim"])] and info["dim"] < 6
 
 
 def test_gns_window_is_bounded_by_psi():
