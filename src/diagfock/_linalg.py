@@ -6,15 +6,15 @@ inner-product loop :func:`dot`, which refuses sequences of unequal length, so
 the LDL^T :func:`_ldlt`, in index order and fraction-free (Bareiss) on
 integers: a matrix and its right-hand sides are cleared once by
 :func:`diagfock.scalars._cleared_array`, and no step pays a Fraction's gcd on
-every entry.  It gives the definiteness verdicts of :func:`ldlt_classify`
-(the Levy Hankel check) and, for the GNS reconstruction, the verdict and
-basis of one elimination and the solve on that basis.
+every entry.  It gives the verdict and kernel of the Levy Hankel check
+:func:`diagfock.levy.hankel_psd_check` and, for the GNS reconstruction, the
+verdict and basis of one elimination and the solve on that basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .scalars import _cleared_array
 
@@ -40,46 +40,6 @@ def dot(x: Sequence, y: Sequence):
 def is_symmetric(a: Matrix) -> bool:
     n = len(a)
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
-
-
-def ldlt_classify(a: Matrix) -> Tuple[str, int]:
-    """Classify a symmetric rational matrix by exact LDL^T with symmetric pivoting.
-
-    Returns (verdict, kernel_dim) where verdict is one of
-    'positive_definite', 'positive_semidefinite', 'indefinite',
-    'negative_semidefinite', 'negative_definite', 'zero'.
-
-    The matrix is block diagonal up to order over the connected components
-    of its nonzero pattern (i ~ j when a[i][j] != 0).  Each component is
-    eliminated on its own by :func:`_ldlt` and the verdicts combine by
-    :func:`block_diagonal_classify`, so the elimination of one block never
-    carries the pivots of another.
-    """
-    if not is_symmetric(a):
-        raise ValueError("ldlt_classify needs a symmetric matrix")
-    return block_diagonal_classify(_ldlt([[a[i][j] for j in comp] for i in comp])[:2] for comp in _components(a))
-
-
-def _components(a: Matrix) -> List[List[int]]:
-    """The connected components of the nonzero pattern of a symmetric matrix,
-    each as its sorted indices."""
-    n = len(a)
-    seen = [False] * n
-    comps = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp, stack = [], [root]
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j, x in enumerate(a[i]):
-                if x != 0 and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
 
 
 def _ldlt(a: Sequence[Sequence], b: Optional[Sequence[Sequence]] = None) -> Tuple[str, int, List[int], Matrix]:
@@ -155,17 +115,3 @@ def _verdict(pos: bool, neg: bool, kernel: int) -> Tuple[str, int]:
     if neg:
         return ("negative_definite" if kernel == 0 else "negative_semidefinite", kernel)
     return ("zero", kernel)
-
-
-def block_diagonal_classify(blocks: Iterable[Tuple[str, int]]) -> Tuple[str, int]:
-    """Classify a block-diagonal matrix from the (verdict, kernel) of each
-    block.  Inertia adds over blocks: the matrix is indefinite when a block
-    is, or when one block has a positive pivot and another a negative one,
-    and the kernels add."""
-    pos = neg = False
-    kernel = 0
-    for verdict, k in blocks:
-        pos = pos or verdict in ("positive_definite", "positive_semidefinite", "indefinite")
-        neg = neg or verdict in ("negative_definite", "negative_semidefinite", "indefinite")
-        kernel += k
-    return _verdict(pos, neg, kernel)

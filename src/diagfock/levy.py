@@ -438,11 +438,15 @@ def moments_to_pair(m: Sequence, params: DeformationParams) -> GeneratorPair:
 
 
 def hankel_psd_check(tau_moments: Sequence) -> Tuple[str, int]:
-    """Exact definiteness verdict of the Hankel matrix of a moment sequence."""
+    """(verdict, kernel) of the s x s Hankel matrix [m_(i+j)] of a moment
+    sequence m_0, m_1, ..., exact by LDL^T, with s = (len - 1) // 2 + 1.
+
+    It reads m_0..m_(2(s-1)), so the last moment of an even-length sequence
+    is not read; the empty sequence gives ("zero", 0)."""
     m = [Fraction(x) for x in tau_moments]
     size = (len(m) - 1) // 2 + 1
     rows = tuple(tuple(m[i + j] for j in range(size)) for i in range(size))
-    return _linalg.ldlt_classify(rows)
+    return _linalg._ldlt(rows)[:2]
 
 
 # -- conditional positivity and reconstruction -----------------------------------------

@@ -326,11 +326,16 @@ def _tridiag_eigen(diag: Sequence[float], off: Sequence[float]) -> Tuple[Tuple[f
 
 def quadrature_rule(j: JacobiData, size: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """Gauss nodes (ascending) and weights, as tuples of floats, from the
-    symmetrized truncated recurrence matrix (Golub-Welsch)."""
+    symmetrized truncated recurrence matrix (Golub-Welsch).  It needs
+    gamma_0..gamma_(size-2) >= 0, so that the matrix is symmetrizable over
+    the reals."""
     _guards.check_size("the Gauss rule size", size, math.inf)
     if j.depth < size:
         raise ValueError("not enough recurrence data for the requested rule")
     beta, gamma = j.as_floats()
+    for k, g in enumerate(gamma[: size - 1]):
+        if g < 0:
+            raise ValueError(f"gamma_{k} = {j.gamma[k]} is negative: no Gauss rule of size {size}")
     nodes, first = _tridiag_eigen(beta[:size], [math.sqrt(g) for g in gamma[: size - 1]])
     return nodes, tuple(v * v for v in first)
 

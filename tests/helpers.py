@@ -789,6 +789,58 @@ def check_commutation_single(xi1, xi2, a, b, d: int, maxlevel: int = 3) -> bool:
     return True
 
 
+def ldlt_classify(a: Sequence[Sequence]) -> Tuple[str, int]:
+    """(verdict, kernel) of a symmetric rational matrix, the tests' whole-matrix
+    oracle.
+
+    The matrix is block diagonal up to order over the connected components
+    of its nonzero pattern (i ~ j when a[i][j] != 0).  Each component is
+    eliminated on its own by ``_linalg._ldlt`` and the verdicts combine by
+    :func:`block_diagonal_classify`, so the elimination of one block never
+    carries the pivots of another: a symmetrizer matrix splits into many
+    small blocks, which one elimination of the whole would carry along.
+    """
+    if not _linalg.is_symmetric(a):
+        raise ValueError("ldlt_classify needs a symmetric matrix")
+    return block_diagonal_classify(_linalg._ldlt([[a[i][j] for j in comp] for i in comp])[:2] for comp in _components(a))
+
+
+def _components(a: Sequence[Sequence]) -> List[List[int]]:
+    """The connected components of the nonzero pattern of a symmetric matrix,
+    each as its sorted indices."""
+    n = len(a)
+    seen = [False] * n
+    comps = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp, stack = [], [root]
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j, x in enumerate(a[i]):
+                if x != 0 and not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+def block_diagonal_classify(blocks) -> Tuple[str, int]:
+    """Classify a block-diagonal matrix from the (verdict, kernel) of each
+    block.  Inertia adds over blocks: the matrix is indefinite when a block
+    is, or when one block has a positive pivot and another a negative one,
+    and the kernels add."""
+    pos = neg = False
+    kernel = 0
+    for verdict, k in blocks:
+        pos = pos or verdict in ("positive_definite", "positive_semidefinite", "indefinite")
+        neg = neg or verdict in ("negative_definite", "negative_semidefinite", "indefinite")
+        kernel += k
+    return _linalg._verdict(pos, neg, kernel)
+
+
 def diagonal_measure_spec(spec, u: int, n: int):
     """Coordinate data of the n-th diagonal measure of coordinate u:
 

@@ -439,6 +439,35 @@ def test_hankel_verdicts():
     assert verdict == "indefinite"
 
 
+def test_hankel_verdict_and_kernel_are_exact():
+    # the s x s Hankel matrix of k atoms with positive weights at distinct points
+    # has rank min(k, s); it reads m_0..m_(2(s-1)), s = (len - 1) // 2 + 1
+    r = helpers.rng(75)
+    assert hankel_psd_check([]) == ("zero", 0)
+    for _ in range(200):
+        length, k = r.randint(1, 15), r.randint(1, 6)
+        size = (length - 1) // 2 + 1
+        points = r.sample(sorted({Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3)}), k)
+        atoms = [(Fraction(r.randint(1, 5), r.randint(1, 4)), x) for x in points]
+        expect = ("positive_definite", 0) if k >= size else ("positive_semidefinite", size - k)
+        assert hankel_psd_check(helpers.moments_of_atoms(atoms, length - 1)) == expect, (atoms, length)
+    # signed, zero-heavy and zero-diagonal (m_0 = m_2 = ... = 0) sequences of
+    # either parity, against the elimination over Fraction
+    seen = set()
+    for case in range(300):
+        length = r.randint(1, 15)
+        m = [helpers.rand_frac(r) if r.random() < (0.8, 0.4, 0.8)[case % 3] else Fraction(0) for _ in range(length)]
+        if case % 3 == 2:
+            m[::2] = [Fraction(0)] * len(m[::2])
+        size = (length - 1) // 2 + 1
+        got = hankel_psd_check(m)
+        assert got == helpers.ldlt_classify_fraction([m[i : i + size] for i in range(size)]), m
+        seen.add(got[0])
+    assert seen == {
+        "positive_definite", "positive_semidefinite", "indefinite", "negative_semidefinite", "negative_definite", "zero"
+    }
+
+
 def test_conditional_positivity_of_true_cumulants():
     r = helpers.rng(72)
     spec = rand_spec(r, k=2, d=2)

@@ -39,21 +39,21 @@ def test_ldlt_inertia_by_congruence():
         for _ in range(4):
             b = random_invertible(r, 3)
             d = [Fraction(s) * (1 + abs(helpers.rand_frac(r, 2, 3))) for s in signs]
-            verdict, kernel = _linalg.ldlt_classify(congruence(b, d))
+            verdict, kernel = _linalg._ldlt(congruence(b, d))[:2]
             assert (verdict, kernel) == expect, (signs, d, b)
 
 
 def test_zero_diagonal_nonzero_offdiag_is_indefinite():
     m = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
-    assert _linalg.ldlt_classify(m)[0] == "indefinite"
+    assert _linalg._ldlt(m)[0] == "indefinite"
     # the kernel is that of the zero-diagonal block left when the pivots run out
     f = Fraction
-    assert _linalg.ldlt_classify(((f(0), f(1), f(0)), (f(1), f(0), f(0)), (f(0), f(0), f(0)))) == ("indefinite", 1)
+    assert _linalg._ldlt(((f(0), f(1), f(0)), (f(1), f(0), f(0)), (f(0), f(0), f(0))))[:2] == ("indefinite", 1)
     m = ((f(1), f(1), f(1)), (f(1), f(1), f(2)), (f(1), f(2), f(1)))  # one pivot, then [[0, 1], [1, 0]]
-    assert _linalg.ldlt_classify(m) == ("indefinite", 0)
+    assert _linalg._ldlt(m)[:2] == ("indefinite", 0)
     # e_0 -> e_0 + e_1 puts 2 on the diagonal; the elimination goes on to
     # pivots of both signs and leaves the kernel e_1 - e_2
-    assert _linalg.ldlt_classify(((0, 1, 1), (1, 0, 0), (1, 0, 0))) == ("indefinite", 1)
+    assert _linalg._ldlt(((0, 1, 1), (1, 0, 0), (1, 0, 0)))[:2] == ("indefinite", 1)
 
 
 def random_symmetric(r, n):
@@ -81,7 +81,7 @@ def test_fraction_free_ldlt_matches_fraction_elimination():
     seen = set()
     for _ in range(400):
         m = random_symmetric(r, r.randint(1, 7))
-        got = _linalg.ldlt_classify(m)
+        got = _linalg._ldlt(m)[:2]
         assert got == helpers.ldlt_classify_fraction(m), m
         seen.add(got[0])
     assert seen == {
@@ -90,9 +90,10 @@ def test_fraction_free_ldlt_matches_fraction_elimination():
 
 
 def test_components_classified_apart_match_fraction_elimination():
-    # block diagonal under a random permutation: ldlt_classify eliminates each
-    # connected component alone; singular, zero-diagonal, negative and
-    # indefinite blocks all occur, and planted-sign blocks give every verdict
+    # block diagonal under a random permutation: the oracle helpers.ldlt_classify
+    # eliminates each connected component alone; singular, zero-diagonal,
+    # negative and indefinite blocks all occur, and planted-sign blocks give
+    # every verdict
     r = helpers.rng(24)
     seen = set()
     for _ in range(150):
@@ -114,13 +115,22 @@ def test_components_classified_apart_match_fraction_elimination():
             at += len(b)
         perm = r.sample(range(n), n)
         m = tuple(tuple(m[i][j] for j in perm) for i in perm)
-        got = _linalg.ldlt_classify(m)
+        got = helpers.ldlt_classify(m)
         assert got == helpers.ldlt_classify_fraction(m), m
-        assert got == _linalg.block_diagonal_classify(helpers.ldlt_classify_fraction(b) for b in blocks)
+        assert got == helpers.block_diagonal_classify(helpers.ldlt_classify_fraction(b) for b in blocks)
         seen.add(got[0])
     assert seen == {
         "positive_definite", "positive_semidefinite", "indefinite", "negative_semidefinite", "negative_definite", "zero"
     }
+
+
+def test_whole_matrix_oracle_needs_a_symmetric_matrix():
+    f = Fraction
+    with pytest.raises(ValueError, match="needs a symmetric matrix"):
+        helpers.ldlt_classify(((f(1), f(2)), (f(0), f(1))))
+    # a one-sided entry: unchecked, the split would join 0 and 2 and eliminate [[1, 1], [0, 1]]
+    with pytest.raises(ValueError, match="needs a symmetric matrix"):
+        helpers.ldlt_classify(((f(1), f(0), f(1)), (f(0), f(1), f(0)), (f(0), f(0), f(1))))
 
 
 def test_solve_linear_roundtrip():

@@ -532,6 +532,19 @@ def test_largest_chebyshev_node_is_cos_pi_over_2n():
         assert list(nodes) == pytest.approx(zeros, abs=1e-12), n
 
 
+def test_a_negative_gamma_refuses_the_rule_that_reads_it():
+    # at (-1/2, 1/4, 1/3, 1/2), gamma_1 = [2]_{q,t} [2]_{v,w} = (-1/4)(5/6) < 0
+    jac = jacobi_hermite(params_rat(Fraction(-1, 2), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)), 4)
+    assert jac.gamma[1] == Fraction(-5, 24)
+    with pytest.raises(ValueError, match=r"gamma_1 = -5/24 is negative"):
+        quadrature_rule(jac, 3)
+    nodes, weights = quadrature_rule(jac, 2)  # reads gamma_0 = 1 only
+    assert list(nodes) == pytest.approx([-1.0, 1.0]) and list(weights) == pytest.approx([0.5, 0.5])
+    # a zero gamma truncates the measure and is allowed
+    nodes, weights = quadrature_rule(JacobiData((Fraction(0),) * 3, (Fraction(1), Fraction(0))), 3)
+    assert sum(weights) == pytest.approx(1.0)
+
+
 def test_discrete_qhermite_classical_limit():
     ms = moments_from_jacobi(jacobi_discrete_qhermite(Fraction(1), 5), 8)
     assert ms[1::2] == [1, 3, 15, 105]
