@@ -16,10 +16,11 @@ row and the bar row has value 1, so every such sum here runs on the
 open-arc state DP :func:`diagfock.partitions.arc_sums`, one pass over the
 trie of the words: for word moments a chain is the row vector
 xi_{u1}^T G T_{u2} ... of an open block, and for the functional transforms
-its open subword.  The inverse runs one such pass per word length n, the
-cumulants of length n still 0, and takes each of them as its moment minus
-that sum.  The stochastic limit's bar factor is the same product of
-deformed integers along the roles of pi,
+its open subword.  The inverse is one such pass too: after each level p
+it takes the cumulant of each word of length p as its moment minus the sum
+there, its one block over the whole word still unknown, and the pass goes
+on from the moment.  The stochastic limit's bar factor is the same
+product of deformed integers along the roles of pi,
 :func:`diagfock.partitions.unit_bar_sum`.  The
 operator model realizes the same numbers on the doubled Fock space over
 step functions with the standard inner product: an annihilator on interval
@@ -287,52 +288,84 @@ def functional_from_spec(spec: LevySpec, params: DeformationParams, maxlen: int,
     return _spec_sums(spec, [range(spec.k)] * maxlen, params, Fraction(s))
 
 
-def _functional_sums(psi: Functional, k: int, params: DeformationParams, maxlen: int) -> Tuple[Dict[Word, object], int]:
-    """The open-arc DP over every word of length 1..maxlen on k letters with
-    block values psi on subwords, a chain being the open subword: the
-    (sums, scale) of :func:`diagfock.partitions.arc_sums`, the moment of
-    the cumulants psi on a word of m points being its sum over scale^m, a
-    block of j points cleared by D^j (D the lcm of psi's denominators).
-    The guard of the functionals (:func:`functional_from_spec` applies it
-    too) and of the one-variable transforms."""
+def _check_functional(k: int, maxlen: int) -> None:
+    """The guard of the functionals (:func:`functional_from_spec` applies
+    the second check too) and of the one-variable transforms."""
     _guards.check_size("the letter count k of a functional", k, math.inf)
     _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
-    scale = _denominator(psi.values())
-    value = lambda sub: _cleared(psi[sub], scale ** len(sub))
+
+
+def _functional_sums(value, k: int, params: DeformationParams, maxlen: int, scale: int,
+                     after_level=None) -> Tuple[Dict[Word, object], int]:
+    """The open-arc DP over every word of length 1..maxlen on k letters with
+    the block over a subword u valued ``value(u)``, cleared by scale^|u|, a
+    chain being the open subword: the (sums, scale) of
+    :func:`diagfock.partitions.arc_sums`, the moment of the cumulants on a
+    word of m points being its sum over scale^m."""
     return arc_sums([range(k)] * maxlen, params, lambda u: value((u,)), lambda u: (u,),
-                    lambda sub, u: value(sub + (u,)), lambda sub, u: sub + (u,), scale=scale)
+                    lambda sub, u: value(sub + (u,)), lambda sub, u: sub + (u,), scale=scale,
+                    after_level=after_level)
 
 
 def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
     """Invert the moment formula word by word:
 
-        Psi(u) = Phi(u) - sum over non-maximal diagonal partitions of
-                 weight * product of Psi on the top-row subwords,
+        Psi(u) = Phi(u) - S'(u),
 
-    the forward sum with the one-block value still 0 (that block is alone in
-    its role class, with weight 1).  Psi is known below length n before the
-    words of length n need it, so one forward pass per length n = 1..maxlen,
-    over the words up to n with Psi 0 on length n, gives every such sum,
-    each pass on cleared data like every other; pass n divides only the
-    sums of length n, the ones it reads.  Psi(u) is a Fraction at a
-    rational point and a Poly at the symbolic point.
+    S'(u) the forward sum over the diagonal partitions of u but the one
+    block over all of u (alone in its role class, with weight 1), by one
+    forward pass up to maxlen.  A block that closes at point p covers at
+    most p points, and only the block over the whole prefix covers p, so
+    the pass reads that block as not known yet (None) during level p and
+    the empty state of a word u of length p then holds S'(u).  After level
+    p, Psi(u) = Phi(u) - S'(u), and Phi(u), cleared in the weights' ring,
+    takes the place of S'(u) there, so that longer words see the block
+    over the whole prefix (``after_level`` of
+    :func:`diagfock.partitions.arc_sums`).
+
+    The pass clears Psi by one scale fixed before it, D = D_phi (E F)^h,
+    h = ceil((maxlen - 1) / 2) = maxlen // 2, D_phi the lcm of the
+    denominators of Phi and E, F those of (q, t) and (v, w).  Lemma:
+    Psi(u) D_phi^n (E F)^C(n,2) is an int (a Poly of denominator 1 at the
+    symbolic point), n = |u|.  Ending arc j of k open arcs adds k - 1 to
+    rc + rn, and (E F)^(k - 1) clears its weight.  Each of those k - 1
+    counts pairs the arc that ends at p with an arc open over p, opened at
+    a point i < p of another block; charged to {i, p}, no pair of points is
+    charged twice, so rc + rn <= C(n,2) - sum of C(|B|,2) over the blocks B.
+    By induction on n, every term of S'(u), and so Psi(u), is then cleared
+    by D_phi^n (E F)^C(n,2).  Since C(j,2) <= j h for j <= maxlen, a block
+    of j points is cleared by D^j, as the pass needs.  Psi(u) is a Fraction
+    at a rational point and a Poly at the symbolic point.
     """
-    _guards.check_size("the letter count k of a functional", k, math.inf)
-    _guards.check_size("the word length maxlen of a functional", maxlen, _guards.MAX_DIAGONAL_N)
+    _check_functional(k, maxlen)
+    lift = _denominator(params[:2]) * _denominator(params[2:])
+    scale = _denominator(_defined(phi, u) for u in _iter_words(k, maxlen)) * lift ** (maxlen // 2)
     psi: Functional = {}
-    for n in range(1, maxlen + 1):
-        words = list(itertools.product(range(k), repeat=n))
-        psi.update(dict.fromkeys(words, 0))  # the one block over a whole word, 0 in this pass
-        sums, scale = _functional_sums(psi, k, params, n)  # a block open from point 1 reaches every word of length n
-        unit = scale ** n
-        for u in words:
-            psi[u] = phi[u] - _over(sums[u], unit)
+
+    def value(sub):
+        x = psi.get(sub)
+        return None if x is None else _cleared(x, scale ** len(sub))
+
+    def after_level(nodes, pass_scale, zero):
+        for u, states in nodes.items():
+            unit = pass_scale ** len(u)
+            psi[u] = phi[u] - _over(states.get((), zero), unit)
+            moment = zero + _cleared(phi[u], unit)
+            if moment == 0:
+                states.pop((), None)
+            else:
+                states[()] = moment
+
+    _functional_sums(value, k, params, maxlen, scale, after_level)
     return psi
 
 
 def moment_functional(psi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
     """Expand cumulants back into moments over all diagonal partitions."""
-    return _read(*_functional_sums(psi, k, params, maxlen))
+    _check_functional(k, maxlen)
+    scale = _denominator(psi.values())
+    value = lambda sub: _cleared(_defined(psi, sub), scale ** len(sub))
+    return _read(*_functional_sums(value, k, params, maxlen, scale))
 
 
 def cumulants_to_moments(r: Sequence, params: DeformationParams) -> List:
@@ -457,10 +490,15 @@ def _iter_words(k: int, maxlen: int, shortest: int = 1) -> Iterator[Word]:
     return itertools.chain.from_iterable(itertools.product(range(k), repeat=n) for n in range(shortest, maxlen + 1))
 
 
-def _psi_value(psi: Functional, word: Word) -> Fraction:
+def _defined(psi: Functional, word: Word):
+    """psi(word), refused where psi misses the word."""
     if word not in psi:
         raise ValueError(f"functional not defined on word {word}")
-    return Fraction(psi[word])
+    return psi[word]
+
+
+def _psi_value(psi: Functional, word: Word) -> Fraction:
+    return Fraction(_defined(psi, word))
 
 
 def _check_window(psi: Functional, k: int, shortest: int, longest: int) -> None:

@@ -58,8 +58,8 @@ bar_value is 1, B(R) is the product of [k]_{v,w} over the steps of R that
 end one of k open arcs (:func:`unit_bar_sum`), so the step weight is the
 top row's times that factor, at the point (q, t, v, w); so run the
 functionals (the one-variable transforms are their one-letter case, and
-the inverse is one such pass per word length) and the Levy word moments,
-and so do the Wick sums when one row is one-dimensional:
+the inverse is one such pass, read level by level) and the Levy word
+moments, and so do the Wick sums when one row is one-dimensional:
 its block values are then products of per-point scalars, so B(R) is
 :func:`unit_bar_sum` of R times each point's scalar in its role, and the
 row folds into the other, one pass over the word of the points.  When both
@@ -430,6 +430,7 @@ def arc_sums(
     graded: bool = False,
     ends: Optional[Callable[[object], bool]] = None,
     scale: int = 1,
+    after_level: Optional[Callable[[Dict[tuple, dict], int, object], None]] = None,
 ) -> Tuple[Dict[tuple, object], int]:
     """The diagonal sums of every word a_1 ... a_m with a_p in
     ``letters[p - 1]``, m = 0..n, by one open-arc state DP over the trie of
@@ -448,6 +449,8 @@ def arc_sums(
     Middle re-appends ``extend(chain, a)``.  A letter may take fewer roles:
     ``open_`` and ``extend`` return None and ``single`` and ``close`` 0 for
     a role it cannot take, and ``ends(a)`` is false if it can end no arc.
+    A ``single`` or ``close`` value of None is not known yet: it counts as
+    0 and is not kept, so the pass asks for it again where it next meets it.
     Zero values and weights are dropped, and so are states with more open
     arcs than points left and, before the last point, words with no state.
 
@@ -465,6 +468,13 @@ def arc_sums(
     coming per point, every sum of m points is (S_w D)^m times its value,
     and the scale returned is S_w D.  Each chain is valued once per letter.
     Callers cap n; the state count, not Bell(n), sets the cost.
+
+    After the step of point p, ``after_level(nodes, scale, zero)`` is called,
+    if given, before point p + 1: ``nodes`` maps each word of length p kept
+    to its states, ``scale`` is the scale returned and ``zero`` the weights'
+    ring's 0.  It may rewrite the states; the sums of length p are read off
+    them, and the pass goes on from them.  A state is keyed by the tuple of
+    its open chains' ids, and with ``graded`` by (block count, that tuple).
     """
     n = len(letters)
     # rows[k - 1][j] weighs ending arc j of k: (E F)^(k-1) times its value at
@@ -482,15 +492,15 @@ def arc_sums(
     step = lift ** (top_k - 1)
     one = rows[0][0] ** 0  # every walk starts at 1 in the ring of the weights
     zero = one * 0  # the sum of a word with no state
-    rows = [tuple(one if x == one else x for x in row) for row in rows]  # a weight of 1 is `one`
+    # the (j, weight) of each row's weights that are not 0, a weight of 1 being `one`
+    live = [[(j, one if x == one else x) for j, x in enumerate(row) if x is not None] for row in rows]
     chains: List[object] = []  # the chain of each id; states hold ids
     ids: Dict[object, int] = {}
     extended: Dict[Tuple[int, object], Optional[int]] = {}
     # close(chain, a) by (chain, a) and its product with the weight by (k, j, chain, a)
     closed: Dict[Tuple[int, object], object] = {}
     closing: Dict[tuple, object] = {}
-    grade = 1 if graded else 0
-    level: Dict[tuple, Dict[Tuple[int, Tuple[int, ...]], object]] = {(): {(0, ()): one}}
+    level: Dict[tuple, dict] = {(): {(0, ()) if graded else (): one}}
     sums: Dict[tuple, object] = {(): {0: one} if graded else one}
 
     def intern(chain) -> int:
@@ -504,30 +514,32 @@ def arc_sums(
         steps = []
         for a in letters[p - 1]:
             s_val, chain, can_end = single(a), open_(a) if room else None, ends is None or ends(a)
-            s_val = s_val * step if step > 1 else s_val
-            steps.append((a, None if s_val == 0 else s_val, None if chain is None else intern(chain), can_end))
-        nodes: Dict[tuple, Dict[Tuple[int, Tuple[int, ...]], object]] = {}
+            s_val = None if s_val is None or s_val == 0 else s_val * step if step > 1 else s_val
+            steps.append((a, s_val, None if chain is None else intern(chain), can_end))
+        nodes: Dict[tuple, dict] = {}
         for word, states in level.items():
             for a, s_val, o_id, can_end in steps:
                 if s_val is None and o_id is None and not can_end:
                     continue
-                nxt: Dict[Tuple[int, Tuple[int, ...]], object] = {}
+                nxt: dict = {}
                 get = nxt.get
-                for (blocks, open_ids), val in states.items():
+                for key, val in states.items():
+                    if graded:
+                        blocks, open_ids = key
+                    else:
+                        open_ids = key
                     k = len(open_ids)
                     if s_val is not None and k <= room:
-                        key, term = (blocks + grade, open_ids), val * s_val
+                        key, term = (blocks + 1, open_ids) if graded else open_ids, val * s_val
                         acc = get(key)
                         nxt[key] = term if acc is None else acc + term
                     if o_id is not None and k < room:
-                        key = (blocks + grade, open_ids + (o_id,))
+                        key = (blocks + 1, open_ids + (o_id,)) if graded else open_ids + (o_id,)
                         acc = get(key)
                         nxt[key] = val if acc is None else acc + val
                     if not (can_end and k):
                         continue
-                    for j, weight in enumerate(rows[k - 1]):
-                        if weight is None:
-                            continue
+                    for j, weight in live[k - 1]:
                         cid = open_ids[j]
                         rest = open_ids[:j] + open_ids[j + 1:]
                         wx = closing.get((k, j, cid, a), _UNSEEN)
@@ -535,10 +547,13 @@ def arc_sums(
                             x = closed.get((cid, a), _UNSEEN)
                             if x is _UNSEEN:
                                 x = close(chains[cid], a)
-                                x = closed[cid, a] = x * step if step > 1 else x
-                            wx = closing[k, j, cid, a] = None if x == 0 else x if weight is one else weight * x
+                                if x is not None:
+                                    x = closed[cid, a] = x * step if step > 1 else x
+                            wx = None if x is None or x == 0 else x if weight is one else weight * x
+                            if x is not None:
+                                closing[k, j, cid, a] = wx
                         if wx is not None:
-                            key, term = (blocks, rest), val * wx
+                            key, term = (blocks, rest) if graded else rest, val * wx
                             acc = get(key)
                             nxt[key] = term if acc is None else acc + term
                         if k <= room:
@@ -547,16 +562,19 @@ def arc_sums(
                                 chain = extend(chains[cid], a)
                                 e = extended[cid, a] = None if chain is None else intern(chain)
                             if e is not None:
-                                key, term = (blocks, rest + (e,)), val if weight is one else val * weight
+                                key = (blocks, rest + (e,)) if graded else rest + (e,)
+                                term = val if weight is one else val * weight
                                 acc = get(key)
                                 nxt[key] = term if acc is None else acc + term
                 if nxt or room == 0:
                     nodes[word + (a,)] = nxt
+        if after_level is not None:
+            after_level(nodes, scale * step, zero)
         for word, states in nodes.items():
             if graded:
                 sums[word] = {blocks: val for (blocks, open_ids), val in states.items() if not open_ids}
             else:
-                sums[word] = states.get((0, ()), zero)
+                sums[word] = states.get((), zero)
         level = nodes
     return sums, scale * step
 

@@ -960,3 +960,20 @@ def adjoint_by_pairs(g, params, d: int, dbar: int, maxlevel: int = 3) -> bool:
             if any(lt * lb != rt * rb for lb, rb in bars):
                 return False
     return True
+
+
+def cumulant_functional_by_length(phi, k: int, params, maxlen: int):
+    """The inversion of the moment formula by one forward pass per word
+    length, the oracle of ``levy.cumulant_functional``'s one pass: for
+    n = 1..maxlen, ``levy.moment_functional`` of psi with psi 0 on every
+    word of length n gives on each such word u the sum over the diagonal
+    partitions of u but the one block over all of u, and psi(u) is phi(u)
+    minus that sum."""
+    psi = {}
+    for n in range(1, maxlen + 1):
+        words = list(itertools.product(range(k), repeat=n))
+        psi.update(dict.fromkeys(words, 0))  # the one block over a whole word, 0 in this pass
+        sums = levy.moment_functional(psi, k, params, n)
+        for u in words:
+            psi[u] = phi[u] - sums[u]
+    return psi

@@ -1,11 +1,12 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
 import helpers
 from diagfock._guards import MAX_DIAGONAL_N, ResourceLimitError
-from diagfock.scalars import DeformationParams, Poly
+from diagfock.scalars import DeformationParams, Poly, _denominator
 from diagfock import _linalg, fock, levy
 from diagfock.partitions import SetPartition, diagonal_partitions
 from diagfock.levy import (
@@ -319,7 +320,7 @@ def test_moment_functional_roundtrip_at_the_symbolic_point():
 
 
 @pytest.mark.parametrize("params", [GEN, DeformationParams.symbolic()], ids=["rational", "symbolic"])
-def test_the_inverse_runs_one_cleared_pass_per_word_length(monkeypatch, params):
+def test_the_inverse_runs_one_cleared_pass_per_call(monkeypatch, params):
     r = helpers.rng(76)
     moments = [helpers.rand_frac(r) for _ in range(6)]
     psi = {w: helpers.rand_frac(r) for n in range(1, 4) for w in itertools.product(range(2), repeat=n)}
@@ -333,14 +334,99 @@ def test_the_inverse_runs_one_cleared_pass_per_word_length(monkeypatch, params):
 
     monkeypatch.setattr(levy, "arc_sums", recorded)
     cumulants = levy.moments_to_cumulants(moments, params)
-    assert len(passes) == len(moments)
+    assert len(passes) == 1
     assert levy.cumulant_functional(phi, 2, params, 3) == psi
-    assert len(passes) == len(moments) + 3
+    assert len(passes) == 2
     monkeypatch.undo()
     assert levy.cumulants_to_moments(cumulants, params) == moments
     # every sum a pass returns is cleared: an int, a Poly of denominator 1 at the symbolic point
     cleared = (lambda x: type(x) is int) if params is GEN else (lambda x: type(x) is Poly and x.denominator == 1)
     assert all(cleared(x) for sums in passes for x in sums)
+
+
+# the points of the one-pass inverse: int, Fraction and mixed, q = t, q = 0,
+# v = -w, 3-digit denominators, and the symbolic point
+INVERSE_POINTS = {
+    "int": DeformationParams(2, 3, 1, 2),
+    "fraction": GEN,
+    "mixed": DeformationParams(1, Fraction(2, 3), 2, Fraction(1, 5)),
+    "q=t": DeformationParams.from_rationals(Fraction(1, 2), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)),
+    "q=0": DeformationParams.from_rationals(0, Fraction(2, 3), Fraction(1, 3), Fraction(3, 4)),
+    "v=-w": DeformationParams.from_rationals(Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4), Fraction(3, 4)),
+    "3-digit": DeformationParams.from_rationals(
+        Fraction(101, 103), Fraction(211, 307), Fraction(13, 127), Fraction(500, 997)
+    ),
+    "symbolic": DeformationParams.symbolic(),
+}
+
+
+def inverse_cases(name, k):
+    """(params, maxlen, [phi, ...]) at a point of INVERSE_POINTS for k letters:
+    the moments of random cumulants, random Fraction moments with 3-digit
+    denominators, and random int moments."""
+    params = INVERSE_POINTS[name]
+    maxlen = {1: 8, 2: 5, 3: 4}[k] - (name == "symbolic")
+    r = helpers.rng(80 + 10 * k + list(INVERSE_POINTS).index(name))
+    words = [w for n in range(1, maxlen + 1) for w in itertools.product(range(k), repeat=n)]
+    psi = {w: helpers.rand_frac(r) for w in words}
+    return params, maxlen, [
+        moment_functional(psi, k, params, maxlen),
+        {w: helpers.rand_frac(r, 9, 999) for w in words},
+        {w: r.randint(-3, 3) for w in words},
+    ]
+
+
+def typed(functional):
+    return [(w, x, type(x)) for w, x in functional.items()]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", list(INVERSE_POINTS))
+def test_the_one_pass_inverse_matches_the_per_length_oracle(name, k):
+    params, maxlen, phis = inverse_cases(name, k)
+    for phi in phis:
+        assert typed(cumulant_functional(phi, k, params, maxlen)) == typed(
+            helpers.cumulant_functional_by_length(phi, k, params, maxlen)
+        )
+    if k == 1:
+        moments = [phis[1][(0,) * n] for n in range(1, maxlen + 1)]
+        got = levy.moments_to_cumulants(moments, params)
+        expect = helpers.cumulant_functional_by_length(dict(zip([(0,) * n for n in range(1, maxlen + 1)], moments)),
+                                                        1, params, maxlen)
+        assert [(x, type(x)) for x in got] == [(x, type(x)) for x in expect.values()]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", list(INVERSE_POINTS))
+def test_the_inverse_is_cleared_by_its_one_scale(name, k):
+    # the lemma of cumulant_functional: psi(u) D_phi^n (E F)^C(n,2) is an int
+    # (a Poly of denominator 1 at the symbolic point), so psi(u) D^n is one,
+    # D = D_phi (E F)^(maxlen // 2), for every word u of length n
+    params, maxlen, phis = inverse_cases(name, k)
+    lift = _denominator(params[:2]) * _denominator(params[2:])
+    for phi in phis:
+        d_phi = _denominator(phi.values())
+        for u, x in cumulant_functional(phi, k, params, maxlen).items():
+            n = len(u)
+            for cleared in (x * d_phi**n * lift ** (n * (n - 1) // 2), x * (d_phi * lift ** (maxlen // 2)) ** n):
+                assert cleared.denominator == 1 and type(cleared) is (Poly if name == "symbolic" else Fraction), u
+
+
+@pytest.mark.parametrize(
+    "call, word",
+    [
+        (lambda: cumulant_functional({(0,): 1}, 2, GEN, 1), (1,)),
+        (lambda: cumulant_functional({(0,): 1, (1,): 2, (0, 0): 1, (0, 1): 1, (1, 1): 3}, 2, GEN, 2), (1, 0)),
+        (lambda: moment_functional({(0,): 1}, 1, GEN, 2), (0, 0)),
+        (lambda: moment_functional({(1,): 1, (0,): 2}, 2, GEN, 2), (0, 0)),
+        (lambda: product_functional({(0,): 1}, 1, {}, 1, GEN, 1), (0,)),
+    ],
+    ids=["cumulant-letter", "cumulant-pair", "moment-pair", "moment-letters", "product"],
+)
+def test_a_functional_missing_a_word_is_refused_by_name(call, word):
+    # a bare KeyError used to come out of the pass
+    with pytest.raises(ValueError, match=f"^{re.escape(f'functional not defined on word {word}')}$"):
+        call()
 
 
 def test_functional_from_spec_is_the_moment_of_each_word():

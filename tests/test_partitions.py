@@ -597,6 +597,33 @@ def test_arc_sums_run_on_ints_at_a_rational_point():
     assert helpers.kernel_values((sums, out)) == word_arc_sums([range(2)] * 5, params, psi.__getitem__)
 
 
+def test_arc_sums_ask_again_for_a_value_not_known_yet():
+    # the inverse's use of the level hook: the block over a whole word is
+    # not known (None, counted as 0) until the hook has seen its level, and
+    # is then known to every later close of its chain; the hook adds it to
+    # the word's empty state, and the pass gives the plain pass's sums
+    r = helpers.rng(43)
+    params = rand_points(r, 1)[0]
+    words = [w for n in range(6) for w in itertools.product(range(2), repeat=n)]
+    psi = {w: helpers.rand_frac(r) for w in words if w}
+    plain = word_arc_sums([range(2)] * 5, params, psi.__getitem__)
+    known, levels = {}, []
+
+    def after_level(nodes, scale, zero):
+        levels.append(list(nodes))
+        for u, states in nodes.items():
+            assert all(type(i) is int for key in states for i in key)  # a state is keyed by its open ids alone
+            block = psi[u] * scale ** len(u)
+            assert (states.get((), zero) + block) / scale ** len(u) == plain[u]
+            known[u] = psi[u]
+            states[()] = states.get((), zero) + block
+
+    result = arc_sums([range(2)] * 5, params, lambda a: known.get((a,)), lambda a: (a,),
+                      lambda sub, a: known.get(sub + (a,)), lambda sub, a: sub + (a,), after_level=after_level)
+    assert levels == [[w for w in words if len(w) == n] for n in range(1, 6)]
+    assert helpers.kernel_values(result) == plain
+
+
 def test_walk_rows_equal_checked_partitions():
     for n in range(9):
         for _, _, _, blocks in itertools.chain(*(_walk(n, (letters,) * n) for letters in ("OCMS", "OC", "OCS"))):
