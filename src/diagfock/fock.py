@@ -21,13 +21,14 @@ Each action is a tensor product of a (q, t) row operator on the top word and
 a (v, w) one on the bar word; a row operator maps one basis word to its
 (word, coefficient) terms.  Creation prefixes a letter; annihilation and
 gauge share the front move R_n and differ only in the letter each position
-turns into.  Field and general operators are sums of such top (x) bar parts,
-each part a pair of row specs (kind, data); the single actions and
-``_vacuum_moment`` apply them to the (top, bar) pair terms of a vector in
-one pass.  Three routes run row by row instead, since each of their
-operators, and the deformed pairing, is one product top (x) bar:
-:func:`apply_word` keeps one dict per row and tensors the two once at the
-end, and the gauge-adjoint and commutation checks each test a sum of
+turns into.  Each call keeps one table per row (``_Row``): its point, the
+weights of each level and the front move of each word, each made once for
+every operator, symmetrizer column and check of the call.  Field and
+general operators are sums of top (x) bar parts, each a pair of row specs
+(kind, data) whose operators are built once per call on their row's table.
+The single actions and ``_vacuum_moment`` apply them to the pair terms of
+a vector in one pass, :func:`apply_word` runs row by row and tensors the
+rows once, and the gauge-adjoint and commutation checks test a sum of
 top (x) bar products for zero by one Gram matrix per level, with no pair.
 
 A vacuum moment is a path from level 0 back to level 0, and no operator
@@ -54,12 +55,12 @@ its value and the level-n symmetrizer P_n is E^C(n,2) times its own, so:
     row, and the commutation check tests the relation on level n times
     D_top^2 D_bar^2 (E_top E_bar)^n, so both compare ints as they are;
   * a product of operators (the vacuum moments, :func:`apply_word`) keeps
-    the scale of a term independent of its path by the level rule: after
-    s steps a level-l term is stored times D^s E^(c s - C(l,2)), c at
-    least the highest level reached, so each step multiplies by an int,
-    E^(c-l) for creation from level l, E^c for annihilation,
-    E^(c-l+1) for a gauge at level l and E^c for a scalar.  The vacuum
-    coefficient is divided once by (D_top D_bar (E_top E_bar)^c)^steps,
+    the scale of a term independent of its path by the level rule of its
+    row tables (``_rows``): after s steps a level-l term is stored times
+    D^s E^(c s - C(l,2)), c at least the highest level reached, so each
+    step multiplies by an int, E^(c-l) for creation from level l, E^c for
+    annihilation and a scalar, and E^(c-l+1) for a gauge at level l.  The
+    vacuum coefficient is divided once by (D_top D_bar (E_top E_bar)^c)^steps,
     and every term of :func:`apply_word` by the scale of its level.
 
 The single actions multiply each term once and keep the ring of their
@@ -101,7 +102,6 @@ from .scalars import (
 
 Word = Tuple[int, ...]
 WordPair = Tuple[Word, Word]
-ColumnMemo = Dict[Word, Dict[Word, object]]
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -199,7 +199,7 @@ class FockVector:
         return f"FockVector({self.terms!r})"
 
 
-# -- row operators ---------------------------------------------------------------
+# -- row tables and row operators --------------------------------------------------
 
 CREATE = "create"
 ANNIHILATE = "annihilate"
@@ -209,32 +209,25 @@ SCALAR = "scalar"
 RowOp = Callable[[Word], List[Tuple[Word, object]]]  # basis word -> its (word, coeff) terms
 RowSpec = Tuple[str, object]  # one row's (kind, data): a vector, a gauge matrix or a scalar
 Part = Tuple[RowSpec, RowSpec]  # top (x) bar: the top factor at (q, t), the bar one at (v, w)
-Lift = Callable[[int], object]  # the factor of every term an operator makes from a word of length n
 
 
-def _unlifted(n: int) -> int:
-    return 1
+class _Row(dict):
+    """One row's table for one call at its point (a, b), each entry made
+    once: row[word] the front move on word (:func:`_front_runs`), level(n)
+    the weights _qt_row(n, a, b) and ``columns`` the symmetrizer columns."""
 
+    __slots__ = ("a", "b", "weights", "columns")
 
-class _Memo(dict):
-    """fn(key) by key, computed once per key."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable):
+    def __init__(self, a, b):
         super().__init__()
-        self.fn = fn
+        self.a, self.b, self.weights, self.columns = a, b, {}, {}
 
-    def __missing__(self, key):
-        val = self[key] = self.fn(key)
-        return val
+    def level(self, n: int) -> Tuple:
+        return self.weights[n] if n in self.weights else self.weights.setdefault(n, _qt_row(n, self.a, self.b))
 
-
-def _row_create(vec: Sequence, lift: Lift = _unlifted) -> RowOp:
-    """Creation: sum_a vec_a e_a prefixed to the word."""
-    letters = [(a, x) for a, x in enumerate(vec) if x != 0]
-    at = _Memo(lambda n: [(a, x * lift(n)) for a, x in letters])
-    return lambda word: [((a,) + word, x) for a, x in at[len(word)]]
+    def __missing__(self, word: Word):
+        runs = self[word] = _front_runs(word, self.level(len(word)))
+        return runs
 
 
 def _front_runs(word: Word, weights: Sequence) -> List[Tuple[int, Word, object]]:
@@ -253,50 +246,71 @@ def _front_runs(word: Word, weights: Sequence) -> List[Tuple[int, Word, object]]
     return runs
 
 
-def _row_front(heads: Sequence[Sequence[Tuple[Word, object]]], wa, wb, lift: Lift = _unlifted) -> RowOp:
-    """The R_n front move: sum_i wa^(i-1) wb^(n-i) h e_(word without i) over
-    the terms (h, c) of heads[word_i], each with coefficient c, one term per
-    run of equal letters (:func:`_front_runs`).
-
-    Annihilation takes heads[l] = ((), <vec, e_l>), gauge heads[l] = ((a,), T[a][l]).
-    """
-    at = _Memo(lambda n: [x * lift(n) for x in _qt_row(n, wa, wb)])
+def _row_create(vec: Sequence, lift: Sequence) -> RowOp:
+    """Creation: sum_a vec_a e_a prefixed to a word of length n, times lift[n]."""
+    letters, at = [(a, x) for a, x in enumerate(vec) if x != 0], {}
 
     def op(word: Word) -> List[Tuple[Word, object]]:
-        return [
-            (head + rest, weight * c)
-            for letter, rest, weight in _front_runs(word, at[len(word)])
-            for head, c in heads[letter]
-        ]
+        n = len(word)
+        images = at[n] if n in at else at.setdefault(n, [(a, x * lift[n]) for a, x in letters])
+        return [((a,) + word, x) for a, x in images]
 
     return op
 
 
-def _row_annihilate(vec: Sequence, wa, wb, lift: Lift = _unlifted) -> RowOp:
-    """Annihilation: pair each letter l with vec, <vec, e_l>."""
-    return _row_front([[((), c)] if c != 0 else [] for c in vec], wa, wb, lift)
+def _row_annihilate(vec: Sequence, row: _Row) -> RowOp:
+    """Annihilation: the front move on row, each letter l paired with vec, <vec, e_l>."""
+    heads = [(x,) if x != 0 else () for x in vec]
+    return lambda word: [(rest, weight * x) for letter, rest, weight in row[word] for x in heads[letter]]
 
 
-def _row_gauge(mat: Sequence[Sequence], wa, wb, lift: Lift = _unlifted) -> RowOp:
-    """Gauge: replace each letter l by the column T e_l moved to the front."""
-    heads = [[((a,), row[l]) for a, row in enumerate(mat) if row[l] != 0] for l in range(len(mat))]
-    return _row_front(heads, wa, wb, lift)
+def _row_gauge(mat: Sequence[Sequence], row: _Row, lift: Sequence) -> RowOp:
+    """Gauge: the front move on row, each letter l replaced by the column
+    T e_l moved to the front, times lift[n] on a word of length n."""
+    heads, at = [[((a,), r[l]) for a, r in enumerate(mat) if r[l] != 0] for l in range(len(mat))], {}
+
+    def op(word: Word) -> List[Tuple[Word, object]]:
+        n = len(word)
+        lifted = at[n] if n in at else at.setdefault(n, [[(a, x * lift[n]) for a, x in head] for head in heads])
+        return [(head + rest, weight * x) for letter, rest, weight in row[word] for head, x in lifted[letter]]
+
+    return op
 
 
-def _row_scalar(lam, lift: Lift = _unlifted) -> RowOp:
-    """The scalar lam times the identity."""
-    at = _Memo(lambda n: lam * lift(n))
-    return lambda word: [(word, at[len(word)])]
-
-
-def _row_op(spec: RowSpec, a, b, lift: Lift = _unlifted) -> RowOp:
-    """The row operator of one spec on a row weighed by (a, b)."""
+def _row_op(spec: RowSpec, row: _Row, power: Sequence, c: int) -> RowOp:
+    """The operator of one spec on a row table, lifted by the level rule:
+    times power[c - n] for creation from level n, power[c + 1 - n] for a
+    gauge there, power[c] for annihilation and a scalar (in their data)."""
     kind, data = spec
     if kind == CREATE:
-        return _row_create(data, lift)
-    if kind == SCALAR:
-        return _row_scalar(data, lift)
-    return (_row_annihilate if kind == ANNIHILATE else _row_gauge)(data, a, b, lift)
+        return _row_create(data, power[c::-1])
+    if kind == GAUGE:
+        return _row_gauge(data, row, power[c + 1 :: -1])
+    if kind == ANNIHILATE:
+        return _row_annihilate([x * power[c] for x in data], row)
+    lam = data * power[c]
+    return lambda word: [(word, lam)]
+
+
+def _rows(parts: Sequence[Part], params, c: int, clear: bool = True) -> List[Tuple[Dict[int, RowOp], int, int]]:
+    """(ops, D, E) for the top row of parts at (q, t) and the bar row at
+    (v, w): ops maps the id of each spec object (hashing its Fractions is
+    slow, so the parts must outlive ops) to its operator on the row's one
+    table, built once.  Cleared, the data are times D, the lcm of their
+    denominators, and the point times E, so that after s operators a
+    level-l term is D^s E^(c s - C(l,2)) times its value, c at least the
+    highest level reached; else (the single actions) D = E = 1."""
+    rows = []
+    for side, (a, b) in enumerate((params[:2], params[2:])):
+        specs = {id(part[side]): part[side] for part in parts}
+        given = {id(d): d for _, d in specs.values()}  # a vector that creates and annihilates is cleared once
+        data = _denominator(x for d in given.values() for x in _entries(d)) if clear else 1
+        a, b, e = _cleared_point(a, b) if clear else (a, b, 1)
+        cleared = {key: _cleared_array(d, data) for key, d in given.items()} if clear else given
+        row, power = _Row(a, b), [e**k for k in range(c + 2)]
+        ops = {key: _row_op((kind, cleared[id(d)]), row, power, c) for key, (kind, d) in specs.items()}
+        rows.append((ops, data, e))
+    return rows
 
 
 def _collect(terms: Iterable[Tuple[object, object]]) -> Dict:
@@ -319,15 +333,15 @@ def _apply_ops(ops: Sequence[Tuple[RowOp, RowOp]], terms: Dict[WordPair, object]
     A part's image of one term lies on one level; images above level
     ``room`` are skipped before their bar factor is expanded.  Each row
     operator runs once per word, however many terms hold it."""
-    ops = [(_Memo(top_op), _Memo(bar_op)) for top_op, bar_op in ops]
+    ops = [(top_op, bar_op, {}, {}) for top_op, bar_op in ops]
     acc: Dict = {}
     get = acc.get
     for (top, bar), c in terms.items():
-        for top_op, bar_op in ops:
-            top_terms = top_op[top]
+        for top_op, bar_op, tops, bars in ops:
+            top_terms = tops[top] if top in tops else tops.setdefault(top, top_op(top))
             if not top_terms or len(top_terms[0][0]) > room:
                 continue
-            bar_terms = bar_op[bar]
+            bar_terms = bars[bar] if bar in bars else bars.setdefault(bar, bar_op(bar))
             for wt, ct in top_terms:
                 cc = c * ct
                 for wb, cb in bar_terms:
@@ -342,10 +356,15 @@ def _apply_parts(parts: Sequence[Part], f: FockVector, params: Optional[Deformat
 
     One operator multiplies each term once, so nothing is cleared: the
     terms keep the ring of f, the data and the point, which only
-    annihilation and gauge parts read."""
-    q, t, v, w = (None,) * 4 if params is None else (params.q, params.t, params.v, params.w)
+    annihilation and gauge parts read, refusing a letter past their data."""
+    for side, name in enumerate(("top", "bar")):
+        letter = max((max(key[side]) for key in f.terms if key[side]), default=-1)
+        for kind, data in (part[side] for part in parts):
+            if kind in (ANNIHILATE, GAUGE) and letter >= len(data):
+                raise ValueError(f"a {name} word has letter {letter}, but the {kind} operator has dimension {len(data)}")
+    (top, _, _), (bar, _, _) = _rows(parts, params or (None,) * 4, max(f.levels(), default=0), clear=False)
     out = FockVector()
-    out.terms = _apply_ops([(_row_op(top, q, t), _row_op(bar, v, w)) for top, bar in parts], f.terms)
+    out.terms = _apply_ops([(top[id(t)], bar[id(b)]) for t, b in parts], f.terms)
     return out
 
 
@@ -376,39 +395,6 @@ def _quadrabasic_parts(x: VectorPair, g: Optional[GaugePair], lam) -> List[Part]
     return parts
 
 
-# -- cleared rows ------------------------------------------------------------------
-
-
-def _level_rule(specs: Sequence[RowSpec], a, b, c: int) -> Tuple[Callable[[RowSpec], RowOp], int, int]:
-    """(make, D, E) for a product of the row operators of specs on one row
-    weighed by (a, b): make(spec) is the operator of one of the specs, on
-    ints, built once per spec object.  It is keyed by identity, since
-    hashing a spec's Fractions by value is slow, so the specs must outlive
-    make, as the parts that hold them do.
-
-    The data are cleared by D, the lcm of their denominators, and (a, b) by
-    E.  Each operator multiplies its terms from level l by E^(c-l) for
-    creation, E^c for annihilation, E^(c-l+1) for a gauge and E^c for a
-    scalar, so that after s operators a level-l term is
-    D^s E^(c s - C(l,2)) times its value, whatever its path, for c at
-    least the highest level that a term reaches."""
-    data = _denominator(x for _, d in specs for x in _entries(d))
-    a, b, e = _cleared_point(a, b)
-    power = [e**k for k in range(c + 2)]
-    lifts = {CREATE: lambda n: power[c - n], GAUGE: lambda n: power[c + 1 - n]}
-    ops = {id(spec): _row_op((kind, _cleared_array(d, data)), a, b, lifts.get(kind, lambda n: power[c]))
-           for spec in specs for kind, d in [spec]}
-    return lambda spec: ops[id(spec)], data, e
-
-
-def _level_rows(parts: Sequence[Part], params: DeformationParams, c: int):
-    """:func:`_level_rule` on the top row of parts at (q, t) and on the bar
-    row at (v, w), each spec object once, however many parts hold it."""
-    points = ((params.q, params.t), (params.v, params.w))
-    specs = [{id(part[side]): part[side] for part in parts}.values() for side in (0, 1)]
-    return [_level_rule(specs[side], a, b, c) for side, (a, b) in enumerate(points)]
-
-
 def _vacuum_moment(steps: Sequence[Sequence[Part]], params: DeformationParams):
     """<vacuum, (product of steps) vacuum>, each step the parts of one
     operator, the rightmost step acting first.
@@ -422,15 +408,15 @@ def _vacuum_moment(steps: Sequence[Sequence[Part]], params: DeformationParams):
 
     The level of a kept term is at most the number of steps behind it and
     the number still ahead, so no level passes c = steps // 2, and each
-    row runs on ints by the level rule of :func:`_level_rule`: the vacuum
+    row runs on ints by the level rule of :func:`_rows`: the vacuum
     coefficient comes as (D_top D_bar (E_top E_bar)^c)^steps times its
     value and is divided once.
     """
     c = len(steps) // 2
-    (top, top_data, top_e), (bar, bar_data, bar_e) = _level_rows([part for step in steps for part in step], params, c)
+    (top, top_data, top_e), (bar, bar_data, bar_e) = _rows([part for step in steps for part in step], params, c)
     terms: Dict[WordPair, object] = {((), ()): 1}
     for left, step in zip(range(len(steps) - 1, -1, -1), reversed(steps)):
-        terms = _apply_ops([(top(t), bar(b)) for t, b in step], terms, room=left)
+        terms = _apply_ops([(top[id(t)], bar[id(b)]) for t, b in step], terms, room=left)
     return _over(terms.get(((), ()), 0), (top_data * bar_data * (top_e * bar_e) ** c) ** len(steps))
 
 
@@ -460,22 +446,34 @@ def _token_part(token) -> Part:
     return part(payload)
 
 
+def _token_parts(tokens: Sequence) -> List[Part]:
+    """The part of each token, refusing by name a vector or gauge whose top
+    (or bar) dimension differs from that of the first such token."""
+    parts = [_token_part(token) for token in tokens]
+    sized = [(i, [len(data) for _, data in part]) for i, part in enumerate(parts) if part[0][0] != SCALAR]
+    for (i, dims), side in itertools.product(sized, (0, 1)):
+        (j, first), name = sized[0], ("top", "bar")[side]
+        if dims[side] != first[side]:
+            raise ValueError(f"tokens[{i}]: its {name} row has dimension {dims[side]}, but tokens[{j}] has {first[side]}")
+    return parts
+
+
 def apply_word(tokens: Sequence, params: DeformationParams) -> FockVector:
     """Apply a product of tokens to the vacuum (rightmost token acts first).
 
     The whole vector is kept at every step: this is the unpruned route that
     :func:`vacuum_expectation` is tested against.  It runs row by row, each
-    row on ints by the level rule of :func:`_level_rule`, c being the
-    number of creators.  Every term of the result has the level of the
-    word, so the tensor of the two rows is divided by one scale."""
-    parts = [_token_part(token) for token in tokens]
+    row on ints by the level rule of :func:`_rows`, c being the number of
+    creators.  Every term of the result has the level of the word, so the
+    tensor of the two rows is divided by one scale."""
+    parts = _token_parts(tokens)
     kinds = [kind for kind, _ in tokens]
     c, steps = kinds.count(CREATE), len(tokens)
     rows = []
-    for side, (make, data, e) in enumerate(_level_rows(parts, params, c)):
+    for side, (ops, data, e) in enumerate(_rows(parts, params, c)):
         f = {(): 1}
         for part in reversed(parts):
-            f = _row_apply(make(part[side]), f)
+            f = _row_apply(ops[id(part[side])], f)
         rows.append((f, data, e))
     (top, top_data, top_e), (bar, bar_data, bar_e) = rows
     level = max(c - kinds.count(ANNIHILATE), 0)  # of every word, if any survives
@@ -489,40 +487,42 @@ def vacuum_expectation(tokens: Sequence, params: DeformationParams):
     """<vacuum, tokens vacuum>, keeping after each token only the terms that
     can still return to the vacuum."""
     _guards.check_size("the length of an operator word", len(tokens), _guards.MAX_OPERATOR_WORD)
-    return _vacuum_moment([[_token_part(token)] for token in tokens], params)
+    return _vacuum_moment([[part] for part in _token_parts(tokens)], params)
 
 
 # -- deformed inner product ------------------------------------------------------
 
 
-def _sym_column(x: Word, a, b, memo: ColumnMemo) -> Dict[Word, object]:
-    """The column P^(n)_{a,b} e_x as a sparse dict {word: coeff}, for a and
-    b cleared (ints, or Polys of denominator 1), so its entries are too.
+def _sym_column(x: Word, row: _Row) -> Dict[Word, object]:
+    """The column P^(n)_{a,b} e_x as a sparse dict {word: coeff}, (a, b)
+    the point of the row table, cleared (ints, or Polys of denominator 1),
+    so its entries are too.
 
     Uses the factorisation P_n = (1 (x) P_(n-1)) R_n:
 
         P_n e_x = sum_k a^(k-1) b^(n-k) e_(x_k) (x) P_(n-1) e_(x without k),
 
     so the work grows with the distinct rearrangements of x, not with n!,
-    and each run of equal letters in x is one term (:func:`_front_runs`).
-    ``memo`` maps each word already expanded to its column; callers create
-    it per public call, so nothing is cached across calls.
+    and each run of equal letters in x is one term (the row's front move,
+    read if the table has it and else not kept, as each column is expanded
+    once).  ``row.columns`` maps each word expanded to its column; callers
+    make the row per public call, so nothing is cached across calls.
     """
-    col = memo.get(x)
+    col = row.columns.get(x)
     if col is not None:
         return col
     if not x:
         col = {(): 1}
     else:
         acc: Dict[Word, object] = {}
-        for letter, rest, weight in _front_runs(x, _qt_row(len(x), a, b)):
+        for letter, rest, weight in row.get(x) or _front_runs(x, row.level(len(x))):
             head = (letter,)
-            for word, c in _sym_column(rest, a, b, memo).items():
+            for word, c in _sym_column(rest, row).items():
                 key = head + word
                 prev = acc.get(key)
                 acc[key] = weight * c if prev is None else prev + weight * c
         col = {word: c for word, c in acc.items() if c != 0}
-    memo[x] = col
+    row.columns[x] = col
     return col
 
 
@@ -553,12 +553,11 @@ def deformed_inner(f: FockVector, h: FockVector, params: DeformationParams):
     levels_h = _levels(h)
     levels = [(n, fterms, levels_h[n]) for n, fterms in _levels(f).items() if n in levels_h]
     for n, fterms, hterms in levels:
-        for row in (0, 1):
-            _check_words(n, 1 + max((x for key, _ in fterms + hterms for x in key[row]), default=-1))
+        for side in (0, 1):
+            _check_words(n, 1 + max(map(max, (key[side] for key, _ in fterms + hterms))) if n else 0)
     q, t, top_e = _cleared_point(params.q, params.t)
     v, w, bar_e = _cleared_point(params.v, params.w)
-    top_memo: ColumnMemo = {}
-    bar_memo: ColumnMemo = {}
+    top, bar = _Row(q, t), _Row(v, w)
     total = _ZERO
     for n, fterms, hterms in levels:
         f_scale, h_scale = _denominator(c for _, c in fterms), _denominator(c for _, c in hterms)
@@ -566,12 +565,12 @@ def deformed_inner(f: FockVector, h: FockVector, params: DeformationParams):
         for (ht, hb), hc in hterms:
             hc = _cleared(hc, h_scale)
             row = bars.setdefault(ht, {})
-            for fb, p in _sym_column(hb, v, w, bar_memo).items():
+            for fb, p in _sym_column(hb, bar).items():
                 prev = row.get(fb)
                 row[fb] = hc * p if prev is None else prev + hc * p
         level = 0
         for (ft, fb), fc in fterms:
-            pairs = [p * bars[ht][fb] for ht, p in _sym_column(ft, q, t, top_memo).items() if fb in bars.get(ht, ())]
+            pairs = [p * bars[ht][fb] for ht, p in _sym_column(ft, top).items() if fb in bars.get(ht, ())]
             if pairs:
                 level = level + _cleared(fc, f_scale) * sum(pairs[1:], pairs[0])
         total = total + _over(level, f_scale * h_scale * (top_e * bar_e) ** math.comb(n, 2))
@@ -597,12 +596,11 @@ def symmetrizer_matrix(n: int, a, b, d: int):
     _check_words(n, d)
     words = list(itertools.product(range(d), repeat=n))
     a, b, e = _cleared_point(a, b)
-    scale = e ** math.comb(n, 2)
-    memo: ColumnMemo = {}
+    scale, row = e ** math.comb(n, 2), _Row(a, b)
     # P is symmetric (inv(sigma) = inv(sigma^-1)), so each column serves as a row
     rows = []
     for x in words:
-        col = _sym_column(x, a, b, memo)
+        col = _sym_column(x, row)
         rows.append(tuple(_over(col.get(u, 0), scale) for u in words))
     return tuple(rows)
 
@@ -719,8 +717,9 @@ def check_commutation_tensor(
     eta1, eta2 = _cleared_array((x1.eta, x2.eta))
     inner_top = _linalg.dot(xi1, xi2)
     inner_bar = _linalg.dot(eta1, eta2)
-    create_top, annihilate_top = _row_create(xi2), _row_annihilate(xi1, q, t)
-    create_bar, annihilate_bar = _row_create(eta2), _row_annihilate(eta1, v, w)
+    unlifted = (1,) * (maxlevel + 1)
+    create_top, annihilate_top = _row_create(xi2, unlifted), _row_annihilate(xi1, _Row(q, t))
+    create_bar, annihilate_bar = _row_create(eta2, unlifted), _row_annihilate(eta1, _Row(v, w))
     for n in range(0, maxlevel + 1):
         moved_id = q * inner_bar * bar_e**n
         ca_id, id_id = v * inner_top * top_e**n, inner_top * inner_bar * (top_e * bar_e) ** n
@@ -739,21 +738,22 @@ def check_commutation_tensor(
     return True
 
 
-def _adjoint_entries(mat, a, b, size: int, n: int, memo: ColumnMemo):
+def _adjoint_entries(mat, row: _Row, size: int, n: int):
     """The entries (<T e_x, e_y>_P, <e_x, T' e_y>_P) of one row at each pair
     (x, y) of level-n words over size letters where either is nonzero,
-    T = mat, T' its transpose and P = P^(n)_{a,b}.  P is symmetric, so the
-    first is entry y of P T e_x and the second entry x of P T' e_y: one
-    combination of columns per word and matrix.  An image word whose front
-    letter is size or more lies off the basis and pairs with nothing.  With
-    the row cleared (mat by D, a and b by E) both entries carry the same
-    scale D E^(n-1) E^C(n,2)."""
+    T = mat, T' its transpose and P = P^(n)_{a,b} at the row's point (the
+    images and columns share its table).  P is symmetric, so the first is
+    entry y of P T e_x and the second entry x of P T' e_y: one combination
+    of columns per word and matrix.  An image word whose front letter is
+    size or more lies off the basis and pairs with nothing.  With the row
+    cleared (mat by D, a and b by E) both carry the scale D E^(n-1) E^C(n,2)."""
     entries: Dict[Tuple[Word, Word], List] = defaultdict(lambda: [0, 0])
-    for k, gauge in enumerate((_row_gauge(mat, a, b), _row_gauge(_linalg.transpose(mat), a, b))):
+    unlifted = (1,) * (n + 1)
+    for k, gauge in enumerate((_row_gauge(mat, row, unlifted), _row_gauge(_linalg.transpose(mat), row, unlifted))):
         for z in itertools.product(range(size), repeat=n):
             for w, c in gauge(z):
                 if w[0] < size:
-                    for u, p in _sym_column(w, a, b, memo).items():
+                    for u, p in _sym_column(w, row).items():
                         entries[(u, z) if k else (z, u)][k] += c * p
     return entries.values()
 
@@ -774,12 +774,12 @@ def gauge_adjoint_check(
     _check_sweep(maxlevel, (("top", d, (len(g.top),)), ("bar", dbar, (len(g.bar),))))
     (q, t, _), (v, w, _) = _cleared_point(params.q, params.t), _cleared_point(params.v, params.w)
     top, bar = _cleared_array(g.top), _cleared_array(g.bar)
-    top_memo, bar_memo = {}, {}  # column memos, each shared by every level of its row
+    top_row, bar_row = _Row(q, t), _Row(v, w)  # each shared by every level of its row
     for n in range(1, maxlevel + 1):
         g00 = g01 = g11 = 0  # the Gram matrix of the bar's (L, -R) entries
-        for lb, rb in _adjoint_entries(bar, v, w, dbar, n, bar_memo):
+        for lb, rb in _adjoint_entries(bar, bar_row, dbar, n):
             g00, g01, g11 = g00 + lb * lb, g01 - lb * rb, g11 + rb * rb
-        for lt, rt in _adjoint_entries(top, q, t, d, n, top_memo):
+        for lt, rt in _adjoint_entries(top, top_row, d, n):
             if g00 * lt + g01 * rt != 0 or g01 * lt + g11 * rt != 0:
                 return False
     return True

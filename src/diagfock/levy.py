@@ -129,11 +129,10 @@ def _vector_chain(starts: Sequence[Sequence], gauges: Sequence[Optional[_linalg.
     denominators, so a block of j points carries D^j, and D goes to the
     pass, which returns the scale by which each word's sum is divided.  The
     Wick sums and the Levy moments share it."""
-    ends = starts if ends is None else ends
     matrices = (row for g in gauges if g is not None for row in g)
-    scale = _denominator(itertools.chain(*starts, *ends, *matrices, singles))
+    scale = _denominator(itertools.chain(*starts, *(ends or ()), *matrices, singles))
     starts = [_cleared_array(v, scale) for v in starts]  # a chain is a tuple: the DP hashes it
-    ends = [_cleared_array(v, scale) for v in ends]
+    ends = starts if ends is None else [_cleared_array(v, scale) for v in ends]
     cols = [None if g is None else _linalg.transpose(_cleared_array(g, scale)) for g in gauges]
     singles = _cleared_array(singles, scale)
     callbacks = (singles.__getitem__, starts.__getitem__, lambda row, i: _linalg.dot(row, ends[i]),
@@ -501,18 +500,17 @@ def _psi_value(psi: Functional, word: Word) -> Fraction:
     return Fraction(_defined(psi, word))
 
 
-def _check_window(psi: Functional, k: int, shortest: int, longest: int) -> None:
-    """Raise at the first word of length shortest..longest over the k
-    letters that psi misses.  The window is counted only as far as
-    len(psi), so a psi too short for it fails within len(psi) + 1 listed
-    words, before a word list of the window is built."""
-    size, n = 0, shortest - 1
+def _check_window(psi: Functional, k: int, longest: int, inside: int) -> None:
+    """Raise at the first word of length 1..longest over the k letters that
+    psi misses, ``inside`` of them in psi.  The window is counted only as
+    far as len(psi), so a psi too short for it fails within len(psi) + 1
+    listed words, before a word list of the window is built."""
+    size, n = 0, 0
     while n < longest and size <= len(psi):
         n += 1
         size += k ** n
-    inside = sum(isinstance(w, tuple) and shortest <= len(w) <= longest and all(a in range(k) for a in w) for w in psi)
     if inside < size:
-        for word in _iter_words(k, longest, shortest):
+        for word in _iter_words(k, longest):
             _psi_value(psi, word)
 
 
@@ -535,11 +533,13 @@ def gns_reconstruct(psi: Functional, k: int, maxlen: int) -> Tuple[LevySpec, Dic
     """
     _guards.check_size("the letter count k of a functional", k, math.inf)
     _guards.check_size("the word length maxlen of the reconstruction", maxlen, math.inf)
-    letters = range(k)
-    keys = [w for w in psi if isinstance(w, tuple) and 1 <= len(w) <= 2 * maxlen + 2 and all(a in letters for a in w)]
-    if any(psi[w] != psi[tuple(reversed(w))] for w in keys if tuple(reversed(w)) in psi):
-        raise ValueError("functional is not reversal-symmetric")
-    _check_window(psi, k, 1, max(1, 2 * maxlen))  # each coordinate and each word of length 2..2*maxlen
+    letters, longest = range(k), max(1, 2 * maxlen)
+    keys = [w for w in psi if isinstance(w, tuple) and 1 <= len(w) <= 2 * maxlen + 2 and all(map(letters.__contains__, w))]
+    for w in keys:  # each pair {w, reversed(w)} once, from its smaller word; a palindrome is its own pair
+        rev = w[::-1]
+        if w < rev and rev in psi and psi[w] != psi[rev]:
+            raise ValueError("functional is not reversal-symmetric")
+    _check_window(psi, k, longest, sum(len(w) <= longest for w in keys))  # each coordinate, each word of length 2..2*maxlen
     words = list(_iter_words(k, maxlen))
     gram_full = tuple(tuple(_psi_value(psi, tuple(reversed(u)) + v) for v in words) for u in words)
     verdict, _, chosen, _ = _linalg._ldlt(gram_full)

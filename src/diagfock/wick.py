@@ -45,7 +45,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from . import _guards
 from .levy import _vector_chain, cumulants_to_moments, moments_to_cumulants  # the transforms are re-exported
 from .partitions import arc_sums, role_sums
-from .scalars import DeformationParams, _cleared, _cleared_array, _denominator, _over
+from .scalars import DeformationParams, _cleared, _denominator, _over
 from .fock import (
     ANNIHILATE,
     CREATE,
@@ -181,7 +181,7 @@ def _word_row(vectors: Sequence[Sequence], roles_at: Sequence[str], a, b) -> Tup
     openers = roles_at.count("O")
     singletons = max(len(roles_at) - 2 * openers, 0)  # as many in every R; no R if creators are too few
     most = openers * singletons
-    vectors = [_cleared_array(v, data) for v in vectors]
+    vectors = [chain[1](i) for i in range(len(vectors))]  # the chain's starts: the vectors cleared by data
     a_den, b_den = _denominator([a]), _denominator([b])
     a_num, b_num = _cleared(a, a_den), _cleared(b, b_den)
     out: Dict[Tuple[int, ...], object] = {}

@@ -777,7 +777,7 @@ def check_commutation_single(xi1, xi2, a, b, d: int, maxlevel: int = 3) -> bool:
     xi1 = tuple(Fraction(x) for x in xi1)
     xi2 = tuple(Fraction(x) for x in xi2)
     inner = _linalg.dot(xi1, xi2)
-    create, annihilate = fock._row_create(xi2), fock._row_annihilate(xi1, a, b)
+    create, annihilate = fock._row_create(xi2, (1,) * (maxlevel + 1)), fock._row_annihilate(xi1, fock._Row(a, b))
     for n in range(0, maxlevel + 1):
         for word in itertools.product(range(d), repeat=n):
             f = {word: Fraction(1)}
@@ -902,8 +902,9 @@ def commutation_by_pairs(x1, x2, params, d: int, dbar: int, maxlevel: int = 3) -
     xi1, xi2 = _cleared_array((x1.xi, x2.xi))
     eta1, eta2 = _cleared_array((x1.eta, x2.eta))
     inner_top, inner_bar = _linalg.dot(xi1, xi2), _linalg.dot(eta1, eta2)
-    create_top, annihilate_top = fock._row_create(xi2), fock._row_annihilate(xi1, q, t)
-    create_bar, annihilate_bar = fock._row_create(eta2), fock._row_annihilate(eta1, v, w)
+    unlifted = (1,) * (maxlevel + 1)
+    create_top, annihilate_top = fock._row_create(xi2, unlifted), fock._row_annihilate(xi1, fock._Row(q, t))
+    create_bar, annihilate_bar = fock._row_create(eta2, unlifted), fock._row_annihilate(eta1, fock._Row(v, w))
 
     def row_images(create, annihilate, size: int, n: int, lhs_scale, rhs_scale):
         # (word, a c e_word, lhs_scale c a e_word, -rhs_scale c a e_word) for each level-n word
@@ -940,10 +941,11 @@ def adjoint_by_pairs(g, params, d: int, dbar: int, maxlevel: int = 3) -> bool:
     with the column P e_y, and <e_x, T' e_y>_P pairs T' e_y with P e_x."""
     (q, t, _), (v, w, _) = _cleared_point(params.q, params.t), _cleared_point(params.v, params.w)
 
-    def row_pairs(mat, a, b, size: int, n: int, memo):
+    def row_pairs(mat, row, size: int, n: int):
         words = list(itertools.product(range(size), repeat=n))
-        cols = [fock._sym_column(z, a, b, memo) for z in words]
-        gauge, gauge_adj = fock._row_gauge(mat, a, b), fock._row_gauge(_linalg.transpose(mat), a, b)
+        cols = [fock._sym_column(z, row) for z in words]
+        unlifted = (1,) * (n + 1)
+        gauge, gauge_adj = fock._row_gauge(mat, row, unlifted), fock._row_gauge(_linalg.transpose(mat), row, unlifted)
         images, images_adj = [gauge(z) for z in words], [gauge_adj(z) for z in words]
 
         def pair(terms, col):
@@ -953,10 +955,10 @@ def adjoint_by_pairs(g, params, d: int, dbar: int, maxlevel: int = 3) -> bool:
         return [(pair(images[x], cols[y]), pair(images_adj[y], cols[x])) for x in indices for y in indices]
 
     top, bar = _cleared_array(g.top), _cleared_array(g.bar)
-    top_memo, bar_memo = {}, {}
+    top_row, bar_row = fock._Row(q, t), fock._Row(v, w)
     for n in range(1, maxlevel + 1):
-        bars = row_pairs(bar, v, w, dbar, n, bar_memo)
-        for lt, rt in row_pairs(top, q, t, d, n, top_memo):
+        bars = row_pairs(bar, bar_row, dbar, n)
+        for lt, rt in row_pairs(top, top_row, d, n):
             if any(lt * lb != rt * rb for lb, rb in bars):
                 return False
     return True

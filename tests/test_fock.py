@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,96 @@ def test_vacuum_moment_needs_a_term_at_level_equal_to_the_room():
     assert vacuum_expectation(word, SYM) == (Q + T) * (V + W)
     params = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(1, 3), Fraction(3, 4))
     assert vacuum_expectation(word, params) == Fraction(91, 72)
+
+
+# the points of the driver's cleared routes: int, Fraction, mixed int and
+# Fraction, q = t, v = -w and symbolic
+MOMENT_POINTS = {
+    "int": DeformationParams(2, 3, -1, 2),
+    "fraction": params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4)),
+    "mixed": DeformationParams(2, Fraction(2, 3), -1, Fraction(3, 4)),
+    "q=t": params_rat(Fraction(2, 5), Fraction(2, 5), Fraction(1, 3), Fraction(3, 4)),
+    "v=-w": params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(1, 3)),
+    "symbolic": SYM,
+}
+
+
+def _moment_data(r, kind, d):
+    """A random vector and gauge matrix over d letters, of ints, of
+    Fractions or of both mixed."""
+    pick = {"int": lambda: r.randint(-3, 3), "mixed": lambda: r.choice([r.randint(-3, 3), helpers.rand_frac(r)])}
+    entry = pick.get(kind, lambda: helpers.rand_frac(r))
+    return tuple(entry() for _ in range(d)), tuple(tuple(entry() for _ in range(d)) for _ in range(d))
+
+
+@pytest.mark.parametrize("kind", list(MOMENT_POINTS))
+@pytest.mark.parametrize("d, dbar", [(2, 2), (2, 1), (1, 2)])
+def test_the_vacuum_moment_matches_the_pair_route(kind, d, dbar):
+    # the cleared driver on one row table per row against every term kept on
+    # the data as given, in value and type: general operators with gauges
+    # and nonzero scalars, some of their steps repeated; the data are ints
+    # at the int point, ints and Fractions at the mixed one
+    params = MOMENT_POINTS[kind]
+    r = helpers.rng(41 + 3 * d + dbar)
+    nonzero = 0
+    for n in range(6):
+        steps = []
+        for _ in range(n):
+            (xi, top), (eta, bar) = _moment_data(r, kind, d), _moment_data(r, kind, dbar)
+            lam = helpers.rand_frac(r) or Fraction(1, 2)
+            steps.append(fock._quadrabasic_parts(VectorPair(xi, eta), GaugePair(top, bar), lam))
+        steps += steps[: n // 3]
+        got, want = fock._vacuum_moment(steps, params), helpers.vacuum_moment_pairs(steps, params)
+        assert got == want and type(got) is type(want), (n, got, want)
+        nonzero += got != 0
+    assert nonzero >= 4
+
+
+def test_a_vacuum_moment_moves_each_word_to_the_front_once_per_row(monkeypatch):
+    # one vector, gauge and scalar on every step, each step its own spec
+    # objects: the annihilations and gauges of all steps ask for the same
+    # words, and each (row, word) front move is computed once per call
+    x = VectorPair.of([1, Fraction(1, 2)], [Fraction(2, 3), 1])
+    g = GaugePair.of([[Fraction(1, 2), 1], [-1, Fraction(1, 3)]], [[2, Fraction(-1, 5)], [1, 1]])
+    params = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4))
+    steps = [fock._quadrabasic_parts(x, g, Fraction(3, 2)) for _ in range(6)]
+    want = helpers.vacuum_moment_pairs(steps, params)
+    moves, misses, asked = [], [], []
+    front_runs, missing = fock._front_runs, fock._Row.__missing__
+    monkeypatch.setattr(fock, "_front_runs", lambda word, weights: moves.append(word) or front_runs(word, weights))
+    monkeypatch.setattr(fock._Row, "__missing__", lambda row, word: misses.append((id(row), word)) or missing(row, word))
+    for name in ("_row_annihilate", "_row_gauge"):
+        def counted(*args, make=getattr(fock, name)):
+            op = make(*args)
+            return lambda word: asked.append(word) or op(word)
+        monkeypatch.setattr(fock, name, counted)
+    assert fock._vacuum_moment(steps, params) == want != 0
+    assert len(moves) == len(misses) == len(set(misses))  # every front move a table miss, each (row, word) once
+    assert len({row for row, _ in misses}) == 2  # the top row and the bar row
+    assert 2 * len(misses) < len(asked)  # the operators asked for more than twice as many
+
+
+def test_a_letter_past_an_operator_dimension_is_refused():
+    p = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4))
+    x1, x2 = VectorPair.of([1], [1]), VectorPair.of([1, 2], [3])
+    with pytest.raises(ValueError, match=r"^a top word has letter 1, but the annihilate operator has dimension 1$"):
+        annihilation_apply(x1, FockVector({((1, 0), (0, 0)): 1}), p)
+    with pytest.raises(ValueError, match=r"^a bar word has letter 2, but the gauge operator has dimension 2$"):
+        gauge_apply(GaugePair.of([[1]], [[1, 0], [0, 1]]), FockVector({((0,), (2,)): 1}), p)
+    # creation reads no letter; the vacuum has none
+    assert creation_apply(x1, FockVector({((3,), (4,)): 1})).terms == {((0, 3), (0, 4)): 1}
+    assert annihilation_apply(x1, FockVector.vacuum(), p) == FockVector()
+    # the tokens of one word share their dimensions on each row, as the Wick formulas' entries do
+    cases = [
+        ([(ANNIHILATE, x1), (CREATE, x2)], "tokens[1]: its top row has dimension 2, but tokens[0] has 1"),
+        ([(ANNIHILATE, x2), (CREATE, x1)], "tokens[1]: its top row has dimension 1, but tokens[0] has 2"),
+        ([(SCALAR, 2), (CREATE, x1), (ANNIHILATE, VectorPair.of([1], [1, 1]))], "tokens[2]: its bar row has dimension 2, but tokens[1] has 1"),
+        ([(GAUGE, GaugePair.of([[1]], [[1]])), (CREATE, x2)], "tokens[1]: its top row has dimension 2, but tokens[0] has 1"),
+    ]
+    for tokens, message in cases:
+        for route in (vacuum_expectation, apply_word):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                route(tokens, p)
 
 
 def test_creation_annihilation_adjoint_via_inner():
@@ -530,18 +621,23 @@ def test_commutation_tensor_fails_with_swapped_annihilation_weights(monkeypatch)
     assert check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=2)
     assert check_commutation_tensor(x3, x4, distinct, 2, 2, maxlevel=3)
     assert check_commutation_tensor(x3, x4, only_bar, 2, 2, maxlevel=3)
-    row_annihilate = fock._row_annihilate
-    monkeypatch.setattr(fock, "_row_annihilate", lambda vec, wa, wb: row_annihilate(vec, wb, wa))
+    monkeypatch.setattr(fock, "_row_annihilate", _swapped_annihilation(fock._row_annihilate))
     assert check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=0)
     assert not check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=2)
     assert not check_commutation_tensor(x3, x4, distinct, 2, 2, maxlevel=3)
     assert not check_commutation_tensor(x3, x4, only_bar, 2, 2, maxlevel=3)
 
 
+def _swapped_annihilation(row_annihilate):
+    """_row_annihilate weighing position i by b^(i-1) a^(n-i): on a row
+    table of its own at the swapped point (b, a)."""
+    return lambda vec, row: row_annihilate(vec, fock._Row(row.b, row.a))
+
+
 def _perturbed_creation(row_create):
     """_row_create with one coefficient off by one: the first letter it
     prefixes to a word of length 1."""
-    def make(vec, lift=fock._unlifted):
+    def make(vec, lift):
         op = row_create(vec, lift)
         return lambda word: [(w, c + (len(word) == 1 and i == 0)) for i, (w, c) in enumerate(op(word))]
 
@@ -554,9 +650,8 @@ def test_commutation_gram_check_matches_the_pair_sweep(monkeypatch, d, dbar, mut
     # the Gram test against the per-pair sweep it replaced, on the relation
     # and on two broken ones; a row of no letters has no basis pair past
     # level 0 (level 0 is the vacuum, which neither mutation reaches)
-    row_annihilate = fock._row_annihilate
     if mutation == "swapped-annihilation-weights":
-        monkeypatch.setattr(fock, "_row_annihilate", lambda vec, wa, wb: row_annihilate(vec, wb, wa))
+        monkeypatch.setattr(fock, "_row_annihilate", _swapped_annihilation(fock._row_annihilate))
     elif mutation == "perturbed-creation":
         monkeypatch.setattr(fock, "_row_create", _perturbed_creation(fock._row_create))
     r = helpers.rng(17 + 5 * d + dbar)
@@ -640,11 +735,11 @@ RUN_IDS = ["a=b", "a=-b", "a=0", "symbolic"]
 @pytest.mark.parametrize("d", [2, 3])
 def test_sym_column_matches_the_permutation_sum_on_every_word(d, a, b):
     # P_n preserves content, so a column's entries lie on the rearrangements of its word
-    memo = {}
+    row = fock._Row(a, b)
     for n in range(6):
         for x in itertools.product(range(d), repeat=n):
             entries = {u: helpers.sym_inner_brute(u, x, a, b) for u in set(itertools.permutations(x))}
-            assert fock._sym_column(x, a, b, memo) == {u: c for u, c in entries.items() if c != 0}, x
+            assert fock._sym_column(x, row) == {u: c for u, c in entries.items() if c != 0}, x
 
 
 @pytest.mark.parametrize("a, b", RUN_POINTS, ids=RUN_IDS)
@@ -653,7 +748,8 @@ def test_front_move_by_runs_matches_the_expansion_by_positions(d, a, b):
     # annihilation and gauge images, collected, against one term per position
     vec = [Fraction(2 * l - 3, l + 2) for l in range(d)]
     mat = [[Fraction(r - 2 * l, 3) for l in range(d)] for r in range(d)]
-    annihilate, gauge = fock._row_annihilate(vec, a, b), fock._row_gauge(mat, a, b)
+    row = fock._Row(a, b)
+    annihilate, gauge = fock._row_annihilate(vec, row), fock._row_gauge(mat, row, (1,) * 6)
     for n in range(1, 6):
         weights = [a**i * b ** (n - 1 - i) for i in range(n)]
         for x in itertools.product(range(d), repeat=n):

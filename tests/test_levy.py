@@ -249,7 +249,8 @@ def test_stochastic_measure_matches_the_sum_over_assignments():
 
 def test_levy_oracle_builds_one_row_operator_per_distinct_spec(monkeypatch):
     # the tokens of a repeated letter share their parts, and each spec's
-    # operator is built once per call, however many steps hold it
+    # operator is built once per call on its row's table (fock._rows calls
+    # fock._row_op once per spec object and row), however many steps hold it
     built = []
     row_op = fock._row_op
     monkeypatch.setattr(fock, "_row_op", lambda spec, *args: built.append(spec) or row_op(spec, *args))
@@ -676,6 +677,19 @@ def test_gns_window_is_bounded_by_psi():
     psi[(0,) * 3 + (1,)] += 1
     with pytest.raises(ValueError, match="reversal-symmetric"):
         gns_reconstruct(psi, 2, 1)
+
+
+def test_gns_refuses_asymmetry_before_a_missing_word():
+    # each pair {w, reversed(w)} is checked once, whichever of its words psi
+    # lists first, and before the window is: psi here misses (1,) as well
+    psi = {(0,): 1, (0, 1): 1, (1, 0): 2, (0, 0, 1): 3}
+    for order in (psi, dict(reversed(list(psi.items())))):
+        with pytest.raises(ValueError, match="^functional is not reversal-symmetric$"):
+            gns_reconstruct({w: Fraction(c) for w, c in order.items()}, 2, 1)
+    # palindromes, symmetric pairs and a word whose reversal psi lacks pass on to the window
+    psi = {(0,): 1, (0, 0): 2, (0, 1): 1, (1, 0): 1, (0, 1, 0): 5, (0, 0, 1): 3}
+    with pytest.raises(ValueError, match=r"^functional not defined on word \(1,\)$"):
+        gns_reconstruct({w: Fraction(c) for w, c in psi.items()}, 2, 1)
 
 
 def test_psi_window_checks_list_words_only_as_far_as_psi(monkeypatch):
