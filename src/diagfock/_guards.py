@@ -15,9 +15,11 @@ class ResourceLimitError(RuntimeError):
 
 MAX_DIAGONAL_N = 10  # points of a diagonal partition: the open-arc DP, its operator oracles, the listings
 MAX_NORM_BITS = 425_000  # nhat * bits(E) of the one-row creation norm's peak [nhat + 1]_{q,t}: its powers' size
-MAX_OPERATOR_WORD = 12  # tokens of a vacuum expectation
+MAX_OPERATOR_WORD = 12  # tokens of a vacuum expectation and of fock.apply_word
 MAX_SYMMETRIZER_WORDS = 800  # the d^n words of the level-n symmetrizer over d letters
 MAX_FAMILY_NMAX = 64  # moment order and polynomial degree of the CLI families, hence 2 nmax of euler
+MAX_SYMBOLIC_MOMENTS_NMAX = 20  # moment order of diagfock moments --symbolic: Poisson's walk, ~7 s at 20 on 2 cores
+MAX_SYMBOLIC_POLYS_NMAX = 12  # polynomial degree of diagfock polys --symbolic: Poisson's recurrence, ~10 s at 12
 MAX_CF_DEPTH = 1024  # continued-fraction depth of diagfock cauchy
 MAX_PARTITION_ITEMS = 100_000  # rows of one diagfock partitions listing, counted before it is built
 

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 # orthopoly, fock, wick and levy are imported inside the commands that run
 # them, so that the other commands do not load them
 from . import _guards
-from .scalars import DeformationParams, Poly, _qt_ladder, parse_rational, render_rational
+from .scalars import DeformationParams, Poly, _float, _qt_ladder, parse_rational, render_rational
 from .partitions import (
     _diagonal_classes,
     count_diagonal_pair_partitions,
@@ -193,10 +193,20 @@ _POINT_FAMILIES = ("hermite", "poisson")  # the families read at the point --q -
 def _family(args, depth: int) -> JacobiData:
     from . import orthopoly
 
-    if getattr(args, "symbolic", False) and args.family not in _POINT_FAMILIES:
+    return _FAMILIES[args.family](orthopoly, args, depth)
+
+
+def _nmax(args, symbolic_cap: int) -> int:
+    """--nmax of moments or polys.  With --symbolic, a family with no point
+    is refused first, and --nmax is capped at symbolic_cap: the Poly entries
+    grow far faster with nmax than rational ones do."""
+    nmax = _int(args.nmax, "--nmax")
+    if not args.symbolic:
+        return _guards.check_size("--nmax", nmax, _guards.MAX_FAMILY_NMAX, least=1)
+    if args.family not in _POINT_FAMILIES:
         only = " and ".join(_POINT_FAMILIES)
         raise ValueError(f"--family {args.family} has no symbolic point: --symbolic applies to {only} only")
-    return _FAMILIES[args.family](orthopoly, args, depth)
+    return _guards.check_size("--nmax with --symbolic", nmax, symbolic_cap, least=1)
 
 
 def cmd_moments(args) -> int:
@@ -204,12 +214,12 @@ def cmd_moments(args) -> int:
 
     if args.symbolic and args.mode == "float":
         raise ValueError("--mode float needs a rational point, not --symbolic")
-    _guards.check_size("--nmax", _int(args.nmax, "--nmax"), _guards.MAX_FAMILY_NMAX, least=1)
+    _nmax(args, _guards.MAX_SYMBOLIC_MOMENTS_NMAX)
     depth = args.nmax // 2 + 1
     jac = _family(args, depth)
     moments = [Fraction(1)] + moments_from_jacobi(jac, args.nmax)
     if args.mode == "float":
-        moments = [float(m) for m in moments]
+        moments = [_float(m, f"the moment m_{k}") for k, m in enumerate(moments)]
     _emit({"family": args.family, "moments_from_order_zero": moments}, args.output)
     return 0
 
@@ -217,7 +227,7 @@ def cmd_moments(args) -> int:
 def cmd_polys(args) -> int:
     from .orthopoly import polys_from_jacobi
 
-    _guards.check_size("--nmax", _int(args.nmax, "--nmax"), _guards.MAX_FAMILY_NMAX, least=1)
+    _nmax(args, _guards.MAX_SYMBOLIC_POLYS_NMAX)
     jac = _family(args, args.nmax)
     polys = polys_from_jacobi(jac, args.nmax)
     _emit(
@@ -252,8 +262,8 @@ def cmd_density(args) -> int:
     if args.kind == "sech":
         density, mass = sech_density, lambda: sech_moment_quad(0)
     else:
-        q = float(parse_rational(args.q))
-        alpha = float(parse_rational(args.alpha))
+        q = _float(parse_rational(args.q), "--q")
+        alpha = _float(parse_rational(args.alpha), "--alpha")
         payload["variant"] = args.variant
         density = lambda x: mp_density(x, q, alpha, variant=args.variant)
         mass = lambda: mp_normalization(q, alpha, variant=args.variant)

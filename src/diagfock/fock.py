@@ -47,10 +47,8 @@ is known before the route runs, so the result is divided once
 (``scalars._over``).  At (E a, E b) the front move R_n is E^(n-1) times
 its value and the level-n symmetrizer P_n is E^C(n,2) times its own, so:
 
-  * the symmetrizer entries (:func:`symmetrizer_matrix`) are divided by
-    E^C(n,2), and :func:`deformed_inner` divides each level's sum by
-    E_top^C(n,2) E_bar^C(n,2) and by the scales of f's and h's
-    coefficients there;
+  * :func:`deformed_inner` divides each level's sum by E_top^C(n,2)
+    E_bar^C(n,2) and by the scales of f's and h's coefficients there;
   * the gauge-adjoint check compares two pairings of the same scale per
     row, and the commutation check tests the relation on level n times
     D_top^2 D_bar^2 (E_top E_bar)^n, so both compare ints as they are;
@@ -465,7 +463,9 @@ def apply_word(tokens: Sequence, params: DeformationParams) -> FockVector:
     :func:`vacuum_expectation` is tested against.  It runs row by row, each
     row on ints by the level rule of :func:`_rows`, c being the number of
     creators.  Every term of the result has the level of the word, so the
-    tensor of the two rows is divided by one scale."""
+    tensor of the two rows is divided by one scale.  Its word is capped like
+    that of :func:`vacuum_expectation`."""
+    _guards.check_size("the length of an operator word", len(tokens), _guards.MAX_OPERATOR_WORD)
     parts = _token_parts(tokens)
     kinds = [kind for kind, _ in tokens]
     c, steps = kinds.count(CREATE), len(tokens)
@@ -588,21 +588,6 @@ def _check_words(n: int, d: int) -> None:
     if bits > cap.bit_length():
         raise _guards.ResourceLimitError(f"{what} is at least 2^{_guards.shown(bits)}, but is guarded at <= {cap}")
     _guards.check_size(what, d ** n, cap)
-
-
-def symmetrizer_matrix(n: int, a, b, d: int):
-    """Matrix of P^(n)_{a,b} on words of length n over a d-letter basis (lex
-    order): the columns at (E a, E b), each entry divided by E^C(n,2)."""
-    _check_words(n, d)
-    words = list(itertools.product(range(d), repeat=n))
-    a, b, e = _cleared_point(a, b)
-    scale, row = e ** math.comb(n, 2), _Row(a, b)
-    # P is symmetric (inv(sigma) = inv(sigma^-1)), so each column serves as a row
-    rows = []
-    for x in words:
-        col = _sym_column(x, row)
-        rows.append(tuple(_over(col.get(u, 0), scale) for u in words))
-    return tuple(rows)
 
 
 def positivity_check(n: int, a: Fraction, b: Fraction, d: int) -> Tuple[str, int]:

@@ -484,9 +484,9 @@ def hankel_psd_check(tau_moments: Sequence) -> Tuple[str, int]:
 # -- conditional positivity and reconstruction -----------------------------------------
 
 
-def _iter_words(k: int, maxlen: int, shortest: int = 1) -> Iterator[Word]:
-    """Words over 0..k-1 of length shortest..maxlen, shortest first, lazily."""
-    return itertools.chain.from_iterable(itertools.product(range(k), repeat=n) for n in range(shortest, maxlen + 1))
+def _iter_words(k: int, maxlen: int) -> Iterator[Word]:
+    """Words over 0..k-1 of length 1..maxlen, shortest first, lazily."""
+    return itertools.chain.from_iterable(itertools.product(range(k), repeat=n) for n in range(1, maxlen + 1))
 
 
 def _defined(psi: Functional, word: Word):

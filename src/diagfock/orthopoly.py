@@ -63,7 +63,7 @@ from functools import lru_cache
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from . import _guards
-from .scalars import DeformationParams, _cleared, _denominator, _over, _qt_ladder
+from .scalars import DeformationParams, _cleared, _denominator, _float, _over, _qt_ladder
 
 _QL_MAX_SWEEPS = 30  # implicit-QL sweeps per eigenvalue before giving up
 _GL_POINTS = 20  # Gauss-Legendre points per panel of the adaptive quadrature
@@ -97,7 +97,10 @@ class JacobiData(_JacobiDataFields):
         return len(self.beta)
 
     def as_floats(self) -> Tuple[List[float], List[float]]:
-        return [float(b) for b in self.beta], [float(g) for g in self.gamma]
+        """beta and gamma as floats; an entry too large for one is bad input."""
+        return [_float(b, f"the recurrence coefficient beta_{k}") for k, b in enumerate(self.beta)], [
+            _float(g, f"the recurrence coefficient gamma_{k}") for k, g in enumerate(self.gamma)
+        ]
 
 
 def _hermite_gammas(params: DeformationParams, depth: int) -> Tuple:
@@ -394,7 +397,13 @@ def _integrate(f: Callable[[float], float], a: float, b: float) -> float:
 
 
 def sech_density(x: float) -> float:
-    return 1.0 / (2.0 * math.cosh(math.pi * x / 2.0))
+    """1 / (2 cosh(pi x / 2)).  Past |x| ~ 452.3 cosh overflows; from
+    |x| ~ 451.9 on 2 cosh is already past the largest float and the density
+    reads 0.0, so it reads 0.0 there too."""
+    try:
+        return 1.0 / (2.0 * math.cosh(math.pi * x / 2.0))
+    except OverflowError:
+        return 0.0
 
 
 def sech_moment_quad(k: int) -> float:

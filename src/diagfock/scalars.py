@@ -80,6 +80,15 @@ def render_rational(x: Fraction) -> str:
     return str(x)
 
 
+def _float(x, what: str) -> float:
+    """float(x), an x too large for a float refused as bad input that names
+    what (an exact x past 2^1024 overflows; a smaller one rounds)."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+
+
 def _monomial_str(exp: Exponent) -> str:
     parts = []
     for name, e in zip(VAR_NAMES, exp):

@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 from diagfock import _linalg, fock, levy
 from diagfock.orthopoly import polys_from_jacobi, quadrature_rule
 from diagfock.partitions import SetPartition
-from diagfock.scalars import _cleared_array, _cleared_point
+from diagfock.scalars import _cleared_array, _cleared_point, _over
 
 
 def rng(seed: int) -> random.Random:
@@ -787,6 +787,23 @@ def check_commutation_single(xi1, xi2, a, b, d: int, maxlevel: int = 3) -> bool:
             if fock._collect(terms):
                 return False
     return True
+
+
+def symmetrizer_matrix(n: int, a, b, d: int):
+    """Matrix of P^(n)_{a,b} on words of length n over a d-letter basis (lex
+    order), the whole matrix that :func:`ldlt_classify` checks
+    ``fock.positivity_check`` against: the library's columns at (E a, E b),
+    each entry divided by E^C(n,2), after the library's guard on d^n."""
+    fock._check_words(n, d)
+    words = list(itertools.product(range(d), repeat=n))
+    a, b, e = _cleared_point(a, b)
+    scale, row = e ** math.comb(n, 2), fock._Row(a, b)
+    # P is symmetric (inv(sigma) = inv(sigma^-1)), so each column serves as a row
+    rows = []
+    for x in words:
+        col = fock._sym_column(x, row)
+        rows.append(tuple(_over(col.get(u, 0), scale) for u in words))
+    return tuple(rows)
 
 
 def ldlt_classify(a: Sequence[Sequence]) -> Tuple[str, int]:

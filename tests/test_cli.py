@@ -568,6 +568,48 @@ def test_symbolic_is_taken_for_the_families_at_a_point(capsys, command, family):
     assert any(re.search(r"[qtvw]", x) for x in data[key])
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["cauchy", "--family", "hermite", "--q", "1e400", "--depth", "5"], "the recurrence coefficient gamma_1"),
+        (["moments", "--family", "hermite", "--q", "1e400", "--nmax", "4", "--mode", "float"], "the moment m_4"),
+        (["density", "--kind", "qmp", "--q", "1e400", "--alpha", "0", "--x", "0"], "--q"),
+        (["density", "--kind", "qmp", "--q", "1/2", "--alpha", "1e400", "--mass"], "--alpha"),
+    ],
+    ids=["cauchy-jacobi-entry", "moments-float-mode", "density-qmp-q", "density-qmp-alpha"],
+)
+def test_an_exact_value_too_large_for_a_float_exits_2(capsys, argv, name):
+    # each used to raise OverflowError, a traceback and exit code 1
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == f"error: {name} is too large for a float\n"
+
+
+@pytest.mark.parametrize("x", ["500", "-500", "1e300", "-1e300"])
+def test_the_sech_density_far_in_its_tail_exits_0_with_0(capsys, x):
+    # cosh overflowed there: a traceback and exit code 1
+    code, data = run_json(capsys, "density", "--kind", "sech", f"--x={x}", "--mass")
+    assert code == 0 and data["value"] == 0.0 and data["x"] == float(x) and abs(data["mass"] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "command, cap", [("moments", _guards.MAX_SYMBOLIC_MOMENTS_NMAX), ("polys", _guards.MAX_SYMBOLIC_POLYS_NMAX)]
+)
+@pytest.mark.parametrize("family", ["hermite", "poisson"])
+def test_symbolic_nmax_past_its_cap_exits_3(monkeypatch, capsys, command, cap, family):
+    # --symbolic took the rational cap of 64, where Poisson's polys never finish
+    def built(args, depth):
+        raise AssertionError("the family was built before --nmax was refused")
+
+    monkeypatch.setitem(cli._FAMILIES, family, built)
+    code = main([command, "--family", family, "--nmax", str(cap + 1), "--symbolic"])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert captured.err == f"resource guard: --nmax with --symbolic is {cap + 1}, but is guarded at <= {cap}\n"
+    assert cap < _guards.MAX_FAMILY_NMAX
+
+
 def test_moments_and_cauchy_guards(capsys):
     for argv in (
         ["moments", "--family", "hermite", "--nmax", "99999"],

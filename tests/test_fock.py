@@ -8,7 +8,7 @@ import pytest
 import helpers
 from diagfock._guards import ResourceLimitError
 from diagfock.scalars import DeformationParams, Poly, Q, T, V, W, qt_number
-from diagfock import _linalg, fock, levy
+from diagfock import _guards, _linalg, fock, levy
 from diagfock.fock import (
     ANNIHILATE,
     CREATE,
@@ -26,7 +26,6 @@ from diagfock.fock import (
     gauge_adjoint_check,
     gauge_apply,
     positivity_check,
-    symmetrizer_matrix,
     vacuum_expectation,
 )
 
@@ -181,6 +180,23 @@ def test_apply_word_token_kinds():
     assert vacuum_expectation([(ANNIHILATE, x), (CREATE, x)], SYM) == Poly.const(1)
     with pytest.raises(ResourceLimitError):
         vacuum_expectation([(CREATE, x)] * 20, SYM)
+
+
+def test_apply_word_is_capped_like_the_vacuum_expectation(monkeypatch):
+    # apply_word keeps d^n words per row and had no cap; now both refuse one
+    # token past MAX_OPERATOR_WORD, with one message, before reading a token
+    def parsed(tokens):
+        raise AssertionError("a token was read before the word was refused")
+
+    monkeypatch.setattr(fock, "_token_parts", parsed)
+    cap = _guards.MAX_OPERATOR_WORD
+    tokens = [(CREATE, VectorPair.of([1], [1]))] * (cap + 1)
+    messages = []
+    for route in (apply_word, vacuum_expectation):
+        with pytest.raises(ResourceLimitError) as refused:
+            route(tokens, SYM)
+        messages.append(str(refused.value))
+    assert messages == [f"the length of an operator word is {cap + 1}, but is guarded at <= {cap}"] * 2
 
 
 def test_apply_word_matches_the_pair_route():
@@ -416,14 +432,14 @@ def test_metric_pairing_on_level_one():
 
 
 def test_symmetrizer_matrix_level_two():
-    mat = symmetrizer_matrix(2, Fraction(1, 2), Fraction(1), 1)
+    mat = helpers.symmetrizer_matrix(2, Fraction(1, 2), Fraction(1), 1)
     assert mat == ((Fraction(3, 2),),)
-    mat = symmetrizer_matrix(2, Fraction(1, 2), Fraction(1), 2)
+    mat = helpers.symmetrizer_matrix(2, Fraction(1, 2), Fraction(1), 2)
     # basis e00, e01, e10, e11
     assert mat[0][0] == Fraction(3, 2) and mat[3][3] == Fraction(3, 2)
     assert mat[1][1] == Fraction(1) and mat[1][2] == Fraction(1, 2)
     with pytest.raises(ResourceLimitError):
-        symmetrizer_matrix(12, Fraction(1, 2), Fraction(1), 3)
+        helpers.symmetrizer_matrix(12, Fraction(1, 2), Fraction(1), 3)
 
 
 # a = -1, b = 1 is the alternating symmetrizer: entries cancel to 0 on repeated letters
@@ -435,7 +451,7 @@ def test_symmetrizer_matrix_matches_permutation_sum():
         words = list(itertools.product(range(d), repeat=n))
         # the n = 5 oracle costs 120 terms per entry: one point with a < 0 there
         for a, b in SYM_POINTS if n < 5 else SYM_POINTS[1:2]:
-            mat = symmetrizer_matrix(n, a, b, d)
+            mat = helpers.symmetrizer_matrix(n, a, b, d)
             assert mat == tuple(zip(*mat))
             for i, u in enumerate(words):
                 for j, x in enumerate(words):
@@ -462,7 +478,7 @@ def test_sym_inner_words_matches_permutation_sum():
             else:
                 points = SYM_POINTS + [(SYM.q, SYM.t)] * (n <= 5 or d == 1)
             for a, b in points:
-                mat = symmetrizer_matrix(n, a, b, d)
+                mat = helpers.symmetrizer_matrix(n, a, b, d)
                 for u, x, y in samples:
                     for target in (x,) if a is SYM.q else (x, y):
                         expect = helpers.sym_inner_brute(u, target, a, b)
@@ -497,7 +513,7 @@ def test_positivity_closed_form_matches_the_whole_symmetrizer():
     for n, d in sizes:
         for a, b in POSITIVITY_POINTS:
             got = positivity_check(n, a, b, d)
-            assert got == helpers.ldlt_classify(symmetrizer_matrix(n, a, b, d)), (n, d, a, b)
+            assert got == helpers.ldlt_classify(helpers.symmetrizer_matrix(n, a, b, d)), (n, d, a, b)
             verdicts.add(got[0])
     assert verdicts == {
         "positive_definite", "positive_semidefinite", "indefinite", "negative_semidefinite", "negative_definite", "zero"
@@ -513,7 +529,8 @@ POSITIVITY_GRID = [Fraction(x) for x in ("0", "1", "-1", "2", "-2", "1/2", "-1/2
 def test_positivity_closed_form_on_a_grid_of_points():
     for n, d in [(n, d) for d in range(5) for n in range(8) if d ** n <= 64]:
         for a, b in itertools.product(POSITIVITY_GRID, repeat=2):
-            assert positivity_check(n, a, b, d) == helpers.ldlt_classify(symmetrizer_matrix(n, a, b, d)), (n, d, a, b)
+            whole = helpers.ldlt_classify(helpers.symmetrizer_matrix(n, a, b, d))
+            assert positivity_check(n, a, b, d) == whole, (n, d, a, b)
 
 
 def test_the_symmetrizer_commutes_with_word_reversal():
@@ -524,7 +541,7 @@ def test_the_symmetrizer_commutes_with_word_reversal():
         index = {x: i for i, x in enumerate(words)}
         rev = [index[x[::-1]] for x in words]
         for a, b in POSITIVITY_POINTS:
-            mat = symmetrizer_matrix(n, a, b, d)
+            mat = helpers.symmetrizer_matrix(n, a, b, d)
             assert tuple(tuple(mat[i][j] for j in rev) for i in rev) == mat, (n, d, a, b)
 
 
@@ -545,7 +562,7 @@ def test_positivity_builds_no_column_and_eliminates_nothing(monkeypatch):
         (lambda: positivity_check(3, Fraction(1, 2), 1, -1), "the letter count d of the symmetrizer is -1"),
         (lambda: positivity_check(-1, Fraction(1, 2), 1, 2), "the level n of the symmetrizer is -1"),
         (lambda: positivity_check(0, Fraction(1, 2), 1, -1), "the letter count d of the symmetrizer is -1"),
-        (lambda: symmetrizer_matrix(3, Fraction(1, 2), 1, -1), "the letter count d of the symmetrizer is -1"),
+        (lambda: helpers.symmetrizer_matrix(3, Fraction(1, 2), 1, -1), "the letter count d of the symmetrizer is -1"),
     ],
     ids=["positivity-d-negative", "positivity-n-negative", "positivity-level-zero-d-negative", "symmetrizer-d-negative"],
 )

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from diagfock import _guards as guards, cli, fock, levy, orthopoly, partitions, wick
 from diagfock._guards import (
     MAX_CF_DEPTH,
@@ -13,6 +14,8 @@ from diagfock._guards import (
     MAX_FAMILY_NMAX,
     MAX_NORM_BITS,
     MAX_OPERATOR_WORD,
+    MAX_SYMBOLIC_MOMENTS_NMAX,
+    MAX_SYMBOLIC_POLYS_NMAX,
     MAX_SYMMETRIZER_WORDS,
     ResourceLimitError,
 )
@@ -41,7 +44,7 @@ WORK = [
     (partitions, "arc_sums"), (partitions, "role_sums"), (partitions, "_diagonal_classes"),
     (levy, "arc_sums"),
     (wick, "arc_sums"), (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
-    (fock, "_creation_part"), (fock, "_vacuum_moment"), (fock, "_sym_column"),
+    (fock, "_creation_part"), (fock, "_token_parts"), (fock, "_vacuum_moment"), (fock, "_sym_column"),
     (fock, "_commutation_entries"), (fock, "_adjoint_entries"),
     (orthopoly, "moments_from_jacobi"), (orthopoly, "polys_from_jacobi"), (orthopoly, "cauchy_transform"),
     (cli, "_diagonal_classes"),
@@ -89,8 +92,9 @@ ENTRIES = [
     ("full_wick", lambda n: wick.full_wick([QuadrabasicOp(X, None)] * n, P), MAX_DIAGONAL_N, None),
     ("full_fock_oracle", lambda n: wick.full_fock_oracle([QuadrabasicOp(X, None)] * n, P), MAX_DIAGONAL_N, None),
     ("vacuum_expectation", lambda n: fock.vacuum_expectation([(CREATE, X)] * n, P), MAX_OPERATOR_WORD, None),
-    # level 1 over d letters has d words
-    ("symmetrizer_matrix", lambda d: fock.symmetrizer_matrix(1, HALF, ONE, d), MAX_SYMMETRIZER_WORDS, 0),
+    ("apply_word", lambda n: fock.apply_word([(CREATE, X)] * n, P), MAX_OPERATOR_WORD, None),
+    # level 1 over d letters has d words; the whole matrix is the tests' oracle, behind the library's guard
+    ("symmetrizer_matrix", lambda d: helpers.symmetrizer_matrix(1, HALF, ONE, d), MAX_SYMMETRIZER_WORDS, 0),
     ("positivity_check", lambda d: fock.positivity_check(1, HALF, ONE, d), MAX_SYMMETRIZER_WORDS, 0),
     (
         "check_commutation_tensor top",
@@ -124,6 +128,18 @@ ENTRIES = [
     ("cli partitions", lambda n: _cli("partitions", "--n", str(n)), MAX_DIAGONAL_N, 0),
     ("cli moments", lambda n: _cli("moments", "--family", "hermite", "--nmax", str(n)), MAX_FAMILY_NMAX, 1),
     ("cli polys", lambda n: _cli("polys", "--family", "hermite", "--nmax", str(n)), MAX_FAMILY_NMAX, 1),
+    (
+        "cli moments --symbolic",
+        lambda n: _cli("moments", "--family", "poisson", "--symbolic", "--nmax", str(n)),
+        MAX_SYMBOLIC_MOMENTS_NMAX,
+        1,
+    ),
+    (
+        "cli polys --symbolic",
+        lambda n: _cli("polys", "--family", "poisson", "--symbolic", "--nmax", str(n)),
+        MAX_SYMBOLIC_POLYS_NMAX,
+        1,
+    ),
     ("cli cauchy", lambda n: _cli("cauchy", "--family", "hermite", "--depth", str(n)), MAX_CF_DEPTH, 1),
 ]
 
@@ -160,7 +176,7 @@ def test_every_entry_refuses_one_past_its_cap_before_any_work(no_work, call, cap
     "call, message",
     [
         (lambda: fock.positivity_check(9100, HALF, Fraction(2, 3), 3), "n = 9100, d = 3 is at least 2^9100"),
-        (lambda: fock.symmetrizer_matrix(10**6, HALF, Fraction(2, 3), 3), "n = 1000000, d = 3 is at least 2^1000000"),
+        (lambda: helpers.symmetrizer_matrix(10**6, HALF, Fraction(2, 3), 3), "n = 1000000, d = 3 is at least 2^1000000"),
         (lambda: fock.positivity_check(10**7, HALF, Fraction(2, 3), 2), "n = 10000000, d = 2 is at least 2^10000000"),
         (lambda: fock.deformed_inner(*[DISTINCT_12] * 2, P), "n = 12, d = 12 is at least 2^36"),
     ],

@@ -439,6 +439,19 @@ def test_sech_density_values():
     assert sech_density(3.0) < sech_density(0.0)
 
 
+def test_sech_density_past_the_overflow_of_cosh_is_its_tail():
+    # cosh(pi x / 2) overflows past |x| ~ 452, where the density used to raise
+    # OverflowError; below, the value is the plain formula's, bit for bit
+    for x in (500.0, -500.0, 1e300, -1e300):
+        assert sech_density(x) == 0.0, x
+    for x in (0.0, 0.5, -3.0, 100.0, 452.0, -452.0):
+        assert sech_density(x) == 1.0 / (2.0 * math.cosh(math.pi * x / 2.0)), x
+    # 2 cosh passes the largest float first, so the density falls to 0.0 before
+    # cosh overflows, and stays there
+    values = [sech_density(x) for x in (451.0, 452.0, 452.4, 500.0)]
+    assert values[0] > 0.0 and values[1:] == [0.0] * 3
+
+
 def test_qmp_scaling_identity_exact():
     # at alpha = -q the recurrence weights are (1-q) times the squared
     # one-parameter ladder, so even moments scale by (1-q)^(n/2) exactly

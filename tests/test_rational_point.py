@@ -35,7 +35,6 @@ from diagfock.fock import (
     VectorPair,
     apply_word,
     deformed_inner,
-    symmetrizer_matrix,
     vacuum_expectation,
 )
 from diagfock.levy import (
@@ -331,8 +330,8 @@ def test_the_symmetrizer_routes_match_the_recursion_on_the_data(params, values):
         for n, d in ((0, 2), (1, 2), (2, 2), (3, 2), (2, 3)):
             words = list(itertools.product(range(d), repeat=n))
             expect = tuple(tuple(helpers.sym_inner_recursive(u, x, a, b, memo) for u in words) for x in words)
-            assert same(symmetrizer_matrix(n, a, b, d), expect), (n, d)
-        assert same(symmetrizer_matrix(0, a, b, 2), ((Fraction(1),),))
+            assert same(helpers.symmetrizer_matrix(n, a, b, d), expect), (n, d)
+        assert same(helpers.symmetrizer_matrix(0, a, b, 2), ((Fraction(1),),))
 
 
 @fock_point
