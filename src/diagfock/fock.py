@@ -26,10 +26,12 @@ weights of each level and the front move of each word, each made once for
 every operator, symmetrizer column and check of the call.  Field and
 general operators are sums of top (x) bar parts, each a pair of row specs
 (kind, data) whose operators are built once per call on their row's table.
-The single actions and ``_vacuum_moment`` apply them to the pair terms of
-a vector in one pass, :func:`apply_word` runs row by row and tensors the
-rows once, and the gauge-adjoint and commutation checks test a sum of
-top (x) bar products for zero by one Gram matrix per level, with no pair.
+The single actions and ``_vacuum_moment`` apply them in one pass to a
+vector kept as {bar word: {top word: coeff}}, so each part's images of a
+bar word serve every top word under it; :func:`apply_word` runs row by row
+and tensors the rows once, and the gauge-adjoint and commutation checks
+test a sum of top (x) bar products for zero by one Gram matrix per level,
+with no pair.
 
 A vacuum moment is a path from level 0 back to level 0, and no operator
 lowers the level by more than one, so a term at level l with r operators
@@ -82,7 +84,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -325,28 +326,46 @@ def _row_apply(op: RowOp, f: Dict[Word, object]) -> Dict[Word, object]:
     return _collect((word, c * cw) for w, c in f.items() for word, cw in op(w))
 
 
-def _apply_ops(ops: Sequence[Tuple[RowOp, RowOp]], terms: Dict[WordPair, object], room: float = math.inf) -> Dict:
-    """(sum over ops of top (x) bar) applied to pair terms in one pass.
+_SHIFT = {CREATE: 1, ANNIHILATE: -1, GAUGE: 0, SCALAR: 0}  # the level change of each kind of part
+Terms = Dict[Word, Dict[Word, object]]  # a vector as {bar word: {top word: coeff}}
 
-    A part's image of one term lies on one level; images above level
-    ``room`` are skipped before their bar factor is expanded.  Each row
-    operator runs once per word, however many terms hold it."""
-    ops = [(top_op, bar_op, {}, {}) for top_op, bar_op in ops]
-    acc: Dict = {}
-    get = acc.get
-    for (top, bar), c in terms.items():
-        for top_op, bar_op, tops, bars in ops:
-            top_terms = tops[top] if top in tops else tops.setdefault(top, top_op(top))
-            if not top_terms or len(top_terms[0][0]) > room:
+
+def _apply_step(parts: Sequence[Part], top: Dict[int, RowOp], bar: Dict[int, RowOp], terms: Terms, room: float = math.inf) -> Terms:
+    """(sum over parts of top (x) bar) applied to terms in one pass, the
+    parts' operators read from the row ops of :func:`_rows`.  A part moves
+    every term by its kind's level change, so one whose images would lie
+    above level ``room`` is skipped before any is built.  A part builds
+    each bar word's images once, for every top word under it, and each top
+    word's once, for every bar word over it."""
+    ops = [(top[id(t)], bar[id(b)], _SHIFT[t[0]], {}) for t, b in parts]
+    acc: Terms = {}
+    for wb, tops in terms.items():
+        for top_op, bar_op, shift, images in ops:
+            if len(wb) + shift > room:
                 continue
-            bar_terms = bars[bar] if bar in bars else bars.setdefault(bar, bar_op(bar))
-            for wt, ct in top_terms:
-                cc = c * ct
-                for wb, cb in bar_terms:
-                    key, val = (wt, wb), cc * cb
-                    prev = get(key)
-                    acc[key] = val if prev is None else prev + val
-    return {key: val for key, val in acc.items() if val != 0}
+            bar_terms = bar_op(wb)
+            if not bar_terms:
+                continue
+            top_terms = []
+            for wt, c in tops.items():
+                image = images.get(wt)
+                if image is None:
+                    image = images[wt] = top_op(wt)
+                top_terms.append((c, image))
+            for bar_image, cb in bar_terms:
+                out = acc.get(bar_image)
+                if out is None:
+                    out = acc[bar_image] = {}
+                get = out.get
+                for c, top_image in top_terms:
+                    cc = c * cb
+                    for wt, ct in top_image:
+                        val, prev = cc * ct, get(wt)
+                        out[wt] = val if prev is None else prev + val
+    for wb, out in acc.items():
+        if 0 in out.values():
+            acc[wb] = {wt: c for wt, c in out.items() if c != 0}
+    return {wb: out for wb, out in acc.items() if out}
 
 
 def _apply_parts(parts: Sequence[Part], f: FockVector, params: Optional[DeformationParams] = None) -> FockVector:
@@ -354,15 +373,20 @@ def _apply_parts(parts: Sequence[Part], f: FockVector, params: Optional[Deformat
 
     One operator multiplies each term once, so nothing is cleared: the
     terms keep the ring of f, the data and the point, which only
-    annihilation and gauge parts read, refusing a letter past their data."""
+    annihilation and gauge parts read, refusing a letter that is not an
+    int in [0, the dimension of their data)."""
     for side, name in enumerate(("top", "bar")):
-        letter = max((max(key[side]) for key in f.terms if key[side]), default=-1)
-        for kind, data in (part[side] for part in parts):
-            if kind in (ANNIHILATE, GAUGE) and letter >= len(data):
-                raise ValueError(f"a {name} word has letter {letter}, but the {kind} operator has dimension {len(data)}")
+        letters = dict.fromkeys(letter for key in f.terms for letter in key[side])
+        for kind, data in (part[side] for part in parts if part[side][0] in (ANNIHILATE, GAUGE)):
+            bad = [letter for letter in letters if not (isinstance(letter, int) and 0 <= letter < len(data))]
+            if bad:
+                raise ValueError(f"a {name} word has letter {bad[0]!r}, but the {kind} operator has dimension {len(data)}")
     (top, _, _), (bar, _, _) = _rows(parts, params or (None,) * 4, max(f.levels(), default=0), clear=False)
+    terms: Terms = {}
+    for (wt, wb), c in f.terms.items():
+        terms.setdefault(wb, {})[wt] = c
     out = FockVector()
-    out.terms = _apply_ops([(top[id(t)], bar[id(b)]) for t, b in parts], f.terms)
+    out.terms = {(wt, wb): c for wb, tops in _apply_step(parts, top, bar, terms).items() for wt, c in tops.items()}
     return out
 
 
@@ -412,10 +436,10 @@ def _vacuum_moment(steps: Sequence[Sequence[Part]], params: DeformationParams):
     """
     c = len(steps) // 2
     (top, top_data, top_e), (bar, bar_data, bar_e) = _rows([part for step in steps for part in step], params, c)
-    terms: Dict[WordPair, object] = {((), ()): 1}
+    terms: Terms = {(): {(): 1}}
     for left, step in zip(range(len(steps) - 1, -1, -1), reversed(steps)):
-        terms = _apply_ops([(top[id(t)], bar[id(b)]) for t, b in step], terms, room=left)
-    return _over(terms.get(((), ()), 0), (top_data * bar_data * (top_e * bar_e) ** c) ** len(steps))
+        terms = _apply_step(step, top, bar, terms, room=left)
+    return _over(terms.get((), {}).get((), 0), (top_data * bar_data * (top_e * bar_e) ** c) ** len(steps))
 
 
 def creation_apply(x: VectorPair, f: FockVector) -> FockVector:
@@ -731,16 +755,23 @@ def _adjoint_entries(mat, row: _Row, size: int, n: int):
     entry y of P T e_x and the second entry x of P T' e_y: one combination
     of columns per word and matrix.  An image word whose front letter is
     size or more lies off the basis and pairs with nothing.  With the row
-    cleared (mat by D, a and b by E) both carry the scale D E^(n-1) E^C(n,2)."""
-    entries: Dict[Tuple[Word, Word], List] = defaultdict(lambda: [0, 0])
+    cleared (mat by D, a and b by E) both carry the scale D E^(n-1) E^C(n,2).
+    Both sweeps key their sums by the word z swept, then the column word u:
+    L by x, then y, and R by y, then x."""
+    left, right = {}, {}
     unlifted = (1,) * (n + 1)
-    for k, gauge in enumerate((_row_gauge(mat, row, unlifted), _row_gauge(_linalg.transpose(mat), row, unlifted))):
+    for sums, m in ((left, mat), (right, _linalg.transpose(mat))):
+        gauge = _row_gauge(m, row, unlifted)
         for z in itertools.product(range(size), repeat=n):
+            acc = sums[z] = {}
             for w, c in gauge(z):
                 if w[0] < size:
                     for u, p in _sym_column(w, row).items():
-                        entries[(u, z) if k else (z, u)][k] += c * p
-    return entries.values()
+                        acc[u] = acc.get(u, 0) + c * p
+    for x, by_y in left.items():
+        for y, lv in by_y.items():
+            yield lv, right[y].pop(x, 0)
+    yield from ((0, rv) for by_x in right.values() for rv in by_x.values())
 
 
 def gauge_adjoint_check(

@@ -497,7 +497,8 @@ def _defined(psi: Functional, word: Word):
 
 
 def _psi_value(psi: Functional, word: Word) -> Fraction:
-    return Fraction(_defined(psi, word))
+    x = _defined(psi, word)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def _check_window(psi: Functional, k: int, longest: int, inside: int) -> None:

@@ -740,14 +740,31 @@ def quadrabasic_sum(x, g, lam, f, params):
     return out + f.scale(lam)
 
 
+def _apply_ops(ops, terms):
+    """(sum over ops of top (x) bar) applied to {(top word, bar word): coeff}
+    terms in one pass: each term expands into the products of its top and
+    bar images, keyed by the pair.  The library keys its terms by bar word,
+    then top word."""
+    acc = {}
+    for (top, bar), c in terms.items():
+        for top_op, bar_op in ops:
+            for wt, ct in top_op(top):
+                for wb, cb in bar_op(bar):
+                    acc[(wt, wb)] = acc.get((wt, wb), 0) + c * ct * cb
+    return {key: val for key, val in acc.items() if val != 0}
+
+
 def _apply_steps(steps, params):
     """The vacuum under a product of steps, each the parts of one operator,
-    by the single actions' one pass per step on the data as given: every
-    term kept, and nothing cleared."""
-    f = fock.FockVector.vacuum()
-    for parts in reversed(steps):
-        f = fock._apply_parts(parts, f, params)
-    return f
+    by one pass per step over the (top, bar) pair terms, on the data as
+    given: every term kept, and nothing cleared."""
+    (top, _, _), (bar, _, _) = fock._rows([part for step in steps for part in step], params, len(steps), clear=False)
+    terms = {((), ()): Fraction(1)}
+    for step in reversed(steps):
+        terms = _apply_ops([(top[id(t)], bar[id(b)]) for t, b in step], terms)
+    out = fock.FockVector()
+    out.terms = terms
+    return out
 
 
 def apply_word_pairs(tokens, params):

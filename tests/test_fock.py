@@ -294,16 +294,17 @@ def _moment_data(r, kind, d):
 
 
 @pytest.mark.parametrize("kind", list(MOMENT_POINTS))
-@pytest.mark.parametrize("d, dbar", [(2, 2), (2, 1), (1, 2)])
+@pytest.mark.parametrize("d, dbar", [(2, 2), (2, 1), (1, 2), (1, 1), (3, 1), (1, 3), (3, 3)])
 def test_the_vacuum_moment_matches_the_pair_route(kind, d, dbar):
     # the cleared driver on one row table per row against every term kept on
     # the data as given, in value and type: general operators with gauges
     # and nonzero scalars, some of their steps repeated; the data are ints
-    # at the int point, ints and Fractions at the mixed one
+    # at the int point, ints and Fractions at the mixed one.  At d = dbar = 3
+    # the pair route would keep 3^12 pairs on level 6, so n stops at 4 there
     params = MOMENT_POINTS[kind]
     r = helpers.rng(41 + 3 * d + dbar)
     nonzero = 0
-    for n in range(6):
+    for n in range(6 if d * dbar < 9 else 5):
         steps = []
         for _ in range(n):
             (xi, top), (eta, bar) = _moment_data(r, kind, d), _moment_data(r, kind, dbar)
@@ -340,6 +341,37 @@ def test_a_vacuum_moment_moves_each_word_to_the_front_once_per_row(monkeypatch):
     assert 2 * len(misses) < len(asked)  # the operators asked for more than twice as many
 
 
+def test_a_vacuum_moment_builds_each_image_once_per_step(monkeypatch):
+    # top d = 2 and bar d = 1, so each level holds one bar word under many
+    # top words: within a step, each (part, bar word) image and each
+    # (part, top word) image is built once, and the bar images, fewer than
+    # the top ones, serve every top word under their bar word
+    x = VectorPair.of([1, Fraction(1, 2)], [Fraction(2, 3)])
+    g = GaugePair.of([[Fraction(1, 2), 1], [-1, Fraction(1, 3)]], [[2]])
+    params = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4))
+    steps = [fock._quadrabasic_parts(x, g, Fraction(3, 2)) for _ in range(8)]
+    want = helpers.vacuum_moment_pairs(steps, params)
+    log = []
+    rows, apply_step = fock._rows, fock._apply_step
+
+    def counted_rows(*args, **kwargs):
+        out = rows(*args, **kwargs)
+        for side, (ops, _, _) in enumerate(out):
+            for key, op in ops.items():
+                ops[key] = lambda word, op=op, key=(side, key): log.append((key, word)) or op(word)
+        return out
+
+    monkeypatch.setattr(fock, "_rows", counted_rows)
+    monkeypatch.setattr(fock, "_apply_step", lambda *args, **kwargs: log.append(None) or apply_step(*args, **kwargs))
+    assert fock._vacuum_moment(steps, params) == want != 0
+    assert log.count(None) == len(steps)
+    per_step = [list(calls) for mark, calls in itertools.groupby(log, lambda call: call is None) if not mark]
+    assert all(len(calls) == len(set(calls)) for calls in per_step)  # each (row, part, word) image once per step
+    bar_images = sum(side for calls in per_step for (side, _), _ in calls)
+    top_images = sum(len(calls) for calls in per_step) - bar_images
+    assert 0 < 2 * bar_images < top_images
+
+
 def test_a_letter_past_an_operator_dimension_is_refused():
     p = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4))
     x1, x2 = VectorPair.of([1], [1]), VectorPair.of([1, 2], [3])
@@ -347,6 +379,20 @@ def test_a_letter_past_an_operator_dimension_is_refused():
         annihilation_apply(x1, FockVector({((1, 0), (0, 0)): 1}), p)
     with pytest.raises(ValueError, match=r"^a bar word has letter 2, but the gauge operator has dimension 2$"):
         gauge_apply(GaugePair.of([[1]], [[1, 0], [0, 1]]), FockVector({((0,), (2,)): 1}), p)
+    # a negative letter would index from the end of the data, and one that
+    # is no int would not index it at all: both are refused by name
+    x = VectorPair.of([1, 2], [5])
+    cases = [
+        (((-1,), (0,)), "a top word has letter -1, but the annihilate operator has dimension 2"),
+        (((0, -1), (0, 0)), "a top word has letter -1, but the annihilate operator has dimension 2"),
+        ((("a",), (0,)), "a top word has letter 'a', but the annihilate operator has dimension 2"),
+        (((0,), (1.0,)), "a bar word has letter 1.0, but the annihilate operator has dimension 1"),
+    ]
+    for key, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            annihilation_apply(x, FockVector({key: 1}), p)
+    with pytest.raises(ValueError, match=r"^a bar word has letter -2, but the gauge operator has dimension 2$"):
+        gauge_apply(GaugePair.of([[1]], [[1, 0], [0, 1]]), FockVector({((0,), (-2,)): 1}), p)
     # creation reads no letter; the vacuum has none
     assert creation_apply(x1, FockVector({((3,), (4,)): 1})).terms == {((0, 3), (0, 4)): 1}
     assert annihilation_apply(x1, FockVector.vacuum(), p) == FockVector()

@@ -116,6 +116,27 @@ def test_moment_additivity_over_split_intervals():
                 assert total == whole, word
 
 
+def test_moment_over_three_intervals_with_mixed_coordinates():
+    # three coordinates on three pieces of [0, s) of unequal lengths, with a
+    # gram that is not the identity: a word on one piece is the moment at
+    # that piece's length, and the sum over every assignment of its tokens
+    # to the pieces is the moment at s
+    r = helpers.rng(64)
+    base = rand_spec(r, k=3, d=2)
+    spec = LevySpec.of(base.xi, base.T, base.lam, ((Fraction(2), Fraction(1, 5)), (Fraction(1, 5), Fraction(3))))
+    s = Fraction(3, 4)
+    pieces = [s / 6, s / 3, s / 2]
+    for params in (FREE, GEN):
+        for word in [(0, 1), (2, 0, 1), (0, 1, 2, 1), (1, 2, 0, 0, 2)]:
+            for i, piece in enumerate(pieces):
+                assert fock_levy_oracle(spec, [(u, i) for u in word], pieces, params) == levy_moment(spec, word, params, piece)
+            total = sum(
+                fock_levy_oracle(spec, list(zip(word, assign)), pieces, params)
+                for assign in itertools.product(range(3), repeat=len(word))
+            )
+            assert total == levy_moment(spec, word, params, s), word
+
+
 def test_s_polynomial_consistency():
     r = helpers.rng(63)
     spec = rand_spec(r, k=2, d=2)
