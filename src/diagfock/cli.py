@@ -294,7 +294,7 @@ def _operator(e: dict):
     from .wick import QuadrabasicOp
 
     vec = _vector_pair(e)
-    gauge = None if e.get("T") is None else GaugePair.of(_mat(e["T"]), _mat(e["Tbar"]))
+    gauge = None if e.get("T") is None and e.get("Tbar") is None else GaugePair.of(_mat(e["T"]), _mat(e["Tbar"]))
     return QuadrabasicOp(vec, gauge, parse_rational(str(e.get("lam", "0"))), parse_rational(str(e.get("lambar", "1"))))
 
 
@@ -378,13 +378,17 @@ def cmd_convolve(args) -> int:
     return 0
 
 
-def _parse_word_key(key: str):
-    """A psi key: a word as integers separated by spaces ("" is the empty
-    word); any other key is bad input that names the key."""
+def _parse_word_key(key: str, k: int):
+    """A psi key: a word over the letters 0..k-1 as integers separated by
+    spaces ("" is the empty word); any other key is bad input that names the
+    key."""
     try:
-        return tuple(int(tok) for tok in key.split())
+        word = tuple(int(tok) for tok in key.split())
     except ValueError:
         raise ValueError(f"expected psi keys to be words of integers separated by spaces, got {key!r}") from None
+    if any(not 0 <= u < k for u in word):
+        raise ValueError(f"expected psi keys to be words over the letters 0..{k - 1} of k = {k}, got {key!r}")
+    return word
 
 
 def cmd_gns(args) -> int:
@@ -394,7 +398,7 @@ def cmd_gns(args) -> int:
     k = _int(data["k"], "k", least=1)
     maxlen = _int(data["maxlen"], "maxlen", least=0)
     psi_json = _check(data["psi"], dict, "psi to be an object")
-    psi = {_parse_word_key(kk): parse_rational(str(vv)) for kk, vv in psi_json.items()}
+    psi = {_parse_word_key(kk, k): parse_rational(str(vv)) for kk, vv in psi_json.items()}
     spec, info = gns_reconstruct(psi, k, maxlen)
     ok = True
     checked = 0

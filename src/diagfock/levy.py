@@ -90,8 +90,9 @@ class LevySpec(NamedTuple):
 
 
 def _check_coordinates(spec: LevySpec, coordinates) -> None:
-    if any(not 0 <= u < spec.k for u in coordinates):
-        raise ValueError("word uses an unknown coordinate")
+    bad = next((u for u in coordinates if not 0 <= u < spec.k), None)
+    if bad is not None:
+        raise ValueError(f"word uses an unknown coordinate {bad}, but k = {spec.k}")
 
 
 def levy_cumulant(spec: LevySpec, word: Word, s: Fraction = Fraction(1)) -> Fraction:
@@ -197,8 +198,9 @@ def fock_levy_oracle(
     _guards.check_size("the length of an operator word", len(tokens), _guards.MAX_DIAGONAL_N)
     lengths = [Fraction(x) for x in lengths]
     _check_coordinates(spec, (u for u, _ in tokens))
-    if any(not 0 <= i < len(lengths) for _, i in tokens):
-        raise ValueError("interval index out of range")
+    bad = next((i for _, i in tokens if not 0 <= i < len(lengths)), None)
+    if bad is not None:
+        raise ValueError(f"interval index out of range: {bad}, but the interval count is {len(lengths)}")
     d, size, one = spec.d, len(lengths) * spec.d, (Fraction(1),)
 
     def on_interval(vec: Sequence, i: int) -> VectorPair:

@@ -14,7 +14,8 @@ from diagfock.partitions import (
     diagonal_partitions,
     render_partition,
 )
-from diagfock.scalars import Poly
+from diagfock.levy import LevySpec, fock_levy_oracle
+from diagfock.scalars import DeformationParams, Poly
 
 
 def run(capsys, *argv):
@@ -28,10 +29,33 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def test_euler_counts(capsys):
-    code, data = run_json(capsys, "euler", "--nmax", "4")
+def invoke(capsys, tmp_path, argv, job=None):
+    """main(argv), with the JSON job, if any, as its --input: (exit code, stdout, stderr)."""
+    if job is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        argv = [*argv, "--input", str(path)]
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+POINT = ["--q", "1/7", "--t", "4/7", "--v", "2/7", "--w", "5/7"]
+EULER = [1, 5, 61, 1385, 50521]
+
+
+def test_euler_counts(capsys, tmp_path):
+    # E_2n three ways: the pair counts, the sech moments and the Wick sum on 2n unit d = 1 vectors
+    code, data = run_json(capsys, "euler", "--nmax", "5")
     assert code == 0
-    assert data["pairs_on_2n"] == {"1": 1, "2": 5, "3": 61, "4": 1385}
+    assert data["pairs_on_2n"] == {str(n): e for n, e in enumerate(EULER, 1)}
+    code, data = run_json(capsys, "moments", "--family", "sech", "--nmax", "10")
+    assert code == 0 and data["moments_from_order_zero"][2::2] == [str(e) for e in EULER]
+    for n, e in enumerate(EULER, 1):
+        job = {"kind": "gaussian", "vectors": [{"xi": ["1"], "eta": ["1"]}] * (2 * n)}
+        code, out, err = invoke(capsys, tmp_path, ["wick", "--q", "1", "--v", "1"], job)
+        assert code == 0, err
+        assert json.loads(out)["formula"] == str(e) and json.loads(out)["match"] is True
 
 
 def test_euler_lists_its_keys_in_text_order(capsys):
@@ -167,7 +191,7 @@ def test_partitions_item_count_is_predicted_exactly(monkeypatch, capsys, flags):
 def test_partitions_items_match_the_pairwise_listing(capsys, flags):
     # the listing reads each row's (rc, rn) off the walk; the library pairs counted arc by arc are its oracle
     pairs = "--pairs" in flags
-    for n in range(0, 8, 2 if pairs else 1):
+    for n in range(0, 10, 2) if pairs else range(8):
         code, data = run_json(capsys, "partitions", "--n", str(n), *flags)
         assert code == 0
         listed = diagonal_partitions(n, 1 if pairs else int(flags[1]))
@@ -180,7 +204,7 @@ def test_partitions_items_match_the_pairwise_listing(capsys, flags):
         if pairs:
             # the matchings, classed by opener set, come in another order
             items = [tuple(sorted(item.items())) for item in data["items"]]
-            assert len(items) == len(set(items)), n
+            assert len(items) == len(set(items)) == count_diagonal_pair_partitions(n), n
             assert set(items) == {tuple(sorted(item.items())) for item in expect}, n
         else:
             assert data["items"] == expect, n
@@ -251,25 +275,50 @@ def test_wick_word_kind(tmp_path, capsys):
     assert len(data["formula"]) > 0
 
 
+def wick_entry(i, d_top=2, d_bar=2):
+    return {"xi": [str(i + 1), "-1/2"][:d_top], "eta": ["1/3", str(2 - i)][:d_bar]}
+
+
+def wick_operator(i, d_top=2, d_bar=2):
+    # a gauge and both scalars on every operator, its top row cut to d_top entries and its bar row to d_bar
+    T, Tbar = [["1/2", str(i % 3)], ["-1", "1/3"]], [[str(i - 4), "1"], ["2/3", "-1/5"]]
+    return {**wick_entry(i, d_top, d_bar), "T": [row[:d_top] for row in T[:d_top]],
+            "Tbar": [row[:d_bar] for row in Tbar[:d_bar]], "lam": str(2 * i - 7), "lambar": f"1/{i + 2}"}
+
+
+# n = 10, d = 2 on both rows; the Gaussian and full sums also with a one-dimensional row
+WICK_AT_THE_GUARD = {
+    "gaussian": {"kind": "gaussian", "vectors": [wick_entry(i) for i in range(10)]},
+    "gaussian-2/1": {"kind": "gaussian", "vectors": [wick_entry(i, d_bar=1) for i in range(10)]},
+    "gaussian-1/2": {"kind": "gaussian", "vectors": [wick_entry(i, d_top=1) for i in range(10)]},
+    "full": {"kind": "full", "operators": [wick_operator(i) for i in range(10)]},
+    "full-2/1": {"kind": "full", "operators": [wick_operator(i, d_bar=1) for i in range(10)]},
+    "full-1/2": {"kind": "full", "operators": [wick_operator(i, d_top=1) for i in range(10)]},
+    "word": {"kind": "word", "tokens": [dict(wick_entry(i), kind="annihilate" if ch == "a" else "create")
+                                        for i, ch in enumerate("aacccacccc")]},
+}
+
+
+@pytest.mark.parametrize("job", list(WICK_AT_THE_GUARD.values()), ids=list(WICK_AT_THE_GUARD))
+def test_wick_formulas_match_the_operator_model_at_the_guard_size(capsys, tmp_path, job):
+    code, out, err = invoke(capsys, tmp_path, ["wick", *POINT], job)
+    assert code == 0, err
+    assert json.loads(out)["match"] is True
+
+
 def test_wick_rejects_mixed_dimensions(tmp_path, capsys):
     payload = {"kind": "gaussian", "vectors": [{"xi": ["1", "1"], "eta": ["1"]}, {"xi": ["1"], "eta": ["1"]}]}
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(payload))
-    code = main(["wick", "--input", str(path)])
-    captured = capsys.readouterr()
+    code, out, err = invoke(capsys, tmp_path, ["wick"], payload)
     assert code == 2
-    assert captured.err.startswith("error:") and not captured.out
+    assert err.startswith("error:") and not out
 
 
 @pytest.mark.parametrize("xi", [5, "12", {"0": 1}])
 def test_wick_rejects_vector_that_is_not_a_list(tmp_path, capsys, xi):
     payload = {"kind": "gaussian", "vectors": [{"xi": xi, "eta": ["1"]}, {"xi": ["1"], "eta": ["1"]}]}
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(payload))
-    code = main(["wick", "--input", str(path)])
-    captured = capsys.readouterr()
+    code, out, err = invoke(capsys, tmp_path, ["wick"], payload)
     assert code == 2
-    assert captured.err.startswith("error:") and not captured.out
+    assert err.startswith("error:") and not out
 
 
 SPEC_1D = {"xi": [["1"]], "T": [[["1"]]], "lam": ["1"]}
@@ -303,12 +352,9 @@ CONVOLVE_PAIRS = {"a": {"lam": "0", "tau": ["1"]}, "b": {"lam": "1", "tau": ["1"
     ],
 )
 def test_malformed_json_exits_2(tmp_path, capsys, command, payload, field):
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(payload))
-    code = main([command, "--input", str(path)])
-    captured = capsys.readouterr()
+    code, out, err = invoke(capsys, tmp_path, [command], payload)
     assert code == 2
-    assert captured.err.startswith(f"error: expected {field}") and not captured.out
+    assert err.startswith(f"error: expected {field}") and not out
 
 
 @pytest.mark.parametrize(
@@ -325,22 +371,16 @@ def test_malformed_json_exits_2(tmp_path, capsys, command, payload, field):
     ],
 )
 def test_wick_names_first_entry_of_another_dimension(tmp_path, capsys, kind, key, entries, message):
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps({"kind": kind, key: entries}))
-    code = main(["wick", "--input", str(path)])
-    captured = capsys.readouterr()
+    code, out, err = invoke(capsys, tmp_path, ["wick"], {"kind": kind, key: entries})
     assert code == 2
-    assert captured.err == f"error: {message}\n" and not captured.out
+    assert err == f"error: {message}\n" and not out
 
 
 def test_wick_rejects_gauge_of_another_dimension(tmp_path, capsys):
     op = {"xi": ["1", "2"], "eta": ["1"], "T": [["1"]], "Tbar": [["1"]]}
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps({"kind": "full", "operators": [op, op]}))
-    code = main(["wick", "--input", str(path)])
-    captured = capsys.readouterr()
+    code, out, err = invoke(capsys, tmp_path, ["wick"], {"kind": "full", "operators": [op, op]})
     assert code == 2
-    assert captured.err.startswith("error: gauge T must be 2 x 2") and not captured.out
+    assert err.startswith("error: gauge T must be 2 x 2") and not out
 
 
 @pytest.mark.parametrize(
@@ -355,23 +395,17 @@ def test_wick_rejects_gauge_of_another_dimension(tmp_path, capsys):
 )
 def test_wick_refuses_zero_dimensional_input(tmp_path, capsys, kind, key, entry, message):
     # a job on 0-dimensional spaces would print "match": true about nothing
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps({"kind": kind, key: [entry, entry]}))
-    code = main(["wick", "--input", str(path)])
-    captured = capsys.readouterr()
+    code, out, err = invoke(capsys, tmp_path, ["wick"], {"kind": kind, key: [entry, entry]})
     assert code == 2
-    assert captured.err == f"error: {message}\n" and not captured.out
+    assert err == f"error: {message}\n" and not out
 
 
 @pytest.mark.parametrize("gauge", [3, ["12", "34"]])
 def test_wick_rejects_matrix_that_is_not_a_list_of_lists(tmp_path, capsys, gauge):
     op = {"xi": ["1"], "eta": ["1"], "T": gauge, "Tbar": [["1"]]}
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps({"kind": "full", "operators": [op, op]}))
-    code = main(["wick", "--input", str(path)])
-    captured = capsys.readouterr()
+    code, out, err = invoke(capsys, tmp_path, ["wick"], {"kind": "full", "operators": [op, op]})
     assert code == 2
-    assert captured.err.startswith("error:") and not captured.out
+    assert err.startswith("error:") and not out
 
 
 def test_levy_command_matches_library(tmp_path, capsys):
@@ -426,23 +460,50 @@ def test_gns_command(tmp_path, capsys):
 
 
 def test_gns_short_functional_exits_2_at_once(tmp_path, capsys):
-    path = tmp_path / "gns.json"
-    path.write_text(json.dumps({"k": 2, "maxlen": 30, "psi": {"0": "1"}}))
-    code = main(["gns", "--input", str(path)])
-    captured = capsys.readouterr()
+    code, out, err = invoke(capsys, tmp_path, ["gns"], {"k": 2, "maxlen": 30, "psi": {"0": "1"}})
     assert code == 2
-    assert captured.err == "error: functional not defined on word (1,)\n" and not captured.out
+    assert err == "error: functional not defined on word (1,)\n" and not out
 
 
 @pytest.mark.parametrize("key", ["x y", "0.5", "0 x", "0,1"])
 def test_gns_malformed_psi_key_exits_2_naming_the_key(tmp_path, capsys, key):
     # int() used to fail first, with "invalid literal for int() with base 10: 'x'"
-    path = tmp_path / "gns.json"
-    path.write_text(json.dumps({"k": 1, "maxlen": 1, "psi": {"0": "1", key: "2"}}))
-    code = main(["gns", "--input", str(path)])
-    captured = capsys.readouterr()
-    assert code == 2 and not captured.out
-    assert captured.err == f"error: expected psi keys to be words of integers separated by spaces, got {key!r}\n"
+    code, out, err = invoke(capsys, tmp_path, ["gns"], {"k": 1, "maxlen": 1, "psi": {"0": "1", key: "2"}})
+    assert code == 2 and not out
+    assert err == f"error: expected psi keys to be words of integers separated by spaces, got {key!r}\n"
+
+
+LEVY_AT_THE_CAP = {"xi": [["1", "-1/2"], ["1/3", "2"]], "lam": ["1/2", "-1"], "gram": [["2", "1"], ["1", "3"]],
+                   "T": [[["1/2", "1"], ["1", "-1/3"]], [["0", "2/3"], ["2/3", "1"]]]}
+
+
+def test_levy_word_at_the_cap_matches_the_operator_model_and_one_letter_more_is_refused(capsys, tmp_path):
+    word = [0, 1, 1, 0, 1, 0, 0, 1, 1, 0]
+    job = {"spec": LEVY_AT_THE_CAP, "word": word, "s": "2/3"}
+    code, out, err = invoke(capsys, tmp_path, ["levy", *POINT], job)
+    assert code == 0, err
+    data = json.loads(out)
+    s, moment, cumulant = (Fraction(data[key]) for key in ("s", "moment", "cumulant"))
+    poly = {int(k): Fraction(c) for k, c in data["s_polynomial"].items()}
+    assert sum(c * s**k for k, c in poly.items()) == moment and poly.get(1, 0) * s == cumulant
+    # the word on the second of two intervals, of lengths 1/5 and s: each annihilator pairs by s gram xi_u
+    spec = LevySpec.of(*(LEVY_AT_THE_CAP[key] for key in ("xi", "T", "lam", "gram")))
+    point = DeformationParams.from_rationals(Fraction(1, 7), Fraction(4, 7), Fraction(2, 7), Fraction(5, 7))
+    assert fock_levy_oracle(spec, [(u, 1) for u in word], [Fraction(1, 5), s], point) == moment
+    code, out, err = invoke(capsys, tmp_path, ["levy", *POINT], {**job, "word": word + [1]})
+    assert code == 3 and err.startswith("resource guard:") and not out
+
+
+@pytest.mark.parametrize("family, x", [("hermite", 0), ("poisson", 1)])
+def test_convolved_pairs_at_the_cap_match_the_continued_fraction(capsys, tmp_path, family, x):
+    # lam = 0 and tau = delta_x / 2 on each pair: x = 0 adds up to the Gaussian, x = 1 to the centred Poisson
+    half = {"lam": "0", "tau": [str(Fraction(x**m, 2)) for m in range(9)]}
+    code, out, err = invoke(capsys, tmp_path, ["convolve", *POINT], {"a": half, "b": half, "nmax": 10})
+    assert code == 0, err
+    code, expect = run_json(capsys, "moments", "--family", family, "--nmax", "10", *POINT)
+    assert code == 0
+    got = json.loads(out)["convolution_moments"]
+    assert [Fraction(m) for m in got] == [Fraction(m) for m in expect["moments_from_order_zero"][1:]]
 
 
 def test_density_variants(capsys):
@@ -516,23 +577,17 @@ def test_qmp_jacobi_data_accept_any_alpha(capsys):
 )
 def test_levy_refuses_bad_gram(tmp_path, capsys, gram, message):
     spec = {"xi": [["1", "0"]], "T": [[["1", "0"], ["0", "1"]]], "lam": ["1"], "gram": gram}
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps({"spec": spec, "word": [0, 0]}))
-    code = main(["levy", "--input", str(path)])
-    captured = capsys.readouterr()
+    code, out, err = invoke(capsys, tmp_path, ["levy"], {"spec": spec, "word": [0, 0]})
     assert code == 2
-    assert captured.err.startswith(f"error: {message}") and not captured.out
+    assert err.startswith(f"error: {message}") and not out
 
 
 @pytest.mark.parametrize("gram", [0, [], False], ids=["zero", "empty-list", "false"])
 def test_levy_refuses_a_falsy_gram(tmp_path, capsys, gram):
     spec = {"xi": [["1", "0"]], "T": [[["1", "0"], ["0", "1"]]], "lam": ["1"], "gram": gram}
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps({"spec": spec, "word": [0, 0]}))
-    code = main(["levy", "--input", str(path)])
-    captured = capsys.readouterr()
+    code, out, err = invoke(capsys, tmp_path, ["levy"], {"spec": spec, "word": [0, 0]})
     assert code == 2
-    assert captured.err.startswith("error: ") and "gram" in captured.err and not captured.out
+    assert err.startswith("error: ") and "gram" in err and not out
 
 
 def test_levy_takes_a_null_gram_as_no_gram(tmp_path, capsys):
@@ -672,9 +727,6 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     code = main(["wick", "--input", str(bad)])
     capsys.readouterr()
     assert code == 2
-    code = main(["moments", "--family", "hermite", "--nmax", "4", "--q", "oops"])
-    capsys.readouterr()
-    assert code == 2
 
 
 @pytest.mark.parametrize(
@@ -690,6 +742,8 @@ def test_bad_input_exit_codes(tmp_path, capsys):
         (["cauchy", "--family", "sech", "--im", "inf"], "--im"),
         (["density", "--kind", "sech", "--x", "nan"], "--x"),
         (["density", "--kind", "qmp", "--q=1/2", "--x=-inf"], "--x"),
+        (["partitions", "--n", "-1"], "is -1, but must be >= 0"),
+        (["partitions", "--pairs", "--n", "-2"], "is -2, but must be >= 0"),
         (["partitions", "--n", "3", "--min-block-size", "0"], "--min-block-size"),
         (["partitions", "--n", "3", "--min-block-size", "-2"], "--min-block-size"),
         (["partitions", "--n", "4", "--pairs", "--min-block-size", "3"], "--pairs with --min-block-size 3"),
@@ -699,6 +753,7 @@ def test_bad_input_exit_codes(tmp_path, capsys):
     ids=[
         "euler-nmax-zero", "euler-nmax-negative", "moments-nmax-zero", "polys-nmax-zero", "cauchy-depth-zero",
         "cauchy-pole", "cauchy-re-nan", "cauchy-im-inf", "density-sech-x-nan", "density-qmp-x-inf",
+        "partitions-n-negative", "partitions-pairs-n-negative",
         "partitions-min-block-size-zero", "partitions-min-block-size-negative", "partitions-pairs-min-block-size-three",
         "moments-symbolic-float-mode",
     ],
@@ -717,19 +772,62 @@ def test_sizes_below_range_and_non_finite_points_exit_2(capsys, argv, message):
         ("wick", {"kind": "gaussian", "vectors": [{"xi": ["1"]}]}, "eta"),
         ("wick", {"kind": "word", "tokens": [{"xi": ["1"], "eta": ["1"]}]}, "kind"),
         ("wick", {"kind": "full", "operators": [{"xi": ["1"], "eta": ["1"], "T": [["2"]]}]}, "Tbar"),
+        # a Tbar with no T is refused, not dropped with the gauge
+        ("wick", {"kind": "full", "operators": [{"xi": ["1"], "eta": ["1"], "Tbar": [["5"]], "lam": "1", "lambar": "1"},
+                                                {"xi": ["1"], "eta": ["1"]}]}, "T"),
         ("levy", {"spec": {"xi": [["1"]], "T": [[["1"]]]}, "word": [0]}, "lam"),
         ("convolve", {"a": {"lam": "0"}, "b": {"lam": "1", "tau": ["1"]}}, "tau"),
         ("gns", {"k": 1, "psi": {}}, "maxlen"),
     ],
-    ids=["wick-gaussian", "wick-word", "wick-full", "levy", "convolve", "gns"],
+    ids=["wick-gaussian", "wick-word", "wick-full", "wick-full-no-T", "levy", "convolve", "gns"],
 )
 def test_missing_field_is_named(tmp_path, capsys, command, payload, field):
-    path = tmp_path / "in.json"
-    path.write_text(json.dumps(payload))
-    code = main([command, "--input", str(path)])
-    captured = capsys.readouterr()
+    code, out, err = invoke(capsys, tmp_path, [command], payload)
     assert code == 2
-    assert captured.err == f"error: missing field '{field}'\n" and not captured.out
+    assert err == f"error: missing field '{field}'\n" and not out
+
+
+@pytest.mark.parametrize(
+    "argv, job, fragment, code",
+    [
+        # the pair listing is guarded by the count of diagonal pair partitions, a sech moment of order <= 64
+        (["partitions", "--pairs", "--n", "66"], None, "is 66, but is guarded at <= 64", 3),
+        (["moments", "--family", "hermite", "--q", "oops"], None, "'oops'", 2),
+        (["wick"], {"kind": "bogus", "vectors": []}, "unknown wick kind 'bogus'", 2),
+        (["gns"], {"k": 1, "maxlen": 2, "psi": {"0": "1", "0 0": "2"}}, "functional not defined on word (0, 0, 0)", 2),
+        # a negative pivot, and a zero diagonal with a nonzero row
+        (["gns"], {"k": 1, "maxlen": 1, "psi": {"0": "0", "0 0": "-1"}},
+         "error: functional is not conditionally positive on this window", 2),
+        (["gns"], {"k": 2, "maxlen": 1, "psi": {"0": "0", "1": "0", "0 0": "0", "0 1": "1", "1 0": "1", "1 1": "0"}},
+         "error: functional is not conditionally positive on this window", 2),
+        # a letter outside 0..k-1 is named with its key before the reconstruction runs
+        (["gns"], {"k": 1, "maxlen": 1, "psi": {"0": "1", "0 0": "2", "0 0 0": "1", "0 0 0 0": "3", "1": "5"}},
+         "expected psi keys to be words over the letters 0..0 of k = 1, got '1'", 2),
+        (["gns"], {"k": 2, "maxlen": 0, "psi": {"0": "1", "-1 0": "2"}},
+         "expected psi keys to be words over the letters 0..1 of k = 2, got '-1 0'", 2),
+        (["levy"], {"spec": {"xi": [["1"]], "T": [[["1"]]], "lam": ["1"]}, "word": [0, 3]},
+         "error: word uses an unknown coordinate 3, but k = 1", 2),
+    ],
+    ids=[
+        "pairs-n-66", "moments-q-not-a-number", "wick-kind-bogus",
+        "gns-word-missing", "gns-negative-pivot", "gns-zero-diagonal", "gns-letter-past-k", "gns-letter-negative",
+        "levy-letter-past-k",
+    ],
+)
+def test_a_bad_invocation_exits_2_and_an_oversized_one_3_naming_the_fault(capsys, tmp_path, argv, job, fragment, code):
+    got, out, err = invoke(capsys, tmp_path, argv, job)
+    assert got == code and not out
+    assert err.startswith("error:" if code == 2 else "resource guard:") and fragment in err and err.count("\n") == 1
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def test_the_workflow_runs_no_inline_python_but_its_environment_check():
+    # a claim checked by an inline script runs in CI alone: it belongs in this suite
+    steps = re.split(r"\n\s*- ", WORKFLOW.read_text())
+    inline = [step.splitlines()[0] for step in steps if re.search(r"python3? (-c|- <<)", step)]
+    assert inline == ["name: the float paths run without numpy and scipy"]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -31,6 +31,10 @@ from diagfock.fock import (
 
 SYM = DeformationParams.symbolic()
 FREE = DeformationParams.from_rationals(0, 1, 0, 1)
+POINT = (Fraction(1, 7), Fraction(4, 7), Fraction(2, 7), Fraction(5, 7))
+AT = DeformationParams.from_rationals(*POINT)
+# a gauge that is not symmetric on either row
+SKEWED = GaugePair.of([["1/2", "2"], ["-1", "1/3"]], [["-4", "1"], ["2/3", "-1/5"]])
 
 
 def params_rat(q, t, v, w):
@@ -436,6 +440,13 @@ def test_deformed_inner_level_pairing_and_values():
     h = FockVector({((1, 0), (0, 0)): Fraction(1)})
     assert deformed_inner(f, f, SYM) == T * (V + W)
     assert deformed_inner(f, h, SYM) == Q * (V + W)
+    # on level 3 over two letters, against the rational point
+    words = list(itertools.product(range(2), repeat=3))
+    pairs = list(itertools.product(words, words))
+    f = FockVector({pair: Fraction(i + 1, 3) for i, pair in enumerate(pairs) if i % 3 == 0})
+    h = FockVector({pair: Fraction(2 - i, 5) for i, pair in enumerate(pairs) if i % 4 == 1})
+    symbolic = deformed_inner(f, h, SYM)
+    assert type(symbolic) is Poly and symbolic.evaluate(*POINT) == deformed_inner(f, h, AT)
 
 
 def test_deformed_inner_rotation_invariance():
@@ -618,6 +629,16 @@ def test_negative_levels_and_letter_counts_are_bad_input(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "n, d, a, b",
+    [(7, 2, "2/3", "2/3"), (7, 2, "-1/2", "1/2"), (7, 2, "2", "1"), (7, 2, "2/7", "5/7"),
+     (6, 3, "2/7", "5/7"), (6, 3, "2", "1")],
+)
+def test_positivity_closed_form_matches_the_whole_symmetrizer_at_the_cap(n, d, a, b):
+    a, b = Fraction(a), Fraction(b)
+    assert positivity_check(n, a, b, d) == helpers.ldlt_classify(helpers.symmetrizer_matrix(n, a, b, d))
+
+
 def test_positivity_at_level_six_over_three_letters():
     assert positivity_check(6, Fraction(2, 7), Fraction(5, 7), 3) == ("positive_definite", 0)
     # one letter: a single word, whatever n
@@ -684,11 +705,16 @@ def test_commutation_tensor_fails_with_swapped_annihilation_weights(monkeypatch)
     assert check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=2)
     assert check_commutation_tensor(x3, x4, distinct, 2, 2, maxlevel=3)
     assert check_commutation_tensor(x3, x4, only_bar, 2, 2, maxlevel=3)
+    # and at maxlevel 8
+    unit_scale = params_rat(Fraction(1, 7), 1, Fraction(2, 7), 1)
+    x5, x6 = VectorPair.of(["1", "-1/2"], ["1/3", "2"]), VectorPair.of(["2/3", "3"], ["-1", "1/5"])
+    assert check_commutation_tensor(x5, x6, unit_scale, 2, 2, maxlevel=8)
     monkeypatch.setattr(fock, "_row_annihilate", _swapped_annihilation(fock._row_annihilate))
     assert check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=0)
     assert not check_commutation_tensor(x1, x2, p, 2, 2, maxlevel=2)
     assert not check_commutation_tensor(x3, x4, distinct, 2, 2, maxlevel=3)
     assert not check_commutation_tensor(x3, x4, only_bar, 2, 2, maxlevel=3)
+    assert not check_commutation_tensor(x5, x6, unit_scale, 2, 2, maxlevel=8)
 
 
 def _swapped_annihilation(row_annihilate):
@@ -747,11 +773,13 @@ def test_gauge_adjoint_fails_without_the_transpose(monkeypatch):
     distinct_gauges = [GaugePair.of(halves, sevenths), GaugePair.of(sevenths, halves)]
     assert all(gauge_adjoint_check(g, p, 2, 2, maxlevel=2) for g in gauges)
     assert all(gauge_adjoint_check(g, distinct, 2, 2, maxlevel=3) for g in distinct_gauges)
+    assert gauge_adjoint_check(SKEWED, AT, 2, 2, maxlevel=7)
     monkeypatch.setattr(_linalg, "transpose", lambda m: m)
     assert gauge_adjoint_check(GaugePair.of(symmetric, symmetric), p, 2, 2, maxlevel=2)
     assert gauge_adjoint_check(GaugePair.of(halves, halves), distinct, 2, 2, maxlevel=3)
     assert not any(gauge_adjoint_check(g, p, 2, 2, maxlevel=2) for g in gauges)
     assert not any(gauge_adjoint_check(g, distinct, 2, 2, maxlevel=3) for g in distinct_gauges)
+    assert not gauge_adjoint_check(SKEWED, AT, 2, 2, maxlevel=7)
 
 
 ADJOINT_SHAPES = [(2, 2), (2, 1), (1, 2), (3, 1), (0, 2)]
@@ -786,6 +814,7 @@ def test_gauge_adjoint_gram_check_at_the_symbolic_point(monkeypatch, transpose):
         g = GaugePair.of(helpers.rand_mat(r, 2), helpers.rand_mat(r, 2))
         got = gauge_adjoint_check(g, SYM, d, dbar, maxlevel)
         assert got is helpers.adjoint_by_pairs(g, SYM, d, dbar, maxlevel) is (transpose == "kept"), (d, dbar)
+    assert gauge_adjoint_check(SKEWED, SYM, 2, 2, maxlevel=3) is (transpose == "kept")
 
 
 # the front move's run weights a^i b^(n-1-i) + ... add up at a = b, cancel in

@@ -116,6 +116,16 @@ def test_moment_additivity_over_split_intervals():
                 assert total == whole, word
 
 
+def test_the_operator_model_on_two_intervals_at_the_symbolic_point():
+    # a length-6 word on the second of two intervals, two coordinates on a plane with a gram
+    spec = LevySpec.of([("1", "-1/2"), ("2/3", "3")], [[["1/2", "1"], ["-1", "1/3"]], [["0", "2"], ["1", "-1/5"]]],
+                       ["1/2", "-3"], [["2", "1/5"], ["1/5", "3"]])
+    word, lengths = (0, 1, 0, 1, 1, 0), [Fraction(1, 3), Fraction(1, 2)]
+    sym = DeformationParams.symbolic()
+    oracle = fock_levy_oracle(spec, [(u, 1) for u in word], lengths, sym)
+    assert type(oracle) is Poly and oracle == levy_moment(spec, word, sym, lengths[1])
+
+
 def test_moment_over_three_intervals_with_mixed_coordinates():
     # three coordinates on three pieces of [0, s) of unequal lengths, with a
     # gram that is not the identity: a word on one piece is the moment at
@@ -296,8 +306,11 @@ def test_stochastic_measure_needs_an_interval():
 def test_operator_model_refuses_an_unknown_coordinate(u):
     # a negative u used to index the last coordinate, and u >= k to fail with IndexError
     spec = rand_spec(helpers.rng(73), k=2, d=2)
-    with pytest.raises(ValueError, match="word uses an unknown coordinate"):
-        fock_levy_oracle(spec, [(u, 0), (u, 0)], [Fraction(1)], GEN)
+    with pytest.raises(ValueError, match=f"^word uses an unknown coordinate {u}, but k = 2$"):
+        fock_levy_oracle(spec, [(0, 0), (u, 0)], [Fraction(1)], GEN)
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match=f"^interval index out of range: {i}, but the interval count is 2$"):
+            fock_levy_oracle(spec, [(0, 0), (1, i)], [Fraction(1), Fraction(2)], GEN)
     for n_int in (1, 2):
         with pytest.raises(ValueError, match="word uses an unknown coordinate"):
             stochastic_measure(spec, (u, u), SetPartition(2, [(1,), (2,)]), Fraction(1), n_int, GEN)
@@ -416,6 +429,18 @@ def test_the_one_pass_inverse_matches_the_per_length_oracle(name, k):
         expect = helpers.cumulant_functional_by_length(dict(zip([(0,) * n for n in range(1, maxlen + 1)], moments)),
                                                         1, params, maxlen)
         assert [(x, type(x)) for x in got] == [(x, type(x)) for x in expect.values()]
+
+
+@pytest.mark.parametrize("k, maxlen", [(2, 7), (3, 5)])
+@pytest.mark.parametrize("name", ["ones", "v=-w"])
+def test_the_one_pass_inverse_matches_the_per_length_oracle_past_the_small_windows(name, k, maxlen):
+    params = DeformationParams.from_rationals(1, 1, 1, 1) if name == "ones" else INVERSE_POINTS[name]
+    words = [w for n in range(1, maxlen + 1) for w in itertools.product(range(k), repeat=n)]
+    psi = {w: Fraction((-1) ** len(w) * (sum(w) + 2), len(w) + 2) for w in words}
+    phi = moment_functional(psi, k, params, maxlen)
+    back = cumulant_functional(phi, k, params, maxlen)
+    assert back == psi
+    assert typed(back) == typed(helpers.cumulant_functional_by_length(phi, k, params, maxlen))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -545,6 +570,7 @@ def test_hankel_verdicts():
     assert verdict in ("positive_definite", "positive_semidefinite")
     verdict, _ = hankel_psd_check([Fraction(1), Fraction(0), Fraction(-1)])
     assert verdict == "indefinite"
+    assert hankel_psd_check([0, 1, 0, 1, 0]) == ("indefinite", 1)
 
 
 def test_hankel_verdict_and_kernel_are_exact():
@@ -597,11 +623,22 @@ def gns_roundtrip_case(spec: LevySpec, k: int, maxlen: int):
     return rec, info
 
 
+GNS_XI = [["1", "-1/2", "2/3", "0"], ["1/3", "2", "-1", "1/4"], ["0", "1", "1/2", "-3"]]
+GNS_T = [[["1/2", "1", "0", "-1"], ["1", "-1/3", "2", "0"], ["0", "2", "1", "1/5"], ["-1", "0", "1/5", "3"]],
+         [["0", "2/3", "1", "1"], ["2/3", "1", "0", "-2"], ["1", "0", "-1/2", "1"], ["1", "-2", "1", "0"]],
+         [["2", "0", "-1", "1/3"], ["0", "1", "1/4", "0"], ["-1", "1/4", "0", "1"], ["1/3", "0", "1", "-1"]]]
+
+
 def test_gns_reconstruction_roundtrip():
     r = helpers.rng(73)
     spec = rand_spec(r, k=2, d=2)
     rec, info = gns_roundtrip_case(spec, 2, 2)
     assert info["dim"] <= 6
+    # windows past it: k = 2 from a four-dimensional spec at maxlen 3, k = 3 from a three-dimensional one at maxlen 2
+    for k, d, maxlen in ((2, 4, 3), (3, 3, 2)):
+        xis, gauges = [xi[:d] for xi in GNS_XI[:k]], [[row[:d] for row in t[:d]] for t in GNS_T[:k]]
+        spec = LevySpec.of(xis, gauges, ["1/2", "-1", "2"][:k])
+        assert gns_roundtrip_case(spec, k, maxlen)[1]["dim"] == d, (k, maxlen)
 
 
 def test_gns_reconstruction_detects_degeneracy():
@@ -612,6 +649,11 @@ def test_gns_reconstruction_detects_degeneracy():
     spec = LevySpec.of([xi0, tuple(2 * x for x in xi0)], [t0, t0], [1, 2])
     rec, info = gns_roundtrip_case(spec, 2, 2)
     assert info["dim"] <= 4
+    # a window past it: the Gram matrix is singular, so the solve runs on its pivots
+    xi0 = [Fraction(x) for x in GNS_XI[0][:3]]
+    t0 = [row[:3] for row in GNS_T[0][:3]]
+    rec, info = gns_roundtrip_case(LevySpec.of([xi0, [2 * x for x in xi0]], [t0, t0], ["1/2", "1"]), 2, 3)
+    assert info["dim"] == 3
 
 
 def test_gns_rejects_asymmetric_functional():

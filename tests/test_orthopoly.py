@@ -11,7 +11,7 @@ import pytest
 import diagfock
 import helpers
 from diagfock import partitions
-from diagfock.scalars import DeformationParams, Q, T, V, W, _qt_ladder, _qt_row, qt_number
+from diagfock.scalars import DeformationParams, Poly, Q, T, V, W, _qt_ladder, _qt_row, qt_number
 from diagfock.fock import GaugePair, VectorPair
 from diagfock.wick import QuadrabasicOp, full_fock_oracle, full_wick, gaussian_wick
 from diagfock.orthopoly import (
@@ -137,6 +137,15 @@ def test_symbolic_family_moments_match_matrix_powers(family):
     want = helpers.moments_by_matrix_powers(jac.beta, jac.gamma, 8)
     assert typed(got) == typed(want)
     assert [str(x) for x in got] == [str(x) for x in want]
+    # moments to order 16 and polynomials to degree 8 on the cleared recurrences, against the rational point;
+    # at order 24 the symbolic moments run 10**5 terms and more, and P_24 far more: those take seconds
+    point = (Fraction(1, 7), Fraction(4, 7), Fraction(2, 7), Fraction(5, 7))
+    at = DeformationParams.from_rationals(*point)
+    got = moments_from_jacobi(family(SYM, 9), 16)
+    assert all(type(m) is Poly for m in got)
+    assert [m.evaluate(*point) for m in got] == moments_from_jacobi(family(at, 9), 16)
+    got = polys_from_jacobi(family(SYM, 8), 8)
+    assert [[c.evaluate(*point) for c in p] for p in got] == polys_from_jacobi(family(at, 8), 8)
 
 
 def jacobi_cases(kind, r, depth):

@@ -52,6 +52,10 @@ def test_poly_str_examples():
     assert str(p) == "1 + qv + qw + tv + tw"
     assert str(Poly.zero()) == "0"
     assert str(Q**2 * T - Poly.const(1)) == "-1 + q^2t"
+    # degrees past one byte print and evaluate from the packed exponent keys
+    p, q, t = (Q**200 + 3 * T) * (Q**100 - T**300), Fraction(1, 7), Fraction(4, 7)
+    assert str(p) == "3 q^100t + q^300 - 3 t^301 - q^200t^300"
+    assert p.evaluate(q, t, Fraction(2, 7), Fraction(5, 7)) == (q**200 + 3 * t) * (q**100 - t**300)
 
 
 def test_int_and_fraction_coercion():

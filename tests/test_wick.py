@@ -13,6 +13,7 @@ from diagfock.fock import (
     GaugePair,
     VectorPair,
 )
+from diagfock.orthopoly import jacobi_hermite, jacobi_poisson, moments_from_jacobi
 from diagfock.partitions import SetPartition
 from diagfock.wick import (
     QuadrabasicOp,
@@ -27,6 +28,8 @@ from diagfock.wick import (
 )
 
 SYM = DeformationParams.symbolic()
+POINT = (Fraction(1, 7), Fraction(4, 7), Fraction(2, 7), Fraction(5, 7))
+AT = DeformationParams.from_rationals(*POINT)
 
 
 def params_rat(q, t, v, w):
@@ -307,6 +310,20 @@ def test_full_wick_mixed_operators_symbolic():
                       Fraction(-1, 2), Fraction(2)),
     ]
     assert full_wick(ops, SYM) == full_fock_oracle(ops, SYM)
+    # six general operators on d = 2 both rows, each with a gauge and both scalars
+    ops = [QuadrabasicOp(VectorPair.of([str(i + 1), "-1/2"], ["1/3", str(2 - i)]),
+                         GaugePair.of([["1/2", str(i % 3)], ["-1", "1/3"]], [[str(i - 4), "1"], ["2/3", "-1/5"]]),
+                         Fraction(2 * i - 7), Fraction(1, i + 2)) for i in range(6)]
+    oracle = full_fock_oracle(ops, SYM)
+    assert type(oracle) is Poly and oracle == full_wick(ops, SYM)
+
+
+def test_the_gaussian_sum_and_oracle_at_the_guard_size_at_the_symbolic_point():
+    # n = 10, d = 2 on top and 1 below
+    vectors = [VectorPair.of([str(i + 1), "-1/2"], [f"{2 * i - 9}/3"]) for i in range(10)]
+    symbolic, oracle = gaussian_wick(vectors, SYM), gaussian_fock_oracle(vectors, SYM)
+    assert type(oracle) is Poly and oracle == symbolic
+    assert symbolic.evaluate(*POINT) == gaussian_wick(vectors, AT)
 
 
 def test_moment_cumulant_roundtrip_exact():
@@ -323,6 +340,31 @@ def test_moment_cumulant_roundtrip_symbolic():
     cums = [Poly.const(k + 1) for k in range(5)]
     ms = cumulants_to_moments(cums, SYM)
     assert moments_to_cumulants(ms, SYM) == cums
+    # at the diagonal cap, against the point: the inverse gives Polys back,
+    # and the odd Gaussian moments are the zero Poly
+    cums = [Fraction((-1) ** n * (n + 2), n + 3) for n in range(MAX_DIAGONAL_N)]
+    ms = cumulants_to_moments(cums, SYM)
+    assert [m.evaluate(*POINT) for m in ms] == cumulants_to_moments(cums, AT)
+    back = moments_to_cumulants(ms, SYM)
+    assert all(type(r) is Poly for r in back) and back == cums
+    assert moments_to_cumulants(cumulants_to_moments(cums, AT), AT) == cums
+    gaussian = [0, 1] + [0] * (MAX_DIAGONAL_N - 2)
+    ms = cumulants_to_moments(gaussian, SYM)
+    assert all(type(m) is Poly for m in ms) and all(m == Poly.zero() for m in ms[0::2])
+    assert [m.evaluate(*POINT) for m in ms] == cumulants_to_moments(gaussian, AT)
+
+
+# r_2 = 1 alone, and r_k = 1 for every k >= 2; v = -w zeroes [2]_{v,w}, q = 0 a summand of [k]_{q,t}
+@pytest.mark.parametrize(
+    "params",
+    [params_rat(Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(2, 3)),
+     params_rat(0, Fraction(3, 5), Fraction(2, 7), Fraction(-2, 7)), DeformationParams(2, 1, -1, 1)],
+    ids=["v=-w", "q=0", "int"],
+)
+def test_the_gaussian_and_centred_poisson_transforms_are_the_jacobi_moments(params):
+    for jacobi, cums in ((jacobi_hermite, [0, 1] + [0] * 8), (jacobi_poisson, [0] + [1] * 9)):
+        got, expect = cumulants_to_moments(cums, params), moments_from_jacobi(jacobi(params, 6), 10)
+        assert [(type(m), m) for m in got] == [(type(m), m) for m in expect], jacobi.__name__
 
 
 def test_cumulants_to_moments_free_case_is_noncrossing_sum():
