@@ -117,6 +117,13 @@ def _int(data, what: str, least: Optional[int] = None) -> int:
     return data
 
 
+def _rational(data, what: str) -> Fraction:
+    """A JSON number or string such as "1/3"; a null, bool, list or object is refused by name."""
+    if data is None or isinstance(data, (bool, list, dict)):
+        raise ValueError(f"expected {what} to be a rational, got {data!r}")
+    return parse_rational(str(data))
+
+
 def _finite(x: float, what: str) -> float:
     """A float flag that is a number: nan and inf are refused, naming the flag."""
     if not math.isfinite(x):
@@ -128,8 +135,8 @@ def _vec(data) -> List[Fraction]:
     return [parse_rational(str(x)) for x in _check(data, list, "a list of rationals")]
 
 
-def _mat(data) -> List[List[Fraction]]:
-    return [_vec(row) for row in _check(data, list, "a list of rows")]
+def _mat(data, what: str = "a list of rows") -> List[List[Fraction]]:
+    return [_vec(row) for row in _check(data, list, what)]
 
 
 def _entries(data, key: str) -> List[dict]:
@@ -293,9 +300,10 @@ def _operator(e: dict):
     from .fock import GaugePair
     from .wick import QuadrabasicOp
 
-    vec = _vector_pair(e)
-    gauge = None if e.get("T") is None and e.get("Tbar") is None else GaugePair.of(_mat(e["T"]), _mat(e["Tbar"]))
-    return QuadrabasicOp(vec, gauge, parse_rational(str(e.get("lam", "0"))), parse_rational(str(e.get("lambar", "1"))))
+    vec, gauge = _vector_pair(e), None
+    if e.get("T") is not None or e.get("Tbar") is not None:  # both absent or null is no gauge
+        gauge = GaugePair.of(*(_mat(e[name], f"{name} to be a list of rows") for name in ("T", "Tbar")))
+    return QuadrabasicOp(vec, gauge, _rational(e.get("lam", 0), "lam"), _rational(e.get("lambar", 1), "lambar"))
 
 
 # each kind of wick input: (the key of its entries, entry parser, formula, oracle, renderer),
@@ -346,7 +354,7 @@ def cmd_levy(args) -> int:
     spec = _spec_from_json(_check(data["spec"], dict, "spec to be an object"))
     letters = _check(data["word"], list, "word to be a list of coordinates")
     word = tuple(_int(u, f"word[{i}]") for i, u in enumerate(letters))
-    s = parse_rational(str(data.get("s", "1")))
+    s = _rational(data.get("s", 1), "s")
     payload = {
         "word": list(word),
         "s": s,
@@ -363,8 +371,8 @@ def cmd_convolve(args) -> int:
 
     data = _read_input(args.input)
     params = _params_from(args)
-    pairs = [_check(data[key], dict, f"{key} to be an object") for key in ("a", "b")]
-    a, b = (GeneratorPair.of(parse_rational(str(p["lam"])), _vec(p["tau"])) for p in pairs)
+    pairs = {key: _check(data[key], dict, f"{key} to be an object") for key in ("a", "b")}
+    a, b = (GeneratorPair.of(_rational(p["lam"], f"{key}.lam"), _vec(p["tau"])) for key, p in pairs.items())
     c = convolve_pairs(a, b)
     nmax = _int(data.get("nmax", 6), "nmax", least=1)
     payload = {
@@ -398,7 +406,7 @@ def cmd_gns(args) -> int:
     k = _int(data["k"], "k", least=1)
     maxlen = _int(data["maxlen"], "maxlen", least=0)
     psi_json = _check(data["psi"], dict, "psi to be an object")
-    psi = {_parse_word_key(kk, k): parse_rational(str(vv)) for kk, vv in psi_json.items()}
+    psi = {_parse_word_key(kk, k): _rational(vv, f"psi[{kk!r}]") for kk, vv in psi_json.items()}
     spec, info = gns_reconstruct(psi, k, maxlen)
     ok = True
     checked = 0

@@ -23,11 +23,11 @@ a (v, w) one on the bar word; a row operator maps one basis word to its
 gauge share the front move R_n and differ only in the letter each position
 turns into.  Each call keeps one table per row (``_Row``): its point, the
 weights of each level and the front move of each word, each made once for
-every operator, symmetrizer column and check of the call.  Field and
-general operators are sums of top (x) bar parts, each a pair of row specs
-(kind, data) whose operators are built once per call on their row's table.
-The single actions and ``_vacuum_moment`` apply them in one pass to a
-vector kept as {bar word: {top word: coeff}}, so each part's images of a
+every operator, symmetrizer column and check of the call.  An operator is
+a sum of (kind, payload) tokens, as :func:`apply_word` takes them, each of
+whose top and bar operators is built once per call on its row's table.  The
+single actions and ``_vacuum_moment`` apply a step's tokens in one pass to a
+vector kept as {bar word: {top word: coeff}}, so each token's images of a
 bar word serve every top word under it; :func:`apply_word` runs row by row
 and tensors the rows once, and the gauge-adjoint and commutation checks
 test a sum of top (x) bar products for zero by one Gram matrix per level,
@@ -90,6 +90,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 from . import _guards, _linalg
 from .scalars import (
     DeformationParams,
+    Poly,
     _cleared,
     _cleared_array,
     _cleared_point,
@@ -129,15 +130,17 @@ class GaugePair(NamedTuple):
 
     @classmethod
     def of(cls, top: Sequence[Sequence], bar: Sequence[Sequence]) -> "GaugePair":
-        """The pair from the rows of T and T-bar; a 0 x 0 matrix is refused,
-        naming it (``T`` or ``Tbar``, as in the CLI's input)."""
+        """The pair from the rows of T and T-bar; a 0 x 0 or non-square matrix
+        is refused, naming it (``T`` or ``Tbar``, as in the CLI's input)."""
         t = tuple(tuple(Fraction(x) for x in row) for row in top)
         b = tuple(tuple(Fraction(x) for x in row) for row in bar)
         for name, m in (("T", t), ("Tbar", b)):
             if not m:
                 raise ValueError(f"gauge {name} is a 0 x 0 matrix")
-            if any(len(row) != len(m) for row in m):
-                raise ValueError("gauge matrices must be square")
+            widths = [len(row) for row in m]
+            if set(widths) != {len(m)}:
+                shape = f"{len(m)} x {widths[0]}" if len(set(widths)) == 1 else f"ragged, rows of lengths {', '.join(map(str, widths))}"
+                raise ValueError(f"gauge {name} is {shape}, not a square matrix")
         return cls(t, b)
 
 
@@ -207,7 +210,7 @@ SCALAR = "scalar"
 
 RowOp = Callable[[Word], List[Tuple[Word, object]]]  # basis word -> its (word, coeff) terms
 RowSpec = Tuple[str, object]  # one row's (kind, data): a vector, a gauge matrix or a scalar
-Part = Tuple[RowSpec, RowSpec]  # top (x) bar: the top factor at (q, t), the bar one at (v, w)
+Token = Tuple[str, object]  # (kind, payload): a VectorPair, a GaugePair or a scalar
 
 
 class _Row(dict):
@@ -291,17 +294,25 @@ def _row_op(spec: RowSpec, row: _Row, power: Sequence, c: int) -> RowOp:
     return lambda word: [(word, lam)]
 
 
-def _rows(parts: Sequence[Part], params, c: int, clear: bool = True) -> List[Tuple[Dict[int, RowOp], int, int]]:
-    """(ops, D, E) for the top row of parts at (q, t) and the bar row at
-    (v, w): ops maps the id of each spec object (hashing its Fractions is
-    slow, so the parts must outlive ops) to its operator on the row's one
-    table, built once.  Cleared, the data are times D, the lcm of their
+def _row_specs(token: Token) -> Tuple[RowSpec, RowSpec]:
+    """A token's (kind, data) on the top and on the bar row: the payload's two
+    fields for a vector or gauge, and lambda and 1 for a scalar lambda."""
+    kind, payload = token
+    top, bar = (payload, _ONE) if kind == SCALAR else payload
+    return (kind, top), (kind, bar)
+
+
+def _rows(tokens: Sequence[Token], params, c: int, clear: bool = True) -> List[Tuple[Dict[int, RowOp], int, int]]:
+    """(ops, D, E) for the top row of tokens at (q, t) and the bar row at
+    (v, w): ops maps the id of each token (hashing its Fractions is slow, so
+    the tokens must outlive ops) to its operator on the row's one table,
+    built once.  Cleared, the data are times D, the lcm of their
     denominators, and the point times E, so that after s operators a
     level-l term is D^s E^(c s - C(l,2)) times its value, c at least the
     highest level reached; else (the single actions) D = E = 1."""
-    rows = []
+    rows, both = [], {id(token): _row_specs(token) for token in tokens}
     for side, (a, b) in enumerate((params[:2], params[2:])):
-        specs = {id(part[side]): part[side] for part in parts}
+        specs = {key: pair[side] for key, pair in both.items()}
         given = {id(d): d for _, d in specs.values()}  # a vector that creates and annihilates is cleared once
         data = _denominator(x for d in given.values() for x in _entries(d)) if clear else 1
         a, b, e = _cleared_point(a, b) if clear else (a, b, 1)
@@ -326,18 +337,18 @@ def _row_apply(op: RowOp, f: Dict[Word, object]) -> Dict[Word, object]:
     return _collect((word, c * cw) for w, c in f.items() for word, cw in op(w))
 
 
-_SHIFT = {CREATE: 1, ANNIHILATE: -1, GAUGE: 0, SCALAR: 0}  # the level change of each kind of part
+_SHIFT = {CREATE: 1, ANNIHILATE: -1, GAUGE: 0, SCALAR: 0}  # the level change of each kind of token
 Terms = Dict[Word, Dict[Word, object]]  # a vector as {bar word: {top word: coeff}}
 
 
-def _apply_step(parts: Sequence[Part], top: Dict[int, RowOp], bar: Dict[int, RowOp], terms: Terms, room: float = math.inf) -> Terms:
-    """(sum over parts of top (x) bar) applied to terms in one pass, the
-    parts' operators read from the row ops of :func:`_rows`.  A part moves
+def _apply_step(tokens: Sequence[Token], top: Dict[int, RowOp], bar: Dict[int, RowOp], terms: Terms, room: float = math.inf) -> Terms:
+    """(sum over tokens of top (x) bar) applied to terms in one pass, the
+    tokens' operators read from the row ops of :func:`_rows`.  A token moves
     every term by its kind's level change, so one whose images would lie
-    above level ``room`` is skipped before any is built.  A part builds
+    above level ``room`` is skipped before any is built.  A token builds
     each bar word's images once, for every top word under it, and each top
     word's once, for every bar word over it."""
-    ops = [(top[id(t)], bar[id(b)], _SHIFT[t[0]], {}) for t, b in parts]
+    ops = [(top[id(token)], bar[id(token)], _SHIFT[token[0]], {}) for token in tokens]
     acc: Terms = {}
     for wb, tops in terms.items():
         for top_op, bar_op, shift, images in ops:
@@ -368,60 +379,45 @@ def _apply_step(parts: Sequence[Part], top: Dict[int, RowOp], bar: Dict[int, Row
     return {wb: out for wb, out in acc.items() if out}
 
 
-def _apply_parts(parts: Sequence[Part], f: FockVector, params: Optional[DeformationParams] = None) -> FockVector:
-    """(sum over parts of top (x) bar) applied to f in one pass over its terms.
+def _apply_tokens(tokens: Sequence[Token], f: FockVector, params: Optional[DeformationParams] = None) -> FockVector:
+    """(sum over tokens of top (x) bar) applied to f in one pass over its terms.
 
     One operator multiplies each term once, so nothing is cleared: the
     terms keep the ring of f, the data and the point, which only
-    annihilation and gauge parts read, refusing a letter that is not an
+    annihilation and gauge tokens read, refusing a letter that is not an
     int in [0, the dimension of their data)."""
+    _check_tokens(tokens)
     for side, name in enumerate(("top", "bar")):
         letters = dict.fromkeys(letter for key in f.terms for letter in key[side])
-        for kind, data in (part[side] for part in parts if part[side][0] in (ANNIHILATE, GAUGE)):
+        for kind, data in (_row_specs(token)[side] for token in tokens if token[0] in (ANNIHILATE, GAUGE)):
             bad = [letter for letter in letters if not (isinstance(letter, int) and 0 <= letter < len(data))]
             if bad:
                 raise ValueError(f"a {name} word has letter {bad[0]!r}, but the {kind} operator has dimension {len(data)}")
-    (top, _, _), (bar, _, _) = _rows(parts, params or (None,) * 4, max(f.levels(), default=0), clear=False)
+    (top, _, _), (bar, _, _) = _rows(tokens, params or (None,) * 4, max(f.levels(), default=0), clear=False)
     terms: Terms = {}
     for (wt, wb), c in f.terms.items():
         terms.setdefault(wb, {})[wt] = c
     out = FockVector()
-    out.terms = {(wt, wb): c for wb, tops in _apply_step(parts, top, bar, terms).items() for wt, c in tops.items()}
+    out.terms = {(wt, wb): c for wb, tops in _apply_step(tokens, top, bar, terms).items() for wt, c in tops.items()}
     return out
 
 
-def _creation_part(x: VectorPair) -> Part:
-    return (CREATE, x.xi), (CREATE, x.eta)
-
-
-def _annihilation_part(x: VectorPair) -> Part:
-    return (ANNIHILATE, x.xi), (ANNIHILATE, x.eta)
-
-
-def _gauge_part(g: GaugePair) -> Part:
-    return (GAUGE, g.top), (GAUGE, g.bar)
-
-
-def _scalar_part(lam) -> Part:
-    return (SCALAR, lam), (SCALAR, _ONE)
-
-
-def _quadrabasic_parts(x: VectorPair, g: Optional[GaugePair], lam) -> List[Part]:
-    """The parts of creation + annihilation + gauge + lam (no gauge part for
-    g = None, no scalar part for lam = 0); the field operator is g = None, lam = 0."""
-    parts = [_creation_part(x), _annihilation_part(x)]
+def _quadrabasic_tokens(x: VectorPair, g: Optional[GaugePair], lam) -> List[Token]:
+    """The tokens of creation + annihilation + gauge + lam (no gauge token for
+    g = None, no scalar token for lam = 0); the field operator is g = None, lam = 0."""
+    tokens = [(CREATE, x), (ANNIHILATE, x)]
     if g is not None:
-        parts.append(_gauge_part(g))
+        tokens.append((GAUGE, g))
     if lam != 0:
-        parts.append(_scalar_part(lam))
-    return parts
+        tokens.append((SCALAR, lam))
+    return tokens
 
 
-def _vacuum_moment(steps: Sequence[Sequence[Part]], params: DeformationParams):
-    """<vacuum, (product of steps) vacuum>, each step the parts of one
+def _vacuum_moment(steps: Sequence[Sequence[Token]], params: DeformationParams):
+    """<vacuum, (product of steps) vacuum>, each step the tokens of one
     operator, the rightmost step acting first.
 
-    No part lowers the level by more than one, so a term at level l with r
+    No token lowers the level by more than one, so a term at level l with r
     steps still to apply can reach the vacuum only if l <= r: each step
     keeps only the terms within that room (the room bound of the open-arc
     DP, on the operator side).  Every term kept gets its inputs from kept
@@ -435,7 +431,7 @@ def _vacuum_moment(steps: Sequence[Sequence[Part]], params: DeformationParams):
     value and is divided once.
     """
     c = len(steps) // 2
-    (top, top_data, top_e), (bar, bar_data, bar_e) = _rows([part for step in steps for part in step], params, c)
+    (top, top_data, top_e), (bar, bar_data, bar_e) = _rows([token for step in steps for token in step], params, c)
     terms: Terms = {(): {(): 1}}
     for left, step in zip(range(len(steps) - 1, -1, -1), reversed(steps)):
         terms = _apply_step(step, top, bar, terms, room=left)
@@ -443,41 +439,37 @@ def _vacuum_moment(steps: Sequence[Sequence[Part]], params: DeformationParams):
 
 
 def creation_apply(x: VectorPair, f: FockVector) -> FockVector:
-    return _apply_parts([_creation_part(x)], f)
+    return _apply_tokens([(CREATE, x)], f)
 
 
 def annihilation_apply(x: VectorPair, f: FockVector, params: DeformationParams) -> FockVector:
-    return _apply_parts([_annihilation_part(x)], f, params)
+    return _apply_tokens([(ANNIHILATE, x)], f, params)
 
 
 def gauge_apply(g: GaugePair, f: FockVector, params: DeformationParams) -> FockVector:
-    return _apply_parts([_gauge_part(g)], f, params)
+    return _apply_tokens([(GAUGE, g)], f, params)
 
 
 # -- operator words ------------------------------------------------------------
 
-_TOKEN_PARTS = {CREATE: _creation_part, ANNIHILATE: _annihilation_part, GAUGE: _gauge_part, SCALAR: _scalar_part}
+_PAYLOADS = {CREATE: (VectorPair,), ANNIHILATE: (VectorPair,), GAUGE: (GaugePair,), SCALAR: (int, Fraction, Poly)}
 
 
-def _token_part(token) -> Part:
-    """The part of one (kind, payload) token."""
-    kind, payload = token
-    part = _TOKEN_PARTS.get(kind)
-    if part is None:
-        raise ValueError(f"unknown token kind {kind!r}")
-    return part(payload)
-
-
-def _token_parts(tokens: Sequence) -> List[Part]:
-    """The part of each token, refusing by name a vector or gauge whose top
-    (or bar) dimension differs from that of the first such token."""
-    parts = [_token_part(token) for token in tokens]
-    sized = [(i, [len(data) for _, data in part]) for i, part in enumerate(parts) if part[0][0] != SCALAR]
+def _check_tokens(tokens: Sequence) -> None:
+    """Refuse by index (ValueError) a token of unknown kind, or of a payload not of its kind's
+    type, and a vector or gauge whose top (or bar) dimension differs from the first one's."""
+    for i, (kind, payload) in enumerate(tokens):
+        types = _PAYLOADS.get(kind) if isinstance(kind, str) else None
+        if types is None:
+            raise ValueError(f"tokens[{i}]: unknown token kind {kind!r}")
+        if not isinstance(payload, types):
+            names = "/".join(t.__name__ for t in types)
+            raise ValueError(f"tokens[{i}]: a token of kind {kind!r} takes a payload of type {names}, not {type(payload).__name__}")
+    sized = [(i, [len(data) for data in payload]) for i, (kind, payload) in enumerate(tokens) if kind != SCALAR]
     for (i, dims), side in itertools.product(sized, (0, 1)):
         (j, first), name = sized[0], ("top", "bar")[side]
         if dims[side] != first[side]:
             raise ValueError(f"tokens[{i}]: its {name} row has dimension {dims[side]}, but tokens[{j}] has {first[side]}")
-    return parts
 
 
 def apply_word(tokens: Sequence, params: DeformationParams) -> FockVector:
@@ -490,14 +482,14 @@ def apply_word(tokens: Sequence, params: DeformationParams) -> FockVector:
     tensor of the two rows is divided by one scale.  Its word is capped like
     that of :func:`vacuum_expectation`."""
     _guards.check_size("the length of an operator word", len(tokens), _guards.MAX_OPERATOR_WORD)
-    parts = _token_parts(tokens)
+    _check_tokens(tokens)
     kinds = [kind for kind, _ in tokens]
     c, steps = kinds.count(CREATE), len(tokens)
     rows = []
-    for side, (ops, data, e) in enumerate(_rows(parts, params, c)):
+    for ops, data, e in _rows(tokens, params, c):
         f = {(): 1}
-        for part in reversed(parts):
-            f = _row_apply(ops[id(part[side])], f)
+        for token in reversed(tokens):
+            f = _row_apply(ops[id(token)], f)
         rows.append((f, data, e))
     (top, top_data, top_e), (bar, bar_data, bar_e) = rows
     level = max(c - kinds.count(ANNIHILATE), 0)  # of every word, if any survives
@@ -511,7 +503,8 @@ def vacuum_expectation(tokens: Sequence, params: DeformationParams):
     """<vacuum, tokens vacuum>, keeping after each token only the terms that
     can still return to the vacuum."""
     _guards.check_size("the length of an operator word", len(tokens), _guards.MAX_OPERATOR_WORD)
-    return _vacuum_moment([[part] for part in _token_parts(tokens)], params)
+    _check_tokens(tokens)
+    return _vacuum_moment([[token] for token in tokens], params)
 
 
 # -- deformed inner product ------------------------------------------------------

@@ -193,7 +193,7 @@ def fock_levy_oracle(
     lengths[i] gram xi_u on interval i (lengths[i] xi_u with no gram).
     """
     # imported here, so that loading levy does not load fock
-    from .fock import GaugePair, VectorPair, _annihilation_part, _creation_part, _gauge_part, _scalar_part, _vacuum_moment
+    from .fock import ANNIHILATE, CREATE, GAUGE, SCALAR, GaugePair, VectorPair, _vacuum_moment
 
     _guards.check_size("the length of an operator word", len(tokens), _guards.MAX_DIAGONAL_N)
     lengths = [Fraction(x) for x in lengths]
@@ -208,19 +208,19 @@ def fock_levy_oracle(
         coords[i * d : (i + 1) * d] = vec
         return VectorPair(tuple(coords), one)
 
-    def parts(u: int, i: int):
+    def fock_tokens(u: int, i: int):
         paired = spec.xi[u] if spec.gram is None else _linalg.mat_vec(spec.gram, spec.xi[u])
         gauge = [[0] * size for _ in range(size)]
         for a, row in enumerate(spec.T[u]):
             gauge[i * d + a][i * d : (i + 1) * d] = row
         lam = spec.lam[u] * lengths[i]
         return [
-            _creation_part(on_interval(spec.xi[u], i)),
-            _annihilation_part(on_interval([lengths[i] * x for x in paired], i)),
-            _gauge_part(GaugePair(tuple(map(tuple, gauge)), (one,))),
-        ] + ([_scalar_part(lam)] if lam != 0 else [])
+            (CREATE, on_interval(spec.xi[u], i)),
+            (ANNIHILATE, on_interval([lengths[i] * x for x in paired], i)),
+            (GAUGE, GaugePair(tuple(map(tuple, gauge)), (one,))),
+        ] + ([(SCALAR, lam)] if lam != 0 else [])
 
-    shared = {token: parts(*token) for token in {(u, i) for u, i in tokens}}  # one set of specs per distinct token
+    shared = {token: fock_tokens(*token) for token in {(u, i) for u, i in tokens}}  # one list per distinct (u, i)
     return _vacuum_moment([shared[u, i] for u, i in tokens], params) + params.q * 0
 
 

@@ -52,7 +52,7 @@ from .fock import (
     FockVector,
     GaugePair,
     VectorPair,
-    _quadrabasic_parts,
+    _quadrabasic_tokens,
     _vacuum_moment,
     apply_word,
 )
@@ -119,7 +119,7 @@ def gaussian_fock_oracle(xs: Sequence[VectorPair], params: DeformationParams):
     route), plus the point's zero: a Poly at the symbolic point, as the
     formula gives."""
     _check_entries(xs, "vectors")
-    return _vacuum_moment([_quadrabasic_parts(x, None, 0) for x in xs], params) + params.q * 0
+    return _vacuum_moment([_quadrabasic_tokens(x, None, 0) for x in xs], params) + params.q * 0
 
 
 # -- creation/annihilation word expansion ------------------------------------------
@@ -276,4 +276,4 @@ def full_fock_oracle(ops: Sequence[QuadrabasicOp], params: DeformationParams):
     """The same moment by operator application (independent route), plus the
     point's zero: a Poly at the symbolic point, as the formula gives."""
     _check_entries([op.vector for op in ops], "operators")
-    return _vacuum_moment([_quadrabasic_parts(op.vector, op.gauge, op.scalar) for op in ops], params) + params.q * 0
+    return _vacuum_moment([_quadrabasic_tokens(op.vector, op.gauge, op.scalar) for op in ops], params) + params.q * 0

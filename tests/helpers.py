@@ -755,13 +755,13 @@ def _apply_ops(ops, terms):
 
 
 def _apply_steps(steps, params):
-    """The vacuum under a product of steps, each the parts of one operator,
+    """The vacuum under a product of steps, each the tokens of one operator,
     by one pass per step over the (top, bar) pair terms, on the data as
     given: every term kept, and nothing cleared."""
-    (top, _, _), (bar, _, _) = fock._rows([part for step in steps for part in step], params, len(steps), clear=False)
+    (top, _, _), (bar, _, _) = fock._rows([token for step in steps for token in step], params, len(steps), clear=False)
     terms = {((), ()): Fraction(1)}
     for step in reversed(steps):
-        terms = _apply_ops([(top[id(t)], bar[id(b)]) for t, b in step], terms)
+        terms = _apply_ops([(top[id(token)], bar[id(token)]) for token in step], terms)
     out = fock.FockVector()
     out.terms = terms
     return out
@@ -772,7 +772,7 @@ def apply_word_pairs(tokens, params):
     token expands each pair term into the products of its top and bar images.
     The library runs each row on its own, on cleared ints, and tensors the
     rows once."""
-    return _apply_steps([[fock._token_part(token)] for token in tokens], params)
+    return _apply_steps([[token] for token in tokens], params)
 
 
 def vacuum_moment_pairs(steps, params):

@@ -600,6 +600,16 @@ def test_levy_takes_a_null_gram_as_no_gram(tmp_path, capsys):
     assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
+def test_wick_takes_a_null_gauge_pair_as_no_gauge(tmp_path, capsys):
+    entry = {"xi": ["1", "1/2"], "eta": ["2"], "lam": "1/3", "lambar": "2"}
+    outputs = []
+    for extra in ({}, {"T": None, "Tbar": None}):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"kind": "full", "operators": [{**entry, **extra}] * 4}))
+        outputs.append(run(capsys, "wick", "--input", str(path)))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 @pytest.mark.parametrize("command", ["moments", "polys"])
 @pytest.mark.parametrize("family", ["sech", "qmp", "dqhermite"])
 def test_symbolic_is_refused_for_a_family_without_a_point(monkeypatch, capsys, command, family):
@@ -807,11 +817,33 @@ def test_missing_field_is_named(tmp_path, capsys, command, payload, field):
          "expected psi keys to be words over the letters 0..1 of k = 2, got '-1 0'", 2),
         (["levy"], {"spec": {"xi": [["1"]], "T": [[["1"]]], "lam": ["1"]}, "word": [0, 3]},
          "error: word uses an unknown coordinate 3, but k = 1", 2),
+        # a JSON null is refused by its field's name, as a missing field is
+        (["wick"], {"kind": "full", "operators": [{"xi": ["1"], "eta": ["1"], "T": None, "Tbar": [["1"]]}]},
+         "error: expected T to be a list of rows, got None", 2),
+        (["wick"], {"kind": "full", "operators": [{"xi": ["1"], "eta": ["1"], "T": [["1"]], "Tbar": None}]},
+         "error: expected Tbar to be a list of rows, got None", 2),
+        (["wick"], {"kind": "full", "operators": [{"xi": ["1"], "eta": ["1"], "lam": None}]},
+         "error: expected lam to be a rational, got None", 2),
+        (["wick"], {"kind": "full", "operators": [{"xi": ["1"], "eta": ["1"], "lambar": None}]},
+         "error: expected lambar to be a rational, got None", 2),
+        (["levy"], {"spec": {"xi": [["1"]], "T": [[["1"]]], "lam": ["1"]}, "word": [0], "s": None},
+         "error: expected s to be a rational, got None", 2),
+        (["convolve"], {"a": {"lam": None, "tau": ["1"]}, "b": {"lam": "1", "tau": ["1"]}},
+         "error: expected a.lam to be a rational, got None", 2),
+        (["gns"], {"k": 1, "maxlen": 1, "psi": {"0": "1", "0 0": None}},
+         "error: expected psi['0 0'] to be a rational, got None", 2),
+        # a gauge matrix that is not square is named with its shape
+        (["wick"], {"kind": "full", "operators": [{"xi": ["1"], "eta": ["1"], "T": [["1", "0"]], "Tbar": [["1"]]}]},
+         "error: gauge T is 1 x 2, not a square matrix", 2),
+        (["wick"], {"kind": "full", "operators": [{"xi": ["1"], "eta": ["1"], "T": [["1"]], "Tbar": [["1"], ["2"]]}]},
+         "error: gauge Tbar is 2 x 1, not a square matrix", 2),
     ],
     ids=[
         "pairs-n-66", "moments-q-not-a-number", "wick-kind-bogus",
         "gns-word-missing", "gns-negative-pivot", "gns-zero-diagonal", "gns-letter-past-k", "gns-letter-negative",
         "levy-letter-past-k",
+        "wick-T-null", "wick-Tbar-null", "wick-lam-null", "wick-lambar-null", "levy-s-null", "convolve-lam-null",
+        "gns-psi-null", "wick-T-not-square", "wick-Tbar-not-square",
     ],
 )
 def test_a_bad_invocation_exits_2_and_an_oversized_one_3_naming_the_fault(capsys, tmp_path, argv, job, fragment, code):

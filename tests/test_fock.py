@@ -96,8 +96,11 @@ def test_annihilation_weights_level_two_by_hand():
         (lambda: VectorPair.of([1], []), "eta is a zero-length vector"),
         (lambda: GaugePair.of([], [[1]]), "gauge T is a 0 x 0 matrix"),
         (lambda: GaugePair.of([[1]], []), "gauge Tbar is a 0 x 0 matrix"),
+        (lambda: GaugePair.of([["1", "0"]], [[1]]), "gauge T is 1 x 2, not a square matrix"),
+        (lambda: GaugePair.of([[1]], [["1"], ["2"]]), "gauge Tbar is 2 x 1, not a square matrix"),
+        (lambda: GaugePair.of([[1, 0], [1]], [[1]]), "gauge T is ragged, rows of lengths 2, 1, not a square matrix"),
     ],
-    ids=["xi", "eta", "T", "Tbar"],
+    ids=["xi", "eta", "T", "Tbar", "T-1x2", "Tbar-2x1", "T-ragged"],
 )
 def test_zero_dimensional_input_is_refused_by_name(build, message):
     with pytest.raises(ValueError, match=message):
@@ -151,7 +154,7 @@ def test_field_vacuum_moments_symbolic():
 
 
 def test_one_pass_sums_equal_separate_actions():
-    # the field and general operators apply all their parts in one pass over f;
+    # the field and general operators apply all their tokens in one pass over f;
     # each must equal the sum of the separate actions, on a vector spread over
     # levels 0-3
     r = helpers.rng(17)
@@ -170,7 +173,7 @@ def test_one_pass_sums_equal_separate_actions():
     for params in (rational, SYM):
         for gauge in (None, g):
             for lam in (Fraction(0), Fraction(-5, 3)):
-                one_pass = fock._apply_parts(fock._quadrabasic_parts(x, gauge, lam), f, params)
+                one_pass = fock._apply_tokens(fock._quadrabasic_tokens(x, gauge, lam), f, params)
                 assert one_pass == helpers.quadrabasic_sum(x, gauge, lam, f, params)
 
 
@@ -192,7 +195,7 @@ def test_apply_word_is_capped_like_the_vacuum_expectation(monkeypatch):
     def parsed(tokens):
         raise AssertionError("a token was read before the word was refused")
 
-    monkeypatch.setattr(fock, "_token_parts", parsed)
+    monkeypatch.setattr(fock, "_check_tokens", parsed)
     cap = _guards.MAX_OPERATOR_WORD
     tokens = [(CREATE, VectorPair.of([1], [1]))] * (cap + 1)
     messages = []
@@ -313,7 +316,7 @@ def test_the_vacuum_moment_matches_the_pair_route(kind, d, dbar):
         for _ in range(n):
             (xi, top), (eta, bar) = _moment_data(r, kind, d), _moment_data(r, kind, dbar)
             lam = helpers.rand_frac(r) or Fraction(1, 2)
-            steps.append(fock._quadrabasic_parts(VectorPair(xi, eta), GaugePair(top, bar), lam))
+            steps.append(fock._quadrabasic_tokens(VectorPair(xi, eta), GaugePair(top, bar), lam))
         steps += steps[: n // 3]
         got, want = fock._vacuum_moment(steps, params), helpers.vacuum_moment_pairs(steps, params)
         assert got == want and type(got) is type(want), (n, got, want)
@@ -328,7 +331,7 @@ def test_a_vacuum_moment_moves_each_word_to_the_front_once_per_row(monkeypatch):
     x = VectorPair.of([1, Fraction(1, 2)], [Fraction(2, 3), 1])
     g = GaugePair.of([[Fraction(1, 2), 1], [-1, Fraction(1, 3)]], [[2, Fraction(-1, 5)], [1, 1]])
     params = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4))
-    steps = [fock._quadrabasic_parts(x, g, Fraction(3, 2)) for _ in range(6)]
+    steps = [fock._quadrabasic_tokens(x, g, Fraction(3, 2)) for _ in range(6)]
     want = helpers.vacuum_moment_pairs(steps, params)
     moves, misses, asked = [], [], []
     front_runs, missing = fock._front_runs, fock._Row.__missing__
@@ -347,13 +350,13 @@ def test_a_vacuum_moment_moves_each_word_to_the_front_once_per_row(monkeypatch):
 
 def test_a_vacuum_moment_builds_each_image_once_per_step(monkeypatch):
     # top d = 2 and bar d = 1, so each level holds one bar word under many
-    # top words: within a step, each (part, bar word) image and each
-    # (part, top word) image is built once, and the bar images, fewer than
+    # top words: within a step, each (token, bar word) image and each
+    # (token, top word) image is built once, and the bar images, fewer than
     # the top ones, serve every top word under their bar word
     x = VectorPair.of([1, Fraction(1, 2)], [Fraction(2, 3)])
     g = GaugePair.of([[Fraction(1, 2), 1], [-1, Fraction(1, 3)]], [[2]])
     params = params_rat(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4))
-    steps = [fock._quadrabasic_parts(x, g, Fraction(3, 2)) for _ in range(8)]
+    steps = [fock._quadrabasic_tokens(x, g, Fraction(3, 2)) for _ in range(8)]
     want = helpers.vacuum_moment_pairs(steps, params)
     log = []
     rows, apply_step = fock._rows, fock._apply_step
@@ -370,7 +373,7 @@ def test_a_vacuum_moment_builds_each_image_once_per_step(monkeypatch):
     assert fock._vacuum_moment(steps, params) == want != 0
     assert log.count(None) == len(steps)
     per_step = [list(calls) for mark, calls in itertools.groupby(log, lambda call: call is None) if not mark]
-    assert all(len(calls) == len(set(calls)) for calls in per_step)  # each (row, part, word) image once per step
+    assert all(len(calls) == len(set(calls)) for calls in per_step)  # each (row, token, word) image once per step
     bar_images = sum(side for calls in per_step for (side, _), _ in calls)
     top_images = sum(len(calls) for calls in per_step) - bar_images
     assert 0 < 2 * bar_images < top_images
@@ -411,6 +414,43 @@ def test_a_letter_past_an_operator_dimension_is_refused():
         for route in (vacuum_expectation, apply_word):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 route(tokens, p)
+
+
+X1, G1 = VectorPair.of([1], [1]), GaugePair.of([[1]], [[1]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # a scalar token used to return its payload as the moment, here ((1, 2), (3,))
+        (lambda: vacuum_expectation([(SCALAR, VectorPair.of([1, 2], [3]))], AT),
+         "tokens[0]: a token of kind 'scalar' takes a payload of type int/Fraction/Poly, not VectorPair"),
+        (lambda: vacuum_expectation([(ANNIHILATE, X1), (SCALAR, 0.5), (CREATE, X1)], AT),
+         "tokens[1]: a token of kind 'scalar' takes a payload of type int/Fraction/Poly, not float"),
+        (lambda: apply_word([(CREATE, X1), (GAUGE, X1)], AT),
+         "tokens[1]: a token of kind 'gauge' takes a payload of type GaugePair, not VectorPair"),
+        (lambda: apply_word([(ANNIHILATE, G1)], AT),
+         "tokens[0]: a token of kind 'annihilate' takes a payload of type VectorPair, not GaugePair"),
+        (lambda: creation_apply(G1, FockVector.vacuum()),
+         "tokens[0]: a token of kind 'create' takes a payload of type VectorPair, not GaugePair"),
+        (lambda: annihilation_apply(Fraction(1), FockVector.vacuum(), AT),
+         "tokens[0]: a token of kind 'annihilate' takes a payload of type VectorPair, not Fraction"),
+        (lambda: gauge_apply(X1, FockVector.vacuum(), AT),
+         "tokens[0]: a token of kind 'gauge' takes a payload of type GaugePair, not VectorPair"),
+        (lambda: vacuum_expectation([(CREATE, X1), ("bogus", X1)], AT), "tokens[1]: unknown token kind 'bogus'"),
+        (lambda: apply_word([("bogus", X1)], AT), "tokens[0]: unknown token kind 'bogus'"),
+        (lambda: apply_word([(["create"], X1)], AT), "tokens[0]: unknown token kind ['create']"),
+    ],
+    ids=["vacuum-scalar-vector", "vacuum-scalar-float", "word-gauge-vector", "word-annihilate-gauge",
+         "creation-gauge", "annihilation-fraction", "gauge-vector", "vacuum-unknown-kind", "word-unknown-kind",
+         "word-unhashable-kind"],
+)
+def test_a_wrong_token_is_refused_by_name_before_any_row_is_built(monkeypatch, call, message):
+    # the builders' attribute reads were the only type check: a wrong payload
+    # failed with an AttributeError, or passed, and an unknown kind was untested
+    monkeypatch.setattr(fock, "_rows", lambda *args, **kwargs: pytest.fail("_rows ran before the token check"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_creation_annihilation_adjoint_via_inner():

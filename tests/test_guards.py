@@ -37,14 +37,14 @@ WIDE_GAUGE = GaugePair((WIDE,) * len(WIDE), (WIDE,) * len(WIDE))
 DISTINCT_12 = fock.FockVector({(tuple(range(12)), tuple(range(12))): ONE})  # a level-12 term of 12 distinct letters
 
 # the kernels behind the entries, in every namespace that calls them (levy reads
-# fock._creation_part, the first part its oracle builds, and fock._vacuum_moment
-# from fock when its oracle runs; the CLI reads the orthopoly kernels from
-# orthopoly when its command runs)
+# fock._vacuum_moment from fock when its oracle runs; the CLI reads the
+# orthopoly kernels from orthopoly when its command runs), and the token check
+# of fock's public entries
 WORK = [
     (partitions, "arc_sums"), (partitions, "role_sums"), (partitions, "_diagonal_classes"),
     (levy, "arc_sums"),
     (wick, "arc_sums"), (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
-    (fock, "_creation_part"), (fock, "_token_parts"), (fock, "_vacuum_moment"), (fock, "_sym_column"),
+    (fock, "_check_tokens"), (fock, "_vacuum_moment"), (fock, "_sym_column"),
     (fock, "_commutation_entries"), (fock, "_adjoint_entries"),
     (orthopoly, "moments_from_jacobi"), (orthopoly, "polys_from_jacobi"), (orthopoly, "cauchy_transform"),
     (cli, "_diagonal_classes"),

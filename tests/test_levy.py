@@ -279,9 +279,10 @@ def test_stochastic_measure_matches_the_sum_over_assignments():
 
 
 def test_levy_oracle_builds_one_row_operator_per_distinct_spec(monkeypatch):
-    # the tokens of a repeated letter share their parts, and each spec's
-    # operator is built once per call on its row's table (fock._rows calls
-    # fock._row_op once per spec object and row), however many steps hold it
+    # the tokens of a repeated letter share their fock tokens, and each fock
+    # token's operator is built once per call on each row's table (fock._rows
+    # calls fock._row_op once per token object and row), however many steps
+    # hold it
     built = []
     row_op = fock._row_op
     monkeypatch.setattr(fock, "_row_op", lambda spec, *args: built.append(spec) or row_op(spec, *args))
@@ -291,8 +292,8 @@ def test_levy_oracle_builds_one_row_operator_per_distinct_spec(monkeypatch):
     for params in (GEN, DeformationParams.symbolic()):
         built.clear()
         assert fock_levy_oracle(spec, tokens, lengths, params) == levy_moment(spec, (0, 1, 0, 0, 1, 0), params, lengths[1])
-        parts = 3 + (spec.lam[0] != 0) + 3 + (spec.lam[1] != 0)  # creation, annihilation, gauge, scalar
-        assert len(built) == 2 * parts  # a top and a bar operator per part of the two distinct tokens
+        terms = 3 + (spec.lam[0] != 0) + 3 + (spec.lam[1] != 0)  # creation, annihilation, gauge, scalar
+        assert len(built) == 2 * terms  # a top and a bar operator per fock token of the two distinct tokens
 
 
 def test_stochastic_measure_needs_an_interval():

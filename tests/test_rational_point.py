@@ -364,7 +364,7 @@ def test_operator_words_match_the_pair_route_on_the_data(params, values, pattern
 
 @fock_point
 def test_the_moment_oracles_match_the_driver_on_the_data(params, values, monkeypatch):
-    # the same parts on two drivers: the cleared one, and every term kept on
+    # the same tokens on two drivers: the cleared one, and every term kept on
     # the data as given; no operator is the empty product
     r = helpers.rng(203)
     moments = []
