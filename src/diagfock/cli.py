@@ -82,9 +82,7 @@ def _read_input(path: str) -> dict:
 def _params_from(args) -> DeformationParams:
     if getattr(args, "symbolic", False):
         return DeformationParams.symbolic()
-    return DeformationParams.from_rationals(
-        parse_rational(args.q), parse_rational(args.t), parse_rational(args.v), parse_rational(args.w)
-    )
+    return DeformationParams.from_rationals(*(_rational(getattr(args, name), f"--{name}") for name in "qtvw"))
 
 
 def _add_output_flags(sp, point: bool = True, symbolic_ok: bool = True) -> None:
@@ -118,10 +116,12 @@ def _int(data, what: str, least: Optional[int] = None) -> int:
 
 
 def _rational(data, what: str) -> Fraction:
-    """A JSON number or string such as "1/3"; a null, bool, list or object is refused by name."""
-    if data is None or isinstance(data, (bool, list, dict)):
-        raise ValueError(f"expected {what} to be a rational, got {data!r}")
-    return parse_rational(str(data))
+    """A JSON number or a string such as "1/3", or a flag's text; anything
+    else is refused, naming the field."""
+    if data is not None and not isinstance(data, (bool, list, dict)):
+        with contextlib.suppress(ValueError):
+            return parse_rational(str(data))
+    raise ValueError(f"expected {what} to be a rational, got {data!r}")
 
 
 def _finite(x: float, what: str) -> float:
@@ -131,12 +131,13 @@ def _finite(x: float, what: str) -> float:
     return x
 
 
-def _vec(data) -> List[Fraction]:
-    return [parse_rational(str(x)) for x in _check(data, list, "a list of rationals")]
+def _vec(data, what: str) -> List[Fraction]:
+    """A JSON list of rationals, each entry named by its index."""
+    return [_rational(x, f"{what}[{i}]") for i, x in enumerate(_check(data, list, f"{what} to be a list of rationals"))]
 
 
-def _mat(data, what: str = "a list of rows") -> List[List[Fraction]]:
-    return [_vec(row) for row in _check(data, list, what)]
+def _mat(data, what: str) -> List[List[Fraction]]:
+    return [_vec(row, f"{what}[{i}]") for i, row in enumerate(_check(data, list, f"{what} to be a list of rows"))]
 
 
 def _entries(data, key: str) -> List[dict]:
@@ -188,9 +189,9 @@ def cmd_partitions(args) -> int:
 _FAMILIES: Dict[str, Callable[[ModuleType, argparse.Namespace, int], JacobiData]] = {
     "hermite": lambda o, args, depth: o.jacobi_hermite(_params_from(args), depth),
     "poisson": lambda o, args, depth: o.jacobi_poisson(_params_from(args), depth),
-    "qmp": lambda o, args, depth: o.jacobi_qmp(parse_rational(args.q), parse_rational(args.alpha), depth),
+    "qmp": lambda o, args, depth: o.jacobi_qmp(_rational(args.q, "--q"), _rational(args.alpha, "--alpha"), depth),
     "sech": lambda o, args, depth: o.jacobi_sech(depth),
-    "dqhermite": lambda o, args, depth: o.jacobi_discrete_qhermite(parse_rational(args.q), depth),
+    "dqhermite": lambda o, args, depth: o.jacobi_discrete_qhermite(_rational(args.q, "--q"), depth),
 }
 
 
@@ -269,8 +270,8 @@ def cmd_density(args) -> int:
     if args.kind == "sech":
         density, mass = sech_density, lambda: sech_moment_quad(0)
     else:
-        q = _float(parse_rational(args.q), "--q")
-        alpha = _float(parse_rational(args.alpha), "--alpha")
+        q = _float(_rational(args.q, "--q"), "--q")
+        alpha = _float(_rational(args.alpha, "--alpha"), "--alpha")
         payload["variant"] = args.variant
         density = lambda x: mp_density(x, q, alpha, variant=args.variant)
         mass = lambda: mp_normalization(q, alpha, variant=args.variant)
@@ -293,7 +294,7 @@ def _fock_terms(f) -> List[dict]:
 def _vector_pair(e: dict):
     from .fock import VectorPair
 
-    return VectorPair.of(_vec(e["xi"]), _vec(e["eta"]))
+    return VectorPair.of(_vec(e["xi"], "xi"), _vec(e["eta"], "eta"))
 
 
 def _operator(e: dict):
@@ -302,7 +303,7 @@ def _operator(e: dict):
 
     vec, gauge = _vector_pair(e), None
     if e.get("T") is not None or e.get("Tbar") is not None:  # both absent or null is no gauge
-        gauge = GaugePair.of(*(_mat(e[name], f"{name} to be a list of rows") for name in ("T", "Tbar")))
+        gauge = GaugePair.of(*(_mat(e[name], name) for name in ("T", "Tbar")))
     return QuadrabasicOp(vec, gauge, _rational(e.get("lam", 0), "lam"), _rational(e.get("lambar", 1), "lambar"))
 
 
@@ -336,13 +337,11 @@ def _spec_from_json(data: dict):
     from .levy import LevySpec
 
     gram = data.get("gram")  # only an absent or null gram is no gram
-    if gram is not None:
-        try:
-            gram = _mat(gram)
-        except ValueError as exc:
-            raise ValueError(f"gram: {exc}") from None
     return LevySpec.of(
-        _mat(data["xi"]), [_mat(m) for m in _check(data["T"], list, "a list of matrices")], _vec(data["lam"]), gram=gram
+        _mat(data["xi"], "xi"),
+        [_mat(m, f"T[{u}]") for u, m in enumerate(_check(data["T"], list, "T to be a list of matrices"))],
+        _vec(data["lam"], "lam"),
+        gram=None if gram is None else _mat(gram, "gram"),
     )
 
 
@@ -372,7 +371,7 @@ def cmd_convolve(args) -> int:
     data = _read_input(args.input)
     params = _params_from(args)
     pairs = {key: _check(data[key], dict, f"{key} to be an object") for key in ("a", "b")}
-    a, b = (GeneratorPair.of(_rational(p["lam"], f"{key}.lam"), _vec(p["tau"])) for key, p in pairs.items())
+    a, b = (GeneratorPair.of(_rational(p["lam"], f"{key}.lam"), _vec(p["tau"], f"{key}.tau")) for key, p in pairs.items())
     c = convolve_pairs(a, b)
     nmax = _int(data.get("nmax", 6), "nmax", least=1)
     payload = {

@@ -250,12 +250,11 @@ def _front_runs(word: Word, weights: Sequence) -> List[Tuple[int, Word, object]]
 
 def _row_create(vec: Sequence, lift: Sequence) -> RowOp:
     """Creation: sum_a vec_a e_a prefixed to a word of length n, times lift[n]."""
-    letters, at = [(a, x) for a, x in enumerate(vec) if x != 0], {}
+    letters = [(a, x) for a, x in enumerate(vec) if x != 0]
 
     def op(word: Word) -> List[Tuple[Word, object]]:
-        n = len(word)
-        images = at[n] if n in at else at.setdefault(n, [(a, x * lift[n]) for a, x in letters])
-        return [((a,) + word, x) for a, x in images]
+        up = lift[len(word)]
+        return [((a,) + word, x * up) for a, x in letters]
 
     return op
 
@@ -269,12 +268,11 @@ def _row_annihilate(vec: Sequence, row: _Row) -> RowOp:
 def _row_gauge(mat: Sequence[Sequence], row: _Row, lift: Sequence) -> RowOp:
     """Gauge: the front move on row, each letter l replaced by the column
     T e_l moved to the front, times lift[n] on a word of length n."""
-    heads, at = [[((a,), r[l]) for a, r in enumerate(mat) if r[l] != 0] for l in range(len(mat))], {}
+    heads = [[((a,), r[l]) for a, r in enumerate(mat) if r[l] != 0] for l in range(len(mat))]
 
     def op(word: Word) -> List[Tuple[Word, object]]:
-        n = len(word)
-        lifted = at[n] if n in at else at.setdefault(n, [[(a, x * lift[n]) for a, x in head] for head in heads])
-        return [(head + rest, weight * x) for letter, rest, weight in row[word] for head, x in lifted[letter]]
+        up = lift[len(word)]  # entry times lift first, so a Poly weight is scaled once
+        return [(head + rest, weight * (x * up)) for letter, rest, weight in row[word] for head, x in heads[letter]]
 
     return op
 

@@ -111,7 +111,7 @@ def levy_cumulant(spec: LevySpec, word: Word, s: Fraction = Fraction(1)) -> Frac
 
 
 # no sum reads this cache; perfbench/tracer.py reads and clears it by name
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_guards.MAX_DIAGONAL_N + 1)  # one entry per n the guard admits
 def _diag_partitions_list(n: int) -> Tuple[DiagonalPartition, ...]:
     return tuple(diagonal_partitions(n))
 

@@ -377,7 +377,7 @@ def count_diagonal_pair_partitions(n: int) -> int:
     return int(moments_from_jacobi(jacobi_sech(n // 2 + 1), n)[-1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_guards.MAX_DIAGONAL_N + 1)  # one entry per n the guard admits
 def diagonal_partition_profiles(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, int, int, int]], ...]:
     """(top block sizes, weight exponents) of every diagonal partition.
 
@@ -497,9 +497,7 @@ def arc_sums(
     chains: List[object] = []  # the chain of each id; states hold ids
     ids: Dict[object, int] = {}
     extended: Dict[Tuple[int, object], Optional[int]] = {}
-    # close(chain, a) by (chain, a) and its product with the weight by (k, j, chain, a)
-    closed: Dict[Tuple[int, object], object] = {}
-    closing: Dict[tuple, object] = {}
+    closed: Dict[Tuple[int, object], object] = {}  # step times close(chain, a) by (chain, a), None for 0
     level: Dict[tuple, dict] = {(): {(0, ()) if graded else (): one}}
     sums: Dict[tuple, object] = {(): {0: one} if graded else one}
 
@@ -514,7 +512,7 @@ def arc_sums(
         steps = []
         for a in letters[p - 1]:
             s_val, chain, can_end = single(a), open_(a) if room else None, ends is None or ends(a)
-            s_val = None if s_val is None or s_val == 0 else s_val * step if step > 1 else s_val
+            s_val = None if s_val is None or s_val == 0 else s_val * step
             steps.append((a, s_val, None if chain is None else intern(chain), can_end))
         nodes: Dict[tuple, dict] = {}
         for word, states in level.items():
@@ -542,18 +540,13 @@ def arc_sums(
                     for j, weight in live[k - 1]:
                         cid = open_ids[j]
                         rest = open_ids[:j] + open_ids[j + 1:]
-                        wx = closing.get((k, j, cid, a), _UNSEEN)
-                        if wx is _UNSEEN:
-                            x = closed.get((cid, a), _UNSEEN)
-                            if x is _UNSEEN:
-                                x = close(chains[cid], a)
-                                if x is not None:
-                                    x = closed[cid, a] = x * step if step > 1 else x
-                            wx = None if x is None or x == 0 else x if weight is one else weight * x
+                        x = closed.get((cid, a), _UNSEEN)
+                        if x is _UNSEEN:
+                            x = close(chains[cid], a)
                             if x is not None:
-                                closing[k, j, cid, a] = wx
-                        if wx is not None:
-                            key, term = (blocks, rest) if graded else rest, val * wx
+                                x = closed[cid, a] = None if x == 0 else x * step
+                        if x is not None:
+                            key, term = (blocks, rest) if graded else rest, val * (x if weight is one else weight * x)
                             acc = get(key)
                             nxt[key] = term if acc is None else acc + term
                         if k <= room:

@@ -268,17 +268,14 @@ class Poly:
         # a field below half its range in both operands cannot carry
         if reduce(or_, small, reduce(or_, big, 0)) & _HIGH:
             _check_product(big, small)
-        terms = iter(small.items())
-        e2, k2 = next(terms)
-        out = {e1 + e2: k1 * k2 for e1, k1 in big.items()}  # one term shifts the keys apart
-        if len(small) > 1:
-            get = out.get
-            for e2, k2 in terms:
-                for e1, k1 in big.items():
-                    key = e1 + e2
-                    out[key] = get(key, 0) + k1 * k2
-            if 0 in out.values():
-                out = {key: c for key, c in out.items() if c}
+        out: Dict[int, int] = {}
+        get = out.get
+        for e2, k2 in small.items():
+            for e1, k1 in big.items():
+                key = e1 + e2
+                out[key] = get(key, 0) + k1 * k2
+        if 0 in out.values():
+            out = {key: c for key, c in out.items() if c}
         den = self._den * other._den
         return _poly(out, 1) if den == 1 else _lowest(out, den)
 

@@ -128,9 +128,9 @@ def gaussian_fock_oracle(xs: Sequence[VectorPair], params: DeformationParams):
 def _check_word(tokens: Sequence[Tuple[str, VectorPair]]) -> None:
     """The entry check, and a word has creators and annihilators only."""
     _check_entries([x for _, x in tokens], "tokens")
-    for kind, _ in tokens:
+    for i, (kind, _) in enumerate(tokens):
         if kind not in (CREATE, ANNIHILATE):
-            raise ValueError(f"word tokens must be create/annihilate only, got {kind!r}")
+            raise ValueError(f"tokens[{i}]: kind must be {CREATE!r} or {ANNIHILATE!r}, got {kind!r}")
 
 
 def word_vacuum_formula(tokens: Sequence[Tuple[str, VectorPair]], params: DeformationParams) -> FockVector:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -837,6 +838,19 @@ def test_missing_field_is_named(tmp_path, capsys, command, payload, field):
          "error: gauge T is 1 x 2, not a square matrix", 2),
         (["wick"], {"kind": "full", "operators": [{"xi": ["1"], "eta": ["1"], "T": [["1"]], "Tbar": [["1"], ["2"]]}]},
          "error: gauge Tbar is 2 x 1, not a square matrix", 2),
+        # every entry and flag is read as a rational by its name, a list entry by its index
+        (["wick"], {"kind": "full", "operators": [{"xi": [None], "eta": ["1"]}]},
+         "error: expected xi[0] to be a rational, got None", 2),
+        (["wick"], {"kind": "full", "operators": [{"xi": ["1"], "eta": ["1"], "lam": "abc"}]},
+         "error: expected lam to be a rational, got 'abc'", 2),
+        (["levy"], {"spec": {"xi": [["1"]], "T": [[["x"]]], "lam": ["1"]}, "word": [0]},
+         "error: expected T[0][0][0] to be a rational, got 'x'", 2),
+        (["levy"], {"spec": {"xi": [["1"]], "T": [[["1"]]], "lam": ["1"], "gram": [["1/0"]]}, "word": [0]},
+         "error: expected gram[0][0] to be a rational, got '1/0'", 2),
+        (["moments", "--family", "hermite", "--q", "oops"], None, "error: expected --q to be a rational, got 'oops'", 2),
+        (["moments", "--family", "hermite", "--w", "1/0"], None, "error: expected --w to be a rational, got '1/0'", 2),
+        (["moments", "--family", "qmp", "--alpha", "a"], None, "error: expected --alpha to be a rational, got 'a'", 2),
+        (["density", "--kind", "qmp", "--x", "0", "--q", "q"], None, "error: expected --q to be a rational, got 'q'", 2),
     ],
     ids=[
         "pairs-n-66", "moments-q-not-a-number", "wick-kind-bogus",
@@ -844,6 +858,8 @@ def test_missing_field_is_named(tmp_path, capsys, command, payload, field):
         "levy-letter-past-k",
         "wick-T-null", "wick-Tbar-null", "wick-lam-null", "wick-lambar-null", "levy-s-null", "convolve-lam-null",
         "gns-psi-null", "wick-T-not-square", "wick-Tbar-not-square",
+        "wick-xi-entry-null", "wick-lam-not-rational", "levy-T-entry-not-rational", "levy-gram-entry-over-zero",
+        "moments-q-not-rational", "moments-w-over-zero", "moments-qmp-alpha-not-rational", "density-q-not-rational",
     ],
 )
 def test_a_bad_invocation_exits_2_and_an_oversized_one_3_naming_the_fault(capsys, tmp_path, argv, job, fragment, code):
@@ -899,3 +915,36 @@ def test_readme_examples_exit_0(capsys, tmp_path, argv, job):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 0, captured.err
+
+
+def json_leaves(data, path=()):
+    """(path, value) of every leaf of a JSON value, its path the keys and list indices down to it."""
+    if not isinstance(data, (dict, list)):
+        yield path, data
+        return
+    for key, value in data.items() if isinstance(data, dict) else enumerate(data):
+        yield from json_leaves(value, path + (key,))
+
+
+def leaf_name(path):
+    """A leaf's last key with the list indices after it: T[0][1] for ("operators", 0, "T", 0, 1)."""
+    last = max(i for i, key in enumerate(path) if isinstance(key, str))
+    return path[last] + "".join(f"[{i}]" for i in path[last + 1:])
+
+
+README_LEAVES = [(ex, argv, job, path) for ex, argv, job in README_EXAMPLES if job is not None for path, _ in json_leaves(job)]
+
+
+@pytest.mark.parametrize(
+    "argv, job, path", [e[1:] for e in README_LEAVES], ids=[f"{e[0]}:{leaf_name(e[3])}" for e in README_LEAVES]
+)
+def test_every_leaf_of_a_readme_job_is_refused_by_name(capsys, tmp_path, argv, job, path):
+    for bad in (None, "abc", [], {}):
+        broken = copy.deepcopy(job)
+        node = broken
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        code, out, err = invoke(capsys, tmp_path, argv, broken)
+        assert (code, out) == (2, ""), (bad, err)
+        assert err.startswith("error: ") and err.count("\n") == 1 and leaf_name(path) in err, (bad, err)

@@ -1,11 +1,14 @@
 """Every guarded public entry, at one past its cap and one below its least size
 (an entry with no cap only below its least size)."""
 
+import importlib
+import pkgutil
 import re
 from fractions import Fraction
 
 import pytest
 
+import diagfock
 import helpers
 from diagfock import _guards as guards, cli, fock, levy, orthopoly, partitions, wick
 from diagfock._guards import (
@@ -360,3 +363,27 @@ def test_uncapped_entries_refuse_one_below_their_least_size(call, what, least):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(least - 1)
     call(least)
+
+
+def _cached_functions():
+    """(name, function) of every memoised function of every diagfock module,
+    at module level and on its classes."""
+    for info in pkgutil.iter_modules(diagfock.__path__):
+        module = importlib.import_module(f"diagfock.{info.name}")
+        spaces = [(module.__name__, vars(module))]
+        spaces += [(f"{module.__name__}.{k}", vars(c)) for k, c in vars(module).items() if isinstance(c, type)]
+        for prefix, names in spaces:
+            for name, obj in names.items():
+                if callable(getattr(obj, "cache_info", None)):
+                    yield f"{prefix}.{name}", obj
+
+
+def test_every_cache_is_bounded():
+    cached = dict(_cached_functions())
+    assert "diagfock.partitions.diagonal_partition_profiles" in cached and "diagfock.levy._diag_partitions_list" in cached
+    unbounded = [name for name, fn in cached.items() if fn.cache_info().maxsize is None]
+    assert unbounded == []
+    # the partition caches hold every n that their guard admits, 0..MAX_DIAGONAL_N
+    for fn in (partitions.diagonal_partition_profiles, levy._diag_partitions_list):
+        assert fn.cache_info().maxsize == MAX_DIAGONAL_N + 1
+

@@ -290,6 +290,15 @@ def test_entries_of_another_dimension_are_refused(fn, key):
         fn(MIXED_ENTRIES[key], PARAM_POINTS[0])
 
 
+@pytest.mark.parametrize("fn", [word_vacuum_formula, word_fock_oracle], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("kind", ["abc", "gauge", None, []], ids=repr)
+def test_a_word_token_of_another_kind_is_refused_by_index(fn, kind):
+    x = VectorPair.of([1], [1])
+    message = f"tokens[1]: kind must be 'create' or 'annihilate', got {kind!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn([(ANNIHILATE, x), (kind, x), (CREATE, x)], PARAM_POINTS[0])
+
+
 @EVERY_FORMULA_AND_ORACLE
 def test_more_entries_than_the_guard_are_refused(fn, key):
     # an oracle refuses what its formula refuses; at the guard size each answers
