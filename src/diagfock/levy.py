@@ -13,7 +13,7 @@ orthonormal frame).  The time-s cumulant of a word u_1 ... u_n is
 and moments come from the diagonal-partition sum with q^rc t^rnest v^rc
 w^rnest weights, one factor of s per block.  The cumulants sit on the top
 row and the bar row has value 1, so every such sum here runs on the
-open-arc state DP :func:`diagfock.partitions.arc_sums`, one pass over the
+open-arc state DP :func:`diagfock.partitions.subword_sums`, one pass over the
 trie of the words: for word moments a chain is the row vector
 xi_{u1}^T G T_{u2} ... of an open block, and for the functional transforms
 its open subword.  The inverse is one such pass too: after each level p
@@ -40,12 +40,12 @@ from . import _guards, _linalg
 from .partitions import (
     DiagonalPartition,
     SetPartition,
-    arc_sums,
     diagonal_partitions,
+    subword_sums,
     unit_bar_sum,
     _read,
 )
-from .scalars import DeformationParams, _cleared, _cleared_array, _denominator, _over
+from .scalars import DeformationParams, Poly, _cleared, _cleared_array, _denominator, _over
 
 Word = Tuple[int, ...]
 
@@ -90,9 +90,9 @@ class LevySpec(NamedTuple):
 
 
 def _check_coordinates(spec: LevySpec, coordinates) -> None:
-    bad = next((u for u in coordinates if not 0 <= u < spec.k), None)
-    if bad is not None:
-        raise ValueError(f"word uses an unknown coordinate {bad}, but k = {spec.k}")
+    for u in coordinates:
+        if not (isinstance(u, int) and 0 <= u < spec.k):
+            raise ValueError(f"word uses an unknown coordinate {u!r}, but k = {spec.k}")
 
 
 def levy_cumulant(spec: LevySpec, word: Word, s: Fraction = Fraction(1)) -> Fraction:
@@ -141,6 +141,22 @@ def _vector_chain(starts: Sequence[Sequence], gauges: Sequence[Optional[_linalg.
     return callbacks, scale
 
 
+def _chain_values(single, open_, close, extend):
+    """The value of the block over each subword u (of letters or of points)
+    by the callbacks of :func:`_vector_chain`, for
+    :func:`diagfock.partitions.subword_sums`: each open subword's row vector
+    is built once per pass, from its prefix's."""
+    rows: Dict[tuple, object] = {}
+
+    def row(u):
+        vec = rows.get(u)
+        if vec is None:
+            vec = rows[u] = open_(u[0]) if len(u) == 1 else extend(row(u[:-1]), u[-1])
+        return vec
+
+    return lambda u: single(u[0]) if len(u) == 1 else close(row(u[:-1]), u[-1])
+
+
 def _spec_sums(spec: LevySpec, letters: Sequence[Sequence[int]], params: DeformationParams, s: Fraction, graded=False):
     """The moments of the words over ``letters`` (by block count when
     graded) by one open-arc DP with the cumulants of ``spec`` at time s: a
@@ -151,7 +167,7 @@ def _spec_sums(spec: LevySpec, letters: Sequence[Sequence[int]], params: Deforma
     gram_t = None if spec.gram is None else _linalg.transpose(spec.gram)
     starts = [tuple(s * x for x in (xi if gram_t is None else _linalg.mat_vec(gram_t, xi))) for xi in spec.xi]
     chain, scale = _vector_chain(starts, spec.T, [s * lam for lam in spec.lam], ends=spec.xi)
-    return _read(*arc_sums(letters, params, *chain, graded=graded, scale=scale))
+    return _read(*subword_sums(letters, params, _chain_values(*chain), graded=graded, scale=scale))
 
 
 def levy_moment(spec: LevySpec, word: Word, params: DeformationParams, s: Fraction = Fraction(1)):
@@ -299,13 +315,24 @@ def _check_functional(k: int, maxlen: int) -> None:
 def _functional_sums(value, k: int, params: DeformationParams, maxlen: int, scale: int,
                      after_level=None) -> Tuple[Dict[Word, object], int]:
     """The open-arc DP over every word of length 1..maxlen on k letters with
-    the block over a subword u valued ``value(u)``, cleared by scale^|u|, a
-    chain being the open subword: the (sums, scale) of
-    :func:`diagfock.partitions.arc_sums`, the moment of the cumulants on a
-    word of m points being its sum over scale^m."""
-    return arc_sums([range(k)] * maxlen, params, lambda u: value((u,)), lambda u: (u,),
-                    lambda sub, u: value(sub + (u,)), lambda sub, u: sub + (u,), scale=scale,
-                    after_level=after_level)
+    the block over a subword u valued ``value(u)``, cleared by scale^|u|:
+    the (sums, scale) of :func:`diagfock.partitions.subword_sums`, the
+    moment of the cumulants on a word of m points being its sum over
+    scale^m."""
+    return subword_sums([range(k)] * maxlen, params, value, scale=scale, after_level=after_level)
+
+
+def _window(functional: Functional, k: int, maxlen: int) -> List:
+    """The values of a functional on every word of length 1..maxlen over
+    the k letters, shortest first, refused at the first word it misses or
+    values by anything but an int, Fraction or Poly."""
+    values = []
+    for word in _iter_words(k, maxlen):
+        x = _defined(functional, word)
+        if not isinstance(x, (int, Fraction, Poly)):
+            raise ValueError(f"functional value on word {word} is {x!r}, not an int, Fraction or Poly")
+        values.append(x)
+    return values
 
 
 def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
@@ -322,7 +349,7 @@ def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxl
     p, Psi(u) = Phi(u) - S'(u), and Phi(u), cleared in the weights' ring,
     takes the place of S'(u) there, so that longer words see the block
     over the whole prefix (``after_level`` of
-    :func:`diagfock.partitions.arc_sums`).
+    :func:`diagfock.partitions.subword_sums`).
 
     The pass clears Psi by one scale fixed before it, D = D_phi (E F)^h,
     h = ceil((maxlen - 1) / 2) = maxlen // 2, D_phi the lcm of the
@@ -340,22 +367,19 @@ def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxl
     """
     _check_functional(k, maxlen)
     lift = _denominator(params[:2]) * _denominator(params[2:])
-    scale = _denominator(_defined(phi, u) for u in _iter_words(k, maxlen)) * lift ** (maxlen // 2)
+    scale = _denominator(_window(phi, k, maxlen)) * lift ** (maxlen // 2)
     psi: Functional = {}
 
     def value(sub):
         x = psi.get(sub)
         return None if x is None else _cleared(x, scale ** len(sub))
 
-    def after_level(nodes, pass_scale, zero):
-        for u, states in nodes.items():
+    def after_level(sums, pass_scale, zero):
+        for u, rest in sums.items():
             unit = pass_scale ** len(u)
-            psi[u] = phi[u] - _over(states.get((), zero), unit)
+            psi[u] = phi[u] - _over(zero if rest is None else rest, unit)
             moment = zero + _cleared(phi[u], unit)
-            if moment == 0:
-                states.pop((), None)
-            else:
-                states[()] = moment
+            sums[u] = None if moment == 0 else moment
 
     _functional_sums(value, k, params, maxlen, scale, after_level)
     return psi
@@ -364,8 +388,8 @@ def cumulant_functional(phi: Functional, k: int, params: DeformationParams, maxl
 def moment_functional(psi: Functional, k: int, params: DeformationParams, maxlen: int) -> Functional:
     """Expand cumulants back into moments over all diagonal partitions."""
     _check_functional(k, maxlen)
-    scale = _denominator(psi.values())
-    value = lambda sub: _cleared(_defined(psi, sub), scale ** len(sub))
+    scale = _denominator(_window(psi, k, maxlen))
+    value = lambda sub: _cleared(psi[sub], scale ** len(sub))
     return _read(*_functional_sums(value, k, params, maxlen, scale))
 
 

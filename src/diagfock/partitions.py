@@ -48,11 +48,17 @@ role vector R.  So it equals the sum over R of T(R) * B(R), where T(R) sums
 q^rc t^rn * prod top_value over the single rows with role vector R and B(R)
 likewise with v, w and bar_value.
 
-One kernel computes them all: :func:`arc_sums`, the open-arc state DP over
-the trie of a set of words, one letter per point.  Walks that reach the same
-tuple of open chains are merged, words that share a prefix share its steps,
-and one pass gives the sum of every word at the cost of its states, not
-Bell(n).  It takes a point (a, b, c, d) and builds its step weights from
+Two passes of one open-arc state DP over the trie of a set of words (one
+letter per point) compute them all.  Words that share a prefix share its
+steps, and one pass gives the sum of every word at the cost of its states,
+not Bell(n).  Where a chain (what values a block once it closes) is the
+subword of letters its block has read, :func:`subword_sums` runs it: its
+states and moves depend on the letters and the roles of the points alone,
+so it compiles each such shape once into flat move lists, keeps it in a
+bounded cache, and each call only builds the point's weights, asks for the
+subwords' values and replays the moves.  :func:`arc_sums` merges walks
+that reach equal chains, whatever they are (:func:`role_sums`, whose
+chains may merge by value).  Each takes a point (a, b, c, d) and builds its step weights from
 it: ending the j-th of k open arcs weighs a^(k-1-j) b^j [k]_{c,d}.  When
 bar_value is 1, B(R) is the product of [k]_{v,w} over the steps of R that
 end one of k open arcs (:func:`unit_bar_sum`), so the step weight is the
@@ -96,6 +102,7 @@ the tests' oracle.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -420,6 +427,27 @@ def _read(sums: Dict[tuple, object], scale: int) -> Dict[tuple, object]:
     return out
 
 
+def _step_weights(point: Sequence, n: int):
+    """(rows, one, step) of a pass over n points: rows[k - 1][j] weighs
+    ending arc j of k open ones (None where it is 0, the ring's one as
+    ``one``), all of them and each singleton and closer value to be lifted
+    by ``step`` = S_w / (E F)^0 (module docstring)."""
+    # rows[k - 1][j] is (E F)^(k-1) times its value at the cleared point,
+    # lifted by (E F)^(K-k) to S_w times it; row k + 1 is a times row k
+    # followed by b^k
+    (a, b, e), (c, d, f) = _cleared_point(*point[:2]), _cleared_point(*point[2:])
+    top_k, lift = max(n // 2, 1), e * f
+    rows, top, b_pow = [], (), a**0 * b**0
+    for k, bar in enumerate(_qt_ladder(c, d, top_k), 1):
+        top = tuple(a * x for x in top) + (b_pow,)
+        b_pow = b_pow * b
+        factor = bar * lift ** (top_k - k)
+        # a weight is also 0 where [k]_{c,d} is: a kept 0 would keep dead states alive
+        rows.append(tuple(None if x == 0 else x for x in (y * factor for y in top)))
+    one = rows[0][0] ** 0  # every walk starts at 1 in the ring of the weights
+    return [tuple(one if x == one else x for x in row) for row in rows], one, lift ** (top_k - 1)
+
+
 def arc_sums(
     letters: Sequence[Sequence],
     point: Sequence,
@@ -427,14 +455,12 @@ def arc_sums(
     open_: Callable[[object], object],
     close: Callable[[object, object], object],
     extend: Callable[[object, object], object],
-    graded: bool = False,
     ends: Optional[Callable[[object], bool]] = None,
     scale: int = 1,
-    after_level: Optional[Callable[[Dict[tuple, dict], int, object], None]] = None,
 ) -> Tuple[Dict[tuple, object], int]:
     """The diagonal sums of every word a_1 ... a_m with a_p in
     ``letters[p - 1]``, m = 0..n, by one open-arc state DP over the trie of
-    the words.
+    the words, walks that reach equal open chains merged.
 
     The points 1..n are placed as in :func:`_walk`, but walks that reach the
     same open state are merged, and a state belongs to a word's prefix, so
@@ -456,50 +482,28 @@ def arc_sums(
 
     Returns ({w: S(w)}, scale) for every word kept, shortest first (a word
     left out has sum 0): S(w) / scale^m is the sum of w, m its length, read
-    off the empty state after the step of w, with ``graded`` {block count:
-    sum}.  The empty word comes first, its sum the weights' ring's one (with
-    ``graded``, {0: one}), and a word with no state sums to that ring's 0.
-    The caller's values may come cleared of denominators by an int
-    ``scale`` D, a block of j points times D^j (``scalars._denominator`` of
-    the data).  The pass clears its weights in turn, at the point cleared
-    by ``scalars._cleared_point``, to S_w = (E F)^(K-1) times their values
-    (module docstring), K = max(n // 2, 1) the most arcs open at once, and
-    multiplies each singleton and closer value by S_w, so that, one factor
-    coming per point, every sum of m points is (S_w D)^m times its value,
-    and the scale returned is S_w D.  Each chain is valued once per letter.
-    Callers cap n; the state count, not Bell(n), sets the cost.
-
-    After the step of point p, ``after_level(nodes, scale, zero)`` is called,
-    if given, before point p + 1: ``nodes`` maps each word of length p kept
-    to its states, ``scale`` is the scale returned and ``zero`` the weights'
-    ring's 0.  It may rewrite the states; the sums of length p are read off
-    them, and the pass goes on from them.  A state is keyed by the tuple of
-    its open chains' ids, and with ``graded`` by (block count, that tuple).
+    off the empty state after the step of w.  The empty word comes first,
+    its sum the weights' ring's one, and a word with no state sums to that
+    ring's 0.  The caller's values may come cleared of denominators by an
+    int ``scale`` D, a block of j points times D^j (``scalars._denominator``
+    of the data).  The pass clears its weights in turn, at the point
+    cleared by ``scalars._cleared_point``, to S_w = (E F)^(K-1) times their
+    values (module docstring), K = max(n // 2, 1) the most arcs open at
+    once, and multiplies each singleton and closer value by S_w, so that,
+    one factor coming per point, every sum of m points is (S_w D)^m times
+    its value, and the scale returned is S_w D.  Each chain is valued once
+    per letter.  Callers cap n; the state count, not Bell(n), sets the cost.
     """
     n = len(letters)
-    # rows[k - 1][j] weighs ending arc j of k: (E F)^(k-1) times its value at
-    # the cleared point, lifted by (E F)^(K-k) to S_w times it; row k + 1 is
-    # a times row k followed by b^k
-    (a, b, e), (c, d, f) = _cleared_point(*point[:2]), _cleared_point(*point[2:])
-    top_k, lift = max(n // 2, 1), e * f
-    rows, top, b_pow = [], (), a**0 * b**0
-    for k, bar in enumerate(_qt_ladder(c, d, top_k), 1):
-        top = tuple(a * x for x in top) + (b_pow,)
-        b_pow = b_pow * b
-        factor = bar * lift ** (top_k - k)
-        # a weight is also 0 where [k]_{c,d} is: a kept 0 would keep dead states alive
-        rows.append(tuple(None if x == 0 else x for x in (y * factor for y in top)))
-    step = lift ** (top_k - 1)
-    one = rows[0][0] ** 0  # every walk starts at 1 in the ring of the weights
+    rows, one, step = _step_weights(point, n)
     zero = one * 0  # the sum of a word with no state
-    # the (j, weight) of each row's weights that are not 0, a weight of 1 being `one`
-    live = [[(j, one if x == one else x) for j, x in enumerate(row) if x is not None] for row in rows]
+    live = [[(j, x) for j, x in enumerate(row) if x is not None] for row in rows]
     chains: List[object] = []  # the chain of each id; states hold ids
     ids: Dict[object, int] = {}
     extended: Dict[Tuple[int, object], Optional[int]] = {}
     closed: Dict[Tuple[int, object], object] = {}  # step times close(chain, a) by (chain, a), None for 0
-    level: Dict[tuple, dict] = {(): {(0, ()) if graded else (): one}}
-    sums: Dict[tuple, object] = {(): {0: one} if graded else one}
+    level: Dict[tuple, dict] = {(): {(): one}}
+    sums: Dict[tuple, object] = {(): one}
 
     def intern(chain) -> int:
         i = ids.setdefault(chain, len(chains))
@@ -521,18 +525,13 @@ def arc_sums(
                     continue
                 nxt: dict = {}
                 get = nxt.get
-                for key, val in states.items():
-                    if graded:
-                        blocks, open_ids = key
-                    else:
-                        open_ids = key
+                for open_ids, val in states.items():
                     k = len(open_ids)
                     if s_val is not None and k <= room:
-                        key, term = (blocks + 1, open_ids) if graded else open_ids, val * s_val
-                        acc = get(key)
-                        nxt[key] = term if acc is None else acc + term
+                        acc, term = get(open_ids), val * s_val
+                        nxt[open_ids] = term if acc is None else acc + term
                     if o_id is not None and k < room:
-                        key = (blocks + 1, open_ids + (o_id,)) if graded else open_ids + (o_id,)
+                        key = open_ids + (o_id,)
                         acc = get(key)
                         nxt[key] = val if acc is None else acc + val
                     if not (can_end and k):
@@ -546,30 +545,200 @@ def arc_sums(
                             if x is not None:
                                 x = closed[cid, a] = None if x == 0 else x * step
                         if x is not None:
-                            key, term = (blocks, rest) if graded else rest, val * (x if weight is one else weight * x)
-                            acc = get(key)
-                            nxt[key] = term if acc is None else acc + term
+                            acc, term = get(rest), val * (x if weight is one else weight * x)
+                            nxt[rest] = term if acc is None else acc + term
                         if k <= room:
                             e = extended.get((cid, a), _UNSEEN)
                             if e is _UNSEEN:
                                 chain = extend(chains[cid], a)
                                 e = extended[cid, a] = None if chain is None else intern(chain)
                             if e is not None:
-                                key = (blocks, rest + (e,)) if graded else rest + (e,)
+                                key = rest + (e,)
                                 term = val if weight is one else val * weight
                                 acc = get(key)
                                 nxt[key] = term if acc is None else acc + term
                 if nxt or room == 0:
                     nodes[word + (a,)] = nxt
-        if after_level is not None:
-            after_level(nodes, scale * step, zero)
         for word, states in nodes.items():
-            if graded:
-                sums[word] = {blocks: val for (blocks, open_ids), val in states.items() if not open_ids}
-            else:
-                sums[word] = states.get((), zero)
+            sums[word] = states.get((), zero)
         level = nodes
     return sums, scale * step
+
+
+# the compiled shapes of subword_sums by (letters, roles, graded), least
+# recently used first: at most _MAX_SHAPES of them and _MAX_SHAPE_MOVES moves
+_SHAPES: Dict[tuple, tuple] = {}
+_MAX_SHAPES, _MAX_SHAPE_MOVES = 32, 1 << 17
+_ShapeInfo = NamedTuple("_ShapeInfo", [("currsize", int), ("maxsize", int), ("moves", int), ("budget", int)])
+
+
+def _compile(letters, roles, graded: bool, width: int, subwords: List[tuple]) -> Iterator:
+    """The moves of :func:`subword_sums` over the trie of ``letters``, node
+    by node, None after each level.  A node is (always, parent, word, size,
+    empty, moves): the index of its parent in the level before, its state
+    count, the index of its empty state (None if none; with ``graded`` the
+    (block count, index) of each), and ``always`` if it is kept whenever its
+    parent is (at the last point, if that point may end an arc; any other
+    node is kept if it holds a state, as :func:`arc_sums` keeps words).  A
+    state is the tuple of the ids of its open subwords, with ``graded``
+    (block count, that tuple).  Each move (s, t, f) takes state s of the
+    parent to state t of the node times factor f = u width + i: the value
+    of subword u - 1 (``subwords``, appended as met; none at u = 0) times
+    weight i (none at i = 0; i = k (k - 1) / 2 + j + 1 ends arc j of k)."""
+    ids, exts, splits = {}, {}, {}
+
+    def sid(sub) -> int:
+        i = ids.setdefault(sub, len(subwords))
+        if i == len(subwords):
+            subwords.append(sub)
+        return i
+
+    level = [((), [(0, ()) if graded else ()])]
+    for p, alphabet in enumerate(letters, 1):
+        room, nodes = len(letters) - p, []
+        single, open_, close, middle = (x in ("OCMS" if roles is None else roles[p - 1]) for x in "SOCM")
+        for parent, (word, states) in enumerate(level):
+            for a in alphabet:
+                index: Dict[tuple, int] = defaultdict(itertools.count().__next__)  # numbers each new state
+                ext, u, blocks, moves = exts.setdefault(a, {}), sid((a,)), 0, []
+                for s, state in enumerate(states):
+                    if graded:
+                        blocks, state = state
+                    k = len(state)
+                    if single and k <= room:
+                        moves += s, index[(blocks + 1, state) if graded else state], (u + 1) * width
+                    if open_ and k < room:
+                        key = state + (u,)
+                        moves += s, index[(blocks + 1, key) if graded else key], 0
+                    if not (k and (close or middle)):
+                        continue
+                    split = splits.get(state)
+                    if split is None:  # (weight index, chain, the other chains) of ending each arc
+                        split = splits[state] = [(k * (k - 1) // 2 + j + 1, c, state[:j] + state[j + 1:]) for j, c in enumerate(state)]
+                    for i, c, rest in split:
+                        grown = ext.get(c)
+                        if grown is None:
+                            grown = ext[c] = sid(subwords[c] + (a,))
+                        if close:
+                            moves += s, index[(blocks, rest) if graded else rest], (grown + 1) * width + i
+                        if middle and k <= room:
+                            key = rest + (grown,)
+                            moves += s, index[(blocks, key) if graded else key], i
+                always = not room and (close or middle)
+                if index or always:
+                    empty = tuple((key[0], t) for key, t in index.items() if not key[1]) if graded else index.get(())
+                    nodes.append((word + (a,), list(index)))
+                    yield always, parent, word + (a,), len(index), empty, moves
+        yield None
+        level = nodes
+
+
+def subword_sums(
+    letters: Sequence[Sequence],
+    point: Sequence,
+    value: Callable[[tuple], object],
+    roles: Optional[Sequence[str]] = None,
+    graded: bool = False,
+    scale: int = 1,
+    after_level: Optional[Callable[[Dict[tuple, object], int, object], None]] = None,
+) -> Tuple[Dict[tuple, object], int]:
+    """The sums of :func:`arc_sums`, with ``graded`` {block count: sum},
+    where a chain is the subword of letters its block has read: the block
+    over subword u is worth ``value(u)`` (None: not known yet, counted as 0
+    and asked again where the pass next meets it; 0: no such block), and
+    point p may take the roles in ``roles[p - 1]`` (by default all four).
+
+    States and moves then depend on the shape (letters, roles, graded)
+    alone, not on the point or the values: a shape is compiled once
+    (:func:`_compile`) and kept, at most _MAX_SHAPES of them and
+    _MAX_SHAPE_MOVES moves in all (``subword_sums.cache_info()``); one over
+    that budget is compiled node by node on every call and not kept.  A
+    call builds the weights of the point, asks ``value`` once per subword
+    and replays the moves, dropping zero weights and values as it meets
+    them, and keeps the words :func:`arc_sums` keeps.
+
+    After the step of point p, ``after_level(sums, scale, zero)`` is called,
+    if given (not with ``graded``): ``sums`` maps each word of length p kept
+    that can have an empty state to its sum there, None for none, ``scale``
+    is the scale returned and ``zero`` the weights' ring's 0.  It may
+    rewrite them; the sums of length p are read off them, and the pass goes
+    on from them."""
+    rows, one, step = _step_weights(point, len(letters))
+    weights = [one] + [x for row in rows for x in row]  # weight 0: none
+    width, zero = len(weights), one * 0
+    key = (tuple(map(tuple, letters)), None if roles is None else tuple(roles), graded)
+    shape = _SHAPES.pop(key, None)
+    if shape is None:
+        subwords: List[tuple] = []
+        nodes, record, count = _compile(*key, width, subwords), [], 0
+    else:
+        nodes, subwords, count = _SHAPES[key] = shape
+        record = None
+    values: list = []  # step times the value of each subword, None for 0
+    factors: list = []  # each move factor, None for 0
+    sums: Dict[tuple, object] = {(): {0: one} if graded else one}
+    last, level = [((), [one], None)], []
+
+    def factor(f: int):
+        u, i = divmod(f, width)
+        w, x = weights[i], one
+        if u and w is not None:
+            x = values[u - 1]
+            if x is _UNSEEN:
+                x = value(subwords[u - 1])
+                if x is None:  # not known yet: not kept, so asked again where next met
+                    return None
+                x = values[u - 1] = None if x == 0 else x * step
+        x = factors[f] = None if w is None or x is None else w if x is one else x if w is one else w * x
+        return x
+
+    for node in nodes:
+        if record is not None:
+            record.append(node)
+            count += 0 if node is None else len(node[5]) // 3
+            if count > _MAX_SHAPE_MOVES:
+                record = None
+        if node is None:  # the level is done
+            if after_level is not None:
+                known = {word: vals[e] for word, vals, e in level if vals is not None and e is not None}
+                after_level(known, scale * step, zero)
+                for word, vals, e in level:
+                    if word in known:
+                        vals[e] = known[word]
+            for word, vals, e in level:
+                if vals is not None and graded:
+                    sums[word] = {b: vals[t] for b, t in e if vals[t] is not None}
+                elif vals is not None:
+                    x = None if e is None else vals[e]
+                    sums[word] = zero if x is None else x
+            last, level = level, []
+            continue
+        always, parent, word, size, empty, moves = node
+        values += [_UNSEEN] * (len(subwords) - len(values))
+        factors += [_UNSEEN] * ((len(values) + 1) * width - len(factors))
+        prev, vals = last[parent][1], [None] * size
+        it = iter(moves if prev is not None else ())
+        for s, t, f in zip(it, it, it):
+            v = prev[s]
+            if v is None:
+                continue
+            x = factors[f]
+            if x is _UNSEEN:
+                x = factor(f)
+            if x is not None:
+                acc, v = vals[t], v if x is one else v * x
+                vals[t] = v if acc is None else acc + v
+        kept = prev is not None and (always or any(v is not None for v in vals))
+        level.append((word, vals if kept else None, empty))
+    if record is not None:
+        _SHAPES[key] = (record, subwords, count)
+        while len(_SHAPES) > _MAX_SHAPES or sum(shape[2] for shape in _SHAPES.values()) > _MAX_SHAPE_MOVES:
+            del _SHAPES[next(iter(_SHAPES))]
+    return sums, scale * step
+
+
+subword_sums.cache_info = lambda: _ShapeInfo(len(_SHAPES), _MAX_SHAPES, sum(s[2] for s in _SHAPES.values()), _MAX_SHAPE_MOVES)
+subword_sums.cache_clear = _SHAPES.clear
 
 
 def role_sums(roles_at: Sequence[str], a, b, single, open_, close, extend, scale: int = 1) -> Tuple[Dict[tuple, object], int]:

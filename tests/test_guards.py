@@ -2,6 +2,7 @@
 (an entry with no cap only below its least size)."""
 
 import importlib
+import itertools
 import pkgutil
 import re
 from fractions import Fraction
@@ -45,8 +46,8 @@ DISTINCT_12 = fock.FockVector({(tuple(range(12)), tuple(range(12))): ONE})  # a 
 # of fock's public entries
 WORK = [
     (partitions, "arc_sums"), (partitions, "role_sums"), (partitions, "_diagonal_classes"),
-    (levy, "arc_sums"),
-    (wick, "arc_sums"), (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
+    (levy, "subword_sums"),
+    (wick, "subword_sums"), (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
     (fock, "_check_tokens"), (fock, "_vacuum_moment"), (fock, "_sym_column"),
     (fock, "_commutation_entries"), (fock, "_adjoint_entries"),
     (orthopoly, "moments_from_jacobi"), (orthopoly, "polys_from_jacobi"), (orthopoly, "cauchy_transform"),
@@ -386,4 +387,34 @@ def test_every_cache_is_bounded():
     # the partition caches hold every n that their guard admits, 0..MAX_DIAGONAL_N
     for fn in (partitions.diagonal_partition_profiles, levy._diag_partitions_list):
         assert fn.cache_info().maxsize == MAX_DIAGONAL_N + 1
+    # the compiled shapes of the subword kernel: bounded in count and in moves
+    assert "diagfock.partitions.subword_sums" in cached
+    shapes = partitions.subword_sums
+    shapes.cache_clear()
+    for n in range(shapes.cache_info().maxsize + 5):  # more shapes than it keeps, each its own letters
+        shapes([range(n, n + 2)] * 4, P, lambda u: 1)
+        info = shapes.cache_info()
+        assert info.currsize <= info.maxsize and info.moves <= info.budget
+    assert info.currsize == info.maxsize
+
+
+def test_a_shape_over_the_move_budget_gives_the_same_sums_and_is_not_kept(monkeypatch):
+    psi = {w: Fraction(len(w), 1 + sum(w)) for n in range(1, 6) for w in itertools.product(range(2), repeat=n)}
+    partitions.subword_sums.cache_clear()
+    expect = levy.moment_functional(psi, 2, P, 5)  # (k, maxlen) = (2, 5): 860 moves
+    assert levy.cumulant_functional(expect, 2, P, 5) == psi
+    partitions.subword_sums.cache_clear()
+    levy.cumulants_to_moments([HALF] * 4, P)  # a shape of 40 moves, kept
+    before, keys = partitions.subword_sums.cache_info(), list(partitions._SHAPES)
+    monkeypatch.setattr(partitions, "_MAX_SHAPE_MOVES", 100)
+    for _ in range(2):
+        got = levy.moment_functional(psi, 2, P, 5)
+        assert [(w, type(x), x) for w, x in got.items()] == [(w, type(x), x) for w, x in expect.items()]
+        assert levy.cumulant_functional(got, 2, P, 5) == psi
+        assert partitions.subword_sums.cache_info()[:3] == before[:3] and list(partitions._SHAPES) == keys
+    # the oldest shapes go first once the kept moves pass the budget
+    monkeypatch.setattr(partitions, "_MAX_SHAPE_MOVES", 2 * 860)
+    for n in range(3):
+        partitions.subword_sums([range(n, n + 2)] * 5, P, lambda u: 1)
+    assert partitions.subword_sums.cache_info()[:3] == (2, before.maxsize, 2 * 860)
 

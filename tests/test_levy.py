@@ -361,14 +361,14 @@ def test_the_inverse_runs_one_cleared_pass_per_call(monkeypatch, params):
     moments = [helpers.rand_frac(r) for _ in range(6)]
     psi = {w: helpers.rand_frac(r) for n in range(1, 4) for w in itertools.product(range(2), repeat=n)}
     phi = moment_functional(psi, 2, params, 3)
-    passes, arc_sums = [], levy.arc_sums
+    passes, subword_sums = [], levy.subword_sums
 
     def recorded(*args, **kwargs):
-        sums, scale = arc_sums(*args, **kwargs)
+        sums, scale = subword_sums(*args, **kwargs)
         passes.append(list(sums.values()))
         return sums, scale
 
-    monkeypatch.setattr(levy, "arc_sums", recorded)
+    monkeypatch.setattr(levy, "subword_sums", recorded)
     cumulants = levy.moments_to_cumulants(moments, params)
     assert len(passes) == 1
     assert levy.cumulant_functional(phi, 2, params, 3) == psi
@@ -475,6 +475,39 @@ def test_a_functional_missing_a_word_is_refused_by_name(call, word):
     # a bare KeyError used to come out of the pass
     with pytest.raises(ValueError, match=f"^{re.escape(f'functional not defined on word {word}')}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, word, value",
+    [
+        (lambda: levy.cumulants_to_moments([None, 1], GEN), (0,), None),
+        (lambda: levy.cumulants_to_moments([None, Fraction(1, 2)], GEN), (0,), None),
+        (lambda: levy.moments_to_cumulants([None, 1], GEN), (0,), None),
+        (lambda: levy.cumulants_to_moments(["1/2"], GEN), (0,), "1/2"),
+        (lambda: levy.cumulants_to_moments([0.5], GEN), (0,), 0.5),
+        (lambda: moment_functional({(0,): 1, (1,): None}, 2, GEN, 1), (1,), None),
+        (lambda: cumulant_functional({(0,): 1, (1,): 2, (0, 0): 1, (0, 1): "1"}, 2, GEN, 2), (0, 1), "1"),
+        (lambda: product_functional({(0,): 1}, 1, {(0,): None}, 1, GEN, 1), (0,), None),
+    ],
+    ids=["c2m-none", "c2m-none-fraction", "m2c-none", "c2m-str", "c2m-float", "moment-none", "cumulant-str", "product"],
+)
+def test_a_functional_value_that_is_not_a_number_is_refused_by_name(call, word, value):
+    # a None was read as 0 by the moments, and a None, str or float came out
+    # of the pass as a bare TypeError or AttributeError
+    message = f"functional value on word {word} is {value!r}, not an int, Fraction or Poly"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("u", ["a", 0.0, 1.0, None], ids=["str", "float-0", "float-1", "none"])
+def test_a_coordinate_that_is_not_an_int_is_refused_by_its_repr(u):
+    # "a" and 0.0 used to fail with a bare TypeError
+    spec = rand_spec(helpers.rng(74), k=2, d=2)
+    message = f"word uses an unknown coordinate {u!r}, but k = 2"
+    for call in (lambda: levy_moment(spec, (0, u), GEN), lambda: levy_moment_s_poly(spec, (u,), GEN),
+                 lambda: levy_cumulant(spec, (0, u)), lambda: fock_levy_oracle(spec, [(u, 0)], [Fraction(1)], GEN)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_functional_from_spec_is_the_moment_of_each_word():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from diagfock import partitions
 from diagfock._guards import MAX_DIAGONAL_N, MAX_FAMILY_NMAX, ResourceLimitError
 from diagfock.partitions import (
     ROLE_OPENER,
@@ -21,6 +22,7 @@ from diagfock.partitions import (
     diagonal_partitions,
     render_partition,
     role_sums,
+    subword_sums,
     unit_bar_sum,
     _diagonal_classes,
     _read,
@@ -375,20 +377,10 @@ def test_partition_count_is_the_length_of_the_listing(m):
 
 
 def block_arc_sums(n, params, value, graded=False):
-    """The open-arc DP over the one word 1 2 ... n, each open block its own
-    chain: every diagonal sum of [1], ..., [n] with top value ``value`` and
-    bar value 1 (the empty word's left out)."""
-    return list(
-        helpers.kernel_values(arc_sums(
-            [(p,) for p in range(1, n + 1)],
-            params,
-            lambda p: value((p,)),
-            lambda p: (p,),
-            lambda block, p: value(block + (p,)),
-            lambda block, p: block + (p,),
-            graded=graded,
-        )).values()
-    )[1:]
+    """The subword-chain DP over the one word 1 2 ... n, each open block its
+    own subword: every diagonal sum of [1], ..., [n] with top value
+    ``value`` and bar value 1 (the empty word's left out)."""
+    return list(helpers.kernel_values(subword_sums([(p,) for p in range(1, n + 1)], params, value, graded=graded)).values())[1:]
 
 
 def brute_row_sums(n, params, value):
@@ -482,13 +474,17 @@ def test_arc_sums_of_blocks_are_the_centred_poisson_moments_to_twenty():
 def test_arc_sums_drop_a_weight_that_the_bar_factor_zeroes():
     # at v = -w, [2]_{v,w} = 0: no arc of two open ones ends, so a word whose
     # third point must end one has no state and is left out, and so are its
-    # extensions; a zero weight kept would keep the dead state alive
+    # extensions; a zero weight kept would keep the dead state alive (in
+    # either kernel: the subword kernel's shape, compiled at the first
+    # point, holds the move, and its replay drops the weight)
     letters = [("open",), ("open",), ("close",), ("close",)]
     callbacks = (lambda a: 0, lambda a: 1 if a == "open" else None, lambda chain, a: int(a == "close"),
                  lambda chain, a: None)
     for params, words in [(DeformationParams.from_rationals(Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(2, 3)), 3),
                           (DeformationParams.from_rationals(Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)), 5)]:
         sums, _ = arc_sums(letters, params, *callbacks)
+        assert [len(word) for word in sums] == list(range(words))
+        sums, _ = subword_sums(letters, params, lambda u: 1, roles="OOCC")
         assert [len(word) for word in sums] == list(range(words))
 
 
@@ -547,15 +543,8 @@ def brute_word_sum(word, params, value):
 
 
 def word_arc_sums(letters, params, value):
-    """The DP over the words of ``letters``, a chain being the open subword."""
-    return helpers.kernel_values(arc_sums(
-        letters,
-        params,
-        lambda a: value((a,)),
-        lambda a: (a,),
-        lambda sub, a: value(sub + (a,)),
-        lambda sub, a: sub + (a,),
-    ))
+    """The subword-chain DP over the words of ``letters``."""
+    return helpers.kernel_values(subword_sums(letters, params, value))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -583,15 +572,7 @@ def test_arc_sums_run_on_ints_at_a_rational_point():
     psi = {w: helpers.rand_frac(r) for w in words if w}
     scale = math.lcm(*(x.denominator for x in psi.values()))
     cleared = {w: int(x * scale ** len(w)) for w, x in psi.items()}
-    sums, out = arc_sums(
-        [range(2)] * 5,
-        params,
-        lambda a: cleared[(a,)],
-        lambda a: (a,),
-        lambda sub, a: cleared[sub + (a,)],
-        lambda sub, a: sub + (a,),
-        scale=scale,
-    )
+    sums, out = subword_sums([range(2)] * 5, params, cleared.__getitem__, scale=scale)
     assert list(sums) == words and all(type(t) is int for t in sums.values())
     assert type(out) is int and out % scale == 0
     assert helpers.kernel_values((sums, out)) == word_arc_sums([range(2)] * 5, params, psi.__getitem__)
@@ -609,19 +590,117 @@ def test_arc_sums_ask_again_for_a_value_not_known_yet():
     plain = word_arc_sums([range(2)] * 5, params, psi.__getitem__)
     known, levels = {}, []
 
-    def after_level(nodes, scale, zero):
-        levels.append(list(nodes))
-        for u, states in nodes.items():
-            assert all(type(i) is int for key in states for i in key)  # a state is keyed by its open ids alone
+    def after_level(sums, scale, zero):
+        levels.append(list(sums))
+        for u, rest in sums.items():
             block = psi[u] * scale ** len(u)
-            assert (states.get((), zero) + block) / scale ** len(u) == plain[u]
+            assert ((zero if rest is None else rest) + block) / scale ** len(u) == plain[u]
             known[u] = psi[u]
-            states[()] = states.get((), zero) + block
+            sums[u] = (zero if rest is None else rest) + block
 
-    result = arc_sums([range(2)] * 5, params, lambda a: known.get((a,)), lambda a: (a,),
-                      lambda sub, a: known.get(sub + (a,)), lambda sub, a: sub + (a,), after_level=after_level)
+    result = subword_sums([range(2)] * 5, params, known.get, after_level=after_level)
     assert levels == [[w for w in words if len(w) == n] for n in range(1, 6)]
     assert helpers.kernel_values(result) == plain
+
+
+# points where a weight vanishes (q = 0, a summand of each [k]_{q,t}; v = -w,
+# the bar factor [2]_{v,w}), q = t, and the symbolic point: a shape compiled
+# at any of them must replay exactly at a generic point, and the reverse
+SHAPE_POINTS = {
+    "q=0": DeformationParams.from_rationals(0, Fraction(3, 5), Fraction(1, 3), Fraction(2, 5)),
+    "v=-w": DeformationParams.from_rationals(Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(2, 3)),
+    "q=t": DeformationParams.from_rationals(Fraction(2, 5), Fraction(2, 5), Fraction(1, 3), Fraction(3, 4)),
+    "symbolic": DeformationParams.symbolic(),
+}
+GENERIC = DeformationParams.from_rationals(Fraction(1, 2), Fraction(2, 3), Fraction(-1, 3), Fraction(3, 4))
+
+
+def typed_sums(result):
+    """The values of a pass, each with its type (a dict by block count entrywise)."""
+    return [(word, {k: (type(x), x) for k, x in total.items()} if isinstance(total, dict) else (type(total), total))
+            for word, total in helpers.kernel_values(result).items()]
+
+
+def replayed(monkeypatch, compile_at, point, *args, **kwargs):
+    """The pass at ``point`` on the shape compiled by a pass at
+    ``compile_at``, checked to compile nothing, and the pass at ``point``
+    on a cleared cache."""
+    subword_sums.cache_clear()
+    fresh = subword_sums(args[0], point, *args[1:], **kwargs)
+    subword_sums.cache_clear()
+    subword_sums(args[0], compile_at, *args[1:], **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(partitions, "_compile", lambda *a: pytest.fail("a cached shape was compiled again"))
+        again = subword_sums(args[0], point, *args[1:], **kwargs)
+    return again, fresh
+
+
+@pytest.mark.parametrize("special", SHAPE_POINTS.values(), ids=list(SHAPE_POINTS))
+def test_a_shape_compiled_at_one_point_replays_exactly_at_another(monkeypatch, special):
+    r = helpers.rng(44)
+    n = 5
+    value = rand_block_values(r, n).__getitem__
+    words = [w for m in range(5) for w in itertools.product(range(2), repeat=m)]
+    psi = {w: Fraction(0) if r.random() < 0.25 else helpers.rand_frac(r) for w in words if w}
+    for compile_at, point in ((special, GENERIC), (GENERIC, special)):
+        for graded in (False, True):
+            again, fresh = replayed(monkeypatch, compile_at, point, [(p,) for p in range(1, n + 1)], value, graded=graded)
+            assert typed_sums(again) == typed_sums(fresh)
+            for m, total in enumerate(list(helpers.kernel_values(again).values())[1:], 1):
+                expect, expect_graded = brute_row_sums(m, point, value)
+                if graded:
+                    assert {k: v for k, v in total.items() if v != 0} == {k: v for k, v in expect_graded.items() if v != 0}
+                else:
+                    assert total == expect, m
+        again, fresh = replayed(monkeypatch, compile_at, point, [range(2)] * 4, psi.__getitem__)
+        assert typed_sums(again) == typed_sums(fresh)
+        for word, total in helpers.kernel_values(again).items():
+            assert total == brute_word_sum(word, point, psi.__getitem__), word
+
+
+def test_the_inverse_replays_the_shape_the_moments_compiled(monkeypatch):
+    r = helpers.rng(46)
+    for params in (GENERIC, *SHAPE_POINTS.values()):
+        psi = {w: helpers.rand_frac(r) for m in range(1, 5) for w in itertools.product(range(2), repeat=m)}
+        subword_sums.cache_clear()
+        phi = moment_functional(psi, 2, params, 4)
+        assert subword_sums.cache_info().currsize == 1
+        for word, x in phi.items():
+            assert x == brute_word_sum(word, params, psi.__getitem__) if word else x == 1, word
+        with monkeypatch.context() as m:
+            m.setattr(partitions, "_compile", lambda *a: pytest.fail("a cached shape was compiled again"))
+            psi_again = cumulant_functional(phi, 2, params, 4)
+        assert [(w, type(x), x) for w, x in psi_again.items()] == [(w, type(params.q * x), x) for w, x in psi.items()]
+
+
+@pytest.mark.parametrize("params", [GENERIC, *SHAPE_POINTS.values()], ids=["generic", *SHAPE_POINTS])
+def test_a_word_whose_node_dies_is_left_out_as_arc_sums_leaves_it(params):
+    # point 2 may only end the arc point 1 opened or stand alone, so the
+    # word 0 1 has no state where both its blocks are worth 0 and is left
+    # out with its extensions; at v = -w ending either of two open arcs
+    # weighs 0, and at q = 0 only the innermost one ends
+    roles = ["O", "CS", "OCMS", "OCM", "CS"]
+    r = helpers.rng(47)
+    words = [w for m in range(1, 6) for w in itertools.product(range(2), repeat=m)]
+    psi = {w: Fraction(0) if r.random() < 0.3 else helpers.rand_frac(r) for w in words}
+    psi[(1,)] = psi[(0, 1)] = Fraction(0)
+    subword_sums.cache_clear()
+    got = typed_sums(subword_sums([range(2)] * 5, params, psi.__getitem__, roles))
+    # the same pass on arc_sums: each letter carries its point, so the callbacks see its roles
+    may = lambda x, role: role in roles[x[0]]
+    sums, scale = arc_sums(
+        [[(p, a) for a in range(2)] for p in range(5)],
+        params,
+        lambda x: psi[(x[1],)] if may(x, "S") else 0,
+        lambda x: (x[1],) if may(x, "O") else None,
+        lambda sub, x: psi[sub + (x[1],)] if may(x, "C") else 0,
+        lambda sub, x: sub + (x[1],) if may(x, "M") else None,
+        ends=lambda x: may(x, "C") or may(x, "M"),
+    )
+    expect = typed_sums(({tuple(a for _, a in word): total for word, total in sums.items()}, scale))
+    assert got == expect
+    kept = [word for word, _ in got]
+    assert (0, 1) not in kept and (0, 1, 0) not in kept and (0, 0) in kept
 
 
 def test_walk_rows_equal_checked_partitions():

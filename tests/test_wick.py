@@ -513,11 +513,11 @@ def test_folded_wick_sums_with_zeros_on_the_one_dimensional_row(params, narrow_o
 
 @pytest.mark.parametrize("d_top, d_bar, passes", [(2, 1, 0), (1, 2, 0), (1, 1, 0), (2, 2, 2)])
 def test_a_one_dimensional_row_folds_into_one_pass(monkeypatch, d_top, d_bar, passes):
-    # one arc_sums pass over the points when either row is one-dimensional,
+    # one subword_sums pass over the points when either row is one-dimensional,
     # one role_sums pass per row only when both rows have d >= 2
     from diagfock import wick
 
-    calls = {"arc_sums": 0, "role_sums": 0}
+    calls = {"subword_sums": 0, "role_sums": 0}
 
     def spy(name):
         kernel = getattr(wick, name)
@@ -528,14 +528,14 @@ def test_a_one_dimensional_row_folds_into_one_pass(monkeypatch, d_top, d_bar, pa
 
         monkeypatch.setattr(wick, name, counted)
 
-    spy("arc_sums")
+    spy("subword_sums")
     spy("role_sums")
     r = helpers.rng(48)
     ops = [rand_op(r, d_top, d_bar) for _ in range(4)]
     for formula, data in ((full_wick, ops), (gaussian_wick, [op.vector for op in ops])):
-        calls.update(arc_sums=0, role_sums=0)
+        calls.update(subword_sums=0, role_sums=0)
         formula(data, PARAM_POINTS[0])
-        assert calls == {"arc_sums": int(passes == 0), "role_sums": passes}, formula.__name__
+        assert calls == {"subword_sums": int(passes == 0), "role_sums": passes}, formula.__name__
 
 
 def test_full_wick_of_no_operators_is_one():
