@@ -1,10 +1,10 @@
 """Every resource cap, and the one check that applies them before any work.
 
 A cap belongs to the kernel whose work grows with the size, so the callers
-of one kernel share it.  Below its least value a size is bad input
-(``ValueError``, CLI exit code 2); above its cap it is refused
-(:class:`ResourceLimitError`, exit code 3).  Callers read the caps here at
-call time."""
+of one kernel share it.  A size that is not an int, or is a bool, or is
+below its least value is bad input (``ValueError``, CLI exit code 2); above
+its cap it is refused (:class:`ResourceLimitError`, exit code 3).  Callers
+read the caps here at call time."""
 
 from __future__ import annotations
 
@@ -34,8 +34,11 @@ def shown(n) -> str:
 
 
 def check_size(what: str, n, cap, least=0):
-    """n, if least <= n <= cap: a ValueError below least, a
-    ResourceLimitError above cap, each naming what, n and the bound."""
+    """n, if it is an int (not a bool) and least <= n <= cap: else a
+    ValueError, or a ResourceLimitError above cap, each naming what, n and
+    the bound."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"{what} is {n!r}, but must be an int")
     if n < least:
         raise ValueError(f"{what} is {shown(n)}, but must be >= {least}")
     if n > cap:

@@ -43,6 +43,8 @@ from .partitions import (
     diagonal_partitions,
     subword_sums,
     unit_bar_sum,
+    _chain_values,
+    _check_listing,
     _read,
 )
 from .scalars import DeformationParams, Poly, _cleared, _cleared_array, _denominator, _over
@@ -110,9 +112,11 @@ def levy_cumulant(spec: LevySpec, word: Word, s: Fraction = Fraction(1)) -> Frac
     return s * spec.pair(spec.xi[word[0]], chain)
 
 
-# no sum reads this cache; perfbench/tracer.py reads and clears it by name
-@lru_cache(maxsize=_guards.MAX_DIAGONAL_N + 1)  # one entry per n the guard admits
+# no sum reads this cache; perfbench/tracer.py reads and clears it by name;
+# typed, so that 3.0 or True misses the entry of 3 or 1 and is refused
+@lru_cache(maxsize=_guards.MAX_DIAGONAL_N + 1, typed=True)
 def _diag_partitions_list(n: int) -> Tuple[DiagonalPartition, ...]:
+    _check_listing(n)
     return tuple(diagonal_partitions(n))
 
 
@@ -139,22 +143,6 @@ def _vector_chain(starts: Sequence[Sequence], gauges: Sequence[Optional[_linalg.
     callbacks = (singles.__getitem__, starts.__getitem__, lambda row, i: _linalg.dot(row, ends[i]),
                  lambda row, i: None if cols[i] is None else _linalg.mat_vec(cols[i], row))
     return callbacks, scale
-
-
-def _chain_values(single, open_, close, extend):
-    """The value of the block over each subword u (of letters or of points)
-    by the callbacks of :func:`_vector_chain`, for
-    :func:`diagfock.partitions.subword_sums`: each open subword's row vector
-    is built once per pass, from its prefix's."""
-    rows: Dict[tuple, object] = {}
-
-    def row(u):
-        vec = rows.get(u)
-        if vec is None:
-            vec = rows[u] = open_(u[0]) if len(u) == 1 else extend(row(u[:-1]), u[-1])
-        return vec
-
-    return lambda u: single(u[0]) if len(u) == 1 else close(row(u[:-1]), u[-1])
 
 
 def _spec_sums(spec: LevySpec, letters: Sequence[Sequence[int]], params: DeformationParams, s: Fraction, graded=False):

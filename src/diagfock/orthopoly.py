@@ -118,7 +118,8 @@ def _zero(params: DeformationParams):
 
 
 def jacobi_hermite(params: DeformationParams, depth: int) -> JacobiData:
-    return JacobiData((_zero(params),) * depth, _hermite_gammas(params, depth))
+    gammas = _hermite_gammas(params, depth)  # guards depth before it sizes beta
+    return JacobiData((_zero(params),) * depth, gammas)
 
 
 def jacobi_poisson(params: DeformationParams, depth: int) -> JacobiData:

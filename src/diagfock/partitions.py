@@ -48,32 +48,26 @@ role vector R.  So it equals the sum over R of T(R) * B(R), where T(R) sums
 q^rc t^rn * prod top_value over the single rows with role vector R and B(R)
 likewise with v, w and bar_value.
 
-Two passes of one open-arc state DP over the trie of a set of words (one
-letter per point) compute them all.  Words that share a prefix share its
-steps, and one pass gives the sum of every word at the cost of its states,
-not Bell(n).  Where a chain (what values a block once it closes) is the
-subword of letters its block has read, :func:`subword_sums` runs it: its
-states and moves depend on the letters and the roles of the points alone,
-so it compiles each such shape once into flat move lists, keeps it in a
-bounded cache, and each call only builds the point's weights, asks for the
-subwords' values and replays the moves.  :func:`arc_sums` merges walks
-that reach equal chains, whatever they are (:func:`role_sums`, whose
-chains may merge by value).  Each takes a point (a, b, c, d) and builds its step weights from
-it: ending the j-th of k open arcs weighs a^(k-1-j) b^j [k]_{c,d}.  When
-bar_value is 1, B(R) is the product of [k]_{v,w} over the steps of R that
-end one of k open arcs (:func:`unit_bar_sum`), so the step weight is the
-top row's times that factor, at the point (q, t, v, w); so run the
-functionals (the one-variable transforms are their one-letter case, and
-the inverse is one such pass, read level by level) and the Levy word
-moments, and so do the Wick sums when one row is one-dimensional:
-its block values are then products of per-point scalars, so B(R) is
-:func:`unit_bar_sum` of R times each point's scalar in its role, and the
-row folds into the other, one pass over the word of the points.  When both
-rows carry block values (the Wick sums with d >= 2 on both rows, the word
-expansion), :func:`role_sums` gives T(R) or B(R) for every R by one pass
-per row over the trie of the role words, at (q, t, 1, 0) or (v, w, 1, 0)
-since [k]_{1,0} = 1; :func:`count_diagonal_partitions` is that pass at
-weight 1.
+One open-arc state DP over the trie of a set of words (one letter per
+point), :func:`subword_sums`, computes them all: words that share a prefix
+share its steps, at the cost of the states, not Bell(n).  A chain (what
+values a block once it closes) is the subword of letters its block has
+read, so the states and moves depend on the shape alone (the letters and
+the roles each may take): it is compiled once and kept, and each call
+builds the step weights of its point (a, b, c, d), ending the j-th of k open
+arcs weighing a^(k-1-j) b^j [k]_{c,d}, asks for the subwords' values and
+replays the moves.  When bar_value is 1, B(R) is the product of [k]_{v,w}
+over the steps of R that end one of k open arcs (:func:`unit_bar_sum`), so
+the pass at (q, t, v, w) gives the whole sum: so run the functionals (the
+one-variable transforms are their one-letter case, and the inverse is one
+such pass, read level by level), the Levy word moments, and the Wick sums
+with a one-dimensional row, which folds into the other (B(R) is
+:func:`unit_bar_sum` of R times each point's scalar in its role).  When
+both rows carry block values (the Wick sums with d >= 2 on both rows, the
+word expansion), :func:`role_sums` gives T(R) or B(R) for every R by one
+pass per row over the role words at (q, t, 1, 0) or (v, w, 1, 0), since
+[k]_{1,0} = 1, point p in role r a letter of role r only; the two rows
+share one shape.  :func:`count_diagonal_partitions` is the pass at weight 1.
 
 Every pass runs on ints at a rational point, and on Polys of denominator 1
 at the symbolic point, by one rule.  A walk of m points multiplies one
@@ -81,15 +75,14 @@ factor per point (a step weight at each Closer and Middle, a block value at
 each Closer and Singleton, and Openers match Closers).  So a caller clears
 its data by one integer scale D per point, a block of j points times D^j
 (``scalars._denominator``, ``scalars._cleared``, which read a Poly's
-denominator as a Fraction's); :func:`arc_sums` builds its step weights at
-the cleared point (E a, E b, F c, F d), E and F the lcms of the
-denominators of each pair, lifts them to one step S_w = (E F)^(K-1), K the
-most arcs open at once, and puts one more S_w on each singleton and closer
-value; and the sum of every word of m points comes cleared,
-(S_w D)^m times its value, divided once at the end (:func:`_read`, by
-``scalars._over``).  Every value read is a Fraction at a rational point
-and a Poly at the symbolic point, whatever mix of ints, Fractions and
-Polys the data hold.
+denominator as a Fraction's); :func:`_step_weights` builds the step weights
+at the cleared point (E a, E b, F c, F d), E and F the lcms of the
+denominators of each pair, and lifts them to one step S_w = (E F)^(K-1), K
+the most arcs open at once; the pass puts one more S_w on each block value,
+and the sum of every word of m points comes cleared, (S_w D)^m times its
+value, divided once at the end (:func:`_read`, by ``scalars._over``).  Every
+value read is a Fraction at a rational point and a Poly at the symbolic
+point, whatever mix of ints, Fractions and Polys the data hold.
 
 The pairs themselves are listed for display only.  :func:`_diagonal_classes`
 groups the rows of one walk by role vector, with the walk's rc and rn of each
@@ -102,7 +95,7 @@ the tests' oracle.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -129,6 +122,10 @@ class SetPartition:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks: Sequence[Sequence[int]]):
+        _guards.check_size("the size n of a set partition", n, math.inf)
+        for b in blocks:
+            if not b or any(isinstance(x, bool) or not isinstance(x, int) for x in b):
+                raise ValueError(f"block {b!r} of {blocks!r} must be a nonempty set of int points")
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
         seen = [x for b in canon for x in b]
         if sorted(seen) != list(range(1, n + 1)):
@@ -360,6 +357,7 @@ def _diagonal_classes(n: int, min_block_size: int = 1, pairs: bool = False) -> L
 def diagonal_partitions(n: int, min_block_size: int = 1) -> Iterator[DiagonalPartition]:
     """All diagonal partitions of [n] + [n-bar]: pairs with equal role vectors."""
     _guards.check_size("the size n of a diagonal partition", n, _guards.MAX_DIAGONAL_N)
+    _guards.check_size("the least block size m", min_block_size, math.inf, least=-math.inf)
     for rows in _diagonal_classes(n, min_block_size):
         yield from (DiagonalPartition(top, bar) for top, _, _ in rows for bar, _, _ in rows)
 
@@ -384,20 +382,22 @@ def count_diagonal_pair_partitions(n: int) -> int:
     return int(moments_from_jacobi(jacobi_sech(n // 2 + 1), n)[-1])
 
 
-@lru_cache(maxsize=_guards.MAX_DIAGONAL_N + 1)  # one entry per n the guard admits
-def diagonal_partition_profiles(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, int, int, int]], ...]:
-    """(top block sizes, weight exponents) of every diagonal partition.
+def _check_listing(n: int) -> None:
+    """Refuse n where the listing would pass MAX_PARTITION_ITEMS items, counted first."""
+    _guards.check_size(f"the item count of n = {n}", count_diagonal_partitions(n), _guards.MAX_PARTITION_ITEMS)
 
-    No sum in the package reads it; perfbench/tracer.py reads and clears its
-    cache by name.
-    """
+
+# typed, so that 3.0 or True misses the entry of 3 or 1 and is refused
+@lru_cache(maxsize=_guards.MAX_DIAGONAL_N + 1, typed=True)
+def diagonal_partition_profiles(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, int, int, int]], ...]:
+    """(top block sizes, weight exponents) of every diagonal partition, for
+    an n whose listing :func:`_check_listing` admits.  No sum in the package
+    reads it; perfbench/tracer.py reads and clears its cache by name."""
+    _check_listing(n)
     return tuple((tuple(len(b) for b in dp.top.blocks), dp.weight_exponents()) for dp in diagonal_partitions(n))
 
 
 # -- the diagonal-sum kernel -------------------------------------------------------
-
-
-_UNSEEN = object()
 
 
 def unit_bar_sum(roles: Roles, v, w):
@@ -418,8 +418,8 @@ def unit_bar_sum(roles: Roles, v, w):
 
 
 def _read(sums: Dict[tuple, object], scale: int) -> Dict[tuple, object]:
-    """The values of :func:`arc_sums`: the sum of a word of m points over
-    scale^m, and a dict by block count entrywise."""
+    """The values of a :func:`subword_sums` pass: the sum of a word of m
+    points over scale^m, and a dict by block count entrywise."""
     out: Dict[tuple, object] = {}
     for word, total in sums.items():
         d = scale ** len(word)
@@ -428,13 +428,12 @@ def _read(sums: Dict[tuple, object], scale: int) -> Dict[tuple, object]:
 
 
 def _step_weights(point: Sequence, n: int):
-    """(rows, one, step) of a pass over n points: rows[k - 1][j] weighs
-    ending arc j of k open ones (None where it is 0, the ring's one as
-    ``one``), all of them and each singleton and closer value to be lifted
-    by ``step`` = S_w / (E F)^0 (module docstring)."""
-    # rows[k - 1][j] is (E F)^(k-1) times its value at the cleared point,
-    # lifted by (E F)^(K-k) to S_w times it; row k + 1 is a times row k
-    # followed by b^k
+    """(rows, one, step) of a pass over n points: rows[k - 1][j] is S_w
+    times the weight of ending arc j of k open ones (None where it is 0,
+    the ring's one as ``one``), and ``step`` = S_w lifts each block value
+    (module docstring)."""
+    # row k is (E F)^(k-1) times its weights at the cleared point, lifted by
+    # (E F)^(K-k); row k + 1 is a times row k followed by b^k
     (a, b, e), (c, d, f) = _cleared_point(*point[:2]), _cleared_point(*point[2:])
     top_k, lift = max(n // 2, 1), e * f
     rows, top, b_pow = [], (), a**0 * b**0
@@ -448,127 +447,11 @@ def _step_weights(point: Sequence, n: int):
     return [tuple(one if x == one else x for x in row) for row in rows], one, lift ** (top_k - 1)
 
 
-def arc_sums(
-    letters: Sequence[Sequence],
-    point: Sequence,
-    single: Callable[[object], object],
-    open_: Callable[[object], object],
-    close: Callable[[object, object], object],
-    extend: Callable[[object, object], object],
-    ends: Optional[Callable[[object], bool]] = None,
-    scale: int = 1,
-) -> Tuple[Dict[tuple, object], int]:
-    """The diagonal sums of every word a_1 ... a_m with a_p in
-    ``letters[p - 1]``, m = 0..n, by one open-arc state DP over the trie of
-    the words, walks that reach equal open chains merged.
-
-    The points 1..n are placed as in :func:`_walk`, but walks that reach the
-    same open state are merged, and a state belongs to a word's prefix, so
-    words sharing a prefix share every step up to it.  A state is the tuple
-    of open *chains*, in arc-opening order; a chain is whatever the caller
-    needs to value a block once it closes.  Point p with letter a is a
-    Singleton (times ``single(a)``), Opens a chain ``open_(a)``, or ends the
-    j-th (from 0) of the k open arcs with weight a^(k-1-j) b^j [k]_{c,d} at
-    the ``point`` (a, b, c, d): the row's weight, crossings counted by a and
-    nestings by b, times the bar row's factor of :func:`unit_bar_sum` (1 at
-    (c, d) = (1, 0)).  A Closer then multiplies by ``close(chain, a)``; a
-    Middle re-appends ``extend(chain, a)``.  A letter may take fewer roles:
-    ``open_`` and ``extend`` return None and ``single`` and ``close`` 0 for
-    a role it cannot take, and ``ends(a)`` is false if it can end no arc.
-    A ``single`` or ``close`` value of None is not known yet: it counts as
-    0 and is not kept, so the pass asks for it again where it next meets it.
-    Zero values and weights are dropped, and so are states with more open
-    arcs than points left and, before the last point, words with no state.
-
-    Returns ({w: S(w)}, scale) for every word kept, shortest first (a word
-    left out has sum 0): S(w) / scale^m is the sum of w, m its length, read
-    off the empty state after the step of w.  The empty word comes first,
-    its sum the weights' ring's one, and a word with no state sums to that
-    ring's 0.  The caller's values may come cleared of denominators by an
-    int ``scale`` D, a block of j points times D^j (``scalars._denominator``
-    of the data).  The pass clears its weights in turn, at the point
-    cleared by ``scalars._cleared_point``, to S_w = (E F)^(K-1) times their
-    values (module docstring), K = max(n // 2, 1) the most arcs open at
-    once, and multiplies each singleton and closer value by S_w, so that,
-    one factor coming per point, every sum of m points is (S_w D)^m times
-    its value, and the scale returned is S_w D.  Each chain is valued once
-    per letter.  Callers cap n; the state count, not Bell(n), sets the cost.
-    """
-    n = len(letters)
-    rows, one, step = _step_weights(point, n)
-    zero = one * 0  # the sum of a word with no state
-    live = [[(j, x) for j, x in enumerate(row) if x is not None] for row in rows]
-    chains: List[object] = []  # the chain of each id; states hold ids
-    ids: Dict[object, int] = {}
-    extended: Dict[Tuple[int, object], Optional[int]] = {}
-    closed: Dict[Tuple[int, object], object] = {}  # step times close(chain, a) by (chain, a), None for 0
-    level: Dict[tuple, dict] = {(): {(): one}}
-    sums: Dict[tuple, object] = {(): one}
-
-    def intern(chain) -> int:
-        i = ids.setdefault(chain, len(chains))
-        if i == len(chains):
-            chains.append(chain)
-        return i
-
-    for p in range(1, n + 1):
-        room = n - p  # a state may keep open at most as many arcs as points remain
-        steps = []
-        for a in letters[p - 1]:
-            s_val, chain, can_end = single(a), open_(a) if room else None, ends is None or ends(a)
-            s_val = None if s_val is None or s_val == 0 else s_val * step
-            steps.append((a, s_val, None if chain is None else intern(chain), can_end))
-        nodes: Dict[tuple, dict] = {}
-        for word, states in level.items():
-            for a, s_val, o_id, can_end in steps:
-                if s_val is None and o_id is None and not can_end:
-                    continue
-                nxt: dict = {}
-                get = nxt.get
-                for open_ids, val in states.items():
-                    k = len(open_ids)
-                    if s_val is not None and k <= room:
-                        acc, term = get(open_ids), val * s_val
-                        nxt[open_ids] = term if acc is None else acc + term
-                    if o_id is not None and k < room:
-                        key = open_ids + (o_id,)
-                        acc = get(key)
-                        nxt[key] = val if acc is None else acc + val
-                    if not (can_end and k):
-                        continue
-                    for j, weight in live[k - 1]:
-                        cid = open_ids[j]
-                        rest = open_ids[:j] + open_ids[j + 1:]
-                        x = closed.get((cid, a), _UNSEEN)
-                        if x is _UNSEEN:
-                            x = close(chains[cid], a)
-                            if x is not None:
-                                x = closed[cid, a] = None if x == 0 else x * step
-                        if x is not None:
-                            acc, term = get(rest), val * (x if weight is one else weight * x)
-                            nxt[rest] = term if acc is None else acc + term
-                        if k <= room:
-                            e = extended.get((cid, a), _UNSEEN)
-                            if e is _UNSEEN:
-                                chain = extend(chains[cid], a)
-                                e = extended[cid, a] = None if chain is None else intern(chain)
-                            if e is not None:
-                                key = rest + (e,)
-                                term = val if weight is one else val * weight
-                                acc = get(key)
-                                nxt[key] = term if acc is None else acc + term
-                if nxt or room == 0:
-                    nodes[word + (a,)] = nxt
-        for word, states in nodes.items():
-            sums[word] = states.get((), zero)
-        level = nodes
-    return sums, scale * step
-
-
 # the compiled shapes of subword_sums by (letters, roles, graded), least
 # recently used first: at most _MAX_SHAPES of them and _MAX_SHAPE_MOVES moves
 _SHAPES: Dict[tuple, tuple] = {}
 _MAX_SHAPES, _MAX_SHAPE_MOVES = 32, 1 << 17
+_UNSEEN = object()  # a subword value or a move factor not yet asked for
 _ShapeInfo = NamedTuple("_ShapeInfo", [("currsize", int), ("maxsize", int), ("moves", int), ("budget", int)])
 
 
@@ -578,13 +461,13 @@ def _compile(letters, roles, graded: bool, width: int, subwords: List[tuple]) ->
     empty, moves): the index of its parent in the level before, its state
     count, the index of its empty state (None if none; with ``graded`` the
     (block count, index) of each), and ``always`` if it is kept whenever its
-    parent is (at the last point, if that point may end an arc; any other
-    node is kept if it holds a state, as :func:`arc_sums` keeps words).  A
-    state is the tuple of the ids of its open subwords, with ``graded``
-    (block count, that tuple).  Each move (s, t, f) takes state s of the
-    parent to state t of the node times factor f = u width + i: the value
-    of subword u - 1 (``subwords``, appended as met; none at u = 0) times
-    weight i (none at i = 0; i = k (k - 1) / 2 + j + 1 ends arc j of k)."""
+    parent is (at the last point, if its letter may end an arc; any other
+    node is kept if it holds a state).  A state is the tuple of the ids of
+    its open subwords, with ``graded`` (block count, that tuple).  Each move
+    (s, t, f) takes state s of the parent to state t of the node times
+    factor f = u width + i: the value of subword u - 1 (``subwords``,
+    appended as met; none at u = 0) times weight i (none at i = 0;
+    i = k (k - 1) / 2 + j + 1 ends arc j of k)."""
     ids, exts, splits = {}, {}, {}
 
     def sid(sub) -> int:
@@ -596,20 +479,22 @@ def _compile(letters, roles, graded: bool, width: int, subwords: List[tuple]) ->
     level = [((), [(0, ()) if graded else ()])]
     for p, alphabet in enumerate(letters, 1):
         room, nodes = len(letters) - p, []
-        single, open_, close, middle = (x in ("OCMS" if roles is None else roles[p - 1]) for x in "SOCM")
+        allowed = ["OCMS"] * len(alphabet) if roles is None else roles[p - 1]
+        kinds = [(a, exts.setdefault(a, {}), sid((a,)), *(x in r for x in "SOCM"))
+                 for a, r in zip(alphabet, allowed, strict=True)]
         for parent, (word, states) in enumerate(level):
-            for a in alphabet:
-                index: Dict[tuple, int] = defaultdict(itertools.count().__next__)  # numbers each new state
-                ext, u, blocks, moves = exts.setdefault(a, {}), sid((a,)), 0, []
+            for a, ext, u, single, open_, close, middle in kinds:
+                index: Dict[tuple, int] = {}
+                number, blocks, moves = index.setdefault, 0, []  # number(state, len(index)) numbers each new state
                 for s, state in enumerate(states):
                     if graded:
                         blocks, state = state
                     k = len(state)
                     if single and k <= room:
-                        moves += s, index[(blocks + 1, state) if graded else state], (u + 1) * width
+                        moves += s, number((blocks + 1, state) if graded else state, len(index)), (u + 1) * width
                     if open_ and k < room:
                         key = state + (u,)
-                        moves += s, index[(blocks + 1, key) if graded else key], 0
+                        moves += s, number((blocks + 1, key) if graded else key, len(index)), 0
                     if not (k and (close or middle)):
                         continue
                     split = splits.get(state)
@@ -620,15 +505,15 @@ def _compile(letters, roles, graded: bool, width: int, subwords: List[tuple]) ->
                         if grown is None:
                             grown = ext[c] = sid(subwords[c] + (a,))
                         if close:
-                            moves += s, index[(blocks, rest) if graded else rest], (grown + 1) * width + i
+                            moves += s, number((blocks, rest) if graded else rest, len(index)), (grown + 1) * width + i
                         if middle and k <= room:
                             key = rest + (grown,)
-                            moves += s, index[(blocks, key) if graded else key], i
+                            moves += s, number((blocks, key) if graded else key, len(index)), i
                 always = not room and (close or middle)
                 if index or always:
                     empty = tuple((key[0], t) for key, t in index.items() if not key[1]) if graded else index.get(())
                     nodes.append((word + (a,), list(index)))
-                    yield always, parent, word + (a,), len(index), empty, moves
+                    yield always, parent, nodes[-1][0], len(index), empty, moves
         yield None
         level = nodes
 
@@ -637,25 +522,34 @@ def subword_sums(
     letters: Sequence[Sequence],
     point: Sequence,
     value: Callable[[tuple], object],
-    roles: Optional[Sequence[str]] = None,
+    roles: Optional[Sequence[Sequence[str]]] = None,
     graded: bool = False,
     scale: int = 1,
     after_level: Optional[Callable[[Dict[tuple, object], int, object], None]] = None,
 ) -> Tuple[Dict[tuple, object], int]:
-    """The sums of :func:`arc_sums`, with ``graded`` {block count: sum},
-    where a chain is the subword of letters its block has read: the block
-    over subword u is worth ``value(u)`` (None: not known yet, counted as 0
-    and asked again where the pass next meets it; 0: no such block), and
-    point p may take the roles in ``roles[p - 1]`` (by default all four).
+    """The diagonal sums of every word a_1 ... a_m with a_p in
+    ``letters[p - 1]``, m = 0..n (with ``graded``, {block count: sum}), by
+    the open-arc state DP of the module docstring at ``point``, walks that
+    reach the same open state merged.  A state is the tuple of open chains
+    in arc-opening order, and the block over subword u is worth
+    ``value(u)`` (None: not known yet, counted as 0 and asked again where
+    the pass next meets it; 0: no such block).  The letter
+    ``letters[p - 1][i]`` takes the roles in ``roles[p - 1][i]`` (by default
+    all four).  Zero values and weights are dropped, and so are states with
+    more open arcs than points left and, before the last point, words with
+    no state.
 
-    States and moves then depend on the shape (letters, roles, graded)
-    alone, not on the point or the values: a shape is compiled once
-    (:func:`_compile`) and kept, at most _MAX_SHAPES of them and
-    _MAX_SHAPE_MOVES moves in all (``subword_sums.cache_info()``); one over
-    that budget is compiled node by node on every call and not kept.  A
-    call builds the weights of the point, asks ``value`` once per subword
-    and replays the moves, dropping zero weights and values as it meets
-    them, and keeps the words :func:`arc_sums` keeps.
+    Returns ({w: S(w)}, scale) for every word kept, shortest first (a word
+    left out sums to 0, the empty word to the weights' ring's one and a
+    word with no state to its 0): S(w) / scale^m is the sum of w, m its
+    length.  The values may come cleared by an int ``scale`` D, a block of
+    j points times D^j, and the scale returned is S_w D (module docstring).
+
+    A shape (letters, roles, graded) is compiled once (:func:`_compile`)
+    and kept, at most _MAX_SHAPES of them and _MAX_SHAPE_MOVES moves in all
+    (``subword_sums.cache_info()``); one over that budget is compiled on
+    every call and not kept.  A call builds the point's weights, asks
+    ``value`` once per subword and replays the moves.
 
     After the step of point p, ``after_level(sums, scale, zero)`` is called,
     if given (not with ``graded``): ``sums`` maps each word of length p kept
@@ -666,7 +560,7 @@ def subword_sums(
     rows, one, step = _step_weights(point, len(letters))
     weights = [one] + [x for row in rows for x in row]  # weight 0: none
     width, zero = len(weights), one * 0
-    key = (tuple(map(tuple, letters)), None if roles is None else tuple(roles), graded)
+    key = (tuple(map(tuple, letters)), None if roles is None else tuple(map(tuple, roles)), graded)
     shape = _SHAPES.pop(key, None)
     if shape is None:
         subwords: List[tuple] = []
@@ -674,8 +568,8 @@ def subword_sums(
     else:
         nodes, subwords, count = _SHAPES[key] = shape
         record = None
-    values: list = []  # step times the value of each subword, None for 0
-    factors: list = []  # each move factor, None for 0
+    values: list = [_UNSEEN] * len(subwords)  # step times the value of each subword, None for 0
+    factors: list = [_UNSEEN] * ((len(values) + 1) * width)  # each move factor, None for 0
     sums: Dict[tuple, object] = {(): {0: one} if graded else one}
     last, level = [((), [one], None)], []
 
@@ -714,10 +608,15 @@ def subword_sums(
             last, level = level, []
             continue
         always, parent, word, size, empty, moves = node
-        values += [_UNSEEN] * (len(subwords) - len(values))
-        factors += [_UNSEEN] * ((len(values) + 1) * width - len(factors))
-        prev, vals = last[parent][1], [None] * size
-        it = iter(moves if prev is not None else ())
+        prev = last[parent][1]
+        if prev is None:  # a word left out leaves out its extensions
+            level.append((word, None, empty))
+            continue
+        if len(subwords) > len(values):  # they grow as a shape is compiled
+            values += [_UNSEEN] * (len(subwords) - len(values))
+            factors += [_UNSEEN] * ((len(values) + 1) * width - len(factors))
+        vals = [None] * size
+        it = iter(moves)
         for s, t, f in zip(it, it, it):
             v = prev[s]
             if v is None:
@@ -728,8 +627,7 @@ def subword_sums(
             if x is not None:
                 acc, v = vals[t], v if x is one else v * x
                 vals[t] = v if acc is None else acc + v
-        kept = prev is not None and (always or any(v is not None for v in vals))
-        level.append((word, vals if kept else None, empty))
+        level.append((word, vals if always or vals.count(None) < size else None, empty))
     if record is not None:
         _SHAPES[key] = (record, subwords, count)
         while len(_SHAPES) > _MAX_SHAPES or sum(shape[2] for shape in _SHAPES.values()) > _MAX_SHAPE_MOVES:
@@ -741,38 +639,49 @@ subword_sums.cache_info = lambda: _ShapeInfo(len(_SHAPES), _MAX_SHAPES, sum(s[2]
 subword_sums.cache_clear = _SHAPES.clear
 
 
+def _chain_values(single, open_, close, extend):
+    """The ``value`` of :func:`subword_sums` by the callbacks of
+    :func:`diagfock.levy._vector_chain`: {u} is worth ``single(u[0])``, and a
+    longer block closes at u[-1] the row that ``open_(u[0])`` opened and
+    ``extend`` carried, each open subword's row built once, from its prefix's."""
+    rows: Dict[tuple, object] = {}
+
+    def row(u):
+        vec = rows.get(u)
+        if vec is None:
+            vec = rows[u] = open_(u[0]) if len(u) == 1 else extend(row(u[:-1]), u[-1])
+        return vec
+
+    return lambda u: single(u[0]) if len(u) == 1 else close(row(u[:-1]), u[-1])
+
+
 def role_sums(roles_at: Sequence[str], a, b, single, open_, close, extend, scale: int = 1) -> Tuple[Dict[tuple, object], int]:
     """({R: T(R)}, scale) for every R with R_p in roles_at[p - 1] and T(R)
     nonzero, T(R) / scale^n the sum of a^rc b^rn * prod of block values over
-    the rows of [n] with role vector R, by one :func:`arc_sums` pass over the
-    trie of the role words at the point (a, b, 1, 0), since [k]_{1,0} = 1,
-    whose ``scale`` it takes and returns.  The letter of point p in role r
-    is (r, p - 1), and the callbacks value point i in that role:
+    the rows of [n] with role vector R, by one :func:`subword_sums` pass
+    over the trie of the role words at the point (a, b, 1, 0), since
+    [k]_{1,0} = 1, whose ``scale`` it takes and returns.  The letter of
+    point p in role r is (r, p - 1), which takes role r only, and the
+    callbacks value point i in its role (:func:`_chain_values`):
     ``single(i)``, ``open_(i)``, ``close(chain, i)``, ``extend(chain, i)``.
     At n = 0 the one row of [0] is the empty R."""
-    n = len(roles_at)
-    # the first point opens or stands alone, the last closes or stands alone
-    first, last = (ROLE_OPENER, ROLE_SINGLETON), (ROLE_CLOSER, ROLE_SINGLETON)
-    sums, scale = arc_sums(
-        [[(r, i) for r in roles if (i or r in first) and (i < n - 1 or r in last)] for i, roles in enumerate(roles_at)],
-        (a, b, 1, 0),
-        lambda x: single(x[1]) if x[0] == ROLE_SINGLETON else 0,
-        lambda x: open_(x[1]) if x[0] == ROLE_OPENER else None,
-        lambda chain, x: close(chain, x[1]) if x[0] == ROLE_CLOSER else 0,
-        lambda chain, x: extend(chain, x[1]) if x[0] == ROLE_MIDDLE else None,
-        ends=lambda x: x[0] in (ROLE_CLOSER, ROLE_MIDDLE),
-        scale=scale,
-    )
+    n, value = len(roles_at), _chain_values(lambda x: single(x[1]), lambda x: open_(x[1]),
+                                            lambda chain, x: close(chain, x[1]), lambda chain, x: extend(chain, x[1]))
+    sums, scale = subword_sums([[(r, i) for r in rs] for i, rs in enumerate(roles_at)], (a, b, 1, 0), value, roles_at, scale=scale)
     return {word: total for word, total in sums.items() if len(word) == n and total != 0}, scale
 
 
 def count_diagonal_partitions(n: int, min_block_size: int = 1) -> int:
     """Number of diagonal partitions of [n] + [n-bar] with every block of at
-    least m = min_block_size points: the sum over R of T(R)^2, T(R) counting
-    such rows by :func:`role_sums` at weight 1, with the block size capped
-    at m as the chain.  Guarded like the enumeration it counts."""
+    least m = min_block_size points (an int; m <= 1 bounds nothing): the sum
+    over R of T(R)^2, T(R) the number of such rows with role vector R.  At
+    m <= 2 T(R) = B(R) is the product of k over the steps of R that end one
+    of k open arcs, so one pass over 0^n at (1, 1, 1, 1) counts; at m >= 3
+    one pass over the role words, each letter its own role, gives each T(R)
+    (a block's subword O M ... M C is its size).  Guarded like the listing."""
     _guards.check_size("the size n of a diagonal partition", n, _guards.MAX_DIAGONAL_N)
-    m = min_block_size
-    rows, _ = role_sums(["OCMS" if m <= 1 else "OCM"] * n, 1, 1, lambda i: 1, lambda i: 1,
-                        lambda size, i: int(size + 1 >= m), lambda size, i: min(size + 1, m))
-    return sum(t * t for t in rows.values())
+    m = _guards.check_size("the least block size m", min_block_size, math.inf, least=-math.inf)
+    if m <= 2:
+        return subword_sums([(0,)] * n, (1, 1, 1, 1), lambda u: int(len(u) >= m))[0].get((0,) * n, 0)
+    sums, _ = subword_sums(["OCM"] * n, (1, 1, 1, 0), lambda u: int(len(u) >= m), ["OCM"] * n)
+    return sum(t * t for word, t in sums.items() if len(word) == n)

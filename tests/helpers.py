@@ -16,11 +16,11 @@ import random
 from fractions import Fraction
 from functools import reduce
 from operator import add
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from diagfock import _linalg, fock, levy
 from diagfock.orthopoly import polys_from_jacobi, quadrature_rule
-from diagfock.partitions import SetPartition
+from diagfock.partitions import SetPartition, _step_weights
 from diagfock.scalars import _cleared_array, _cleared_point, _over
 
 
@@ -307,10 +307,131 @@ def restricted_counts_brute(blocks: Sequence[Sequence[int]]) -> Tuple[int, int]:
     return rc, rn
 
 
+_UNSEEN = object()
+
+
+def arc_sums(
+    letters: Sequence[Sequence],
+    point: Sequence,
+    single: Callable[[object], object],
+    open_: Callable[[object], object],
+    close: Callable[[object, object], object],
+    extend: Callable[[object, object], object],
+    ends: Optional[Callable[[object], bool]] = None,
+    scale: int = 1,
+) -> Tuple[Dict[tuple, object], int]:
+    """The value-merging oracle of ``partitions.subword_sums``: the diagonal
+    sums of every word a_1 ... a_m with a_p in ``letters[p - 1]``, m = 0..n,
+    by one open-arc state DP over the trie of the words, walks that reach
+    equal open chains merged, each level valued as it is walked.
+
+    The points 1..n are placed as in ``partitions._walk``, but walks that reach the
+    same open state are merged, and a state belongs to a word's prefix, so
+    words sharing a prefix share every step up to it.  A state is the tuple
+    of open *chains*, in arc-opening order; a chain is whatever the caller
+    needs to value a block once it closes.  Point p with letter a is a
+    Singleton (times ``single(a)``), Opens a chain ``open_(a)``, or ends the
+    j-th (from 0) of the k open arcs with weight a^(k-1-j) b^j [k]_{c,d} at
+    the ``point`` (a, b, c, d): the row's weight, crossings counted by a and
+    nestings by b, times the bar row's factor of ``partitions.unit_bar_sum`` (1 at
+    (c, d) = (1, 0)).  A Closer then multiplies by ``close(chain, a)``; a
+    Middle re-appends ``extend(chain, a)``.  A letter may take fewer roles:
+    ``open_`` and ``extend`` return None and ``single`` and ``close`` 0 for
+    a role it cannot take, and ``ends(a)`` is false if it can end no arc.
+    A ``single`` or ``close`` value of None is not known yet: it counts as
+    0 and is not kept, so the pass asks for it again where it next meets it.
+    Zero values and weights are dropped, and so are states with more open
+    arcs than points left and, before the last point, words with no state.
+
+    Returns ({w: S(w)}, scale) for every word kept, shortest first (a word
+    left out has sum 0): S(w) / scale^m is the sum of w, m its length, read
+    off the empty state after the step of w.  The empty word comes first,
+    its sum the weights' ring's one, and a word with no state sums to that
+    ring's 0.  The caller's values may come cleared of denominators by an
+    int ``scale`` D, a block of j points times D^j (``scalars._denominator``
+    of the data).  The pass clears its weights in turn, at the point
+    cleared by ``scalars._cleared_point``, to S_w = (E F)^(K-1) times their
+    values (``partitions._step_weights``), K = max(n // 2, 1) the most arcs open at
+    once, and multiplies each singleton and closer value by S_w, so that,
+    one factor coming per point, every sum of m points is (S_w D)^m times
+    its value, and the scale returned is S_w D.  Each chain is valued once
+    per letter.  Callers cap n; the state count, not Bell(n), sets the cost.
+    """
+    n = len(letters)
+    rows, one, step = _step_weights(point, n)
+    zero = one * 0  # the sum of a word with no state
+    live = [[(j, x) for j, x in enumerate(row) if x is not None] for row in rows]
+    chains: List[object] = []  # the chain of each id; states hold ids
+    ids: Dict[object, int] = {}
+    extended: Dict[Tuple[int, object], Optional[int]] = {}
+    closed: Dict[Tuple[int, object], object] = {}  # step times close(chain, a) by (chain, a), None for 0
+    level: Dict[tuple, dict] = {(): {(): one}}
+    sums: Dict[tuple, object] = {(): one}
+
+    def intern(chain) -> int:
+        i = ids.setdefault(chain, len(chains))
+        if i == len(chains):
+            chains.append(chain)
+        return i
+
+    for p in range(1, n + 1):
+        room = n - p  # a state may keep open at most as many arcs as points remain
+        steps = []
+        for a in letters[p - 1]:
+            s_val, chain, can_end = single(a), open_(a) if room else None, ends is None or ends(a)
+            s_val = None if s_val is None or s_val == 0 else s_val * step
+            steps.append((a, s_val, None if chain is None else intern(chain), can_end))
+        nodes: Dict[tuple, dict] = {}
+        for word, states in level.items():
+            for a, s_val, o_id, can_end in steps:
+                if s_val is None and o_id is None and not can_end:
+                    continue
+                nxt: dict = {}
+                get = nxt.get
+                for open_ids, val in states.items():
+                    k = len(open_ids)
+                    if s_val is not None and k <= room:
+                        acc, term = get(open_ids), val * s_val
+                        nxt[open_ids] = term if acc is None else acc + term
+                    if o_id is not None and k < room:
+                        key = open_ids + (o_id,)
+                        acc = get(key)
+                        nxt[key] = val if acc is None else acc + val
+                    if not (can_end and k):
+                        continue
+                    for j, weight in live[k - 1]:
+                        cid = open_ids[j]
+                        rest = open_ids[:j] + open_ids[j + 1:]
+                        x = closed.get((cid, a), _UNSEEN)
+                        if x is _UNSEEN:
+                            x = close(chains[cid], a)
+                            if x is not None:
+                                x = closed[cid, a] = None if x == 0 else x * step
+                        if x is not None:
+                            acc, term = get(rest), val * (x if weight is one else weight * x)
+                            nxt[rest] = term if acc is None else acc + term
+                        if k <= room:
+                            e = extended.get((cid, a), _UNSEEN)
+                            if e is _UNSEEN:
+                                chain = extend(chains[cid], a)
+                                e = extended[cid, a] = None if chain is None else intern(chain)
+                            if e is not None:
+                                key = rest + (e,)
+                                term = val if weight is one else val * weight
+                                acc = get(key)
+                                nxt[key] = term if acc is None else acc + term
+                if nxt or room == 0:
+                    nodes[word + (a,)] = nxt
+        for word, states in nodes.items():
+            sums[word] = states.get((), zero)
+        level = nodes
+    return sums, scale * step
+
+
 def kernel_values(result) -> Dict[tuple, object]:
-    """The values of an ``arc_sums`` or ``role_sums`` pass (sums, scale):
-    the sum of a word of m points over the int scale^m, a dict by block
-    count entrywise."""
+    """The values of a ``subword_sums``, ``role_sums`` or ``arc_sums`` pass
+    (sums, scale): the sum of a word of m points over the int scale^m, a
+    dict by block count entrywise."""
     sums, scale = result
     assert type(scale) is int and scale >= 1
     out = {}

@@ -45,7 +45,7 @@ DISTINCT_12 = fock.FockVector({(tuple(range(12)), tuple(range(12))): ONE})  # a 
 # orthopoly kernels from orthopoly when its command runs), and the token check
 # of fock's public entries
 WORK = [
-    (partitions, "arc_sums"), (partitions, "role_sums"), (partitions, "_diagonal_classes"),
+    (partitions, "subword_sums"), (partitions, "role_sums"), (partitions, "_diagonal_classes"),
     (levy, "subword_sums"),
     (wick, "subword_sums"), (wick, "role_sums"), (wick, "_vacuum_moment"), (wick, "apply_word"),
     (fock, "_check_tokens"), (fock, "_vacuum_moment"), (fock, "_sym_column"),
@@ -377,6 +377,22 @@ def _cached_functions():
             for name, obj in names.items():
                 if callable(getattr(obj, "cache_info", None)):
                     yield f"{prefix}.{name}", obj
+
+
+@pytest.mark.parametrize("size", [3.0, True, "3", None, Fraction(3)], ids=repr)
+def test_a_size_that_is_not_an_int_is_refused(size):
+    # a float used to get past the guard and fail later with a bare
+    # TypeError, and a bool to count as 0 or 1
+    with pytest.raises(ValueError, match=f"^what is {re.escape(repr(size))}, but must be an int$"):
+        guards.check_size("what", size, 10)
+    for call in (
+        lambda: fock.positivity_check(size, HALF, ONE, 2),
+        lambda: orthopoly.jacobi_hermite(P, size),
+        lambda: orthopoly.moments_from_jacobi(orthopoly.jacobi_sech(3), size),
+        lambda: levy.functional_from_spec(SPEC, P, size),
+    ):
+        with pytest.raises(ValueError, match="but must be an int$"):
+            call()
 
 
 def test_every_cache_is_bounded():

@@ -242,10 +242,8 @@ def row_through_kernel(a, b, n, v):
     as the kernel builds them: n openers, a closer valuing arc j by v^j and
     n - 1 more closers sum to sum_j w_j v^j [1] ... [n - 1]."""
     letters = [(("O", j),) for j in range(n)] + [("V",)] + [("C",)] * (n - 1)
-    sums, scale = partitions.arc_sums(
-        letters, (a, b, 1, 0), lambda x: 0, lambda x: x[1] if x[0] == "O" else None,
-        lambda j, x: v**j if x == "V" else int(x == "C"), lambda j, x: None,
-    )
+    roles = [("O",)] * n + [("C",)] * n
+    sums, scale = partitions.subword_sums(letters, (a, b, 1, 0), lambda u: v ** u[0][1] if u[-1] == "V" else 1, roles)
     # a word with no state (at a = b = 0, n >= 3) is left out: its sum is 0
     return partitions._read(sums, scale).get(tuple(x for x, in letters), 0)
 

@@ -1,6 +1,8 @@
+import collections
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from diagfock import partitions
-from diagfock._guards import MAX_DIAGONAL_N, MAX_FAMILY_NMAX, ResourceLimitError
+from diagfock import levy, partitions, wick
+from diagfock._guards import MAX_DIAGONAL_N, MAX_FAMILY_NMAX, MAX_PARTITION_ITEMS, ResourceLimitError
 from diagfock.partitions import (
     ROLE_OPENER,
     ROLE_SINGLETON,
     DiagonalPartition,
     SetPartition,
-    arc_sums,
     count_diagonal_pair_partitions,
     count_diagonal_partitions,
     diagonal_partition_profiles,
@@ -28,8 +29,9 @@ from diagfock.partitions import (
     _read,
     _walk,
 )
+from diagfock.fock import ANNIHILATE, CREATE, GaugePair, VectorPair
 from diagfock.levy import cumulant_functional, moment_functional
-from diagfock.orthopoly import jacobi_hermite, jacobi_poisson, jacobi_sech, moments_from_jacobi
+from diagfock.orthopoly import JacobiData, jacobi_hermite, jacobi_poisson, jacobi_sech, moments_from_jacobi
 from diagfock.scalars import DeformationParams, Poly
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -376,6 +378,35 @@ def test_partition_count_is_the_length_of_the_listing(m):
     assert count_diagonal_partitions(0, m) == 1
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_partition_count_is_a_jacobi_moment(m):
+    # a Motzkin walk on the number l of open arcs: an Opener steps up, a
+    # Closer steps down from l + 1 with weight (l + 1)^2 (each row ends one
+    # of them), a Middle weighs l^2 and, at m = 1, a Singleton 1
+    depth = MAX_DIAGONAL_N // 2 + 1
+    jacobi = JacobiData(tuple(int(m == 1) + l * l for l in range(depth)), tuple((l + 1) ** 2 for l in range(depth - 1)))
+    counts = [count_diagonal_partitions(n, m) for n in range(1, MAX_DIAGONAL_N + 1)]
+    assert counts == moments_from_jacobi(jacobi, MAX_DIAGONAL_N) and all(type(c) is int for c in counts)
+
+
+def test_a_letter_takes_only_its_own_roles():
+    # each letter its own role, at weight 1: the sum of a role word is the
+    # number of rows with that role vector, and every block valued reads S
+    # alone or O M ... M C
+    asked = set()
+
+    def value(u):
+        asked.add(u)
+        return 1
+
+    for n in range(7):
+        sums, scale = subword_sums(["OCMS"] * n, (1, 1, 1, 0), value, ["OCMS"] * n)
+        rows = collections.Counter(helpers.roles_brute(blocks, n) for blocks in helpers.all_partitions_brute(n))
+        assert scale == 1 and {w: t for w, t in sums.items() if len(w) == n and t} == dict(rows), n
+    assert ("S",) in asked and ("O", "M", "C") in asked
+    assert all(u == ("S",) or (u[0], u[-1]) == ("O", "C") and set(u[1:-1]) <= {"M"} for u in asked)
+
+
 def block_arc_sums(n, params, value, graded=False):
     """The subword-chain DP over the one word 1 2 ... n, each open block its
     own subword: every diagonal sum of [1], ..., [n] with top value
@@ -430,13 +461,13 @@ def test_arc_sums_match_enumeration_and_row_table(symbolic):
 
 
 def pair_arc_sums(n, params, grown=0):
-    """The DP with no singletons: chain 1 is an open pair, which closes to 1
-    (r_2 = 1); chain 2 a block grown past a pair, which closes to ``grown``
-    (r_k for k >= 3): m_1, ..., m_n, each a Fraction at a rational point and
-    a Poly at the symbolic point, after checking that the pass ran on
-    cleared sums (ints, or Polys of denominator 1)."""
-    sums, scale = arc_sums([(0,)] * n, params, lambda a: 0, lambda a: 1, lambda chain, a: 1 if chain == 1 else grown,
-                           lambda chain, a: 2)
+    """The DP over the word 0^n with no singletons: a pair closes to 1
+    (r_2 = 1), a block grown past a pair to ``grown`` (r_k for k >= 3; no
+    Middle where it is 0): m_1, ..., m_n, each a Fraction at a rational
+    point and a Poly at the symbolic point, after checking that the pass ran
+    on cleared sums (ints, or Polys of denominator 1)."""
+    roles = [("OCM" if grown else "OC",)] * n
+    sums, scale = subword_sums([(0,)] * n, params, lambda u: 1 if len(u) == 2 else grown, roles)
     assert all(type(x) is int or type(x) is Poly and x.denominator == 1 for x in sums.values())
     return list(_read(sums, scale).values())[1:]
 
@@ -482,7 +513,7 @@ def test_arc_sums_drop_a_weight_that_the_bar_factor_zeroes():
                  lambda chain, a: None)
     for params, words in [(DeformationParams.from_rationals(Fraction(1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(2, 3)), 3),
                           (DeformationParams.from_rationals(Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)), 5)]:
-        sums, _ = arc_sums(letters, params, *callbacks)
+        sums, _ = helpers.arc_sums(letters, params, *callbacks)
         assert [len(word) for word in sums] == list(range(words))
         sums, _ = subword_sums(letters, params, lambda u: 1, roles="OOCC")
         assert [len(word) for word in sums] == list(range(words))
@@ -685,10 +716,10 @@ def test_a_word_whose_node_dies_is_left_out_as_arc_sums_leaves_it(params):
     psi = {w: Fraction(0) if r.random() < 0.3 else helpers.rand_frac(r) for w in words}
     psi[(1,)] = psi[(0, 1)] = Fraction(0)
     subword_sums.cache_clear()
-    got = typed_sums(subword_sums([range(2)] * 5, params, psi.__getitem__, roles))
-    # the same pass on arc_sums: each letter carries its point, so the callbacks see its roles
+    got = typed_sums(subword_sums([range(2)] * 5, params, psi.__getitem__, [(r, r) for r in roles]))
+    # the same pass on the value-merging oracle: each letter carries its point, so the callbacks see its roles
     may = lambda x, role: role in roles[x[0]]
-    sums, scale = arc_sums(
+    sums, scale = helpers.arc_sums(
         [[(p, a) for a in range(2)] for p in range(5)],
         params,
         lambda x: psi[(x[1],)] if may(x, "S") else 0,
@@ -701,6 +732,46 @@ def test_a_word_whose_node_dies_is_left_out_as_arc_sums_leaves_it(params):
     assert got == expect
     kept = [word for word, _ in got]
     assert (0, 1) not in kept and (0, 1, 0) not in kept and (0, 0) in kept
+
+
+def oracle_role_sums(roles_at, a, b, single, open_, close, extend, scale=1):
+    """:func:`role_sums` on the value-merging oracle ``helpers.arc_sums``:
+    the letter (r, i) of point i in role r, the callbacks told its role."""
+    sums, scale = helpers.arc_sums(
+        [[(r, i) for r in roles] for i, roles in enumerate(roles_at)],
+        (a, b, 1, 0),
+        lambda x: single(x[1]) if x[0] == "S" else 0,
+        lambda x: open_(x[1]) if x[0] == "O" else None,
+        lambda chain, x: close(chain, x[1]) if x[0] == "C" else 0,
+        lambda chain, x: extend(chain, x[1]) if x[0] == "M" else None,
+        ends=lambda x: x[0] in "CM",
+        scale=scale,
+    )
+    return {word: total for word, total in sums.items() if len(word) == len(roles_at) and total != 0}, scale
+
+
+@pytest.mark.parametrize("special", SHAPE_POINTS.values(), ids=list(SHAPE_POINTS))
+def test_a_role_word_shape_replays_exactly(monkeypatch, special):
+    # the row pass of the Wick sums with d >= 2 on both rows: a first call
+    # and a replay at another point give the same values and types, and
+    # both equal the value-merging oracle's
+    r = helpers.rng(49)
+    n = 6
+    starts = [helpers.rand_vec(r, 2) for _ in range(n)]
+    gauges = [helpers.rand_mat(r, 2) if i % 3 else None for i in range(n)]
+    callbacks, scale = levy._vector_chain(starts, gauges, [helpers.rand_frac(r) for _ in range(n)])
+    roles_at = ["OCMS" if g is not None else "OCS" for g in gauges]
+    for compile_at, point in ((special, GENERIC), (GENERIC, special)):
+        subword_sums.cache_clear()
+        fresh = role_sums(roles_at, point.q, point.t, *callbacks, scale=scale)
+        assert subword_sums.cache_info().currsize == 1
+        subword_sums.cache_clear()
+        role_sums(roles_at, compile_at.q, compile_at.t, *callbacks, scale=scale)
+        with monkeypatch.context() as m:
+            m.setattr(partitions, "_compile", lambda *a: pytest.fail("a cached shape was compiled again"))
+            again = role_sums(roles_at, point.q, point.t, *callbacks, scale=scale)
+        assert typed_sums(again) == typed_sums(fresh) == typed_sums(oracle_role_sums(roles_at, point.q, point.t, *callbacks, scale=scale))
+        assert len(fresh[0]) > 1
 
 
 def test_walk_rows_equal_checked_partitions():
@@ -768,6 +839,105 @@ def test_resource_guards():
 def test_negative_sizes_are_bad_input(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("size", [3.0, True, False, "3", None, Fraction(3)])
+def test_a_size_that_is_not_an_int_is_bad_input(size):
+    # 3.0 used to get past the guard and break on a list repeat, True to
+    # count as 1 and a least block size of 1.5 as 2
+    for call in (
+        lambda: list(diagonal_partitions(size)),
+        lambda: list(diagonal_partitions(4, size)),
+        lambda: diagonal_partition_profiles(size),
+        lambda: count_diagonal_partitions(size),
+        lambda: count_diagonal_partitions(4, size),
+        lambda: count_diagonal_pair_partitions(size),
+    ):
+        with pytest.raises(ValueError, match=f"is {re.escape(repr(size))}, but must be an int$"):
+            call()
+    # an int least block size of 1 or less bounds nothing
+    assert count_diagonal_partitions(4, -3) == count_diagonal_partitions(4, 1) == count_diagonal_partitions(4)
+
+
+@pytest.mark.parametrize(
+    "n, blocks, message",
+    [
+        (2, [[1, 2], []], "block [] of [[1, 2], []]"),
+        (2, [[1.0, 2]], "block [1.0, 2] of"),
+        (2, [[True, 2]], "block [True, 2] of"),
+        (-1, [], "is -1, but must be >= 0"),
+        (2.0, [[1, 2]], "is 2.0, but must be an int"),
+    ],
+)
+def test_a_set_partition_refuses_a_malformed_block(n, blocks, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SetPartition(n, blocks)
+    assert str(SetPartition(0, [])) == "" and SetPartition(2, [[2], [1]]).blocks == ((1,), (2,))
+
+
+def test_the_listing_caches_refuse_a_long_listing_before_they_list(monkeypatch):
+    # n = 9 has 340 217 diagonal partitions; each cache counts first
+    assert count_diagonal_partitions(9) > MAX_PARTITION_ITEMS >= count_diagonal_partitions(8)
+    listed = count_diagonal_partitions(4)
+    monkeypatch.setattr(partitions._guards, "MAX_PARTITION_ITEMS", listed)
+    for cache in (diagonal_partition_profiles, levy._diag_partitions_list):
+        cache.cache_clear()
+        assert len(cache(4)) == listed
+        with monkeypatch.context() as m:
+            m.setattr(partitions, "_diagonal_classes", lambda *a: pytest.fail("listed past the cap"))
+            for n in (5, 9):
+                with pytest.raises(ResourceLimitError, match=f"the item count of n = {n} is"):
+                    cache(n)
+        assert cache.cache_info().currsize == 1
+        cache.cache_clear()
+
+
+def test_every_diagonal_sum_runs_on_the_one_kernel(monkeypatch):
+    # one open-arc pass in src: each diagonal-sum entry reaches subword_sums
+    assert not hasattr(partitions, "arc_sums")
+    calls = []
+    kernel = partitions.subword_sums
+
+    def spied(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    for module in (partitions, levy, wick):
+        if getattr(module, "subword_sums", None) is kernel:
+            monkeypatch.setattr(module, "subword_sums", spied)
+    r = helpers.rng(50)
+    P, ONE = GENERIC, Fraction(1)
+    spec = levy.LevySpec.of([[1, 2]], [[[Fraction(1, 2), 1], [1, 0]]], [Fraction(1, 3)])
+    psi = {w: Fraction(len(w), 3) for m in range(1, 4) for w in itertools.product(range(2), repeat=m)}
+    ops = {
+        d: [
+            wick.QuadrabasicOp(VectorPair.of(helpers.rand_vec(r, 2), helpers.rand_vec(r, d)),
+                               GaugePair.of(helpers.rand_mat(r, 2), helpers.rand_mat(r, d)), helpers.rand_frac(r), ONE)
+            for _ in range(4)
+        ]
+        for d in (1, 2)
+    }
+    entries = {
+        "moment_functional": lambda: levy.moment_functional(psi, 2, P, 3),
+        "cumulant_functional": lambda: levy.cumulant_functional(psi, 2, P, 3),
+        "cumulants_to_moments": lambda: levy.cumulants_to_moments([1, 1, 1], P),
+        "moments_to_cumulants": lambda: levy.moments_to_cumulants([1, 1, 1], P),
+        "product_functional": lambda: levy.product_functional(psi, 2, psi, 2, P, 2),
+        "levy_moment": lambda: levy.levy_moment(spec, (0, 0, 0), P),
+        "levy_moment_s_poly": lambda: levy.levy_moment_s_poly(spec, (0, 0, 0), P),
+        "functional_from_spec": lambda: levy.functional_from_spec(spec, P, 3),
+        "gaussian_wick 2/1": lambda: wick.gaussian_wick([op.vector for op in ops[1]], P),
+        "gaussian_wick 2/2": lambda: wick.gaussian_wick([op.vector for op in ops[2]], P),
+        "full_wick 2/1": lambda: wick.full_wick(ops[1], P),
+        "full_wick 2/2": lambda: wick.full_wick(ops[2], P),
+        "word_vacuum_formula": lambda: wick.word_vacuum_formula([(ANNIHILATE, ops[2][0].vector), (CREATE, ops[2][1].vector)], P),
+        "count m = 1": lambda: count_diagonal_partitions(6, 1),
+        "count m = 3": lambda: count_diagonal_partitions(6, 3),
+    }
+    for name, call in entries.items():
+        calls.clear()
+        call()
+        assert calls, name
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=8))

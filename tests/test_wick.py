@@ -538,6 +538,24 @@ def test_a_one_dimensional_row_folds_into_one_pass(monkeypatch, d_top, d_bar, pa
         assert calls == {"subword_sums": int(passes == 0), "role_sums": passes}, formula.__name__
 
 
+def test_both_rows_of_a_wick_sum_replay_one_shape(monkeypatch):
+    # the top and bar rows of one call have the same roles, so the bar row
+    # replays the role-word shape the top row compiled
+    from diagfock import partitions
+
+    compiled, compile_ = [], partitions._compile
+    monkeypatch.setattr(partitions, "_compile", lambda *args: compiled.append(args[:3]) or compile_(*args))
+    r = helpers.rng(51)
+    ops = [rand_op(r, 2, 2) for _ in range(5)]
+    for formula, data, oracle in ((full_wick, ops, ops), (gaussian_wick, [op.vector for op in ops], None)):
+        partitions.subword_sums.cache_clear()
+        compiled.clear()
+        got = formula(data, PARAM_POINTS[0])
+        assert len(compiled) == 1, formula.__name__
+        oracle = oracle or [QuadrabasicOp(op.vector, None) for op in ops]
+        assert got == helpers.brute_full_wick(oracle, PARAM_POINTS[0]), formula.__name__
+
+
 def test_full_wick_of_no_operators_is_one():
     # the empty product is the one of the point: a Poly at the symbolic point
     for params in (SYM, PARAM_POINTS[0]):
